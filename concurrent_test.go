@@ -20,8 +20,10 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"sudaf"
+	"sudaf/internal/faultinject"
 )
 
 // concTable builds the shared dataset: 40 interleaved groups, strictly
@@ -377,6 +379,34 @@ func TestAdmissionControl(t *testing.T) {
 	_, err := eng.QueryContext(ctx, "SELECT count(*) FROM sales", sudaf.Share)
 	if !errors.Is(err, sudaf.ErrCanceled) {
 		t.Fatalf("pre-canceled context: got %v, want ErrCanceled", err)
+	}
+
+	// A batch occupies one admission slot like any query, so a batch that
+	// had to wait for one counts as queued too: with a single slot held
+	// by an in-flight (stalled) query, the batch queues exactly once.
+	defer faultinject.Reset()
+	one := concEngine(t, sudaf.Options{Workers: 2, MaxConcurrentQueries: 1})
+	faultinject.Arm(faultinject.PointExecWorker, faultinject.Spec{
+		Kind: faultinject.KindDelay, Delay: 200 * time.Millisecond, Times: 1})
+	held := make(chan error, 1)
+	go func() {
+		_, err := one.Query("SELECT g, qm(price) FROM sales GROUP BY g", sudaf.Rewrite)
+		held <- err
+	}()
+	for one.Stats().QueriesStarted == 0 { // started = admitted: the slot is taken
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := one.QueryBatch(context.Background(), []sudaf.Request{
+		{SQL: "SELECT g, avg(price) FROM sales GROUP BY g"},
+		{SQL: "SELECT g, var(price) FROM sales GROUP BY g"},
+	}, sudaf.Rewrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if es := one.Stats(); es.QueriesQueued != 1 || es.QueriesCompleted != 3 {
+		t.Fatalf("queued batch: QueriesQueued=%d QueriesCompleted=%d, want 1 and 3", es.QueriesQueued, es.QueriesCompleted)
 	}
 }
 

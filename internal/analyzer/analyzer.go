@@ -3,27 +3,23 @@
 // sequence of phases, each phase a list of small, individually-testable
 // rules. Rules are plain functions over a caller-defined plan type P —
 // the framework owns only sequencing, cooperative cancellation between
-// rules, error propagation and per-rule observation.
+// rules and position-wrapped error propagation.
 //
-// The SUDAF query planner (internal/core) instantiates it with phases
-// resolve → canonicalize → share → fuse → parallelize; the batch planner
-// reuses the resolve/canonicalize front to unify states across queries.
+// The SUDAF query planner (internal/core) is its one instantiation:
+// queryPipeline, with phases resolve → canonicalize → share → fuse →
+// parallelize → distribute. Every aggregate statement — windowed ones
+// included — runs the whole pipeline; the batch planner and EXPLAIN run
+// its resolve/canonicalize front (RunThrough) on the same plan type, so
+// they see exactly the data plan and bound states execution will.
 package analyzer
 
 import (
 	"context"
-	"errors"
 	"fmt"
 )
 
-// ErrStop is returned by a rule to halt the pipeline early without
-// error: remaining rules and phases are skipped and Run returns nil.
-// Rules use it when a plan is already fully decided (e.g. a query
-// answered entirely from cache needs no fuse/parallelize work).
-var ErrStop = errors.New("analyzer: stop")
-
 // Rule is one atomic planning step. Apply mutates the plan in place; a
-// returned error aborts the pipeline (ErrStop aborts it successfully).
+// returned error aborts the pipeline.
 type Rule[P any] struct {
 	Name  string
 	Apply func(ctx context.Context, p P) error
@@ -35,36 +31,34 @@ type Phase[P any] struct {
 	Rules []Rule[P]
 }
 
-// Observer is notified after every rule application with the phase and
-// rule names and the rule's outcome (nil, ErrStop, or a real error).
-// Nil observers are allowed; observation must not mutate the plan.
-type Observer func(phase, rule string, err error)
-
 // Pipeline is a fixed sequence of phases.
 type Pipeline[P any] struct {
 	Phases []Phase[P]
 }
 
 // Run applies every phase's rules in order. Between rules it polls ctx,
-// so a canceled query stops at the next rule boundary. The first real
-// error aborts and is returned wrapped with the phase/rule position;
-// ErrStop aborts cleanly and Run returns nil.
-func (pl *Pipeline[P]) Run(ctx context.Context, p P, obs Observer) error {
+// so a canceled query stops at the next rule boundary. The first error
+// aborts and is returned wrapped with the phase/rule position.
+func (pl *Pipeline[P]) Run(ctx context.Context, p P) error {
+	return pl.RunThrough(ctx, p, "")
+}
+
+// RunThrough is Run stopped after the named phase: planners that need
+// only the pipeline's front (resolution and canonicalization, say) run
+// the same rules execution does instead of re-deriving their outputs.
+// An empty or unknown phase name runs every phase.
+func (pl *Pipeline[P]) RunThrough(ctx context.Context, p P, last string) error {
 	for _, ph := range pl.Phases {
 		for _, r := range ph.Rules {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			err := r.Apply(ctx, p)
-			if obs != nil {
-				obs(ph.Name, r.Name, err)
-			}
-			if err != nil {
-				if errors.Is(err, ErrStop) {
-					return nil
-				}
+			if err := r.Apply(ctx, p); err != nil {
 				return fmt.Errorf("analyzer %s/%s: %w", ph.Name, r.Name, err)
 			}
+		}
+		if ph.Name == last {
+			break
 		}
 	}
 	return nil

@@ -27,12 +27,22 @@ func testPipeline(extra ...Rule[*testPlan]) *Pipeline[*testPlan] {
 
 func TestRunAppliesRulesInOrder(t *testing.T) {
 	p := &testPlan{}
-	if err := testPipeline().Run(context.Background(), p, nil); err != nil {
+	if err := testPipeline().Run(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	want := "[a b c]"
 	if got := fmt.Sprint(p.log); got != want {
 		t.Fatalf("rule order = %s, want %s", got, want)
+	}
+}
+
+func TestRunThroughStopsAfterNamedPhase(t *testing.T) {
+	p := &testPlan{}
+	if err := testPipeline().RunThrough(context.Background(), p, "resolve"); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(p.log); got != "[a b]" {
+		t.Fatalf("front rules = %s, want [a b]", got)
 	}
 }
 
@@ -45,7 +55,7 @@ func TestRunStopsOnError(t *testing.T) {
 		{Name: "resolve", Rules: []Rule[*testPlan]{appendRule("a"), bad, appendRule("never")}},
 	}}
 	p := &testPlan{}
-	err := pl.Run(context.Background(), p, nil)
+	err := pl.Run(context.Background(), p)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -55,24 +65,6 @@ func TestRunStopsOnError(t *testing.T) {
 	}
 	if fmt.Sprint(p.log) != "[a]" {
 		t.Fatalf("rules after the failure ran: %v", p.log)
-	}
-}
-
-func TestErrStopHaltsCleanly(t *testing.T) {
-	stop := Rule[*testPlan]{Name: "stop", Apply: func(_ context.Context, p *testPlan) error {
-		p.log = append(p.log, "stop")
-		return ErrStop
-	}}
-	pl := &Pipeline[*testPlan]{Phases: []Phase[*testPlan]{
-		{Name: "resolve", Rules: []Rule[*testPlan]{appendRule("a"), stop}},
-		{Name: "fuse", Rules: []Rule[*testPlan]{appendRule("never")}},
-	}}
-	p := &testPlan{}
-	if err := pl.Run(context.Background(), p, nil); err != nil {
-		t.Fatalf("ErrStop must not surface as an error, got %v", err)
-	}
-	if fmt.Sprint(p.log) != "[a stop]" {
-		t.Fatalf("log = %v", p.log)
 	}
 }
 
@@ -87,26 +79,12 @@ func TestRunPollsContextBetweenRules(t *testing.T) {
 		{Name: "resolve", Rules: []Rule[*testPlan]{trip, appendRule("never")}},
 	}}
 	p := &testPlan{}
-	err := pl.Run(ctx, p, nil)
+	err := pl.Run(ctx, p)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if fmt.Sprint(p.log) != "[trip]" {
 		t.Fatalf("log = %v", p.log)
-	}
-}
-
-func TestObserverSeesEveryRuleOutcome(t *testing.T) {
-	var seen []string
-	obs := func(phase, rule string, err error) {
-		seen = append(seen, fmt.Sprintf("%s/%s:%v", phase, rule, err))
-	}
-	if err := testPipeline().Run(context.Background(), &testPlan{}, obs); err != nil {
-		t.Fatal(err)
-	}
-	want := "[resolve/a:<nil> resolve/b:<nil> fuse/c:<nil>]"
-	if got := fmt.Sprint(seen); got != want {
-		t.Fatalf("observer saw %s, want %s", got, want)
 	}
 }
 

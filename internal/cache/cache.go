@@ -734,6 +734,82 @@ func (c *Cache) sweepCorrupt(sh *shard, gt *GroupTable) {
 	sh.curBytes += gt.bytes()
 }
 
+// shareDetail is the direct (verified) Theorem 4.1 decision procedure —
+// the authority for every shared hit. A variable only so the cache tests
+// can count calls: each candidate must get exactly one direct decision.
+var shareDetail = sharing.ShareDetail
+
+// resolution is the cache's one sharing decision for a wanted state
+// against a group table: how it would be served, from what, and how to
+// materialize the values. It is pure — deciding touches no LRU order,
+// counter or entry — so Probe can render it and LookupKind commit it,
+// and the two cannot disagree.
+type resolution struct {
+	kind HitKind
+	// src is the cached state serving an exact or shared hit.
+	src *CachedState
+	// share is the Theorem 4.1 decision behind a shared hit and rewrite
+	// its compiled scalar rewriting, applied per group to src.Vals.
+	share   sharing.Decision
+	rewrite func(float64) float64
+	// companions are the §5.3 states a sign-split hit reconstructs from,
+	// and reconstruct the deferred reconstruction.
+	companions  []*CachedState
+	reconstruct func() []float64
+}
+
+// vals materializes the wanted state's per-group values (nil on a miss).
+// An exact hit returns the cached slice itself.
+func (r *resolution) vals() []float64 {
+	switch r.kind {
+	case HitExact:
+		return r.src.Vals
+	case HitShared:
+		return applyScalar(r.rewrite, r.src.Vals)
+	case HitSign:
+		return r.reconstruct()
+	}
+	return nil
+}
+
+// resolve decides how want is served from gt, in the fixed order exact
+// match → Theorem 4.1 sharing (each eligible candidate gets exactly one
+// direct decision; the first that shares wins) → §5.3 sign-split
+// reconstruction. healthy filters the states that may serve (nil = all):
+// Probe skips corrupted states, LookupKind has already swept them.
+func (c *Cache) resolve(gt *GroupTable, want canonical.State, positiveData bool, healthy func(*CachedState) bool) resolution {
+	if cs, ok := gt.Exact(want.Key()); ok && (healthy == nil || healthy(cs)) {
+		return resolution{kind: HitExact, src: cs}
+	}
+	for _, cand := range gt.states {
+		if (healthy != nil && !healthy(cand)) || (cand.State.Op == canonical.OpCount && want.Op != canonical.OpCount) {
+			continue
+		}
+		pos := positiveData || cand.PositiveInput
+		d, ok := shareDetail(want, cand.State, pos)
+		if !ok {
+			continue
+		}
+		// Apply the precomputed symbolic digraph's rewriting when it has
+		// one for this pair, the decision's own chain otherwise.
+		var fn func(float64) float64
+		if c.space != nil && pos && sameBase(want, cand.State) {
+			fn, _ = c.space.ShareVia(want.Op, want.F.NormalizeReal(), cand.State.Op, cand.State.F.NormalizeReal())
+		}
+		if fn == nil {
+			var err error
+			if fn, err = d.R.Compile(); err != nil {
+				continue
+			}
+		}
+		return resolution{kind: HitShared, src: cand, share: d, rewrite: fn}
+	}
+	if rec, companions, ok := signSplit(gt, want, healthy); ok {
+		return resolution{kind: HitSign, companions: companions, reconstruct: rec}
+	}
+	return resolution{}
+}
+
 // Lookup resolves a requested state under a fingerprint; see LookupKind.
 func (c *Cache) Lookup(fp string, want canonical.State, positiveData bool) ([]float64, bool) {
 	vals, _, ok := c.LookupKind(fp, want, positiveData)
@@ -743,10 +819,10 @@ func (c *Cache) Lookup(fp string, want canonical.State, positiveData bool) ([]fl
 // LookupKind resolves a requested state under a fingerprint: exact match,
 // Theorem 4.1 sharing, or §5.3 sign-split reconstruction, reporting which
 // path served the hit. On success it returns the per-group values
-// (freshly materialized if rewritten); the returned slice is shared and
-// must not be written. Corrupted states (integrity-check failures) are
-// dropped and reported as misses, so callers degrade to recomputation
-// rather than failing.
+// (freshly materialized if rewritten, and stored so a repeat is an exact
+// hit); the returned slice is shared and must not be written. Corrupted
+// states (integrity-check failures) are dropped and reported as misses,
+// so callers degrade to recomputation rather than failing.
 func (c *Cache) LookupKind(fp string, want canonical.State, positiveData bool) ([]float64, HitKind, bool) {
 	sh := c.shardFor(fp)
 	sh.mu.Lock()
@@ -764,48 +840,93 @@ func (c *Cache) LookupKind(fp string, want canonical.State, positiveData bool) (
 	}
 	sh.touch(fp)
 	c.sweepCorrupt(sh, gt)
-	if cs, ok := gt.Exact(want.Key()); ok {
+	res := c.resolve(gt, want, positiveData, nil)
+	switch res.kind {
+	case HitNone:
+		c.misses.Add(1)
+		return nil, HitNone, false
+	case HitExact:
 		c.exactHits.Add(1)
-		return cs.Vals, HitExact, true
-	}
-	// Sharing pass: find a cached state the request shares.
-	for _, cand := range gt.states {
-		if cand.State.Op == canonical.OpCount && want.Op != canonical.OpCount {
-			continue
-		}
-		pos := positiveData || cand.PositiveInput
-		// Fast path: the precomputed symbolic digraph.
-		if c.space != nil && sameBase(want, cand.State) {
-			if r, ok := c.space.ShareVia(want.Op, want.F.NormalizeReal(), cand.State.Op, cand.State.F.NormalizeReal()); ok && pos {
-				// Confirm with the verified direct procedure, then apply.
-				if _, confirmed := sharing.Share(want, cand.State, pos); confirmed {
-					vals := applyScalar(r, cand.Vals)
-					c.sharedHits.Add(1)
-					c.storeDerived(sh, gt, want, vals, cand.PositiveInput)
-					return vals, HitShared, true
-				}
-			}
-		}
-		if r, ok := sharing.Share(want, cand.State, pos); ok {
-			fn, err := r.Compile()
-			if err != nil {
-				continue
-			}
-			vals := applyScalar(fn, cand.Vals)
-			c.sharedHits.Add(1)
-			c.storeDerived(sh, gt, want, vals, cand.PositiveInput)
-			return vals, HitShared, true
-		}
-	}
-	// Sign-split reconstruction (§5.3): Π b from (Σ ln|b|, Π sgn b);
-	// Σ a·ln|b|-shaped states likewise.
-	if vals, ok := c.signSplitLookup(gt, want); ok {
+		return res.vals(), HitExact, true
+	case HitShared:
+		c.sharedHits.Add(1)
+	case HitSign:
 		c.signHits.Add(1)
-		c.storeDerived(sh, gt, want, vals, false)
-		return vals, HitSign, true
 	}
-	c.misses.Add(1)
-	return nil, HitNone, false
+	// A derived state is stored so a repeat is an exact hit; it inherits
+	// its sharing source's positivity (a sign-split one has none).
+	vals := res.vals()
+	c.storeDerived(sh, gt, want, vals, res.kind == HitShared && res.src.PositiveInput)
+	return vals, res.kind, true
+}
+
+// Lookups is the outcome of LookupAll: the fingerprint's entry, each
+// wanted state's values, and the lookups tallied by how they were served.
+type Lookups struct {
+	// Entry is the group table cached under the fingerprint (nil when
+	// there is none): the group structure cached values are ordered by.
+	Entry *GroupTable
+	// Vals is index-aligned with the wanted states; nil marks a state the
+	// caller must compute.
+	Vals [][]float64
+	// Exact, Shared, Sign and Misses count the lookups by HitKind.
+	Exact, Shared, Sign, Misses int
+}
+
+// LookupAll is the lookup half of the sharing protocol every consumer
+// runs (session queries, windowed queries, shard workers): fetch the
+// fingerprint's entry, resolve each wanted state through LookupKind, and
+// tally the outcomes. positive is index-aligned with want. usable, when
+// non-nil, vets a hit's values — a rejected hit still counts by its kind
+// but is left for the caller to compute. guard, when non-nil, wraps the
+// entry lookup and each state lookup so a caller can contain cache
+// faults per lookup (a lookup that panics is then simply not served).
+func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool,
+	usable func([]float64) bool, guard func(stage string, f func())) Lookups {
+
+	if guard == nil {
+		guard = func(_ string, f func()) { f() }
+	}
+	out := Lookups{Vals: make([][]float64, len(want))}
+	guard("entry lookup", func() { out.Entry, _ = c.Entry(fp) })
+	for i := range want {
+		guard("state lookup", func() {
+			vals, kind, ok := c.LookupKind(fp, want[i], positive[i])
+			if ok && (usable == nil || usable(vals)) {
+				out.Vals[i] = vals
+			}
+			switch kind {
+			case HitExact:
+				out.Exact++
+			case HitShared:
+				out.Shared++
+			case HitSign:
+				out.Sign++
+			default:
+				out.Misses++
+			}
+		})
+	}
+	return out
+}
+
+// StoreAll is the store half: it adds the freshly computed states to gt
+// (a table the caller just built and still owns) and Puts it, returning
+// the number of states now stored under it — 0, and no Put, when there
+// was nothing to store. A state whose vector does not fit the table is
+// skipped: a failed insert costs future sharing, never the query.
+func (c *Cache) StoreAll(gt *GroupTable, fresh []*CachedState) int {
+	for _, cs := range fresh {
+		_ = gt.AddState(cs)
+	}
+	// Count before Put: the cache owns gt afterwards, and a concurrent
+	// query's Put may merge new states into it under the shard lock while
+	// we'd be reading it unlocked.
+	n := gt.NumStates()
+	if n > 0 {
+		c.Put(gt)
+	}
+	return n
 }
 
 // ProbeResult is the read-only provenance record of how a state lookup
@@ -840,8 +961,9 @@ type ProbeResult struct {
 // Probe reports how LookupKind would serve a state under a fingerprint,
 // with full provenance and without observable side effects: no LRU
 // touch, no stats counters, no derived-state materialization, and
-// corrupted states are skipped rather than dropped. It is the EXPLAIN
-// back end; the serving path stays LookupKind.
+// corrupted states are skipped rather than dropped. It renders the same
+// resolve decision LookupKind commits, so EXPLAIN and batch planning
+// predict serving by construction.
 func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeResult {
 	sh := c.shardFor(fp)
 	sh.mu.Lock()
@@ -850,51 +972,38 @@ func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeR
 	if !ok {
 		return ProbeResult{Kind: HitNone, Reason: "no cached entry under this data fingerprint"}
 	}
-	res := ProbeResult{Kind: HitNone}
+	healthy := make(map[*CachedState]bool, len(gt.states))
+	var out ProbeResult
 	for _, s := range gt.states {
 		if s.verify() {
-			res.Candidates = append(res.Candidates, s.State.Key())
+			healthy[s] = true
+			out.Candidates = append(out.Candidates, s.State.Key())
 		}
 	}
-	if cs, ok := gt.Exact(want.Key()); ok && cs.verify() {
-		res.Kind = HitExact
-		res.Matched = want.Key()
-		return res
-	}
-	for _, cand := range gt.states {
-		if !cand.verify() {
-			continue
+	res := c.resolve(gt, want, positiveData, func(cs *CachedState) bool { return healthy[cs] })
+	out.Kind = res.kind
+	switch res.kind {
+	case HitExact:
+		out.Matched = want.Key()
+	case HitShared:
+		out.Matched = res.src.State.Key()
+		out.Rewrite = res.share.R.Render("s")
+		for _, cond := range res.share.Conds {
+			out.Conditions = append(out.Conditions, fmt.Sprintf("%v = %v", cond.C, cond.Want))
 		}
-		if cand.State.Op == canonical.OpCount && want.Op != canonical.OpCount {
-			continue
+		out.PositiveOnly = res.share.PositiveOnly
+	case HitSign:
+		for _, cs := range res.companions {
+			out.Companions = append(out.Companions, cs.State.Key())
 		}
-		pos := positiveData || cand.PositiveInput
-		if d, ok := sharing.ShareDetail(want, cand.State, pos); ok {
-			res.Kind = HitShared
-			res.Matched = cand.State.Key()
-			res.Rewrite = d.R.Render("s")
-			for _, cond := range d.Conds {
-				res.Conditions = append(res.Conditions, fmt.Sprintf("%v = %v", cond.C, cond.Want))
-			}
-			res.PositiveOnly = d.PositiveOnly
-			return res
+	default:
+		if len(out.Candidates) == 0 {
+			out.Reason = "cache entry holds no healthy states"
+		} else {
+			out.Reason = "no cached state is exact, Theorem 4.1-shareable, or sign-split reconstructible"
 		}
 	}
-	if _, ok := c.signSplitLookup(gt, want); ok {
-		lnAbs, sgnProd := SignSplitStates(want.Base)
-		res.Kind = HitSign
-		res.Companions = append(res.Companions, lnAbs.Key())
-		if want.Op == canonical.OpProd {
-			res.Companions = append(res.Companions, sgnProd.Key())
-		}
-		return res
-	}
-	if len(res.Candidates) == 0 {
-		res.Reason = "cache entry holds no healthy states"
-	} else {
-		res.Reason = "no cached state is exact, Theorem 4.1-shareable, or sign-split reconstructible"
-	}
-	return res
+	return out
 }
 
 // storeDerived caches a rewritten state's materialized values so repeated
@@ -936,33 +1045,32 @@ func SignSplitStates(base expr.Node) (lnAbs, sgnProd canonical.State) {
 	return lnAbs, sgnProd
 }
 
-// signSplitLookup reconstructs states from sign-split companions.
-func (c *Cache) signSplitLookup(gt *GroupTable, want canonical.State) ([]float64, bool) {
-	if want.Op != canonical.OpProd && want.Op != canonical.OpSum {
-		return nil, false
-	}
-	if want.Base == nil {
-		return nil, false
+// signSplit decides whether want is reconstructible from the sign-split
+// companions cached in gt (and accepted by healthy, nil = all),
+// returning the deferred reconstruction and the companions it reads.
+func signSplit(gt *GroupTable, want canonical.State, healthy func(*CachedState) bool) (func() []float64, []*CachedState, bool) {
+	usable := func(cs *CachedState) bool { return healthy == nil || healthy(cs) }
+	if (want.Op != canonical.OpProd && want.Op != canonical.OpSum) || want.Base == nil {
+		return nil, nil, false
 	}
 	lnAbs, sgnProd := SignSplitStates(want.Base)
-	ln, ok1 := gt.Exact(lnAbs.Key())
-	sg, ok2 := gt.Exact(sgnProd.Key())
-	if !ok1 {
-		return nil, false
+	ln, ok := gt.Exact(lnAbs.Key())
+	if !ok || !usable(ln) {
+		return nil, nil, false
 	}
 	f := want.F.NormalizeReal()
 	switch want.Op {
 	case canonical.OpProd:
-		// Π b = sgn-product · exp(Σ ln|b|); Π b^k likewise.
-		if !ok2 {
-			return nil, false
-		}
-		if f.IsIdentity() {
-			out := make([]float64, len(ln.Vals))
-			for i := range out {
-				out[i] = sg.Vals[i] * math.Exp(ln.Vals[i])
-			}
-			return out, true
+		// Π b = sgn-product · exp(Σ ln|b|).
+		sg, ok := gt.Exact(sgnProd.Key())
+		if ok && usable(sg) && f.IsIdentity() {
+			return func() []float64 {
+				out := make([]float64, len(ln.Vals))
+				for i := range out {
+					out[i] = sg.Vals[i] * math.Exp(ln.Vals[i])
+				}
+				return out
+			}, []*CachedState{ln, sg}, true
 		}
 	case canonical.OpSum:
 		// Σ ln(b²) = 2·Σ ln|b| and other even-log shapes: f = ln ∘ b^k
@@ -971,15 +1079,17 @@ func (c *Cache) signSplitLookup(gt *GroupTable, want canonical.State) ([]float64
 			f.Prims[0].Kind == scalar.KPower &&
 			f.Prims[1].Kind == scalar.KLog {
 			if k, ok := coefOf(f.Prims[0]); ok && k == math.Trunc(k) && int64(k)%2 == 0 {
-				out := make([]float64, len(ln.Vals))
-				for i := range out {
-					out[i] = k * ln.Vals[i]
-				}
-				return out, true
+				return func() []float64 {
+					out := make([]float64, len(ln.Vals))
+					for i := range out {
+						out[i] = k * ln.Vals[i]
+					}
+					return out
+				}, []*CachedState{ln}, true
 			}
 		}
 	}
-	return nil, false
+	return nil, nil, false
 }
 
 func coefOf(p scalar.Prim) (float64, bool) {

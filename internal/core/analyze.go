@@ -7,11 +7,13 @@ import (
 	"sudaf/internal/analyzer"
 	"sudaf/internal/cache"
 	"sudaf/internal/canonical"
+	"sudaf/internal/catalog"
 	"sudaf/internal/exec"
 	"sudaf/internal/expr"
 	"sudaf/internal/obs"
 	"sudaf/internal/rewrite"
 	"sudaf/internal/sqlparse"
+	"sudaf/internal/storage"
 )
 
 // scanProvider serves a pre-computed group result for a data plan and
@@ -22,30 +24,39 @@ import (
 type scanProvider func(dp *exec.DataPlan, reg *exec.TaskRegistry) (*exec.GroupResult, bool)
 
 // planState is the unit the analyzer pipeline operates on: one aggregate
-// query's plan, built up phase by phase (resolve → canonicalize → share
-// → fuse → parallelize → distribute) and then executed by executePlan. Each field
-// records which phase owns it; rules only touch their own phase's
-// outputs plus earlier ones.
+// statement's plan — windowed or not — built up phase by phase (resolve →
+// canonicalize → share → fuse → parallelize → distribute) and then
+// executed by executePlan, or driven incrementally by a Subscription.
+// Each field records which phase owns it; rules only touch their own
+// phase's outputs plus earlier ones.
 type planState struct {
 	s    *Session
 	qc   *queryCtx
 	stmt *sqlparse.Stmt
 	mode Mode
+	// continuous marks a Subscribe-owned windowed plan: EPOCHS frames
+	// become legal and the state cache is bypassed (a live stream's
+	// frames are perpetually one append ahead of any cached entry).
+	continuous bool
 
 	// resolve
 	planSpan *obs.Span // the "plan" span, open across the resolve steps
 	dp       *exec.DataPlan
+	shareFP  string // the fingerprint the share phase looks (and stores) under
 	calls    []*expr.Call
 	spec     exec.OutputSpec
 	reg      *exec.TaskRegistry
+	// windowed statements only: the base table and, for a one-shot
+	// query, its emission frames (the plan's "groups").
+	tbl    *storage.Table
+	frames []frame
 
 	// canonicalize
-	slots     map[string]*slot
-	slotOrder []string
+	bound *binding
+	slots []*slot // one per bound state, index-aligned with bound.states
 
 	// share
-	entry    *cache.GroupTable
-	entryOK  bool
+	entry    *cache.GroupTable // nil when the fingerprint has no entry
 	missing  []*slot
 	dpRun    *exec.DataPlan
 	usedView string
@@ -72,24 +83,14 @@ func (ps *planState) guard(stage string, f func()) {
 	f()
 }
 
-// getSlot returns the slot for a bound state, creating it on first use —
-// the per-query state deduplication (two aggregates needing Σx share one
-// slot and one task).
-func (ps *planState) getSlot(st canonical.State, positive bool) *slot {
-	key := st.Key()
-	if sl, ok := ps.slots[key]; ok {
-		return sl
-	}
-	sl := &slot{st: st, positive: positive, taskIdx: -1}
-	ps.slots[key] = sl
-	ps.slotOrder = append(ps.slotOrder, key)
-	return sl
-}
-
-// queryPipeline is the fixed analyzer pipeline every aggregate query
-// flows through (single queries and batch replays alike). Phases:
+// queryPipeline is the fixed analyzer pipeline every aggregate statement
+// flows through — single queries, batch replays, windowed queries and
+// subscriptions alike; the batch planner and EXPLAIN run its resolve and
+// canonicalize phases (planFront). Phases:
 //
-//	resolve      — FROM/WHERE/GROUP BY resolution, data fingerprint,
+//	resolve      — window scope validation, FROM/WHERE/GROUP BY
+//	               resolution, data fingerprint (frame-qualified for
+//	               windowed statements) and emission frames,
 //	               aggregate-call extraction
 //	canonicalize — decompose calls into bound aggregation states and
 //	               terminating-function finishers (or baseline tasks)
@@ -111,10 +112,12 @@ func (ps *planState) getSlot(st canonical.State, positive bool) *slot {
 var queryPipeline = analyzer.Pipeline[*planState]{
 	Phases: []analyzer.Phase[*planState]{
 		{Name: "resolve", Rules: []analyzer.Rule[*planState]{
+			{Name: "validate-scope", Apply: ruleWindowScope},
 			{Name: "resolve-tables", Apply: ruleResolveTables},
 			{Name: "classify-predicates", Apply: ruleClassifyPredicates},
 			{Name: "resolve-grouping", Apply: ruleResolveGrouping},
 			{Name: "fingerprint", Apply: ruleFingerprint},
+			{Name: "window-frames", Apply: ruleWindowFrames},
 			{Name: "extract-aggregates", Apply: ruleExtractAggregates},
 		}},
 		{Name: "canonicalize", Rules: []analyzer.Rule[*planState]{
@@ -137,6 +140,13 @@ var queryPipeline = analyzer.Pipeline[*planState]{
 			{Name: "scatter-gather", Apply: ruleDistribute},
 		}},
 	},
+}
+
+// planFront runs the pipeline's resolve and canonicalize phases only:
+// the data plan, fingerprints and bound states exactly as execution
+// derives them. The batch planner and EXPLAIN build on it.
+func (ps *planState) planFront(ctx context.Context) error {
+	return queryPipeline.RunThrough(ctx, ps, "canonicalize")
 }
 
 // ---- resolve phase ----
@@ -165,9 +175,26 @@ func ruleResolveGrouping(_ context.Context, ps *planState) error {
 func ruleFingerprint(_ context.Context, ps *planState) error {
 	ps.dp.Seal(ps.stmt)
 	ps.dpRun = ps.dp
+	ps.shareFP = shareFingerprint(ps.dp.Fingerprint, ps.stmt.Window)
 	ps.planSpan.SetStr("fingerprint", ps.dp.Fingerprint)
+	if w := ps.stmt.Window; w != nil {
+		ps.planSpan.SetStr("window", w.String())
+	}
 	ps.planSpan.End()
 	return nil
+}
+
+// shareFingerprint is the fingerprint a statement's states are cached
+// under: the data fingerprint, qualified by the frame for a windowed
+// statement — two queries exchange per-emission vectors only when both
+// their data part and their frame shape agree. The "T[...]" prefix is
+// preserved, so the append path's fpReferences sees window entries like
+// any other and invalidates them when their base table grows.
+func shareFingerprint(dataFP string, w *sqlparse.WindowSpec) string {
+	if w == nil {
+		return dataFP
+	}
+	return dataFP + "|W[" + w.String() + "]"
 }
 
 // ruleExtractAggregates replaces aggregate calls in the select list with
@@ -204,6 +231,77 @@ func ruleBindBaseline(_ context.Context, ps *planState) error {
 	return nil
 }
 
+// boundCall is one aggregate call bound to a statement's state list.
+type boundCall struct {
+	form *canonical.Form
+	// states indexes binding.states, one entry per form state in order.
+	states []int
+}
+
+// binding is the canonical decomposition of a statement's aggregate
+// calls: the deduplicated bound states in first-use order (two
+// aggregates needing Σx share one state, one cache slot and one task),
+// each state's data positivity, and every call's view of them.
+type binding struct {
+	states   []canonical.State
+	positive []bool
+	calls    []boundCall
+}
+
+// bindCalls is the one call→state binding of the engine: every consumer
+// of a statement's canonical states (execution, batch planning, EXPLAIN,
+// SQL rewriting, view materialization, native baseline forms) goes
+// through it, so they agree on state keys and order by construction.
+// Positivity is decided against cat over the given tables; a nil cat
+// (no data part at hand) leaves every state not provably positive.
+func (s *Session) bindCalls(calls []*expr.Call, cat *catalog.Catalog, tables []string) (*binding, error) {
+	b := &binding{calls: make([]boundCall, len(calls))}
+	index := map[string]int{}
+	for ci, call := range calls {
+		form, err := s.formFor(call.Name)
+		if err != nil {
+			return nil, err
+		}
+		if len(call.Args) != len(form.Params) {
+			return nil, fmt.Errorf("%s takes %d argument(s), got %d", call.Name, len(form.Params), len(call.Args))
+		}
+		bind := make(map[string]expr.Node, len(form.Params))
+		for i, p := range form.Params {
+			bind[p] = call.Args[i]
+		}
+		idxs := make([]int, len(form.States))
+		for j, st := range form.States {
+			if st.Op != canonical.OpCount {
+				st.Base = expr.Simplify(expr.Substitute(st.Base, bind))
+			}
+			key := st.Key()
+			idx, seen := index[key]
+			if !seen {
+				idx = len(b.states)
+				index[key] = idx
+				b.states = append(b.states, st)
+				b.positive = append(b.positive, cat != nil && basePositive(cat, st.Base, tables))
+			}
+			idxs[j] = idx
+		}
+		b.calls[ci] = boundCall{form: form, states: idxs}
+	}
+	return b, nil
+}
+
+// termFinisher builds the finisher applying a compiled terminating
+// function to the value-matrix columns *cols[j] (read at call time: slot
+// columns are only assigned when the plan executes).
+func termFinisher(tfn func([]float64) float64, cols []*int) exec.Finisher {
+	buf := make([]float64, len(cols))
+	return func(vals [][]float64, g int) float64 {
+		for j, c := range cols {
+			buf[j] = vals[*c][g]
+		}
+		return tfn(buf)
+	}
+}
+
 // ruleBindStates (SUDAF modes) decomposes every aggregate call into
 // bound aggregation states (deduplicated into slots) plus a terminating
 // function finisher over the slots' value columns.
@@ -211,44 +309,30 @@ func ruleBindStates(_ context.Context, ps *planState) error {
 	if ps.mode == ModeBaseline {
 		return nil
 	}
-	ps.slots = map[string]*slot{}
 	csp := ps.qc.sp.Child("canonicalize")
-	for _, call := range ps.calls {
-		form, err := ps.s.formFor(call.Name)
+	b, err := ps.s.bindCalls(ps.calls, ps.qc.cat, ps.dp.Tables())
+	if err != nil {
+		return err
+	}
+	ps.bound = b
+	ps.slots = make([]*slot, len(b.states))
+	for i, st := range b.states {
+		ps.slots[i] = &slot{st: st, positive: b.positive[i], taskIdx: -1}
+	}
+	for ci, bc := range b.calls {
+		tfn, err := bc.form.CompileT()
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", ps.calls[ci].Name, err)
 		}
-		if len(call.Args) != len(form.Params) {
-			return fmt.Errorf("%s takes %d argument(s), got %d", call.Name, len(form.Params), len(call.Args))
+		cols := make([]*int, len(bc.states))
+		for j, si := range bc.states {
+			cols[j] = &ps.slots[si].finalIdx
 		}
-		bind := map[string]expr.Node{}
-		for i, p := range form.Params {
-			bind[p] = call.Args[i]
-		}
-		callSlots := make([]*slot, len(form.States))
-		for j, st := range form.States {
-			bs := st
-			if st.Op != canonical.OpCount {
-				bs.Base = expr.Simplify(expr.Substitute(st.Base, bind))
-			}
-			callSlots[j] = ps.getSlot(bs, basePositive(ps.qc.cat, bs.Base, ps.dp.Tables()))
-		}
-		tfn, err := form.CompileT()
-		if err != nil {
-			return fmt.Errorf("%s: %w", call.Name, err)
-		}
-		cs := callSlots
-		buf := make([]float64, len(cs))
-		ps.spec.Finishers = append(ps.spec.Finishers, func(vals [][]float64, g int) float64 {
-			for j, sl := range cs {
-				buf[j] = vals[sl.finalIdx][g]
-			}
-			return tfn(buf)
-		})
-		ps.spec.Labels = append(ps.spec.Labels, call.String())
+		ps.spec.Finishers = append(ps.spec.Finishers, termFinisher(tfn, cols))
+		ps.spec.Labels = append(ps.spec.Labels, ps.calls[ci].String())
 	}
 	csp.SetInt("aggregates", int64(len(ps.calls)))
-	csp.SetInt("states", int64(len(ps.slotOrder)))
+	csp.SetInt("states", int64(len(ps.slots)))
 	csp.End()
 	return nil
 }
@@ -256,37 +340,31 @@ func ruleBindStates(_ context.Context, ps *planState) error {
 // ---- share phase ----
 
 // ruleLookupCache (share mode only) consults the query's cache snapshot
-// for every slot: exact hit, Theorem 4.1 sharing, or §5.3 sign-split
-// reconstruction. Guarded: a cache that panics behaves like a cache
-// that misses.
+// for every slot under the plan's share fingerprint: exact hit, Theorem
+// 4.1 sharing, or §5.3 sign-split reconstruction. Guarded: a cache that
+// panics behaves like a cache that misses. A subscription skips it — its
+// frames are always one append ahead of anything cached.
 func ruleLookupCache(_ context.Context, ps *planState) error {
-	if ps.mode != ModeShare {
+	if ps.mode != ModeShare || ps.continuous {
 		return nil
 	}
 	qc := ps.qc
 	lsp := qc.sp.Child("sharing-lookup")
-	ps.guard("entry lookup", func() {
-		ps.entry, ps.entryOK = qc.cache.Entry(ps.dp.Fingerprint)
-	})
-	for _, key := range ps.slotOrder {
-		sl := ps.slots[key]
-		ps.guard("state lookup", func() {
-			vals, kind, ok := qc.cache.LookupKind(ps.dp.Fingerprint, sl.st, sl.positive)
-			if ok {
-				sl.cached = vals
-			}
-			switch kind {
-			case cache.HitExact:
-				qc.stats.CacheExactHits++
-			case cache.HitShared:
-				qc.stats.CacheSharedHits++
-			case cache.HitSign:
-				qc.stats.CacheSignHits++
-			default:
-				qc.stats.CacheMisses++
-			}
-		})
+	// A cached per-emission vector is usable only when its length matches
+	// this table version's emission count; a stale-length one is ignored.
+	var usable func([]float64) bool
+	if ps.stmt.Window != nil {
+		usable = func(vals []float64) bool { return len(vals) == len(ps.frames) }
 	}
+	look := qc.cache.LookupAll(ps.shareFP, ps.bound.states, ps.bound.positive, usable, ps.guard)
+	ps.entry = look.Entry
+	for i, sl := range ps.slots {
+		sl.cached = look.Vals[i]
+	}
+	qc.stats.CacheExactHits += look.Exact
+	qc.stats.CacheSharedHits += look.Shared
+	qc.stats.CacheSignHits += look.Sign
+	qc.stats.CacheMisses += look.Misses
 	lsp.SetInt("exact", int64(qc.stats.CacheExactHits))
 	lsp.SetInt("shared", int64(qc.stats.CacheSharedHits))
 	lsp.SetInt("sign", int64(qc.stats.CacheSignHits))
@@ -298,8 +376,8 @@ func ruleLookupCache(_ context.Context, ps *planState) error {
 // ruleCollectMissing lists the slots the cache could not serve, in slot
 // order (in rewrite mode — no cache — that is every slot).
 func ruleCollectMissing(_ context.Context, ps *planState) error {
-	for _, key := range ps.slotOrder {
-		if sl := ps.slots[key]; sl.cached == nil {
+	for _, sl := range ps.slots {
+		if sl.cached == nil {
 			ps.missing = append(ps.missing, sl)
 		}
 	}
@@ -309,9 +387,10 @@ func ruleCollectMissing(_ context.Context, ps *planState) error {
 // ruleRewriteViews tries aggregate-view roll-up rewriting (Q3 → RQ3')
 // for the missing states: when a materialized state view subsumes the
 // data part, the missing states compute from the view's partial states
-// instead of base data.
+// instead of base data. Windowed statements never roll up: a view's
+// groups are not their frames.
 func ruleRewriteViews(_ context.Context, ps *planState) error {
-	if len(ps.missing) == 0 || !ps.s.ViewRewriting() || ps.entryOK {
+	if len(ps.missing) == 0 || !ps.s.ViewRewriting() || ps.entry != nil || ps.stmt.Window != nil {
 		return nil
 	}
 	vsp := ps.qc.sp.Child("view-rewrite")
@@ -355,7 +434,7 @@ func ruleRegisterTasks(_ context.Context, ps *planState) error {
 // ruleElideScan skips execution entirely when the cache served every
 // state and the cached entry supplies the group structure.
 func ruleElideScan(_ context.Context, ps *planState) error {
-	if ps.reg.Len() == 0 && ps.mode == ModeShare && ps.entryOK {
+	if ps.reg.Len() == 0 && ps.mode == ModeShare && ps.entry != nil {
 		ps.fullHit = true
 	}
 	return nil
@@ -380,11 +459,13 @@ func ruleFusedScan(_ context.Context, ps *planState) error {
 // ---- execution (after the pipeline) ----
 
 // executePlan runs the analyzed plan: execute the fused scan (or adopt
-// the provided one, or elide it on a full cache hit), assemble the value
+// the provided one, or elide it on a full cache hit; a windowed statement
+// scans with the chronological fold executor instead), assemble the value
 // matrix from task outputs and cached arrays, store freshly computed
 // states, and build the output table.
 func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, error) {
 	qc := ps.qc
+	windowed := ps.stmt.Window != nil
 	var gr *exec.GroupResult
 	switch {
 	case ps.fullHit:
@@ -398,6 +479,11 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 	case ps.gr != nil:
 		gr = ps.gr
 		qc.noteKernels(gr)
+	case windowed:
+		var err error
+		if gr, err = s.windowScan(ctx, ps); err != nil {
+			return nil, err
+		}
 	default:
 		ssp := qc.sp.Child("scan/agg")
 		if ps.mode != ModeBaseline {
@@ -415,8 +501,7 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 
 	// Assemble the value matrix: task outputs first, then cached arrays
 	// aligned to the result's group order.
-	for _, key := range ps.slotOrder {
-		sl := ps.slots[key]
+	for _, sl := range ps.slots {
 		if sl.cached == nil {
 			sl.finalIdx = sl.taskIdx
 			continue
@@ -426,7 +511,7 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 			var ok bool
 			aligned, ok = alignEntryToResult(ps.entry, gr, sl.cached)
 			if !ok {
-				return nil, fmt.Errorf("cache entry misaligned with result groups for state %s", key)
+				return nil, fmt.Errorf("cache entry misaligned with result groups for state %s", sl.st.Key())
 			}
 		}
 		sl.finalIdx = len(gr.Values)
@@ -439,16 +524,20 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 		stsp := qc.sp.Child("cache-store")
 		stored := 0
 		ps.guard("state insert", func() {
-			gt := cache.NewGroupTable(ps.dp.Fingerprint, gr.KeyNames, gr.Keys, gr.KeyColumns)
+			gt := cache.NewGroupTable(ps.shareFP, gr.KeyNames, gr.Keys, gr.KeyColumns)
 			// Attach the maintenance record: the statement's data part
 			// plus the pinned table versions it ran against. The append
 			// path uses it to delta-fold future batches into this entry
-			// instead of invalidating it.
-			gt.Maint = newMaintRec(ps.stmt, ps.dp)
-			for _, key := range ps.slotOrder {
-				sl := ps.slots[key]
+			// instead of invalidating it. Window entries carry none: an
+			// append shifts every emission of the new version, so
+			// invalidation is the correct response.
+			if !windowed {
+				gt.Maint = newMaintRec(ps.stmt, ps.dp)
+			}
+			fresh := make([]*cache.CachedState, 0, len(ps.missing)+len(ps.companions))
+			for _, sl := range ps.slots {
 				if sl.taskIdx >= 0 {
-					_ = gt.AddState(&cache.CachedState{
+					fresh = append(fresh, &cache.CachedState{
 						State:         sl.st,
 						Vals:          gr.Values[sl.taskIdx],
 						PositiveInput: sl.positive,
@@ -456,26 +545,31 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 				}
 			}
 			for _, cs := range ps.companions {
-				_ = gt.AddState(&cache.CachedState{State: cs.st, Vals: gr.Values[cs.taskIdx]})
+				fresh = append(fresh, &cache.CachedState{State: cs.st, Vals: gr.Values[cs.taskIdx]})
 			}
-			// Count before Put: the cache owns gt afterwards, and a
-			// concurrent query's Put may merge new states into it under
-			// the cache lock while we'd be reading it unlocked.
-			if n := gt.NumStates(); n > 0 {
-				qc.cache.Put(gt)
-				stored = n
-			}
+			stored = qc.cache.StoreAll(gt, fresh)
 		})
 		stsp.SetInt("states", int64(stored))
 		stsp.End()
 	}
 
 	fsp := qc.sp.Child("finisher")
-	out, err := exec.BuildOutput(ctx, ps.stmt, ps.dpRun, gr, ps.spec)
+	var out *exec.Result
+	var err error
+	if windowed {
+		out, err = buildWindowOutput(ctx, ps.spec, ps.tbl, ps.frames, gr.Values)
+	} else {
+		out, err = exec.BuildOutput(ctx, ps.stmt, ps.dpRun, gr, ps.spec)
+	}
 	if err != nil {
 		return nil, err
 	}
-	fsp.SetInt("groups", int64(out.Groups))
+	if windowed {
+		fsp.SetInt("windows", int64(out.Groups))
+		s.windowEmits.Add(int64(out.Groups))
+	} else {
+		fsp.SetInt("groups", int64(out.Groups))
+	}
 	fsp.End()
 	if ps.mode == ModeShare {
 		ps.events = append(ps.events, qc.cache.DrainEvents()...)

@@ -38,8 +38,9 @@ func runRules(t *testing.T, ps *planState, names ...string) {
 }
 
 var resolveRules = []string{
-	"resolve/resolve-tables", "resolve/classify-predicates",
-	"resolve/resolve-grouping", "resolve/fingerprint", "resolve/extract-aggregates",
+	"resolve/validate-scope", "resolve/resolve-tables", "resolve/classify-predicates",
+	"resolve/resolve-grouping", "resolve/fingerprint", "resolve/window-frames",
+	"resolve/extract-aggregates",
 }
 
 func TestPipelinePhaseNames(t *testing.T) {
@@ -90,7 +91,7 @@ func TestBindBaselineIsModeGated(t *testing.T) {
 	if ps.reg.Len() != 2 || len(ps.spec.Finishers) != 2 {
 		t.Fatalf("baseline: %d tasks, %d finishers", ps.reg.Len(), len(ps.spec.Finishers))
 	}
-	if len(ps.slotOrder) != 0 {
+	if len(ps.slots) != 0 {
 		t.Fatal("baseline must not decompose into states")
 	}
 }
@@ -106,11 +107,47 @@ func TestBindStatesDeduplicatesSlots(t *testing.T) {
 	if len(ps.spec.Finishers) != 3 {
 		t.Fatalf("%d finishers", len(ps.spec.Finishers))
 	}
-	if len(ps.slotOrder) != 3 {
-		t.Fatalf("slots = %v, want 3 deduplicated states", ps.slotOrder)
+	if len(ps.slots) != 3 {
+		t.Fatalf("%d slots, want 3 deduplicated states", len(ps.slots))
 	}
 	if ps.reg.Len() != 0 {
 		t.Fatal("canonicalize must not register tasks yet")
+	}
+}
+
+// TestWindowedStatementBindsTheSameStates: a windowed statement flows
+// through the same resolve and canonicalize rules on the same plan type,
+// so over the same calls it binds the same state keys in the same order
+// as its unwindowed twin — only the fingerprint the share phase looks
+// under (frame-qualified) and the emission frames differ.
+func TestWindowedStatementBindsTheSameStates(t *testing.T) {
+	s := newTestSession(t, 100, 1)
+	const calls = "sum(ss_list_price), avg(ss_list_price), stddev(ss_list_price), qm(ss_sales_price)"
+	keys := func(ps *planState) string {
+		var out []string
+		for _, sl := range ps.slots {
+			out = append(out, sl.st.Key())
+		}
+		return strings.Join(out, " | ")
+	}
+	for _, mode := range []Mode{ModeRewrite, ModeShare} {
+		plain := newPlanState(t, s, "SELECT "+calls+" FROM store_sales", mode)
+		runRules(t, plain, append(resolveRules, "canonicalize/bind-baseline", "canonicalize/bind-states")...)
+		win := newPlanState(t, s, "SELECT "+calls+" OVER (ROWS 4 PRECEDING) FROM store_sales", mode)
+		runRules(t, win, append(resolveRules, "canonicalize/bind-baseline", "canonicalize/bind-states")...)
+		if len(plain.slots) == 0 || keys(win) != keys(plain) {
+			t.Fatalf("%s: windowed states %q, unwindowed %q", mode, keys(win), keys(plain))
+		}
+		if plain.shareFP != plain.dp.Fingerprint || len(plain.frames) != 0 {
+			t.Fatalf("unwindowed plan must share under its data fingerprint, got %q", plain.shareFP)
+		}
+		if win.dp.Fingerprint != plain.dp.Fingerprint ||
+			win.shareFP != plain.dp.Fingerprint+"|W[ROWS 4 PRECEDING]" {
+			t.Fatalf("windowed fingerprints: data %q share %q", win.dp.Fingerprint, win.shareFP)
+		}
+		if len(win.frames) != win.tbl.NumRows() {
+			t.Fatalf("%d frames for %d rows", len(win.frames), win.tbl.NumRows())
+		}
 	}
 }
 
@@ -120,14 +157,14 @@ func TestShareRulesColdCache(t *testing.T) {
 		"SELECT ss_store_sk, avg(ss_list_price) FROM store_sales GROUP BY ss_store_sk", ModeShare)
 	runRules(t, ps, append(resolveRules,
 		"canonicalize/bind-states", "share/lookup-cache", "share/collect-missing")...)
-	if ps.entryOK {
+	if ps.entry != nil {
 		t.Fatal("cold cache cannot have an entry")
 	}
-	if len(ps.missing) != len(ps.slotOrder) {
-		t.Fatalf("missing = %d, want all %d", len(ps.missing), len(ps.slotOrder))
+	if len(ps.missing) != len(ps.slots) {
+		t.Fatalf("missing = %d, want all %d", len(ps.missing), len(ps.slots))
 	}
-	if ps.qc.stats.CacheMisses != len(ps.slotOrder) {
-		t.Fatalf("CacheMisses = %d, want %d", ps.qc.stats.CacheMisses, len(ps.slotOrder))
+	if ps.qc.stats.CacheMisses != len(ps.slots) {
+		t.Fatalf("CacheMisses = %d, want %d", ps.qc.stats.CacheMisses, len(ps.slots))
 	}
 }
 
@@ -142,14 +179,14 @@ func TestLookupCacheServesWarmStates(t *testing.T) {
 		"SELECT ss_store_sk, avg(ss_list_price) FROM store_sales GROUP BY ss_store_sk", ModeShare)
 	runRules(t, ps, append(resolveRules,
 		"canonicalize/bind-states", "share/lookup-cache", "share/collect-missing")...)
-	if !ps.entryOK {
+	if ps.entry == nil {
 		t.Fatal("warm cache entry not found")
 	}
 	if len(ps.missing) != 0 {
 		t.Fatalf("missing = %d after warmup", len(ps.missing))
 	}
-	if ps.qc.stats.CacheExactHits != len(ps.slotOrder) {
-		t.Fatalf("exact hits = %d, want %d", ps.qc.stats.CacheExactHits, len(ps.slotOrder))
+	if ps.qc.stats.CacheExactHits != len(ps.slots) {
+		t.Fatalf("exact hits = %d, want %d", ps.qc.stats.CacheExactHits, len(ps.slots))
 	}
 }
 
@@ -244,7 +281,7 @@ func TestFusedScanRuleConsultsProvider(t *testing.T) {
 func TestPipelineErrorsNameTheRule(t *testing.T) {
 	s := newTestSession(t, 10, 1)
 	ps := newPlanState(t, s, "SELECT sum(x) FROM nope", ModeBaseline)
-	err := queryPipeline.Run(context.Background(), ps, nil)
+	err := queryPipeline.Run(context.Background(), ps)
 	if err == nil || !strings.Contains(err.Error(), "analyzer resolve/resolve-tables") {
 		t.Fatalf("err = %v, want analyzer resolve/resolve-tables position", err)
 	}

@@ -2,15 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"sudaf/internal/cache"
 	"sudaf/internal/canonical"
 	"sudaf/internal/errs"
 	"sudaf/internal/exec"
-	"sudaf/internal/expr"
 	"sudaf/internal/sharing"
 	"sudaf/internal/sqlparse"
 )
@@ -27,10 +24,9 @@ const (
 	// batch state — at replay it derives from the earlier member's
 	// stored state instead of being scanned for.
 	dispDerived = "batch:derived"
-	// dispCache* : the pre-batch cache already serves the state.
-	dispCacheExact  = "cache:exact"
-	dispCacheShared = "cache:shared"
-	dispCacheSign   = "cache:sign"
+	// dispCache + the probed hit kind ("cache:exact", "cache:shared",
+	// "cache:sign"): the pre-batch cache already serves the state.
+	dispCache = "cache:"
 )
 
 // batchStateInfo is the planning provenance of one member state.
@@ -89,12 +85,13 @@ type batchPlan struct {
 	groups  []*batchGroup
 }
 
-// planBatch analyzes a batch: canonicalizes every query, groups them by
-// data fingerprint, and builds each group's fused-scan task union —
-// dropping states the pre-batch cache already serves (probed read-only)
-// and states Theorem 4.1 derives from another in-flight batch state.
-// It has no side effects on the cache, so BatchExplain shares it.
-func (s *Session) planBatch(qc *queryCtx, stmts []*sqlparse.Stmt, mode Mode) (*batchPlan, error) {
+// planBatch analyzes a batch: runs every query through the pipeline's
+// own resolve and canonicalize phases, groups them by data fingerprint,
+// and builds each group's fused-scan task union — dropping states the
+// pre-batch cache already serves (probed read-only) and states Theorem
+// 4.1 derives from another in-flight batch state. It has no side effects
+// on the cache, so BatchExplain shares it.
+func (s *Session) planBatch(ctx context.Context, qc *queryCtx, stmts []*sqlparse.Stmt, mode Mode) (*batchPlan, error) {
 	plan := &batchPlan{}
 	groupIdx := map[string]int{}
 	for i, stmt := range stmts {
@@ -108,95 +105,59 @@ func (s *Session) planBatch(qc *queryCtx, stmts []*sqlparse.Stmt, mode Mode) (*b
 				m.solo, m.soloWhy = true, "subqueries execute standalone"
 			}
 		}
+		if !m.solo && stmt.Window != nil {
+			m.solo, m.soloWhy = true, "windowed statements fold chronologically, not in a fused scan"
+		}
 		if !m.solo && !s.hasAggregates(stmt) && len(stmt.GroupBy) == 0 {
 			m.solo, m.soloWhy = true, "non-aggregate statement"
 		}
 		if m.solo {
 			continue
 		}
-		dp, err := s.eng.PrepareDataIn(qc.cat, stmt)
-		if err != nil {
+		// The member's data plan and bound states (or baseline tasks) come
+		// from the same front phases its replay will run.
+		ps := &planState{s: s, qc: qc, stmt: stmt, mode: mode}
+		if err := ps.planFront(ctx); err != nil {
 			return nil, fmt.Errorf("batch query %d: %w", i, err)
 		}
-		gi, ok := groupIdx[dp.Fingerprint]
+		gi, ok := groupIdx[ps.dp.Fingerprint]
 		if !ok {
 			gi = len(plan.groups)
-			groupIdx[dp.Fingerprint] = gi
+			groupIdx[ps.dp.Fingerprint] = gi
 			plan.groups = append(plan.groups, &batchGroup{
-				fp: dp.Fingerprint, dp: dp, reg: exec.NewTaskRegistry(),
+				fp: ps.dp.Fingerprint, dp: ps.dp, reg: exec.NewTaskRegistry(),
 			})
 		}
 		g := plan.groups[gi]
 		m.group = gi
 		g.members = append(g.members, i)
-		if err := s.planMemberStates(qc, m, g, mode); err != nil {
-			return nil, fmt.Errorf("batch query %d: %w", i, err)
-		}
+		s.planMemberStates(qc, m, g, ps)
 	}
 	return plan, nil
 }
 
-// planMemberStates folds one member's aggregation needs into its group's
-// fused-scan union. The planner only decides what the fused scan
-// computes; replay re-derives every sharing decision against the live
-// cache, so a planning misprediction costs a fallback scan, never a
-// wrong answer.
-func (s *Session) planMemberStates(qc *queryCtx, m *batchMember, g *batchGroup, mode Mode) error {
-	var calls []*expr.Call
-	for _, item := range m.stmt.Select {
-		exec.ExtractAggCalls(item.Expr, s.isAgg, &calls)
-	}
-
-	if mode == ModeBaseline {
+// planMemberStates folds one member's aggregation needs (as analyzed by
+// the front phases into ps) into its group's fused-scan union. The
+// planner only decides what the fused scan computes; replay re-derives
+// every sharing decision against the live cache, so a planning
+// misprediction costs a fallback scan, never a wrong answer.
+func (s *Session) planMemberStates(qc *queryCtx, m *batchMember, g *batchGroup, ps *planState) {
+	if ps.mode == ModeBaseline {
 		// Baseline tasks (builtin/naive/native) are keyed by call text:
-		// merge each member's task set into the union, key-deduplicated.
-		scratch := exec.NewTaskRegistry()
-		for _, call := range calls {
-			if _, err := s.baselineFinisher(call, scratch); err != nil {
-				return err
-			}
-		}
-		for i, key := range scratch.Keys() {
+		// merge the member's task set into the union, key-deduplicated.
+		for i, key := range ps.reg.Keys() {
 			if g.reg.Has(key) {
 				m.states = append(m.states, batchStateInfo{Key: key, Disposition: dispFused})
 				continue
 			}
-			g.reg.Add(key, scratch.Spec(i))
+			g.reg.Add(key, ps.reg.Spec(i))
 			m.states = append(m.states, batchStateInfo{Key: key, Disposition: dispComputed})
 		}
-		return nil
+		return
 	}
-
-	// SUDAF modes: decompose calls into bound states (the member-local
-	// dedup mirrors the pipeline's slot dedup).
-	seen := map[string]bool{}
-	for _, call := range calls {
-		form, err := s.formFor(call.Name)
-		if err != nil {
-			return err
-		}
-		if len(call.Args) != len(form.Params) {
-			return fmt.Errorf("%s takes %d argument(s), got %d", call.Name, len(form.Params), len(call.Args))
-		}
-		bind := map[string]expr.Node{}
-		for i, p := range form.Params {
-			bind[p] = call.Args[i]
-		}
-		for _, st := range form.States {
-			bs := st
-			if st.Op != canonical.OpCount {
-				bs.Base = expr.Simplify(expr.Substitute(st.Base, bind))
-			}
-			key := bs.Key()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			positive := basePositive(qc.cat, bs.Base, g.dp.Tables())
-			m.states = append(m.states, s.planOneState(qc, g, m.index, bs, positive, mode))
-		}
+	for _, sl := range ps.slots {
+		m.states = append(m.states, s.planOneState(qc, g, m.index, sl.st, sl.positive, ps.mode))
 	}
-	return nil
 }
 
 // planOneState decides how one bound state is served: by the pre-batch
@@ -208,14 +169,7 @@ func (s *Session) planOneState(qc *queryCtx, g *batchGroup, owner int, bs canoni
 		// Read-only probe against the pre-batch cache: states it already
 		// serves are left to the replay's ordinary cache lookup.
 		if pr := qc.cache.Probe(g.fp, bs, positive); pr.Kind != cache.HitNone {
-			disp := dispCacheExact
-			switch pr.Kind {
-			case cache.HitShared:
-				disp = dispCacheShared
-			case cache.HitSign:
-				disp = dispCacheSign
-			}
-			return batchStateInfo{Key: key, Disposition: disp, Via: pr.Matched, Rewrite: pr.Rewrite}
+			return batchStateInfo{Key: key, Disposition: dispCache + pr.Kind.String(), Via: pr.Matched, Rewrite: pr.Rewrite}
 		}
 	}
 	if g.reg.Has(key) {
@@ -321,7 +275,7 @@ func (p *batchPlan) provider() scanProvider {
 // sampled; per-query Stats (wall time, cache hits, rows) are still
 // recorded, with the fused scan's rows attributed to the first query
 // that consumes it.
-func (s *Session) QueryBatch(ctx context.Context, reqs []Request, mode Mode) (results []*Result, err error) {
+func (s *Session) QueryBatch(ctx context.Context, reqs []Request, mode Mode) (_ []*Result, err error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
@@ -333,16 +287,7 @@ func (s *Session) QueryBatch(ctx context.Context, reqs []Request, mode Mode) (re
 		return nil, err
 	}
 	defer release()
-	defer func() {
-		if r := recover(); r != nil {
-			results = nil
-			err = fmt.Errorf("batch panicked (recovered): %v", r)
-		}
-		if err != nil && !errors.Is(err, errs.ErrCanceled) &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			err = fmt.Errorf("%w: %w", errs.ErrCanceled, err)
-		}
-	}()
+	defer sealOutcome("batch", &err)
 
 	stmts := make([]*sqlparse.Stmt, len(reqs))
 	for i, req := range reqs {
@@ -357,7 +302,7 @@ func (s *Session) QueryBatch(ctx context.Context, reqs []Request, mode Mode) (re
 	// whole batch sees one version of every table and one cache, so
 	// concurrent appends never split a batch across data versions.
 	qc := &queryCtx{cat: s.cat.Snapshot(), cache: s.stateCache()}
-	plan, err := s.planBatch(qc, stmts, mode)
+	plan, err := s.planBatch(ctx, qc, stmts, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +341,7 @@ func (s *Session) QueryBatch(ctx context.Context, reqs []Request, mode Mode) (re
 	// its scan. Cache lookups and stores happen here, in batch order —
 	// the cache evolves exactly as under sequential execution.
 	provider := plan.provider()
-	results = make([]*Result, len(reqs))
+	out := make([]*Result, len(reqs))
 	for i, m := range plan.members {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -405,22 +350,13 @@ func (s *Session) QueryBatch(ctx context.Context, reqs []Request, mode Mode) (re
 		if !m.solo {
 			rqc.provide = provider
 		}
-		start := time.Now()
-		s.queriesStarted.Add(1)
+		done := s.track(queued)
 		res, rerr := s.runStmt(ctx, rqc, m.stmt, mode, 0)
-		elapsed := time.Since(start)
-		s.queryNanos.Add(int64(elapsed))
-		s.queryHist.Observe(elapsed.Seconds())
+		done(res, rerr)
 		if rerr != nil {
-			s.queriesFailed.Add(1)
 			return nil, fmt.Errorf("batch query %d: %w", i, rerr)
 		}
-		s.queriesCompleted.Add(1)
-		s.rowsScanned.Add(int64(res.RowsScanned))
-		res.Stats.WallTime = elapsed
-		res.Stats.QueueWait = queued
-		res.Stats.RowsScanned = res.RowsScanned
-		results[i] = res
+		out[i] = res
 	}
-	return results, nil
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -85,7 +86,7 @@ func (s *Session) BatchExplain(reqs []Request, mode Mode) (*BatchExplain, error)
 		stmts[i] = stmt
 	}
 	qc := &queryCtx{cat: s.cat.Snapshot(), cache: s.stateCache()}
-	plan, err := s.planBatch(qc, stmts, mode)
+	plan, err := s.planBatch(context.Background(), qc, stmts, mode)
 	if err != nil {
 		return nil, err
 	}

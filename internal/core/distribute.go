@@ -155,18 +155,19 @@ func (r *shardRuntime) pickSet(dp *exec.DataPlan) *shardSet {
 // ruleDistribute (distribute phase) replaces the query's local fused
 // scan with a scatter-gather execution when the session is sharded and
 // the plan is distributable: SUDAF mode (canonical states are what makes
-// partials mergeable), no full cache hit, no batch-provided result, no
+// partials mergeable), not windowed (frames need rows in one
+// chronological pass), no full cache hit, no batch-provided result, no
 // view rewrite (roll-up states read view tables, which are coordinator
 // business), and a registered task for every state. A shard failure
 // surfaces as the query's one typed error; a non-distributable plan
 // falls back to the single-engine scan silently.
 func ruleDistribute(ctx context.Context, ps *planState) error {
 	s := ps.s
-	if s.shards == nil || ps.mode == ModeBaseline || ps.fullHit || ps.gr != nil ||
+	if s.shards == nil || ps.mode == ModeBaseline || ps.stmt.Window != nil || ps.fullHit || ps.gr != nil ||
 		ps.usedView != "" || ps.dpRun != ps.dp || ps.reg == nil || ps.reg.Len() == 0 {
 		return nil
 	}
-	states, ok := ps.scatterStates()
+	states, ok := ps.taskStates()
 	if !ok {
 		s.shards.fallbacks.Add(1)
 		return nil
@@ -181,12 +182,13 @@ func ruleDistribute(ctx context.Context, ps *planState) error {
 	return nil
 }
 
-// scatterStates reconstructs the task registry's state list in task
-// order from the plan's missing slots and sign-split companions. ok is
+// taskStates reconstructs the task registry's state list in task order
+// from the plan's missing slots and sign-split companions — what a
+// scatter sends to the workers and what a windowed scan folds. ok is
 // false when any registry index is not covered by a canonical state
 // (never the case for plans built by the standard pipeline — this is a
 // bail-out, not an error path).
-func (ps *planState) scatterStates() ([]canonical.State, bool) {
+func (ps *planState) taskStates() ([]canonical.State, bool) {
 	n := ps.reg.Len()
 	states := make([]canonical.State, n)
 	have := make([]bool, n)

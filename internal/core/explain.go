@@ -38,41 +38,22 @@ func (s *Session) RewriteSQL(sql string) (string, error) {
 			Alias: item.Alias,
 		}
 	}
-	stateIdx := map[string]int{}
-	var states []canonical.State
+	b, err := s.bindCalls(calls, nil, nil)
+	if err != nil {
+		return "", err
+	}
+	states := b.states
 	callT := make([]expr.Node, len(calls))
-	for ci, call := range calls {
-		form, err := s.formFor(call.Name)
-		if err != nil {
-			return "", err
-		}
-		if len(call.Args) != len(form.Params) {
-			return "", fmt.Errorf("%s takes %d argument(s), got %d", call.Name, len(form.Params), len(call.Args))
-		}
-		bind := map[string]expr.Node{}
-		for i, p := range form.Params {
-			bind[p] = call.Args[i]
-		}
+	for ci, bc := range b.calls {
 		// Remap the form's local s-variables to global state columns.
 		remap := map[string]expr.Node{}
-		for j, st := range form.States {
-			bs := st
-			if st.Op != canonical.OpCount {
-				bs.Base = expr.Simplify(expr.Substitute(st.Base, bind))
-			}
-			key := bs.Key()
-			idx, ok := stateIdx[key]
-			if !ok {
-				idx = len(states)
-				stateIdx[key] = idx
-				states = append(states, bs)
-			}
+		for j, idx := range bc.states {
 			remap[canonical.StateVar(j)] = &expr.Var{Name: canonical.StateVar(idx)}
 		}
-		if form.HardT != nil {
-			callT[ci] = &expr.Call{Name: form.Name, Args: stateVarList(form, remap)}
+		if bc.form.HardT != nil {
+			callT[ci] = &expr.Call{Name: bc.form.Name, Args: stateVarList(bc.form, remap)}
 		} else {
-			callT[ci] = expr.Simplify(expr.Substitute(form.T, remap))
+			callT[ci] = expr.Simplify(expr.Substitute(bc.form.T, remap))
 		}
 	}
 

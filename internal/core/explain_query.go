@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"sudaf/internal/canonical"
 	"sudaf/internal/errs"
 	"sudaf/internal/exec"
-	"sudaf/internal/expr"
 	"sudaf/internal/sqlparse"
 )
 
@@ -154,11 +154,16 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 		return nil, err
 	}
 
+	// The data plan, fingerprints and bound states come from the query
+	// pipeline's own resolve and canonicalize phases — what EXPLAIN shows
+	// is what execution derives, by construction. EXPLAIN serves Subscribe
+	// statements too, so EPOCHS frames are in scope.
 	qc := &queryCtx{cat: s.cat.Snapshot(), cache: s.stateCache()}
-	dp, err := s.eng.PrepareDataIn(qc.cat, stmt)
-	if err != nil {
+	ps := &planState{s: s, qc: qc, stmt: stmt, mode: mode, continuous: true}
+	if err := ps.planFront(context.Background()); err != nil {
 		return nil, err
 	}
+	dp := ps.dp
 	info := dp.Info()
 	ex := &Explain{
 		SQL:         sql,
@@ -172,19 +177,16 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 		ex.Tables = append(ex.Tables, fmt.Sprintf("%s@%d", t, epochs[t]))
 	}
 	// Windowed statements cache per-emission state vectors under the
-	// window-qualified fingerprint, so that is where probes must look.
-	probeFP := dp.Fingerprint
+	// frame-qualified share fingerprint, which is where probes look.
 	if spec := stmt.Window; spec != nil {
-		wfp := dp.Fingerprint + "|W[" + spec.String() + "]"
 		ex.Window = &ExplainWindow{
 			Frame:       spec.String(),
 			Unit:        spec.Unit.String(),
 			N:           spec.N,
 			Sliding:     spec.Sliding,
 			Size:        spec.Size(),
-			Fingerprint: wfp,
+			Fingerprint: ps.shareFP,
 		}
-		probeFP = wfp
 	}
 	var ftabs []string
 	for t := range info.Filters {
@@ -197,66 +199,33 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 		}
 	}
 
-	var calls []*expr.Call
-	for _, item := range stmt.Select {
-		exec.ExtractAggCalls(item.Expr, s.isAgg, &calls)
-	}
-
 	if mode == ModeBaseline {
-		for _, call := range calls {
+		for _, call := range ps.calls {
 			ea := ExplainAggregate{Call: call.String(), Exec: s.baselineExec(call.Name)}
 			ex.Aggregates = append(ex.Aggregates, ea)
 		}
 		return ex, nil
 	}
 
-	// Canonical decomposition, mirroring runSUDAF's slot dedup. bound
-	// keeps the canonical states index-aligned with ex.States for the
-	// shard probe below.
-	stateIdx := map[string]int{}
-	var bound []canonical.State
-	for _, call := range calls {
-		form, err := s.formFor(call.Name)
-		if err != nil {
-			return nil, err
+	for i, sl := range ps.slots {
+		es := ExplainState{Index: i, Key: sl.st.Key(), Formula: stateSQL(sl.st), Positive: sl.positive}
+		if mode == ModeShare {
+			noteProbe(&es, qc.cache.Probe(ps.shareFP, sl.st, sl.positive))
 		}
-		if len(call.Args) != len(form.Params) {
-			return nil, fmt.Errorf("%s takes %d argument(s), got %d", call.Name, len(form.Params), len(call.Args))
-		}
-		bind := map[string]expr.Node{}
-		for i, p := range form.Params {
-			bind[p] = call.Args[i]
-		}
-		ea := ExplainAggregate{Call: call.String(), Form: form.String()}
-		for _, st := range form.States {
-			bs := st
-			if st.Op != canonical.OpCount {
-				bs.Base = expr.Simplify(expr.Substitute(st.Base, bind))
-			}
-			key := bs.Key()
-			idx, seen := stateIdx[key]
-			if !seen {
-				idx = len(ex.States)
-				stateIdx[key] = idx
-				positive := basePositive(qc.cat, bs.Base, dp.Tables())
-				es := ExplainState{Index: idx, Key: key, Formula: stateSQL(bs), Positive: positive}
-				if mode == ModeShare {
-					noteProbe(&es, qc.cache.Probe(probeFP, bs, positive))
-				}
-				ex.States = append(ex.States, es)
-				bound = append(bound, bs)
-			}
-			ea.States = append(ea.States, idx)
-		}
-		ex.Aggregates = append(ex.Aggregates, ea)
+		ex.States = append(ex.States, es)
 	}
-	if len(calls) > 0 {
+	for ci, bc := range ps.bound.calls {
+		ex.Aggregates = append(ex.Aggregates, ExplainAggregate{
+			Call: ps.calls[ci].String(), Form: bc.form.String(), States: bc.states,
+		})
+	}
+	if len(ps.calls) > 0 {
 		if rw, err := s.RewriteSQL(sql); err == nil {
 			ex.Rewritten = rw
 		}
 	}
-	if s.shards != nil && len(bound) > 0 {
-		s.explainShards(qc, stmt, dp, ex, bound)
+	if s.shards != nil && len(ps.slots) > 0 {
+		s.explainShards(qc, stmt, dp, ex, ps.bound.states)
 	}
 	return ex, nil
 }

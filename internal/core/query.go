@@ -134,8 +134,10 @@ func (s *Session) QueryContext(ctx context.Context, sql string, mode Mode) (*Res
 // resolve deterministically when the session closes mid-wait: a slot,
 // their own context, or the close), and query-timeout nesting. Both
 // single submissions and whole batches (one slot per batch) pass
-// through it. The returned release func must be deferred by the caller;
-// it is nil exactly when err is non-nil.
+// through it, which is also why the waited-for-a-slot accounting
+// (QueriesQueued, queue time) lives here and nowhere else. The returned
+// release func must be deferred by the caller; it is nil exactly when err
+// is non-nil.
 func (s *Session) admitted(ctx context.Context, kind string) (outCtx context.Context, queued time.Duration, release func(), err error) {
 	if err := s.beginOp(kind); err != nil {
 		return nil, 0, nil, err
@@ -150,6 +152,7 @@ func (s *Session) admitted(ctx context.Context, kind string) (outCtx context.Con
 			case s.admit <- struct{}{}:
 				queued = time.Since(waitStart)
 				s.queueNanos.Add(int64(queued))
+				s.queriesQueued.Add(1)
 			case <-ctx.Done():
 				s.endOp()
 				return nil, 0, nil, fmt.Errorf("%w: %w", errs.ErrCanceled, ctx.Err())
@@ -173,44 +176,30 @@ func (s *Session) admitted(ctx context.Context, kind string) (outCtx context.Con
 	return ctx, queued, release, nil
 }
 
-// submit runs one Request end to end: admission, trace sampling, parse,
-// analyze (the rule pipeline), execute, stats finalization. This is the
-// single internal submission path every query entry point flows through.
-func (s *Session) submit(ctx context.Context, req Request) (res *Result, err error) {
-	if ctx == nil {
-		ctx = context.Background()
+// sealOutcome is deferred by every submission path (single queries and
+// whole batches): it turns a panic into an error and files
+// cancellation/deadline failures under ErrCanceled. The original context
+// error stays wrapped too, so both errors.Is(err, ErrCanceled) and
+// errors.Is(err, context.Canceled) hold.
+func sealOutcome(what string, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("%s panicked (recovered): %v", what, r)
 	}
-	ctx, queued, release, err := s.admitted(ctx, "query")
-	if err != nil {
-		return nil, err
+	if e := *err; e != nil && !errors.Is(e, errs.ErrCanceled) &&
+		(errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded)) {
+		*err = fmt.Errorf("%w: %w", errs.ErrCanceled, e)
 	}
-	defer release()
-	if queued > 0 {
-		s.queriesQueued.Add(1)
-	}
+}
+
+// track opens the accounting of one executing query — a single
+// submission or one batch replay — and returns its closing half, which
+// must be called exactly once with the query's outcome: engine counters,
+// the latency histogram, and the Result's cost stats are all filled
+// here and nowhere else.
+func (s *Session) track(queued time.Duration) func(res *Result, err error) {
 	s.queriesStarted.Add(1)
-	// Trace sampling: a sampled query gets a span tree threaded through
-	// the whole pipeline; an unsampled one threads nil spans, which every
-	// span method treats as a free no-op.
-	var tr *obs.Trace
-	if s.sampler.Sample() {
-		tr = obs.NewTrace("query")
-		tr.Root().SetStr("mode", req.Mode.String())
-	}
 	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = fmt.Errorf("query panicked (recovered): %v", r)
-		}
-		// Classify cancellation/deadline failures under ErrCanceled. The
-		// original context error stays wrapped too, so both
-		// errors.Is(err, ErrCanceled) and errors.Is(err, context.Canceled)
-		// hold.
-		if err != nil && !errors.Is(err, errs.ErrCanceled) &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			err = fmt.Errorf("%w: %w", errs.ErrCanceled, err)
-		}
+	return func(res *Result, err error) {
 		elapsed := time.Since(start)
 		s.queryNanos.Add(int64(elapsed))
 		s.queryHist.Observe(elapsed.Seconds())
@@ -223,9 +212,38 @@ func (s *Session) submit(ctx context.Context, req Request) (res *Result, err err
 		res.Stats.WallTime = elapsed
 		res.Stats.QueueWait = queued
 		res.Stats.RowsScanned = res.RowsScanned
-		tr.Finish()
-		res.Trace = tr
+	}
+}
+
+// submit runs one Request end to end: admission, trace sampling, parse,
+// analyze (the rule pipeline), execute, stats finalization. This is the
+// single internal submission path every query entry point flows through.
+func (s *Session) submit(ctx context.Context, req Request) (res *Result, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, queued, release, err := s.admitted(ctx, "query")
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	// Trace sampling: a sampled query gets a span tree threaded through
+	// the whole pipeline; an unsampled one threads nil spans, which every
+	// span method treats as a free no-op.
+	var tr *obs.Trace
+	if s.sampler.Sample() {
+		tr = obs.NewTrace("query")
+		tr.Root().SetStr("mode", req.Mode.String())
+	}
+	done := s.track(queued)
+	defer func() {
+		done(res, err)
+		if err == nil {
+			tr.Finish()
+			res.Trace = tr
+		}
 	}()
+	defer sealOutcome("query", &err)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -250,16 +268,15 @@ func (s *Session) runStmt(ctx context.Context, qc *queryCtx, stmt *sqlparse.Stmt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Windowed statements flow through their own pipeline: the frame is
-	// the grouping structure and the scan is a chronological fold pass.
-	if stmt.Window != nil {
+	// A windowed statement goes straight to the pipeline, whose
+	// validate-scope rule owns its surface: a single base table (nothing
+	// to materialize) and at least one aggregate (never a plain scan).
+	windowed := stmt.Window != nil
+	if windowed {
 		if depth > 0 {
 			return nil, fmt.Errorf("windowed subqueries are not supported")
 		}
-		if err := s.checkAggregates(stmt); err != nil {
-			return nil, err
-		}
-		return s.runWindowStmt(ctx, qc, stmt, mode)
+		s.windowQueries.Add(1)
 	}
 	// Materialize derived tables bottom-up, into the query's private
 	// catalog overlay (never the shared session catalog).
@@ -270,7 +287,7 @@ func (s *Session) runStmt(ctx context.Context, qc *queryCtx, stmt *sqlparse.Stmt
 		}
 	}()
 	for i, ref := range stmt.From {
-		if ref.Sub == nil {
+		if ref.Sub == nil || windowed {
 			continue
 		}
 		// The subquery gets its own span subtree: swap it in as the
@@ -296,7 +313,7 @@ func (s *Session) runStmt(ctx context.Context, qc *queryCtx, stmt *sqlparse.Stmt
 		return nil, err
 	}
 
-	if !s.hasAggregates(stmt) && len(stmt.GroupBy) == 0 {
+	if !windowed && !s.hasAggregates(stmt) && len(stmt.GroupBy) == 0 {
 		sp := qc.sp.Child("scan/project")
 		r, err := s.eng.RunSimpleIn(ctx, qc.cat, stmt)
 		if err != nil {
@@ -308,10 +325,10 @@ func (s *Session) runStmt(ctx context.Context, qc *queryCtx, stmt *sqlparse.Stmt
 	}
 
 	// Everything aggregate flows through the fixed analyzer pipeline
-	// (resolve → canonicalize → share → fuse → parallelize), then the
-	// common execution tail.
+	// (resolve → canonicalize → share → fuse → parallelize → distribute),
+	// then the common execution tail.
 	ps := &planState{s: s, qc: qc, stmt: stmt, mode: mode}
-	if err := queryPipeline.Run(ctx, ps, nil); err != nil {
+	if err := queryPipeline.Run(ctx, ps); err != nil {
 		return nil, err
 	}
 	return s.executePlan(ctx, ps)
@@ -480,7 +497,7 @@ func (s *Session) baselineFinisher(call *expr.Call, reg *exec.TaskRegistry) (exe
 		// Hardcoded-terminating-function aggregates (the approx quantile
 		// family) are *native* in the baseline systems too (Spark's
 		// percentile_approx): compiled state loops, not interpreted.
-		return s.nativeFormFinisher(form, call, reg)
+		return s.nativeFormFinisher(call, reg)
 	}
 	idx := reg.Add("naive:"+call.String(), func(b exec.Binder) (exec.Task, error) {
 		return exec.NewNaiveUDAFTask(form, call, b.Bind)
@@ -488,36 +505,24 @@ func (s *Session) baselineFinisher(call *expr.Call, reg *exec.TaskRegistry) (exe
 	return func(vals [][]float64, g int) float64 { return vals[idx][g] }, nil
 }
 
-// nativeFormFinisher compiles a form's states as fast tasks and its
-// terminating function as a closure (used by the baseline for natively
-// implemented aggregates).
-func (s *Session) nativeFormFinisher(form *canonical.Form, call *expr.Call, reg *exec.TaskRegistry) (exec.Finisher, error) {
-	if len(call.Args) != len(form.Params) {
-		return nil, fmt.Errorf("%s takes %d argument(s), got %d", form.Name, len(form.Params), len(call.Args))
-	}
-	bind := map[string]expr.Node{}
-	for i, p := range form.Params {
-		bind[p] = call.Args[i]
-	}
-	idxs := make([]int, len(form.States))
-	for j, st := range form.States {
-		bs := st
-		if st.Op != canonical.OpCount {
-			bs.Base = expr.Simplify(expr.Substitute(st.Base, bind))
-		}
-		idxs[j] = addStateTask(reg, bs, "native:"+bs.Key())
-	}
-	tfn, err := form.CompileT()
+// nativeFormFinisher compiles a call's canonical states as fast tasks
+// and its terminating function as a closure (used by the baseline for
+// natively implemented aggregates).
+func (s *Session) nativeFormFinisher(call *expr.Call, reg *exec.TaskRegistry) (exec.Finisher, error) {
+	b, err := s.bindCalls([]*expr.Call{call}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]float64, len(idxs))
-	return func(vals [][]float64, g int) float64 {
-		for j, ix := range idxs {
-			buf[j] = vals[ix][g]
-		}
-		return tfn(buf)
-	}, nil
+	tfn, err := b.calls[0].form.CompileT()
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]*int, len(b.calls[0].states))
+	for j, si := range b.calls[0].states {
+		idx := addStateTask(reg, b.states[si], "native:"+b.states[si].Key())
+		cols[j] = &idx
+	}
+	return termFinisher(tfn, cols), nil
 }
 
 // formFor returns the canonical form for any aggregate name: registered

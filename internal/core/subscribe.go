@@ -26,8 +26,8 @@ import (
 	"fmt"
 	"sync"
 
+	"sudaf/internal/canonical"
 	"sudaf/internal/errs"
-	"sudaf/internal/exec"
 	"sudaf/internal/faultinject"
 	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
@@ -67,7 +67,7 @@ type Subscription struct {
 	id   int64
 	mode Mode
 	spec *sqlparse.WindowSpec
-	ws   *windowPlanState
+	ps   *planState
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -80,17 +80,11 @@ type Subscription struct {
 	done chan struct{} // closed when the worker has exited
 
 	seq int64
-	// Incremental frame state. folds persist across notifications (the
-	// whole point of the two-stacks structure); valuers recompile per
-	// pinned version. bucketLo/bucketRows track the open ROWS bucket,
-	// ticks the live EPOCHS batches (oldest first).
-	folds      []*window.Fold
-	bucketLo   int
-	bucketRows int
-	ticks      []frame
-	// prev* remember the folds' lifetime counters so each notification
-	// adds only its delta to the session metrics.
-	prevEvicts, prevFast, prevRefolds int64
+	// Incremental frame state. The driver's folds persist across
+	// notifications (nil in baseline mode, which recomputes each frame);
+	// ticks are the live EPOCHS batches, oldest first.
+	fold  *foldDriver
+	ticks []frame
 }
 
 // Subscribe parses a windowed statement and opens a continuous query
@@ -125,32 +119,33 @@ func (s *Session) Subscribe(ctx context.Context, sql string, mode Mode) (*Subscr
 	// version after the snapshot — no torn or duplicated windows.
 	s.ingestMu.Lock()
 	qc := &queryCtx{cat: s.cat.Snapshot(), cache: s.stateCache()}
-	ws := &windowPlanState{s: s, qc: qc, stmt: stmt, mode: mode, spec: stmt.Window, continuous: true}
-	if err := windowPipeline.Run(ctx, ws, nil); err != nil {
+	ps := &planState{s: s, qc: qc, stmt: stmt, mode: mode, continuous: true}
+	if err := queryPipeline.Run(ctx, ps); err != nil {
 		s.ingestMu.Unlock()
 		return nil, err
-	}
-	for i, key := range ws.slotOrder {
-		ws.slots[key].finalIdx = i
 	}
 	sub := &Subscription{
 		s:    s,
 		mode: mode,
 		spec: stmt.Window,
-		ws:   ws,
+		ps:   ps,
 		ch:   make(chan *WindowResult),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	sub.cond = sync.NewCond(&sub.mu)
 	if mode != ModeBaseline {
-		sub.folds = make([]*window.Fold, len(ws.slotOrder))
-		for i, key := range ws.slotOrder {
-			sub.folds[i] = window.New(ws.slots[key].st, exec.MorselRows)
+		// Every slot is folded live (the plan bypassed the cache), so the
+		// value matrix is simply the slots in order.
+		states := make([]canonical.State, len(ps.slots))
+		for i, sl := range ps.slots {
+			sl.finalIdx = i
+			states[i] = sl.st
 		}
+		sub.fold = newFoldDriver(stmt.Window, states)
 	}
-	if n := ws.tbl.NumRows(); n > 0 {
-		sub.queue = append(sub.queue, subNote{tbl: ws.tbl, lo: 0, hi: n, epoch: ws.tbl.Epoch})
+	if n := ps.tbl.NumRows(); n > 0 {
+		sub.queue = append(sub.queue, subNote{tbl: ps.tbl, lo: 0, hi: n, epoch: ps.tbl.Epoch})
 	}
 	s.subMu.Lock()
 	s.subSeq++
@@ -174,7 +169,7 @@ func (s *Session) notifySubs(table string, tbl *storage.Table, lo, hi int) {
 	s.subMu.Lock()
 	targets := make([]*Subscription, 0, len(s.subs))
 	for _, sub := range s.subs {
-		if sub.ws.tbl.Name == table {
+		if sub.ps.tbl.Name == table {
 			targets = append(targets, sub)
 		}
 	}
@@ -298,187 +293,90 @@ func (sub *Subscription) run() {
 
 // process computes the emission batches one note produces.
 func (sub *Subscription) process(note subNote) ([]*WindowResult, error) {
-	switch {
-	case sub.spec.Unit == sqlparse.WindowEpochs:
+	if sub.spec.Unit == sqlparse.WindowEpochs {
 		return sub.processEpochs(note)
-	case sub.spec.Sliding:
-		return sub.processRowsSliding(note)
-	default:
-		return sub.processRowsTumbling(note)
 	}
-}
-
-// compileValuers rebuilds the per-row state valuers against a pinned
-// version (versions share their row prefix, so the persistent folds
-// stay consistent with the new accessors).
-func (sub *Subscription) compileValuers(tbl *storage.Table) ([]exec.Accessor, error) {
-	b := exec.NewTableBinder(tbl)
-	valuers := make([]exec.Accessor, len(sub.ws.slotOrder))
-	for i, key := range sub.ws.slotOrder {
-		v, err := exec.StateValuer(sub.ws.slots[key].st, b)
-		if err != nil {
-			return nil, err
-		}
-		valuers[i] = v
-	}
-	return valuers, nil
+	return sub.processRows(note)
 }
 
 // emit builds one WindowResult from a batch of frames and its value
 // matrix.
 func (sub *Subscription) emit(note subNote, frames []frame, vals [][]float64, firstRow, lastRow int) (*WindowResult, error) {
-	tbl, faults, err := buildWindowOutput(context.Background(), sub.ws, note.tbl, frames, vals)
+	out, err := buildWindowOutput(context.Background(), sub.ps.spec, note.tbl, frames, vals)
 	if err != nil {
 		return nil, err
 	}
 	sub.seq++
 	sub.s.windowEmits.Add(int64(len(frames)))
 	return &WindowResult{
-		Table:         tbl,
+		Table:         out.Table,
 		Seq:           sub.seq,
 		Epoch:         note.epoch,
 		FirstRow:      firstRow,
 		LastRow:       lastRow,
-		NumericFaults: faults,
+		NumericFaults: out.NumericFaults,
 	}, nil
 }
 
-// flushFoldStats adds this notification's fold-counter deltas to the
-// session's window metrics.
-func (sub *Subscription) flushFoldStats() {
-	var ev, fa, re int64
-	for _, f := range sub.folds {
-		e, a, r := f.Stats()
-		ev += e
-		fa += a
-		re += r
-	}
-	sub.s.windowRowsEvicted.Add(ev - sub.prevEvicts)
-	sub.s.windowFastFolds.Add(fa - sub.prevFast)
-	sub.s.windowRefolds.Add(re - sub.prevRefolds)
-	sub.prevEvicts, sub.prevFast, sub.prevRefolds = ev, fa, re
-}
-
-// processRowsSliding emits one output row per new row — the frame
-// ending at it — in a single WindowResult per note.
-func (sub *Subscription) processRowsSliding(note subNote) ([]*WindowResult, error) {
-	k := note.hi - note.lo
-	frames := make([]frame, 0, k)
-	for r := note.lo; r < note.hi; r++ {
-		lo := r - sub.spec.N
-		if lo < 0 {
-			lo = 0
-		}
-		frames = append(frames, frame{lo, r + 1})
-	}
+// processRows handles a ROWS-unit note: the frames ending in its rows,
+// valued by the persistent fold driver (recomputed from scratch in
+// baseline mode). A sliding frame emits one output row per new row, all
+// in a single WindowResult; a tumbling frame emits one WindowResult per
+// bucket the note completes, while a partially filled bucket keeps
+// growing.
+func (sub *Subscription) processRows(note subNote) ([]*WindowResult, error) {
+	frames := rowsFrames(sub.spec, note.lo, note.hi)
 	var vals [][]float64
+	var err error
 	if sub.mode == ModeBaseline {
-		v, err := windowTaskValues(context.Background(), sub.ws.reg, note.tbl, frames)
-		if err != nil {
-			return nil, err
-		}
-		vals = v
+		vals, err = windowTaskValues(context.Background(), sub.ps.reg, note.tbl, frames)
 	} else {
-		valuers, err := sub.compileValuers(note.tbl)
+		vals, err = sub.fold.rows(context.Background(), note.tbl, note.lo, note.hi)
+		sub.fold.flushStats(sub.s)
+	}
+	if sub.spec.Sliding {
 		if err != nil {
 			return nil, err
 		}
-		vals = make([][]float64, len(sub.folds))
-		for i := range vals {
-			vals[i] = make([]float64, k)
-		}
-		for j, r := 0, note.lo; r < note.hi; j, r = j+1, r+1 {
-			for i := range sub.folds {
-				sub.folds[i].Push(valuers[i](int32(r)))
-			}
-			if r > sub.spec.N {
-				if err := faultinject.Hit(faultinject.PointWindowEvict); err != nil {
-					return nil, fmt.Errorf("window evict at row %d: %w", r, err)
-				}
-				for i := range sub.folds {
-					sub.folds[i].Evict()
-				}
-			}
-			if err := faultinject.Hit(faultinject.PointWindowEmit); err != nil {
-				return nil, fmt.Errorf("window emit: %w", err)
-			}
-			for i := range sub.folds {
-				vals[i][j] = sub.folds[i].Value()
-			}
-		}
-		sub.flushFoldStats()
-	}
-	res, err := sub.emit(note, frames, vals, note.lo, note.hi-1)
-	if err != nil {
-		return nil, err
-	}
-	return []*WindowResult{res}, nil
-}
-
-// processRowsTumbling emits one WindowResult per bucket completed by
-// the note's rows; a partially filled bucket keeps growing.
-func (sub *Subscription) processRowsTumbling(note subNote) ([]*WindowResult, error) {
-	b := sub.spec.Size()
-	var valuers []exec.Accessor
-	if sub.mode != ModeBaseline {
-		var err error
-		if valuers, err = sub.compileValuers(note.tbl); err != nil {
+		res, err := sub.emit(note, frames, vals, note.lo, note.hi-1)
+		if err != nil {
 			return nil, err
 		}
+		return []*WindowResult{res}, nil
 	}
+	// Buckets completed before a mid-note failure are still delivered.
 	var out []*WindowResult
-	for r := note.lo; r < note.hi; r++ {
-		if sub.mode != ModeBaseline {
-			for i := range sub.folds {
-				sub.folds[i].Push(valuers[i](int32(r)))
-			}
+	for e, fr := range frames {
+		if len(vals) == 0 || e >= len(vals[0]) {
+			break
 		}
-		sub.bucketRows++
-		if sub.bucketRows < b {
-			continue
+		one := make([][]float64, len(vals))
+		for i := range vals {
+			one[i] = vals[i][e : e+1]
 		}
-		fr := frame{sub.bucketLo, r + 1}
-		if err := faultinject.Hit(faultinject.PointWindowEmit); err != nil {
-			return out, fmt.Errorf("window emit: %w", err)
-		}
-		var vals [][]float64
-		if sub.mode == ModeBaseline {
-			v, err := windowTaskValues(context.Background(), sub.ws.reg, note.tbl, []frame{fr})
-			if err != nil {
-				return out, err
-			}
-			vals = v
-		} else {
-			vals = make([][]float64, len(sub.folds))
-			for i := range sub.folds {
-				vals[i] = []float64{sub.folds[i].Value()}
-				sub.folds[i].Reset()
-			}
-			sub.flushFoldStats()
-		}
-		res, err := sub.emit(note, []frame{fr}, vals, fr.lo, fr.hi-1)
-		if err != nil {
-			return out, err
+		res, eerr := sub.emit(note, frames[e:e+1], one, fr.lo, fr.hi-1)
+		if eerr != nil {
+			return out, eerr
 		}
 		out = append(out, res)
-		sub.bucketLo = r + 1
-		sub.bucketRows = 0
 	}
-	return out, nil
+	return out, err
 }
 
 // processEpochs treats the note as one tick (each Append batch is one
 // epoch). Sliding frames cover the last n+1 ticks' rows and emit every
 // tick; tumbling frames emit once per n accumulated ticks.
 func (sub *Subscription) processEpochs(note subNote) ([]*WindowResult, error) {
+	var folds []*window.Fold
 	if sub.mode != ModeBaseline {
-		valuers, err := sub.compileValuers(note.tbl)
+		folds = sub.fold.folds
+		valuers, err := sub.fold.valuers(note.tbl)
 		if err != nil {
 			return nil, err
 		}
 		for r := note.lo; r < note.hi; r++ {
-			for i := range sub.folds {
-				sub.folds[i].Push(valuers[i](int32(r)))
+			for i, f := range folds {
+				f.Push(valuers[i](int32(r)))
 			}
 		}
 	}
@@ -491,11 +389,9 @@ func (sub *Subscription) processEpochs(note subNote) ([]*WindowResult, error) {
 			if err := faultinject.Hit(faultinject.PointWindowEvict); err != nil {
 				return nil, fmt.Errorf("window evict epoch rows [%d,%d): %w", expired.lo, expired.hi, err)
 			}
-			if sub.mode != ModeBaseline {
-				for i := range sub.folds {
-					for r := expired.lo; r < expired.hi; r++ {
-						sub.folds[i].Evict()
-					}
+			for _, f := range folds {
+				for r := expired.lo; r < expired.hi; r++ {
+					f.Evict()
 				}
 			}
 		}
@@ -509,22 +405,20 @@ func (sub *Subscription) processEpochs(note subNote) ([]*WindowResult, error) {
 	}
 	var vals [][]float64
 	if sub.mode == ModeBaseline {
-		v, err := windowTaskValues(context.Background(), sub.ws.reg, note.tbl, []frame{fr})
+		v, err := windowTaskValues(context.Background(), sub.ps.reg, note.tbl, []frame{fr})
 		if err != nil {
 			return nil, err
 		}
 		vals = v
 	} else {
-		vals = make([][]float64, len(sub.folds))
-		for i := range sub.folds {
-			vals[i] = []float64{sub.folds[i].Value()}
-		}
-		if !sub.spec.Sliding {
-			for i := range sub.folds {
-				sub.folds[i].Reset()
+		vals = make([][]float64, len(folds))
+		for i, f := range folds {
+			vals[i] = []float64{f.Value()}
+			if !sub.spec.Sliding {
+				f.Reset()
 			}
 		}
-		sub.flushFoldStats()
+		sub.fold.flushStats(sub.s)
 	}
 	if !sub.spec.Sliding {
 		sub.ticks = sub.ticks[:0]

@@ -49,34 +49,11 @@ func (s *Session) Materialize(name, sql string) error {
 	if len(calls) == 0 {
 		return fmt.Errorf("view %s: query has no aggregates", name)
 	}
-	var states []canonical.State
-	var positives []bool
-	seen := map[string]bool{}
-	for _, call := range calls {
-		form, err := s.formFor(call.Name)
-		if err != nil {
-			return err
-		}
-		if len(call.Args) != len(form.Params) {
-			return fmt.Errorf("%s takes %d argument(s), got %d", call.Name, len(form.Params), len(call.Args))
-		}
-		bind := map[string]expr.Node{}
-		for i, p := range form.Params {
-			bind[p] = call.Args[i]
-		}
-		for _, st := range form.States {
-			bs := st
-			if st.Op != canonical.OpCount {
-				bs.Base = expr.Simplify(expr.Substitute(st.Base, bind))
-			}
-			if seen[bs.Key()] {
-				continue
-			}
-			seen[bs.Key()] = true
-			states = append(states, bs)
-			positives = append(positives, basePositive(s.cat, bs.Base, dp.Tables()))
-		}
+	b, err := s.bindCalls(calls, s.cat, dp.Tables())
+	if err != nil {
+		return err
 	}
+	states, positives := b.states, b.positive
 	reg := exec.NewTaskRegistry()
 	for _, st := range states {
 		addStateTask(reg, st, st.Key())

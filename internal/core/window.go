@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"sudaf/internal/analyzer"
 	"sudaf/internal/cache"
 	"sudaf/internal/canonical"
 	"sudaf/internal/errs"
@@ -17,558 +16,294 @@ import (
 	"sudaf/internal/window"
 )
 
-// This file plans and executes windowed queries — statements carrying an
-// OVER (ROWS|EPOCHS n PRECEDING|TUMBLING) clause. They flow through
-// their own analyzer pipeline (windowPipeline) rather than
-// queryPipeline: the frame replaces GROUP BY as the grouping structure,
-// the scan is a single in-order pass (the two-stacks ⊕-fold needs rows
-// chronologically, not morsel-parallel), and share-mode caching keys on
-// a window-qualified fingerprint so only queries with the same frame
-// shape exchange per-emission state vectors (Theorem 4.1 still applies:
-// two different terminating functions over the same frame share the
-// same cached states).
+// This file holds what is genuinely different about windowed statements
+// — those carrying an OVER (ROWS|EPOCHS n PRECEDING|TUMBLING) clause.
+// They are planned by queryPipeline on the ordinary planState and share
+// executePlan's assembly, cache-store and accounting tail; what differs
+// is the grouping structure (the frame replaces GROUP BY), the scan (a
+// single chronological pass — the two-stacks ⊕-fold needs rows in order,
+// not morsel-parallel) and the output builder (non-aggregate columns are
+// read at each frame's emit row). Share-mode caching keys on the
+// frame-qualified fingerprint (shareFingerprint), so only queries with
+// the same frame shape exchange per-emission state vectors — and
+// Theorem 4.1 still applies: two different terminating functions over
+// the same frame share the same cached states.
 //
-// One-shot execution lives here; the continuous Subscribe path
-// (internal/core/subscribe.go) reuses the same plan state, frames and
-// output builder incrementally.
+// The continuous Subscribe path (subscribe.go) drives the same plan
+// state, frames, fold driver and output builder incrementally.
 
 // frame is one emission's row range [lo, hi); hi-1 is the emit row,
 // where non-aggregate projection columns are read.
 type frame struct{ lo, hi int }
 
-// windowFrames enumerates a ROWS-unit query's emission frames over n
-// rows. Sliding frames emit one window per row — standard SQL
-// "ROWS k PRECEDING" semantics, with partial frames while the window
-// fills. Tumbling frames emit one window per bucket; a one-shot query
-// includes the trailing partial bucket (the table ends there), while a
-// continuous subscription excludes it (it is still growing).
-func windowFrames(spec *sqlparse.WindowSpec, n int, continuous bool) []frame {
-	var out []frame
+// frameEndingAt returns the ROWS-unit frame whose emit row is r, if one
+// ends there. Sliding frames end at every row — standard SQL "ROWS k
+// PRECEDING" semantics, partial while the window fills. Tumbling
+// buckets are aligned to row 0 and end at every Size-th row.
+func frameEndingAt(spec *sqlparse.WindowSpec, r int) (frame, bool) {
 	if spec.Sliding {
-		for r := 0; r < n; r++ {
-			lo := r - spec.N
-			if lo < 0 {
-				lo = 0
-			}
-			out = append(out, frame{lo, r + 1})
+		lo := r - spec.N
+		if lo < 0 {
+			lo = 0
 		}
-		return out
+		return frame{lo, r + 1}, true
 	}
-	b := spec.Size()
-	for lo := 0; lo < n; lo += b {
-		hi := lo + b
-		if hi > n {
-			if continuous {
-				break
-			}
-			hi = n
+	if b := spec.Size(); (r+1)%b == 0 {
+		return frame{r + 1 - b, r + 1}, true
+	}
+	return frame{}, false
+}
+
+// rowsFrames lists the ROWS-unit frames whose emit row lies in [lo, hi),
+// in emission order: what a subscription emits for an append of those
+// rows.
+func rowsFrames(spec *sqlparse.WindowSpec, lo, hi int) []frame {
+	var out []frame
+	for r := lo; r < hi; r++ {
+		if fr, ok := frameEndingAt(spec, r); ok {
+			out = append(out, fr)
 		}
-		out = append(out, frame{lo, hi})
 	}
 	return out
 }
 
-// windowPlanState is the analyzer unit for one windowed query: the plan
-// built phase by phase (resolve → canonicalize → window) and executed
-// by executeWindowPlan, or driven incrementally by a Subscription.
-type windowPlanState struct {
-	s    *Session
-	qc   *queryCtx
-	stmt *sqlparse.Stmt
-	mode Mode
-	spec *sqlparse.WindowSpec
-	// continuous marks a Subscribe-owned plan: EPOCHS frames become
-	// legal and the state cache is bypassed (a live stream's frames are
-	// perpetually one append ahead of any cached entry).
-	continuous bool
-
-	// resolve
-	tbl   *storage.Table
-	dp    *exec.DataPlan
-	calls []*expr.Call
-	out   exec.OutputSpec
-	reg   *exec.TaskRegistry // baseline-mode per-call tasks
-
-	// canonicalize (SUDAF modes)
-	slots     map[string]*slot
-	slotOrder []string
-
-	// window
-	wfp        string // window-qualified cache fingerprint
-	entryOK    bool
-	missing    []*slot
-	companions []*slot
-	fullHit    bool
-	events     []string
-}
-
-// guard mirrors planState.guard: cache faults degrade to recomputation.
-func (ws *windowPlanState) guard(stage string, f func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			ws.events = append(ws.events, fmt.Sprintf(
-				"cache: panic during %s (recovered); falling back to recomputation: %v", stage, r))
-		}
-	}()
-	f()
-}
-
-func (ws *windowPlanState) getSlot(st canonical.State, positive bool) *slot {
-	key := st.Key()
-	if sl, ok := ws.slots[key]; ok {
-		return sl
+// trailingFrame is the still-open tumbling bucket of an n-row table. A
+// one-shot query emits it (the table ends there); a subscription does
+// not (it is still growing).
+func trailingFrame(spec *sqlparse.WindowSpec, n int) (frame, bool) {
+	if spec.Sliding || n%spec.Size() == 0 {
+		return frame{}, false
 	}
-	sl := &slot{st: st, positive: positive, taskIdx: -1}
-	ws.slots[key] = sl
-	ws.slotOrder = append(ws.slotOrder, key)
-	return sl
+	return frame{n - n%spec.Size(), n}, true
 }
 
-// windowPipeline is the analyzer pipeline for windowed statements:
-//
-//	resolve      — scope validation (v1 windows read one base table,
-//	               no WHERE/GROUP BY/ORDER BY/LIMIT), table resolution,
-//	               data fingerprint, aggregate-call extraction
-//	canonicalize — the same state decomposition as ordinary queries:
-//	               baseline tasks or deduplicated (F, ⊕, T) slots
-//	window       — qualify the data fingerprint with the frame spec and
-//	               consult the state cache for per-emission vectors
-var windowPipeline = analyzer.Pipeline[*windowPlanState]{
-	Phases: []analyzer.Phase[*windowPlanState]{
-		{Name: "resolve", Rules: []analyzer.Rule[*windowPlanState]{
-			{Name: "validate-scope", Apply: ruleWindowScope},
-			{Name: "resolve-table", Apply: ruleWindowResolve},
-			{Name: "extract-aggregates", Apply: ruleWindowExtract},
-		}},
-		{Name: "canonicalize", Rules: []analyzer.Rule[*windowPlanState]{
-			{Name: "bind-baseline", Apply: ruleWindowBindBaseline},
-			{Name: "bind-states", Apply: ruleWindowBindStates},
-		}},
-		{Name: "window", Rules: []analyzer.Rule[*windowPlanState]{
-			{Name: "qualify-fingerprint", Apply: ruleWindowFingerprint},
-			{Name: "lookup-cache", Apply: ruleWindowLookupCache},
-			{Name: "collect-missing", Apply: ruleWindowCollectMissing},
-		}},
-	},
-}
-
-// ---- resolve phase ----
+// ---- resolve-phase rules (no-ops for unwindowed statements) ----
 
 // ruleWindowScope pins the v1 windowed-query surface: one base table,
 // aggregate projections only, frame-ordered output.
-func ruleWindowScope(_ context.Context, ws *windowPlanState) error {
-	if ws.spec.Unit == sqlparse.WindowEpochs && !ws.continuous {
+func ruleWindowScope(_ context.Context, ps *planState) error {
+	spec := ps.stmt.Window
+	if spec == nil {
+		return nil
+	}
+	if spec.Unit == sqlparse.WindowEpochs && !ps.continuous {
 		return fmt.Errorf("EPOCHS windows require a live stream: use Subscribe (each Append batch is one epoch tick)")
 	}
-	if len(ws.stmt.From) != 1 || ws.stmt.From[0].Sub != nil {
+	if len(ps.stmt.From) != 1 || ps.stmt.From[0].Sub != nil {
 		return fmt.Errorf("windowed queries read a single base table")
 	}
-	if ws.stmt.Where != nil {
+	if ps.stmt.Where != nil {
 		return fmt.Errorf("windowed queries do not support WHERE")
 	}
-	if len(ws.stmt.GroupBy) > 0 {
+	if len(ps.stmt.GroupBy) > 0 {
 		return fmt.Errorf("windowed queries do not support GROUP BY (the frame is the group)")
 	}
-	if len(ws.stmt.OrderBy) > 0 || ws.stmt.Limit >= 0 {
+	if len(ps.stmt.OrderBy) > 0 || ps.stmt.Limit >= 0 {
 		return fmt.Errorf("windowed queries do not support ORDER BY/LIMIT (emissions arrive in frame order)")
 	}
-	if !ws.s.hasAggregates(ws.stmt) {
+	if !ps.s.hasAggregates(ps.stmt) {
 		return fmt.Errorf("OVER requires at least one aggregate call in the select list")
 	}
 	return nil
 }
 
-// ruleWindowResolve resolves the base table against the query's catalog
-// snapshot and seals the statement's data-part fingerprint (which pins
-// the table's version via its epoch, exactly like ordinary queries).
-func ruleWindowResolve(_ context.Context, ws *windowPlanState) error {
-	sp := ws.qc.sp.Child("plan")
-	defer sp.End()
-	tbl, err := ws.qc.cat.Table(ws.stmt.From[0].Name)
+// ruleWindowFrames pins the base table version the data plan resolved
+// and, for a one-shot query, enumerates its emission frames — the plan's
+// group structure. A subscription derives frames per append instead.
+func ruleWindowFrames(_ context.Context, ps *planState) error {
+	spec := ps.stmt.Window
+	if spec == nil {
+		return nil
+	}
+	tbl, err := ps.qc.cat.Table(ps.stmt.From[0].Name)
 	if err != nil {
 		return err
 	}
-	ws.tbl = tbl
-	dp := ws.s.eng.NewDataPlan()
-	if err := dp.ResolveFrom(ws.qc.cat, ws.stmt); err != nil {
-		return err
-	}
-	if err := dp.ClassifyWhere(ws.qc.cat, ws.stmt); err != nil {
-		return err
-	}
-	if err := dp.ResolveGroupBy(ws.qc.cat, ws.stmt); err != nil {
-		return err
-	}
-	dp.Seal(ws.stmt)
-	ws.dp = dp
-	sp.SetStr("fingerprint", dp.Fingerprint)
-	sp.SetStr("window", ws.spec.String())
-	return nil
-}
-
-// ruleWindowExtract replaces aggregate calls with placeholders, exactly
-// like ruleExtractAggregates.
-func ruleWindowExtract(_ context.Context, ws *windowPlanState) error {
-	items := make([]sqlparse.SelectItem, len(ws.stmt.Select))
-	for i, item := range ws.stmt.Select {
-		items[i] = sqlparse.SelectItem{
-			Expr:  exec.ExtractAggCalls(item.Expr, ws.s.isAgg, &ws.calls),
-			Alias: item.Alias,
-		}
-	}
-	ws.out = exec.OutputSpec{Items: items, Numeric: ws.s.NumericPolicySetting()}
-	ws.reg = exec.NewTaskRegistry()
-	return nil
-}
-
-// ---- canonicalize phase ----
-
-// ruleWindowBindBaseline (baseline mode) compiles each call into the
-// baseline task it would run as in an unwindowed query; the executor
-// recomputes every frame from scratch with these tasks.
-func ruleWindowBindBaseline(_ context.Context, ws *windowPlanState) error {
-	if ws.mode != ModeBaseline {
-		return nil
-	}
-	for _, call := range ws.calls {
-		fin, err := ws.s.baselineFinisher(call, ws.reg)
-		if err != nil {
-			return err
-		}
-		ws.out.Finishers = append(ws.out.Finishers, fin)
-		ws.out.Labels = append(ws.out.Labels, call.String())
-	}
-	return nil
-}
-
-// ruleWindowBindStates (SUDAF modes) decomposes calls into deduplicated
-// bound states plus terminating-function finishers over the value
-// matrix — identical to ruleBindStates, so windowed and unwindowed
-// queries share canonical forms (and, in share mode, cached states).
-func ruleWindowBindStates(_ context.Context, ws *windowPlanState) error {
-	if ws.mode == ModeBaseline {
-		return nil
-	}
-	ws.slots = map[string]*slot{}
-	csp := ws.qc.sp.Child("canonicalize")
-	for _, call := range ws.calls {
-		form, err := ws.s.formFor(call.Name)
-		if err != nil {
-			return err
-		}
-		if len(call.Args) != len(form.Params) {
-			return fmt.Errorf("%s takes %d argument(s), got %d", call.Name, len(form.Params), len(call.Args))
-		}
-		bind := map[string]expr.Node{}
-		for i, p := range form.Params {
-			bind[p] = call.Args[i]
-		}
-		callSlots := make([]*slot, len(form.States))
-		for j, st := range form.States {
-			bs := st
-			if st.Op != canonical.OpCount {
-				bs.Base = expr.Simplify(expr.Substitute(st.Base, bind))
-			}
-			callSlots[j] = ws.getSlot(bs, basePositive(ws.qc.cat, bs.Base, ws.dp.Tables()))
-		}
-		tfn, err := form.CompileT()
-		if err != nil {
-			return fmt.Errorf("%s: %w", call.Name, err)
-		}
-		cs := callSlots
-		buf := make([]float64, len(cs))
-		ws.out.Finishers = append(ws.out.Finishers, func(vals [][]float64, e int) float64 {
-			for j, sl := range cs {
-				buf[j] = vals[sl.finalIdx][e]
-			}
-			return tfn(buf)
-		})
-		ws.out.Labels = append(ws.out.Labels, call.String())
-	}
-	csp.SetInt("aggregates", int64(len(ws.calls)))
-	csp.SetInt("states", int64(len(ws.slotOrder)))
-	csp.End()
-	return nil
-}
-
-// ---- window phase ----
-
-// ruleWindowFingerprint qualifies the data fingerprint with the frame
-// spec: two queries share cached per-emission vectors only when both
-// their data part and their frame shape agree. The "T[...]" prefix is
-// preserved, so the append path's fpReferences sees window entries like
-// any other and invalidates them when their base table grows.
-func ruleWindowFingerprint(_ context.Context, ws *windowPlanState) error {
-	ws.wfp = ws.dp.Fingerprint + "|W[" + ws.spec.String() + "]"
-	return nil
-}
-
-// ruleWindowLookupCache (share mode, one-shot only) consults the cache
-// under the window-qualified fingerprint. A cached vector is usable
-// only when its length matches this table version's emission count —
-// a stale-length vector (entry survived from a differently-sized
-// version) is ignored.
-func ruleWindowLookupCache(_ context.Context, ws *windowPlanState) error {
-	if ws.mode != ModeShare || ws.continuous {
-		return nil
-	}
-	qc := ws.qc
-	lsp := qc.sp.Child("sharing-lookup")
-	nEmits := len(windowFrames(ws.spec, ws.tbl.NumRows(), false))
-	ws.guard("entry lookup", func() {
-		_, ws.entryOK = qc.cache.Entry(ws.wfp)
-	})
-	for _, key := range ws.slotOrder {
-		sl := ws.slots[key]
-		ws.guard("state lookup", func() {
-			vals, kind, ok := qc.cache.LookupKind(ws.wfp, sl.st, sl.positive)
-			if ok && len(vals) == nEmits {
-				sl.cached = vals
-			}
-			switch kind {
-			case cache.HitExact:
-				qc.stats.CacheExactHits++
-			case cache.HitShared:
-				qc.stats.CacheSharedHits++
-			case cache.HitSign:
-				qc.stats.CacheSignHits++
-			default:
-				qc.stats.CacheMisses++
-			}
-		})
-	}
-	lsp.SetInt("exact", int64(qc.stats.CacheExactHits))
-	lsp.SetInt("shared", int64(qc.stats.CacheSharedHits))
-	lsp.SetInt("sign", int64(qc.stats.CacheSignHits))
-	lsp.SetInt("miss", int64(qc.stats.CacheMisses))
-	lsp.End()
-	return nil
-}
-
-// ruleWindowCollectMissing lists slots the cache could not serve and,
-// in share mode, their §5.3 sign-split companion states (folded in the
-// same pass and cached for future sharing over signed data).
-func ruleWindowCollectMissing(_ context.Context, ws *windowPlanState) error {
-	for _, key := range ws.slotOrder {
-		if sl := ws.slots[key]; sl.cached == nil {
-			ws.missing = append(ws.missing, sl)
-		}
-	}
-	if ws.mode != ModeShare || ws.continuous {
-		return nil
-	}
-	if len(ws.missing) == 0 && ws.entryOK && len(ws.slotOrder) > 0 {
-		ws.fullHit = true
-	}
-	for _, sl := range ws.missing {
-		if !sl.positive && needsSignSplit(sl.st) {
-			lnAbs, sgnProd := cache.SignSplitStates(sl.st.Base)
-			for _, comp := range []canonical.State{lnAbs, sgnProd} {
-				ws.companions = append(ws.companions, &slot{st: comp, positive: false})
-			}
+	ps.tbl = tbl
+	if !ps.continuous {
+		n := tbl.NumRows()
+		ps.frames = rowsFrames(spec, 0, n)
+		if fr, ok := trailingFrame(spec, n); ok {
+			ps.frames = append(ps.frames, fr)
 		}
 	}
 	return nil
 }
 
-// ---- execution (after the pipeline) ----
+// ---- execution ----
 
-// runWindowStmt is the windowed branch of runStmt.
-func (s *Session) runWindowStmt(ctx context.Context, qc *queryCtx, stmt *sqlparse.Stmt, mode Mode) (*Result, error) {
-	s.windowQueries.Add(1)
-	ws := &windowPlanState{s: s, qc: qc, stmt: stmt, mode: mode, spec: stmt.Window}
-	if err := windowPipeline.Run(ctx, ws, nil); err != nil {
-		return nil, err
-	}
-	return s.executeWindowPlan(ctx, ws)
-}
-
-// executeWindowPlan runs the analyzed window plan: a full cache hit
-// answers from the stored per-emission vectors with no scan; baseline
-// mode recomputes every frame from scratch with the call's native
-// tasks; the SUDAF modes make one chronological pass pushing translated
-// values through a two-stacks ⊕-fold per state. Share mode then stores
-// the freshly folded vectors under the window-qualified fingerprint.
-func (s *Session) executeWindowPlan(ctx context.Context, ws *windowPlanState) (*Result, error) {
-	qc := ws.qc
-	n := ws.tbl.NumRows()
-	frames := windowFrames(ws.spec, n, false)
-
-	var vals [][]float64
-	rowsScanned := 0
-	switch {
-	case ws.fullHit:
-		for _, key := range ws.slotOrder {
-			sl := ws.slots[key]
-			sl.finalIdx = len(vals)
-			vals = append(vals, sl.cached)
-		}
-	case ws.mode == ModeBaseline:
-		ssp := qc.sp.Child("window-recompute")
-		v, err := windowTaskValues(ctx, ws.reg, ws.tbl, frames)
+// windowScan is a windowed statement's scan. Baseline mode recomputes
+// every frame from scratch with the calls' native tasks; the SUDAF modes
+// make one chronological pass pushing translated values through a
+// two-stacks ⊕-fold per registered state task (missing states and their
+// sign-split companions). The result is shaped like any other scan —
+// one "group" per emission, values indexed by task — so executePlan's
+// common tail assembles, caches and finishes it; in share mode the
+// emissions are keyed by emit row, which is what the cached entry's
+// group structure is.
+func (s *Session) windowScan(ctx context.Context, ps *planState) (*exec.GroupResult, error) {
+	n := ps.tbl.NumRows()
+	gr := &exec.GroupResult{NumGroups: len(ps.frames), Rows: n}
+	if ps.mode == ModeBaseline {
+		ssp := ps.qc.sp.Child("window-recompute")
+		vals, err := windowTaskValues(ctx, ps.reg, ps.tbl, ps.frames)
 		if err != nil {
 			return nil, err
 		}
-		ssp.SetInt("frames", int64(len(frames)))
+		ssp.SetInt("frames", int64(len(ps.frames)))
 		ssp.End()
-		vals = v // finishers index by task position
-		rowsScanned = n
-	default:
-		ssp := qc.sp.Child("window-fold")
-		folded, err := s.windowFoldScan(ctx, ws, frames)
-		if err != nil {
-			return nil, err
-		}
-		ssp.SetInt("frames", int64(len(frames)))
-		ssp.SetInt("states", int64(len(ws.missing)))
-		ssp.End()
-		mi := 0
-		for _, key := range ws.slotOrder {
-			sl := ws.slots[key]
-			sl.finalIdx = len(vals)
-			if sl.cached != nil {
-				vals = append(vals, sl.cached)
-			} else {
-				vals = append(vals, folded[mi])
-				mi++
-			}
-		}
-		rowsScanned = n
-
-		// Cache the fresh vectors (and companions) under the
-		// window-qualified fingerprint. Maint stays nil: an append
-		// changes every emission of the new version, so invalidation —
-		// not delta maintenance — is the correct response.
-		if ws.mode == ModeShare && len(ws.missing)+len(ws.companions) > 0 {
-			stsp := qc.sp.Child("cache-store")
-			stored := 0
-			ws.guard("state insert", func() {
-				keys := make([]cache.GroupKey, len(frames))
-				kc := storage.NewColumn("__row", storage.KindInt)
-				for e, fr := range frames {
-					keys[e] = cache.GroupKey{int64(fr.hi - 1), 0}
-					kc.AppendInt(int64(fr.hi - 1))
-				}
-				gt := cache.NewGroupTable(ws.wfp, []string{"__row"}, keys, []*storage.Column{kc})
-				for i, sl := range ws.missing {
-					_ = gt.AddState(&cache.CachedState{
-						State:         sl.st,
-						Vals:          folded[i],
-						PositiveInput: sl.positive,
-					})
-				}
-				for j, cs := range ws.companions {
-					_ = gt.AddState(&cache.CachedState{State: cs.st, Vals: folded[len(ws.missing)+j]})
-				}
-				if cnt := gt.NumStates(); cnt > 0 {
-					qc.cache.Put(gt)
-					stored = cnt
-				}
-			})
-			stsp.SetInt("states", int64(stored))
-			stsp.End()
-		}
+		gr.Values = vals // finishers index by task position
+		return gr, nil
 	}
-
-	fsp := qc.sp.Child("finisher")
-	outTbl, faults, err := buildWindowOutput(ctx, ws, ws.tbl, frames, vals)
+	ssp := ps.qc.sp.Child("window-fold")
+	states, ok := ps.taskStates()
+	if !ok {
+		return nil, fmt.Errorf("window plan: task registry not covered by canonical states")
+	}
+	// One-shot execution is the subscription driver fed the single note
+	// [0, n), plus the trailing partial bucket a finished table emits.
+	fd := newFoldDriver(ps.stmt.Window, states)
+	vals, err := fd.rows(ctx, ps.tbl, 0, n)
 	if err != nil {
 		return nil, err
 	}
-	fsp.SetInt("windows", int64(len(frames)))
-	fsp.End()
-	s.windowEmits.Add(int64(len(frames)))
-	if ws.mode == ModeShare {
-		ws.events = append(ws.events, qc.cache.DrainEvents()...)
+	if _, ok := trailingFrame(ps.stmt.Window, n); ok {
+		if err := fd.emit(vals, len(ps.frames)-1); err != nil {
+			return nil, err
+		}
 	}
-	res := &Result{
-		Table:         outTbl,
-		RowsScanned:   rowsScanned,
-		Groups:        len(frames),
-		FullCacheHit:  ws.fullHit,
-		NumericFaults: faults,
-		Events:        ws.events,
-		Stats:         qc.stats,
+	fd.flushStats(s)
+	ssp.SetInt("frames", int64(len(ps.frames)))
+	ssp.SetInt("states", int64(len(ps.missing)))
+	ssp.End()
+	gr.Values = vals
+	if ps.mode == ModeShare {
+		gr.KeyNames = []string{"__row"}
+		gr.Keys = make([]cache.GroupKey, len(ps.frames))
+		kc := storage.NewColumn("__row", storage.KindInt)
+		for e, fr := range ps.frames {
+			gr.Keys[e] = cache.GroupKey{int64(fr.hi - 1), 0}
+			kc.AppendInt(int64(fr.hi - 1))
+		}
+		gr.KeyColumns = []*storage.Column{kc}
 	}
-	noteNumericFaults(res)
-	return res, nil
+	return gr, nil
 }
 
-// windowFoldScan is the SUDAF-mode window executor: one chronological
-// pass over the table, pushing each missing state's translated value
-// F(base(row)) through its two-stacks fold, evicting expired rows, and
-// snapshotting Value() at each emission point. Companion states ride
-// the same pass. Returns one per-emission vector per slot, ordered
-// missing-then-companions.
-func (s *Session) windowFoldScan(ctx context.Context, ws *windowPlanState, frames []frame) ([][]float64, error) {
-	slots := make([]*slot, 0, len(ws.missing)+len(ws.companions))
-	slots = append(slots, ws.missing...)
-	slots = append(slots, ws.companions...)
-	b := exec.NewTableBinder(ws.tbl)
-	valuers := make([]exec.Accessor, len(slots))
-	folds := make([]*window.Fold, len(slots))
-	outs := make([][]float64, len(slots))
-	for i, sl := range slots {
-		v, err := exec.StateValuer(sl.st, b)
+// foldDriver is the chronological two-stacks executor: one persistent
+// ⊕-fold per canonical state, fed rows in order. A one-shot windowed
+// query drives it once over the whole table; a subscription keeps it
+// across appends (the whole point of the two-stacks structure — sliding
+// frames evict incrementally, nothing is refolded).
+type foldDriver struct {
+	spec   *sqlparse.WindowSpec
+	states []canonical.State
+	folds  []*window.Fold
+	// prev* remember the folds' lifetime counters so each flushStats adds
+	// only its delta to the session metrics.
+	prevEvicts, prevFast, prevRefolds int64
+}
+
+func newFoldDriver(spec *sqlparse.WindowSpec, states []canonical.State) *foldDriver {
+	fd := &foldDriver{spec: spec, states: states, folds: make([]*window.Fold, len(states))}
+	for i, st := range states {
+		fd.folds[i] = window.New(st, exec.MorselRows)
+	}
+	return fd
+}
+
+// valuers compiles the per-row translated-value accessors F(base(row))
+// against a pinned table version (versions share their row prefix, so
+// the persistent folds stay consistent with fresh accessors).
+func (fd *foldDriver) valuers(tbl *storage.Table) ([]exec.Accessor, error) {
+	b := exec.NewTableBinder(tbl)
+	out := make([]exec.Accessor, len(fd.states))
+	for i, st := range fd.states {
+		v, err := exec.StateValuer(st, b)
 		if err != nil {
 			return nil, err
 		}
-		valuers[i] = v
-		folds[i] = window.New(sl.st, exec.MorselRows)
-		outs[i] = make([]float64, len(frames))
+		out[i] = v
 	}
-	n := ws.tbl.NumRows()
-	spec := ws.spec
+	return out, nil
+}
+
+// rows is the ROWS-unit fold loop: push rows [lo, hi) of tbl in order,
+// evict the row a sliding frame just outgrew, and snapshot every state's
+// value at each row a frame ends on (rowsFrames(spec, lo, hi) names
+// those frames). It returns one per-emission vector per state. On
+// failure the vectors hold the emissions completed before it.
+func (fd *foldDriver) rows(ctx context.Context, tbl *storage.Table, lo, hi int) ([][]float64, error) {
+	vals := make([][]float64, len(fd.folds))
+	emits := hi - lo
+	if !fd.spec.Sliding {
+		emits = emits/fd.spec.Size() + 1
+	}
+	for i := range vals {
+		vals[i] = make([]float64, 0, emits)
+	}
+	valuers, err := fd.valuers(tbl)
+	if err != nil {
+		return vals, err
+	}
 	e := 0
-	for r := 0; r < n; r++ {
-		if r%4096 == 0 {
+	for r := lo; r < hi; r++ {
+		if (r-lo)%4096 == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return vals, err
 			}
 		}
-		for i := range folds {
-			folds[i].Push(valuers[i](int32(r)))
+		for i, f := range fd.folds {
+			f.Push(valuers[i](int32(r)))
 		}
-		if spec.Sliding && r > spec.N {
+		if fd.spec.Sliding && r > fd.spec.N {
 			if err := faultinject.Hit(faultinject.PointWindowEvict); err != nil {
-				return nil, fmt.Errorf("window evict at row %d: %w", r, err)
+				return vals, fmt.Errorf("window evict at row %d: %w", r, err)
 			}
-			for i := range folds {
-				folds[i].Evict()
+			for _, f := range fd.folds {
+				f.Evict()
 			}
 		}
-		emitNow := spec.Sliding || (r+1)%spec.Size() == 0 || r == n-1
-		if !emitNow {
+		if _, ok := frameEndingAt(fd.spec, r); !ok {
 			continue
 		}
-		if err := faultinject.Hit(faultinject.PointWindowEmit); err != nil {
-			return nil, fmt.Errorf("window emit %d: %w", e, err)
-		}
-		for i := range folds {
-			outs[i][e] = folds[i].Value()
-			if !spec.Sliding {
-				folds[i].Reset()
-			}
+		if err := fd.emit(vals, e); err != nil {
+			return vals, err
 		}
 		e++
 	}
-	s.noteFoldStats(folds)
-	return outs, nil
+	return vals, nil
 }
 
-// noteFoldStats rolls a scan's fold counters into the session's window
-// metrics.
-func (s *Session) noteFoldStats(folds []*window.Fold) {
-	var evicts, fast, refolds int64
-	for _, f := range folds {
-		ev, fa, re := f.Stats()
-		evicts += ev
-		fast += fa
-		refolds += re
+// emit appends every fold's current value to its vector in vals as
+// emission e; a tumbling frame then starts its next bucket empty.
+func (fd *foldDriver) emit(vals [][]float64, e int) error {
+	if err := faultinject.Hit(faultinject.PointWindowEmit); err != nil {
+		return fmt.Errorf("window emit %d: %w", e, err)
 	}
-	s.windowRowsEvicted.Add(evicts)
-	s.windowFastFolds.Add(fast)
-	s.windowRefolds.Add(refolds)
+	for i, f := range fd.folds {
+		vals[i] = append(vals[i], f.Value())
+		if !fd.spec.Sliding {
+			f.Reset()
+		}
+	}
+	return nil
+}
+
+// flushStats adds the fold counters accrued since the last flush to the
+// session's window metrics.
+func (fd *foldDriver) flushStats(s *Session) {
+	var ev, fa, re int64
+	for _, f := range fd.folds {
+		e, a, r := f.Stats()
+		ev += e
+		fa += a
+		re += r
+	}
+	s.windowRowsEvicted.Add(ev - fd.prevEvicts)
+	s.windowFastFolds.Add(fa - fd.prevFast)
+	s.windowRefolds.Add(re - fd.prevRefolds)
+	fd.prevEvicts, fd.prevFast, fd.prevRefolds = ev, fa, re
 }
 
 // windowTaskValues is the baseline window executor (shared with
@@ -622,11 +357,10 @@ func windowTaskValues(ctx context.Context, reg *exec.TaskRegistry, tbl *storage.
 // read at each frame's emit row (its last row) with their storage type
 // preserved; mixed numeric expressions evaluate over both. Numeric
 // faults follow the session policy exactly like exec.BuildOutput.
-func buildWindowOutput(ctx context.Context, ws *windowPlanState, tbl *storage.Table, frames []frame, vals [][]float64) (*storage.Table, int, error) {
+func buildWindowOutput(ctx context.Context, out exec.OutputSpec, tbl *storage.Table, frames []frame, vals [][]float64) (*exec.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := ws.out
 	numericFaults := 0
 	phVals := make([][]float64, len(out.Finishers))
 	phNames := make([]string, len(out.Finishers))
@@ -636,7 +370,7 @@ func buildWindowOutput(ctx context.Context, ws *windowPlanState, tbl *storage.Ta
 		for e := range frames {
 			if e%1024 == 0 {
 				if err := ctx.Err(); err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 			}
 			v := fin(vals, e)
@@ -646,7 +380,7 @@ func buildWindowOutput(ctx context.Context, ws *windowPlanState, tbl *storage.Ta
 					if p < len(out.Labels) {
 						label = out.Labels[p]
 					}
-					return nil, 0, fmt.Errorf("aggregate %s: %w (%v) in window %d (strict numeric policy)",
+					return nil, fmt.Errorf("aggregate %s: %w (%v) in window %d (strict numeric policy)",
 						label, errs.ErrNumericFault, v, e)
 				}
 				numericFaults++
@@ -667,7 +401,7 @@ func buildWindowOutput(ctx context.Context, ws *windowPlanState, tbl *storage.Ta
 				col := storage.NewColumn(name, storage.KindFloat)
 				col.F = append(col.F, phVals[p]...)
 				if err := res.AddColumn(col); err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 				continue
 			}
@@ -685,11 +419,11 @@ func buildWindowOutput(ctx context.Context, ws *windowPlanState, tbl *storage.Ta
 					}
 				}
 				if err := res.AddColumn(nc); err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 				continue
 			}
-			return nil, 0, fmt.Errorf("select item %q: unknown column", v.Name)
+			return nil, fmt.Errorf("select item %q: unknown column", v.Name)
 		}
 		// Mixed expression over placeholders and numeric columns read at
 		// the emit row.
@@ -715,7 +449,7 @@ func buildWindowOutput(ctx context.Context, ws *windowPlanState, tbl *storage.Ta
 			return true
 		})
 		if walkErr != nil {
-			return nil, 0, walkErr
+			return nil, walkErr
 		}
 		col := storage.NewColumn(name, storage.KindFloat)
 		env := expr.MapEnv{}
@@ -728,11 +462,11 @@ func buildWindowOutput(ctx context.Context, ws *windowPlanState, tbl *storage.Ta
 			}
 			v, err := expr.Eval(item.Expr, env)
 			if err != nil {
-				return nil, 0, fmt.Errorf("select item %q: %w", name, err)
+				return nil, fmt.Errorf("select item %q: %w", name, err)
 			}
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				if out.Numeric == exec.NumericStrict {
-					return nil, 0, fmt.Errorf("select item %q: %w (%v) in window %d (strict numeric policy)",
+					return nil, fmt.Errorf("select item %q: %w (%v) in window %d (strict numeric policy)",
 						name, errs.ErrNumericFault, v, e)
 				}
 				numericFaults++
@@ -740,8 +474,8 @@ func buildWindowOutput(ctx context.Context, ws *windowPlanState, tbl *storage.Ta
 			col.AppendFloat(v)
 		}
 		if err := res.AddColumn(col); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	return res, numericFaults, nil
+	return &exec.Result{Table: res, Groups: len(frames), NumericFaults: numericFaults}, nil
 }

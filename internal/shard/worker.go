@@ -164,7 +164,7 @@ func (w *InProc) Scan(ctx context.Context, req *ScanRequest) (*Partial, error) {
 		return nil, err
 	}
 	n := len(req.States)
-	vals := make([][]float64, n) // cached states land here in entry order
+	vals := make([][]float64, n)
 	pos := make([]bool, n)
 	for i, st := range req.States {
 		if req.Positive != nil {
@@ -176,15 +176,9 @@ func (w *InProc) Scan(ctx context.Context, req *ScanRequest) (*Partial, error) {
 	var entry *cache.GroupTable
 	hits := 0
 	if req.UseCache {
-		if e, ok := c.Entry(dp.Fingerprint); ok {
-			entry = e
-			for i, st := range req.States {
-				if v, _, ok := c.LookupKind(dp.Fingerprint, st, pos[i]); ok {
-					vals[i] = v
-					hits++
-				}
-			}
-		}
+		look := c.LookupAll(dp.Fingerprint, req.States, pos, nil, nil)
+		entry, vals = look.Entry, look.Vals // cached states, in entry order
+		hits = look.Exact + look.Shared + look.Sign
 	}
 	p := &Partial{Fingerprint: dp.Fingerprint, Pos: pos, StateHits: hits}
 
@@ -230,16 +224,11 @@ func (w *InProc) Scan(ctx context.Context, req *ScanRequest) (*Partial, error) {
 		if req.Maint != nil {
 			gt.Maint = req.Maint(req.Stmt, dp)
 		}
-		stored := true
+		fresh := make([]*cache.CachedState, n)
 		for i, st := range req.States {
-			if err := gt.AddState(&cache.CachedState{State: st, Vals: p.Vals[i], PositiveInput: pos[i]}); err != nil {
-				stored = false
-				break
-			}
+			fresh[i] = &cache.CachedState{State: st, Vals: p.Vals[i], PositiveInput: pos[i]}
 		}
-		if stored {
-			c.Put(gt)
-		}
+		c.StoreAll(gt, fresh)
 	}
 	return p, nil
 }

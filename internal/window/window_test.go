@@ -124,7 +124,10 @@ func TestFoldInvariance(t *testing.T) {
 					}
 					got := f.Value()
 					want := refFold(st, chunk, mirror)
-					if math.Float64bits(got) != math.Float64bits(want) {
+					// Bit-identity with the documented exemption (docs/WINDOWS.md
+					// §3): which NaN payload survives a + b is the hardware's
+					// operand-order choice, which -race instrumentation shifts.
+					if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
 						t.Fatalf("%s chunk=%d nasty=%v step=%d len=%d: Value=%x want %x (%v vs %v)",
 							st.Op, chunk, nasty, step, len(mirror),
 							math.Float64bits(got), math.Float64bits(want), got, want)
