@@ -106,18 +106,28 @@ type GroupTable struct {
 
 // NewGroupTable creates an empty group table.
 func NewGroupTable(fp string, keyNames []string, keys []GroupKey, keyCols []*storage.Column) *GroupTable {
-	gt := &GroupTable{
+	return newGroupTable(fp, keyNames, keys, keyCols, keyIndex(keys))
+}
+
+// newGroupTable is NewGroupTable over a prebuilt key → position index,
+// which the table keeps and never mutates.
+func newGroupTable(fp string, keyNames []string, keys []GroupKey, keyCols []*storage.Column, index map[GroupKey]int) *GroupTable {
+	return &GroupTable{
 		Fingerprint: fp,
 		KeyNames:    keyNames,
 		Keys:        keys,
 		KeyCols:     keyCols,
 		byKey:       map[string]int{},
-		index:       make(map[GroupKey]int, len(keys)),
+		index:       index,
 	}
+}
+
+func keyIndex(keys []GroupKey) map[GroupKey]int {
+	index := make(map[GroupKey]int, len(keys))
 	for i, k := range keys {
-		gt.index[k] = i
+		index[k] = i
 	}
-	return gt
+	return index
 }
 
 // IndexOf returns the group position of a key.
@@ -476,6 +486,11 @@ type EntrySnapshot struct {
 	KeyCols     []*storage.Column
 	States      []*CachedState
 	Maint       any
+	// index is the entry's key → position map (nil when the snapshot
+	// was not taken from a GroupTable). Like Keys and KeyCols it is
+	// immutable once the entry exists, which is what lets MergeDelta
+	// hand all three to a successor with the same group set.
+	index map[GroupKey]int
 }
 
 // SnapshotEntry exports a group table as an EntrySnapshot. Only valid on
@@ -490,6 +505,7 @@ func (gt *GroupTable) SnapshotEntry() EntrySnapshot {
 		KeyCols:     gt.KeyCols,
 		States:      append([]*CachedState(nil), gt.states...),
 		Maint:       gt.Maint,
+		index:       gt.index,
 	}
 }
 
@@ -508,6 +524,7 @@ func (c *Cache) Snapshot() []EntrySnapshot {
 				KeyCols:     gt.KeyCols,
 				States:      append([]*CachedState(nil), gt.states...),
 				Maint:       gt.Maint,
+				index:       gt.index,
 			})
 		}
 		sh.mu.Unlock()
@@ -533,39 +550,45 @@ func (c *Cache) Snapshot() []EntrySnapshot {
 func MergeDelta(prev EntrySnapshot, newFP string, deltaKeys []GroupKey, deltaKeyCols []*storage.Column,
 	deltaVals map[string][]float64, deltaPositive map[string]bool, maint any) (*GroupTable, error) {
 
-	union := append([]GroupKey(nil), prev.Keys...)
-	pos := make(map[GroupKey]int, len(union))
-	for i, k := range union {
-		pos[k] = i
+	if len(deltaKeyCols) != len(prev.KeyCols) {
+		return nil, fmt.Errorf("merge delta: %d key columns, want %d", len(deltaKeyCols), len(prev.KeyCols))
+	}
+	// An append rarely brings a group the entry has not seen. Then the
+	// successor's group set is the prior entry's, and it shares that
+	// entry's keys, key columns and index instead of copying them: all
+	// three are immutable, and together they outweigh the state values.
+	union, keyCols, pos := prev.Keys, prev.KeyCols, prev.index
+	if pos == nil {
+		pos = keyIndex(union)
 	}
 	var newRows []int // delta row index of each brand-new group, in delta order
 	for i, k := range deltaKeys {
 		if _, ok := pos[k]; !ok {
-			pos[k] = len(union)
-			union = append(union, k)
 			newRows = append(newRows, i)
 		}
 	}
-
-	// Key columns: prior rows copied, then the new groups' key rows from
-	// the delta run. Fresh columns — the prior entry's are immutable and
-	// may still be read by in-flight queries.
-	if len(deltaKeyCols) != len(prev.KeyCols) {
-		return nil, fmt.Errorf("merge delta: %d key columns, want %d", len(deltaKeyCols), len(prev.KeyCols))
-	}
-	keyCols := make([]*storage.Column, len(prev.KeyCols))
-	for ci, kc := range prev.KeyCols {
-		nc := storage.NewColumn(kc.Name, kc.Kind)
-		for g := 0; g < len(prev.Keys); g++ {
-			appendValue(nc, kc, g)
-		}
+	if len(newRows) > 0 {
+		union = append([]GroupKey(nil), prev.Keys...)
 		for _, di := range newRows {
-			appendValue(nc, deltaKeyCols[ci], di)
+			union = append(union, deltaKeys[di])
 		}
-		keyCols[ci] = nc
+		pos = keyIndex(union)
+		// Key columns: prior rows copied, then the new groups' key rows
+		// from the delta run.
+		keyCols = make([]*storage.Column, len(prev.KeyCols))
+		for ci, kc := range prev.KeyCols {
+			nc := storage.NewColumn(kc.Name, kc.Kind)
+			for g := 0; g < len(prev.Keys); g++ {
+				appendValue(nc, kc, g)
+			}
+			for _, di := range newRows {
+				appendValue(nc, deltaKeyCols[ci], di)
+			}
+			keyCols[ci] = nc
+		}
 	}
 
-	gt := NewGroupTable(newFP, prev.KeyNames, union, keyCols)
+	gt := newGroupTable(newFP, prev.KeyNames, union, keyCols, pos)
 	gt.Maint = maint
 	for _, cs := range prev.States {
 		key := cs.State.Key()

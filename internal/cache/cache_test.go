@@ -175,3 +175,64 @@ func TestAddStateLengthMismatch(t *testing.T) {
 		t.Fatal("expected length mismatch error")
 	}
 }
+
+// TestMergeDeltaGroupSets pins MergeDelta's two shapes. A delta over
+// known groups yields a successor that shares the prior entry's keys,
+// key columns and index (they are immutable, and copying them per append
+// is what made maintained entries outweigh their state values); a delta
+// with a new group gets its own, and leaves the prior entry untouched.
+func TestMergeDeltaGroupSets(t *testing.T) {
+	sum := st(canonical.OpSum, "x")
+	prev := mkGT("fp@1", 3)
+	if err := prev.AddState(&CachedState{State: sum, Vals: []float64{1, 2, 3}, PositiveInput: true}); err != nil {
+		t.Fatal(err)
+	}
+	deltaCol := func(keys ...int64) ([]GroupKey, []*storage.Column) {
+		kc := storage.NewColumn("g", storage.KindInt)
+		gk := make([]GroupKey, len(keys))
+		for i, k := range keys {
+			gk[i] = GroupKey{k, 0}
+			kc.AppendInt(k)
+		}
+		return gk, []*storage.Column{kc}
+	}
+	vals := func(gt *GroupTable) []float64 {
+		cs, ok := gt.Exact(sum.Key())
+		if !ok {
+			t.Fatal("state lost in merge")
+		}
+		return cs.Vals
+	}
+
+	dk, dc := deltaCol(2, 0)
+	same, err := MergeDelta(prev.SnapshotEntry(), "fp@2", dk, dc,
+		map[string][]float64{sum.Key(): {10, 20}}, map[string]bool{sum.Key(): true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vals(same); fmt.Sprint(got) != "[21 2 13]" {
+		t.Errorf("same group set: vals = %v, want [21 2 13]", got)
+	}
+	if &same.Keys[0] != &prev.Keys[0] || same.KeyCols[0] != prev.KeyCols[0] {
+		t.Error("same group set: successor copied the prior entry's keys")
+	}
+	if i, ok := same.IndexOf(GroupKey{2, 0}); !ok || i != 2 {
+		t.Errorf("same group set: IndexOf(2) = %d, %v", i, ok)
+	}
+
+	dk, dc = deltaCol(7, 1)
+	grown, err := MergeDelta(same.SnapshotEntry(), "fp@3", dk, dc,
+		map[string][]float64{sum.Key(): {100, 200}}, map[string]bool{sum.Key(): true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vals(grown); fmt.Sprint(got) != "[21 202 13 100]" {
+		t.Errorf("new group: vals = %v, want [21 202 13 100]", got)
+	}
+	if i, ok := grown.IndexOf(GroupKey{7, 0}); !ok || i != 3 || grown.KeyCols[0].I[3] != 7 {
+		t.Errorf("new group: key 7 at %d (%v), key column %v", i, ok, grown.KeyCols[0].I)
+	}
+	if _, ok := same.IndexOf(GroupKey{7, 0}); ok || len(same.Keys) != 3 || same.KeyCols[0].Len() != 3 {
+		t.Error("new group leaked into the prior entry")
+	}
+}

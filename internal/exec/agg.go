@@ -17,8 +17,10 @@ import (
 type GroupKey = [2]int64
 
 // Partial is a task's partition-local accumulation state: one or more
-// per-group arrays.
-type Partial interface{}
+// per-group arrays. Reset empties it to zero groups, keeping its buffers,
+// so the engine can reuse one partial for morsel after morsel; the task's
+// Grow then re-extends it from its identity.
+type Partial interface{ Reset() }
 
 // Task is an aggregate computation folded over the joined rows. The
 // engine drives it through the IUME contract: NewPartial/Accumulate per
@@ -119,42 +121,29 @@ func (gr *GroupResult) materializeKeys(groupBy []planCol) {
 // parallelism: workers claim MorselRows-row morsels from a shared atomic
 // cursor, aggregate each morsel into morsel-local partials one BatchSize
 // batch at a time (vectorized kernels when the task provides them), and
-// the morsel partials are merged in morsel-index order — so the result,
-// including group order and floating-point rounding, is identical for any
-// worker count and any scheduling interleaving.
+// every morsel's partials are ⊕-merged into the global partial in
+// morsel-index order — so the result, including group order and
+// floating-point rounding, is identical for any worker count and any
+// scheduling interleaving.
+//
+// The merge streams: a morsel is merged as soon as every lower-indexed
+// morsel has been, by whichever worker completes the sequence. Morsel
+// state lives in a fixed set of 2×workers localAggs circulating through
+// the free channel. A worker takes one *before* it claims a morsel and the
+// merge hands it back with its buffers intact, so a worker running ahead
+// of a straggler blocks once that many morsels await their turn: peak
+// live partials are O(workers) whatever the morsel count, and nothing
+// outlives the call. (Taking the localAgg first is what rules out
+// deadlock: claims are sequential, so the lowest unmerged morsel is always
+// held by a worker that is running, never by one waiting for a buffer.)
 //
 // Cancellation is polled once per batch, injected faults fire once per
 // morsel (the batch-granularity analogue of PR 1's per-worker fault
-// point), and a panicking task poisons only its morsel: the recover turns
-// it into an error joined at the merge barrier, and the shared abort flag
-// stops the other workers from claiming further morsels.
+// point), and a panicking task poisons only its morsel or merge: the
+// recover turns it into an error, and the shared abort flag stops the
+// other workers from claiming further morsels.
 func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks []Task) (*GroupResult, error) {
-	keyFns := make([]func(int32) int64, len(dp.groupBy))
-	for i, g := range dp.groupBy {
-		keyFns[i] = rs.bindInt(g)
-	}
-
-	// When both key columns fit in 32 bits the composite key packs into a
-	// single int64, enabling the runtime's fast64 map path. An empty
-	// column reports (+Inf, -Inf) stats — any non-finite bound disables
-	// packing (converting ±Inf to int64 is undefined in Go).
-	packable := len(dp.groupBy) == 2
-	for _, g := range dp.groupBy {
-		min, max := g.col.Stats()
-		if math.IsInf(min, 0) || math.IsInf(max, 0) || min < 0 || max >= (1<<31) {
-			packable = false
-		}
-	}
-
-	type localAgg struct {
-		keys     []GroupKey
-		index    map[GroupKey]int32
-		partials []Partial
-		err      error
-	}
 	nMorsels := (rs.n + MorselRows - 1) / MorselRows
-	locals := make([]*localAgg, nMorsels)
-
 	workers := e.Workers
 	if workers > nMorsels {
 		workers = nMorsels
@@ -170,13 +159,14 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 	// is demoted to the scalar path up front, and accepted kernels are
 	// recorded for per-query observability.
 	useVec := !e.disableVec.Load()
-	vecTasks := make([]VectorTask, len(tasks))
+	q := &aggScan{ctx: ctx, rs: rs, tasks: tasks, ka: newKeyAssign(dp, rs, useVec),
+		vecTasks: make([]VectorTask, len(tasks))}
 	var kernels []string
 	if useVec {
 		for t, task := range tasks {
 			if vt, ok := task.(VectorTask); ok {
 				if probe := vt.NewVecState(); probe != nil {
-					vecTasks[t] = vt
+					q.vecTasks[t] = vt
 					kernels = append(kernels, task.Name())
 				}
 			}
@@ -188,80 +178,87 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 	// windows are column row ranges and every row folds into group 0.
 	// The knob snapshot mirrors useVec; per-morsel exactness checks
 	// (RLE coverage, the 2^53 integral guards) live in FoldRuns itself.
-	var foldTasks []RunFoldTask
-	if useVec && !e.disableFold.Load() && rs.identity && len(dp.groupBy) == 0 {
+	if useVec && !e.disableFold.Load() && rs.identity() && len(dp.groupBy) == 0 {
 		for t, task := range tasks {
-			if ft, ok := task.(RunFoldTask); ok && vecTasks[t] != nil {
-				if foldTasks == nil {
-					foldTasks = make([]RunFoldTask, len(tasks))
+			if ft, ok := task.(RunFoldTask); ok && q.vecTasks[t] != nil {
+				if q.foldTasks == nil {
+					q.foldTasks = make([]RunFoldTask, len(tasks))
 				}
-				foldTasks[t] = ft
+				q.foldTasks[t] = ft
 			}
 		}
 	}
 
-	// Dense group-id assignment: when the key columns span a small integer
-	// domain (int columns via their cached min/max stats, string columns
-	// via their dictionary size), group ids come from an array lookup
-	// instead of a hash probe per row. Part of the batch machinery, so the
-	// DisableVectorKernels knob turns it off with the kernels.
-	lookupLen := 0
-	var denseBase0, denseBase1, denseWidth1 int64
-	var denseInts []int64
-	var denseCodes []int32
-	var denseRows []int32
-	if useVec {
-		switch {
-		case len(dp.groupBy) == 1:
-			if d := keyDomainOf(dp.groupBy[0].col); d.dense {
-				lookupLen, denseBase0 = int(d.width), d.base
-				g := dp.groupBy[0]
-				denseInts, denseCodes = g.col.I, g.col.Codes
-				denseRows = rs.vecs[g.table.Name]
-			}
-		case packable:
-			d0, d1 := keyDomainOf(dp.groupBy[0].col), keyDomainOf(dp.groupBy[1].col)
-			if d0.dense && d1.dense && d0.width*d1.width <= maxDenseKeyWidth {
-				lookupLen = int(d0.width * d1.width)
-				denseBase0, denseBase1, denseWidth1 = d0.base, d1.base, d1.width
-			}
-		}
+	free := make(chan *localAgg, 2*workers) // holds every localAgg not in use
+	for i := 0; i < cap(free); i++ {
+		free <- &localAgg{partials: make([]Partial, len(tasks))}
 	}
+	var (
+		cursor atomic.Int64
+		abort  atomic.Bool
 
-	var cursor atomic.Int64
-	var abort atomic.Bool
-	workerBody := func() {
-		// Worker-private batch scratch: group ids for one batch, plus
-		// each vectorized task's kernel buffers.
-		gids := make([]int32, BatchSize)
-		vecStates := make([]VecState, len(tasks))
-		for t, vt := range vecTasks {
-			if vt != nil {
-				vecStates[t] = vt.NewVecState()
-			}
+		mu      sync.Mutex
+		pending = make([]*localAgg, nMorsels) // finished, awaiting their turn
+		next    int                           // lowest unmerged morsel
+		merging bool
+		werrs   []error
+	)
+	global := newGlobalAgg(q)
+	fail := func(err error) {
+		mu.Lock()
+		werrs = append(werrs, err)
+		mu.Unlock()
+		abort.Store(true)
+	}
+	// deliver queues morsel m's finished state and, unless another worker
+	// is already merging, merges every morsel that is now next in line.
+	// The merges run outside mu (merging keeps them exclusive), so workers
+	// delivering later morsels are never held up behind one.
+	deliver := func(m int, la *localAgg) {
+		mu.Lock()
+		pending[m] = la
+		if merging {
+			mu.Unlock()
+			return
 		}
-		var lookup []int32
-		if lookupLen > 0 {
-			lookup = make([]int32, lookupLen)
-		}
-		dense := denseKeys{lookup: lookup, base0: denseBase0, base1: denseBase1, width1: denseWidth1,
-			ints: denseInts, codes: denseCodes, rows: denseRows}
-		var foldMask []bool
-		if foldTasks != nil {
-			foldMask = make([]bool, len(tasks))
-		}
-		for !abort.Load() {
-			m := int(cursor.Add(1)) - 1
-			if m >= nMorsels {
-				return
-			}
-			la := &localAgg{index: map[GroupKey]int32{}, partials: make([]Partial, len(tasks))}
-			locals[m] = la
-			la.err = e.runMorsel(ctx, rs, tasks, vecTasks, vecStates, foldTasks, foldMask, keyFns, packable, dense, m, gids, la.index, &la.keys, la.partials)
-			if la.err != nil {
+		merging = true
+		for next < nMorsels && pending[next] != nil && !abort.Load() {
+			ready := pending[next]
+			pending[next] = nil
+			mu.Unlock()
+			err := global.merge(ready)
+			free <- ready
+			mu.Lock()
+			if err != nil {
+				werrs = append(werrs, err)
 				abort.Store(true)
+				break
+			}
+			next++
+		}
+		merging = false
+		mu.Unlock()
+	}
+	workerBody := func() {
+		w := q.newWorker()
+		for {
+			// Every exit hands the localAgg back, which is also what wakes
+			// the next worker blocked here after an abort.
+			la := <-free
+			m := nMorsels
+			if !abort.Load() {
+				m = int(cursor.Add(1)) - 1
+			}
+			if m >= nMorsels {
+				free <- la
 				return
 			}
+			if err := w.runMorsel(m, la); err != nil {
+				fail(err)
+				free <- la
+				return
+			}
+			deliver(m, la)
 		}
 	}
 
@@ -289,94 +286,60 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 	workerBody()
 	wg.Wait()
 
-	// Fault barrier: join worker errors (cancellation, injected faults,
-	// recovered panics) before merging.
-	var werrs []error
-	for _, la := range locals {
-		if la != nil && la.err != nil {
-			werrs = append(werrs, la.err)
-		}
+	// Fault barrier: worker and merge errors (cancellation, injected
+	// faults, recovered panics) fail the whole query.
+	if err := ctx.Err(); err != nil {
+		return nil, err // prefer the canonical context error
 	}
 	if len(werrs) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err // prefer the canonical context error
-		}
 		return nil, errors.Join(werrs...)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 
-	// Merge morsel partials in morsel-index order: group order equals
-	// first appearance in global row order, exactly as a serial scan would
-	// produce, regardless of which worker ran which morsel.
-	gr := &GroupResult{Rows: rs.n, Kernels: kernels}
-	globalIndex := map[GroupKey]int32{}
-	var globalKeys []GroupKey
-	merged := make([]Partial, len(tasks))
-	for _, la := range locals {
-		if la == nil || len(la.keys) == 0 {
-			continue
-		}
-		remap := make([]int32, len(la.keys))
-		for lg, key := range la.keys {
-			g, ok := globalIndex[key]
-			if !ok {
-				g = int32(len(globalKeys))
-				globalIndex[key] = g
-				globalKeys = append(globalKeys, key)
-			}
-			remap[lg] = g
-		}
-		for t, task := range tasks {
-			if merged[t] == nil {
-				merged[t] = task.NewPartial(len(globalKeys))
-			} else {
-				merged[t] = task.Grow(merged[t], len(globalKeys))
-			}
-			task.Merge(merged[t], la.partials[t], remap)
-		}
-	}
 	// A grand aggregate over zero rows still yields one group (SQL
 	// semantics for aggregates without GROUP BY).
-	if len(globalKeys) == 0 && len(dp.groupBy) == 0 {
-		globalKeys = append(globalKeys, GroupKey{})
-		for t, task := range tasks {
-			if merged[t] == nil {
-				merged[t] = task.NewPartial(1)
-			}
-		}
+	if len(global.keys) == 0 && len(dp.groupBy) == 0 {
+		global.keys = append(global.keys, GroupKey{})
 	}
-	gr.NumGroups = len(globalKeys)
-	gr.Keys = globalKeys
+	gr := &GroupResult{Rows: rs.n, Kernels: kernels, NumGroups: len(global.keys), Keys: global.keys}
 	gr.Values = make([][]float64, len(tasks))
 	for t, task := range tasks {
-		if merged[t] == nil {
-			merged[t] = task.NewPartial(gr.NumGroups)
+		if global.merged[t] == nil {
+			global.merged[t] = task.NewPartial(gr.NumGroups)
 		}
-		gr.Values[t] = task.Finalize(merged[t], gr.NumGroups)
+		gr.Values[t] = task.Finalize(global.merged[t], gr.NumGroups)
 	}
 	gr.materializeKeys(dp.groupBy)
 	return gr, nil
 }
 
-// maxDenseKeyWidth bounds the per-worker dense group-lookup table (one
-// int32 per possible key): 64K entries = 256 KiB, comfortably cache- and
-// allocation-cheap next to a 64K-row morsel.
+// maxDenseKeyWidth bounds the dense group-lookup tables (one int32 per
+// possible key, one table per worker plus one for the merge): 64K entries
+// = 256 KiB, comfortably cache- and allocation-cheap next to a 64K-row
+// morsel.
 const maxDenseKeyWidth = 1 << 16
 
-// keyDomain describes a group-key column whose values provably fall in a
-// small integer range [base, base+width), enabling array-indexed group-id
-// assignment instead of a hash probe per row.
+// keyDomain describes a key column whose values provably fall in a small
+// integer range [base, base+width), enabling array-indexed lookups
+// instead of a hash probe per row.
 type keyDomain struct {
 	base  int64
 	width int64
 	dense bool
 }
 
-// keyDomainOf classifies a group-key column: int columns use their cached
+// nonNegative32 reports whether every key of a dense domain lies in
+// [0, 2^31), the precondition for packing two keys into one int64.
+func (d keyDomain) nonNegative32() bool {
+	return d.dense && d.base >= 0 && d.base+d.width <= 1<<31
+}
+
+// keyDomainOf classifies a key column: it is dense when its values span
+// at most maxWidth consecutive integers. Int columns use their cached
 // min/max stats, dictionary-coded string columns their code range. Float
-// keys (truncated to int64 by bindInt) stay on the hash path.
+// keys (truncated to int64 by bindInt) are never dense. This is the one
+// place the engine decides between direct addressing and hashing — group
+// ids, the merge remap and the join build all ask it, each with the table
+// width it is willing to allocate.
 //
 // Column.Stats is append-aware (recomputed when the column length
 // changes), so the domain always covers every value a scan of this
@@ -384,7 +347,7 @@ type keyDomain struct {
 // dense lookup table index out of range. The non-finite guard is
 // defense in depth for the empty-column (+Inf, -Inf) sentinel: int64
 // conversion of a non-finite float is undefined behavior in Go.
-func keyDomainOf(col *storage.Column) keyDomain {
+func keyDomainOf(col *storage.Column, maxWidth int64) keyDomain {
 	switch col.Kind {
 	case storage.KindInt:
 		if len(col.I) == 0 {
@@ -394,132 +357,308 @@ func keyDomainOf(col *storage.Column) keyDomain {
 		if math.IsInf(min, 0) || math.IsInf(max, 0) || math.IsNaN(min) || math.IsNaN(max) {
 			return keyDomain{}
 		}
-		// Beyond 2^53 the float stats are rounded, so int64(min) could
-		// disagree with the true minimum and the width arithmetic below
-		// could wrap — either would send lookup[k-base] out of range.
-		// Bound the span in float space first (exact within ±2^53).
-		if min < -float64(1<<53) || max > float64(1<<53) ||
-			max-min+1 > float64(maxDenseKeyWidth) {
+		// From 2^53 on the float stats are rounded (2^53+1 reports as
+		// 2^53), so int64(min) could disagree with the true minimum and
+		// the width arithmetic below could wrap — either would send
+		// lookup[k-base] out of range. Bound the span in float space
+		// first (exact strictly inside ±2^53).
+		if min <= -float64(1<<53) || max >= float64(1<<53) ||
+			max-min+1 > float64(maxWidth) {
 			return keyDomain{}
 		}
 		w := int64(max) - int64(min) + 1
-		if w > 0 && w <= maxDenseKeyWidth {
+		if w > 0 && w <= maxWidth {
 			return keyDomain{base: int64(min), width: w, dense: true}
 		}
 	case storage.KindString:
-		if n := int64(col.DictSize()); n > 0 && n <= maxDenseKeyWidth {
+		if n := int64(col.DictSize()); n > 0 && n <= maxWidth {
 			return keyDomain{base: 0, width: n, dense: true}
 		}
 	}
 	return keyDomain{}
 }
 
-// denseKeys is a worker's dense group-assignment scratch: a lookup table
-// of morsel-local group ids (reset per morsel), plus the key-space
-// geometry. A nil lookup means hash assignment. For the single-key case
-// ints/codes+rows carry the key column's backing storage so the assign
-// loop reads it directly instead of calling an accessor closure per row.
-type denseKeys struct {
-	lookup       []int32
+// keyAssign is a query's group-id assignment decision, made once from the
+// key columns' domains and shared by the morsel workers and the merge.
+type keyAssign struct {
+	fns []func(int32) int64 // one accessor per group-by column
+	// lookupLen > 0 selects direct addressing: group ids live in a
+	// lookupLen-entry table at slot(key). A keyless aggregate is the
+	// one-slot case. Zero means hashing, and packable then says a 2-key
+	// composite fits one int64 (both columns within [0, 2^31)), which
+	// keeps the map on the runtime's fast64 path.
+	lookupLen    int
 	base0, base1 int64
 	width1       int64
-	ints         []int64
-	codes        []int32
-	rows         []int32
+	packable     bool
+	// Single dense key: the column's backing storage (ints or codes) and
+	// row indirection (nil = identity), so the assign loop reads it
+	// directly instead of calling an accessor closure per row.
+	ints  []int64
+	codes []int32
+	rows  []int32
+}
+
+// newKeyAssign picks the assignment path. Dense addressing is part of the
+// batch machinery, so the vector-kernels knob turns it off with the
+// kernels and leaves tuple-at-a-time hashing as the reference.
+func newKeyAssign(dp *DataPlan, rs *RowSet, useVec bool) *keyAssign {
+	ka := &keyAssign{fns: make([]func(int32) int64, len(dp.groupBy)), width1: 1}
+	for i, g := range dp.groupBy {
+		ka.fns[i] = rs.bindInt(g)
+	}
+	switch len(dp.groupBy) {
+	case 0:
+		ka.lookupLen = 1
+	case 1:
+		g := dp.groupBy[0]
+		if d := keyDomainOf(g.col, maxDenseKeyWidth); useVec && d.dense {
+			ka.lookupLen, ka.base0 = int(d.width), d.base
+			ka.ints, ka.codes, ka.rows = g.col.I, g.col.Codes, rs.vecs[g.table.Name]
+		}
+	case 2:
+		d0 := keyDomainOf(dp.groupBy[0].col, 1<<31)
+		d1 := keyDomainOf(dp.groupBy[1].col, 1<<31)
+		ka.packable = d0.nonNegative32() && d1.nonNegative32()
+		if useVec && d0.dense && d1.dense && d0.width*d1.width <= maxDenseKeyWidth {
+			ka.lookupLen = int(d0.width * d1.width)
+			ka.base0, ka.base1, ka.width1 = d0.base, d1.base, d1.width
+		}
+	}
+	return ka
+}
+
+// slot is a key's position in a dense lookup table (lookupLen > 0). With
+// one key, key[1], base1 and width1 are 0, 0 and 1.
+func (ka *keyAssign) slot(key GroupKey) int64 {
+	return (key[0]-ka.base0)*ka.width1 + (key[1] - ka.base1)
+}
+
+// localAgg is one morsel's aggregation state: its groups in first-
+// appearance order and one partial per task. The maps exist only on the
+// hash paths. Reused across morsels (see aggregate), buffers and all.
+type localAgg struct {
+	keys     []GroupKey
+	partials []Partial
+	idx64    map[int64]int32    // one key, or two packed into an int64
+	index    map[GroupKey]int32 // two keys that do not pack
+}
+
+func (la *localAgg) reset() {
+	la.keys = la.keys[:0]
+	for _, p := range la.partials {
+		if p != nil {
+			p.Reset()
+		}
+	}
+	clear(la.idx64)
+	clear(la.index)
+}
+
+// globalAgg is the query-wide partial the morsels merge into. Group ids
+// are assigned in merge order, i.e. first appearance in global row order.
+type globalAgg struct {
+	q      *aggScan
+	keys   []GroupKey
+	merged []Partial
+	lookup []int32            // dense: slot → group id, -1 if unseen
+	index  map[GroupKey]int32 // hashing
+	remap  []int32            // merge scratch: morsel-local id → group id
+}
+
+func newGlobalAgg(q *aggScan) *globalAgg {
+	g := &globalAgg{q: q, merged: make([]Partial, len(q.tasks))}
+	if n := q.ka.lookupLen; n > 0 {
+		g.lookup = emptyLookup(make([]int32, n))
+	} else {
+		g.index = map[GroupKey]int32{}
+	}
+	return g
+}
+
+// emptyLookup marks every slot of a direct-address table unused (-1).
+func emptyLookup(l []int32) []int32 {
+	for i := range l {
+		l[i] = -1
+	}
+	return l
+}
+
+// merge ⊕-folds one morsel's partials into the global partial. Panics
+// from task code are recovered into the returned error.
+func (g *globalAgg) merge(la *localAgg) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("aggregation merge panic (recovered): %v", r)
+		}
+	}()
+	if cap(g.remap) < len(la.keys) {
+		g.remap = make([]int32, len(la.keys))
+	}
+	remap := g.remap[:len(la.keys)]
+	for lg, key := range la.keys {
+		if g.lookup != nil {
+			s := g.q.ka.slot(key)
+			if g.lookup[s] < 0 {
+				g.lookup[s] = int32(len(g.keys))
+				g.keys = append(g.keys, key)
+			}
+			remap[lg] = g.lookup[s]
+			continue
+		}
+		gid, ok := g.index[key]
+		if !ok {
+			gid = int32(len(g.keys))
+			g.index[key] = gid
+			g.keys = append(g.keys, key)
+		}
+		remap[lg] = gid
+	}
+	for t, task := range g.q.tasks {
+		g.merged[t] = growPartial(task, g.merged[t], len(g.keys))
+		task.Merge(g.merged[t], la.partials[t], remap)
+	}
+	return nil
+}
+
+// growPartial extends p to n groups, allocating it on first use.
+func growPartial(task Task, p Partial, n int) Partial {
+	if p == nil {
+		return task.NewPartial(n)
+	}
+	return task.Grow(p, n)
+}
+
+// aggScan is the read-only, query-wide context of one aggregate call.
+type aggScan struct {
+	ctx       context.Context
+	rs        *RowSet
+	tasks     []Task
+	vecTasks  []VectorTask  // nil entries run the scalar Accumulate
+	foldTasks []RunFoldTask // nil unless run-folds are eligible
+	ka        *keyAssign
+}
+
+// aggWorker is one worker's private scratch: group ids for one batch,
+// each vectorized task's kernel buffers, and the dense lookup table of
+// morsel-local group ids (reset per morsel).
+type aggWorker struct {
+	*aggScan
+	gids      []int32
+	vecStates []VecState
+	foldMask  []bool
+	lookup    []int32
+}
+
+func (q *aggScan) newWorker() *aggWorker {
+	w := &aggWorker{aggScan: q, gids: make([]int32, BatchSize), vecStates: make([]VecState, len(q.tasks))}
+	for t, vt := range q.vecTasks {
+		if vt != nil {
+			w.vecStates[t] = vt.NewVecState()
+		}
+	}
+	if q.foldTasks != nil {
+		w.foldMask = make([]bool, len(q.tasks))
+	}
+	if n := q.ka.lookupLen; n > 0 {
+		w.lookup = make([]int32, n)
+	}
+	return w
+}
+
+// newDenseGroup is the cold path of dense assignment: one call per
+// distinct group per morsel.
+func newDenseGroup(lookup []int32, slot int64, keys *[]GroupKey, key GroupKey) int32 {
+	gid := int32(len(*keys))
+	lookup[slot] = gid
+	*keys = append(*keys, key)
+	return gid
+}
+
+// denseAssign maps rows [blo, bhi) of a single dense key column (int
+// values or dictionary codes) to morsel-local group ids.
+func denseAssign[K int32 | int64](vals []K, rows []int32, base int64, lookup []int32,
+	keys *[]GroupKey, blo, bhi int, gids []int32) {
+
+	gids = gids[:bhi-blo]
+	if rows == nil {
+		for j, v := range vals[blo:bhi] {
+			k := int64(v)
+			gid := lookup[k-base]
+			if gid < 0 {
+				gid = newDenseGroup(lookup, k-base, keys, GroupKey{k, 0})
+			}
+			gids[j] = gid
+		}
+		return
+	}
+	for j, r := range rows[blo:bhi] {
+		k := int64(vals[r])
+		gid := lookup[k-base]
+		if gid < 0 {
+			gid = newDenseGroup(lookup, k-base, keys, GroupKey{k, 0})
+		}
+		gids[j] = gid
+	}
 }
 
 // runMorsel aggregates rows [m*MorselRows, min((m+1)*MorselRows, n)) into
-// morsel-local partials, one batch at a time. gids, vecStates and dense
-// are the calling worker's scratch; index/keys/partials belong to the
-// morsel. Panics from task code are recovered into the returned error.
-func (e *Engine) runMorsel(ctx context.Context, rs *RowSet, tasks []Task,
-	vecTasks []VectorTask, vecStates []VecState,
-	foldTasks []RunFoldTask, foldMask []bool,
-	keyFns []func(int32) int64, packable bool, dense denseKeys, m int, gids []int32,
-	index map[GroupKey]int32, keys *[]GroupKey, partials []Partial) (err error) {
-
+// la, one batch at a time. Panics from task code are recovered into the
+// returned error.
+func (w *aggWorker) runMorsel(m int, la *localAgg) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("aggregation worker panic (recovered): %v", r)
 		}
 	}()
 	lo, hi := m*MorselRows, (m+1)*MorselRows
-	if hi > rs.n {
-		hi = rs.n
+	if hi > w.rs.n {
+		hi = w.rs.n
 	}
 	if err := faultinject.Hit(faultinject.PointExecWorker); err != nil {
 		return err
 	}
-	if dense.lookup != nil {
-		// Group ids are morsel-local: empty the lookup for this morsel.
-		for i := range dense.lookup {
-			dense.lookup[i] = -1
-		}
-	}
-	// assignBlock maps rows [blo, bhi) to morsel-local group ids, keeping
-	// the dedup index alive across the morsel's batches.
-	var assignBlock func(blo, bhi int, gids []int32)
+	la.reset()
+	// Group ids are morsel-local: empty the lookup for this morsel.
+	ka, lookup, keys := w.ka, emptyLookup(w.lookup), &la.keys
+	// assign maps rows [blo, bhi) to morsel-local group ids; the lookup
+	// or hash index persists across the morsel's batches.
+	var assign func(blo, bhi int, gids []int32)
 	switch {
-	case len(keyFns) == 0:
+	case len(ka.fns) == 0:
 		*keys = append(*keys, GroupKey{})
-		index[GroupKey{}] = 0
-		assignBlock = func(blo, bhi int, gids []int32) {
+		assign = func(blo, bhi int, gids []int32) {
 			for i := range gids {
 				gids[i] = 0
 			}
 		}
-	case len(keyFns) == 1 && dense.lookup != nil:
-		lookup, base := dense.lookup, dense.base0
-		// newGroup is the cold path: one call per distinct group per morsel.
-		newGroup := func(k int64) int32 {
-			gid := int32(len(*keys))
-			lookup[k-base] = gid
-			*keys = append(*keys, GroupKey{k, 0})
-			index[GroupKey{k, 0}] = gid
-			return gid
+	case lookup != nil && ka.ints != nil:
+		assign = func(blo, bhi int, gids []int32) {
+			denseAssign(ka.ints, ka.rows, ka.base0, lookup, keys, blo, bhi, gids)
 		}
-		switch {
-		case dense.ints != nil:
-			v, rows := dense.ints, dense.rows
-			assignBlock = func(blo, bhi int, gids []int32) {
-				for i := blo; i < bhi; i++ {
-					k := v[rows[i]]
-					gid := lookup[k-base]
-					if gid < 0 {
-						gid = newGroup(k)
-					}
-					gids[i-blo] = gid
+	case lookup != nil && ka.codes != nil:
+		assign = func(blo, bhi int, gids []int32) {
+			denseAssign(ka.codes, ka.rows, ka.base0, lookup, keys, blo, bhi, gids)
+		}
+	case lookup != nil && len(ka.fns) == 2:
+		f0, f1 := ka.fns[0], ka.fns[1]
+		assign = func(blo, bhi int, gids []int32) {
+			for i := blo; i < bhi; i++ {
+				key := GroupKey{f0(int32(i)), f1(int32(i))}
+				s := ka.slot(key)
+				gid := lookup[s]
+				if gid < 0 {
+					gid = newDenseGroup(lookup, s, keys, key)
 				}
-			}
-		case dense.codes != nil:
-			c, rows := dense.codes, dense.rows
-			assignBlock = func(blo, bhi int, gids []int32) {
-				for i := blo; i < bhi; i++ {
-					k := int64(c[rows[i]])
-					gid := lookup[k-base]
-					if gid < 0 {
-						gid = newGroup(k)
-					}
-					gids[i-blo] = gid
-				}
-			}
-		default:
-			fn := keyFns[0]
-			assignBlock = func(blo, bhi int, gids []int32) {
-				for i := blo; i < bhi; i++ {
-					k := fn(int32(i))
-					gid := lookup[k-base]
-					if gid < 0 {
-						gid = newGroup(k)
-					}
-					gids[i-blo] = gid
-				}
+				gids[i-blo] = gid
 			}
 		}
-	case len(keyFns) == 1:
-		fn := keyFns[0]
-		idx := make(map[int64]int32, 256)
-		assignBlock = func(blo, bhi int, gids []int32) {
+	case len(ka.fns) == 1:
+		if la.idx64 == nil {
+			la.idx64 = make(map[int64]int32, 256)
+		}
+		idx, fn := la.idx64, ka.fns[0]
+		assign = func(blo, bhi int, gids []int32) {
 			for i := blo; i < bhi; i++ {
 				k := fn(int32(i))
 				gid, ok := idx[k]
@@ -527,52 +666,35 @@ func (e *Engine) runMorsel(ctx context.Context, rs *RowSet, tasks []Task,
 					gid = int32(len(*keys))
 					idx[k] = gid
 					*keys = append(*keys, GroupKey{k, 0})
-					index[GroupKey{k, 0}] = gid
 				}
 				gids[i-blo] = gid
 			}
 		}
-	case packable && dense.lookup != nil:
-		f0, f1 := keyFns[0], keyFns[1]
-		lookup := dense.lookup
-		b0, b1, w1 := dense.base0, dense.base1, dense.width1
-		assignBlock = func(blo, bhi int, gids []int32) {
-			for i := blo; i < bhi; i++ {
-				a, b := f0(int32(i)), f1(int32(i))
-				gid := lookup[(a-b0)*w1+(b-b1)]
-				if gid < 0 {
-					gid = int32(len(*keys))
-					lookup[(a-b0)*w1+(b-b1)] = gid
-					*keys = append(*keys, GroupKey{a, b})
-					index[GroupKey{a, b}] = gid
-				}
-				gids[i-blo] = gid
-			}
+	case ka.packable:
+		if la.idx64 == nil {
+			la.idx64 = make(map[int64]int32, 256)
 		}
-	case packable:
-		f0, f1 := keyFns[0], keyFns[1]
-		idx := make(map[int64]int32, 256)
-		assignBlock = func(blo, bhi int, gids []int32) {
+		idx, f0, f1 := la.idx64, ka.fns[0], ka.fns[1]
+		assign = func(blo, bhi int, gids []int32) {
 			for i := blo; i < bhi; i++ {
 				a, b := f0(int32(i)), f1(int32(i))
-				k := a<<32 | b
-				gid, ok := idx[k]
+				gid, ok := idx[a<<32|b]
 				if !ok {
 					gid = int32(len(*keys))
-					idx[k] = gid
+					idx[a<<32|b] = gid
 					*keys = append(*keys, GroupKey{a, b})
-					index[GroupKey{a, b}] = gid
 				}
 				gids[i-blo] = gid
 			}
 		}
 	default:
-		assignBlock = func(blo, bhi int, gids []int32) {
-			var key GroupKey
+		if la.index == nil {
+			la.index = map[GroupKey]int32{}
+		}
+		index, f0, f1 := la.index, ka.fns[0], ka.fns[1]
+		assign = func(blo, bhi int, gids []int32) {
 			for i := blo; i < bhi; i++ {
-				for k, fn := range keyFns {
-					key[k] = fn(int32(i))
-				}
+				key := GroupKey{f0(int32(i)), f1(int32(i))}
 				gid, ok := index[key]
 				if !ok {
 					gid = int32(len(*keys))
@@ -589,22 +711,16 @@ func (e *Engine) runMorsel(ctx context.Context, rs *RowSet, tasks []Task,
 	// batch loop below; a declined fold costs nothing and falls through
 	// to the dense path. When every task folds, the batch loop vanishes
 	// and the morsel is aggregated in O(runs).
-	remaining := len(tasks)
-	if foldTasks != nil {
-		for t := range foldMask {
-			foldMask[t] = false
+	remaining := len(w.tasks)
+	for t, ft := range w.foldTasks {
+		w.foldMask[t] = false
+		if ft == nil {
+			continue
 		}
-		for t, ft := range foldTasks {
-			if ft == nil {
-				continue
-			}
-			if partials[t] == nil {
-				partials[t] = tasks[t].NewPartial(len(*keys))
-			}
-			if ft.FoldRuns(partials[t], lo, hi) {
-				foldMask[t] = true
-				remaining--
-			}
+		la.partials[t] = growPartial(w.tasks[t], la.partials[t], len(*keys))
+		if ft.FoldRuns(la.partials[t], lo, hi) {
+			w.foldMask[t] = true
+			remaining--
 		}
 	}
 	if remaining == 0 {
@@ -612,29 +728,25 @@ func (e *Engine) runMorsel(ctx context.Context, rs *RowSet, tasks []Task,
 	}
 	for blo := lo; blo < hi; blo += BatchSize {
 		// Cooperative cancellation at batch granularity.
-		if err := ctx.Err(); err != nil {
+		if err := w.ctx.Err(); err != nil {
 			return err
 		}
 		bhi := blo + BatchSize
 		if bhi > hi {
 			bhi = hi
 		}
-		bg := gids[:bhi-blo]
-		assignBlock(blo, bhi, bg)
+		bg := w.gids[:bhi-blo]
+		assign(blo, bhi, bg)
 		ng := len(*keys)
-		for t, task := range tasks {
-			if foldTasks != nil && foldMask[t] {
+		for t, task := range w.tasks {
+			if w.foldTasks != nil && w.foldMask[t] {
 				continue
 			}
-			if partials[t] == nil {
-				partials[t] = task.NewPartial(ng)
+			la.partials[t] = growPartial(task, la.partials[t], ng)
+			if vt := w.vecTasks[t]; vt != nil && w.vecStates[t] != nil {
+				vt.AccumulateVec(w.vecStates[t], la.partials[t], blo, bhi, bg)
 			} else {
-				partials[t] = task.Grow(partials[t], ng)
-			}
-			if vt := vecTasks[t]; vt != nil && vecStates[t] != nil {
-				vt.AccumulateVec(vecStates[t], partials[t], blo, bhi, bg)
-			} else {
-				task.Accumulate(partials[t], blo, bhi, bg)
+				task.Accumulate(la.partials[t], blo, bhi, bg)
 			}
 		}
 	}
@@ -661,11 +773,34 @@ func newFloats(n int, fills ...float64) *floatsPartial {
 	return fp
 }
 
+// grow extends every array to n groups, the new ones at their fill
+// value. Capacity doubles, so growing batch by batch costs O(log n)
+// allocations, and a Reset partial regrows inside the buffers it has.
 func (fp *floatsPartial) grow(n int, fills ...float64) {
-	for i := range fp.arrs {
-		for len(fp.arrs[i]) < n {
-			fp.arrs[i] = append(fp.arrs[i], fills[i])
+	for i, a := range fp.arrs {
+		old := len(a)
+		if n <= old {
+			continue
 		}
+		if n > cap(a) {
+			c := 2 * cap(a)
+			if c < n {
+				c = n
+			}
+			a = append(make([]float64, 0, c), a...)
+		}
+		a = a[:n]
+		for j := old; j < n; j++ {
+			a[j] = fills[i]
+		}
+		fp.arrs[i] = a
+	}
+}
+
+// Reset implements Partial.
+func (fp *floatsPartial) Reset() {
+	for i := range fp.arrs {
+		fp.arrs[i] = fp.arrs[i][:0]
 	}
 }
 

@@ -22,8 +22,9 @@ const (
 
 // Binder resolves column names for task construction. Bind returns a
 // scalar accessor (the tuple-at-a-time contract); BindColumn exposes the
-// underlying physical column and row-indirection vector so vectorized
-// kernels can gather whole batches without per-row interface dispatch.
+// underlying physical column and row-indirection vector (nil when row i
+// of the set is row i of the column) so vectorized kernels can gather
+// whole batches without per-row interface dispatch.
 // BindColumn may fail where Bind succeeds (e.g. synthetic bindings in
 // tests); kernels must fall back to the scalar path in that case.
 type Binder interface {

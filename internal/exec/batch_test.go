@@ -21,7 +21,7 @@ func bitsEq(a, b float64) bool {
 }
 
 // runStates executes the given states as one aggregation over sql.
-func runStates(t *testing.T, e *Engine, sql string, states []canonical.State) *GroupResult {
+func runStates(t testing.TB, e *Engine, sql string, states []canonical.State) *GroupResult {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {

@@ -23,8 +23,21 @@ import (
 type Accessor func(i int32) float64
 
 // colAccessor builds an accessor for a physical column through a row
-// indirection vector.
+// indirection vector; nil rows read the column directly (identity).
 func colAccessor(col *storage.Column, rows []int32) Accessor {
+	if rows == nil {
+		switch col.Kind {
+		case storage.KindFloat:
+			f := col.F
+			return func(i int32) float64 { return f[i] }
+		case storage.KindInt:
+			v := col.I
+			return func(i int32) float64 { return float64(v[i]) }
+		default:
+			c := col.Codes
+			return func(i int32) float64 { return float64(c[i]) }
+		}
+	}
 	switch col.Kind {
 	case storage.KindFloat:
 		f := col.F
@@ -38,8 +51,22 @@ func colAccessor(col *storage.Column, rows []int32) Accessor {
 	}
 }
 
-// intAccessor reads group-key values as int64.
+// intAccessor reads key values as int64, through rows or — nil —
+// directly.
 func intAccessor(col *storage.Column, rows []int32) func(i int32) int64 {
+	if rows == nil {
+		switch col.Kind {
+		case storage.KindInt:
+			v := col.I
+			return func(i int32) int64 { return v[i] }
+		case storage.KindString:
+			c := col.Codes
+			return func(i int32) int64 { return int64(c[i]) }
+		default:
+			f := col.F
+			return func(i int32) int64 { return int64(f[i]) }
+		}
+	}
 	switch col.Kind {
 	case storage.KindInt:
 		v := col.I

@@ -252,7 +252,7 @@ func TestStateTaskMatchesBuiltin(t *testing.T) {
 	}
 }
 
-func mustChain(t *testing.T, body string) scalar.Chain {
+func mustChain(t testing.TB, body string) scalar.Chain {
 	t.Helper()
 	form, err := canonical.Decompose("tmp", []string{"x"}, expr.MustParse("sum("+body+")"))
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 
 func TestKeyDomainEmptyIntColumn(t *testing.T) {
 	c := storage.NewColumn("k", storage.KindInt)
-	if d := keyDomainOf(c); d.dense {
+	if d := keyDomainOf(c, maxDenseKeyWidth); d.dense {
 		t.Fatalf("empty int column produced dense domain %+v", d)
 	}
 }
@@ -22,7 +22,7 @@ func TestKeyDomainEmptyIntColumn(t *testing.T) {
 func TestKeyDomainSingleRow(t *testing.T) {
 	c := storage.NewColumn("k", storage.KindInt)
 	c.AppendInt(41)
-	d := keyDomainOf(c)
+	d := keyDomainOf(c, maxDenseKeyWidth)
 	if !d.dense || d.base != 41 || d.width != 1 {
 		t.Fatalf("single-row domain = %+v, want dense base=41 width=1", d)
 	}
@@ -30,7 +30,7 @@ func TestKeyDomainSingleRow(t *testing.T) {
 
 func TestKeyDomainEmptyStringColumn(t *testing.T) {
 	c := storage.NewColumn("s", storage.KindString)
-	if d := keyDomainOf(c); d.dense {
+	if d := keyDomainOf(c, maxDenseKeyWidth); d.dense {
 		t.Fatalf("empty string column produced dense domain %+v", d)
 	}
 }
@@ -39,7 +39,7 @@ func TestKeyDomainFloatColumnNeverDense(t *testing.T) {
 	c := storage.NewColumn("f", storage.KindFloat)
 	c.AppendFloat(math.NaN())
 	c.AppendFloat(math.NaN())
-	if d := keyDomainOf(c); d.dense {
+	if d := keyDomainOf(c, maxDenseKeyWidth); d.dense {
 		t.Fatalf("all-NaN float column produced dense domain %+v", d)
 	}
 }
@@ -53,7 +53,7 @@ func TestKeyDomainInexactStatsFallsBackToHash(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		c.AppendInt(base + i)
 	}
-	if d := keyDomainOf(c); d.dense {
+	if d := keyDomainOf(c, maxDenseKeyWidth); d.dense {
 		t.Fatalf("beyond-2^53 column produced dense domain %+v", d)
 	}
 }
@@ -62,7 +62,18 @@ func TestKeyDomainHugeSpanFallsBackToHash(t *testing.T) {
 	c := storage.NewColumn("k", storage.KindInt)
 	c.AppendInt(math.MinInt64 + 1)
 	c.AppendInt(math.MaxInt64 - 1)
-	if d := keyDomainOf(c); d.dense {
+	if d := keyDomainOf(c, maxDenseKeyWidth); d.dense {
 		t.Fatalf("overflowing span produced dense domain %+v", d)
+	}
+}
+
+func TestKeyDomainAt2p53FallsBackToHash(t *testing.T) {
+	// 2^53+1 rounds to 2^53 in the float stats, so this column reports
+	// min == max and would pass for a one-key domain.
+	c := storage.NewColumn("k", storage.KindInt)
+	c.AppendInt(1 << 53)
+	c.AppendInt(1<<53 + 1)
+	if d := keyDomainOf(c, maxDenseKeyWidth); d.dense {
+		t.Fatalf("column reaching 2^53 produced dense domain %+v", d)
 	}
 }

@@ -334,28 +334,25 @@ func fingerprint(dp *DataPlan, stmt *sqlparse.Stmt) string {
 // scan, probe and accumulate loops: ctx.Err() is polled every block.
 const cancelCheckRows = 8192
 
-// selection evaluates a table's pushed-down filter to a row index vector,
-// polling ctx between blocks so runaway scans can be cancelled.
-func selection(ctx context.Context, t *storage.Table, pred sqlparse.Pred) ([]int32, error) {
+// selection evaluates a table's pushed-down filter to its selected rows,
+// polling ctx between blocks so runaway scans can be cancelled. No filter
+// selects every row without materializing a vector.
+func selection(ctx context.Context, t *storage.Table, pred sqlparse.Pred) (rowSel, error) {
 	if err := faultinject.Hit(faultinject.PointStorageScan); err != nil {
-		return nil, fmt.Errorf("scan %s: %w", t.Name, err)
+		return rowSel{}, fmt.Errorf("scan %s: %w", t.Name, err)
 	}
 	n := t.NumRows()
 	if pred == nil {
-		all := make([]int32, n)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		return all, nil
+		return rowSel{n: n}, nil
 	}
 	match, err := compilePred(t, pred)
 	if err != nil {
-		return nil, err
+		return rowSel{}, err
 	}
 	out := make([]int32, 0, n/4+16)
 	for lo := 0; lo < n; lo += cancelCheckRows {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return rowSel{}, err
 		}
 		hi := lo + cancelCheckRows
 		if hi > n {
@@ -367,7 +364,7 @@ func selection(ctx context.Context, t *storage.Table, pred sqlparse.Pred) ([]int
 			}
 		}
 	}
-	return out, nil
+	return rowSel{rows: out, n: len(out)}, nil
 }
 
 // compilePred compiles a predicate into a per-row matcher for one table.

@@ -187,3 +187,70 @@ func TestNumericPolicyPermissive(t *testing.T) {
 		t.Error("NaN should pass through to the output")
 	}
 }
+
+// The streaming merge under faults, on a table of many morsels: a worker
+// error mid-scan must fail the query without stranding the workers that
+// are blocked waiting for a morsel buffer, and a straggling first morsel
+// (everything behind it queues, then the buffers run out) must change
+// nothing in the result.
+
+const robustMorsels = 12
+
+func TestWorkerErrorMidScanReleasesBlockedWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 12-morsel table")
+	}
+	defer faultinject.Reset()
+	cat := testCatalog(t, robustMorsels*MorselRows)
+	for _, workers := range []int{1, 3, 8} {
+		for _, after := range []int{0, 5, robustMorsels - 1} {
+			faultinject.Arm(faultinject.PointExecWorker, faultinject.Spec{Kind: faultinject.KindError, After: after, Times: 1})
+			err := runAgg(t, NewEngine(cat, workers), context.Background(), "SELECT sum(price) FROM sales GROUP BY s_item")
+			if !errors.Is(err, faultinject.ErrInjected) {
+				t.Errorf("workers=%d after=%d: err = %v, want the injected fault", workers, after, err)
+			}
+		}
+	}
+}
+
+func TestStragglingMorselKeepsMergeOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 12-morsel table")
+	}
+	defer faultinject.Reset()
+	cat := testCatalog(t, robustMorsels*MorselRows)
+	states := kernelStates(t)
+	sql := "SELECT s_store, s_item, sum(price) FROM sales GROUP BY s_store, s_item"
+	want := runStates(t, NewEngine(cat, 1), sql, states)
+	// The first morsel claimed sleeps; the other workers finish every
+	// later morsel they can get a buffer for, then wait on it.
+	faultinject.Arm(faultinject.PointExecWorker, faultinject.Spec{Kind: faultinject.KindDelay, Times: 1, Delay: 100 * time.Millisecond})
+	assertIdentical(t, "straggler", want, runStates(t, NewEngine(cat, 4), sql, states))
+}
+
+// mergePanicTask panics in Merge, which may run on a helper goroutine.
+type mergePanicTask struct{ BuiltinTask }
+
+func (*mergePanicTask) Merge(dst, src Partial, remap []int32) { panic("merge boom") }
+
+func TestMergePanicIsolated(t *testing.T) {
+	cat := testCatalog(t, 3*MorselRows)
+	stmt, err := sqlparse.Parse("SELECT count(price) FROM sales GROUP BY s_item")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		e := NewEngine(cat, workers)
+		dp, err := e.PrepareData(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewTaskRegistry()
+		reg.Add("count", func(Binder) (Task, error) {
+			return &mergePanicTask{BuiltinTask{Kind: BCount, Lbl: "count"}}, nil
+		})
+		if _, err := e.RunSpecs(context.Background(), dp, reg); err == nil || !strings.Contains(err.Error(), "merge boom") {
+			t.Errorf("workers=%d: err = %v, want the recovered merge panic", workers, err)
+		}
+	}
+}

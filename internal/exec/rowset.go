@@ -13,15 +13,38 @@ import (
 // RowSet is the materialized result of the scan/filter/join phase: one
 // row-index vector per base table, all the same length. Row i of the
 // joined relation is (vecs[t0][i], vecs[t1][i], …).
+//
+// An unfiltered table that has not been through a join has a nil vector
+// rather than a materialized [0..n): every reader of an indirection vector
+// (the accessors, GatherFloats, the kernels, the dense assign loops, the
+// join) indexes the column directly when handed nil.
 type RowSet struct {
 	n      int
 	tables []*storage.Table
 	vecs   map[string][]int32
-	// identity marks a single-table, unfiltered row set: vecs[t][i] == i
-	// for every row, so morsel windows map 1:1 onto column row ranges.
-	// This is the precondition for aggregating directly over encoded
-	// segments (run-folds) instead of through the indirection vector.
-	identity bool
+}
+
+// identity reports a single-table, unfiltered row set: row i of the set
+// IS row i of the table, so morsel windows map 1:1 onto column row ranges
+// — the precondition for aggregating directly over encoded segments
+// (run-folds).
+func (rs *RowSet) identity() bool {
+	return len(rs.tables) == 1 && rs.vecs[rs.tables[0].Name] == nil
+}
+
+// rowSel is one table's filtered rows: an ascending row-index vector,
+// or — rows nil — every row [0, n) of the table.
+type rowSel struct {
+	rows []int32
+	n    int
+}
+
+// physRow maps row i through an indirection vector; nil is the identity.
+func physRow(rows []int32, i int) int32 {
+	if rows == nil {
+		return int32(i)
+	}
+	return rows[i]
 }
 
 // Len returns the joined row count.
@@ -57,7 +80,7 @@ func (rs *RowSet) bindInt(pc planCol) func(int32) int64 {
 
 // buildRowSet runs scans, filters and the left-deep hash join.
 func (dp *DataPlan) buildRowSet(ctx context.Context) (*RowSet, error) {
-	sels := map[string][]int32{}
+	sels := map[string]rowSel{}
 	for _, t := range dp.tables {
 		sel, err := selection(ctx, t, dp.filters[t.Name])
 		if err != nil {
@@ -67,25 +90,23 @@ func (dp *DataPlan) buildRowSet(ctx context.Context) (*RowSet, error) {
 	}
 	if len(dp.tables) == 1 {
 		t := dp.tables[0]
-		return &RowSet{n: len(sels[t.Name]), tables: dp.tables,
-			vecs: map[string][]int32{t.Name: sels[t.Name]},
-			// selection() returns the identity vector [0..n) exactly when
-			// there is no WHERE predicate on the table.
-			identity: dp.filters[t.Name] == nil}, nil
+		sel := sels[t.Name]
+		return &RowSet{n: sel.n, tables: dp.tables,
+			vecs: map[string][]int32{t.Name: sel.rows}}, nil
 	}
 
 	// Start from the largest filtered table (the fact table) and fold the
 	// remaining tables in via hash joins along the equi-join graph.
 	start := dp.tables[0]
 	for _, t := range dp.tables[1:] {
-		if len(sels[t.Name]) > len(sels[start.Name]) {
+		if sels[t.Name].n > sels[start.Name].n {
 			start = t
 		}
 	}
 	rs := &RowSet{
-		n:      len(sels[start.Name]),
+		n:      sels[start.Name].n,
 		tables: []*storage.Table{start},
-		vecs:   map[string][]int32{start.Name: sels[start.Name]},
+		vecs:   map[string][]int32{start.Name: sels[start.Name].rows},
 	}
 	joined := map[string]bool{start.Name: true}
 	remaining := append([]joinCond{}, dp.joins...)
@@ -135,39 +156,97 @@ func keys(m map[string]bool) []string {
 	return out
 }
 
-// hashJoin builds a hash table over the build side's selected rows and
+// joinSpanFactor bounds a direct-address join table past the 64K-slot
+// allowance every key domain gets: up to this many int32 slots per build
+// row, which keeps the table within the footprint of the hash map it
+// replaces (a map[int64]int32 entry costs 12 bytes before load-factor
+// slack; 8 slots cost 32).
+const joinSpanFactor = 8
+
+// Join-table slot markers (slots ≥ 0 hold the key's one build row).
+const (
+	joinAbsent = -1 // no build row has this key (what emptyLookup writes)
+	joinMulti  = -2 // several do: they are in the multimap
+)
+
+// joinTable is the build side of an equi-join: key → build row, or
+// joinMulti → the key's rows in multi (dimension keys are usually unique).
+// When the build key column's domain is dense (keyDomainOf) the slots are
+// a direct-address table indexed by key-base, otherwise a hash map.
+type joinTable struct {
+	base   int64
+	direct []int32         // dense domain: one slot per possible key
+	sparse map[int64]int32 // any other
+	multi  map[int64][]int32
+}
+
+func buildJoinTable(col *storage.Column, sel rowSel) *joinTable {
+	jt := &joinTable{}
+	width := int64(joinSpanFactor) * int64(sel.n)
+	if width < maxDenseKeyWidth {
+		width = maxDenseKeyWidth
+	}
+	if d := keyDomainOf(col, width); d.dense {
+		jt.base, jt.direct = d.base, emptyLookup(make([]int32, d.width))
+	} else {
+		jt.sparse = make(map[int64]int32, sel.n)
+	}
+	for i := 0; i < sel.n; i++ {
+		row := physRow(sel.rows, i)
+		k := col.AsInt(int(row))
+		switch prev := jt.find(k); prev {
+		case joinAbsent:
+			jt.set(k, row)
+		case joinMulti:
+			jt.multi[k] = append(jt.multi[k], row)
+		default:
+			if jt.multi == nil {
+				jt.multi = map[int64][]int32{}
+			}
+			jt.multi[k] = []int32{prev, row}
+			jt.set(k, joinMulti)
+		}
+	}
+	return jt
+}
+
+// find returns key k's slot: its build row, joinAbsent or joinMulti.
+func (jt *joinTable) find(k int64) int32 {
+	if jt.direct != nil {
+		// One unsigned compare rejects keys on either side of the domain.
+		if s := uint64(k - jt.base); s < uint64(len(jt.direct)) {
+			return jt.direct[s]
+		}
+		return joinAbsent
+	}
+	if row, ok := jt.sparse[k]; ok {
+		return row
+	}
+	return joinAbsent
+}
+
+// set writes key k's slot; on a dense table k must be a build key.
+func (jt *joinTable) set(k int64, slot int32) {
+	if jt.direct != nil {
+		jt.direct[k-jt.base] = slot
+	} else {
+		jt.sparse[k] = slot
+	}
+}
+
+// hashJoin builds a join table over the build side's selected rows and
 // probes with the current row set, expanding it in place. Probing is
 // chunked across workers; chunk outputs are concatenated in order so the
 // result is deterministic. Worker panics are recovered and surfaced as
 // errors, and probing polls ctx so long joins can be cancelled.
 func (rs *RowSet) hashJoin(ctx context.Context, workers int, probeT *storage.Table, probeC *storage.Column,
-	buildT *storage.Table, buildC *storage.Column, buildSel []int32) error {
+	buildT *storage.Table, buildC *storage.Column, buildSel rowSel) error {
 
 	if err := faultinject.Hit(faultinject.PointExecJoin); err != nil {
 		return fmt.Errorf("join %s⋈%s: %w", probeT.Name, buildT.Name, err)
 	}
-	// Build: key → row(s). Dimension keys are usually unique; fall back
-	// to a multimap only when duplicates exist.
-	single := make(map[int64]int32, len(buildSel))
-	var multi map[int64][]int32
-	keyOf := func(row int32) int64 { return buildC.AsInt(int(row)) }
-	for _, row := range buildSel {
-		k := keyOf(row)
-		if prev, dup := single[k]; dup {
-			if multi == nil {
-				multi = map[int64][]int32{}
-			}
-			multi[k] = append(multi[k], prev, row)
-			delete(single, k)
-		} else if multi != nil && len(multi[k]) > 0 {
-			multi[k] = append(multi[k], row)
-		} else {
-			single[k] = row
-		}
-	}
-
-	probeVec := rs.vecs[probeT.Name]
-	probeKey := func(i int32) int64 { return probeC.AsInt(int(probeVec[i])) }
+	jt := buildJoinTable(buildC, buildSel)
+	probeKey := intAccessor(probeC, rs.vecs[probeT.Name])
 
 	type chunkOut struct {
 		keep  []int32 // indexes into the current rowset
@@ -206,18 +285,15 @@ func (rs *RowSet) hashJoin(ctx context.Context, workers int, probeT *storage.Tab
 					}
 				}
 				k := probeKey(int32(i))
-				if multi != nil {
-					if rows, ok := multi[k]; ok && len(rows) > 0 {
-						for _, r := range rows {
-							keep = append(keep, int32(i))
-							build = append(build, r)
-						}
-						continue
-					}
-				}
-				if r, ok := single[k]; ok {
+				switch row := jt.find(k); {
+				case row >= 0:
 					keep = append(keep, int32(i))
-					build = append(build, r)
+					build = append(build, row)
+				case row == joinMulti:
+					for _, r := range jt.multi[k] {
+						keep = append(keep, int32(i))
+						build = append(build, r)
+					}
 				}
 			}
 			outs[c] = chunkOut{keep: keep, build: build}
@@ -234,12 +310,13 @@ func (rs *RowSet) hashJoin(ctx context.Context, workers int, probeT *storage.Tab
 	}
 	// Rebuild all existing vectors through keep, and add the build vector.
 	newVecs := map[string][]int32{}
-	for name, vec := range rs.vecs {
+	for _, t := range rs.tables {
+		name, vec := t.Name, rs.vecs[t.Name]
 		nv := make([]int32, total)
 		pos := 0
 		for _, o := range outs {
 			for _, i := range o.keep {
-				nv[pos] = vec[i]
+				nv[pos] = physRow(vec, int(i))
 				pos++
 			}
 		}
@@ -262,14 +339,15 @@ func (rs *RowSet) filterEqual(c joinCond) {
 	lv, rv := rs.vecs[c.lt.Name], rs.vecs[c.rt.Name]
 	keep := make([]int32, 0, rs.n)
 	for i := 0; i < rs.n; i++ {
-		if c.lc.AsInt(int(lv[i])) == c.rc.AsInt(int(rv[i])) {
+		if c.lc.AsInt(int(physRow(lv, i))) == c.rc.AsInt(int(physRow(rv, i))) {
 			keep = append(keep, int32(i))
 		}
 	}
-	for name, vec := range rs.vecs {
+	for _, t := range rs.tables {
+		name, vec := t.Name, rs.vecs[t.Name]
 		nv := make([]int32, len(keep))
 		for j, i := range keep {
-			nv[j] = vec[i]
+			nv[j] = physRow(vec, int(i))
 		}
 		rs.vecs[name] = nv
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -293,6 +294,94 @@ func BuildOutput(ctx context.Context, stmt *sqlparse.Stmt, dp *DataPlan, gr *Gro
 	return &Result{Table: res, Rows: gr.Rows, Groups: totalGroups, NumericFaults: numericFaults}, nil
 }
 
+// sortCol is one ORDER BY term resolved to a column.
+type sortCol struct {
+	col  *storage.Column
+	desc bool
+}
+
+// rowLess orders rows a and b of the ORDER BY columns: strings
+// lexicographically, ints as int64 (through float64 two keys that differ
+// only beyond 2^53 would tie), floats numerically. A NaN compares equal
+// to everything, so where NaNs land among other values is unspecified.
+func rowLess(cols []sortCol) func(a, b int) bool {
+	return func(a, b int) bool {
+		for _, sc := range cols {
+			var c int
+			switch sc.col.Kind {
+			case storage.KindString:
+				c = strings.Compare(sc.col.StringAt(a), sc.col.StringAt(b))
+			case storage.KindInt:
+				c = cmp.Compare(sc.col.I[a], sc.col.I[b])
+			default: // not cmp.Compare: it would order NaN first
+				if va, vb := sc.col.F[a], sc.col.F[b]; va < vb {
+					c = -1
+				} else if va > vb {
+					c = 1
+				}
+			}
+			if sc.desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	}
+}
+
+// firstK returns the first k of rows [0, n) in stable ascending order
+// under less — exactly the prefix sort.SliceStable would produce, ties
+// going to the lower row. For k < n it keeps the k best rows seen so far
+// in a max-heap, O(n log k); only k ≥ n pays for a full sort.
+func firstK(n, k int, less func(a, b int) bool) []int {
+	if k >= n {
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		sort.SliceStable(perm, func(i, j int) bool { return less(perm[i], perm[j]) })
+		return perm
+	}
+	if k <= 0 {
+		return nil
+	}
+	// before is the stable order made total: row index breaks ties.
+	before := func(a, b int) bool { return less(a, b) || (a < b && !less(b, a)) }
+	h := make([]int, k) // max-heap under before: h[0] is the last row kept
+	siftDown := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && before(h[c], h[c+1]) {
+				c++
+			}
+			if !before(h[i], h[c]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := range h {
+		h[i] = i
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	for i := k; i < n; i++ {
+		if before(i, h[0]) {
+			h[0] = i
+			siftDown(0)
+		}
+	}
+	sort.Slice(h, func(i, j int) bool { return before(h[i], h[j]) })
+	return h
+}
+
 // limitByKeys pre-selects groups when ORDER BY uses only group-key
 // columns and LIMIT is present.
 func limitByKeys(stmt *sqlparse.Stmt, gr *GroupResult) (*GroupResult, bool) {
@@ -303,45 +392,15 @@ func limitByKeys(stmt *sqlparse.Stmt, gr *GroupResult) (*GroupResult, bool) {
 	for k, n := range gr.KeyNames {
 		colIdx[n] = k
 	}
-	type sortSpec struct {
-		col  *storage.Column
-		desc bool
-	}
-	var specs []sortSpec
+	var specs []sortCol
 	for _, o := range stmt.OrderBy {
 		k, ok := colIdx[o.Col]
 		if !ok {
 			return nil, false
 		}
-		specs = append(specs, sortSpec{gr.KeyColumns[k], o.Desc})
+		specs = append(specs, sortCol{gr.KeyColumns[k], o.Desc})
 	}
-	perm := make([]int, gr.NumGroups)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		for _, sc := range specs {
-			var cmp int
-			if sc.col.Kind == storage.KindString {
-				cmp = strings.Compare(sc.col.StringAt(perm[a]), sc.col.StringAt(perm[b]))
-			} else {
-				va, vb := sc.col.AsFloat(perm[a]), sc.col.AsFloat(perm[b])
-				if va < vb {
-					cmp = -1
-				} else if va > vb {
-					cmp = 1
-				}
-			}
-			if sc.desc {
-				cmp = -cmp
-			}
-			if cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	sel := perm[:stmt.Limit]
+	sel := firstK(gr.NumGroups, stmt.Limit, rowLess(specs))
 	out := &GroupResult{
 		NumGroups: len(sel),
 		Keys:      make([]GroupKey, len(sel)),
@@ -353,18 +412,7 @@ func limitByKeys(stmt *sqlparse.Stmt, gr *GroupResult) (*GroupResult, bool) {
 	}
 	out.KeyColumns = make([]*storage.Column, len(gr.KeyColumns))
 	for k, kc := range gr.KeyColumns {
-		nc := storage.NewColumn(kc.Name, kc.Kind)
-		for _, g := range sel {
-			switch kc.Kind {
-			case storage.KindFloat:
-				nc.AppendFloat(kc.F[g])
-			case storage.KindInt:
-				nc.AppendInt(kc.I[g])
-			default:
-				nc.AppendString(kc.StringAt(g))
-			}
-		}
-		out.KeyColumns[k] = nc
+		out.KeyColumns[k] = takeRows(kc, sel)
 	}
 	out.Values = make([][]float64, len(gr.Values))
 	for t, vals := range gr.Values {
@@ -377,50 +425,25 @@ func limitByKeys(stmt *sqlparse.Stmt, gr *GroupResult) (*GroupResult, bool) {
 	return out, true
 }
 
+// takeRows copies the given rows of a column, in order, into a new one.
+func takeRows(c *storage.Column, rows []int) *storage.Column {
+	nc := storage.NewColumn(c.Name, c.Kind)
+	for _, r := range rows {
+		switch c.Kind {
+		case storage.KindFloat:
+			nc.AppendFloat(c.F[r])
+		case storage.KindInt:
+			nc.AppendInt(c.I[r])
+		default:
+			nc.AppendString(c.StringAt(r))
+		}
+	}
+	return nc
+}
+
 // sortLimit applies ORDER BY and LIMIT to a result table in place.
 func sortLimit(t *storage.Table, stmt *sqlparse.Stmt) error {
 	n := t.NumRows()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	if len(stmt.OrderBy) > 0 {
-		type sortCol struct {
-			col  *storage.Column
-			desc bool
-		}
-		var scs []sortCol
-		for _, o := range stmt.OrderBy {
-			c := t.Col(o.Col)
-			if c == nil {
-				return fmt.Errorf("ORDER BY column %q not in output", o.Col)
-			}
-			scs = append(scs, sortCol{c, o.Desc})
-		}
-		sort.SliceStable(perm, func(a, b int) bool {
-			for _, sc := range scs {
-				var cmp int
-				switch sc.col.Kind {
-				case storage.KindString:
-					cmp = strings.Compare(sc.col.StringAt(perm[a]), sc.col.StringAt(perm[b]))
-				default:
-					va, vb := sc.col.AsFloat(perm[a]), sc.col.AsFloat(perm[b])
-					if va < vb {
-						cmp = -1
-					} else if va > vb {
-						cmp = 1
-					}
-				}
-				if sc.desc {
-					cmp = -cmp
-				}
-				if cmp != 0 {
-					return cmp < 0
-				}
-			}
-			return false
-		})
-	}
 	limit := n
 	if stmt.Limit >= 0 && stmt.Limit < n {
 		limit = stmt.Limit
@@ -428,19 +451,23 @@ func sortLimit(t *storage.Table, stmt *sqlparse.Stmt) error {
 	if limit == n && len(stmt.OrderBy) == 0 {
 		return nil
 	}
-	for ci, c := range t.Cols {
-		nc := storage.NewColumn(c.Name, c.Kind)
-		for i := 0; i < limit; i++ {
-			switch c.Kind {
-			case storage.KindFloat:
-				nc.AppendFloat(c.F[perm[i]])
-			case storage.KindInt:
-				nc.AppendInt(c.I[perm[i]])
-			default:
-				nc.AppendString(c.StringAt(perm[i]))
-			}
+	var scs []sortCol
+	for _, o := range stmt.OrderBy {
+		c := t.Col(o.Col)
+		if c == nil {
+			return fmt.Errorf("ORDER BY column %q not in output", o.Col)
 		}
-		t.Cols[ci] = nc
+		scs = append(scs, sortCol{c, o.Desc})
+	}
+	perm := make([]int, limit) // no ORDER BY: the first limit rows
+	for i := range perm {
+		perm[i] = i
+	}
+	if len(scs) > 0 {
+		perm = firstK(n, limit, rowLess(scs))
+	}
+	for ci, c := range t.Cols {
+		t.Cols[ci] = takeRows(c, perm)
 	}
 	return nil
 }
@@ -480,13 +507,14 @@ func (e *Engine) RunSimpleIn(ctx context.Context, cat *catalog.Catalog, stmt *sq
 					vec := rs.vecs[bt.Name]
 					nc := storage.NewColumn(name, src.Kind)
 					for i := 0; i < rs.n; i++ {
+						r := physRow(vec, i)
 						switch src.Kind {
 						case storage.KindFloat:
-							nc.AppendFloat(src.F[vec[i]])
+							nc.AppendFloat(src.F[r])
 						case storage.KindInt:
-							nc.AppendInt(src.I[vec[i]])
+							nc.AppendInt(src.I[r])
 						default:
-							nc.AppendString(src.StringAt(int(vec[i])))
+							nc.AppendString(src.StringAt(int(r)))
 						}
 					}
 					if err := res.AddColumn(nc); err != nil {

@@ -28,9 +28,12 @@ type StateTask struct {
 	// Vectorized execution plan (vecOK false means scalar-only).
 	plan        canonical.KernelPlan
 	col, col2   *storage.Column // fused-kernel inputs
-	rows, rows2 []int32         // per-column row indirection vectors
-	fillerFac   VecFillerFactory
-	vecOK       bool
+	rows, rows2 []int32         // per-column row indirection vectors (nil = identity)
+	// fused: the kernel inputs are float columns behind row vectors, so
+	// the fold loop indexes f[rows[i]] itself instead of gathering first.
+	fused     bool
+	fillerFac VecFillerFactory
+	vecOK     bool
 }
 
 // NewStateTask compiles a bound state against a row binder.
@@ -70,6 +73,7 @@ func (t *StateTask) compileKernel(b Binder) {
 			return
 		}
 		t.col, t.rows, t.vecOK = col, rows, true
+		t.fused = col.Kind == storage.KindFloat && rows != nil
 	case canonical.KernelSumMul:
 		col, rows, err := b.BindColumn(t.plan.Col)
 		if err != nil {
@@ -80,6 +84,7 @@ func (t *StateTask) compileKernel(b Binder) {
 			return
 		}
 		t.col, t.col2, t.rows, t.rows2, t.vecOK = col, col2, rows, rows2, true
+		t.fused = col.Kind == storage.KindFloat && col2.Kind == storage.KindFloat && rows != nil && rows2 != nil
 	default: // KernelGeneric
 		fac, err := CompileVecFiller(t.State.Base, b)
 		if err != nil {
@@ -114,21 +119,49 @@ func (t *StateTask) NewVecState() VecState {
 		vs.buf = make([]float64, BatchSize)
 		vs.fill = t.fillerFac()
 	case canonical.KernelSumMul:
-		if t.col.Kind != storage.KindFloat || t.col2.Kind != storage.KindFloat {
-			vs.buf = make([]float64, BatchSize)
-			vs.buf2 = make([]float64, BatchSize)
+		if !t.fused {
+			vs.buf = gatherBuf(t.col, t.rows)
+			vs.buf2 = gatherBuf(t.col2, t.rows2)
 		}
 	default:
-		if t.col.Kind != storage.KindFloat {
-			vs.buf = make([]float64, BatchSize)
+		if !t.fused {
+			vs.buf = gatherBuf(t.col, t.rows)
 		}
 	}
 	return vs
 }
 
-// AccumulateVec implements VectorTask: one fused loop per kernel class.
-// Float columns are indexed directly through the row vector; other kinds
-// gather into the worker's batch buffer first. Every loop folds rows in
+// gatherBuf allocates the batch buffer colBatch needs for a kernel input,
+// nil when it reads the column in place.
+func gatherBuf(col *storage.Column, rows []int32) []float64 {
+	if readInPlace(col, rows) {
+		return nil
+	}
+	return make([]float64, BatchSize)
+}
+
+// readInPlace reports a kernel input whose batches are slices of the
+// column itself: float values under an identity row set.
+func readInPlace(col *storage.Column, rows []int32) bool {
+	return rows == nil && col.Kind == storage.KindFloat
+}
+
+// colBatch returns rows lo..hi of a kernel input as float64s: the column's
+// own storage for a float column read in place (nil rows), otherwise the
+// values gathered into buf.
+func colBatch(col *storage.Column, rows []int32, buf []float64, lo, hi int) []float64 {
+	if readInPlace(col, rows) {
+		return col.F[lo:hi]
+	}
+	buf = buf[:hi-lo]
+	col.GatherFloats(rows, lo, hi, buf)
+	return buf
+}
+
+// AccumulateVec implements VectorTask: one loop per kernel class. Float
+// columns behind a row vector are indexed through it inside the loop
+// (fused); identity float columns are read in place; other kinds gather
+// into the worker's batch buffer first. Every loop folds rows in
 // ascending order, so per-group accumulation order — and therefore
 // floating-point rounding — matches the scalar path exactly.
 func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, gids []int32) {
@@ -141,14 +174,13 @@ func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, gids []in
 			a[g]++
 		}
 	case canonical.KernelSumCol:
-		if t.col.Kind == storage.KindFloat {
+		if t.fused {
 			f, rows := t.col.F, t.rows
 			for i := lo; i < hi; i++ {
 				a[gids[i-lo]] += f[rows[i]]
 			}
 		} else {
-			buf := vs.buf[:n]
-			t.col.GatherFloats(t.rows, lo, hi, buf)
+			buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
 			for j, g := range gids[:n] {
 				a[g] += buf[j]
 			}
@@ -156,30 +188,28 @@ func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, gids []in
 	case canonical.KernelSumPow:
 		switch t.plan.Pow {
 		case 2:
-			if t.col.Kind == storage.KindFloat {
+			if t.fused {
 				f, rows := t.col.F, t.rows
 				for i := lo; i < hi; i++ {
 					v := f[rows[i]]
 					a[gids[i-lo]] += v * v
 				}
 			} else {
-				buf := vs.buf[:n]
-				t.col.GatherFloats(t.rows, lo, hi, buf)
+				buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
 				for j, g := range gids[:n] {
 					v := buf[j]
 					a[g] += v * v
 				}
 			}
 		case 3:
-			if t.col.Kind == storage.KindFloat {
+			if t.fused {
 				f, rows := t.col.F, t.rows
 				for i := lo; i < hi; i++ {
 					v := f[rows[i]]
 					a[gids[i-lo]] += v * v * v
 				}
 			} else {
-				buf := vs.buf[:n]
-				t.col.GatherFloats(t.rows, lo, hi, buf)
+				buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
 				for j, g := range gids[:n] {
 					v := buf[j]
 					a[g] += v * v * v
@@ -189,49 +219,46 @@ func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, gids []in
 			// k = 4 stays math.Pow to match Chain.Compile / CompileExpr
 			// bit for bit (x*x*x*x rounds differently).
 			k := float64(t.plan.Pow)
-			if t.col.Kind == storage.KindFloat {
+			if t.fused {
 				f, rows := t.col.F, t.rows
 				for i := lo; i < hi; i++ {
 					a[gids[i-lo]] += math.Pow(f[rows[i]], k)
 				}
 			} else {
-				buf := vs.buf[:n]
-				t.col.GatherFloats(t.rows, lo, hi, buf)
+				buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
 				for j, g := range gids[:n] {
 					a[g] += math.Pow(buf[j], k)
 				}
 			}
 		}
 	case canonical.KernelSumMul:
-		if t.col.Kind == storage.KindFloat && t.col2.Kind == storage.KindFloat {
+		if t.fused {
 			f1, r1 := t.col.F, t.rows
 			f2, r2 := t.col2.F, t.rows2
 			for i := lo; i < hi; i++ {
 				a[gids[i-lo]] += f1[r1[i]] * f2[r2[i]]
 			}
 		} else {
-			buf, buf2 := vs.buf[:n], vs.buf2[:n]
-			t.col.GatherFloats(t.rows, lo, hi, buf)
-			t.col2.GatherFloats(t.rows2, lo, hi, buf2)
+			buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
+			buf2 := colBatch(t.col2, t.rows2, vs.buf2, lo, hi)
 			for j, g := range gids[:n] {
 				a[g] += buf[j] * buf2[j]
 			}
 		}
 	case canonical.KernelProdCol:
-		if t.col.Kind == storage.KindFloat {
+		if t.fused {
 			f, rows := t.col.F, t.rows
 			for i := lo; i < hi; i++ {
 				a[gids[i-lo]] *= f[rows[i]]
 			}
 		} else {
-			buf := vs.buf[:n]
-			t.col.GatherFloats(t.rows, lo, hi, buf)
+			buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
 			for j, g := range gids[:n] {
 				a[g] *= buf[j]
 			}
 		}
 	case canonical.KernelMinCol:
-		if t.col.Kind == storage.KindFloat {
+		if t.fused {
 			f, rows := t.col.F, t.rows
 			for i := lo; i < hi; i++ {
 				g := gids[i-lo]
@@ -240,8 +267,7 @@ func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, gids []in
 				}
 			}
 		} else {
-			buf := vs.buf[:n]
-			t.col.GatherFloats(t.rows, lo, hi, buf)
+			buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
 			for j, g := range gids[:n] {
 				if v := buf[j]; v < a[g] || v != v {
 					a[g] = v
@@ -249,7 +275,7 @@ func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, gids []in
 			}
 		}
 	case canonical.KernelMaxCol:
-		if t.col.Kind == storage.KindFloat {
+		if t.fused {
 			f, rows := t.col.F, t.rows
 			for i := lo; i < hi; i++ {
 				g := gids[i-lo]
@@ -258,8 +284,7 @@ func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, gids []in
 				}
 			}
 		} else {
-			buf := vs.buf[:n]
-			t.col.GatherFloats(t.rows, lo, hi, buf)
+			buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
 			for j, g := range gids[:n] {
 				if v := buf[j]; v > a[g] || v != v {
 					a[g] = v
@@ -506,9 +531,15 @@ func (t *StateTask) Accumulate(p Partial, lo, hi int, gids []int32) {
 
 func (t *StateTask) Merge(dst, src Partial, remap []int32) {
 	d, s := dst.(*floatsPartial).arrs[0], src.(*floatsPartial).arrs[0]
-	st := t.State
-	for g, v := range s {
-		d[remap[g]] = st.Merge(d[remap[g]], v)
+	switch st := t.State; st.Op {
+	case canonical.OpProd, canonical.OpMin, canonical.OpMax:
+		for g, v := range s {
+			d[remap[g]] = st.Merge(d[remap[g]], v)
+		}
+	default: // Σ and count: State.Merge is a + b, spelled out so the loop inlines
+		for g, v := range s {
+			d[remap[g]] += v
+		}
 	}
 }
 

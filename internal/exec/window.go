@@ -13,13 +13,7 @@ import (
 // tasks against it, so absolute row indexes line up with column storage
 // and with the morsel boundaries of a cold scan.
 func NewTableBinder(t *storage.Table) Binder {
-	n := t.NumRows()
-	vec := make([]int32, n)
-	for i := range vec {
-		vec[i] = int32(i)
-	}
-	return &RowSet{n: n, tables: []*storage.Table{t},
-		vecs: map[string][]int32{t.Name: vec}, identity: true}
+	return &RowSet{n: t.NumRows(), tables: []*storage.Table{t}}
 }
 
 // StateValuer compiles a bound state's per-tuple translated value

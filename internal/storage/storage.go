@@ -246,10 +246,26 @@ func (c *Column) csvString(i int) string {
 }
 
 // GatherFloats writes the values of rows rows[lo:hi] into out[:hi-lo],
-// coerced to float64 (string columns yield their dictionary codes). The
-// loop is monomorphic per kind — this is the chunk-gather primitive of
-// the engine's batch kernels.
+// coerced to float64 (string columns yield their dictionary codes). A nil
+// rows is the identity: rows lo..hi of the column itself. The loop is
+// monomorphic per kind — this is the chunk-gather primitive of the
+// engine's batch kernels.
 func (c *Column) GatherFloats(rows []int32, lo, hi int, out []float64) {
+	if rows == nil {
+		switch c.Kind {
+		case KindFloat:
+			copy(out, c.F[lo:hi])
+		case KindInt:
+			for i, v := range c.I[lo:hi] {
+				out[i] = float64(v)
+			}
+		default:
+			for i, v := range c.Codes[lo:hi] {
+				out[i] = float64(v)
+			}
+		}
+		return
+	}
 	switch c.Kind {
 	case KindFloat:
 		f := c.F
