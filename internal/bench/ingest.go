@@ -21,8 +21,8 @@ type IngestResult struct {
 	// full post-append table for the same query set.
 	MaintainMS  float64
 	RecomputeMS float64
-	Speedup  float64
-	Migrated int
+	Speedup     float64
+	Migrated    int
 	// States counts individual ⊕-folded state vectors: the eight warm
 	// queries share one data-part entry, so expect few entries, many states.
 	States int

@@ -75,7 +75,7 @@ func (r *Runner) Shard() []ShardResult {
 			Label: fmt.Sprintf("%dshard-cold", n), System: "sudaf-share", Seconds: cold.Seconds(), Rows: rows})
 
 		if n > 1 {
-			s.ClearCache()         // session cache: every query must replan
+			s.ClearCache()            // session cache: every query must replan
 			s.ClearShardWorker(n - 1) // one shard reboots; peers stay warm
 			if ex, err := s.ExplainQuery(queries[0], core.ModeShare); err == nil {
 				for _, es := range ex.Shards {

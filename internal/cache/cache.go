@@ -98,10 +98,10 @@ type GroupTable struct {
 	// states were computed at). nil means the entry cannot be delta-
 	// maintained and is invalidated (dropped) when its data changes.
 	// Set before Put and treated as immutable afterwards.
-	Maint any
-	states      []*CachedState
-	byKey       map[string]int
-	index       map[GroupKey]int
+	Maint  any
+	states []*CachedState
+	byKey  map[string]int
+	index  map[GroupKey]int
 }
 
 // NewGroupTable creates an empty group table.

@@ -21,65 +21,29 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"sudaf/internal/errs"
 )
 
-// lifecycle tracks the session's open/closed state and its in-flight
-// operations. The RWMutex makes the pair {closed check, inflight add}
-// in beginOp atomic with respect to Close's state flip, so Close never
-// misses an operation and never waits for one it rejected.
-type lifecycle struct {
-	mu       sync.RWMutex
-	closed   bool
-	inflight sync.WaitGroup
-	// ch is closed when Close begins; admission waiters select on it so
-	// a queued query resolves instead of waiting for a slot that may
-	// never free.
-	ch chan struct{}
-	// closeStart is when the first Close began (UnixNano); drainNanos is
-	// set once, by whichever Close call observes the drain complete, to
-	// the elapsed time since closeStart.
-	closeStart atomic.Int64
-	drainNanos atomic.Int64
-}
-
-// beginOp admits one operation (query, append, materialization). It
-// fails with ErrEngineClosed once Close has begun; otherwise the
-// operation is tracked until the paired endOp.
+// beginOp admits one operation (query, append, materialization) through
+// the session's drain gate. It fails with ErrEngineClosed once Close has
+// begun; otherwise the operation is tracked until the paired endOp.
 func (s *Session) beginOp(what string) error {
-	s.life.mu.RLock()
-	defer s.life.mu.RUnlock()
-	if s.life.closed {
-		return fmt.Errorf("%w: %s rejected", errs.ErrEngineClosed, what)
+	if err := s.life.Begin(); err != nil {
+		return fmt.Errorf("%s rejected: %w", what, err)
 	}
-	s.life.inflight.Add(1)
 	return nil
 }
 
 // endOp retires an operation admitted by beginOp.
-func (s *Session) endOp() { s.life.inflight.Done() }
-
-// closedCh returns the channel closed when Close begins (admission
-// waiters select on it).
-func (s *Session) closedCh() <-chan struct{} { return s.life.ch }
+func (s *Session) endOp() { s.life.End() }
 
 // Closed reports whether Close has begun.
-func (s *Session) Closed() bool {
-	s.life.mu.RLock()
-	defer s.life.mu.RUnlock()
-	return s.life.closed
-}
+func (s *Session) Closed() bool { return s.life.Draining() }
 
 // DrainDuration returns how long the completed drain took (0 until the
 // first Close finishes waiting). Exported to the metrics registry as
 // sudaf_engine_drain_seconds.
-func (s *Session) DrainDuration() time.Duration {
-	return time.Duration(s.life.drainNanos.Load())
-}
+func (s *Session) DrainDuration() time.Duration { return s.life.DrainDuration() }
 
 // Close stops the session accepting work and drains it: new operations
 // fail with ErrEngineClosed, queued admission waiters resolve, and Close
@@ -95,34 +59,13 @@ func (s *Session) Close(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.life.mu.Lock()
-	first := !s.life.closed
-	s.life.closed = true
-	s.life.mu.Unlock()
-	if first {
-		s.life.closeStart.Store(time.Now().UnixNano())
-		close(s.life.ch)
+	s.life.Drain()
+	if err := s.life.Wait(ctx); err != nil {
+		return fmt.Errorf("engine close: drain incomplete: %w", err)
 	}
-	done := make(chan struct{})
-	go func() {
-		// This goroutine outlives an expired ctx only until the last
-		// in-flight operation retires — each one is bounded by its own
-		// context/timeout, so it cannot leak indefinitely.
-		s.life.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		// Whichever call sees the drain finish stamps its duration,
-		// measured from when the close began.
-		s.life.drainNanos.CompareAndSwap(0,
-			time.Now().UnixNano()-s.life.closeStart.Load())
-		// Continuous subscriptions are long-lived, not in-flight ops, so
-		// the drain above does not cover them: shut them down after it
-		// (idempotent — racing closers and user Close calls are fine).
-		s.closeSubscriptions()
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("engine close: drain incomplete: %w", ctx.Err())
-	}
+	// Continuous subscriptions are long-lived, not in-flight ops, so the
+	// drain above does not cover them: shut them down after it
+	// (idempotent — racing closers and user Close calls are fine).
+	s.closeSubscriptions()
+	return nil
 }

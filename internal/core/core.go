@@ -48,6 +48,7 @@ import (
 	"sudaf/internal/catalog"
 	"sudaf/internal/exec"
 	"sudaf/internal/expr"
+	"sudaf/internal/gate"
 	"sudaf/internal/obs"
 	"sudaf/internal/rewrite"
 	"sudaf/internal/sketch"
@@ -101,10 +102,6 @@ type Options struct {
 	Workers int
 	// CacheBytes bounds the state cache (≤0: 256 MiB).
 	CacheBytes int64
-	// CacheShards is the number of independent cache stripes (≤0:
-	// cache.DefaultShards). More stripes reduce lock contention between
-	// concurrent queries caching states under different fingerprints.
-	CacheShards int
 	// SymbolicL bounds the precomputed symbolic space (default 2).
 	SymbolicL int
 	// DisableViews turns off aggregate-view rewriting.
@@ -216,9 +213,8 @@ type Session struct {
 	// cache is swapped atomically by ClearCache; each query snapshots it
 	// once, so an in-flight query keeps one coherent cache for its whole
 	// lifetime even across a concurrent clear.
-	cache       atomic.Pointer[cache.Cache]
-	cacheBytes  int64
-	cacheShards int
+	cache      atomic.Pointer[cache.Cache]
+	cacheBytes int64
 
 	// shards is the scatter-gather runtime (nil when Options.Shards ≤ 1):
 	// per-table shard sets plus the in-process workers, each with its own
@@ -230,12 +226,14 @@ type Session struct {
 	// benchmarks while queries run).
 	viewRewriting atomic.Bool
 
-	// admit is the admission-control semaphore (nil = unlimited).
-	admit chan struct{}
+	// admit is the admission-control slot pool (nil = unlimited); any
+	// number of callers may wait in admitQueue.
+	admit      gate.Slots
+	admitQueue gate.Queue
 
 	// life tracks the closed/draining state and in-flight operations;
 	// see close.go for the drain contract.
-	life lifecycle
+	life *gate.Gate
 
 	queryTimeout time.Duration
 	numeric      NumericPolicy
@@ -308,7 +306,6 @@ func NewSession(opts Options) *Session {
 		eng:          exec.NewEngine(cat, opts.Workers),
 		space:        space,
 		cacheBytes:   opts.CacheBytes,
-		cacheShards:  opts.CacheShards,
 		udafs:        map[string]*canonical.Form{},
 		views:        map[string]*rewrite.View{},
 		viewMaints:   map[string]*viewMaint{},
@@ -316,18 +313,19 @@ func NewSession(opts Options) *Session {
 		numeric:      opts.Numeric,
 		sampler:      obs.NewSampler(opts.TraceRate),
 		metrics:      opts.Metrics,
+		life:         gate.New(),
+		admitQueue:   gate.Queue{Max: -1},
 	}
 	if s.metrics == nil {
 		s.metrics = obs.NewRegistry()
 	}
-	s.life.ch = make(chan struct{})
-	s.cache.Store(cache.NewSharded(opts.CacheBytes, opts.CacheShards, space))
+	s.cache.Store(cache.New(opts.CacheBytes, space))
 	if opts.Shards > 1 {
-		s.shards = newShardRuntime(s, opts.Shards, opts.CacheBytes, opts.CacheShards)
+		s.shards = newShardRuntime(s, opts.Shards, opts.CacheBytes)
 	}
 	s.viewRewriting.Store(!opts.DisableViews)
 	if opts.MaxConcurrentQueries > 0 {
-		s.admit = make(chan struct{}, opts.MaxConcurrentQueries)
+		s.admit = make(gate.Slots, opts.MaxConcurrentQueries)
 	}
 	s.registerMetrics(opts.MetricsLabel)
 	s.registerBuiltinLibrary()
@@ -355,12 +353,12 @@ func (s *Session) CacheStats() cache.Stats { return s.stateCache().Stats() }
 func (s *Session) ResetCacheStats() { s.stateCache().ResetStats() }
 
 // ClearCache drops all cached states (fresh-cache experiments) by
-// installing a new cache with the session's configured budget and shard
-// count. Queries already in flight finish against the old cache — they
-// snapshotted the pointer at admission — and their late inserts land in
-// the discarded cache, which is then garbage.
+// installing a new cache with the session's configured budget. Queries
+// already in flight finish against the old cache — they snapshotted the
+// pointer at admission — and their late inserts land in the discarded
+// cache, which is then garbage.
 func (s *Session) ClearCache() {
-	s.cache.Store(cache.NewSharded(s.cacheBytes, s.cacheShards, s.space))
+	s.cache.Store(cache.New(s.cacheBytes, s.space))
 }
 
 // Space exposes the precomputed symbolic space.

@@ -89,7 +89,7 @@ type shardRuntime struct {
 
 // newShardRuntime builds the workers. Each worker's private cache gets
 // an equal share of the session cache budget.
-func newShardRuntime(s *Session, n int, cacheBytes int64, cacheShards int) *shardRuntime {
+func newShardRuntime(s *Session, n int, cacheBytes int64) *shardRuntime {
 	per := cacheBytes
 	if per <= 0 {
 		per = 256 << 20
@@ -97,7 +97,7 @@ func newShardRuntime(s *Session, n int, cacheBytes int64, cacheShards int) *shar
 	per /= int64(n)
 	r := &shardRuntime{n: n, sets: map[string]*shardSet{}}
 	for i := 0; i < n; i++ {
-		r.workers = append(r.workers, shard.NewInProc(s.eng, per, cacheShards, s.space))
+		r.workers = append(r.workers, shard.NewInProc(s.eng, per, s.space))
 	}
 	return r
 }

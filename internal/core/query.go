@@ -142,28 +142,16 @@ func (s *Session) admitted(ctx context.Context, kind string) (outCtx context.Con
 	if err := s.beginOp(kind); err != nil {
 		return nil, 0, nil, err
 	}
-	release = s.endOp
-	if s.admit != nil {
-		select {
-		case s.admit <- struct{}{}:
-		default:
-			waitStart := time.Now()
-			select {
-			case s.admit <- struct{}{}:
-				queued = time.Since(waitStart)
-				s.queueNanos.Add(int64(queued))
-				s.queriesQueued.Add(1)
-			case <-ctx.Done():
-				s.endOp()
-				return nil, 0, nil, fmt.Errorf("%w: %w", errs.ErrCanceled, ctx.Err())
-			case <-s.closedCh():
-				s.endOp()
-				return nil, 0, nil, fmt.Errorf("%w: engine closed while queued for admission", errs.ErrEngineClosed)
-			}
-		}
-		prev := release
-		release = func() { <-s.admit; prev() }
+	queued, err = s.admit.Acquire(ctx, s.life, &s.admitQueue)
+	if err != nil {
+		s.endOp()
+		return nil, 0, nil, fmt.Errorf("%s admission: %w", kind, err)
 	}
+	if queued > 0 {
+		s.queueNanos.Add(int64(queued))
+		s.queriesQueued.Add(1)
+	}
+	release = func() { s.admit.Release(); s.endOp() }
 	s.mu.RLock()
 	timeout := s.queryTimeout
 	s.mu.RUnlock()

@@ -52,8 +52,8 @@ func FuzzParse(f *testing.F) {
 		"((((x))))",
 		"sum(2*x) / 2",
 		// Regression seeds from earlier fuzzing sessions.
-		"0e-0",     // zero with exponent: FormatFloat must round-trip
-		"1e309",    // overflows to +Inf at lex time
+		"0e-0",  // zero with exponent: FormatFloat must round-trip
+		"1e309", // overflows to +Inf at lex time
 		"9e99^9e99",
 		strings.Repeat("(", 30) + "x" + strings.Repeat(")", 30),
 		strings.Repeat("-", 40) + "x",

@@ -194,33 +194,90 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body []byt
 	return req, nil
 }
 
-// doJSON posts body and decodes a JSON response into out, mapping
-// non-200 responses onto typed errors via their wire code.
-func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out any) error {
+// do sends one request and returns its 200 response. Anything else is
+// an error: a netError for transport failures, and for a rejection the
+// typed error its ErrorBody names — the one place wire codes turn back
+// into sentinels before a stream begins.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	req, err := c.newRequest(ctx, method, path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return &netError{err}
+		return nil, &netError{err}
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxFrameBytes))
+	if err != nil {
+		return nil, &netError{err}
+	}
+	var eb server.ErrorBody
+	if json.Unmarshal(data, &eb) == nil && eb.Code != "" {
+		return nil, server.ErrorForCode(eb.Code, eb.Error)
+	}
+	return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, data)
+}
+
+// doJSON sends body and decodes the JSON response into out (nil
+// discards it).
+func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, out any) error {
+	resp, err := c.do(ctx, method, path, body)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxFrameBytes))
 	if err != nil {
 		return &netError{err}
 	}
-	if resp.StatusCode != http.StatusOK {
-		var eb server.ErrorBody
-		if json.Unmarshal(data, &eb) == nil && eb.Code != "" {
-			return server.ErrorForCode(eb.Code, eb.Error)
-		}
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, data)
-	}
 	if out == nil {
 		return nil
 	}
 	return json.Unmarshal(data, out)
+}
+
+// stream is an open framed response. Every streamed endpoint — query,
+// batch, subscribe — is read through it, so a torn stream is classified
+// the same way whoever consumes it.
+type stream struct {
+	body io.ReadCloser
+	br   *bufio.Reader
+}
+
+// open posts body to a streaming endpoint and returns its frame stream,
+// or the typed error the server answered with instead of streaming. The
+// caller closes the stream's body.
+func (c *Client) open(ctx context.Context, path string, body []byte) (*stream, error) {
+	resp, err := c.do(ctx, http.MethodPost, path, body)
+	if err != nil {
+		return nil, err
+	}
+	return &stream{body: resp.Body, br: bufio.NewReader(resp.Body)}, nil
+}
+
+// next returns the stream's next schema, batch or end frame. An error
+// frame comes back as the typed error it carries. A stream that stops
+// before the consumer has seen its end frame — mid-frame or cleanly at a
+// frame boundary — or whose framing is inconsistent is ErrTornStream; an
+// oversized frame is ErrFrameTooLarge; any other read failure is a
+// transport error.
+func (st *stream) next() (*server.Frame, error) {
+	f, err := server.ReadFrame(st.br, 0)
+	switch {
+	case err == nil && f.Type == server.FrameError:
+		return nil, server.ErrorForCode(f.Code, f.Error)
+	case err == nil:
+		return f, nil
+	case err == io.EOF:
+		return nil, fmt.Errorf("%w: stream ended before its end frame", server.ErrTornStream)
+	case errors.Is(err, server.ErrTornStream), errors.Is(err, server.ErrFrameTooLarge):
+		return nil, err
+	}
+	return nil, &netError{err}
 }
 
 // OpenSession opens a server-side session; subsequent requests carry
@@ -279,70 +336,11 @@ func (c *Client) query(ctx context.Context, qr server.QueryRequest) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	var res *Result
-	err = c.withRetry(ctx, retryQuery, func() error {
-		r, err := c.queryOnce(ctx, body)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
-	})
-	return res, err
-}
-
-// queryOnce performs one query attempt, reading the framed stream to
-// its end frame. A stream that stops early is a torn stream.
-func (c *Client) queryOnce(ctx context.Context, body []byte) (*Result, error) {
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/query", body)
+	res, err := c.results(ctx, "/v1/query", body, 1)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, &netError{err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, server.MaxFrameBytes))
-		var eb server.ErrorBody
-		if json.Unmarshal(data, &eb) == nil && eb.Code != "" {
-			return nil, server.ErrorForCode(eb.Code, eb.Error)
-		}
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, data)
-	}
-	br := bufio.NewReader(resp.Body)
-	res := &Result{}
-	sawSchema := false
-	for {
-		f, err := server.ReadFrame(br, 0)
-		if err != nil {
-			if err == io.EOF {
-				// Clean EOF but no end frame: the response was cut at a
-				// frame boundary — still a tear.
-				return nil, fmt.Errorf("%w: stream ended before its end frame", server.ErrTornStream)
-			}
-			if errors.Is(err, server.ErrTornStream) || errors.Is(err, server.ErrFrameTooLarge) {
-				return nil, err
-			}
-			return nil, &netError{err}
-		}
-		switch f.Type {
-		case server.FrameSchema:
-			res.Columns = f.Columns
-			sawSchema = true
-		case server.FrameBatch:
-			if !sawSchema {
-				return nil, fmt.Errorf("%w: batch before schema", server.ErrTornStream)
-			}
-			res.Rows = append(res.Rows, f.Rows...)
-		case server.FrameError:
-			return nil, server.ErrorForCode(f.Code, f.Error)
-		case server.FrameEnd:
-			res.End = f
-			return res, nil
-		}
-	}
+	return res[0], nil
 }
 
 // QueryBatch runs queries as one server-side batch (POST /v1/batch) in
@@ -357,59 +355,38 @@ func (c *Client) QueryBatch(ctx context.Context, queries []string, mode string) 
 	if err != nil {
 		return nil, err
 	}
+	return c.results(ctx, "/v1/batch", body, len(queries))
+}
+
+// results posts body to a query endpoint and receives its n results,
+// retrying transient failures. A single query is the batch of one: its
+// frames carry no tag, which is query index zero.
+func (c *Client) results(ctx context.Context, path string, body []byte, n int) ([]*Result, error) {
 	var res []*Result
-	err = c.withRetry(ctx, retryQuery, func() error {
-		r, err := c.queryBatchOnce(ctx, body, len(queries))
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
+	err := c.withRetry(ctx, retryQuery, func() (err error) {
+		res, err = c.resultsOnce(ctx, path, body, n)
+		return err
 	})
 	return res, err
 }
 
-// queryBatchOnce performs one batch attempt, demultiplexing the tagged
-// frame stream into per-query results. The stream must deliver every
-// query's end frame; anything less is a torn stream.
-func (c *Client) queryBatchOnce(ctx context.Context, body []byte, n int) ([]*Result, error) {
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/batch", body)
+// resultsOnce performs one attempt, demultiplexing the tagged frame
+// stream into per-query results. The stream must deliver every query's
+// end frame; anything less is a torn stream.
+func (c *Client) resultsOnce(ctx context.Context, path string, body []byte, n int) ([]*Result, error) {
+	st, err := c.open(ctx, path, body)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, &netError{err}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, server.MaxFrameBytes))
-		var eb server.ErrorBody
-		if json.Unmarshal(data, &eb) == nil && eb.Code != "" {
-			return nil, server.ErrorForCode(eb.Code, eb.Error)
-		}
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, data)
-	}
-	br := bufio.NewReader(resp.Body)
+	defer st.body.Close()
 	results := make([]*Result, n)
-	done := 0
-	for done < n {
-		f, err := server.ReadFrame(br, 0)
+	for done := 0; done < n; {
+		f, err := st.next()
 		if err != nil {
-			if err == io.EOF {
-				return nil, fmt.Errorf("%w: batch stream ended after %d of %d results",
-					server.ErrTornStream, done, n)
-			}
-			if errors.Is(err, server.ErrTornStream) || errors.Is(err, server.ErrFrameTooLarge) {
-				return nil, err
-			}
-			return nil, &netError{err}
-		}
-		if f.Type == server.FrameError {
-			return nil, server.ErrorForCode(f.Code, f.Error)
+			return nil, err
 		}
 		if f.Query < 0 || f.Query >= n {
-			return nil, fmt.Errorf("%w: frame for query %d of a %d-query batch",
+			return nil, fmt.Errorf("%w: frame for query %d of %d",
 				server.ErrTornStream, f.Query, n)
 		}
 		r := results[f.Query]
@@ -485,8 +462,7 @@ func (e *Emission) Float(row, col int) float64 {
 // subscribe), so reconnect policy belongs to the caller. Iterate with
 // Next; Close releases the connection.
 type SubStream struct {
-	resp    *http.Response
-	br      *bufio.Reader
+	st      *stream
 	columns []server.ColumnSpec
 	end     *server.Frame
 	closed  bool
@@ -501,24 +477,11 @@ func (c *Client) Subscribe(ctx context.Context, sql, mode string, maxEmits int) 
 	if err != nil {
 		return nil, err
 	}
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/subscribe", body)
+	st, err := c.open(ctx, "/v1/subscribe", body)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, &netError{err}
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, server.MaxFrameBytes))
-		var eb server.ErrorBody
-		if json.Unmarshal(data, &eb) == nil && eb.Code != "" {
-			return nil, server.ErrorForCode(eb.Code, eb.Error)
-		}
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, data)
-	}
-	return &SubStream{resp: resp, br: bufio.NewReader(resp.Body)}, nil
+	return &SubStream{st: st}, nil
 }
 
 // Next blocks for the next emission. It returns io.EOF when the server
@@ -530,15 +493,9 @@ func (s *SubStream) Next() (*Emission, error) {
 		return nil, io.EOF
 	}
 	for {
-		f, err := server.ReadFrame(s.br, 0)
+		f, err := s.st.next()
 		if err != nil {
-			if err == io.EOF {
-				return nil, fmt.Errorf("%w: subscription ended before its end frame", server.ErrTornStream)
-			}
-			if errors.Is(err, server.ErrTornStream) || errors.Is(err, server.ErrFrameTooLarge) {
-				return nil, err
-			}
-			return nil, &netError{err}
+			return nil, err
 		}
 		switch f.Type {
 		case server.FrameSchema:
@@ -548,8 +505,6 @@ func (s *SubStream) Next() (*Emission, error) {
 				return nil, fmt.Errorf("%w: batch before schema", server.ErrTornStream)
 			}
 			return &Emission{Rows: f.Rows, Window: f.Window}, nil
-		case server.FrameError:
-			return nil, server.ErrorForCode(f.Code, f.Error)
 		case server.FrameEnd:
 			s.end = f
 			return nil, io.EOF
@@ -573,7 +528,7 @@ func (s *SubStream) Close() error {
 		return nil
 	}
 	s.closed = true
-	return s.resp.Body.Close()
+	return s.st.body.Close()
 }
 
 // Health fetches the server's health summary (never retried — its

@@ -63,10 +63,10 @@ func (s *Server) registerMetrics(r *obs.Registry, label string) {
 		s.shedDraining.Load)
 	r.GaugeFunc("sudaf_server_inflight", lbl,
 		"Requests currently executing (holding a global slot).",
-		func() float64 { return float64(s.inflightN.Load()) })
+		func() float64 { return float64(len(s.slots)) })
 	r.GaugeFunc("sudaf_server_queue_depth", lbl,
 		"Requests waiting for a global slot right now.",
-		func() float64 { return float64(s.queued.Load()) })
+		func() float64 { return float64(s.queue.Len()) })
 	r.GaugeFunc("sudaf_server_sessions_open", lbl,
 		"Client sessions currently open.",
 		func() float64 { return float64(s.sessions.numOpen()) })
@@ -78,5 +78,5 @@ func (s *Server) registerMetrics(r *obs.Registry, label string) {
 		func() float64 { return float64(s.connsOpen.Load()) })
 	r.GaugeFunc("sudaf_server_drain_seconds", lbl,
 		"How long the completed server Shutdown drain took (0 until shut down).",
-		func() float64 { return float64(s.drainNanos.Load()) / 1e9 })
+		func() float64 { return s.gate.DrainDuration().Seconds() })
 }

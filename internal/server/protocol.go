@@ -20,6 +20,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -491,26 +492,34 @@ func DecodePrepareRequest(data []byte) (*PrepareRequest, error) {
 
 // DecodeAppendRequest parses and validates an append request body.
 func DecodeAppendRequest(data []byte) (*AppendRequest, error) {
+	a, _, err := decodeAppend(data)
+	return a, err
+}
+
+// decodeAppend is DecodeAppendRequest keeping the delta table that
+// validating the columns builds, so the server builds it once.
+func decodeAppend(data []byte) (*AppendRequest, *storage.Table, error) {
 	var a AppendRequest
 	if err := strictUnmarshal(data, &a); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if a.Table == "" {
-		return nil, fmt.Errorf("empty table")
+		return nil, nil, fmt.Errorf("empty table")
 	}
 	if len(a.Columns) == 0 {
-		return nil, fmt.Errorf("no columns")
+		return nil, nil, fmt.Errorf("no columns")
 	}
-	if _, err := a.ToTable(); err != nil {
-		return nil, err
+	delta, err := a.ToTable()
+	if err != nil {
+		return nil, nil, err
 	}
-	return &a, nil
+	return &a, delta, nil
 }
 
 // strictUnmarshal decodes JSON rejecting unknown fields and trailing
 // garbage, so typos in hand-written clients fail loudly.
 func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err

@@ -29,18 +29,19 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"sudaf/internal/core"
 	"sudaf/internal/errs"
 	"sudaf/internal/faultinject"
+	"sudaf/internal/gate"
 	"sudaf/internal/obs"
 )
 
@@ -84,19 +85,12 @@ type Server struct {
 	httpSrv  *http.Server
 	ln       net.Listener
 
-	// inflight is the global slot semaphore; queued counts waiters.
-	inflight  chan struct{}
-	queued    atomic.Int64
-	inflightN atomic.Int64
-
-	// Drain state: the RWMutex makes {draining check, reqWG.Add} atomic
-	// against Shutdown's flip, mirroring the engine's beginOp/Close pair.
-	drainMu    sync.RWMutex
-	draining   bool
-	drainCh    chan struct{}
-	reqWG      sync.WaitGroup
-	shutStart  atomic.Int64
-	drainNanos atomic.Int64
+	// gate tracks requests for the drain; slots are the global execution
+	// slots and queue their bounded waiting line. All three are instances
+	// of the mechanism the engine session uses (internal/gate).
+	gate  *gate.Gate
+	slots gate.Slots
+	queue gate.Queue
 
 	// Metrics counters (reader-backed; see metrics.go).
 	queryReqs       atomic.Int64
@@ -106,11 +100,11 @@ type Server struct {
 	subscribeReqs   atomic.Int64
 	subscribeEmits  atomic.Int64
 	subscribeActive atomic.Int64
-	shedQueue    atomic.Int64
-	shedSession  atomic.Int64
-	shedDraining atomic.Int64
-	shedConns    atomic.Int64
-	connsOpen    atomic.Int64
+	shedQueue       atomic.Int64
+	shedSession     atomic.Int64
+	shedDraining    atomic.Int64
+	shedConns       atomic.Int64
+	connsOpen       atomic.Int64
 }
 
 // New builds a server over cfg.Session. Call Start to begin serving.
@@ -134,8 +128,9 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		eng:      cfg.Session,
 		sessions: newSessions(cfg.MaxSessions, cfg.SessionConcurrency),
-		inflight: make(chan struct{}, cfg.MaxInflight),
-		drainCh:  make(chan struct{}),
+		gate:     gate.New(),
+		slots:    make(gate.Slots, cfg.MaxInflight),
+		queue:    gate.Queue{Max: cfg.QueueDepth},
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -145,14 +140,12 @@ func New(cfg Config) (*Server, error) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/health", s.handleHealth)
-	mux.HandleFunc("/v1/session", s.handleSession)
-	mux.HandleFunc("/v1/prepare", s.handlePrepare)
-	mux.HandleFunc("/v1/query", s.handleQuery)
-	mux.HandleFunc("/v1/batch", s.handleBatch)
-	mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
-	mux.HandleFunc("/v1/append", s.handleAppend)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.Handle("/metrics", reg.Handler())
+	mux.HandleFunc("DELETE /v1/session", s.closeSession)
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) { s.serve(&rt, w, r) })
+	}
 	s.httpSrv = &http.Server{Handler: mux}
 	return s, nil
 }
@@ -190,103 +183,164 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.drainMu.Lock()
-	first := !s.draining
-	s.draining = true
-	s.drainMu.Unlock()
-	if first {
-		s.shutStart.Store(time.Now().UnixNano())
-		close(s.drainCh)
-	}
+	s.gate.Drain()
 	// Stop the listener and wait for connections; http.Shutdown returns
 	// early with ctx's error if the drain outlives it.
 	httpErr := s.httpSrv.Shutdown(ctx)
 	// Belt and braces: also wait on our own request tracking, which
 	// covers handlers even if their connection was hijacked or torn.
-	done := make(chan struct{})
-	go func() {
-		s.reqWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return fmt.Errorf("server shutdown: drain incomplete: %w", ctx.Err())
+	if err := s.gate.Wait(ctx); err != nil {
+		return fmt.Errorf("server shutdown: drain incomplete: %w", err)
 	}
 	if httpErr != nil {
 		return fmt.Errorf("server shutdown: %w", httpErr)
 	}
-	s.drainNanos.CompareAndSwap(0, time.Now().UnixNano()-s.shutStart.Load())
 	s.sessions.closeAll()
 	return nil
 }
 
 // Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	return s.draining
+func (s *Server) Draining() bool { return s.gate.Draining() }
+
+// route is one POST endpoint: all the envelope needs to know about it.
+type route struct {
+	path string
+	// decode validates the request body; a failure is a 400.
+	decode func(body []byte) (*call, error)
+	// slot says whether the request holds a global execution slot while
+	// it runs. It is a property of the endpoint, not a setting:
+	// /v1/subscribe is a long-lived push stream (see subscribe.go), and
+	// opening a session or preparing a statement executes nothing.
+	slot bool
+	// accepted counts the requests admitted to run (nil = uncounted).
+	accepted *atomic.Int64
+	// sessionless marks the one request that cannot be made inside a
+	// session because it opens one: a session header left over from an
+	// earlier, possibly expired, session is ignored.
+	sessionless bool
 }
 
-// beginReq admits one request under the drain gate; the paired endReq
-// must run when the handler returns.
-func (s *Server) beginReq() error {
-	s.drainMu.RLock()
-	defer s.drainMu.RUnlock()
-	if s.draining {
-		s.shedDraining.Add(1)
-		return fmt.Errorf("%w: server draining", errs.ErrEngineClosed)
-	}
-	s.reqWG.Add(1)
-	return nil
+// call is one decoded request: what to run and how to answer.
+type call struct {
+	// session is the body's session field ("" = none named).
+	session string
+	// bind, when set, resolves what the request names inside its session
+	// (nil when sessionless) before admission.
+	bind func(ss *session) *reject
+	// run executes the admitted request and writes the response.
+	run func(ctx context.Context, w http.ResponseWriter)
 }
 
-func (s *Server) endReq() { s.reqWG.Done() }
+// reject is a failure to bind, carrying its own wire code.
+type reject struct{ code, msg string }
 
-// acquireSlot takes a global execution slot, queueing up to QueueDepth
-// waiters and shedding beyond that. A waiter resolves deterministically:
-// slot, own context, or drain — never a hang.
-func (s *Server) acquireSlot(ctx context.Context) error {
-	select {
-	case s.inflight <- struct{}{}:
-		s.inflightN.Add(1)
-		return nil
-	default:
-	}
-	if n := s.queued.Add(1); n > int64(s.cfg.QueueDepth) {
-		s.queued.Add(-1)
-		s.shedQueue.Add(1)
-		return fmt.Errorf("%w: admission queue full (%d waiting)", errs.ErrOverloaded, n-1)
-	}
-	defer s.queued.Add(-1)
-	select {
-	case s.inflight <- struct{}{}:
-		s.inflightN.Add(1)
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("%w: while queued for a server slot: %v", errs.ErrCanceled, ctx.Err())
-	case <-s.drainCh:
-		s.shedDraining.Add(1)
-		return fmt.Errorf("%w: server drained while queued", errs.ErrEngineClosed)
+func (s *Server) routes() []route {
+	return []route{
+		{path: "/v1/session", decode: s.sessionCall, sessionless: true},
+		{path: "/v1/prepare", decode: s.prepareCall},
+		{path: "/v1/query", decode: s.queryCall, slot: true, accepted: &s.queryReqs},
+		{path: "/v1/batch", decode: s.batchCall, slot: true, accepted: &s.batchReqs},
+		{path: "/v1/append", decode: s.appendCall, slot: true, accepted: &s.appendReqs},
+		{path: "/v1/subscribe", decode: s.subscribeCall, accepted: &s.subscribeReqs},
 	}
 }
 
-func (s *Server) releaseSlot() {
-	<-s.inflight
-	s.inflightN.Add(-1)
-}
+// serve is the one way into the server for a POST request. Every route
+// passes the same steps in the same order: validate (method, bounded
+// body, strict decode, deadline header) → session → drain gate →
+// session slot → deadline → global slot → count → run. A request
+// rejected at any step has provably not reached the engine.
+func (s *Server) serve(rt *route, w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeErrorCode(w, CodeBadRequest, "use POST")
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	if err != nil {
+		writeErrorCode(w, CodeBadRequest, fmt.Sprintf("reading request body: %v", err))
+		return
+	}
+	c, err := rt.decode(body)
+	if err != nil {
+		writeErrorCode(w, CodeBadRequest, err.Error())
+		return
+	}
+	deadline, err := requestDeadline(r)
+	if err != nil {
+		writeErrorCode(w, CodeBadRequest, err.Error())
+		return
+	}
 
-// requestContext derives the handler context: the client's
-// X-Sudaf-Deadline-Ms header, when present, becomes a deadline that
-// propagates through queueing into the engine.
-func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	if h := r.Header.Get("X-Sudaf-Deadline-Ms"); h != "" {
-		if ms, err := strconv.Atoi(h); err == nil && ms > 0 {
-			return context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+	var ss *session
+	if id := sessionID(r, c.session); id != "" && !rt.sessionless {
+		if ss = s.sessions.get(id); ss == nil {
+			writeErrorCode(w, CodeUnknownSession, fmt.Sprintf("no session %q", id))
+			return
 		}
 	}
-	return context.WithCancel(ctx)
+	if c.bind != nil {
+		if rj := c.bind(ss); rj != nil {
+			writeErrorCode(w, rj.code, rj.msg)
+			return
+		}
+	}
+
+	if err := s.gate.Begin(); err != nil {
+		s.shedDraining.Add(1)
+		writeError(w, fmt.Errorf("server: %w", err))
+		return
+	}
+	defer s.gate.End()
+	// A session's slots have no waiting line: a session at its cap sheds
+	// (the global queue already provides the buffering — stacking a
+	// second queue here would just hide the overload).
+	if ss != nil {
+		if _, err := ss.slots.Acquire(r.Context(), s.gate, &ss.queue); err != nil {
+			s.shedSession.Add(1)
+			writeError(w, fmt.Errorf("session %s at its concurrency cap: %w", ss.id, err))
+			return
+		}
+		defer ss.slots.Release()
+	}
+	ctx := r.Context()
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
+	}
+	if rt.slot {
+		if _, err := s.slots.Acquire(ctx, s.gate, &s.queue); err != nil {
+			switch {
+			case errors.Is(err, errs.ErrOverloaded):
+				s.shedQueue.Add(1)
+			case errors.Is(err, errs.ErrEngineClosed):
+				s.shedDraining.Add(1)
+			}
+			writeError(w, fmt.Errorf("server admission: %w", err))
+			return
+		}
+		defer s.slots.Release()
+	}
+	if rt.accepted != nil {
+		rt.accepted.Add(1)
+	}
+	c.run(ctx, w)
+}
+
+// requestDeadline parses the X-Sudaf-Deadline-Ms header: the bound the
+// client asked for, which propagates through queueing into the engine.
+// A header that is not a positive integer is an error — running the
+// request unbounded would silently drop what the client asked for.
+func requestDeadline(r *http.Request) (time.Duration, error) {
+	h := r.Header.Get("X-Sudaf-Deadline-Ms")
+	if h == "" {
+		return 0, nil
+	}
+	ms, err := strconv.Atoi(h)
+	if err != nil || ms <= 0 {
+		return 0, fmt.Errorf("X-Sudaf-Deadline-Ms %q is not a positive integer", h)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // sessionID resolves the request's session id: the X-Sudaf-Session
@@ -314,15 +368,6 @@ func writeError(w http.ResponseWriter, err error) {
 	writeErrorCode(w, CodeForError(err), err.Error())
 }
 
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		writeErrorCode(w, CodeBadRequest, fmt.Sprintf("reading request body: %v", err))
-		return nil, false
-	}
-	return body, true
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	if s.Draining() {
@@ -331,8 +376,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:       status,
 		SessionsOpen: int64(s.sessions.numOpen()),
-		Inflight:     s.inflightN.Load(),
-		Queued:       s.queued.Load(),
+		Inflight:     int64(len(s.slots)),
+		Queued:       s.queue.Len(),
 	})
 }
 
@@ -340,143 +385,146 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.eng.Stats())
 }
 
-func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		if err := s.beginReq(); err != nil {
-			writeError(w, err)
-			return
-		}
-		defer s.endReq()
+// closeSession answers DELETE /v1/session.
+func (s *Server) closeSession(w http.ResponseWriter, r *http.Request) {
+	id := sessionID(r, r.URL.Query().Get("id"))
+	if id == "" || !s.sessions.close(id) {
+		writeErrorCode(w, CodeUnknownSession, fmt.Sprintf("no session %q", id))
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"closed": id})
+}
+
+// sessionCall opens a session (POST /v1/session; the body is ignored).
+func (s *Server) sessionCall([]byte) (*call, error) {
+	return &call{run: func(_ context.Context, w http.ResponseWriter) {
 		ss, err := s.sessions.create()
 		if err != nil {
 			writeErrorCode(w, CodeOverloaded, err.Error())
 			return
 		}
 		writeJSON(w, http.StatusOK, SessionResponse{ID: ss.id})
-	case http.MethodDelete:
-		id := sessionID(r, r.URL.Query().Get("id"))
-		if id == "" || !s.sessions.close(id) {
-			writeErrorCode(w, CodeUnknownSession, fmt.Sprintf("no session %q", id))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"closed": id})
-	default:
-		writeErrorCode(w, CodeBadRequest, "use POST to open or DELETE to close")
-	}
+	}}, nil
 }
 
-func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErrorCode(w, CodeBadRequest, "use POST")
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) prepareCall(body []byte) (*call, error) {
 	req, err := DecodePrepareRequest(body)
 	if err != nil {
-		writeErrorCode(w, CodeBadRequest, err.Error())
-		return
+		return nil, err
 	}
-	if err := s.beginReq(); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.endReq()
-	ss, ok := s.sessions.get(sessionID(r, req.Session))
-	if !ok {
-		writeErrorCode(w, CodeUnknownSession, fmt.Sprintf("no session %q", sessionID(r, req.Session)))
-		return
-	}
-	mode, _ := ModeFromString(req.Mode)
-	handle, err := ss.prepare(req.SQL, mode)
-	if err != nil {
-		writeError(w, fmt.Errorf("%w: %v", errs.ErrParse, err))
-		return
-	}
-	writeJSON(w, http.StatusOK, PrepareResponse{Handle: handle})
+	var in *session
+	return &call{
+		session: req.Session,
+		bind: func(ss *session) *reject {
+			if in = ss; in == nil {
+				return &reject{CodeUnknownSession, `no session ""`}
+			}
+			return nil
+		},
+		run: func(_ context.Context, w http.ResponseWriter) {
+			mode, _ := ModeFromString(req.Mode)
+			handle, err := in.prepare(req.SQL, mode)
+			if err != nil {
+				writeError(w, fmt.Errorf("%w: %v", errs.ErrParse, err))
+				return
+			}
+			writeJSON(w, http.StatusOK, PrepareResponse{Handle: handle})
+		},
+	}, nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErrorCode(w, CodeBadRequest, "use POST")
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) queryCall(body []byte) (*call, error) {
 	req, err := DecodeQueryRequest(body)
 	if err != nil {
-		writeErrorCode(w, CodeBadRequest, err.Error())
-		return
+		return nil, err
 	}
-
 	sql, mode := req.SQL, core.ModeShare
 	if req.SQL != "" {
 		mode, _ = ModeFromString(req.Mode)
 	}
-	// Resolve the session (optional for plain SQL, required for
-	// prepared handles — those live in a session's namespace).
-	var ss *session
-	if id := sessionID(r, req.Session); id != "" {
-		ss, ok = s.sessions.get(id)
-		if !ok {
-			writeErrorCode(w, CodeUnknownSession, fmt.Sprintf("no session %q", id))
-			return
-		}
-	}
-	if req.Prepared != "" {
-		if ss == nil {
-			writeErrorCode(w, CodeBadRequest, "prepared statements require a session")
-			return
-		}
-		p, ok := ss.lookup(req.Prepared)
-		if !ok {
-			writeErrorCode(w, CodeUnknownPrepared, fmt.Sprintf("no prepared statement %q", req.Prepared))
-			return
-		}
-		sql, mode = p.sql, p.mode
-	}
+	return &call{
+		session: req.Session,
+		// Prepared handles live in a session's namespace.
+		bind: func(ss *session) *reject {
+			if req.Prepared == "" {
+				return nil
+			}
+			if ss == nil {
+				return &reject{CodeBadRequest, "prepared statements require a session"}
+			}
+			p, ok := ss.lookup(req.Prepared)
+			if !ok {
+				return &reject{CodeUnknownPrepared, fmt.Sprintf("no prepared statement %q", req.Prepared)}
+			}
+			sql, mode = p.sql, p.mode
+			return nil
+		},
+		run: func(ctx context.Context, w http.ResponseWriter) {
+			res, err := s.eng.QueryContext(ctx, sql, mode)
+			if err != nil {
+				writeError(w, err)
+				return
+			}
+			s.streamResults(w, []*core.Result{res}, req.BatchRows)
+		},
+	}, nil
+}
 
-	if err := s.beginReq(); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.endReq()
-	if ss != nil {
-		if !ss.acquire() {
-			s.shedSession.Add(1)
-			writeError(w, fmt.Errorf("%w: session %s at its concurrency cap", errs.ErrOverloaded, ss.id))
-			return
-		}
-		defer ss.release()
-	}
-	ctx, cancel := requestContext(r)
-	defer cancel()
-	if err := s.acquireSlot(ctx); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.releaseSlot()
-	s.queryReqs.Add(1)
-
-	cur, err := s.eng.QueryBatches(ctx, sql, mode)
+// batchCall runs one multi-query batch through Engine.QueryBatch: the
+// whole batch occupies a single execution slot (its internal fan-out is
+// the engine's to schedule). QueryBatch is all-results-or-one-error, so
+// a failed batch reports one typed error for the lot.
+func (s *Server) batchCall(body []byte) (*call, error) {
+	req, err := DecodeBatchRequest(body)
 	if err != nil {
-		// Nothing streamed yet: report over HTTP status + typed body so
-		// the client never confuses an engine error with a torn stream.
-		writeError(w, err)
-		return
+		return nil, err
 	}
-	defer cur.Close()
-	if n := req.BatchRows; n > 0 {
-		cur = cur.Result().Batches(n)
-	} else if s.cfg.BatchRows > 0 {
-		cur = cur.Result().Batches(s.cfg.BatchRows)
+	return &call{
+		session: req.Session,
+		run: func(ctx context.Context, w http.ResponseWriter) {
+			s.batchQueries.Add(int64(len(req.Queries)))
+			mode, _ := ModeFromString(req.Mode)
+			reqs := make([]core.Request, len(req.Queries))
+			for i, q := range req.Queries {
+				reqs[i] = core.Request{SQL: q, Mode: mode}
+			}
+			results, err := s.eng.QueryBatch(ctx, reqs, mode)
+			if err != nil {
+				writeError(w, err)
+				return
+			}
+			s.streamResults(w, results, req.BatchRows)
+		},
+	}, nil
+}
+
+func (s *Server) appendCall(body []byte) (*call, error) {
+	req, delta, err := decodeAppend(body)
+	if err != nil {
+		return nil, err
 	}
-	s.streamResult(w, cur)
+	return &call{
+		session: req.Session,
+		run: func(ctx context.Context, w http.ResponseWriter) {
+			res, err := s.eng.Append(ctx, req.Table, delta)
+			if err != nil {
+				writeError(w, err)
+				return
+			}
+			writeJSON(w, http.StatusOK, AppendResponse{
+				Table:              res.Table,
+				RowsAppended:       res.RowsAppended,
+				OldEpoch:           res.OldEpoch,
+				NewEpoch:           res.NewEpoch,
+				EntriesMigrated:    res.EntriesMigrated,
+				StatesMaintained:   res.StatesMaintained,
+				EntriesInvalidated: res.EntriesInvalidated,
+				ViewsMaintained:    res.ViewsMaintained,
+				ViewsInvalidated:   res.ViewsInvalidated,
+				Events:             res.Events,
+			})
+		},
+	}, nil
 }
 
 // startStream begins an NDJSON response and returns the frame emitter.
@@ -501,173 +549,28 @@ func startStream(w http.ResponseWriter) func(*Frame) bool {
 	}
 }
 
-// streamResult writes the framed response: schema, batches, end.
-func (s *Server) streamResult(w http.ResponseWriter, cur *core.BatchCursor) {
-	emit := startStream(w)
-	if !emit(SchemaFrame(cur.Result().Table)) {
-		return
-	}
-	for cur.Next() {
-		if !emit(BatchFrame(cur.Batch())) {
-			return
-		}
-	}
-	if err := cur.Err(); err != nil {
-		emit(ErrorFrame(err))
-		return
-	}
-	emit(EndFrame(cur.Result()))
-}
-
-// handleBatch runs one multi-query batch through Engine.QueryBatch: the
-// whole batch occupies a single execution slot (its internal fan-out is
-// the engine's to schedule), and the response is each query's
-// schema/batch/end sub-stream in batch order, every frame tagged with
-// its query index. QueryBatch is all-results-or-one-error, so a failed
-// batch reports one typed error for the lot — over HTTP status when
-// nothing streamed yet, as a single error frame otherwise.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErrorCode(w, CodeBadRequest, "use POST")
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := DecodeBatchRequest(body)
-	if err != nil {
-		writeErrorCode(w, CodeBadRequest, err.Error())
-		return
-	}
-	mode, _ := ModeFromString(req.Mode)
-	var ss *session
-	if id := sessionID(r, req.Session); id != "" {
-		ss, ok = s.sessions.get(id)
-		if !ok {
-			writeErrorCode(w, CodeUnknownSession, fmt.Sprintf("no session %q", id))
-			return
-		}
-	}
-
-	if err := s.beginReq(); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.endReq()
-	if ss != nil {
-		if !ss.acquire() {
-			s.shedSession.Add(1)
-			writeError(w, fmt.Errorf("%w: session %s at its concurrency cap", errs.ErrOverloaded, ss.id))
-			return
-		}
-		defer ss.release()
-	}
-	ctx, cancel := requestContext(r)
-	defer cancel()
-	if err := s.acquireSlot(ctx); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.releaseSlot()
-	s.batchReqs.Add(1)
-	s.batchQueries.Add(int64(len(req.Queries)))
-
-	reqs := make([]core.Request, len(req.Queries))
-	for i, q := range req.Queries {
-		reqs[i] = core.Request{SQL: q, Mode: mode}
-	}
-	results, err := s.eng.QueryBatch(ctx, reqs, mode)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	rows := req.BatchRows
-	if rows == 0 {
-		rows = s.cfg.BatchRows
+// streamResults writes the framed response for results: each one's
+// schema → batches → end sub-stream in order, every frame tagged with
+// its result's index. A single query is the one-result case, whose tag
+// (zero) does not appear on the wire. batchRows bounds the rows per
+// batch frame (0 = the server default, then the engine's batch size).
+func (s *Server) streamResults(w http.ResponseWriter, results []*core.Result, batchRows int) {
+	if batchRows == 0 {
+		batchRows = s.cfg.BatchRows
 	}
 	emit := startStream(w)
 	for qi, res := range results {
-		tag := func(f *Frame) *Frame { f.Query = qi; return f }
-		if !emit(tag(SchemaFrame(res.Table))) {
+		tagged := func(f *Frame) bool { f.Query = qi; return emit(f) }
+		if !tagged(SchemaFrame(res.Table)) {
 			return
 		}
-		cur := res.Batches(rows)
-		for cur.Next() {
-			if !emit(tag(BatchFrame(cur.Batch()))) {
+		for cur := res.Batches(batchRows); cur.Next(); {
+			if !tagged(BatchFrame(cur.Batch())) {
 				return
 			}
 		}
-		if !emit(tag(EndFrame(res))) {
+		if !tagged(EndFrame(res)) {
 			return
 		}
 	}
-}
-
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErrorCode(w, CodeBadRequest, "use POST")
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := DecodeAppendRequest(body)
-	if err != nil {
-		writeErrorCode(w, CodeBadRequest, err.Error())
-		return
-	}
-	var ss *session
-	if id := sessionID(r, req.Session); id != "" {
-		ss, ok = s.sessions.get(id)
-		if !ok {
-			writeErrorCode(w, CodeUnknownSession, fmt.Sprintf("no session %q", id))
-			return
-		}
-	}
-	if err := s.beginReq(); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.endReq()
-	if ss != nil {
-		if !ss.acquire() {
-			s.shedSession.Add(1)
-			writeError(w, fmt.Errorf("%w: session %s at its concurrency cap", errs.ErrOverloaded, ss.id))
-			return
-		}
-		defer ss.release()
-	}
-	ctx, cancel := requestContext(r)
-	defer cancel()
-	if err := s.acquireSlot(ctx); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.releaseSlot()
-	s.appendReqs.Add(1)
-
-	delta, err := req.ToTable()
-	if err != nil {
-		writeErrorCode(w, CodeBadRequest, err.Error())
-		return
-	}
-	res, err := s.eng.Append(ctx, req.Table, delta)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, AppendResponse{
-		Table:              res.Table,
-		RowsAppended:       res.RowsAppended,
-		OldEpoch:           res.OldEpoch,
-		NewEpoch:           res.NewEpoch,
-		EntriesMigrated:    res.EntriesMigrated,
-		StatesMaintained:   res.StatesMaintained,
-		EntriesInvalidated: res.EntriesInvalidated,
-		ViewsMaintained:    res.ViewsMaintained,
-		ViewsInvalidated:   res.ViewsInvalidated,
-		Events:             res.Events,
-	})
 }

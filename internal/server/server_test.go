@@ -367,6 +367,25 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.wantStatus)
 		}
 	}
+
+	// A deadline header the server cannot honor is rejected, not dropped:
+	// the client asked for a bound and must not run unbounded.
+	for _, deadline := range []string{"abc", "0", "-5"} {
+		req, err := http.NewRequest(http.MethodPost, base+"/v1/query", strings.NewReader(`{"sql":"SELECT 1"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Sudaf-Deadline-Ms", deadline)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("deadline %q: %v", deadline, err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("deadline %q: status = %d, want 400", deadline, resp.StatusCode)
+		}
+	}
 }
 
 // TestClientRetrySchedule: the backoff schedule is deterministic

@@ -6,11 +6,13 @@ import (
 	"sync/atomic"
 
 	"sudaf/internal/core"
+	"sudaf/internal/gate"
 	"sudaf/internal/sqlparse"
 )
 
-// prepared is a statement handle: the SQL parsed once at prepare time,
-// its execution mode fixed.
+// prepared is a statement handle: the SQL text, validated once at
+// prepare time (every execution parses it again), and its execution
+// mode, fixed.
 type prepared struct {
 	sql  string
 	mode core.Mode
@@ -21,35 +23,15 @@ type prepared struct {
 // cannot monopolize the engine's admission slots.
 type session struct {
 	id string
-	// slots bounds this session's concurrent requests (nil = unbounded).
-	slots chan struct{}
+	// slots bounds this session's concurrent requests (nil = unbounded);
+	// the zero queue admits no waiters, so a session at its cap sheds.
+	slots gate.Slots
+	queue gate.Queue
 
 	mu       sync.Mutex
 	prepared map[string]*prepared
 	nextPrep int
 	closed   bool
-}
-
-// acquire takes a per-session slot without blocking; a session at its
-// concurrency cap sheds instead of queueing (the global queue already
-// provides the buffering — stacking a second queue here would just hide
-// the overload).
-func (ss *session) acquire() bool {
-	if ss.slots == nil {
-		return true
-	}
-	select {
-	case ss.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (ss *session) release() {
-	if ss.slots != nil {
-		<-ss.slots
-	}
 }
 
 func (ss *session) prepare(sql string, mode core.Mode) (string, error) {
@@ -105,18 +87,18 @@ func (sr *sessions) create() (*session, error) {
 	id := fmt.Sprintf("s%d", sr.nextID.Add(1))
 	ss := &session{id: id, prepared: map[string]*prepared{}}
 	if sr.concurrency > 0 {
-		ss.slots = make(chan struct{}, sr.concurrency)
+		ss.slots = make(gate.Slots, sr.concurrency)
 	}
 	sr.open[id] = ss
 	sr.opened.Add(1)
 	return ss, nil
 }
 
-func (sr *sessions) get(id string) (*session, bool) {
+// get returns the open session id names, or nil.
+func (sr *sessions) get(id string) *session {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	ss, ok := sr.open[id]
-	return ss, ok
+	return sr.open[id]
 }
 
 // close removes a session; its prepared handles die with it. In-flight

@@ -15,6 +15,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 
@@ -22,55 +23,31 @@ import (
 	"sudaf/internal/errs"
 )
 
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErrorCode(w, CodeBadRequest, "use POST")
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
+func (s *Server) subscribeCall(body []byte) (*call, error) {
 	req, err := DecodeSubscribeRequest(body)
 	if err != nil {
-		writeErrorCode(w, CodeBadRequest, err.Error())
-		return
+		return nil, err
 	}
-	mode, _ := ModeFromString(req.Mode)
-	var ss *session
-	if id := sessionID(r, req.Session); id != "" {
-		ss, ok = s.sessions.get(id)
-		if !ok {
-			writeErrorCode(w, CodeUnknownSession, fmt.Sprintf("no session %q", id))
-			return
-		}
-	}
-	if err := s.beginReq(); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.endReq()
-	// A subscription occupies one of its session's concurrency slots for
-	// its whole life — a session's subscriber fleet is bounded the same
-	// way its query fan-out is.
-	if ss != nil {
-		if !ss.acquire() {
-			s.shedSession.Add(1)
-			writeError(w, fmt.Errorf("%w: session %s at its concurrency cap", errs.ErrOverloaded, ss.id))
-			return
-		}
-		defer ss.release()
-	}
-	ctx, cancel := requestContext(r)
-	defer cancel()
+	return &call{
+		session: req.Session,
+		run: func(ctx context.Context, w http.ResponseWriter) {
+			s.subscribe(ctx, w, req)
+		},
+	}, nil
+}
 
+// subscribe streams one subscription until the client, the request's
+// deadline, the engine or a server drain ends it. It occupies one of its
+// session's concurrency slots for its whole life — a session's
+// subscriber fleet is bounded the same way its query fan-out is.
+func (s *Server) subscribe(ctx context.Context, w http.ResponseWriter, req *SubscribeRequest) {
+	mode, _ := ModeFromString(req.Mode)
 	sub, err := s.eng.Subscribe(ctx, req.SQL, mode)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	defer sub.Close()
-	s.subscribeReqs.Add(1)
 	s.subscribeActive.Add(1)
 	defer s.subscribeActive.Add(-1)
 
@@ -108,7 +85,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 			emit(ErrorFrame(fmt.Errorf("%w: %v", errs.ErrCanceled, ctx.Err())))
 			return
-		case <-s.drainCh:
+		case <-s.gate.Done():
 			emit(&Frame{Type: FrameEnd, Groups: emits, Events: []string{"server draining"}})
 			return
 		}

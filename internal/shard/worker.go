@@ -101,11 +101,10 @@ type Worker interface {
 // (and therefore its worker-token pool) but owns a private striped state
 // cache sized to its share of the session budget.
 type InProc struct {
-	eng         *exec.Engine
-	cache       atomic.Pointer[cache.Cache]
-	cacheBytes  int64
-	cacheShards int
-	space       *symbolic.Space
+	eng        *exec.Engine
+	cache      atomic.Pointer[cache.Cache]
+	cacheBytes int64
+	space      *symbolic.Space
 
 	scans       atomic.Int64
 	fullHits    atomic.Int64
@@ -115,9 +114,9 @@ type InProc struct {
 
 // NewInProc builds an in-process worker around the given engine with a
 // private cache of cacheBytes capacity (≤0 picks the cache default).
-func NewInProc(eng *exec.Engine, cacheBytes int64, cacheShards int, space *symbolic.Space) *InProc {
-	w := &InProc{eng: eng, cacheBytes: cacheBytes, cacheShards: cacheShards, space: space}
-	w.cache.Store(cache.NewSharded(cacheBytes, cacheShards, space))
+func NewInProc(eng *exec.Engine, cacheBytes int64, space *symbolic.Space) *InProc {
+	w := &InProc{eng: eng, cacheBytes: cacheBytes, space: space}
+	w.cache.Store(cache.New(cacheBytes, space))
 	return w
 }
 
@@ -128,7 +127,7 @@ func (w *InProc) StateCache() *cache.Cache { return w.cache.Load() }
 // (in-flight scans keep the snapshot they started with, mirroring the
 // session cache's ClearCache contract).
 func (w *InProc) ClearCache() {
-	w.cache.Store(cache.NewSharded(w.cacheBytes, w.cacheShards, w.space))
+	w.cache.Store(cache.New(w.cacheBytes, w.space))
 }
 
 // Stats returns the worker's lifetime counters.
