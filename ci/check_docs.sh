@@ -111,6 +111,23 @@ for m in $srv_metrics; do
   fi
 done
 
+echo "== scalar language written once =="
+# DESIGN.md §8 "Scalar language": every scalar function and the '^'
+# reduction are defined in internal/expr/funcs.go and nowhere else. A
+# function name spelled in a second evaluator, or a math.Pow in one of the
+# three compilers, is a second definition that can drift from the first.
+# (expr/simplify.go names functions to do algebra on them, not to
+# evaluate them.)
+cbrt_files=$(grep -l '"cbrt"' --include='*.go' -r . | grep -v -e '_test\.go$' -e '^\./internal/expr/simplify\.go$' || true)
+if [ "$cbrt_files" != "./internal/expr/funcs.go" ]; then
+  err "scalar function \"cbrt\" must be defined in internal/expr/funcs.go only, found in:" $cbrt_files
+fi
+for f in internal/exec/compile.go internal/exec/batch.go internal/canonical/compile.go; do
+  if grep -q 'math\.Pow(' "$f"; then
+    err "$f calls math.Pow: take '^' from expr.ConstPow / expr.Funcs[\"pow\"]"
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "documentation checks failed" >&2
   exit 1

@@ -314,12 +314,12 @@ type Cache struct {
 // default stripe count, and an optional precomputed symbolic space for
 // fast sharing lookups.
 func New(maxBytes int64, space *symbolic.Space) *Cache {
-	return NewSharded(maxBytes, 0, space)
+	return newSharded(maxBytes, 0, space)
 }
 
-// NewSharded creates a cache with an explicit stripe count (≤0 means
+// newSharded creates a cache with an explicit stripe count (≤0 means
 // DefaultShards). The byte budget is divided evenly across shards.
-func NewSharded(maxBytes int64, shards int, space *symbolic.Space) *Cache {
+func newSharded(maxBytes int64, shards int, space *symbolic.Space) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
@@ -336,9 +336,6 @@ func NewSharded(maxBytes int64, shards int, space *symbolic.Space) *Cache {
 	}
 	return c
 }
-
-// NumShards returns the stripe count.
-func (c *Cache) NumShards() int { return len(c.shards) }
 
 // shardFor maps a fingerprint to its stripe.
 func (c *Cache) shardFor(fp string) *shard {

@@ -77,7 +77,7 @@ func TestConcurrentCacheProperty(t *testing.T) {
 	space := symbolic.NewSpace(2)
 	// Small budget: with ~20 fingerprints of ~1.2 KiB spread over 8
 	// shards, eviction churns constantly.
-	c := NewSharded(64*1024, 8, space)
+	c := newSharded(64*1024, 8, space)
 
 	const goroutines = 8
 	const opsPerG = 400
@@ -180,7 +180,7 @@ func TestConcurrentCacheProperty(t *testing.T) {
 // negative and the quiescent balance invariant holds.
 func TestConcurrentResetStats(t *testing.T) {
 	space := symbolic.NewSpace(2)
-	c := NewSharded(1<<20, 4, space)
+	c := newSharded(1<<20, 4, space)
 	putExact(c, 0, 2)
 
 	var wg sync.WaitGroup
@@ -216,7 +216,7 @@ func TestConcurrentResetStats(t *testing.T) {
 // ends structurally sound with correct byte accounting.
 func TestConcurrentPutSameFingerprint(t *testing.T) {
 	space := symbolic.NewSpace(2)
-	c := NewSharded(1<<20, 4, space)
+	c := newSharded(1<<20, 4, space)
 	var wg sync.WaitGroup
 	for gi := 0; gi < 8; gi++ {
 		wg.Add(1)

@@ -132,7 +132,7 @@ func TestQuickLookupNeverLies(t *testing.T) {
 		for _, space := range spaces {
 			// One stripe, so "fp" and "other" share an LRU order a touch
 			// would visibly reorder.
-			c := NewSharded(0, 1, space)
+			c := newSharded(0, 1, space)
 			keys := make([]GroupKey, groups)
 			kc := storage.NewColumn("g", storage.KindInt)
 			for g := 0; g < groups; g++ {

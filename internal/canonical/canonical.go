@@ -144,21 +144,6 @@ type Form struct {
 // StateVar returns the T-variable name for state index i (0-based).
 func StateVar(i int) string { return fmt.Sprintf("s%d", i+1) }
 
-// Evaluate applies the terminating function to computed state values.
-func (f *Form) Evaluate(states []float64) (float64, error) {
-	if len(states) != len(f.States) {
-		return 0, fmt.Errorf("%s: got %d state values, want %d", f.Name, len(states), len(f.States))
-	}
-	if f.HardT != nil {
-		return f.HardT(states)
-	}
-	env := expr.MapEnv{}
-	for i, v := range states {
-		env[StateVar(i)] = v
-	}
-	return expr.Eval(f.T, env)
-}
-
 // String renders the canonical form in the paper's (F, ⊕, T) notation.
 func (f *Form) String() string {
 	var fs, ops []string

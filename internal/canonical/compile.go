@@ -132,11 +132,10 @@ func (s State) SelectKernel() KernelPlan {
 }
 
 // CompileT compiles the terminating function into a closure over the
-// state vector, avoiding per-group map environments and tree walks. The
+// state vector: the E = []float64 instantiation of expr.Compile. The
 // hardcoded HardT takes precedence when present.
 func (f *Form) CompileT() (func(states []float64) float64, error) {
-	if f.HardT != nil {
-		hard := f.HardT
+	if hard := f.HardT; hard != nil {
 		return func(states []float64) float64 {
 			v, err := hard(states)
 			if err != nil {
@@ -145,110 +144,15 @@ func (f *Form) CompileT() (func(states []float64) float64, error) {
 			return v
 		}, nil
 	}
-	return compileStateExpr(f.T, len(f.States))
+	return expr.Compile(f.T, f.bindStateVar)
 }
 
-// compileStateExpr compiles an expression over s1..sk variables.
-func compileStateExpr(n expr.Node, k int) (func([]float64) float64, error) {
-	switch t := n.(type) {
-	case *expr.Num:
-		v := t.Val
-		return func([]float64) float64 { return v }, nil
-	case *expr.Var:
-		if !strings.HasPrefix(t.Name, "s") {
-			return nil, fmt.Errorf("terminating function references %q", t.Name)
-		}
-		idx, err := strconv.Atoi(t.Name[1:])
-		if err != nil || idx < 1 || idx > k {
-			return nil, fmt.Errorf("bad state variable %q", t.Name)
-		}
-		i := idx - 1
-		return func(s []float64) float64 { return s[i] }, nil
-	case *expr.Neg:
-		x, err := compileStateExpr(t.X, k)
-		if err != nil {
-			return nil, err
-		}
-		return func(s []float64) float64 { return -x(s) }, nil
-	case *expr.Bin:
-		l, err := compileStateExpr(t.L, k)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileStateExpr(t.R, k)
-		if err != nil {
-			return nil, err
-		}
-		switch t.Op {
-		case '+':
-			return func(s []float64) float64 { return l(s) + r(s) }, nil
-		case '-':
-			return func(s []float64) float64 { return l(s) - r(s) }, nil
-		case '*':
-			return func(s []float64) float64 { return l(s) * r(s) }, nil
-		case '/':
-			return func(s []float64) float64 { return l(s) / r(s) }, nil
-		case '^':
-			if c, ok := t.R.(*expr.Num); ok {
-				switch c.Val {
-				case 2:
-					return func(s []float64) float64 { v := l(s); return v * v }, nil
-				case 0.5:
-					return func(s []float64) float64 { return math.Sqrt(l(s)) }, nil
-				case -1:
-					return func(s []float64) float64 { return 1 / l(s) }, nil
-				}
-			}
-			return func(s []float64) float64 { return math.Pow(l(s), r(s)) }, nil
-		}
-		return nil, fmt.Errorf("unknown operator %q", t.Op)
-	case *expr.Call:
-		args := make([]func([]float64) float64, len(t.Args))
-		for i, a := range t.Args {
-			c, err := compileStateExpr(a, k)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = c
-		}
-		switch t.Name {
-		case "sqrt":
-			a := args[0]
-			return func(s []float64) float64 { return math.Sqrt(a(s)) }, nil
-		case "cbrt":
-			a := args[0]
-			return func(s []float64) float64 { return math.Cbrt(a(s)) }, nil
-		case "ln":
-			a := args[0]
-			return func(s []float64) float64 { return math.Log(a(s)) }, nil
-		case "log":
-			b, x := args[0], args[1]
-			return func(s []float64) float64 { return math.Log(x(s)) / math.Log(b(s)) }, nil
-		case "exp":
-			a := args[0]
-			return func(s []float64) float64 { return math.Exp(a(s)) }, nil
-		case "abs":
-			a := args[0]
-			return func(s []float64) float64 { return math.Abs(a(s)) }, nil
-		case "sgn":
-			a := args[0]
-			return func(s []float64) float64 {
-				v := a(s)
-				if v > 0 {
-					return 1
-				} else if v < 0 {
-					return -1
-				}
-				return 0
-			}, nil
-		case "pow":
-			a, b := args[0], args[1]
-			return func(s []float64) float64 { return math.Pow(a(s), b(s)) }, nil
-		case "inv":
-			a := args[0]
-			return func(s []float64) float64 { return 1 / a(s) }, nil
-		}
-		return nil, fmt.Errorf("unknown function %q in terminating expression", t.Name)
+// bindStateVar resolves a T-variable s1..sk to its state-vector reader.
+func (f *Form) bindStateVar(name string) (func([]float64) float64, error) {
+	idx, err := strconv.Atoi(strings.TrimPrefix(name, "s"))
+	if !strings.HasPrefix(name, "s") || err != nil || idx < 1 || idx > len(f.States) {
+		return nil, fmt.Errorf("terminating function references %q, not a state variable s1..s%d", name, len(f.States))
 	}
-	return nil, fmt.Errorf("cannot compile %T", n)
+	i := idx - 1
+	return func(s []float64) float64 { return s[i] }, nil
 }

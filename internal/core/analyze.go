@@ -557,7 +557,7 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 	var out *exec.Result
 	var err error
 	if windowed {
-		out, err = buildWindowOutput(ctx, ps.spec, ps.tbl, ps.frames, gr.Values)
+		out, err = exec.BuildWindowOutput(ctx, ps.spec, ps.tbl, emitRows(ps.frames), gr.Values)
 	} else {
 		out, err = exec.BuildOutput(ctx, ps.stmt, ps.dpRun, gr, ps.spec)
 	}

@@ -104,8 +104,6 @@ type Options struct {
 	CacheBytes int64
 	// SymbolicL bounds the precomputed symbolic space (default 2).
 	SymbolicL int
-	// DisableViews turns off aggregate-view rewriting.
-	DisableViews bool
 	// QueryTimeout bounds every query's execution (0 = no timeout); it
 	// also applies under QueryContext, nested inside the caller's context.
 	QueryTimeout time.Duration
@@ -323,7 +321,7 @@ func NewSession(opts Options) *Session {
 	if opts.Shards > 1 {
 		s.shards = newShardRuntime(s, opts.Shards, opts.CacheBytes)
 	}
-	s.viewRewriting.Store(!opts.DisableViews)
+	s.viewRewriting.Store(true)
 	if opts.MaxConcurrentQueries > 0 {
 		s.admit = make(gate.Slots, opts.MaxConcurrentQueries)
 	}

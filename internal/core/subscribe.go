@@ -28,6 +28,7 @@ import (
 
 	"sudaf/internal/canonical"
 	"sudaf/internal/errs"
+	"sudaf/internal/exec"
 	"sudaf/internal/faultinject"
 	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
@@ -302,7 +303,7 @@ func (sub *Subscription) process(note subNote) ([]*WindowResult, error) {
 // emit builds one WindowResult from a batch of frames and its value
 // matrix.
 func (sub *Subscription) emit(note subNote, frames []frame, vals [][]float64, firstRow, lastRow int) (*WindowResult, error) {
-	out, err := buildWindowOutput(context.Background(), sub.ps.spec, note.tbl, frames, vals)
+	out, err := exec.BuildWindowOutput(context.Background(), sub.ps.spec, note.tbl, emitRows(frames), vals)
 	if err != nil {
 		return nil, err
 	}

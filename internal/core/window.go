@@ -3,13 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"sudaf/internal/cache"
 	"sudaf/internal/canonical"
-	"sudaf/internal/errs"
 	"sudaf/internal/exec"
-	"sudaf/internal/expr"
 	"sudaf/internal/faultinject"
 	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
@@ -22,15 +19,15 @@ import (
 // executePlan's assembly, cache-store and accounting tail; what differs
 // is the grouping structure (the frame replaces GROUP BY), the scan (a
 // single chronological pass — the two-stacks ⊕-fold needs rows in order,
-// not morsel-parallel) and the output builder (non-aggregate columns are
-// read at each frame's emit row). Share-mode caching keys on the
+// not morsel-parallel) and what non-aggregate select-list names mean (table
+// columns read at each frame's emit row: exec.BuildWindowOutput). Share-mode caching keys on the
 // frame-qualified fingerprint (shareFingerprint), so only queries with
 // the same frame shape exchange per-emission state vectors — and
 // Theorem 4.1 still applies: two different terminating functions over
 // the same frame share the same cached states.
 //
 // The continuous Subscribe path (subscribe.go) drives the same plan
-// state, frames, fold driver and output builder incrementally.
+// state, frames and fold driver incrementally.
 
 // frame is one emission's row range [lo, hi); hi-1 is the emit row,
 // where non-aggregate projection columns are read.
@@ -351,131 +348,12 @@ func windowTaskValues(ctx context.Context, reg *exec.TaskRegistry, tbl *storage.
 	return vals, nil
 }
 
-// buildWindowOutput assembles the output table for a sequence of
-// emissions: one row per frame. Aggregate placeholders come from the
-// value matrix through the plan's finishers; bare column references are
-// read at each frame's emit row (its last row) with their storage type
-// preserved; mixed numeric expressions evaluate over both. Numeric
-// faults follow the session policy exactly like exec.BuildOutput.
-func buildWindowOutput(ctx context.Context, out exec.OutputSpec, tbl *storage.Table, frames []frame, vals [][]float64) (*exec.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// emitRows lists each frame's emit row — its last row, where windowed
+// output reads non-aggregate columns (exec.BuildWindowOutput).
+func emitRows(frames []frame) []int {
+	rows := make([]int, len(frames))
+	for e, fr := range frames {
+		rows[e] = fr.hi - 1
 	}
-	numericFaults := 0
-	phVals := make([][]float64, len(out.Finishers))
-	phNames := make([]string, len(out.Finishers))
-	phIdx := map[string]int{}
-	for p, fin := range out.Finishers {
-		col := make([]float64, len(frames))
-		for e := range frames {
-			if e%1024 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			v := fin(vals, e)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				if out.Numeric == exec.NumericStrict {
-					label := exec.Placeholder(p)
-					if p < len(out.Labels) {
-						label = out.Labels[p]
-					}
-					return nil, fmt.Errorf("aggregate %s: %w (%v) in window %d (strict numeric policy)",
-						label, errs.ErrNumericFault, v, e)
-				}
-				numericFaults++
-			}
-			col[e] = v
-		}
-		phVals[p] = col
-		phNames[p] = exec.Placeholder(p)
-		phIdx[phNames[p]] = p
-	}
-
-	res := storage.NewTable("result")
-	for pos, item := range out.Items {
-		name := item.OutputName(pos)
-		if v, ok := item.Expr.(*expr.Var); ok {
-			// Bare placeholder: the precomputed aggregate column.
-			if p, isPh := phIdx[v.Name]; isPh {
-				col := storage.NewColumn(name, storage.KindFloat)
-				col.F = append(col.F, phVals[p]...)
-				if err := res.AddColumn(col); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			// Bare table column: typed passthrough at each emit row.
-			if src := tbl.Col(v.Name); src != nil {
-				nc := storage.NewColumn(name, src.Kind)
-				for _, fr := range frames {
-					switch src.Kind {
-					case storage.KindFloat:
-						nc.AppendFloat(src.F[fr.hi-1])
-					case storage.KindInt:
-						nc.AppendInt(src.I[fr.hi-1])
-					default:
-						nc.AppendString(src.StringAt(fr.hi - 1))
-					}
-				}
-				if err := res.AddColumn(nc); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			return nil, fmt.Errorf("select item %q: unknown column", v.Name)
-		}
-		// Mixed expression over placeholders and numeric columns read at
-		// the emit row.
-		refs := map[string]*storage.Column{}
-		var walkErr error
-		expr.Walk(item.Expr, func(nd expr.Node) bool {
-			v, ok := nd.(*expr.Var)
-			if !ok {
-				return true
-			}
-			if _, isPh := phIdx[v.Name]; isPh {
-				return true
-			}
-			if _, seen := refs[v.Name]; seen {
-				return true
-			}
-			c := tbl.Col(v.Name)
-			if c == nil {
-				walkErr = fmt.Errorf("select item %q: unknown column %q", name, v.Name)
-				return false
-			}
-			refs[v.Name] = c
-			return true
-		})
-		if walkErr != nil {
-			return nil, walkErr
-		}
-		col := storage.NewColumn(name, storage.KindFloat)
-		env := expr.MapEnv{}
-		for e, fr := range frames {
-			for p, pn := range phNames {
-				env[pn] = phVals[p][e]
-			}
-			for rn, c := range refs {
-				env[rn] = c.AsFloat(fr.hi - 1)
-			}
-			v, err := expr.Eval(item.Expr, env)
-			if err != nil {
-				return nil, fmt.Errorf("select item %q: %w", name, err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				if out.Numeric == exec.NumericStrict {
-					return nil, fmt.Errorf("select item %q: %w (%v) in window %d (strict numeric policy)",
-						name, errs.ErrNumericFault, v, e)
-				}
-				numericFaults++
-			}
-			col.AppendFloat(v)
-		}
-		if err := res.AddColumn(col); err != nil {
-			return nil, err
-		}
-	}
-	return &exec.Result{Table: res, Groups: len(frames), NumericFaults: numericFaults}, nil
+	return rows
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"sudaf/internal/expr"
 	"sudaf/internal/storage"
@@ -57,10 +56,11 @@ type VecFillerFactory func() VecFiller
 
 // CompileVecFiller compiles a scalar expression over columns into a
 // vectorized filler factory. It computes exactly the same values as
-// CompileExpr — the same '^' strength reductions, the same scalar
-// function semantics — restructured as batch loops over gathered column
-// chunks. Returns an error for expressions or bindings the vector path
-// cannot serve (the caller then stays on the scalar path).
+// CompileExpr, restructured as batch loops over gathered column chunks:
+// the four arithmetic operators are spelled as loops, every function and
+// every '^' applies the kernel expr.Compile would. Returns an error for
+// expressions or bindings the vector path cannot serve (the caller then
+// stays on the scalar path).
 func CompileVecFiller(n expr.Node, b Binder) (VecFillerFactory, error) {
 	// Trial-compile once so binding and shape errors surface now rather
 	// than per worker.
@@ -114,47 +114,15 @@ func compileVecOp(n expr.Node, b Binder) (vecOp, error) {
 		if err != nil {
 			return nil, err
 		}
-		if t.Op == '^' {
-			// Mirror CompileExpr's strength reduction so the batch and
-			// tuple paths are bit-identical on these hot exponents.
-			if c, ok := t.R.(*expr.Num); ok {
-				switch c.Val {
-				case 2:
-					return func(lo, hi int, dst []float64) {
-						l(lo, hi, dst)
-						for i := range dst[:hi-lo] {
-							v := dst[i]
-							dst[i] = v * v
-						}
-					}, nil
-				case 3:
-					return func(lo, hi int, dst []float64) {
-						l(lo, hi, dst)
-						for i := range dst[:hi-lo] {
-							v := dst[i]
-							dst[i] = v * v * v
-						}
-					}, nil
-				case -1:
-					return func(lo, hi int, dst []float64) {
-						l(lo, hi, dst)
-						for i := range dst[:hi-lo] {
-							dst[i] = 1 / dst[i]
-						}
-					}, nil
-				case 0.5:
-					return func(lo, hi int, dst []float64) {
-						l(lo, hi, dst)
-						for i := range dst[:hi-lo] {
-							dst[i] = math.Sqrt(dst[i])
-						}
-					}, nil
-				}
-			}
+		if f := t.ConstPow(); f != nil {
+			return vecUnary(l, f), nil
 		}
 		r, err := compileVecOp(t.R, b)
 		if err != nil {
 			return nil, err
+		}
+		if t.Op == '^' {
+			return vecBinary(l, r, expr.Funcs["pow"]), nil
 		}
 		tmp := make([]float64, BatchSize)
 		switch t.Op {
@@ -190,113 +158,47 @@ func compileVecOp(n expr.Node, b Binder) (vecOp, error) {
 					dst[i] /= tmp[i]
 				}
 			}, nil
-		case '^':
-			return func(lo, hi int, dst []float64) {
-				l(lo, hi, dst)
-				r(lo, hi, tmp)
-				for i := range dst[:hi-lo] {
-					dst[i] = math.Pow(dst[i], tmp[i])
-				}
-			}, nil
 		}
 		return nil, fmt.Errorf("unknown operator %q", t.Op)
 	case *expr.Call:
-		if expr.AggregateFuncs[t.Name] {
-			return nil, fmt.Errorf("aggregate %s() in scalar context", t.Name)
+		f, err := t.Scalar()
+		if err != nil {
+			return nil, err
 		}
-		args := make([]vecOp, len(t.Args))
-		for k, a := range t.Args {
-			c, err := compileVecOp(a, b)
-			if err != nil {
-				return nil, err
-			}
-			args[k] = c
+		x, err := compileVecOp(t.Args[0], b)
+		if err != nil {
+			return nil, err
 		}
-		switch t.Name {
-		case "sqrt":
-			a := args[0]
-			return func(lo, hi int, dst []float64) {
-				a(lo, hi, dst)
-				for i := range dst[:hi-lo] {
-					dst[i] = math.Sqrt(dst[i])
-				}
-			}, nil
-		case "cbrt":
-			a := args[0]
-			return func(lo, hi int, dst []float64) {
-				a(lo, hi, dst)
-				for i := range dst[:hi-lo] {
-					dst[i] = math.Cbrt(dst[i])
-				}
-			}, nil
-		case "ln":
-			a := args[0]
-			return func(lo, hi int, dst []float64) {
-				a(lo, hi, dst)
-				for i := range dst[:hi-lo] {
-					dst[i] = math.Log(dst[i])
-				}
-			}, nil
-		case "log":
-			base, x := args[0], args[1]
-			tmp := make([]float64, BatchSize)
-			return func(lo, hi int, dst []float64) {
-				base(lo, hi, dst)
-				x(lo, hi, tmp)
-				for i := range dst[:hi-lo] {
-					dst[i] = math.Log(tmp[i]) / math.Log(dst[i])
-				}
-			}, nil
-		case "exp":
-			a := args[0]
-			return func(lo, hi int, dst []float64) {
-				a(lo, hi, dst)
-				for i := range dst[:hi-lo] {
-					dst[i] = math.Exp(dst[i])
-				}
-			}, nil
-		case "abs":
-			a := args[0]
-			return func(lo, hi int, dst []float64) {
-				a(lo, hi, dst)
-				for i := range dst[:hi-lo] {
-					dst[i] = math.Abs(dst[i])
-				}
-			}, nil
-		case "sgn":
-			a := args[0]
-			return func(lo, hi int, dst []float64) {
-				a(lo, hi, dst)
-				for i := range dst[:hi-lo] {
-					if dst[i] > 0 {
-						dst[i] = 1
-					} else if dst[i] < 0 {
-						dst[i] = -1
-					} else {
-						dst[i] = 0
-					}
-				}
-			}, nil
-		case "pow":
-			a, p := args[0], args[1]
-			tmp := make([]float64, BatchSize)
-			return func(lo, hi int, dst []float64) {
-				a(lo, hi, dst)
-				p(lo, hi, tmp)
-				for i := range dst[:hi-lo] {
-					dst[i] = math.Pow(dst[i], tmp[i])
-				}
-			}, nil
-		case "inv":
-			a := args[0]
-			return func(lo, hi int, dst []float64) {
-				a(lo, hi, dst)
-				for i := range dst[:hi-lo] {
-					dst[i] = 1 / dst[i]
-				}
-			}, nil
+		if f.Arity == 1 {
+			return vecUnary(x, f), nil
 		}
-		return nil, fmt.Errorf("unknown scalar function %q", t.Name)
+		y, err := compileVecOp(t.Args[1], b)
+		if err != nil {
+			return nil, err
+		}
+		return vecBinary(x, y, f), nil
 	}
 	return nil, fmt.Errorf("cannot compile %T", n)
+}
+
+// vecUnary and vecBinary apply a kernel of the scalar language — an
+// expr.Funcs entry or an expr.ConstPow reduction — to a batch. They are
+// the only way a function or a '^' enters a vector op, so the batch path
+// runs the very arithmetic expr.Compile's closures run.
+func vecUnary(x vecOp, f *expr.Func) vecOp {
+	return func(lo, hi int, dst []float64) {
+		x(lo, hi, dst)
+		f.UnaryVec(dst[:hi-lo])
+	}
+}
+
+func vecBinary(x, y vecOp, f *expr.Func) vecOp {
+	tmp := make([]float64, BatchSize)
+	return func(lo, hi int, dst []float64) {
+		x(lo, hi, dst)
+		y(lo, hi, tmp)
+		for i, v := range dst[:hi-lo] {
+			dst[i] = f.Binary(v, tmp[i])
+		}
+	}
 }

@@ -111,6 +111,10 @@ type Result struct {
 // calls in select expressions.
 const placeholderPrefix = "__agg"
 
+// Placeholder names the synthetic variable replacing the i-th aggregate
+// call extracted by ExtractAggCalls.
+func Placeholder(i int) string { return fmt.Sprintf("%s%d", placeholderPrefix, i) }
+
 // ExtractAggCalls rewrites a select expression, replacing each aggregate
 // call (as identified by isAgg) with a placeholder variable, and returns
 // the calls in placeholder order.
@@ -127,7 +131,7 @@ func ExtractAggCalls(n expr.Node, isAgg func(name string) bool, calls *[]*expr.C
 	case *expr.Call:
 		if isAgg(t.Name) {
 			*calls = append(*calls, t)
-			return &expr.Var{Name: fmt.Sprintf("%s%d", placeholderPrefix, len(*calls)-1)}
+			return &expr.Var{Name: Placeholder(len(*calls) - 1)}
 		}
 		args := make([]expr.Node, len(t.Args))
 		for i, a := range t.Args {
@@ -177,20 +181,14 @@ func (out *OutputSpec) label(p int) string {
 	if p < len(out.Labels) {
 		return out.Labels[p]
 	}
-	return fmt.Sprintf("%s%d", placeholderPrefix, p)
+	return Placeholder(p)
 }
 
-// BuildOutput materializes the final result table: group-by key columns,
-// select expressions evaluated per group over placeholder values, then
-// ORDER BY and LIMIT. Finisher loops poll ctx (terminating functions such
-// as the moment-sketch solver can dominate runtime), and NaN/±Inf outputs
-// are handled per the spec's NumericPolicy.
+// BuildOutput materializes the final result table of a grouped query:
+// the select list projected over the groups (non-placeholder names are
+// group-by key columns), then ORDER BY and LIMIT.
 func BuildOutput(ctx context.Context, stmt *sqlparse.Stmt, dp *DataPlan, gr *GroupResult, out OutputSpec) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	totalGroups := gr.NumGroups
-	numericFaults := 0
 	// When ORDER BY touches only group-key columns and a LIMIT is set,
 	// select the surviving groups *before* evaluating finishers — this is
 	// what lets expensive terminating functions (e.g. the moment-sketch
@@ -198,100 +196,110 @@ func BuildOutput(ctx context.Context, stmt *sqlparse.Stmt, dp *DataPlan, gr *Gro
 	if reduced, ok := limitByKeys(stmt, gr); ok {
 		gr = reduced
 	}
-	// Pre-compute placeholder value columns and their names once.
-	phVals := make([][]float64, len(out.Finishers))
-	phNames := make([]string, len(out.Finishers))
+	res, faults, err := project(ctx, out, gr.Values, gr.NumGroups, func(name string) *storage.Column {
+		for k, kn := range gr.KeyNames {
+			if kn == name {
+				return gr.KeyColumns[k]
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := sortLimit(res, stmt); err != nil {
+		return nil, err
+	}
+	return &Result{Table: res, Rows: gr.Rows, Groups: totalGroups, NumericFaults: faults}, nil
+}
+
+// project is the one select-list projection, shared by grouped queries
+// (BuildOutput) and windowed emissions (BuildWindowOutput): n output rows,
+// placeholder i valued by out.Finishers[i] over vals, and every other
+// name resolved by bind to a column holding one value per output row (nil
+// if unknown). A bare reference passes its column through with its
+// storage type (required for strings); a bare placeholder is its finisher
+// column; anything else is compiled once through expr.Compile and
+// evaluated per row. Finisher loops poll ctx (terminating functions such
+// as the moment-sketch solver can dominate runtime), and NaN/±Inf outputs
+// are counted or rejected per out.Numeric.
+func project(ctx context.Context, out OutputSpec, vals [][]float64, n int, bind func(name string) *storage.Column) (*storage.Table, int, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	faults := 0
+	// rejected applies the numeric policy to one output value: a NaN/±Inf
+	// is counted under the permissive policy and rejected under strict.
+	rejected := func(v float64) bool {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			return false
+		}
+		if out.Numeric == NumericStrict {
+			return true
+		}
+		faults++
+		return false
+	}
+	strictErr := func(what string, v float64, row int) error {
+		return fmt.Errorf("%s: %w (%v) in output row %d (strict numeric policy)", what, errs.ErrNumericFault, v, row)
+	}
+	placeholders := make(map[string][]float64, len(out.Finishers))
 	for p, fin := range out.Finishers {
-		col := make([]float64, gr.NumGroups)
-		for g := 0; g < gr.NumGroups; g++ {
+		col := make([]float64, n)
+		for g := range col {
 			if g%1024 == 0 {
 				if err := ctx.Err(); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			}
-			v := fin(gr.Values, g)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				if out.Numeric == NumericStrict {
-					return nil, fmt.Errorf("aggregate %s: %w (%v) in group %d (strict numeric policy)",
-						out.label(p), errs.ErrNumericFault, v, g)
-				}
-				numericFaults++
+			col[g] = fin(vals, g)
+			if rejected(col[g]) {
+				return nil, 0, strictErr("aggregate "+out.label(p), col[g], g)
 			}
-			col[g] = v
 		}
-		phVals[p] = col
-		phNames[p] = fmt.Sprintf("%s%d", placeholderPrefix, p)
+		placeholders[Placeholder(p)] = col
 	}
-	// Group-key columns by name for direct reference.
-	keyCols := map[string]*storage.Column{}
-	keyIdx := map[string]int{}
-	for k, name := range gr.KeyNames {
-		keyCols[name] = gr.KeyColumns[k]
-		keyIdx[name] = k
+	bindRow := func(name string) (Accessor, error) {
+		if col, ok := placeholders[name]; ok {
+			return func(i int32) float64 { return col[i] }, nil
+		}
+		if c := bind(name); c != nil {
+			return func(i int32) float64 { return c.AsFloat(int(i)) }, nil
+		}
+		return nil, fmt.Errorf("unknown column %q", name)
 	}
 
 	res := storage.NewTable("result")
 	for pos, item := range out.Items {
 		name := item.OutputName(pos)
-		// Direct group-column reference (required for string columns).
+		var col *storage.Column
 		if v, ok := item.Expr.(*expr.Var); ok {
-			if kc, ok := keyCols[v.Name]; ok {
-				if err := res.AddColumn(kc.Renamed(name)); err != nil {
-					return nil, err
-				}
-				continue
+			if ph, ok := placeholders[v.Name]; ok {
+				col = storage.NewColumn(name, storage.KindFloat)
+				col.F = append(col.F, ph...)
+			} else if c := bind(v.Name); c != nil {
+				col = c.Renamed(name)
 			}
 		}
-		// Fast path: the item is a bare placeholder (one aggregate call).
-		if v, ok := item.Expr.(*expr.Var); ok {
-			matched := false
-			for p, pn := range phNames {
-				if v.Name == pn {
-					col := storage.NewColumn(name, storage.KindFloat)
-					col.F = append(col.F, phVals[p]...)
-					if err := res.AddColumn(col); err != nil {
-						return nil, err
-					}
-					matched = true
-					break
-				}
-			}
-			if matched {
-				continue
-			}
-		}
-		// Numeric expression over placeholders and numeric group keys:
-		// reuse one environment map across groups.
-		col := storage.NewColumn(name, storage.KindFloat)
-		env := expr.MapEnv{}
-		for g := 0; g < gr.NumGroups; g++ {
-			for p, pn := range phNames {
-				env[pn] = phVals[p][g]
-			}
-			for kname, k := range keyIdx {
-				env[kname] = float64(gr.Keys[g][k])
-			}
-			v, err := expr.Eval(item.Expr, env)
+		if col == nil {
+			acc, err := CompileExpr(item.Expr, bindRow)
 			if err != nil {
-				return nil, fmt.Errorf("select item %q: %w", name, err)
+				return nil, 0, fmt.Errorf("select item %q: %w", name, err)
 			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				if out.Numeric == NumericStrict {
-					return nil, fmt.Errorf("select item %q: %w (%v) in group %d (strict numeric policy)",
-						name, errs.ErrNumericFault, v, g)
+			col = storage.NewColumn(name, storage.KindFloat)
+			col.F = make([]float64, n)
+			for g := range col.F {
+				col.F[g] = acc(int32(g))
+				if rejected(col.F[g]) {
+					return nil, 0, strictErr(fmt.Sprintf("select item %q", name), col.F[g], g)
 				}
-				numericFaults++
 			}
-			col.AppendFloat(v)
 		}
 		if err := res.AddColumn(col); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	if err := sortLimit(res, stmt); err != nil {
-		return nil, err
-	}
-	return &Result{Table: res, Rows: gr.Rows, Groups: totalGroups, NumericFaults: numericFaults}, nil
+	return res, faults, nil
 }
 
 // sortCol is one ORDER BY term resolved to a column.

@@ -2,8 +2,12 @@ package exec
 
 import (
 	"context"
+	"errors"
+	"math"
+	"strings"
 	"testing"
 
+	"sudaf/internal/errs"
 	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
 )
@@ -153,5 +157,103 @@ func TestTaskRegistryDedup(t *testing.T) {
 	}
 	if reg.Keys()[0] != "k1" || reg.Keys()[1] != "k2" {
 		t.Fatalf("keys: %v", reg.Keys())
+	}
+}
+
+// TestProjectionSharedByGroupedAndWindowed runs one select list — a bare
+// string name, a bare numeric name, a bare aggregate and agg/agg + name —
+// through both callers of the shared projection: grouped (names are group
+// keys) and windowed (names are table columns read at each emit row).
+// Fed the same values they must build the same table, count the same
+// numeric faults under the permissive policy, and reject the same output
+// row under the strict one.
+func TestProjectionSharedByGroupedAndWindowed(t *testing.T) {
+	stmt, err := sqlparse.Parse("SELECT region, k, __agg0 total, __agg0/__agg1 + k ratio FROM t GROUP BY region, k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := [][]float64{{10, 20, 30, 40}, {4, 0, 5, 8}} // 20/0: +Inf in output row 1
+	spec := func(pol NumericPolicy) OutputSpec {
+		return OutputSpec{
+			Items: stmt.Select,
+			Finishers: []Finisher{
+				func(v [][]float64, g int) float64 { return v[0][g] },
+				func(v [][]float64, g int) float64 { return v[1][g] },
+			},
+			Labels:  []string{"sum(x)", "count()"},
+			Numeric: pol,
+		}
+	}
+	regions, ks := []string{"north", "south", "north", "east"}, []int64{7, -3, 11, 2}
+
+	// Grouped: one group per output row, keyed by (region, k).
+	region, k := storage.NewColumn("region", storage.KindString), storage.NewColumn("k", storage.KindInt)
+	gr := &GroupResult{NumGroups: 4, KeyNames: []string{"region", "k"}, KeyColumns: []*storage.Column{region, k}, Values: vals}
+	for g := range ks {
+		region.AppendString(regions[g])
+		k.AppendInt(ks[g])
+		gr.Keys = append(gr.Keys, GroupKey{int64(region.Codes[g]), ks[g]})
+	}
+	// Windowed: the same names as table columns, emit rows 1, 3, 5, 7 of
+	// an 8-row table whose other rows hold values that must not show.
+	tblRegion, tblK := storage.NewColumn("region", storage.KindString), storage.NewColumn("k", storage.KindInt)
+	var emit []int
+	for g := range ks {
+		tblRegion.AppendString("nowhere")
+		tblK.AppendInt(-999)
+		tblRegion.AppendString(regions[g])
+		tblK.AppendInt(ks[g])
+		emit = append(emit, 2*g+1)
+	}
+	tbl := storage.NewTable("t", tblRegion, tblK)
+
+	for _, pol := range []NumericPolicy{NumericPermissive, NumericStrict} {
+		grouped, gerr := BuildOutput(context.Background(), stmt, nil, gr, spec(pol))
+		windowed, werr := BuildWindowOutput(context.Background(), spec(pol), tbl, emit, vals)
+		if pol == NumericStrict {
+			for _, err := range []error{gerr, werr} {
+				if !errors.Is(err, errs.ErrNumericFault) || !strings.Contains(err.Error(), `"ratio"`) || !strings.Contains(err.Error(), "row 1") {
+					t.Errorf("strict: got %v, want a numeric fault naming item ratio and output row 1", err)
+				}
+			}
+			continue
+		}
+		if gerr != nil || werr != nil {
+			t.Fatalf("permissive: grouped %v, windowed %v", gerr, werr)
+		}
+		if grouped.NumericFaults != 1 || windowed.NumericFaults != 1 {
+			t.Errorf("numeric faults: grouped %d, windowed %d, want 1 each", grouped.NumericFaults, windowed.NumericFaults)
+		}
+		var gcsv, wcsv strings.Builder
+		if err := grouped.Table.WriteCSV(&gcsv); err != nil {
+			t.Fatal(err)
+		}
+		if err := windowed.Table.WriteCSV(&wcsv); err != nil {
+			t.Fatal(err)
+		}
+		if gcsv.String() != wcsv.String() {
+			t.Errorf("grouped and windowed output differ:\n%s---\n%s", gcsv.String(), wcsv.String())
+		}
+		want := []float64{10.0/4 + 7, math.Inf(1), 30.0/5 + 11, 40.0/8 + 2}
+		for g, w := range want {
+			if got := grouped.Table.Col("ratio").F[g]; got != w {
+				t.Errorf("ratio[%d] = %v, want %v", g, got, w)
+			}
+		}
+		if c := grouped.Table.Col("region"); c.Kind != storage.KindString || c.StringAt(3) != "east" {
+			t.Errorf("bare string key did not pass through typed: %v", c)
+		}
+		if got := grouped.Table.Col("total").F; len(got) != 4 || got[2] != 30 {
+			t.Errorf("bare aggregate column = %v", got)
+		}
+	}
+
+	// A name neither caller can resolve is a compile-time error, not a
+	// per-row one — it is reported even when there are no output rows.
+	bad, _ := sqlparse.Parse("SELECT __agg0 + nope FROM t")
+	sp := spec(NumericPermissive)
+	sp.Items = bad.Select
+	if _, err := BuildWindowOutput(context.Background(), sp, tbl, nil, vals); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("unknown name: got %v", err)
 	}
 }

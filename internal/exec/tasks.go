@@ -40,22 +40,30 @@ type StateTask struct {
 func NewStateTask(st canonical.State, b Binder) (*StateTask, error) {
 	t := &StateTask{State: st, Lbl: st.Key()}
 	if st.Op != canonical.OpCount {
-		in, err := CompileExpr(st.Base, b.Bind)
-		if err != nil {
-			return nil, fmt.Errorf("state %s: %w", st.Key(), err)
-		}
-		t.in = in
-		chain := st.F.NormalizeReal()
-		if !chain.IsIdentity() {
-			fn, err := chain.Compile()
-			if err != nil {
-				return nil, fmt.Errorf("state %s: %w", st.Key(), err)
-			}
-			t.fn = fn
+		var err error
+		if t.in, t.fn, err = compileStateInput(st, b); err != nil {
+			return nil, err
 		}
 	}
 	t.compileKernel(b)
 	return t, nil
+}
+
+// compileStateInput compiles the per-tuple input of a non-count state:
+// the base expression as a row accessor and the real-normalized scalar
+// chain as a closure (nil for the identity). State tasks and window
+// valuers both take their input from here, so a window fold sees the
+// values the scan kernels accumulate.
+func compileStateInput(st canonical.State, b Binder) (in Accessor, fn func(float64) float64, err error) {
+	if in, err = CompileExpr(st.Base, b.Bind); err != nil {
+		return nil, nil, fmt.Errorf("state %s: %w", st.Key(), err)
+	}
+	if chain := st.F.NormalizeReal(); !chain.IsIdentity() {
+		if fn, err = chain.Compile(); err != nil {
+			return nil, nil, fmt.Errorf("state %s: %w", st.Key(), err)
+		}
+	}
+	return in, fn, nil
 }
 
 // compileKernel resolves the vectorized plan. Failures here are never
@@ -216,8 +224,8 @@ func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, gids []in
 				}
 			}
 		default:
-			// k = 4 stays math.Pow to match Chain.Compile / CompileExpr
-			// bit for bit (x*x*x*x rounds differently).
+			// k = 4 has no expr.ConstPow reduction, so the scalar path
+			// computes Pow(v, 4); x*x*x*x rounds differently.
 			k := float64(t.plan.Pow)
 			if t.fused {
 				f, rows := t.col.F, t.rows

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"fmt"
+	"context"
 
 	"sudaf/internal/canonical"
 	"sudaf/internal/storage"
@@ -17,33 +17,37 @@ func NewTableBinder(t *storage.Table) Binder {
 }
 
 // StateValuer compiles a bound state's per-tuple translated value
-// F(base(row)) exactly the way NewStateTask compiles its accumulation
-// input — the same CompileExpr for the base, the same
-// NormalizeReal().Compile() for the chain — so a window fold over these
-// values is bit-compatible with the state task's scalar and vectorized
-// kernels. count() states yield the constant 1.
+// F(base(row)) from the same compileStateInput as NewStateTask, so a
+// window fold over these values is bit-compatible with the state task's
+// scalar and vectorized kernels. count() states yield the constant 1.
 func StateValuer(st canonical.State, b Binder) (Accessor, error) {
 	if st.Op == canonical.OpCount {
 		return func(int32) float64 { return 1 }, nil
 	}
-	in, err := CompileExpr(st.Base, b.Bind)
-	if err != nil {
-		return nil, fmt.Errorf("state %s: %w", st.Key(), err)
-	}
-	chain := st.F.NormalizeReal()
-	if chain.IsIdentity() {
-		return in, nil
-	}
-	fn, err := chain.Compile()
-	if err != nil {
-		return nil, fmt.Errorf("state %s: %w", st.Key(), err)
+	in, fn, err := compileStateInput(st, b)
+	if err != nil || fn == nil {
+		return in, err
 	}
 	return func(i int32) float64 { return fn(in(i)) }, nil
 }
 
-// Placeholder names the synthetic variable replacing the i-th aggregate
-// call extracted by ExtractAggCalls (the windowed output builder in
-// internal/core evaluates select expressions over these).
-func Placeholder(i int) string {
-	return fmt.Sprintf("%s%d", placeholderPrefix, i)
+// BuildWindowOutput materializes the output table of a sequence of
+// windowed emissions, one row per emission: the select list projected
+// with non-placeholder names read from tbl at each emission's emit row.
+func BuildWindowOutput(ctx context.Context, out OutputSpec, tbl *storage.Table, emitRows []int, vals [][]float64) (*Result, error) {
+	gathered := map[string]*storage.Column{} // project binds once per reference
+	res, faults, err := project(ctx, out, vals, len(emitRows), func(name string) *storage.Column {
+		c, ok := gathered[name]
+		if !ok {
+			if src := tbl.Col(name); src != nil {
+				c = takeRows(src, emitRows)
+			}
+			gathered[name] = c
+		}
+		return c
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Table: res, Groups: len(emitRows), NumericFaults: faults}, nil
 }

@@ -3,10 +3,13 @@
 //
 // An expression is built from numbers, variables (column references or
 // formal parameters such as x and y), the binary operators + - * / ^,
-// scalar functions (sqrt, ln, log, exp, abs, sgn, pow) and aggregate
-// functions (sum, prod, count, avg, min, max). The package provides a
-// lexer, a recursive-descent parser, an algebraic simplifier that brings
-// expressions into a canonical sum-of-products form, and an evaluator.
+// scalar functions (the Funcs table: sqrt, ln, log, exp, abs, sgn, pow,
+// ...) and aggregate functions (sum, prod, count, avg, min, max). The
+// package provides a lexer, a recursive-descent parser, an algebraic
+// simplifier that brings expressions into a canonical sum-of-products
+// form, and the one definition of the scalar language's semantics: the
+// function table, the constant-exponent reduction, the interpreter Eval
+// and the closure compiler Compile that every executor path instantiates.
 //
 // The simplifier is what lets the canonicalizer (internal/canonical)
 // recognize that sum(x*x) and sum(x^2) denote the same aggregation state.
@@ -90,19 +93,6 @@ var AggregateFuncs = map[string]bool{
 	"avg":   true,
 	"min":   true,
 	"max":   true,
-}
-
-// ScalarFuncs maps recognized scalar function names to their arity.
-var ScalarFuncs = map[string]int{
-	"sqrt": 1,
-	"cbrt": 1,
-	"ln":   1,
-	"log":  2, // log(base, x)
-	"exp":  1,
-	"abs":  1,
-	"sgn":  1,
-	"pow":  2,
-	"inv":  1, // inv(x) = 1/x, convenience
 }
 
 // IsAggregate reports whether the node is an aggregate function call.

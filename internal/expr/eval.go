@@ -20,7 +20,10 @@ func (m MapEnv) Value(name string) (float64, bool) {
 	return v, ok
 }
 
-// Eval evaluates a scalar expression (no aggregate calls) in env.
+// Eval evaluates a scalar expression (no aggregate calls) in env by
+// walking the tree: the interpreted reference that Compile's closures
+// must agree with bit for bit. Both take every function kernel from Funcs
+// and every constant-exponent '^' from ConstPow.
 // Domain errors (log of a non-positive number, division by zero) surface
 // as NaN or ±Inf, matching SQL engines' floating-point behaviour; callers
 // that need errors should check math.IsNaN/IsInf on the result.
@@ -42,6 +45,9 @@ func Eval(n Node, env Env) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
+		if f := t.ConstPow(); f != nil {
+			return f.Unary(l), nil
+		}
 		r, err := Eval(t.R, env)
 		if err != nil {
 			return 0, err
@@ -60,47 +66,90 @@ func Eval(n Node, env Env) (float64, error) {
 		}
 		return 0, fmt.Errorf("unknown operator %q", t.Op)
 	case *Call:
-		if AggregateFuncs[t.Name] {
-			return 0, fmt.Errorf("aggregate %s() cannot be evaluated as a scalar", t.Name)
+		f, err := t.Scalar()
+		if err != nil {
+			return 0, err
 		}
-		args := make([]float64, len(t.Args))
-		for i, a := range t.Args {
-			v, err := Eval(a, env)
-			if err != nil {
-				return 0, err
-			}
-			args[i] = v
+		a, err := Eval(t.Args[0], env)
+		if err != nil {
+			return 0, err
 		}
-		return evalScalarFunc(t.Name, args)
+		if f.Arity == 1 {
+			return f.Unary(a), nil
+		}
+		b, err := Eval(t.Args[1], env)
+		if err != nil {
+			return 0, err
+		}
+		return f.Binary(a, b), nil
 	}
 	return 0, fmt.Errorf("cannot evaluate %T", n)
 }
 
-func evalScalarFunc(name string, args []float64) (float64, error) {
-	switch name {
-	case "sqrt":
-		return math.Sqrt(args[0]), nil
-	case "cbrt":
-		return math.Cbrt(args[0]), nil
-	case "ln":
-		return math.Log(args[0]), nil
-	case "log":
-		return math.Log(args[1]) / math.Log(args[0]), nil
-	case "exp":
-		return math.Exp(args[0]), nil
-	case "abs":
-		return math.Abs(args[0]), nil
-	case "sgn":
-		if args[0] > 0 {
-			return 1, nil
-		} else if args[0] < 0 {
-			return -1, nil
+// Compile compiles a scalar expression into a closure over an environment
+// of type E, computing exactly what Eval computes. bind resolves a
+// variable name to its reader; everything else — operators, Funcs
+// kernels, the ConstPow reduction — is fixed here, so the row accessors
+// (E = int32), the state-vector terminating functions (E = []float64) and
+// the select-list projection are all instantiations of this one function.
+// Compilation happens once per query; evaluation is closure calls only —
+// no maps, no boxing.
+func Compile[E any](n Node, bind func(name string) (func(E) float64, error)) (func(E) float64, error) {
+	switch t := n.(type) {
+	case *Num:
+		v := t.Val
+		return func(E) float64 { return v }, nil
+	case *Var:
+		return bind(t.Name)
+	case *Neg:
+		x, err := Compile(t.X, bind)
+		if err != nil {
+			return nil, err
 		}
-		return 0, nil
-	case "pow":
-		return math.Pow(args[0], args[1]), nil
-	case "inv":
-		return 1 / args[0], nil
+		return func(e E) float64 { return -x(e) }, nil
+	case *Bin:
+		l, err := Compile(t.L, bind)
+		if err != nil {
+			return nil, err
+		}
+		if f := t.ConstPow(); f != nil {
+			return compose(f, l), nil
+		}
+		r, err := Compile(t.R, bind)
+		if err != nil {
+			return nil, err
+		}
+		switch t.Op {
+		case '+':
+			return func(e E) float64 { return l(e) + r(e) }, nil
+		case '-':
+			return func(e E) float64 { return l(e) - r(e) }, nil
+		case '*':
+			return func(e E) float64 { return l(e) * r(e) }, nil
+		case '/':
+			return func(e E) float64 { return l(e) / r(e) }, nil
+		case '^':
+			return func(e E) float64 { return math.Pow(l(e), r(e)) }, nil
+		}
+		return nil, fmt.Errorf("unknown operator %q", t.Op)
+	case *Call:
+		f, err := t.Scalar()
+		if err != nil {
+			return nil, err
+		}
+		a, err := Compile(t.Args[0], bind)
+		if err != nil {
+			return nil, err
+		}
+		if f.Arity == 1 {
+			return compose(f, a), nil
+		}
+		b, err := Compile(t.Args[1], bind)
+		if err != nil {
+			return nil, err
+		}
+		g := f.Binary
+		return func(e E) float64 { return g(a(e), b(e)) }, nil
 	}
-	return 0, fmt.Errorf("unknown scalar function %q", name)
+	return nil, fmt.Errorf("cannot compile %T", n)
 }

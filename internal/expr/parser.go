@@ -311,9 +311,9 @@ func (p *parser) checkCall(name string, args []Node, pos int) (Node, error) {
 		}
 		return &Call{Name: name, Args: args}, nil
 	}
-	if arity, ok := ScalarFuncs[name]; ok {
-		if len(args) != arity {
-			return nil, fmt.Errorf("function %s takes %d argument(s), got %d (offset %d)", name, arity, len(args), pos)
+	if f, ok := Funcs[name]; ok {
+		if len(args) != f.Arity {
+			return nil, fmt.Errorf("function %s takes %d argument(s), got %d (offset %d)", name, f.Arity, len(args), pos)
 		}
 		return &Call{Name: name, Args: args}, nil
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"sudaf/internal/expr"
 )
 
 // Kind enumerates the primitive scalar function families of Table 2.
@@ -273,18 +275,12 @@ func (c Chain) Compile() (func(float64) float64, error) {
 			v := a
 			fns = append(fns, func(x float64) float64 { return v * x })
 		case KPower:
-			switch a {
-			case 1:
+			if a == 1 {
 				continue
-			case 2:
-				fns = append(fns, func(x float64) float64 { return x * x })
-			case 3:
-				fns = append(fns, func(x float64) float64 { return x * x * x })
-			case -1:
-				fns = append(fns, func(x float64) float64 { return 1 / x })
-			case 0.5:
-				fns = append(fns, math.Sqrt)
-			default:
+			}
+			if f := expr.ConstPow(a); f != nil {
+				fns = append(fns, f.Unary)
+			} else {
 				v := a
 				fns = append(fns, func(x float64) float64 { return math.Pow(x, v) })
 			}

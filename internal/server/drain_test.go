@@ -3,6 +3,8 @@ package server_test
 import (
 	"context"
 	"errors"
+	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -163,5 +165,37 @@ func TestDrainRejectsTyped(t *testing.T) {
 	}
 	if _, err := eng.Query(testQuery, core.ModeShare); err != nil {
 		t.Fatalf("engine query after server shutdown: %v", err)
+	}
+}
+
+// TestDrainIgnoresSilentConnection: a connection that was accepted but
+// never sent a byte (a client pool's spare connection, a port probe)
+// must not hold a drain up. net/http's Shutdown waits up to 5 s for one;
+// the server closes them itself once the admitted requests have finished.
+func TestDrainIgnoresSilentConnection(t *testing.T) {
+	eng := newEngine(t, 500, core.Options{})
+	srv := startServer(t, server.Config{Session: eng, MetricsLabel: "drain-silent"})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A served request on another connection proves the listener has
+	// accepted the silent one too (accepts are in order).
+	c := client.New(srv.Addr(), client.Options{})
+	if _, err := c.Query(context.Background(), testQuery, "share"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("drain with one silent connection took %s, want < 1s", d)
+	}
+	// The server closed the silent connection: the read ends at once.
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("silent connection still open after drain (read: %v)", err)
 	}
 }

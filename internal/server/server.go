@@ -35,6 +35,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -91,6 +92,9 @@ type Server struct {
 	gate  *gate.Gate
 	slots gate.Slots
 	queue gate.Queue
+	// unused holds the connections no request has been read from yet;
+	// Shutdown closes them instead of waiting 5 s for each.
+	unused unusedConns
 
 	// Metrics counters (reader-backed; see metrics.go).
 	queryReqs       atomic.Int64
@@ -146,8 +150,54 @@ func New(cfg Config) (*Server, error) {
 	for _, rt := range s.routes() {
 		mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) { s.serve(&rt, w, r) })
 	}
-	s.httpSrv = &http.Server{Handler: mux}
+	s.httpSrv = &http.Server{Handler: mux, ConnState: s.unused.track}
 	return s, nil
+}
+
+// unusedConns tracks the connections in http.StateNew — accepted, first
+// request header not yet read: a client pool's spare connection, a port
+// probe, or a request the server has not got round to reading. During a
+// drain http.Server.Shutdown counts one as busy until it is 5 s old,
+// which made a forced drain take either milliseconds or ~5.8 s. Once the
+// admitted requests have finished, Shutdown closes them instead. No
+// request has been taken from one, so closing it cannot tear an answered
+// request or a response; its client sees what a dial to the closed
+// listener sees.
+type unusedConns struct {
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	closing bool // closeAll has run: close whatever is still accepted
+}
+
+// track is the http.Server ConnState hook.
+func (u *unusedConns) track(c net.Conn, st http.ConnState) {
+	if st == http.StateIdle || st == http.StateHijacked {
+		return // follow StateActive, never StateNew
+	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(u.conns, c)
+	case u.closing:
+		c.Close()
+	default:
+		if u.conns == nil {
+			u.conns = map[net.Conn]struct{}{}
+		}
+		u.conns[c] = struct{}{}
+	}
+}
+
+// closeAll closes every unused connection, present and future.
+func (u *unusedConns) closeAll() {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.closing = true
+	for c := range u.conns {
+		c.Close()
+	}
+	u.conns = nil
 }
 
 // Start listens on addr (use "127.0.0.1:0" to pick a free port — the
@@ -184,12 +234,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	s.gate.Drain()
+	// Our own request tracking covers handlers even if their connection
+	// was hijacked or torn. Once every admitted request has finished, the
+	// connections no request was read from go (see unusedConns); those
+	// mid-request or mid-response are left to http.Shutdown.
+	drained := make(chan error, 1)
+	go func() {
+		err := s.gate.Wait(ctx)
+		if err == nil {
+			s.unused.closeAll()
+		}
+		drained <- err
+	}()
 	// Stop the listener and wait for connections; http.Shutdown returns
 	// early with ctx's error if the drain outlives it.
 	httpErr := s.httpSrv.Shutdown(ctx)
-	// Belt and braces: also wait on our own request tracking, which
-	// covers handlers even if their connection was hijacked or torn.
-	if err := s.gate.Wait(ctx); err != nil {
+	if err := <-drained; err != nil {
 		return fmt.Errorf("server shutdown: drain incomplete: %w", err)
 	}
 	if httpErr != nil {
