@@ -20,41 +20,15 @@ import (
 	"testing"
 
 	"sudaf"
+	"sudaf/internal/bench"
 	"sudaf/internal/data"
 )
 
-const (
-	benchQ1 = `SELECT ss_item_sk, d_year, avg(ss_list_price),
-		avg(ss_sales_price), theta1(ss_list_price, ss_sales_price)
-	FROM store_sales, store, date_dim
-	WHERE ss_sold_date_sk = d_date_sk and ss_store_sk = s_store_sk
-		and s_state = 'TN'
-	GROUP BY ss_item_sk, d_year`
-
-	benchQ1CovVar = `SELECT ss_item_sk, d_year, avg(ss_list_price),
-		avg(ss_sales_price),
-		covar_pop(ss_list_price, ss_sales_price)/var_pop(ss_list_price)
-	FROM store_sales, store, date_dim
-	WHERE ss_sold_date_sk = d_date_sk and ss_store_sk = s_store_sk
-		and s_state = 'TN'
-	GROUP BY ss_item_sk, d_year`
-
-	benchQ2 = `SELECT ss_item_sk, d_year, qm(ss_list_price), stddev(ss_list_price)
-	FROM store_sales, store, date_dim
-	WHERE ss_sold_date_sk = d_date_sk and ss_store_sk = s_store_sk
-		and s_state = 'TN'
-	GROUP BY ss_item_sk, d_year`
-
-	benchQ3 = `SELECT d_year, qm(ss_list_price), stddev(ss_list_price)
-	FROM store_sales, store, date_dim, item
-	WHERE ss_sold_date_sk = d_date_sk and ss_item_sk = i_item_sk
-		and ss_store_sk = s_store_sk and i_category = 'Sports'
-		and s_state = 'TN' and d_year >= 2000
-	GROUP BY d_year`
-
-	benchQM1 = `SELECT qm(internet_traffic) FROM milan_data`
-	benchQM2 = `SELECT square_id, qm(internet_traffic) FROM milan_data
-		GROUP BY square_id ORDER BY square_id LIMIT 20`
+// The statements are the paper-figure harness's (internal/bench): one
+// definition of Q1/Q2/Q3 and the query models.
+var (
+	benchQM1 = bench.QueryModel(1, "qm")
+	benchQM2 = bench.QueryModel(2, "qm")
 )
 
 var (
@@ -102,69 +76,67 @@ func benchQuery(b *testing.B, eng *sudaf.Engine, sql string, mode sudaf.Mode) {
 // ---- Figure 1 (serial / "PostgreSQL") ----
 
 func BenchmarkFig1a_Q1_BaselineUDAF(b *testing.B) {
-	benchQuery(b, benchEngine(b, false), benchQ1, sudaf.Baseline)
+	benchQuery(b, benchEngine(b, false), bench.PaperQ1, sudaf.Baseline)
 }
 
 func BenchmarkFig1a_Q1_CovVar(b *testing.B) {
-	benchQuery(b, benchEngine(b, false), benchQ1CovVar, sudaf.Baseline)
+	benchQuery(b, benchEngine(b, false), bench.PaperQ1CovVar, sudaf.Baseline)
 }
 
 func BenchmarkFig1a_Q1_SUDAF(b *testing.B) {
-	benchQuery(b, benchEngine(b, false), benchQ1, sudaf.Rewrite)
+	benchQuery(b, benchEngine(b, false), bench.PaperQ1, sudaf.Rewrite)
 }
 
 func BenchmarkFig1b_Q2_BaselineUDAF(b *testing.B) {
-	benchQuery(b, benchEngine(b, false), benchQ2, sudaf.Baseline)
+	benchQuery(b, benchEngine(b, false), bench.PaperQ2, sudaf.Baseline)
 }
 
 func BenchmarkFig1b_Q2_SUDAFNoShare(b *testing.B) {
-	benchQuery(b, benchEngine(b, false), benchQ2, sudaf.Rewrite)
+	benchQuery(b, benchEngine(b, false), bench.PaperQ2, sudaf.Rewrite)
 }
 
 func BenchmarkFig1b_Q2_SUDAFShareAfterQ1(b *testing.B) {
 	eng := benchEngine(b, false)
 	eng.ClearCache()
-	if _, err := eng.Query(benchQ1, sudaf.Share); err != nil {
+	if _, err := eng.Query(bench.PaperQ1, sudaf.Share); err != nil {
 		b.Fatal(err)
 	}
-	benchQuery(b, eng, benchQ2, sudaf.Share)
+	benchQuery(b, eng, bench.PaperQ2, sudaf.Share)
 }
 
 func BenchmarkFig1c_Q3_Direct(b *testing.B) {
-	eng := benchEngine(b, false)
-	eng.EnableViews(false)
-	defer eng.EnableViews(true)
-	benchQuery(b, eng, benchQ3, sudaf.Rewrite)
+	// No view is materialized (the roll-up benchmark drops its own), so
+	// Q3 runs against base data.
+	benchQuery(b, benchEngine(b, false), bench.PaperQ3, sudaf.Rewrite)
 }
 
 func BenchmarkFig1c_RQ3_ViewRollup(b *testing.B) {
 	eng := benchEngine(b, false)
-	if err := eng.Materialize("v1_bench", benchQ1); err != nil {
+	if err := eng.Materialize("v1_bench", bench.PaperV1); err != nil {
 		b.Fatal(err)
 	}
 	defer eng.DropView("v1_bench")
 	eng.ClearCache()
-	eng.EnableViews(true)
-	benchQuery(b, eng, benchQ3, sudaf.Rewrite)
+	benchQuery(b, eng, bench.PaperQ3, sudaf.Rewrite)
 }
 
 // ---- Figure 2 (parallel / "Spark") ----
 
 func BenchmarkFig2a_Q1_BaselineUDAF(b *testing.B) {
-	benchQuery(b, benchEngine(b, true), benchQ1, sudaf.Baseline)
+	benchQuery(b, benchEngine(b, true), bench.PaperQ1, sudaf.Baseline)
 }
 
 func BenchmarkFig2a_Q1_SUDAF(b *testing.B) {
-	benchQuery(b, benchEngine(b, true), benchQ1, sudaf.Rewrite)
+	benchQuery(b, benchEngine(b, true), bench.PaperQ1, sudaf.Rewrite)
 }
 
 func BenchmarkFig2b_Q2_SUDAFShareAfterQ1(b *testing.B) {
 	eng := benchEngine(b, true)
 	eng.ClearCache()
-	if _, err := eng.Query(benchQ1, sudaf.Share); err != nil {
+	if _, err := eng.Query(bench.PaperQ1, sudaf.Share); err != nil {
 		b.Fatal(err)
 	}
-	benchQuery(b, eng, benchQ2, sudaf.Share)
+	benchQuery(b, eng, bench.PaperQ2, sudaf.Share)
 }
 
 // ---- Figures 6/8 (Milan, serial) and 7/9 (parallel) ----
@@ -212,19 +184,19 @@ func BenchmarkFig7_QM1_SUDAFNoShare(b *testing.B) {
 func BenchmarkFig10_RandomStep_Share(b *testing.B) {
 	eng := benchEngine(b, true)
 	eng.ClearCache()
-	aggs := []string{"qm", "cm", "std", "var", "avg", "skewness", "kurtosis"}
+	var queries []string
+	for _, a := range []string{"qm", "cm", "std", "var", "avg", "skewness", "kurtosis"} {
+		queries = append(queries, bench.QueryModel(2, a))
+	}
 	// Warm the cache with one pass.
-	for _, a := range aggs {
-		q := "SELECT square_id, " + a + "(internet_traffic) FROM milan_data GROUP BY square_id ORDER BY square_id LIMIT 20"
+	for _, q := range queries {
 		if _, err := eng.Query(q, sudaf.Share); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := aggs[i%len(aggs)]
-		q := "SELECT square_id, " + a + "(internet_traffic) FROM milan_data GROUP BY square_id ORDER BY square_id LIMIT 20"
-		if _, err := eng.Query(q, sudaf.Share); err != nil {
+		if _, err := eng.Query(queries[i%len(queries)], sudaf.Share); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,7 +217,7 @@ func BenchmarkTable1_Canonicalize(b *testing.B) {
 func BenchmarkSpace_Precompute(b *testing.B) {
 	// The paper reports 110 ms for precomputing saggs_2 relationships.
 	for i := 0; i < b.N; i++ {
-		eng := sudaf.Open(sudaf.Options{Workers: 1, SymbolicL: 2})
+		eng := sudaf.Open(sudaf.Options{Workers: 1})
 		_ = eng
 	}
 }

@@ -128,6 +128,38 @@ for f in internal/exec/compile.go internal/exec/batch.go internal/canonical/comp
   fi
 done
 
+echo "== one measurement contract =="
+# PR 19: benchmark/ (BENCHMARK.json) is the only place engine-feature
+# performance is measured; cmd/sudaf-bench runs the paper's figures only,
+# and the ablation switches only its retired experiments flipped are gone
+# from the product surface.
+# (a) The removed names appear nowhere but the history files, and the two
+# reference switches that remain on exec.Engine are called from tests only.
+gone=$(grep -rnE 'SetVectorizedKernels|SetViewRewriting|EnableViews|\bSymbolicL\b' \
+  --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' . .github |
+  grep -vE '^\./(CHANGES|EXPERIMENTS|ROADMAP|ISSUE|REVIEW)\.md:|^\./ci/check_docs\.sh:' || true)
+if [ -n "$gone" ]; then
+  err "removed ablation switches are still named:" "$gone"
+fi
+callers=$(grep -rnE '\.(SetVectorKernels|SetEncodedFolds)\(' --include='*.go' . | grep -v '_test\.go:' || true)
+if [ -n "$callers" ]; then
+  err "SetVectorKernels/SetEncodedFolds are test-only reference switches, called from:" "$callers"
+fi
+# (b) Every `-exp <name>` the docs mention is one sudaf-bench accepts.
+accepted=" all $(grep -oE '\{\[\]string\{[^}]*\}' cmd/sudaf-bench/main.go | grep -oE '"[a-z0-9]+"' | tr -d '"' | tr '\n' ' ')"
+for name in $(grep -ohE -e '-exp [a-z0-9,]+' README.md DESIGN.md docs/*.md .claude/skills/verify/SKILL.md | sed 's/^-exp //' | tr ',' '\n' | sort -u); do
+  case "$accepted" in
+    *" $name "*) ;;
+    *) err "docs mention 'sudaf-bench -exp $name', which cmd/sudaf-bench does not accept" ;;
+  esac
+done
+# (c) cache.LookupAll is the one lookup critical section: the per-state
+# and per-entry accessors it replaced have no caller outside the package.
+stray=$(grep -rnE '\.(LookupKind|Entry)\(' --include='*.go' . | grep -v '^\./internal/cache/' || true)
+if [ -n "$stray" ]; then
+  err "cache lookups go through Cache.LookupAll (or Probe), found:" "$stray"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "documentation checks failed" >&2
   exit 1

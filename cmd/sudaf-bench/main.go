@@ -2,6 +2,8 @@
 // figure's workload over synthetic TPC-DS-like and Milan-like data, with
 // the three systems (baseline with hardcoded UDAFs, SUDAF without
 // sharing, SUDAF with sharing). See EXPERIMENTS.md for recorded runs.
+// Engine-feature performance (kernels, encodings, ingest, windows,
+// shards, serving) is measured by benchmark/ — see BENCHMARK.json.
 //
 // Usage:
 //
@@ -20,9 +22,34 @@ import (
 	"sudaf/internal/obs"
 )
 
+// experiments is the accepted -exp list (plus "all"), in run order;
+// ci/check_docs.sh holds every -exp name in the docs to it. Figures 8 and
+// 9 are the per-query halves of the Figure 6 and 7 runs, so either name
+// selects the one run.
+var experiments = []struct {
+	names []string
+	run   func(*bench.Runner)
+}{
+	{[]string{"table1"}, (*bench.Runner).Table1},
+	{[]string{"space"}, (*bench.Runner).Space},
+	{[]string{"fig1"}, func(r *bench.Runner) { r.Fig1(false) }},
+	{[]string{"fig2"}, func(r *bench.Runner) { r.Fig1(true) }},
+	{[]string{"fig6", "fig8"}, func(r *bench.Runner) { r.Fig6and8(false) }},
+	{[]string{"fig7", "fig9"}, func(r *bench.Runner) { r.Fig6and8(true) }},
+	{[]string{"fig10"}, (*bench.Runner).Fig10},
+}
+
 func main() {
+	known := map[string]bool{"all": true}
+	var names []string
+	for _, e := range experiments {
+		for _, n := range e.names {
+			known[n] = true
+			names = append(names, n)
+		}
+	}
 	var (
-		exps       = flag.String("exp", "all", "comma-separated experiments: table1,space,fig1,fig2,fig6,fig7,fig8,fig9,fig10,batch,kernel,concurrent,ingest,shard,encode,window,all")
+		exps       = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(names, ",")+",all")
 		pgScale    = flag.Int("pg-scale", 2, "TPC-DS scale for serial (PostgreSQL-mode) runs")
 		sparkScale = flag.Int("spark-scale", 4, "TPC-DS scale for parallel (Spark-mode) runs")
 		milanPG    = flag.Int("milan-pg", 4_000_000, "Milan rows for serial runs")
@@ -30,12 +57,20 @@ func main() {
 		squares    = flag.Int("squares", 10_000, "Milan group cardinality")
 		workers    = flag.Int("workers", 0, "Spark-mode parallelism (0 = NumCPU)")
 		n10        = flag.Int("fig10-queries", 200, "random sequence length")
-		concRows   = flag.Int("conc-rows", 1_500_000, "Milan rows for the concurrent throughput experiment")
-		concSec    = flag.Float64("conc-seconds", 3, "time budget per (system, clients) cell of the concurrent experiment")
 		seed       = flag.Int64("seed", 0, "dataset seed (0 = default)")
 		metricsAt  = flag.String("metrics-addr", "", "serve Prometheus metrics, expvar and pprof on this address while the harness runs, e.g. :9090")
 	)
 	flag.Parse()
+
+	want := map[string]bool{}
+	for _, e := range strings.Split(*exps, ",") {
+		e = strings.TrimSpace(e)
+		if !known[e] {
+			fmt.Fprintf(os.Stderr, "sudaf-bench: unknown experiment %q (see -h; engine-feature numbers live in benchmark/, BENCHMARK.json)\n", e)
+			os.Exit(2)
+		}
+		want[e] = true
+	}
 
 	var reg *obs.Registry
 	if *metricsAt != "" {
@@ -58,59 +93,19 @@ func main() {
 		Workers:        *workers,
 		Seed:           *seed,
 		Fig10Queries:   *n10,
-		ConcRows:       *concRows,
-		ConcSeconds:    *concSec,
 		Out:            os.Stdout,
 		Metrics:        reg,
 	})
 
 	start := time.Now()
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	if all || want["table1"] {
-		r.Table1()
-	}
-	if all || want["space"] {
-		r.Space()
-	}
-	if all || want["fig1"] {
-		r.Fig1(false)
-	}
-	if all || want["fig2"] {
-		r.Fig1(true)
-	}
-	if all || want["fig6"] || want["fig8"] {
-		r.Fig6and8(false)
-	}
-	if all || want["fig7"] || want["fig9"] {
-		r.Fig6and8(true)
-	}
-	if all || want["fig10"] {
-		r.Fig10()
-	}
-	if all || want["batch"] {
-		r.Batch()
-	}
-	if all || want["kernel"] {
-		r.Kernel()
-	}
-	if all || want["concurrent"] {
-		r.Concurrent()
-	}
-	if all || want["ingest"] {
-		r.Ingest()
-	}
-	if all || want["shard"] {
-		r.Shard()
-	}
-	if all || want["encode"] {
-		r.Encode()
-	}
-	if all || want["window"] {
-		r.Window()
+	for _, e := range experiments {
+		selected := want["all"]
+		for _, n := range e.names {
+			selected = selected || want[n]
+		}
+		if selected {
+			e.run(r)
+		}
 	}
 	fmt.Printf("\ntotal harness time: %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -474,46 +474,9 @@ func TestRaceClearCacheDuringQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRaceKernelToggleDuringQueries: the vectorized-kernel knob was a
-// plain field written mid-flight; it is now atomic and snapshotted once
-// per aggregation (results identical either way).
-func TestRaceKernelToggleDuringQueries(t *testing.T) {
-	eng := concEngine(t, sudaf.Options{Workers: 2})
-	ref, err := eng.Query("SELECT g, qm(price) FROM sales GROUP BY g ORDER BY g", sudaf.Rewrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		on := false
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				eng.SetVectorizedKernels(on)
-				on = !on
-			}
-		}
-	}()
-	for r := 0; r < 20; r++ {
-		res, err := eng.Query("SELECT g, qm(price) FROM sales GROUP BY g ORDER BY g", sudaf.Rewrite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTable(t, "kernel toggle", ref.Table, res.Table)
-	}
-	close(stop)
-	wg.Wait()
-	eng.SetVectorizedKernels(true)
-}
-
-// TestRaceViewToggleDuringQueries: the view registry and the
-// EnableViewRewriting flag were read unlocked on the query path.
-func TestRaceViewToggleDuringQueries(t *testing.T) {
+// TestRaceViewChurnDuringQueries: the view registry was read unlocked on
+// the query path.
+func TestRaceViewChurnDuringQueries(t *testing.T) {
 	eng := concEngine(t, sudaf.Options{Workers: 2})
 	if err := eng.Materialize("v_keep", "SELECT b, c, qm(w) FROM sales2 GROUP BY b, c"); err != nil {
 		t.Fatal(err)
@@ -523,22 +486,17 @@ func TestRaceViewToggleDuringQueries(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		on := false
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			eng.EnableViews(on)
-			on = !on
-			if i%3 == 0 {
-				if err := eng.Materialize("v_churn", "SELECT b, qm(w) FROM sales2 GROUP BY b"); err != nil {
-					t.Error(err)
-					return
-				}
-				eng.DropView("v_churn")
+			if err := eng.Materialize("v_churn", "SELECT b, qm(w) FROM sales2 GROUP BY b"); err != nil {
+				t.Error(err)
+				return
 			}
+			eng.DropView("v_churn")
 		}
 	}()
 	for r := 0; r < 15; r++ {
@@ -550,7 +508,6 @@ func TestRaceViewToggleDuringQueries(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	eng.EnableViews(true)
 }
 
 // TestRaceSubqueryTempAliases: materialized subqueries used to register
@@ -630,4 +587,55 @@ func TestConcurrentQueryBatches(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
+}
+
+// TestLookupAllAtomicUnderConcurrentPut: a cold Share-mode reader used to
+// read the cache entry and then each state under separate acquisitions
+// of the shard lock, so another reader's Put landing in between served
+// the states without the entry and the query failed with "cache entry
+// misaligned with result groups". ClearCache keeps the readers cold; every
+// query must still answer.
+func TestLookupAllAtomicUnderConcurrentPut(t *testing.T) {
+	tbl := trSchema()
+	for i := 0; i < 1000; i++ {
+		addRow(tbl, int64(i%5), "a", float64(i%7))
+	}
+	eng := sudaf.Open(sudaf.Options{Workers: 2})
+	if err := eng.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for i := 0; i < 300; i++ {
+			eng.ClearCache()
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := eng.Query("SELECT count(*), sum(one) FROM tr", sudaf.Share)
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if cnt, one := res.Table.Cols[0].AsFloat(0), res.Table.Cols[1].AsFloat(0); cnt != 1000 || one != 1000 {
+					t.Errorf("reader %d: count %v, sum(one) %v, want 1000", r, cnt, one)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }

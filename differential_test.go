@@ -128,44 +128,6 @@ func TestModesAgreeOnAdversarialData(t *testing.T) {
 	}
 }
 
-// TestVectorKernelToggleBitIdentical pins the stronger property inside
-// one strategy: Rewrite with batch kernels and Rewrite forced onto the
-// tuple-at-a-time path must agree bit for bit (NaN ≡ NaN), because both
-// fold rows in the same per-group order.
-func TestVectorKernelToggleBitIdentical(t *testing.T) {
-	queries := []string{
-		"SELECT g, min(v), max(v) FROM adv GROUP BY g ORDER BY g",
-		"SELECT g, pr(v), sum(v), qm(v) FROM adv GROUP BY g ORDER BY g",
-		"SELECT min(v), max(v), pr(v) FROM adv WHERE g > 100",
-	}
-	for _, sql := range queries {
-		vec := advEngine(t)
-		tup := advEngine(t)
-		tup.SetVectorizedKernels(false)
-		rv, err := vec.Query(sql, sudaf.Rewrite)
-		if err != nil {
-			t.Fatalf("vec %q: %v", sql, err)
-		}
-		rt, err := tup.Query(sql, sudaf.Rewrite)
-		if err != nil {
-			t.Fatalf("tuple %q: %v", sql, err)
-		}
-		if rv.Table.NumRows() != rt.Table.NumRows() {
-			t.Fatalf("%q: %d vs %d rows", sql, rv.Table.NumRows(), rt.Table.NumRows())
-		}
-		for c := range rv.Table.Cols {
-			for i := 0; i < rv.Table.NumRows(); i++ {
-				a, b := rv.Table.Cols[c].AsFloat(i), rt.Table.Cols[c].AsFloat(i)
-				if math.Float64bits(a) != math.Float64bits(b) &&
-					!(math.IsNaN(a) && math.IsNaN(b)) {
-					t.Errorf("%q col %d row %d: vec %v (%#x), tuple %v (%#x)",
-						sql, c, i, a, math.Float64bits(a), b, math.Float64bits(b))
-				}
-			}
-		}
-	}
-}
-
 // TestStrictPolicyAgreesAcrossModes: under NumericStrict a NaN aggregate
 // (an all-NaN group) must fail with ErrNumericFault in every mode — the
 // batch kernels may not change which queries error.

@@ -50,12 +50,6 @@ type Config struct {
 	Seed int64
 	// Fig10Queries is the length of the random sequence (paper: 200).
 	Fig10Queries int
-	// ConcRows sizes the Milan table of the multi-client throughput
-	// experiment (default 1.5M).
-	ConcRows int
-	// ConcSeconds is the time budget per (system, clients) cell of the
-	// concurrent experiment (default 3s).
-	ConcSeconds float64
 	// Out receives the report (defaults to no output when nil... callers
 	// pass os.Stdout).
 	Out io.Writer
@@ -91,12 +85,6 @@ func (c *Config) Defaults() {
 	}
 	if c.Fig10Queries == 0 {
 		c.Fig10Queries = 200
-	}
-	if c.ConcRows == 0 {
-		c.ConcRows = 1_500_000
-	}
-	if c.ConcSeconds == 0 {
-		c.ConcSeconds = 3
 	}
 	if c.Out == nil {
 		c.Out = io.Discard
@@ -175,16 +163,20 @@ func (r *Runner) run(s *core.Session, exp, label string, mode core.Mode, sql str
 
 // ---- the paper's queries ----
 
-// Q1/Q2/Q3 of Section 2 (the TN predicate keeps half the stores).
-const paperQ1 = `SELECT ss_item_sk, d_year, avg(ss_list_price),
+// PaperQ1, PaperQ2 and PaperQ3 are Q1/Q2/Q3 of Section 2 (the TN
+// predicate keeps half the stores). These constants and QueryModel are
+// the one definition of the paper's statements; the root benchmarks
+// (bench_test.go) use them too.
+const PaperQ1 = `SELECT ss_item_sk, d_year, avg(ss_list_price),
 	avg(ss_sales_price), theta1(ss_list_price, ss_sales_price)
 FROM store_sales, store, date_dim
 WHERE ss_sold_date_sk = d_date_sk and ss_store_sk = s_store_sk
 	and s_state = 'TN'
 GROUP BY ss_item_sk, d_year`
 
-// The cov/var alternative of Figure 1(a): theta1 = covar/var built-ins.
-const paperQ1CovVar = `SELECT ss_item_sk, d_year, avg(ss_list_price),
+// PaperQ1CovVar is the cov/var alternative of Figure 1(a): theta1 =
+// covar/var built-ins.
+const PaperQ1CovVar = `SELECT ss_item_sk, d_year, avg(ss_list_price),
 	avg(ss_sales_price),
 	covar_pop(ss_list_price, ss_sales_price)/var_pop(ss_list_price)
 FROM store_sales, store, date_dim
@@ -192,27 +184,23 @@ WHERE ss_sold_date_sk = d_date_sk and ss_store_sk = s_store_sk
 	and s_state = 'TN'
 GROUP BY ss_item_sk, d_year`
 
-const paperQ2 = `SELECT ss_item_sk, d_year, qm(ss_list_price), stddev(ss_list_price)
+const PaperQ2 = `SELECT ss_item_sk, d_year, qm(ss_list_price), stddev(ss_list_price)
 FROM store_sales, store, date_dim
 WHERE ss_sold_date_sk = d_date_sk and ss_store_sk = s_store_sk
 	and s_state = 'TN'
 GROUP BY ss_item_sk, d_year`
 
-const paperQ3 = `SELECT d_year, qm(ss_list_price), stddev(ss_list_price)
+const PaperQ3 = `SELECT d_year, qm(ss_list_price), stddev(ss_list_price)
 FROM store_sales, store, date_dim, item
 WHERE ss_sold_date_sk = d_date_sk and ss_item_sk = i_item_sk
 	and ss_store_sk = s_store_sk and i_category = 'Sports'
 	and s_state = 'TN' and d_year >= 2000
 GROUP BY d_year`
 
-// The view V1: Q1's data part holding the five partial aggregates
-// (s1..s5 of RQ1; avg and theta1 contribute count, Σx, Σx², Σy, Σxy).
-const paperV1 = `SELECT ss_item_sk, d_year, avg(ss_list_price),
-	avg(ss_sales_price), theta1(ss_list_price, ss_sales_price)
-FROM store_sales, store, date_dim
-WHERE ss_sold_date_sk = d_date_sk and ss_store_sk = s_store_sk
-	and s_state = 'TN'
-GROUP BY ss_item_sk, d_year`
+// PaperV1 defines the view V1: Q1's data part holding the five partial
+// aggregates (s1..s5 of RQ1; avg and theta1 contribute count, Σx, Σx²,
+// Σy, Σxy) — the same statement as Q1.
+const PaperV1 = PaperQ1
 
 // Fig1 reproduces Figure 1 (serial) or Figure 2 (parallel).
 func (r *Runner) Fig1(spark bool) {
@@ -229,27 +217,26 @@ func (r *Runner) Fig1(spark bool) {
 	fmt.Fprintf(r.out, "\n== %s: motivating example, %s ==\n", strings.ToUpper(exp), engine)
 
 	// (a) Q1: UDAF vs cov/var vs SUDAF.
-	a1 := r.run(s, exp+"a", "Q1 UDAF", core.ModeBaseline, paperQ1)
-	a2 := r.run(s, exp+"a", "Q1 cov/var", core.ModeBaseline, paperQ1CovVar)
-	a3 := r.run(s, exp+"a", "Q1 SUDAF", core.ModeRewrite, paperQ1)
+	a1 := r.run(s, exp+"a", "Q1 UDAF", core.ModeBaseline, PaperQ1)
+	a2 := r.run(s, exp+"a", "Q1 cov/var", core.ModeBaseline, PaperQ1CovVar)
+	a3 := r.run(s, exp+"a", "Q1 SUDAF", core.ModeRewrite, PaperQ1)
 	r.printRows("(a) Q1", []Measurement{a1, a2, a3})
 
 	// (b) Q2 after Q1: baseline vs SUDAF no-share vs SUDAF share.
-	b1 := r.run(s, exp+"b", "Q2 UDAF", core.ModeBaseline, paperQ2)
-	b2 := r.run(s, exp+"b", "Q2 SUDAF (no share)", core.ModeRewrite, paperQ2)
+	b1 := r.run(s, exp+"b", "Q2 UDAF", core.ModeBaseline, PaperQ2)
+	b2 := r.run(s, exp+"b", "Q2 SUDAF (no share)", core.ModeRewrite, PaperQ2)
 	s.ClearCache()
-	r.run(s, exp+"b", "Q1 warmup (share)", core.ModeShare, paperQ1)
-	b3 := r.run(s, exp+"b", "Q2 SUDAF (share, after Q1)", core.ModeShare, paperQ2)
+	r.run(s, exp+"b", "Q1 warmup (share)", core.ModeShare, PaperQ1)
+	b3 := r.run(s, exp+"b", "Q2 SUDAF (share, after Q1)", core.ModeShare, PaperQ2)
 	r.printRows("(b) Q2 after Q1", []Measurement{b1, b2, b3})
 
 	// (c) Q3 vs RQ3' (roll-up over the materialized state view V1).
-	c1 := r.run(s, exp+"c", "Q3", core.ModeBaseline, paperQ3)
-	s.SetViewRewriting(false)
-	c2 := r.run(s, exp+"c", "Q3 SUDAF (no view)", core.ModeRewrite, paperQ3)
-	must(s.Materialize("v1_states", paperV1))
-	s.SetViewRewriting(true)
+	c1 := r.run(s, exp+"c", "Q3", core.ModeBaseline, PaperQ3)
+	// No view is materialized yet, so this run cannot roll up.
+	c2 := r.run(s, exp+"c", "Q3 SUDAF (no view)", core.ModeRewrite, PaperQ3)
+	must(s.Materialize("v1_states", PaperV1))
 	s.ClearCache() // isolate the view effect from the state cache
-	c3 := r.run(s, exp+"c", "RQ3' (view roll-up)", core.ModeRewrite, paperQ3)
+	c3 := r.run(s, exp+"c", "RQ3' (view roll-up)", core.ModeRewrite, PaperQ3)
 	r.printRows("(c) Q3 vs RQ3'", []Measurement{c1, c2, c3})
 	s.DropView("v1_states")
 }
@@ -270,8 +257,8 @@ func aggSQL(agg, col string) string {
 	return agg + "(" + col + ")"
 }
 
-// queryModel renders query model m (1..3) instantiated with agg.
-func queryModel(m int, agg string) string {
+// QueryModel renders query model m (1..3) instantiated with agg.
+func QueryModel(m int, agg string) string {
 	switch m {
 	case 1:
 		return "SELECT " + aggSQL(agg, "internet_traffic") + " FROM milan_data"
@@ -303,7 +290,7 @@ func prefetchSQL(m int) string {
 	case 2:
 		return "SELECT square_id, moment_sketch(internet_traffic) FROM milan_data GROUP BY square_id"
 	case 3:
-		return queryModel(3, "moment_sketch")
+		return QueryModel(3, "moment_sketch")
 	}
 	panic("bad query model")
 }
@@ -345,7 +332,7 @@ func (r *Runner) RunSequences(spark bool) []SequenceResult {
 				}
 				for _, agg := range seq.aggs {
 					m := r.run(s, fmt.Sprintf("%s-m%d-%s", exp, model, seq.name),
-						agg, mode, queryModel(model, agg))
+						agg, mode, QueryModel(model, agg))
 					sr.PerQuery = append(sr.PerQuery, m)
 					sr.Total += m.Seconds
 				}
@@ -412,7 +399,7 @@ func (r *Runner) Fig10() {
 		times := make([]float64, 0, len(seq))
 		total := 0.0
 		for i, agg := range seq {
-			m := r.run(s, "fig10", fmt.Sprintf("%03d:%s", i, agg), mode, queryModel(2, agg))
+			m := r.run(s, "fig10", fmt.Sprintf("%03d:%s", i, agg), mode, QueryModel(2, agg))
 			times = append(times, m.Seconds)
 			total += m.Seconds
 		}
@@ -471,15 +458,4 @@ func (r *Runner) printRows(title string, ms []Measurement) {
 		fmt.Fprintf(tw, "  %s\t%s\t%.4f s\trows=%d\n", m.Label, m.System, m.Seconds, m.Rows)
 	}
 	tw.Flush()
-}
-
-// All runs every experiment.
-func (r *Runner) All() {
-	r.Table1()
-	r.Space()
-	r.Fig1(false)
-	r.Fig1(true)
-	r.Fig6and8(false)
-	r.Fig6and8(true)
-	r.Fig10()
 }

@@ -90,31 +90,6 @@ func TestSequencesSmoke(t *testing.T) {
 	}
 }
 
-func TestBatchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench smoke test")
-	}
-	r, buf := tinyRunner()
-	results := r.Batch()
-	if len(results) != 3 {
-		t.Fatalf("got %d batch results", len(results))
-	}
-	if !strings.Contains(buf.String(), "fused scans") {
-		t.Error("batch report missing the fused-scan column")
-	}
-	for _, br := range results {
-		// One fused scan serves the whole overlapping batch, so the batch
-		// scans strictly fewer rows than N sequential cold queries.
-		if br.BatchScans != 1 {
-			t.Errorf("%s: %d fused scans, want 1", br.System, br.BatchScans)
-		}
-		if br.BatchRows >= br.SeqRows {
-			t.Errorf("%s: batch scanned %d rows, sequential %d — batch must scan fewer",
-				br.System, br.BatchRows, br.SeqRows)
-		}
-	}
-}
-
 func TestTable1AndSpace(t *testing.T) {
 	r, buf := tinyRunner()
 	r.Table1()
@@ -129,12 +104,12 @@ func TestTable1AndSpace(t *testing.T) {
 
 func TestQueryModelSQL(t *testing.T) {
 	for m := 1; m <= 3; m++ {
-		q := queryModel(m, "qm")
+		q := QueryModel(m, "qm")
 		if !strings.Contains(q, "qm(") {
 			t.Errorf("model %d: %q", m, q)
 		}
 	}
-	if q := queryModel(1, "count"); !strings.Contains(q, "count(*)") {
+	if q := QueryModel(1, "count"); !strings.Contains(q, "count(*)") {
 		t.Errorf("count rendering: %q", q)
 	}
 	defer func() {
@@ -142,5 +117,5 @@ func TestQueryModelSQL(t *testing.T) {
 			t.Error("bad model should panic")
 		}
 	}()
-	queryModel(9, "qm")
+	QueryModel(9, "qm")
 }

@@ -28,13 +28,13 @@
 // The locking contract for GroupTable is split by field:
 //
 //   - Fingerprint, KeyNames, Keys, KeyCols and the key index are immutable
-//     after NewGroupTable, so a *GroupTable returned by Entry can be read
-//     (IndexOf, NumGroups, Keys, ...) without holding any lock.
+//     after NewGroupTable, so a *GroupTable returned in Lookups.Entry can
+//     be read (IndexOf, NumGroups, Keys, ...) without holding any lock.
 //   - states/byKey are mutated only by cache methods holding the owning
 //     shard's mutex. Callers outside this package must not call AddState
 //     on a table that has been Put (build a fresh table and Put it).
 //   - A CachedState's Vals slice is never written after insertion; value
-//     slices returned by Lookup are shared and read-only.
+//     slices returned by LookupAll are shared and read-only.
 package cache
 
 import (
@@ -246,7 +246,7 @@ type Stats struct {
 	Corruptions int64
 }
 
-// HitKind classifies how a Lookup was served.
+// HitKind classifies how a lookup was served.
 type HitKind int
 
 const (
@@ -368,20 +368,6 @@ func (c *Cache) ResetStats() {
 	c.misses.Store(0)
 	c.evictions.Store(0)
 	c.corruptions.Store(0)
-}
-
-// Entry returns the group table for a fingerprint. The returned table's
-// key structure is immutable and safe to read without locks; see the
-// package comment for the full contract.
-func (c *Cache) Entry(fp string) (*GroupTable, bool) {
-	sh := c.shardFor(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	gt, ok := sh.entries[fp]
-	if ok {
-		sh.touch(fp)
-	}
-	return gt, ok
 }
 
 // Put inserts or merges a group table; existing states under the same
@@ -762,7 +748,7 @@ var shareDetail = sharing.ShareDetail
 // resolution is the cache's one sharing decision for a wanted state
 // against a group table: how it would be served, from what, and how to
 // materialize the values. It is pure — deciding touches no LRU order,
-// counter or entry — so Probe can render it and LookupKind commit it,
+// counter or entry — so Probe can render it and LookupAll commit it,
 // and the two cannot disagree.
 type resolution struct {
 	kind HitKind
@@ -796,7 +782,7 @@ func (r *resolution) vals() []float64 {
 // match → Theorem 4.1 sharing (each eligible candidate gets exactly one
 // direct decision; the first that shares wins) → §5.3 sign-split
 // reconstruction. healthy filters the states that may serve (nil = all):
-// Probe skips corrupted states, LookupKind has already swept them.
+// Probe skips corrupted states, LookupAll has already swept them.
 func (c *Cache) resolve(gt *GroupTable, want canonical.State, positiveData bool, healthy func(*CachedState) bool) resolution {
 	if cs, ok := gt.Exact(want.Key()); ok && (healthy == nil || healthy(cs)) {
 		return resolution{kind: HitExact, src: cs}
@@ -830,77 +816,40 @@ func (c *Cache) resolve(gt *GroupTable, want canonical.State, positiveData bool,
 	return resolution{}
 }
 
-// Lookup resolves a requested state under a fingerprint; see LookupKind.
-func (c *Cache) Lookup(fp string, want canonical.State, positiveData bool) ([]float64, bool) {
-	vals, _, ok := c.LookupKind(fp, want, positiveData)
-	return vals, ok
-}
-
-// LookupKind resolves a requested state under a fingerprint: exact match,
-// Theorem 4.1 sharing, or §5.3 sign-split reconstruction, reporting which
-// path served the hit. On success it returns the per-group values
-// (freshly materialized if rewritten, and stored so a repeat is an exact
-// hit); the returned slice is shared and must not be written. Corrupted
-// states (integrity-check failures) are dropped and reported as misses,
-// so callers degrade to recomputation rather than failing.
-func (c *Cache) LookupKind(fp string, want canonical.State, positiveData bool) ([]float64, HitKind, bool) {
-	sh := c.shardFor(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c.lookups.Add(1)
-	if err := faultinject.Hit(faultinject.PointCacheGet); err != nil {
-		c.misses.Add(1)
-		c.addEvent("cache: injected fault on get, treated as miss: " + err.Error())
-		return nil, HitNone, false
-	}
-	gt, ok := sh.entries[fp]
-	if !ok {
-		c.misses.Add(1)
-		return nil, HitNone, false
-	}
-	sh.touch(fp)
-	c.sweepCorrupt(sh, gt)
-	res := c.resolve(gt, want, positiveData, nil)
-	switch res.kind {
-	case HitNone:
-		c.misses.Add(1)
-		return nil, HitNone, false
-	case HitExact:
-		c.exactHits.Add(1)
-		return res.vals(), HitExact, true
-	case HitShared:
-		c.sharedHits.Add(1)
-	case HitSign:
-		c.signHits.Add(1)
-	}
-	// A derived state is stored so a repeat is an exact hit; it inherits
-	// its sharing source's positivity (a sign-split one has none).
-	vals := res.vals()
-	c.storeDerived(sh, gt, want, vals, res.kind == HitShared && res.src.PositiveInput)
-	return vals, res.kind, true
-}
-
 // Lookups is the outcome of LookupAll: the fingerprint's entry, each
 // wanted state's values, and the lookups tallied by how they were served.
 type Lookups struct {
 	// Entry is the group table cached under the fingerprint (nil when
 	// there is none): the group structure cached values are ordered by.
+	// Its key structure is immutable and safe to read without locks; see
+	// the package comment for the full contract.
 	Entry *GroupTable
 	// Vals is index-aligned with the wanted states; nil marks a state the
-	// caller must compute.
+	// caller must compute. A non-nil vector was read from Entry, so it is
+	// ordered by Entry's groups; it is shared and must not be written.
 	Vals [][]float64
 	// Exact, Shared, Sign and Misses count the lookups by HitKind.
 	Exact, Shared, Sign, Misses int
 }
 
 // LookupAll is the lookup half of the sharing protocol every consumer
-// runs (session queries, windowed queries, shard workers): fetch the
-// fingerprint's entry, resolve each wanted state through LookupKind, and
-// tally the outcomes. positive is index-aligned with want. usable, when
-// non-nil, vets a hit's values — a rejected hit still counts by its kind
-// but is left for the caller to compute. guard, when non-nil, wraps the
-// entry lookup and each state lookup so a caller can contain cache
-// faults per lookup (a lookup that panics is then simply not served).
+// runs (session queries, windowed queries, shard workers), and the one
+// lookup critical section: under a single hold of the shard lock it
+// fetches the fingerprint's entry, drops the states that fail their
+// integrity checksum (recorded as degradation events, served as misses —
+// callers recompute rather than fail), and resolves every wanted state
+// against that same entry — exact match, Theorem 4.1 sharing, or §5.3
+// sign-split reconstruction. A rewritten state's freshly materialized
+// values are stored so a repeat is an exact hit. Because entry and states
+// are read together, a concurrent Put or Remove can never leave a caller
+// holding values without the entry that orders them.
+//
+// positive is index-aligned with want. usable, when non-nil, vets a hit's
+// values — a rejected hit still counts by its kind but is left for the
+// caller to compute. guard, when non-nil, wraps the entry fetch and each
+// state's resolution so a caller can contain cache faults per lookup (a
+// lookup that panics is then simply not served, and counts as a miss).
+// Both run under the shard lock and must not call back into the cache.
 func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool,
 	usable func([]float64) bool, guard func(stage string, f func())) Lookups {
 
@@ -908,25 +857,52 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool,
 		guard = func(_ string, f func()) { f() }
 	}
 	out := Lookups{Vals: make([][]float64, len(want))}
-	guard("entry lookup", func() { out.Entry, _ = c.Entry(fp) })
+	sh := c.shardFor(fp)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	guard("entry lookup", func() {
+		if gt, ok := sh.entries[fp]; ok {
+			sh.touch(fp)
+			c.sweepCorrupt(sh, gt)
+			out.Entry = gt
+		}
+	})
 	for i := range want {
 		guard("state lookup", func() {
-			vals, kind, ok := c.LookupKind(fp, want[i], positive[i])
-			if ok && (usable == nil || usable(vals)) {
-				out.Vals[i] = vals
+			if err := faultinject.Hit(faultinject.PointCacheGet); err != nil {
+				c.addEvent("cache: injected fault on get, treated as miss: " + err.Error())
+				return
 			}
-			switch kind {
+			if out.Entry == nil {
+				return
+			}
+			res := c.resolve(out.Entry, want[i], positive[i], nil)
+			vals := res.vals()
+			switch res.kind {
+			case HitNone:
+				return
 			case HitExact:
 				out.Exact++
 			case HitShared:
+				// A derived state inherits its sharing source's positivity
+				// (a sign-split one has none).
+				c.storeDerived(sh, out.Entry, want[i], vals, res.src.PositiveInput)
 				out.Shared++
 			case HitSign:
+				c.storeDerived(sh, out.Entry, want[i], vals, false)
 				out.Sign++
-			default:
-				out.Misses++
+			}
+			if usable == nil || usable(vals) {
+				out.Vals[i] = vals
 			}
 		})
 	}
+	out.Misses = len(want) - out.Exact - out.Shared - out.Sign
+	c.lookups.Add(int64(len(want)))
+	c.exactHits.Add(int64(out.Exact))
+	c.sharedHits.Add(int64(out.Shared))
+	c.signHits.Add(int64(out.Sign))
+	c.misses.Add(int64(out.Misses))
 	return out
 }
 
@@ -978,11 +954,11 @@ type ProbeResult struct {
 	Reason string
 }
 
-// Probe reports how LookupKind would serve a state under a fingerprint,
+// Probe reports how LookupAll would serve a state under a fingerprint,
 // with full provenance and without observable side effects: no LRU
 // touch, no stats counters, no derived-state materialization, and
 // corrupted states are skipped rather than dropped. It renders the same
-// resolve decision LookupKind commits, so EXPLAIN and batch planning
+// resolve decision LookupAll commits, so EXPLAIN and batch planning
 // predict serving by construction.
 func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeResult {
 	sh := c.shardFor(fp)

@@ -26,6 +26,33 @@ func st(op canonical.AggOp, base string, prims ...scalar.Prim) canonical.State {
 	return canonical.State{Op: op, F: scalar.NewChain(prims...), Base: expr.MustParse(base)}
 }
 
+// lookupKind resolves one state through LookupAll, the cache's only
+// lookup entry point.
+func lookupKind(c *Cache, fp string, want canonical.State, positive bool) ([]float64, HitKind, bool) {
+	look := c.LookupAll(fp, []canonical.State{want}, []bool{positive}, nil, nil)
+	kind := HitNone
+	switch {
+	case look.Exact == 1:
+		kind = HitExact
+	case look.Shared == 1:
+		kind = HitShared
+	case look.Sign == 1:
+		kind = HitSign
+	}
+	return look.Vals[0], kind, look.Vals[0] != nil
+}
+
+func lookup(c *Cache, fp string, want canonical.State, positive bool) ([]float64, bool) {
+	vals, _, ok := lookupKind(c, fp, want, positive)
+	return vals, ok
+}
+
+// entryOf fetches (and LRU-touches) a fingerprint's entry.
+func entryOf(c *Cache, fp string) (*GroupTable, bool) {
+	gt := c.LookupAll(fp, nil, nil, nil, nil).Entry
+	return gt, gt != nil
+}
+
 func TestExactHit(t *testing.T) {
 	c := New(0, nil)
 	gt := mkGT("fp1", 3)
@@ -34,7 +61,7 @@ func TestExactHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Put(gt)
-	vals, ok := c.Lookup("fp1", s, true)
+	vals, ok := lookup(c, "fp1", s, true)
 	if !ok || vals[2] != 3 {
 		t.Fatalf("exact hit failed: %v %v", vals, ok)
 	}
@@ -49,7 +76,7 @@ func TestMissOnWrongFingerprint(t *testing.T) {
 	s := st(canonical.OpSum, "x")
 	_ = gt.AddState(&CachedState{State: s, Vals: []float64{1, 2}})
 	c.Put(gt)
-	if _, ok := c.Lookup("fp-other", s, true); ok {
+	if _, ok := lookup(c, "fp-other", s, true); ok {
 		t.Fatal("lookup must respect the data fingerprint")
 	}
 }
@@ -63,7 +90,7 @@ func TestSharedHitViaTheorem41(t *testing.T) {
 	_ = gt.AddState(&CachedState{State: lnState, Vals: vals, PositiveInput: true})
 	c.Put(gt)
 	prodState := st(canonical.OpProd, "x")
-	got, ok := c.Lookup("fp", prodState, true)
+	got, ok := lookup(c, "fp", prodState, true)
 	if !ok {
 		t.Fatal("Πx should be served from Σln x")
 	}
@@ -77,7 +104,7 @@ func TestSharedHitViaTheorem41(t *testing.T) {
 		t.Errorf("stats: %+v", c.Stats())
 	}
 	// Second lookup becomes an exact hit (derived state materialized).
-	if _, ok := c.Lookup("fp", prodState, true); !ok {
+	if _, ok := lookup(c, "fp", prodState, true); !ok {
 		t.Fatal("derived state should be cached")
 	}
 	if c.Stats().ExactHits != 1 {
@@ -90,7 +117,7 @@ func TestNoShareAcrossBases(t *testing.T) {
 	gt := mkGT("fp", 2)
 	_ = gt.AddState(&CachedState{State: st(canonical.OpSum, "x"), Vals: []float64{1, 2}, PositiveInput: true})
 	c.Put(gt)
-	if _, ok := c.Lookup("fp", st(canonical.OpSum, "y"), true); ok {
+	if _, ok := lookup(c, "fp", st(canonical.OpSum, "y"), true); ok {
 		t.Fatal("states over different base columns must not share")
 	}
 }
@@ -104,7 +131,7 @@ func TestSignSplitReconstruction(t *testing.T) {
 	_ = gt.AddState(&CachedState{State: lnAbs, Vals: []float64{math.Log(6), math.Log(6)}})
 	_ = gt.AddState(&CachedState{State: sgnProd, Vals: []float64{1, -1}})
 	c.Put(gt)
-	got, ok := c.Lookup("fp", st(canonical.OpProd, "x"), false)
+	got, ok := lookup(c, "fp", st(canonical.OpProd, "x"), false)
 	if !ok {
 		t.Fatal("Πx should reconstruct from sign-split companions")
 	}
@@ -113,7 +140,7 @@ func TestSignSplitReconstruction(t *testing.T) {
 	}
 	// Σ ln(x²) = 2Σln|x| also served.
 	lnSq := st(canonical.OpSum, "x", scalar.PowerP(2), scalar.LogP(scalar.E))
-	got2, ok := c.Lookup("fp", lnSq, false)
+	got2, ok := lookup(c, "fp", lnSq, false)
 	if !ok {
 		t.Fatal("Σln(x²) should reconstruct from Σln|x|")
 	}
@@ -133,7 +160,7 @@ func TestPutMergesStates(t *testing.T) {
 	gt2 := mkGT("fp", 2)
 	_ = gt2.AddState(&CachedState{State: st(canonical.OpSum, "x", scalar.PowerP(2)), Vals: []float64{1, 4}})
 	c.Put(gt2)
-	entry, ok := c.Entry("fp")
+	entry, ok := entryOf(c, "fp")
 	if !ok || entry.NumStates() != 2 {
 		t.Fatalf("merge failed: %d states", entry.NumStates())
 	}
@@ -150,7 +177,7 @@ func TestEviction(t *testing.T) {
 		t.Error("expected evictions under a tiny budget")
 	}
 	// The most recent entry must survive.
-	if _, ok := c.Entry("fp49"); !ok {
+	if _, ok := entryOf(c, "fp49"); !ok {
 		t.Error("most recent entry evicted")
 	}
 }

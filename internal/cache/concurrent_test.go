@@ -8,7 +8,7 @@ package cache
 //   - checksum integrity: a corrupted state is never served as an exact
 //     hit — lookups return either the deterministic expected values or
 //     nothing;
-//   - no stats increments are lost: every LookupKind call lands in
+//   - no stats increments are lost: every state lookup lands in
 //     exactly one outcome counter.
 //
 // Values are made deterministic per (fingerprint, state, group) so that
@@ -99,7 +99,7 @@ func TestConcurrentCacheProperty(t *testing.T) {
 					fpIdx, stIdx := rng.Intn(nFPs), rng.Intn(nStates)
 					fp := fmt.Sprintf("fp%d", fpIdx)
 					lookupsIssued.Add(1)
-					vals, kind, ok := c.LookupKind(fp, exactState(stIdx), false)
+					vals, kind, ok := lookupKind(c, fp, exactState(stIdx), false)
 					if !ok {
 						continue
 					}
@@ -117,7 +117,7 @@ func TestConcurrentCacheProperty(t *testing.T) {
 				case 5:
 					// Entry reads: the key structure is immutable after
 					// construction, so these are safe concurrent reads.
-					if gt, ok := c.Entry(fmt.Sprintf("fp%d", rng.Intn(nFPs))); ok {
+					if gt, ok := entryOf(c, fmt.Sprintf("fp%d", rng.Intn(nFPs))); ok {
 						if gt.NumGroups() != 8 {
 							errCh <- fmt.Errorf("entry has %d groups, want 8", gt.NumGroups())
 							return
@@ -128,7 +128,7 @@ func TestConcurrentCacheProperty(t *testing.T) {
 				case 7:
 					fp := fmt.Sprintf("sh%d", rng.Intn(4))
 					lookupsIssued.Add(1)
-					vals, _, ok := c.LookupKind(fp, st(canonical.OpProd, "x"), true)
+					vals, _, ok := lookupKind(c, fp, st(canonical.OpProd, "x"), true)
 					if !ok {
 						continue
 					}
@@ -198,7 +198,7 @@ func TestConcurrentResetStats(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 500; i++ {
-		c.LookupKind("fp0", exactState(i%2), false)
+		lookupKind(c, "fp0", exactState(i%2), false)
 		if s := c.Stats(); s.Lookups < 0 || s.ExactHits < 0 || s.Misses < 0 {
 			t.Fatalf("negative counters under concurrent reset: %+v", s)
 		}
@@ -231,12 +231,12 @@ func TestConcurrentPutSameFingerprint(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	gt, ok := c.Entry("fp3")
+	gt, ok := entryOf(c, "fp3")
 	if !ok {
 		t.Fatal("entry evicted from an empty cache")
 	}
 	for j := 0; j < 4; j++ {
-		if vals, _, ok := c.LookupKind("fp3", exactState(j), false); ok {
+		if vals, _, ok := lookupKind(c, "fp3", exactState(j), false); ok {
 			for g, v := range vals {
 				if v != exactVal(3, j, g) {
 					t.Fatalf("state %d group %d: got %v, want %v", j, g, v, exactVal(3, j, g))
@@ -246,5 +246,35 @@ func TestConcurrentPutSameFingerprint(t *testing.T) {
 	}
 	if gt.NumGroups() != 8 {
 		t.Fatalf("merged entry has %d groups, want 8", gt.NumGroups())
+	}
+}
+
+// TestLookupAllIsOneCriticalSection pins the atomicity of the lookup
+// half: the entry and every wanted state are read under one hold of the
+// shard lock, so no Put can land between them. The guard callback is the
+// seam — it runs between the entry fetch and each state's resolution, and
+// when it finds the shard lock free it plays the concurrent query whose
+// Put used to slip in there, leaving states served with no entry to
+// order them.
+func TestLookupAllIsOneCriticalSection(t *testing.T) {
+	c := New(0, nil)
+	s := st(canonical.OpSum, "x")
+	unlocked := 0
+	guard := func(_ string, f func()) {
+		f()
+		if sh := c.shardFor("fp"); sh.mu.TryLock() {
+			sh.mu.Unlock()
+			unlocked++
+			gt := mkGT("fp", 2)
+			_ = gt.AddState(&CachedState{State: s, Vals: []float64{1, 2}})
+			c.Put(gt)
+		}
+	}
+	look := c.LookupAll("fp", []canonical.State{s}, []bool{true}, nil, guard)
+	if unlocked > 0 {
+		t.Errorf("the shard lock was free at %d of the lookup's steps", unlocked)
+	}
+	if look.Entry == nil && look.Vals[0] != nil {
+		t.Error("a state was served without the entry that orders its values")
 	}
 }

@@ -35,7 +35,7 @@ func TestCorruptionDetectedOnLookup(t *testing.T) {
 	c.Put(gt)
 
 	// Sanity: intact state hits.
-	if _, ok := c.Lookup("fp", s, true); !ok {
+	if _, ok := lookup(c, "fp", s, true); !ok {
 		t.Fatal("intact state should hit")
 	}
 
@@ -43,7 +43,7 @@ func TestCorruptionDetectedOnLookup(t *testing.T) {
 		t.Fatalf("CorruptEntryForTest = %d, want 1", n)
 	}
 	// The corrupt state must be dropped: lookup misses, never serves bad data.
-	if vals, ok := c.Lookup("fp", s, true); ok {
+	if vals, ok := lookup(c, "fp", s, true); ok {
 		t.Fatalf("corrupt state served: %v", vals)
 	}
 	if got := c.Stats().Corruptions; got != 1 {
@@ -57,7 +57,7 @@ func TestCorruptionDetectedOnLookup(t *testing.T) {
 		t.Error("DrainEvents should clear the queue")
 	}
 	// Subsequent lookups stay clean misses, not repeated corruption noise.
-	if _, ok := c.Lookup("fp", s, true); ok {
+	if _, ok := lookup(c, "fp", s, true); ok {
 		t.Fatal("dropped state resurrected")
 	}
 	if got := c.Stats().Corruptions; got != 1 {
@@ -79,10 +79,10 @@ func TestCorruptionSparesHealthyStates(t *testing.T) {
 	_ = gt2.AddState(&CachedState{State: s2, Vals: []float64{1, 4}, PositiveInput: true})
 	c.Put(gt2)
 
-	if _, ok := c.Lookup("fp", s2, true); !ok {
+	if _, ok := lookup(c, "fp", s2, true); !ok {
 		t.Error("healthy state should survive the corrupt sibling's removal")
 	}
-	if _, ok := c.Lookup("fp", s1, true); ok {
+	if _, ok := lookup(c, "fp", s1, true); ok {
 		t.Error("corrupt state should be gone")
 	}
 }
@@ -96,7 +96,7 @@ func TestInjectedCacheFaultIsMiss(t *testing.T) {
 	c.Put(gt)
 
 	faultinject.Arm(faultinject.PointCacheGet, faultinject.Spec{Kind: faultinject.KindError})
-	if _, ok := c.Lookup("fp", s, true); ok {
+	if _, ok := lookup(c, "fp", s, true); ok {
 		t.Fatal("injected cache fault must read as a miss")
 	}
 	evs := c.DrainEvents()
@@ -105,7 +105,7 @@ func TestInjectedCacheFaultIsMiss(t *testing.T) {
 	}
 
 	faultinject.Reset()
-	if _, ok := c.Lookup("fp", s, true); !ok {
+	if _, ok := lookup(c, "fp", s, true); !ok {
 		t.Fatal("cache should serve normally once the fault clears")
 	}
 }

@@ -156,7 +156,7 @@ func TestQuickLookupNeverLies(t *testing.T) {
 				return false // Probe must be free of observable side effects
 			}
 			decisions = 0
-			got, kind, ok := c.LookupKind("fp", st1, true)
+			got, kind, ok := lookupKind(c, "fp", st1, true)
 			if decisions > 1 || kind != pr.Kind {
 				return false
 			}

@@ -365,10 +365,12 @@ func ruleLookupCache(_ context.Context, ps *planState) error {
 	qc.stats.CacheSharedHits += look.Shared
 	qc.stats.CacheSignHits += look.Sign
 	qc.stats.CacheMisses += look.Misses
-	lsp.SetInt("exact", int64(qc.stats.CacheExactHits))
-	lsp.SetInt("shared", int64(qc.stats.CacheSharedHits))
-	lsp.SetInt("sign", int64(qc.stats.CacheSignHits))
-	lsp.SetInt("miss", int64(qc.stats.CacheMisses))
+	// The span reports this lookup alone; qc.stats totals the statement,
+	// FROM-subqueries included.
+	lsp.SetInt("exact", int64(look.Exact))
+	lsp.SetInt("shared", int64(look.Shared))
+	lsp.SetInt("sign", int64(look.Sign))
+	lsp.SetInt("miss", int64(look.Misses))
 	lsp.End()
 	return nil
 }
@@ -390,7 +392,7 @@ func ruleCollectMissing(_ context.Context, ps *planState) error {
 // instead of base data. Windowed statements never roll up: a view's
 // groups are not their frames.
 func ruleRewriteViews(_ context.Context, ps *planState) error {
-	if len(ps.missing) == 0 || !ps.s.ViewRewriting() || ps.entry != nil || ps.stmt.Window != nil {
+	if len(ps.missing) == 0 || ps.entry != nil || ps.stmt.Window != nil {
 		return nil
 	}
 	vsp := ps.qc.sp.Child("view-rewrite")

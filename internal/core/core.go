@@ -102,8 +102,6 @@ type Options struct {
 	Workers int
 	// CacheBytes bounds the state cache (≤0: 256 MiB).
 	CacheBytes int64
-	// SymbolicL bounds the precomputed symbolic space (default 2).
-	SymbolicL int
 	// QueryTimeout bounds every query's execution (0 = no timeout); it
 	// also applies under QueryContext, nested inside the caller's context.
 	QueryTimeout time.Duration
@@ -220,10 +218,6 @@ type Session struct {
 	// Append) and read via an immutable-snapshot pointer by queries.
 	shards *shardRuntime
 
-	// viewRewriting gates Q3→RQ3'-style roll-ups (atomic: toggled by
-	// benchmarks while queries run).
-	viewRewriting atomic.Bool
-
 	// admit is the admission-control slot pool (nil = unlimited); any
 	// number of callers may wait in admitQueue.
 	admit      gate.Slots
@@ -293,12 +287,8 @@ func NewSession(opts Options) *Session {
 	if opts.Workers == 0 {
 		opts.Workers = runtime.NumCPU()
 	}
-	l := opts.SymbolicL
-	if l <= 0 {
-		l = 2
-	}
 	cat := catalog.New()
-	space := symbolic.NewSpace(l)
+	space := symbolic.NewSpace(2) // saggs_2, the paper's Figures 4/5
 	s := &Session{
 		cat:          cat,
 		eng:          exec.NewEngine(cat, opts.Workers),
@@ -321,7 +311,6 @@ func NewSession(opts Options) *Session {
 	if opts.Shards > 1 {
 		s.shards = newShardRuntime(s, opts.Shards, opts.CacheBytes)
 	}
-	s.viewRewriting.Store(true)
 	if opts.MaxConcurrentQueries > 0 {
 		s.admit = make(gate.Slots, opts.MaxConcurrentQueries)
 	}
@@ -409,32 +398,6 @@ func (s *Session) NumericPolicySetting() NumericPolicy {
 	defer s.mu.RUnlock()
 	return s.numeric
 }
-
-// SetVectorizedKernels toggles the batch aggregation kernels (on by
-// default). Off forces every task onto the tuple-at-a-time path; results
-// are identical, only throughput changes. Used by benchmarks and the
-// batch≡tuple differential tests. Safe to toggle while queries run: each
-// query snapshots the knob once.
-func (s *Session) SetVectorizedKernels(on bool) {
-	s.eng.SetVectorKernels(on)
-}
-
-// SetEncodedFolds toggles aggregation directly over encoded segments
-// (RLE run-folds; on by default). Off forces every morsel through the
-// dense batch kernels. Results are bit-identical either way — the folds
-// only engage where exactness is provable — so the knob exists for
-// benchmarks and the encoded≡dense differential tests. Safe to toggle
-// while queries run.
-func (s *Session) SetEncodedFolds(on bool) { s.eng.SetEncodedFolds(on) }
-
-// EncodedFolds reports whether encoded-segment folds are enabled.
-func (s *Session) EncodedFolds() bool { return s.eng.EncodedFolds() }
-
-// SetViewRewriting gates Q3→RQ3'-style roll-up rewritings at runtime.
-func (s *Session) SetViewRewriting(on bool) { s.viewRewriting.Store(on) }
-
-// ViewRewriting reports whether roll-up rewritings are enabled.
-func (s *Session) ViewRewriting() bool { return s.viewRewriting.Load() }
 
 // SetQueryTimeout changes the per-query timeout (0 disables it).
 func (s *Session) SetQueryTimeout(d time.Duration) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sudaf/internal/cache"
 	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
 )
@@ -178,8 +179,7 @@ func TestQ1NotServableFromQ2(t *testing.T) {
 // materialized, Q3 rolls up from the view instead of scanning base data.
 func TestViewRewriting(t *testing.T) {
 	s := newTestSession(t, 20000, 1)
-	// Ground truth without views.
-	s.SetViewRewriting(false)
+	// Ground truth: no view is materialized yet.
 	direct, err := s.Query(q3, ModeRewrite)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,6 @@ func TestViewRewriting(t *testing.T) {
 	if err := s.Materialize("v1", v1); err != nil {
 		t.Fatal(err)
 	}
-	s.SetViewRewriting(true)
 	res, err := s.Query(q3, ModeRewrite)
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +207,17 @@ func TestViewRewriting(t *testing.T) {
 			res.RowsScanned, direct.RowsScanned)
 	}
 	tablesEqual(t, direct.Table, res.Table, "Q3 direct vs roll-up")
+	// Dropping the view is the way back to base data.
+	s.DropView("v1")
+	after, err := s.Query(q3, ModeRewrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.UsedView != "" || after.RowsScanned != direct.RowsScanned {
+		t.Errorf("after DropView: view %q, %d rows scanned, want base scan of %d",
+			after.UsedView, after.RowsScanned, direct.RowsScanned)
+	}
+	tablesEqual(t, direct.Table, after.Table, "Q3 direct vs after DropView")
 }
 
 // TestGMSharesMomentSketch: prefetching approx_median (moment sketch)
@@ -360,7 +370,7 @@ func TestCrossAggregateIntraQuerySharing(t *testing.T) {
 	}
 	// qm: {Σx², count}; stddev: {Σx², Σx, count}; var same; avg {Σx, count}
 	// → 3 unique states total.
-	entry, ok := s.Cache().Entry(mustFingerprint(t, s, q))
+	entry, ok := cacheEntry(s.Cache(), mustFingerprint(t, s, q))
 	if !ok {
 		t.Fatal("no cache entry")
 	}
@@ -368,6 +378,13 @@ func TestCrossAggregateIntraQuerySharing(t *testing.T) {
 		t.Errorf("expected 3 deduped states, got %d: %v", entry.NumStates(), entry.StateKeys())
 	}
 	_ = res
+}
+
+// cacheEntry fetches the group table cached under a fingerprint through
+// LookupAll, the cache's one lookup entry point (no states wanted).
+func cacheEntry(c *cache.Cache, fp string) (*cache.GroupTable, bool) {
+	gt := c.LookupAll(fp, nil, nil, nil, nil).Entry
+	return gt, gt != nil
 }
 
 func mustFingerprint(t *testing.T, s *Session, sql string) string {

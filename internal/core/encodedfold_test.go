@@ -76,13 +76,13 @@ func TestEncodedFoldsBitIdentical(t *testing.T) {
 			}
 			for qi, q := range foldQueries {
 				label := fmt.Sprintf("w=%d mode=%v q%d", workers, mode, qi)
-				s.SetEncodedFolds(true)
+				s.eng.SetEncodedFolds(true)
 				on, err := s.Query(q, mode)
 				if err != nil {
 					t.Fatalf("%s folds-on: %v", label, err)
 				}
 				s.ClearCache()
-				s.SetEncodedFolds(false)
+				s.eng.SetEncodedFolds(false)
 				off, err := s.Query(q, mode)
 				if err != nil {
 					t.Fatalf("%s folds-off: %v", label, err)
@@ -141,13 +141,13 @@ func TestEncodedFoldsShardedDifferential(t *testing.T) {
 		if err := s.Register(tbl); err != nil {
 			t.Fatal(err)
 		}
-		s.SetEncodedFolds(true)
+		s.eng.SetEncodedFolds(true)
 		on, err := s.Query(q, ModeShare)
 		if err != nil {
 			t.Fatalf("sharded folds-on: %v", err)
 		}
 		s.ClearCache()
-		s.SetEncodedFolds(false)
+		s.eng.SetEncodedFolds(false)
 		off, err := s.Query(q, ModeShare)
 		if err != nil {
 			t.Fatalf("sharded folds-off: %v", err)
@@ -173,13 +173,13 @@ func TestEncodedFoldsAfterAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := `SELECT count(), sum(int_runs), min(nan_runs), max(inf_runs) FROM ft;`
-	s.SetEncodedFolds(true)
+	s.eng.SetEncodedFolds(true)
 	on, err := s.Query(q, ModeShare)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.ClearCache()
-	s.SetEncodedFolds(false)
+	s.eng.SetEncodedFolds(false)
 	off, err := s.Query(q, ModeShare)
 	if err != nil {
 		t.Fatal(err)

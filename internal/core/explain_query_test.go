@@ -130,7 +130,7 @@ func TestExplainDoesNotMutate(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.CacheStats()
-	gt, ok := s.Cache().Entry(fingerprintOf(t, s, explainQ))
+	gt, ok := cacheEntry(s.Cache(), fingerprintOf(t, s, explainQ))
 	if !ok {
 		t.Fatal("no cache entry after share-mode query")
 	}

@@ -56,7 +56,7 @@ func TestAppendInvalidatesMaintlessEntry(t *testing.T) {
 	if res.EntriesInvalidated != 1 {
 		t.Fatalf("invalidated %d entries, want 1 (events %v)", res.EntriesInvalidated, res.Events)
 	}
-	if _, ok := c.Entry(fp); ok {
+	if _, ok := cacheEntry(c, fp); ok {
 		t.Fatal("maint-less entry survived the append")
 	}
 	if len(res.Events) == 0 || !strings.Contains(res.Events[0], "no maintenance record") {

@@ -80,6 +80,67 @@ func TestResultTraceSampling(t *testing.T) {
 	}
 }
 
+// TestSharingLookupSpanCountsOwnLookup: a statement with a FROM-subquery
+// runs both levels on one query context, and the outer sharing-lookup
+// span used to report the context's running totals — its own lookups plus
+// the subquery's. Each span must account for exactly the states its own
+// statement bound; Result.Stats keeps the statement-wide totals.
+func TestSharingLookupSpanCountsOwnLookup(t *testing.T) {
+	s := NewSession(Options{Workers: 1, TraceRate: 1})
+	tbl := storage.NewTable("sales",
+		storage.NewColumn("region", storage.KindInt),
+		storage.NewColumn("price", storage.KindFloat))
+	for i := 0; i < 64; i++ {
+		tbl.Col("region").AppendInt(int64(i % 4))
+		tbl.Col("price").AppendFloat(float64(1 + i))
+	}
+	if err := s.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Query(`SELECT max(tp), count(*) FROM
+		(SELECT region, sum(price) tp, avg(price) ap FROM sales GROUP BY region) t`, ModeShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attr := func(sp *obs.Span, key string) int64 {
+		for _, a := range sp.Attrs {
+			if a.Key == key {
+				return a.Int
+			}
+		}
+		t.Fatalf("span %s has no %q attribute:\n%s", sp.Name, key, res.Trace.Tree())
+		return 0
+	}
+	// lookups checks one statement level (the spans directly under parent)
+	// and returns how many states it looked up.
+	lookups := func(level string, parent *obs.Span) int64 {
+		var bound, looked int64 = -1, -1
+		for _, sp := range parent.Children {
+			switch sp.Name {
+			case "canonicalize":
+				bound = attr(sp, "states")
+			case "sharing-lookup":
+				looked = attr(sp, "exact") + attr(sp, "shared") + attr(sp, "sign") + attr(sp, "miss")
+			}
+		}
+		if bound <= 0 || looked != bound {
+			t.Errorf("%s statement: sharing-lookup span counts %d lookups for %d bound states:\n%s",
+				level, looked, bound, res.Trace.Tree())
+		}
+		return looked
+	}
+	root := res.Trace.Root()
+	sub := res.Trace.Find("subquery")
+	if sub == nil {
+		t.Fatalf("no subquery span:\n%s", res.Trace.Tree())
+	}
+	total := lookups("outer", root) + lookups("inner", sub)
+	st := res.Stats
+	if got := int64(st.CacheExactHits + st.CacheSharedHits + st.CacheSignHits + st.CacheMisses); got != total {
+		t.Errorf("Result.Stats totals %d lookups, spans %d", got, total)
+	}
+}
+
 // TestEventsDrainOrdering pins the documented drain contract for
 // degradation events queued on the cache (by Append invalidations or
 // other out-of-band sources): they surface on the NEXT share-mode
@@ -155,7 +216,7 @@ func TestAppendEventsReachNextShareQuery(t *testing.T) {
 	// records from every cached entry.
 	c := s.stateCache()
 	for _, snap := range c.Snapshot() {
-		if gt, ok := c.Entry(snap.Fingerprint); ok {
+		if gt, ok := cacheEntry(c, snap.Fingerprint); ok {
 			gt.Maint = nil
 		}
 	}

@@ -26,16 +26,15 @@ type Engine struct {
 	// all of them, not a per-query figure.
 	Workers int
 	// disableVec forces every task onto the tuple-at-a-time Accumulate
-	// path even when it implements VectorTask. Used by the kernel
-	// benchmarks and the batch≡tuple differential tests; results are
-	// identical either way, only throughput differs. Atomic so the knob
-	// can be flipped while queries are in flight.
+	// path even when it implements VectorTask: the reference the
+	// batch≡tuple differential tests compare against. Results are
+	// identical either way, only throughput differs.
 	disableVec atomic.Bool
 	// disableFold turns off the direct-over-encoding run-folds (storage
 	// engine v2): aggregation then always decodes through the dense
 	// path. Results are bit-identical either way — the fold guards
-	// guarantee exactness — only throughput differs. Atomic for the same
-	// reason as disableVec.
+	// guarantee exactness — only throughput differs. The reference of the
+	// encoded≡dense differential tests.
 	disableFold atomic.Bool
 	// sem holds Workers-1 helper tokens shared across all concurrent
 	// aggregations: each query's calling goroutine always participates
@@ -53,19 +52,14 @@ func NewEngine(cat *catalog.Catalog, workers int) *Engine {
 }
 
 // SetVectorKernels toggles the batch aggregation kernels (on by default).
-// Safe to call while queries run; each query snapshots the knob once.
+// A reference switch for tests: nothing outside _test.go files calls it
+// (ci/check_docs.sh enforces that), and no exported path reaches it from
+// core.Session or the sudaf package.
 func (e *Engine) SetVectorKernels(on bool) { e.disableVec.Store(!on) }
 
-// VectorKernels reports whether the batch kernels are enabled.
-func (e *Engine) VectorKernels() bool { return !e.disableVec.Load() }
-
 // SetEncodedFolds toggles aggregation directly over encoded segments
-// (on by default). Safe to call while queries run; each query snapshots
-// the knob once.
+// (on by default). Test-only, like SetVectorKernels.
 func (e *Engine) SetEncodedFolds(on bool) { e.disableFold.Store(!on) }
-
-// EncodedFolds reports whether direct-over-encoding folds are enabled.
-func (e *Engine) EncodedFolds() bool { return !e.disableFold.Load() }
 
 // joinCond is an equi-join between two table columns.
 type joinCond struct {

@@ -179,3 +179,39 @@ func TestViewsAreCapacityCapped(t *testing.T) {
 	}()
 	sl.Col("v").AppendFloat(1)
 }
+
+// TestAppendRowsBoundsSpareCapacity: a table grown by small deltas keeps
+// at most 1/16 of a column as unused capacity (append's 1/4 growth used to
+// leave up to a quarter), and still extends in place between
+// reallocations instead of copying the column on every append.
+func TestAppendRowsBoundsSpareCapacity(t *testing.T) {
+	const base, deltaRows, appends = 4000, 10, 200
+	tbl := NewTable("t", NewColumn("id", KindInt), NewColumn("v", KindFloat), NewColumn("tag", KindString))
+	for i := 0; i < base; i++ {
+		tbl.Col("id").AppendInt(int64(i))
+		tbl.Col("v").AppendFloat(float64(i))
+		tbl.Col("tag").AppendString("a")
+	}
+	tbl.Seal()
+	delta := makeDelta(make([]int64, deltaRows), make([]float64, deltaRows), make([]string, deltaRows))
+	moves := 0
+	for k := 0; k < appends; k++ {
+		next, err := tbl.AppendRows(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := next.Col("v").F
+		if &f[0] != &tbl.Col("v").F[0] {
+			moves++
+		}
+		// Until the first move the column lives in the array its builder
+		// grew; from then on the headroom is appendTail's.
+		if spare := cap(f) - len(f); moves > 0 && spare > len(f)/16 {
+			t.Fatalf("append %d: %d spare slots on %d rows, want at most 1/16", k, spare, len(f))
+		}
+		tbl = next
+	}
+	if moves == 0 || moves > appends/4 {
+		t.Errorf("%d of %d appends moved the column; want a few (amortized growth), not none or most", moves, appends)
+	}
+}

@@ -687,14 +687,22 @@ func (c *Column) appendVersion(d *Column) *Column {
 }
 
 // appendTail extends a sealed prefix with delta values. When the prefix
-// version owns its array's spare capacity the extension happens in place
-// past len (invisible to holders of the prefix header); otherwise the
-// capacity-capped append reallocates, leaving the shared array untouched.
+// version owns its array's spare capacity and the delta fits there, the
+// extension happens in place past len (invisible to holders of the prefix
+// header); otherwise the rows move to a fresh array, leaving the shared
+// one untouched. The fresh array carries 1/16 headroom where append would
+// leave 1/4: a table grown by small deltas then never holds more than ~6%
+// of a column as unused capacity, for an amortized 16 element copies per
+// appended row.
 func appendTail[T any](prefix, delta []T, ownsTail bool) []T {
-	if ownsTail {
+	n := len(prefix) + len(delta)
+	if ownsTail && n <= cap(prefix) {
 		return append(prefix, delta...)
 	}
-	return append(prefix[:len(prefix):len(prefix)], delta...)
+	out := make([]T, n, n+n/16)
+	copy(out, prefix)
+	copy(out[len(prefix):], delta)
+	return out
 }
 
 // Validate checks the table has no deferred construction error and all

@@ -452,17 +452,6 @@ func (e *Engine) SetQueryTimeout(d time.Duration) { e.s.SetQueryTimeout(d) }
 // runtime.
 func (e *Engine) SetNumericPolicy(p NumericPolicy) { e.s.SetNumericPolicy(p) }
 
-// SetVectorizedKernels toggles the batch aggregation kernels (on by
-// default). Off forces tuple-at-a-time accumulation; results are
-// identical either way — the knob exists for benchmarks and differential
-// tests.
-func (e *Engine) SetVectorizedKernels(on bool) { e.s.SetVectorizedKernels(on) }
-
-// SetEncodedFolds toggles aggregation directly over encoded segments
-// (RLE run-folds; on by default). Results are bit-identical either way;
-// the knob exists for benchmarks and differential tests.
-func (e *Engine) SetEncodedFolds(on bool) { e.s.SetEncodedFolds(on) }
-
 // Save persists every registered table (as encoded segment files) and
 // the state cache to Options.DataDir, so a future Open against the same
 // directory restores the catalog and answers Share-mode queries from
@@ -540,9 +529,6 @@ func (e *Engine) Metrics() *MetricsRegistry { return e.s.Metrics() }
 func (e *Engine) ServeMetrics(addr string) (*MetricsServer, error) {
 	return e.s.ServeMetrics(addr)
 }
-
-// EnableViews toggles aggregate-view rewriting.
-func (e *Engine) EnableViews(on bool) { e.s.SetViewRewriting(on) }
 
 // SymbolicSpaceDump renders the precomputed symbolic sharing space
 // (states, edges, equivalence classes — Figures 4/5 of the paper).
