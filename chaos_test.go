@@ -42,7 +42,10 @@ func chaosEngine(t *testing.T) *sudaf.Engine {
 	return eng
 }
 
-const chaosQuery = `SELECT s_item, qm(price), sum(price) FROM sales, stores
+// approx_median puts a memoized terminating-function column in play: a
+// fault on the cache path must degrade it to a solve, never to a wrong or
+// partial column.
+const chaosQuery = `SELECT s_item, qm(price), sum(price), approx_median(price) FROM sales, stores
 	WHERE s_store = st_id AND st_state = 'TN' GROUP BY s_item ORDER BY s_item`
 
 func sameResult(t *testing.T, a, b *sudaf.Result) {
@@ -117,6 +120,9 @@ func TestChaosSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, res, want)
+	if err := eng.Session().Cache().CheckInvariants(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestChaosSeeds replays seeded chaos plans — any failure reproduces from

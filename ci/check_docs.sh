@@ -160,6 +160,23 @@ if [ -n "$stray" ]; then
   err "cache lookups go through Cache.LookupAll (or Probe), found:" "$stray"
 fi
 
+echo "== the terminating function is shared in one place =="
+# DESIGN.md §4 "Memoized terminating functions": a hardcoded T runs only
+# through the closure canonical.Form.CompileT builds (core memoizes that
+# closure's output, it never calls HardT itself), forms carrying one are
+# built only in internal/sketch, and the stored columns are internal/cache's
+# private state — core reaches them through LookupAll, StoreFinal and
+# ProbeFinal alone.
+stray=$(grep -rnE '\.HardT\(|HardT:' --include='*.go' . |
+  grep -vE '_test\.go:|^\./internal/sketch/|^\./internal/canonical/compile\.go:' || true)
+if [ -n "$stray" ]; then
+  err "HardT is invoked only by canonical.Form.CompileT and set only in internal/sketch, found:" "$stray"
+fi
+stray=$(grep -rnw 'finals' --include='*.go' . | grep -vE '_test\.go:|^\./internal/cache/' || true)
+if [ -n "$stray" ]; then
+  err "memoized finals are internal/cache's private state, named in:" "$stray"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "documentation checks failed" >&2
   exit 1

@@ -87,6 +87,10 @@ func TestModesAgreeOnAdversarialData(t *testing.T) {
 		// Empty selection: the grand aggregate over zero rows must yield
 		// the merge identities (+Inf/-Inf/1) in every mode.
 		"SELECT min(v), max(v), pr(v) FROM adv WHERE g > 100",
+		// Hardcoded terminating functions (the moment-sketch quantiles):
+		// Share's repeat below reads their memoized columns.
+		"SELECT g, approx_median(v), approx_first_quantile(v), approx_third_quantile(v) FROM adv GROUP BY g ORDER BY g",
+		"SELECT approx_median(v), approx_first_quantile(v), approx_third_quantile(v) FROM adv WHERE g = 3",
 	}
 	for _, sql := range queries {
 		// Fresh engines per query so Share's cache can't leak state
@@ -105,6 +109,23 @@ func TestModesAgreeOnAdversarialData(t *testing.T) {
 		rs, err := shr.Query(sql, sudaf.Share)
 		if err != nil {
 			t.Fatalf("share %q: %v", sql, err)
+		}
+		// A repeat in Share mode is a full cache hit (and, for a hardcoded
+		// T, a memo hit): it must reproduce the first answer to the bit.
+		again, err := shr.Query(sql, sudaf.Share)
+		if err != nil {
+			t.Fatalf("share repeat %q: %v", sql, err)
+		}
+		if !again.FullCacheHit {
+			t.Errorf("%q: the repeat scanned %d rows", sql, again.RowsScanned)
+		}
+		for c := range rs.Table.Cols {
+			for i := 0; i < rs.Table.NumRows(); i++ {
+				a, b := rs.Table.Cols[c].AsFloat(i), again.Table.Cols[c].AsFloat(i)
+				if math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+					t.Errorf("%q col %d row %d: share %v, repeated %v", sql, c, i, a, b)
+				}
+			}
 		}
 		for _, pair := range []struct {
 			label string

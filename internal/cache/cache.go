@@ -35,12 +35,16 @@
 //     on a table that has been Put (build a fresh table and Put it).
 //   - A CachedState's Vals slice is never written after insertion; value
 //     slices returned by LookupAll are shared and read-only.
+//   - finals (memoized terminating-function columns) follow the states
+//     rule: the list changes only under the shard's mutex, and a stored
+//     final's values are complete and never written again.
 package cache
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,6 +90,21 @@ func ChecksumVals(vals []float64) uint64 {
 // verify reports whether the state's values still match their checksum.
 func (cs *CachedState) verify() bool { return ChecksumVals(cs.Vals) == cs.checksum }
 
+// final is the memoized output column of a hardcoded terminating function
+// T over an entry's groups: the paper's sharing idea applied to the one part
+// of a UDAF it leaves unshared. T is a pure function of its state columns,
+// so a final is identified by content — which T, over which input values —
+// and served only to a lookup whose own states carry the same checksums: a
+// state replaced by Put, dropped as corrupt or re-derived with other values
+// silently retires it, and approx_median(a) cannot answer approx_median(b)
+// unless the two columns hold the same values.
+type final struct {
+	t        string    // canonical.Form.HardTKey
+	srcSums  []uint64  // ChecksumVals of each source state column, in call order
+	vals     []float64 // one per entry group, in entry order
+	checksum uint64    // over vals
+}
+
 // GroupTable is the cached content for one data fingerprint.
 type GroupTable struct {
 	Fingerprint string
@@ -102,6 +121,7 @@ type GroupTable struct {
 	states []*CachedState
 	byKey  map[string]int
 	index  map[GroupKey]int
+	finals []final
 }
 
 // NewGroupTable creates an empty group table.
@@ -159,6 +179,10 @@ func (gt *GroupTable) NumGroups() int { return len(gt.Keys) }
 // NumStates returns the number of cached states.
 func (gt *GroupTable) NumStates() int { return len(gt.states) }
 
+// NumFinals returns the number of memoized terminating-function columns.
+// Like NumStates it reads unlocked: call it on a quiescent cache.
+func (gt *GroupTable) NumFinals() int { return len(gt.finals) }
+
 // StateKeys lists cached state keys.
 func (gt *GroupTable) StateKeys() []string {
 	out := make([]string, len(gt.states))
@@ -208,10 +232,16 @@ func (gt *GroupTable) Exact(key string) (*CachedState, bool) {
 	return nil, false
 }
 
+// final returns the position in gt.finals of T's memoized column over
+// source columns with the given checksums, -1 when none is stored.
+func (gt *GroupTable) final(t string, srcSums []uint64) int {
+	return slices.IndexFunc(gt.finals, func(f final) bool { return f.t == t && slices.Equal(f.srcSums, srcSums) })
+}
+
 // bytes approximates the memory footprint for eviction accounting.
 func (gt *GroupTable) bytes() int64 {
 	per := int64(16) // key
-	per += int64(len(gt.states)) * 8
+	per += int64(len(gt.states)+len(gt.finals)) * 8
 	return int64(len(gt.Keys))*per + 1024
 }
 
@@ -240,6 +270,8 @@ type Stats struct {
 	SignHits   int64 // hits via §5.3 sign-split companions
 	Misses     int64
 	Evictions  int64
+	// FinalHits counts memoized terminating-function columns served.
+	FinalHits int64
 	// Corruptions counts cached states dropped because their integrity
 	// checksum no longer matched (each is a degradation event: the query
 	// fell back to recomputation instead of failing).
@@ -301,6 +333,7 @@ type Cache struct {
 	misses      atomic.Int64
 	evictions   atomic.Int64
 	corruptions atomic.Int64
+	finalHits   atomic.Int64
 
 	// events records degradation events (corruption fallbacks, injected
 	// faults) until drained by the session. Guarded by evMu, which is
@@ -355,6 +388,7 @@ func (c *Cache) Stats() Stats {
 		SignHits:    c.signHits.Load(),
 		Misses:      c.misses.Load(),
 		Evictions:   c.evictions.Load(),
+		FinalHits:   c.finalHits.Load(),
 		Corruptions: c.corruptions.Load(),
 	}
 }
@@ -368,14 +402,17 @@ func (c *Cache) ResetStats() {
 	c.misses.Store(0)
 	c.evictions.Store(0)
 	c.corruptions.Store(0)
+	c.finalHits.Store(0)
 }
 
 // Put inserts or merges a group table; existing states under the same
 // fingerprint are kept (states accumulate across queries). Incoming
 // state vectors are realigned to the existing entry's group order; if
 // the group sets differ (the underlying data changed), the incoming
-// table replaces the entry. The caller must not modify gt after Put.
-func (c *Cache) Put(gt *GroupTable) {
+// table replaces the entry. The caller must not modify gt after Put. It
+// returns the table now cached under the fingerprint: gt itself when it
+// was inserted or replaced the entry, the surviving entry when merged.
+func (c *Cache) Put(gt *GroupTable) *GroupTable {
 	sh := c.shardFor(gt.Fingerprint)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -398,15 +435,17 @@ func (c *Cache) Put(gt *GroupTable) {
 				prev.Maint = gt.Maint
 			}
 			sh.curBytes += prev.bytes()
+			gt = prev
 		}
 		sh.touch(gt.Fingerprint)
 		c.evict(sh)
-		return
+		return gt
 	}
 	sh.entries[gt.Fingerprint] = gt
 	sh.order = append(sh.order, gt.Fingerprint)
 	sh.curBytes += gt.bytes()
 	c.evict(sh)
+	return gt
 }
 
 // touch moves a fingerprint to the MRU end. Caller holds sh.mu.
@@ -643,7 +682,8 @@ func (c *Cache) DrainEvents() []string {
 }
 
 // CheckInvariants verifies the cache's structural invariants — byte
-// accounting matches entry contents and never goes negative, LRU order
+// accounting matches entry contents, never goes negative and exceeds the
+// shard's budget only while a single entry is too large for it, LRU order
 // mirrors the entry set, every cached state is internally consistent,
 // and counters balance (lookups = hits + misses). The counter-balance
 // check is only meaningful at quiescence — an in-flight lookup has
@@ -678,6 +718,12 @@ func (c *Cache) CheckInvariants() error {
 						si, fp, s.State.Key(), len(s.Vals), len(gt.Keys))
 				}
 			}
+			for _, f := range gt.finals {
+				if len(f.vals) != len(gt.Keys) {
+					sh.mu.Unlock()
+					return fmt.Errorf("shard %d entry %s final %s: %d values for %d groups", si, fp, f.t, len(f.vals), len(gt.Keys))
+				}
+			}
 		}
 		if sh.curBytes < 0 {
 			sh.mu.Unlock()
@@ -686,6 +732,10 @@ func (c *Cache) CheckInvariants() error {
 		if sh.curBytes != sum {
 			sh.mu.Unlock()
 			return fmt.Errorf("shard %d: accounted %d bytes, entries hold %d", si, sh.curBytes, sum)
+		}
+		if sh.curBytes > sh.maxBytes && len(sh.entries) > 1 {
+			sh.mu.Unlock()
+			return fmt.Errorf("shard %d: %d bytes over a budget of %d with %d entries to evict", si, sh.curBytes, sh.maxBytes, len(sh.entries))
 		}
 		if len(sh.order) != len(sh.entries) {
 			sh.mu.Unlock()
@@ -830,6 +880,18 @@ type Lookups struct {
 	Vals [][]float64
 	// Exact, Shared, Sign and Misses count the lookups by HitKind.
 	Exact, Shared, Sign, Misses int
+	// Finals is index-aligned with the wanted finals: the memoized column,
+	// ordered by Entry's groups and read-only like Vals, or nil where none
+	// was computed from exactly the state values this lookup served.
+	Finals [][]float64
+}
+
+// FinalWant names a memoized terminating-function column for LookupAll:
+// the function (canonical.Form.HardTKey) and the positions, in the wanted
+// states, of the states it reads, in call order.
+type FinalWant struct {
+	T   string
+	Src []int
 }
 
 // LookupAll is the lookup half of the sharing protocol every consumer
@@ -842,7 +904,9 @@ type Lookups struct {
 // sign-split reconstruction. A rewritten state's freshly materialized
 // values are stored so a repeat is an exact hit. Because entry and states
 // are read together, a concurrent Put or Remove can never leave a caller
-// holding values without the entry that orders them.
+// holding values without the entry that orders them. The wanted finals are
+// read from that same entry in the same hold; one is served only when every
+// state it reads was served here with the checksum recorded at StoreFinal.
 //
 // positive is index-aligned with want. usable, when non-nil, vets a hit's
 // values — a rejected hit still counts by its kind but is left for the
@@ -850,13 +914,19 @@ type Lookups struct {
 // state's resolution so a caller can contain cache faults per lookup (a
 // lookup that panics is then simply not served, and counts as a miss).
 // Both run under the shard lock and must not call back into the cache.
-func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool,
+func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, finals []FinalWant,
 	usable func([]float64) bool, guard func(stage string, f func())) Lookups {
 
 	if guard == nil {
 		guard = func(_ string, f func()) { f() }
 	}
-	out := Lookups{Vals: make([][]float64, len(want))}
+	out := Lookups{Vals: make([][]float64, len(want)), Finals: make([][]float64, len(finals))}
+	// sums[i] is the checksum of the cached state that served want[i],
+	// kept only for a lookup that wants finals.
+	var sums []uint64
+	if len(finals) > 0 {
+		sums = make([]uint64, len(want))
+	}
 	sh := c.shardFor(fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -878,40 +948,81 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool,
 			}
 			res := c.resolve(out.Entry, want[i], positive[i], nil)
 			vals := res.vals()
+			var sum uint64
 			switch res.kind {
 			case HitNone:
 				return
 			case HitExact:
 				out.Exact++
+				sum = res.src.checksum
 			case HitShared:
 				// A derived state inherits its sharing source's positivity
 				// (a sign-split one has none).
-				c.storeDerived(sh, out.Entry, want[i], vals, res.src.PositiveInput)
+				sum = c.storeDerived(sh, out.Entry, want[i], vals, res.src.PositiveInput)
 				out.Shared++
 			case HitSign:
-				c.storeDerived(sh, out.Entry, want[i], vals, false)
+				sum = c.storeDerived(sh, out.Entry, want[i], vals, false)
 				out.Sign++
 			}
 			if usable == nil || usable(vals) {
 				out.Vals[i] = vals
+				if sums != nil {
+					sums[i] = sum
+				}
 			}
 		})
 	}
+	var finalHits int64
+	for fi, fw := range finals {
+		guard("final lookup", func() {
+			if out.Entry == nil {
+				return
+			}
+			src := make([]uint64, len(fw.Src))
+			for j, i := range fw.Src {
+				if out.Vals[i] == nil {
+					return
+				}
+				src[j] = sums[i]
+			}
+			at := out.Entry.final(fw.T, src)
+			if at < 0 {
+				return
+			}
+			// Verified when about to be served, not in the sweep: a lookup
+			// that wants no final pays nothing for the ones stored.
+			if f := out.Entry.finals[at]; ChecksumVals(f.vals) != f.checksum {
+				sh.curBytes -= out.Entry.bytes()
+				out.Entry.finals = slices.Delete(out.Entry.finals, at, at+1)
+				sh.curBytes += out.Entry.bytes()
+				c.corruptions.Add(1)
+				c.addEvent(fmt.Sprintf("cache: memoized %s under %s failed integrity check; dropped, recomputing from its states", f.t, fp))
+			} else if usable == nil || usable(f.vals) {
+				out.Finals[fi] = f.vals
+				finalHits++
+			}
+		})
+	}
+	// Derived states grew the entry; it was just touched to MRU, and evict
+	// keeps at least one entry, so it survives its own eviction pass.
+	c.evict(sh)
 	out.Misses = len(want) - out.Exact - out.Shared - out.Sign
 	c.lookups.Add(int64(len(want)))
 	c.exactHits.Add(int64(out.Exact))
 	c.sharedHits.Add(int64(out.Shared))
 	c.signHits.Add(int64(out.Sign))
 	c.misses.Add(int64(out.Misses))
+	c.finalHits.Add(finalHits)
 	return out
 }
 
 // StoreAll is the store half: it adds the freshly computed states to gt
 // (a table the caller just built and still owns) and Puts it, returning
-// the number of states now stored under it — 0, and no Put, when there
-// was nothing to store. A state whose vector does not fit the table is
-// skipped: a failed insert costs future sharing, never the query.
-func (c *Cache) StoreAll(gt *GroupTable, fresh []*CachedState) int {
+// the table they are now cached in (see Put) and the number of states
+// stored under gt — nil and 0, and no Put, when there was nothing to
+// store. A state whose vector does not fit the table is skipped: a failed
+// insert costs future sharing, never the query.
+func (c *Cache) StoreAll(gt *GroupTable, fresh []*CachedState) (*GroupTable, int) {
 	for _, cs := range fresh {
 		_ = gt.AddState(cs)
 	}
@@ -919,10 +1030,36 @@ func (c *Cache) StoreAll(gt *GroupTable, fresh []*CachedState) int {
 	// query's Put may merge new states into it under the shard lock while
 	// we'd be reading it unlocked.
 	n := gt.NumStates()
-	if n > 0 {
-		c.Put(gt)
+	if n == 0 {
+		return nil, 0
 	}
-	return n
+	return c.Put(gt), n
+}
+
+// StoreFinal memoizes the output column of the hardcoded terminating
+// function t beside the states it was computed from: vals holds one value
+// per group of entry, in entry order, and srcSums the ChecksumVals of the
+// state columns it read, in call order (a FinalWant's Src order). Nothing
+// is stored unless entry is still the table cached under its fingerprint,
+// so a concurrent replace makes the call a no-op. A final rides the byte
+// budget like a state. Reports whether it was stored.
+func (c *Cache) StoreFinal(entry *GroupTable, t string, vals []float64, srcSums []uint64) bool {
+	f := final{t: t, srcSums: srcSums, vals: vals, checksum: ChecksumVals(vals)}
+	sh := c.shardFor(entry.Fingerprint)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.entries[entry.Fingerprint] != entry || len(vals) != len(entry.Keys) {
+		return false
+	}
+	sh.curBytes -= entry.bytes()
+	if at := entry.final(t, srcSums); at >= 0 {
+		entry.finals[at] = f
+	} else {
+		entry.finals = append(entry.finals, f)
+	}
+	sh.curBytes += entry.bytes()
+	c.evict(sh)
+	return true
 }
 
 // ProbeResult is the read-only provenance record of how a state lookup
@@ -1002,12 +1139,38 @@ func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeR
 	return out
 }
 
+// ProbeFinal reports whether LookupAll(fp, want, ...) would serve the
+// wanted final, with Probe's guarantee of no observable side effect (so a
+// source state only a rewriting would serve counts as absent).
+func (c *Cache) ProbeFinal(fp string, want []canonical.State, fw FinalWant) bool {
+	sh := c.shardFor(fp)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	gt, ok := sh.entries[fp]
+	if !ok {
+		return false
+	}
+	sums := make([]uint64, len(fw.Src))
+	for j, i := range fw.Src {
+		cs, ok := gt.Exact(want[i].Key())
+		if !ok || !cs.verify() {
+			return false
+		}
+		sums[j] = cs.checksum
+	}
+	at := gt.final(fw.T, sums)
+	return at >= 0 && ChecksumVals(gt.finals[at].vals) == gt.finals[at].checksum
+}
+
 // storeDerived caches a rewritten state's materialized values so repeated
-// requests become exact hits. Caller holds the owning shard's mutex.
-func (c *Cache) storeDerived(sh *shard, gt *GroupTable, st canonical.State, vals []float64, pos bool) {
+// requests become exact hits, and returns their checksum. Caller holds the
+// owning shard's mutex.
+func (c *Cache) storeDerived(sh *shard, gt *GroupTable, st canonical.State, vals []float64, pos bool) uint64 {
+	cs := &CachedState{State: st, Vals: vals, PositiveInput: pos}
 	sh.curBytes -= gt.bytes()
-	_ = gt.AddState(&CachedState{State: st, Vals: vals, PositiveInput: pos})
+	_ = gt.AddState(cs)
 	sh.curBytes += gt.bytes()
+	return cs.checksum
 }
 
 func sameBase(a, b canonical.State) bool {
@@ -1093,13 +1256,14 @@ func coefOf(p scalar.Prim) (float64, bool) {
 	return v, err == nil
 }
 
-// CorruptEntryForTest flips a bit in every cached state's values under a
-// fingerprint without updating checksums — a chaos/testing aid for the
-// integrity path. An empty fingerprint corrupts every entry. It returns
-// the number of states corrupted; 0 means the fingerprint is absent or
-// holds no states (or only empty vectors). States are replaced by
-// corrupted copies rather than mutated in place, so value slices handed
-// out by earlier Lookups stay valid under the read-only contract.
+// CorruptEntryForTest flips a bit in every cached state's (and memoized
+// final's) values under a fingerprint without updating checksums — a
+// chaos/testing aid for the integrity path. An empty fingerprint corrupts
+// every entry. It returns the number of states corrupted; 0 means the
+// fingerprint is absent or holds no states (or only empty vectors).
+// Columns are replaced by corrupted copies rather than mutated in place,
+// so value slices handed out by earlier Lookups stay valid under the
+// read-only contract.
 func (c *Cache) CorruptEntryForTest(fp string) int {
 	n := 0
 	for _, sh := range c.shards {
@@ -1119,6 +1283,14 @@ func (c *Cache) CorruptEntryForTest(fp string) int {
 					PositiveInput: s.PositiveInput, checksum: s.checksum,
 				}
 				n++
+			}
+			for i, f := range gt.finals {
+				if len(f.vals) == 0 {
+					continue
+				}
+				bad := append([]float64(nil), f.vals...)
+				bad[0] = math.Float64frombits(math.Float64bits(bad[0]) ^ 1)
+				gt.finals[i].vals = bad
 			}
 		}
 		sh.mu.Unlock()

@@ -29,7 +29,7 @@ func st(op canonical.AggOp, base string, prims ...scalar.Prim) canonical.State {
 // lookupKind resolves one state through LookupAll, the cache's only
 // lookup entry point.
 func lookupKind(c *Cache, fp string, want canonical.State, positive bool) ([]float64, HitKind, bool) {
-	look := c.LookupAll(fp, []canonical.State{want}, []bool{positive}, nil, nil)
+	look := c.LookupAll(fp, []canonical.State{want}, []bool{positive}, nil, nil, nil)
 	kind := HitNone
 	switch {
 	case look.Exact == 1:
@@ -49,7 +49,7 @@ func lookup(c *Cache, fp string, want canonical.State, positive bool) ([]float64
 
 // entryOf fetches (and LRU-touches) a fingerprint's entry.
 func entryOf(c *Cache, fp string) (*GroupTable, bool) {
-	gt := c.LookupAll(fp, nil, nil, nil, nil).Entry
+	gt := c.LookupAll(fp, nil, nil, nil, nil, nil).Entry
 	return gt, gt != nil
 }
 

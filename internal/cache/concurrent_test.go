@@ -270,11 +270,26 @@ func TestLookupAllIsOneCriticalSection(t *testing.T) {
 			c.Put(gt)
 		}
 	}
-	look := c.LookupAll("fp", []canonical.State{s}, []bool{true}, nil, guard)
+	look := c.LookupAll("fp", []canonical.State{s}, []bool{true}, nil, nil, guard)
 	if unlocked > 0 {
 		t.Errorf("the shard lock was free at %d of the lookup's steps", unlocked)
 	}
 	if look.Entry == nil && look.Vals[0] != nil {
 		t.Error("a state was served without the entry that orders its values")
+	}
+
+	// A lookup that also wants a memoized column reads it in the same hold:
+	// the guard sees the final's step too, still with the lock taken.
+	gt := mkGT("fp", 2)
+	_ = gt.AddState(&CachedState{State: s, Vals: []float64{1, 2}})
+	c.StoreFinal(c.Put(gt), "t", []float64{7, 8}, []uint64{ChecksumVals([]float64{1, 2})})
+	steps := 0
+	counting := func(stage string, f func()) { steps++; guard(stage, f) }
+	look = c.LookupAll("fp", []canonical.State{s}, []bool{true}, []FinalWant{{T: "t", Src: []int{0}}}, nil, counting)
+	if unlocked > 0 {
+		t.Errorf("the shard lock was free at %d of the steps of a lookup wanting a final", unlocked)
+	}
+	if steps != 3 || look.Finals[0] == nil || look.Finals[0][1] != 8 {
+		t.Errorf("want entry, state and final steps and the stored column; got %d steps, final %v", steps, look.Finals[0])
 	}
 }

@@ -139,6 +139,11 @@ type Form struct {
 	// T (the paper's second definition scenario in §4.1 — e.g. the moment
 	// solver approximating a quantile from moment-sketch states).
 	HardT func(states []float64) (float64, error)
+	// HardTKey, when non-empty, is a complete description of HardT (every
+	// parameter its value depends on besides the states), which makes its
+	// output column memoizable beside the states it was computed from.
+	// Empty for a hardcoded function too cheap to be worth keeping.
+	HardTKey string
 }
 
 // StateVar returns the T-variable name for state index i (0-based).

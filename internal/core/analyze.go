@@ -54,6 +54,13 @@ type planState struct {
 	// canonicalize
 	bound *binding
 	slots []*slot // one per bound state, index-aligned with bound.states
+	// hard indexes the calls whose hardcoded terminating function is worth
+	// sharing (canonical.Form.HardTKey): its output column is memoized in the
+	// cache entry holding the states it reads. memo, index-aligned with hard
+	// and filled by the share phase, is the stored column the lookup found
+	// valid, in entry order.
+	hard []int
+	memo [][]float64
 
 	// share
 	entry    *cache.GroupTable // nil when the fingerprint has no entry
@@ -330,6 +337,11 @@ func ruleBindStates(_ context.Context, ps *planState) error {
 		}
 		ps.spec.Finishers = append(ps.spec.Finishers, termFinisher(tfn, cols))
 		ps.spec.Labels = append(ps.spec.Labels, ps.calls[ci].String())
+		// A declarative T is a compiled closure costing nanoseconds per
+		// group: keeping its output would only bloat entries.
+		if bc.form.HardT != nil && bc.form.HardTKey != "" {
+			ps.hard = append(ps.hard, ci)
+		}
 	}
 	csp.SetInt("aggregates", int64(len(ps.calls)))
 	csp.SetInt("states", int64(len(ps.slots)))
@@ -356,8 +368,13 @@ func ruleLookupCache(_ context.Context, ps *planState) error {
 	if ps.stmt.Window != nil {
 		usable = func(vals []float64) bool { return len(vals) == len(ps.frames) }
 	}
-	look := qc.cache.LookupAll(ps.shareFP, ps.bound.states, ps.bound.positive, usable, ps.guard)
-	ps.entry = look.Entry
+	memos := make([]cache.FinalWant, len(ps.hard))
+	for i, ci := range ps.hard {
+		bc := ps.bound.calls[ci]
+		memos[i] = cache.FinalWant{T: bc.form.HardTKey, Src: bc.states}
+	}
+	look := qc.cache.LookupAll(ps.shareFP, ps.bound.states, ps.bound.positive, memos, usable, ps.guard)
+	ps.entry, ps.memo = look.Entry, look.Finals
 	for i, sl := range ps.slots {
 		sl.cached = look.Vals[i]
 	}
@@ -520,6 +537,15 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 		gr.Values = append(gr.Values, aligned)
 	}
 
+	// memoInto is the cache entry holding every state of this plan in gr's
+	// own group order, where a terminating-function column computed over gr
+	// can be stored as is: the entry behind a full hit, or the table this
+	// query is about to insert.
+	var memoInto *cache.GroupTable
+	if ps.fullHit {
+		memoInto = ps.entry
+	}
+
 	// Cache the freshly computed states (and companions). Guarded: a
 	// failed insert costs future sharing, not this query.
 	if ps.mode == ModeShare && !ps.fullHit {
@@ -549,15 +575,26 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 			for _, cs := range ps.companions {
 				fresh = append(fresh, &cache.CachedState{State: cs.st, Vals: gr.Values[cs.taskIdx]})
 			}
-			stored = qc.cache.StoreAll(gt, fresh)
+			var entry *cache.GroupTable
+			entry, stored = qc.cache.StoreAll(gt, fresh)
+			if entry == gt && ps.entry == nil {
+				memoInto = gt
+			}
 		})
 		stsp.SetInt("states", int64(stored))
 		stsp.End()
 	}
 
 	fsp := qc.sp.Child("finisher")
+	memoHits, solved, err := ps.memoizeFinishers(ctx, gr, memoInto)
+	if err != nil {
+		return nil, err
+	}
+	if len(ps.hard) > 0 {
+		fsp.SetInt("memo_hits", int64(memoHits))
+		fsp.SetInt("solved_groups", int64(solved))
+	}
 	var out *exec.Result
-	var err error
 	if windowed {
 		out, err = exec.BuildWindowOutput(ctx, ps.spec, ps.tbl, emitRows(ps.frames), gr.Values)
 	} else {
@@ -588,4 +625,58 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 	}
 	noteNumericFaults(res)
 	return res, nil
+}
+
+// memoizeFinishers makes every memoizable hardcoded terminating function
+// one more column of the value matrix, its finisher a column read. A column
+// the lookup served is aligned like any cached state. Otherwise, when the
+// statement finishes every group of gr and into is the entry holding the
+// call's states in gr's order, T runs here once over all groups and the
+// column is stored for the queries that follow. ORDER BY key LIMIT n
+// finishes only n groups: it keeps its per-group finisher and stores
+// nothing (solving 10,000 groups to answer 20 would be a regression).
+// Reports the columns read from the memo and the groups T is solved for,
+// here or in the projection.
+func (ps *planState) memoizeFinishers(ctx context.Context, gr *exec.GroupResult, into *cache.GroupTable) (hits, solved int, err error) {
+	finished := gr.NumGroups
+	if ps.stmt.Window == nil && exec.LimitsByKeys(ps.stmt, gr) {
+		finished, into = ps.stmt.Limit, nil
+	}
+	for i, ci := range ps.hard {
+		var col []float64
+		if ps.memo != nil {
+			col = ps.memo[i]
+		}
+		if col != nil && !ps.fullHit {
+			col, _ = alignEntryToResult(ps.entry, gr, col)
+		}
+		if col != nil {
+			hits++
+		} else {
+			solved += finished
+			if into == nil {
+				continue
+			}
+			fin := ps.spec.Finishers[ci]
+			col = make([]float64, gr.NumGroups)
+			for g := range col {
+				if g%1024 == 0 {
+					if err := ctx.Err(); err != nil {
+						return 0, 0, err
+					}
+				}
+				col[g] = fin(gr.Values, g)
+			}
+			bc := ps.bound.calls[ci]
+			sums := make([]uint64, len(bc.states))
+			for j, si := range bc.states {
+				sums[j] = cache.ChecksumVals(gr.Values[ps.slots[si].finalIdx])
+			}
+			ps.guard("final insert", func() { ps.qc.cache.StoreFinal(into, bc.form.HardTKey, col, sums) })
+		}
+		idx := len(gr.Values)
+		gr.Values = append(gr.Values, col)
+		ps.spec.Finishers[ci] = func(vals [][]float64, g int) float64 { return vals[idx][g] }
+	}
+	return hits, solved, nil
 }

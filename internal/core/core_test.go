@@ -383,7 +383,7 @@ func TestCrossAggregateIntraQuerySharing(t *testing.T) {
 // cacheEntry fetches the group table cached under a fingerprint through
 // LookupAll, the cache's one lookup entry point (no states wanted).
 func cacheEntry(c *cache.Cache, fp string) (*cache.GroupTable, bool) {
-	gt := c.LookupAll(fp, nil, nil, nil, nil).Entry
+	gt := c.LookupAll(fp, nil, nil, nil, nil, nil).Entry
 	return gt, gt != nil
 }
 

@@ -94,6 +94,11 @@ type ExplainAggregate struct {
 	// States indexes into Explain.States: the bound states this call's
 	// terminating function reads.
 	States []int
+	// HardT says, in share mode, how a hardcoded terminating function's
+	// output column would be produced: "memoized" (read from the column
+	// stored beside the states it was computed from) or "solved" (run per
+	// group). Empty for a declarative T, which is never memoized.
+	HardT string
 }
 
 // ExplainState is one deduplicated bound aggregation state and — in
@@ -219,6 +224,15 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 			Call: ps.calls[ci].String(), Form: bc.form.String(), States: bc.states,
 		})
 	}
+	if mode == ModeShare {
+		for _, ci := range ps.hard {
+			bc := ps.bound.calls[ci]
+			ex.Aggregates[ci].HardT = "solved"
+			if qc.cache.ProbeFinal(ps.shareFP, ps.bound.states, cache.FinalWant{T: bc.form.HardTKey, Src: bc.states}) {
+				ex.Aggregates[ci].HardT = "memoized"
+			}
+		}
+	}
 	if len(ps.calls) > 0 {
 		if rw, err := s.RewriteSQL(sql); err == nil {
 			ex.Rewritten = rw
@@ -296,6 +310,9 @@ func (ex *Explain) String() string {
 				vars = append(vars, canonical.StateVar(i))
 			}
 			fmt.Fprintf(&b, "    states: %s\n", strings.Join(vars, ", "))
+			if a.HardT != "" {
+				fmt.Fprintf(&b, "    T: hardcoded, %s\n", a.HardT)
+			}
 		}
 	}
 	if len(ex.States) > 0 {

@@ -92,6 +92,9 @@ func (s *Session) registerMetrics(label string) {
 	r.CounterFunc("sudaf_cache_evictions_total", lbl,
 		"Cache entries evicted under the byte budget.",
 		func() int64 { return s.CacheStats().Evictions })
+	r.CounterFunc("sudaf_cache_final_hits_total", lbl,
+		"Hardcoded terminating-function columns served from their memo instead of solved.",
+		func() int64 { return s.CacheStats().FinalHits })
 	r.CounterFunc("sudaf_cache_corruptions_total", lbl,
 		"Cached states dropped after failing their integrity checksum.",
 		func() int64 { return s.CacheStats().Corruptions })

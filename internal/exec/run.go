@@ -390,11 +390,12 @@ func firstK(n, k int, less func(a, b int) bool) []int {
 	return h
 }
 
-// limitByKeys pre-selects groups when ORDER BY uses only group-key
-// columns and LIMIT is present.
-func limitByKeys(stmt *sqlparse.Stmt, gr *GroupResult) (*GroupResult, bool) {
+// keyOrder resolves ORDER BY to group-key columns when BuildOutput can
+// select the LIMIT surviving groups before finishing any: ORDER BY names
+// only group-key columns and LIMIT cuts the group count. nil otherwise.
+func keyOrder(stmt *sqlparse.Stmt, gr *GroupResult) []sortCol {
 	if len(stmt.OrderBy) == 0 || stmt.Limit < 0 || stmt.Limit >= gr.NumGroups {
-		return nil, false
+		return nil
 	}
 	colIdx := map[string]int{}
 	for k, n := range gr.KeyNames {
@@ -404,9 +405,23 @@ func limitByKeys(stmt *sqlparse.Stmt, gr *GroupResult) (*GroupResult, bool) {
 	for _, o := range stmt.OrderBy {
 		k, ok := colIdx[o.Col]
 		if !ok {
-			return nil, false
+			return nil
 		}
 		specs = append(specs, sortCol{gr.KeyColumns[k], o.Desc})
+	}
+	return specs
+}
+
+// LimitsByKeys reports whether BuildOutput finishes only stmt.Limit of
+// gr's groups instead of all of them.
+func LimitsByKeys(stmt *sqlparse.Stmt, gr *GroupResult) bool { return keyOrder(stmt, gr) != nil }
+
+// limitByKeys pre-selects groups when ORDER BY uses only group-key
+// columns and LIMIT is present.
+func limitByKeys(stmt *sqlparse.Stmt, gr *GroupResult) (*GroupResult, bool) {
+	specs := keyOrder(stmt, gr)
+	if specs == nil {
+		return nil, false
 	}
 	sel := firstK(gr.NumGroups, stmt.Limit, rowLess(specs))
 	out := &GroupResult{

@@ -175,7 +175,7 @@ func (w *InProc) Scan(ctx context.Context, req *ScanRequest) (*Partial, error) {
 	var entry *cache.GroupTable
 	hits := 0
 	if req.UseCache {
-		look := c.LookupAll(dp.Fingerprint, req.States, pos, nil, nil)
+		look := c.LookupAll(dp.Fingerprint, req.States, pos, nil, nil, nil)
 		entry, vals = look.Entry, look.Vals // cached states, in entry order
 		hits = look.Exact + look.Shared + look.Sign
 	}

@@ -67,6 +67,8 @@ func QuantileForm(name string, k int, q float64) (*canonical.Form, error) {
 		Params: []string{"x"},
 		States: States(k),
 		T:      &expr.Var{Name: "s1"}, // unused; HardT overrides
+		// The solve is a pure function of the states, k and q.
+		HardTKey: fmt.Sprintf("msq(k=%d,q=%v)", k, q),
 	}
 	form.HardT = func(st []float64) (float64, error) {
 		if len(st) != NumStates(k) {
