@@ -177,6 +177,22 @@ if [ -n "$stray" ]; then
   err "memoized finals are internal/cache's private state, named in:" "$stray"
 fi
 
+echo "== one state cache =="
+# DESIGN.md §13: shard workers are stateless scanners and the session
+# cache is the only place a state is kept. (a) internal/shard creates and
+# reads no cache. (b) The removed per-shard cache API and its metric
+# families are named only in the history files.
+stray=$(grep -rnE 'cache\.New\(|\.(LookupAll|StoreAll|Probe)\(' --include='*.go' internal/shard | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+  err "internal/shard keeps no state cache, found:" "$stray"
+fi
+gone=$(grep -rnE 'ClearShardWorker|ClearShardCaches|ShardWorkerCache|sudaf_shard_(full_hits|state_hits|entries_maintained)_total' \
+  --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' . .github |
+  grep -vE '^\./(CHANGES|EXPERIMENTS|ROADMAP|ISSUE|REVIEW)\.md:|^\./ci/check_docs\.sh:' || true)
+if [ -n "$gone" ]; then
+  err "removed per-shard cache API is still named:" "$gone"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "documentation checks failed" >&2
   exit 1

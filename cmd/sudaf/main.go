@@ -243,9 +243,8 @@ func runCommand(eng *sudaf.Engine, line string, mode *sudaf.Mode) (quit bool) {
 			fmt.Println("sharding off (run with -shards N)")
 			return
 		}
-		fmt.Printf("shards=%d tables=%d queries=%d fallbacks=%d scans=%d full_hits=%d state_hits=%d rows_scanned=%d appends_routed=%d entries_maintained=%d\n",
-			st.Shards, st.Tables, st.Queries, st.Fallbacks, st.Scans, st.FullHits,
-			st.StateHits, st.RowsScanned, st.AppendsRouted, st.EntriesMaintained)
+		fmt.Printf("shards=%d tables=%d queries=%d fallbacks=%d scans=%d rows_scanned=%d appends_routed=%d\n",
+			st.Shards, st.Tables, st.Queries, st.Fallbacks, st.Scans, st.RowsScanned, st.AppendsRouted)
 	case "\\rewrite":
 		if len(fields) < 2 {
 			fmt.Println("usage: \\rewrite <sql>")

@@ -106,8 +106,7 @@ func (s *Session) BatchExplain(reqs []Request, mode Mode) (*BatchExplain, error)
 			Members:     g.members,
 			Tasks:       g.reg.Keys(),
 		}
-		if s.shards != nil && mode != ModeBaseline && g.reg.Len() > 0 &&
-			len(g.compute) == g.reg.Len() && s.shards.pickSet(g.dp) != nil {
+		if g.scatterSet(s, mode) != nil {
 			ge.Shards = s.shards.n
 		}
 		for _, mi := range g.members {

@@ -127,11 +127,12 @@ type Options struct {
 	MetricsLabel string
 	// Shards > 1 partitions every registered table into that many
 	// contiguous row-range shards and executes SUDAF-mode aggregations
-	// scatter-gather: each shard computes its partial canonical states
-	// (against its own private state cache, so Theorem 4.1 sharing works
-	// per shard), the coordinator ⊕-merges the partials, and the
-	// terminating functions run once over the merged groups. Results are
-	// bit-identical to an unsharded session. 0 or 1 disables sharding.
+	// scatter-gather: the session's one state cache serves what it can,
+	// each shard scans its slice for the missed states only, the
+	// coordinator ⊕-merges the partials and stores them back, and the
+	// terminating functions run once over the merged groups. Shard
+	// workers keep no state. Results are bit-identical to an unsharded
+	// session. 0 or 1 disables sharding.
 	Shards int
 	// DataDir, when non-empty, is the persistence directory: NewSession
 	// restores every table segment file and the state-cache snapshot
@@ -213,9 +214,9 @@ type Session struct {
 	cacheBytes int64
 
 	// shards is the scatter-gather runtime (nil when Options.Shards ≤ 1):
-	// per-table shard sets plus the in-process workers, each with its own
-	// state cache. Shard sets are rebuilt under ingestMu (Register,
-	// Append) and read via an immutable-snapshot pointer by queries.
+	// per-table shard sets plus the stateless in-process workers. Shard
+	// sets are rebuilt under ingestMu (Register, Append) and read via an
+	// immutable-snapshot pointer by queries.
 	shards *shardRuntime
 
 	// admit is the admission-control slot pool (nil = unlimited); any
@@ -309,7 +310,7 @@ func NewSession(opts Options) *Session {
 	}
 	s.cache.Store(cache.New(opts.CacheBytes, space))
 	if opts.Shards > 1 {
-		s.shards = newShardRuntime(s, opts.Shards, opts.CacheBytes)
+		s.shards = newShardRuntime(s.eng, opts.Shards)
 	}
 	if opts.MaxConcurrentQueries > 0 {
 		s.admit = make(gate.Slots, opts.MaxConcurrentQueries)
@@ -408,8 +409,7 @@ func (s *Session) SetQueryTimeout(d time.Duration) {
 
 // Register adds a table to the catalog. On a sharded session it also
 // (re)builds the table's shard set: contiguous row-range slice versions,
-// one per shard, each sealed and epoch-stamped once so per-shard cache
-// fingerprints stay stable across queries.
+// one per shard, each sealed and epoch-stamped once per table version.
 func (s *Session) Register(t *storage.Table) error {
 	if s.shards == nil {
 		return s.cat.Register(t)

@@ -1,9 +1,10 @@
 // Scatter-gather distribution: the session side of internal/shard. A
 // sharded session (Options.Shards > 1) partitions every registered table
-// into contiguous row-range slice versions — sealed and epoch-stamped
-// once, so per-shard cache fingerprints are stable across queries — and
-// executes SUDAF-mode aggregations as N partial state scans ⊕-merged at
-// the coordinator.
+// into contiguous row-range slice versions and executes SUDAF-mode
+// aggregations as N partial state scans ⊕-merged at the coordinator. The
+// scatter replaces only the local scan: lookup, sharing and StoreAll run
+// against the session's one state cache exactly as unsharded, so a
+// scatter carries only the states that cache missed.
 //
 // Correctness rests on the paper's canonical form: every aggregation
 // state is a commutative-monoid fold over the input multiset, so
@@ -20,9 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sudaf/internal/cache"
 	"sudaf/internal/canonical"
-	"sudaf/internal/catalog"
 	"sudaf/internal/exec"
 	"sudaf/internal/shard"
 	"sudaf/internal/sqlparse"
@@ -44,19 +43,12 @@ type ShardStats struct {
 	// temporaries).
 	Queries   int64
 	Fallbacks int64
-	// Scans counts per-shard worker scans (including full cache hits);
-	// FullHits the scans answered entirely from a worker's cache;
-	// StateHits the individual states served from worker caches;
-	// RowsScanned the base rows read by partial recomputations.
+	// Scans counts per-shard worker scans; RowsScanned the base rows they
+	// read.
 	Scans       int64
-	FullHits    int64
-	StateHits   int64
 	RowsScanned int64
-	// AppendsRouted counts append batches routed to their owning shard;
-	// EntriesMaintained the worker-cache entries ⊕-maintained in place
-	// across those appends.
-	AppendsRouted     int64
-	EntriesMaintained int64
+	// AppendsRouted counts append batches routed to their owning shard.
+	AppendsRouted int64
 }
 
 // shardSet is one table's partitioning: contiguous [lo, hi) row ranges
@@ -71,9 +63,8 @@ type shardSet struct {
 }
 
 // shardRuntime is the per-session scatter-gather state: the in-process
-// workers (each with a private state cache) and the per-table shard
-// sets. Sets are rebuilt under ingestMu (Register, Append) and read via
-// pointer snapshot by queries.
+// workers and the per-table shard sets. Sets are rebuilt under ingestMu
+// (Register, Append) and read via pointer snapshot by queries.
 type shardRuntime struct {
 	n       int
 	workers []*shard.InProc
@@ -81,31 +72,23 @@ type shardRuntime struct {
 	mu   sync.RWMutex
 	sets map[string]*shardSet
 
-	queries           atomic.Int64
-	fallbacks         atomic.Int64
-	appendsRouted     atomic.Int64
-	entriesMaintained atomic.Int64
+	queries       atomic.Int64
+	fallbacks     atomic.Int64
+	appendsRouted atomic.Int64
 }
 
-// newShardRuntime builds the workers. Each worker's private cache gets
-// an equal share of the session cache budget.
-func newShardRuntime(s *Session, n int, cacheBytes int64) *shardRuntime {
-	per := cacheBytes
-	if per <= 0 {
-		per = 256 << 20
-	}
-	per /= int64(n)
+// newShardRuntime builds the workers.
+func newShardRuntime(eng *exec.Engine, n int) *shardRuntime {
 	r := &shardRuntime{n: n, sets: map[string]*shardSet{}}
 	for i := 0; i < n; i++ {
-		r.workers = append(r.workers, shard.NewInProc(s.eng, per, s.space))
+		r.workers = append(r.workers, shard.NewInProc(eng))
 	}
 	return r
 }
 
 // rebuild (re)partitions a just-registered table version into the shard
-// set. Caller holds ingestMu. Slices are stamped with their own epochs
-// here, exactly once, so a worker re-registering one into a per-query
-// overlay keeps a stable fingerprint.
+// set. Caller holds ingestMu. Slices are sealed and epoch-stamped here,
+// once per table version, not per query.
 func (r *shardRuntime) rebuild(t *storage.Table) {
 	ranges := t.Partition(r.n)
 	slices := make([]*storage.Table, r.n)
@@ -168,17 +151,16 @@ func ruleDistribute(ctx context.Context, ps *planState) error {
 		return nil
 	}
 	states, ok := ps.taskStates()
-	if !ok {
+	set := s.shards.pickSet(ps.dp)
+	if !ok || set == nil {
 		s.shards.fallbacks.Add(1)
 		return nil
 	}
-	gr, ok, err := s.scatter(ctx, ps.qc, ps.stmt, ps.dp, states, ps.mode == ModeShare)
+	gr, err := s.scatter(ctx, ps.qc, ps.stmt, set, states)
 	if err != nil {
 		return err
 	}
-	if ok {
-		ps.gr = gr
-	}
+	ps.gr = gr
 	return nil
 }
 
@@ -218,20 +200,15 @@ func (ps *planState) taskStates() ([]canonical.State, bool) {
 	return states, true
 }
 
-// scatter runs the states over the shard workers and merges the partials
-// into a GroupResult shaped exactly like the single-engine scan would
-// produce (Values indexed by registry task index, groups in global
-// first-appearance order). ok=false means the plan was not
-// distributable; err is a real shard failure (typed errs.ErrShard).
-func (s *Session) scatter(ctx context.Context, qc *queryCtx, stmt *sqlparse.Stmt, dp *exec.DataPlan,
-	states []canonical.State, useCache bool) (*exec.GroupResult, bool, error) {
+// scatter runs the states over the shard workers against set and merges
+// the partials into a GroupResult shaped exactly like the single-engine
+// scan would produce (Values indexed by registry task index, groups in
+// global first-appearance order). An error is a real shard failure
+// (typed errs.ErrShard).
+func (s *Session) scatter(ctx context.Context, qc *queryCtx, stmt *sqlparse.Stmt, set *shardSet,
+	states []canonical.State) (*exec.GroupResult, error) {
 
 	r := s.shards
-	set := r.pickSet(dp)
-	if set == nil {
-		r.fallbacks.Add(1)
-		return nil, false, nil
-	}
 	workers := make([]shard.Worker, len(r.workers))
 	for i, w := range r.workers {
 		workers[i] = w
@@ -240,23 +217,15 @@ func (s *Session) scatter(ctx context.Context, qc *queryCtx, stmt *sqlparse.Stmt
 	sp.SetStr("table", set.table)
 	sp.SetInt("shards", int64(len(workers)))
 	m, err := shard.Gather(ctx, workers, &shard.Request{
-		Stmt: stmt, Cat: qc.cat, Table: set.table, Slices: set.slices,
-		States: states, UseCache: useCache,
-		Positive: basePositive,
-		Maint:    func(st *sqlparse.Stmt, d *exec.DataPlan) any { return newMaintRec(st, d) },
+		Stmt: stmt, Cat: qc.cat, Slices: set.slices, States: states,
 	})
 	if err != nil {
 		sp.End()
-		return nil, false, err
+		return nil, err
 	}
 	r.queries.Add(1)
-	hits := 0
-	for _, si := range m.Shards {
-		hits += si.StateHits
-	}
 	sp.SetInt("rows", int64(m.Rows))
 	sp.SetInt("groups", int64(len(m.Keys)))
-	sp.SetInt("state-hits", int64(hits))
 	sp.End()
 	return &exec.GroupResult{
 		NumGroups:  len(m.Keys),
@@ -266,20 +235,15 @@ func (s *Session) scatter(ctx context.Context, qc *queryCtx, stmt *sqlparse.Stmt
 		Values:     m.Vals,
 		Rows:       m.Rows,
 		Kernels:    m.Kernels,
-	}, true, nil
+	}, nil
 }
 
-// routeAppend extends the appended table's shard set to the new version
-// and ⊕-maintains the owning shard's cache. Contiguous ranges mean an
-// append extends only the *last* shard: earlier shards' slices view a
-// stable prefix of copy-on-write arrays, so their fingerprints — and
-// every partial cached under them — stay valid untouched. Only the owner
-// re-slices (fresh epoch) and delta-maintains its entries, reusing the
-// session's migrateEntry machinery against the worker's private cache.
-// Caller holds ingestMu; deltaCat is the session's delta overlay (the
-// delta rows all belong to the owner's range).
-func (s *Session) routeAppend(ctx context.Context, old, newTbl *storage.Table, deltaCat *catalog.Catalog) {
-	r := s.shards
+// routeAppend extends the appended table's shard set to the new version.
+// Contiguous ranges mean an append extends only the *last* shard: the
+// earlier shards' slices view a stable prefix of copy-on-write arrays and
+// are reused as they are; only the owner re-slices. Caller holds
+// ingestMu.
+func (r *shardRuntime) routeAppend(old, newTbl *storage.Table) {
 	set, ok := r.setFor(old.Name)
 	if !ok || set.baseEpoch != old.Epoch {
 		// No set (or one for a superseded version): start fresh.
@@ -287,7 +251,6 @@ func (s *Session) routeAppend(ctx context.Context, old, newTbl *storage.Table, d
 		return
 	}
 	owner := r.n - 1
-	oldOwner := set.slices[owner]
 	ranges := make([][2]int, r.n)
 	copy(ranges, set.ranges)
 	ranges[owner] = [2]int{set.ranges[owner][0], newTbl.NumRows()}
@@ -299,33 +262,6 @@ func (s *Session) routeAppend(ctx context.Context, old, newTbl *storage.Table, d
 	slices[owner] = no
 	r.appendsRouted.Add(1)
 
-	// Owner-shard maintenance: entries computed at the old owner slice
-	// (and current versions of every joined table) fold the delta in and
-	// move to the new slice's fingerprint; anything else is left alone —
-	// other shards' entries are still current, and entries referencing
-	// superseded versions are unreachable garbage the LRU will evict.
-	postCat := s.cat.Overlay()
-	if err := postCat.Register(no); err == nil {
-		c := r.workers[owner].StateCache()
-		for _, snap := range c.Snapshot() {
-			mr, mok := snap.Maint.(*maintRec)
-			if !mok || mr == nil {
-				if fpReferences(snap.Fingerprint, old.Name, oldOwner.Epoch) {
-					c.Remove(snap.Fingerprint)
-				}
-				continue
-			}
-			if !s.recCurrent(mr.epochs, old.Name, oldOwner.Epoch) {
-				continue
-			}
-			if _, err := s.migrateEntry(ctx, c, snap, mr, deltaCat, postCat); err != nil {
-				c.Remove(snap.Fingerprint)
-				continue
-			}
-			r.entriesMaintained.Add(1)
-		}
-	}
-
 	r.mu.Lock()
 	r.sets[newTbl.Name] = &shardSet{
 		table: newTbl.Name, baseEpoch: newTbl.Epoch, ranges: ranges, slices: slices,
@@ -333,41 +269,18 @@ func (s *Session) routeAppend(ctx context.Context, old, newTbl *storage.Table, d
 	r.mu.Unlock()
 }
 
-// explainShards fills ex.Shards with per-worker scatter provenance:
-// each shard's slice fingerprint and — in share mode — its private
-// cache's probed outcome for every bound state (read-only, mirroring
-// the coordinator probe). bound is index-aligned with ex.States.
-func (s *Session) explainShards(qc *queryCtx, stmt *sqlparse.Stmt, dp *exec.DataPlan,
-	ex *Explain, bound []canonical.State) {
-
-	r := s.shards
+// explainShards describes the shard set a scatter over dp would use:
+// each shard's index, table and row-range size (nil when none matches).
+func (r *shardRuntime) explainShards(dp *exec.DataPlan) []ExplainShard {
 	set := r.pickSet(dp)
 	if set == nil {
-		return
+		return nil
 	}
-	for i, w := range r.workers {
-		ov := qc.cat.Overlay()
-		if err := ov.Register(set.slices[i]); err != nil {
-			return
-		}
-		dpi, err := s.eng.PrepareDataIn(ov, stmt)
-		if err != nil {
-			return
-		}
-		es := ExplainShard{
-			Index: i, Table: set.table,
-			Rows:        set.ranges[i][1] - set.ranges[i][0],
-			Fingerprint: dpi.Fingerprint,
-		}
-		if ex.Mode == ModeShare {
-			c := w.StateCache()
-			for _, st := range bound {
-				pos := basePositive(ov, st.Base, dpi.Tables())
-				es.Hits = append(es.Hits, c.Probe(dpi.Fingerprint, st, pos).Kind.String())
-			}
-		}
-		ex.Shards = append(ex.Shards, es)
+	out := make([]ExplainShard, len(set.ranges))
+	for i, rg := range set.ranges {
+		out[i] = ExplainShard{Index: i, Table: set.table, Rows: rg[1] - rg[0]}
 	}
+	return out
 }
 
 // ShardStats returns the session's scatter-gather counters (zero-valued
@@ -378,11 +291,10 @@ func (s *Session) ShardStats() ShardStats {
 		return ShardStats{}
 	}
 	st := ShardStats{
-		Shards:            r.n,
-		Queries:           r.queries.Load(),
-		Fallbacks:         r.fallbacks.Load(),
-		AppendsRouted:     r.appendsRouted.Load(),
-		EntriesMaintained: r.entriesMaintained.Load(),
+		Shards:        r.n,
+		Queries:       r.queries.Load(),
+		Fallbacks:     r.fallbacks.Load(),
+		AppendsRouted: r.appendsRouted.Load(),
 	}
 	r.mu.RLock()
 	st.Tables = len(r.sets)
@@ -390,8 +302,6 @@ func (s *Session) ShardStats() ShardStats {
 	for _, w := range r.workers {
 		ws := w.Stats()
 		st.Scans += ws.Scans
-		st.FullHits += ws.FullHits
-		st.StateHits += ws.StateHits
 		st.RowsScanned += ws.RowsScanned
 	}
 	return st
@@ -404,34 +314,4 @@ func (s *Session) ShardCount() int {
 		return 0
 	}
 	return s.shards.n
-}
-
-// ShardWorkerCache exposes one worker's private state cache (tests,
-// chaos harnesses, EXPLAIN probing).
-func (s *Session) ShardWorkerCache(i int) *cache.Cache {
-	if s.shards == nil || i < 0 || i >= len(s.shards.workers) {
-		return nil
-	}
-	return s.shards.workers[i].StateCache()
-}
-
-// ClearShardWorker drops a single worker's cached partials, simulating
-// one shard rebooting while its peers stay warm: the next scatter
-// rescans only that worker's row range.
-func (s *Session) ClearShardWorker(i int) {
-	if s.shards == nil || i < 0 || i >= len(s.shards.workers) {
-		return
-	}
-	s.shards.workers[i].ClearCache()
-}
-
-// ClearShardCaches drops every worker's cached partials (the per-shard
-// analogue of ClearCache, which only clears the session cache).
-func (s *Session) ClearShardCaches() {
-	if s.shards == nil {
-		return
-	}
-	for _, w := range s.shards.workers {
-		w.ClearCache()
-	}
 }

@@ -41,11 +41,10 @@ type Explain struct {
 	// frame shape and the window-qualified fingerprint its per-emission
 	// partials are cached under. Nil for non-windowed queries.
 	Window *ExplainWindow
-	// Shards is the per-shard scatter provenance on a sharded engine
-	// (Options.Shards > 1): one entry per shard worker, with its slice
-	// fingerprint and — in share mode — its private cache's probed
-	// outcome for every state. Empty on unsharded engines and in
-	// baseline mode (which never distributes).
+	// Shards is the scatter provenance on a sharded engine
+	// (Options.Shards > 1): one entry per shard worker, with the row range
+	// it would scan. Empty on unsharded engines and in baseline mode
+	// (which never distributes).
 	Shards []ExplainShard
 }
 
@@ -73,13 +72,6 @@ type ExplainShard struct {
 	Index int
 	Table string
 	Rows  int
-	// Fingerprint keys the worker's private cache: the query's data part
-	// with the sharded table at the shard's own slice version.
-	Fingerprint string
-	// Hits aligns with Explain.States: the worker cache's probed outcome
-	// per state — "exact", "shared", "sign" or "miss" (nil outside share
-	// mode).
-	Hits []string
 }
 
 // ExplainAggregate is one aggregate call's decomposition.
@@ -239,7 +231,7 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 		}
 	}
 	if s.shards != nil && len(ps.slots) > 0 {
-		s.explainShards(qc, stmt, dp, ex, ps.bound.states)
+		ex.Shards = s.shards.explainShards(dp)
 	}
 	return ex, nil
 }
@@ -337,14 +329,7 @@ func (ex *Explain) String() string {
 	if len(ex.Shards) > 0 {
 		b.WriteString("\nshards:\n")
 		for _, sh := range ex.Shards {
-			fmt.Fprintf(&b, "  shard %d: %s rows=%d fingerprint=%s\n", sh.Index, sh.Table, sh.Rows, sh.Fingerprint)
-			if len(sh.Hits) > 0 {
-				var parts []string
-				for j, h := range sh.Hits {
-					parts = append(parts, fmt.Sprintf("%s=%s", canonical.StateVar(j), h))
-				}
-				fmt.Fprintf(&b, "    cache: %s\n", strings.Join(parts, ", "))
-			}
+			fmt.Fprintf(&b, "  shard %d: %s rows=%d\n", sh.Index, sh.Table, sh.Rows)
 		}
 	}
 	return b.String()

@@ -247,12 +247,10 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 		res.ViewsMaintained++
 	}
 
-	// Route the delta to its owning shard before publishing: contiguous
-	// ranges mean an append extends only the last shard, whose worker
-	// cache is ⊕-maintained in place; the other shards' slices — and
-	// every partial cached under them — stay valid untouched.
+	// Route the delta to its owning shard before publishing, so no query
+	// pins the new version while its shard set still partitions the old.
 	if s.shards != nil {
-		s.routeAppend(ctx, old, newTbl, deltaCat)
+		s.shards.routeAppend(old, newTbl)
 	}
 
 	// Publish: from here on, new snapshots pin the new version. In-flight

@@ -26,9 +26,8 @@ import (
 //	sudaf_ingest_states_maintained_total,
 //	sudaf_ingest_views_maintained_total / _invalidated_total
 //	sudaf_shard_queries_total, sudaf_shard_fallbacks_total,
-//	sudaf_shard_scans_total, sudaf_shard_full_hits_total,
-//	sudaf_shard_state_hits_total, sudaf_shard_rows_scanned_total,
-//	sudaf_shard_appends_routed_total, sudaf_shard_entries_maintained_total
+//	sudaf_shard_scans_total, sudaf_shard_rows_scanned_total,
+//	sudaf_shard_appends_routed_total
 //	sudaf_storage_encoded_segments_total, sudaf_storage_run_folds_total,
 //	sudaf_storage_saves_total, sudaf_storage_tables_loaded_total,
 //	sudaf_storage_cache_entries_loaded_total
@@ -124,23 +123,14 @@ func (s *Session) registerMetrics(label string) {
 		"Shard-eligible queries that ran single-engine instead (epoch mismatch, view rewrite, subquery temp).",
 		func() int64 { return s.ShardStats().Fallbacks })
 	r.CounterFunc("sudaf_shard_scans_total", lbl,
-		"Per-shard worker scans, including full cache hits.",
+		"Per-shard worker scans.",
 		func() int64 { return s.ShardStats().Scans })
-	r.CounterFunc("sudaf_shard_full_hits_total", lbl,
-		"Worker scans answered entirely from the worker's private cache.",
-		func() int64 { return s.ShardStats().FullHits })
-	r.CounterFunc("sudaf_shard_state_hits_total", lbl,
-		"Individual aggregation states served from worker caches.",
-		func() int64 { return s.ShardStats().StateHits })
 	r.CounterFunc("sudaf_shard_rows_scanned_total", lbl,
-		"Base rows read by per-shard partial recomputations.",
+		"Base rows read by per-shard worker scans.",
 		func() int64 { return s.ShardStats().RowsScanned })
 	r.CounterFunc("sudaf_shard_appends_routed_total", lbl,
 		"Append batches routed to their owning shard.",
 		func() int64 { return s.ShardStats().AppendsRouted })
-	r.CounterFunc("sudaf_shard_entries_maintained_total", lbl,
-		"Worker-cache entries ⊕-maintained in place across routed appends.",
-		func() int64 { return s.ShardStats().EntriesMaintained })
 
 	// Storage engine v2: segment encodings, run-folds and persistence.
 	// The first two read process-wide storage counters (encodings are

@@ -9,8 +9,6 @@ import (
 	"sudaf/internal/canonical"
 	"sudaf/internal/catalog"
 	"sudaf/internal/errs"
-	"sudaf/internal/exec"
-	"sudaf/internal/expr"
 	"sudaf/internal/faultinject"
 	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
@@ -20,14 +18,10 @@ import (
 // catalog, the per-shard slice versions of the sharded table, and the
 // canonical states to evaluate.
 type Request struct {
-	Stmt     *sqlparse.Stmt
-	Cat      *catalog.Catalog
-	Table    string
-	Slices   []*storage.Table // one per worker, index-aligned
-	States   []canonical.State
-	UseCache bool
-	Positive func(cat *catalog.Catalog, base expr.Node, tables []string) bool
-	Maint    func(stmt *sqlparse.Stmt, dp *exec.DataPlan) any
+	Stmt   *sqlparse.Stmt
+	Cat    *catalog.Catalog
+	Slices []*storage.Table // one per worker, index-aligned
+	States []canonical.State
 }
 
 // ShardInfo is one shard's provenance in a gathered result.
@@ -35,8 +29,6 @@ type ShardInfo struct {
 	Fingerprint string
 	Rows        int
 	Groups      int
-	StateHits   int
-	FromCache   bool
 }
 
 // Merged is a gathered result: the ⊕-merge of every worker's partial.
@@ -46,7 +38,6 @@ type Merged struct {
 	KeyNames []string
 	KeyCols  []*storage.Column
 	Vals     [][]float64
-	Pos      []bool
 	Rows     int
 	Kernels  []string
 	Shards   []ShardInfo
@@ -98,9 +89,7 @@ func Gather(ctx context.Context, workers []Worker, req *Request) (m *Merged, err
 				}
 			}()
 			p, err := w.Scan(gctx, &ScanRequest{
-				Stmt: req.Stmt, Cat: req.Cat, Slice: req.Slices[i],
-				States: req.States, UseCache: req.UseCache,
-				Positive: req.Positive, Maint: req.Maint,
+				Stmt: req.Stmt, Cat: req.Cat, Slice: req.Slices[i], States: req.States,
 			})
 			if err != nil {
 				fail(i, err)
@@ -127,10 +116,10 @@ func Gather(ctx context.Context, workers []Worker, req *Request) (m *Merged, err
 // delta-merge machinery of incremental ingestion: the union group set
 // keeps earlier shards' group order with new groups appended in
 // appearance order (which, for contiguous row-range shards, is exactly
-// the single-engine first-appearance order), absent groups pad with the
-// state's ⊕-identity, and positivity ANDs across shards. fp-exact: the
-// merge performs the same ⊕ reductions, in the same order, as the
-// engine's own morsel-merge over one table.
+// the single-engine first-appearance order) and absent groups pad with
+// the state's ⊕-identity. fp-exact: the merge performs the same ⊕
+// reductions, in the same order, as the engine's own morsel-merge over
+// one table.
 func MergePartials(states []canonical.State, parts []*Partial) (*Merged, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("no partials")
@@ -143,16 +132,13 @@ func MergePartials(states []canonical.State, parts []*Partial) (*Merged, error) 
 			seen[k] = true
 		}
 	}
-	m := &Merged{
-		Vals: make([][]float64, len(states)),
-		Pos:  make([]bool, len(states)),
-	}
+	m := &Merged{Vals: make([][]float64, len(states))}
 	kernels := map[string]bool{} // dedup; m.Kernels keeps first-shard-order
 
 	p0 := parts[0]
 	gt := cache.NewGroupTable("shard-merge", p0.KeyNames, p0.Keys, p0.KeyCols)
 	for i, st := range states {
-		if err := gt.AddState(&cache.CachedState{State: st, Vals: p0.Vals[i], PositiveInput: p0.Pos[i]}); err != nil {
+		if err := gt.AddState(&cache.CachedState{State: st, Vals: p0.Vals[i]}); err != nil {
 			return nil, err
 		}
 	}
@@ -160,7 +146,6 @@ func MergePartials(states []canonical.State, parts []*Partial) (*Merged, error) 
 		m.Rows += p.Rows
 		m.Shards = append(m.Shards, ShardInfo{
 			Fingerprint: p.Fingerprint, Rows: p.Rows, Groups: len(p.Keys),
-			StateHits: p.StateHits, FromCache: p.FromCache,
 		})
 		for _, k := range p.Kernels {
 			if !kernels[k] {
@@ -176,12 +161,10 @@ func MergePartials(states []canonical.State, parts []*Partial) (*Merged, error) 
 			return nil, err
 		}
 		deltaVals := make(map[string][]float64, len(states))
-		deltaPos := make(map[string]bool, len(states))
 		for i, st := range states {
 			deltaVals[st.Key()] = p.Vals[i]
-			deltaPos[st.Key()] = p.Pos[i]
 		}
-		next, err := cache.MergeDelta(gt.SnapshotEntry(), "shard-merge", p.Keys, p.KeyCols, deltaVals, deltaPos, nil)
+		next, err := cache.MergeDelta(gt.SnapshotEntry(), "shard-merge", p.Keys, p.KeyCols, deltaVals, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +179,6 @@ func MergePartials(states []canonical.State, parts []*Partial) (*Merged, error) 
 			return nil, fmt.Errorf("state %s lost in merge", st.Key())
 		}
 		m.Vals[i] = cs.Vals
-		m.Pos[i] = cs.PositiveInput
 	}
 	return m, nil
 }

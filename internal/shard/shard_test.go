@@ -81,7 +81,6 @@ func buildPartial(states []canonical.State, rows []mrow) *Partial {
 		KeyNames:    []string{"g"},
 		KeyCols:     []*storage.Column{kc},
 		Vals:        vals,
-		Pos:         make([]bool, len(states)),
 		Rows:        len(rows),
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -91,16 +92,21 @@ func sameStats(t *testing.T, label string, a, b *sudaf.Result) {
 }
 
 // TestShardDifferentialBattery runs every query in every mode at shard
-// counts {1, 2, 3, 7} — cold, then warm — and demands bit-identical
-// results and identical row/cache accounting against an unsharded
-// reference engine walked through the same sequence.
+// counts {1, 2, 3, 7} — cold, then warm, then after ClearCache on both
+// engines — and demands bit-identical results and identical row/cache
+// accounting against an unsharded reference engine walked through the
+// same sequence.
 func TestShardDifferentialBattery(t *testing.T) {
 	for _, mode := range []sudaf.Mode{sudaf.Baseline, sudaf.Rewrite, sudaf.Share} {
 		for _, shards := range []int{1, 2, 3, 7} {
 			t.Run(fmt.Sprintf("%v/shards=%d", mode, shards), func(t *testing.T) {
 				ref := openShardTR(t, 0)
 				shd := openShardTR(t, shards)
-				for pass := 0; pass < 2; pass++ { // cold, then warm
+				for pass := 0; pass < 3; pass++ { // cold, warm, cleared
+					if pass == 2 {
+						ref.ClearCache()
+						shd.ClearCache()
+					}
 					for _, q := range shardQueries {
 						label := fmt.Sprintf("pass %d %q", pass, q.sql)
 						want, err := ref.Query(q.sql, mode)
@@ -372,46 +378,6 @@ func TestShardAppendRoutingDifferential(t *testing.T) {
 	}
 }
 
-// TestShardMaintenanceEqualsCold proves per-shard ⊕-maintenance: warm
-// the worker caches, append a delta, drop the session cache (workers
-// keep theirs), and re-query — the maintained worker partials must
-// serve the query with ZERO rows rescanned, bit-identical to a cold
-// engine over the concatenated data.
-func TestShardMaintenanceEqualsCold(t *testing.T) {
-	batches := ingestBatches()
-	eng := sudaf.Open(sudaf.Options{Workers: 2, Shards: 4})
-	if err := eng.Register(copyTR(batches[0])); err != nil {
-		t.Fatal(err)
-	}
-	const sql = "SELECT g, sum(v), qm(v) FROM tr GROUP BY g"
-	if _, err := eng.Query(sql, sudaf.Share); err != nil { // warm workers
-		t.Fatal(err)
-	}
-	if _, err := eng.Append(context.Background(), "tr", copyTR(batches[1])); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.ShardStats(); st.EntriesMaintained == 0 {
-		t.Fatalf("owner shard maintained no entries: %+v", st)
-	}
-
-	eng.ClearCache() // session cache only; worker caches keep their partials
-	got, err := eng.Query(sql, sudaf.Share)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RowsScanned != 0 {
-		t.Errorf("maintained shards must serve without rescanning, scanned %d rows", got.RowsScanned)
-	}
-	cold := openTR(t, concatBatches(batches, 1))
-	want, err := cold.Query(sql, sudaf.Share)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := sameResultMaps(resultMap(want, 1), resultMap(got, 1)); diff != "" {
-		t.Fatalf("maintained partials diverge from cold recompute: %s", diff)
-	}
-}
-
 // TestShardAppendRace runs appends racing sharded share-mode queries.
 // Every query must observe a coherent snapshot: count(*) == sum(one)
 // exactly, and the count lands on a batch boundary (never mid-append).
@@ -485,10 +451,9 @@ func TestShardAppendRace(t *testing.T) {
 	}
 }
 
-// TestShardExplainProvenance warms a 4-shard engine, reboots one shard
-// (clears its worker cache), and checks EXPLAIN shows per-shard cache
-// provenance — three exact-hit shards, one miss — and that the
-// follow-up query rescans only the rebooted shard's row range.
+// TestShardExplainProvenance checks EXPLAIN on a 4-shard engine lists
+// one line per shard and that their row ranges cover exactly the rows a
+// cold query scans.
 func TestShardExplainProvenance(t *testing.T) {
 	eng := openShardTR(t, 4)
 	const sql = "SELECT g, sum(v), qm(v) FROM tr GROUP BY g"
@@ -497,58 +462,19 @@ func TestShardExplainProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := cold.RowsScanned
-
 	ex, err := eng.Explain(sql, sudaf.Share)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ex.Shards) != 4 {
-		t.Fatalf("EXPLAIN shows %d shards, want 4: %+v", len(ex.Shards), ex.Shards)
+	if n := strings.Count(ex.String(), "\n  shard "); len(ex.Shards) != 4 || n != 4 {
+		t.Fatalf("EXPLAIN shows %d shards in %d lines, want 4:\n%s", len(ex.Shards), n, ex)
 	}
 	rows := 0
-	for i, es := range ex.Shards {
+	for _, es := range ex.Shards {
 		rows += es.Rows
-		for _, h := range es.Hits {
-			if h != "exact" {
-				t.Errorf("warm shard %d: hit %q, want exact", i, h)
-			}
-		}
 	}
-	if rows != total {
-		t.Errorf("shard rows sum to %d, query scanned %d", rows, total)
-	}
-
-	const rebooted = 2
-	eng.ClearShardWorker(rebooted)
-	ex, err = eng.Explain(sql, sudaf.Share)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, es := range ex.Shards {
-		want := "exact"
-		if i == rebooted {
-			want = "miss"
-		}
-		for _, h := range es.Hits {
-			if h != want {
-				t.Errorf("shard %d after reboot: hit %q, want %s", i, h, want)
-			}
-		}
-	}
-
-	// The re-query rescans only the rebooted shard's row range.
-	eng.ClearCache()
-	warm, err := eng.Query(sql, sudaf.Share)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.RowsScanned != ex.Shards[rebooted].Rows {
-		t.Errorf("rescan covered %d rows, want only rebooted shard's %d (of %d total)",
-			warm.RowsScanned, ex.Shards[rebooted].Rows, total)
-	}
-	if diff := sameResultMaps(resultMap(cold, 1), resultMap(warm, 1)); diff != "" {
-		t.Fatalf("partial rescan diverges: %s", diff)
+	if rows != cold.RowsScanned {
+		t.Errorf("shard rows sum to %d, query scanned %d", rows, cold.RowsScanned)
 	}
 }
 

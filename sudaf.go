@@ -126,9 +126,8 @@ type IngestStats = core.IngestStats
 
 // ShardStats are engine-lifetime scatter-gather counters on a sharded
 // engine (Options.Shards > 1): distributed queries vs single-engine
-// fallbacks, per-shard worker scans and cache hits, rows rescanned by
-// partial recomputations, and appends routed to their owning shard.
-// All zero on an unsharded engine.
+// fallbacks, per-shard worker scans and the rows they read, and appends
+// routed to their owning shard. All zero on an unsharded engine.
 type ShardStats = core.ShardStats
 
 // Explain is the structured result of Engine.Explain: the canonical
@@ -147,8 +146,8 @@ type ExplainAggregate = core.ExplainAggregate
 type ExplainState = core.ExplainState
 
 // ExplainShard is one shard worker's scatter provenance in an Explain on
-// a sharded engine: the shard's slice fingerprint, row range size, and —
-// in Share mode — its private cache's probed outcome for every state.
+// a sharded engine: the shard's index, the sharded table and the size of
+// the row range the worker would scan.
 type ExplainShard = core.ExplainShard
 
 // BatchExplain is the structured result of Engine.BatchExplain: the
@@ -505,17 +504,6 @@ func (e *Engine) ShardStats() ShardStats { return e.s.ShardStats() }
 // ShardCount returns the configured shard count (0 when sharding is
 // off).
 func (e *Engine) ShardCount() int { return e.s.ShardCount() }
-
-// ClearShardCaches drops every shard worker's cached partials — the
-// per-shard analogue of ClearCache, which only clears the engine-level
-// state cache. No-op on an unsharded engine.
-func (e *Engine) ClearShardCaches() { e.s.ClearShardCaches() }
-
-// ClearShardWorker drops a single shard worker's cached partials,
-// simulating one shard rebooting while its peers stay warm: the next
-// scatter rescans only that worker's row range. No-op on an unsharded
-// engine or out-of-range index.
-func (e *Engine) ClearShardWorker(i int) { e.s.ClearShardWorker(i) }
 
 // Metrics returns the engine's metrics registry: the one passed in
 // Options.Metrics, or the private registry created when none was.
