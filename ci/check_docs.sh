@@ -193,6 +193,24 @@ if [ -n "$gone" ]; then
   err "removed per-shard cache API is still named:" "$gone"
 fi
 
+echo "== one data key =="
+# DESIGN.md §4: exec.DataKey is the one description of a data part. (a)
+# Its String() is the only producer of key text: the text's "T[" and
+# "|W[" delimiters appear in exactly one non-test Go file, the one that
+# defines it. (b) The descriptions the key replaced, and the parsers that
+# read them back out of text, are named only in the history files.
+home=$(grep -rl --include='*.go' 'func (k \*DataKey) String()' internal/exec || true)
+text=$(grep -rlF -e '"T[' -e '"|W[' --include='*.go' . | grep -v '_test\.go$' || true)
+if [ -z "$home" ] || [ "$text" != "./$home" ]; then
+  err "key text is built only by DataKey.String (${home:-not found}), found in:" $text
+fi
+gone=$(grep -rnE '\b(fpReferences|shareFingerprint|DataInfo|TableEpochs|splitJoin|splitQualified)\b' \
+  --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' . .github |
+  grep -vE '^\./(CHANGES|EXPERIMENTS|ROADMAP|ISSUE|REVIEW)\.md:|^\./ci/check_docs\.sh:' || true)
+if [ -n "$gone" ]; then
+  err "the replaced data-part descriptions are still named:" "$gone"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "documentation checks failed" >&2
   exit 1

@@ -38,11 +38,15 @@ type planState struct {
 	// become legal and the state cache is bypassed (a live stream's
 	// frames are perpetually one append ahead of any cached entry).
 	continuous bool
+	// temps marks a statement whose FROM reads subquery temporaries. Each
+	// run materializes them at fresh versions, so no later query can ever
+	// match its key: the cache is neither consulted nor fed.
+	temps bool
 
 	// resolve
 	planSpan *obs.Span // the "plan" span, open across the resolve steps
 	dp       *exec.DataPlan
-	shareFP  string // the fingerprint the share phase looks (and stores) under
+	key      *exec.DataKey // the key the share phase looks (and stores) under
 	calls    []*expr.Call
 	spec     exec.OutputSpec
 	reg      *exec.TaskRegistry
@@ -177,31 +181,20 @@ func ruleResolveGrouping(_ context.Context, ps *planState) error {
 	return ps.dp.ResolveGroupBy(ps.qc.cat, ps.stmt)
 }
 
-// ruleFingerprint seals the data plan into its canonical cache
-// fingerprint and closes the plan span.
+// ruleFingerprint seals the data plan into its data key, qualifies the
+// key by the frame for a windowed statement (the key its states are
+// cached under), and closes the plan span.
 func ruleFingerprint(_ context.Context, ps *planState) error {
-	ps.dp.Seal(ps.stmt)
+	ps.dp.Seal()
 	ps.dpRun = ps.dp
-	ps.shareFP = shareFingerprint(ps.dp.Fingerprint, ps.stmt.Window)
-	ps.planSpan.SetStr("fingerprint", ps.dp.Fingerprint)
+	ps.key = &ps.dp.Key
+	ps.planSpan.SetStr("fingerprint", ps.key.String())
 	if w := ps.stmt.Window; w != nil {
+		ps.key = ps.key.Framed(w.String())
 		ps.planSpan.SetStr("window", w.String())
 	}
 	ps.planSpan.End()
 	return nil
-}
-
-// shareFingerprint is the fingerprint a statement's states are cached
-// under: the data fingerprint, qualified by the frame for a windowed
-// statement — two queries exchange per-emission vectors only when both
-// their data part and their frame shape agree. The "T[...]" prefix is
-// preserved, so the append path's fpReferences sees window entries like
-// any other and invalidates them when their base table grows.
-func shareFingerprint(dataFP string, w *sqlparse.WindowSpec) string {
-	if w == nil {
-		return dataFP
-	}
-	return dataFP + "|W[" + w.String() + "]"
 }
 
 // ruleExtractAggregates replaces aggregate calls in the select list with
@@ -352,12 +345,13 @@ func ruleBindStates(_ context.Context, ps *planState) error {
 // ---- share phase ----
 
 // ruleLookupCache (share mode only) consults the query's cache snapshot
-// for every slot under the plan's share fingerprint: exact hit, Theorem
-// 4.1 sharing, or §5.3 sign-split reconstruction. Guarded: a cache that
-// panics behaves like a cache that misses. A subscription skips it — its
-// frames are always one append ahead of anything cached.
+// for every slot under the plan's key: exact hit, Theorem 4.1 sharing,
+// or §5.3 sign-split reconstruction. Guarded: a cache that panics
+// behaves like a cache that misses. A subscription skips it — its frames
+// are always one append ahead of anything cached — and so does a
+// statement over subquery temporaries.
 func ruleLookupCache(_ context.Context, ps *planState) error {
-	if ps.mode != ModeShare || ps.continuous {
+	if ps.mode != ModeShare || ps.continuous || ps.temps {
 		return nil
 	}
 	qc := ps.qc
@@ -373,7 +367,7 @@ func ruleLookupCache(_ context.Context, ps *planState) error {
 		bc := ps.bound.calls[ci]
 		memos[i] = cache.FinalWant{T: bc.form.HardTKey, Src: bc.states}
 	}
-	look := qc.cache.LookupAll(ps.shareFP, ps.bound.states, ps.bound.positive, memos, usable, ps.guard)
+	look := qc.cache.LookupAll(ps.key.String(), ps.bound.states, ps.bound.positive, memos, usable, ps.guard)
 	ps.entry, ps.memo = look.Entry, look.Finals
 	for i, sl := range ps.slots {
 		sl.cached = look.Vals[i]
@@ -548,20 +542,22 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 
 	// Cache the freshly computed states (and companions). Guarded: a
 	// failed insert costs future sharing, not this query.
-	if ps.mode == ModeShare && !ps.fullHit {
+	if ps.mode == ModeShare && !ps.fullHit && !ps.temps {
 		stsp := qc.sp.Child("cache-store")
 		stored := 0
 		ps.guard("state insert", func() {
-			gt := cache.NewGroupTable(ps.shareFP, gr.KeyNames, gr.Keys, gr.KeyColumns)
-			// Attach the maintenance record: the statement's data part
-			// plus the pinned table versions it ran against. The append
-			// path uses it to delta-fold future batches into this entry
-			// instead of invalidating it. Window entries carry none: an
-			// append shifts every emission of the new version, so
-			// invalidation is the correct response.
+			gt := cache.NewGroupTable(ps.key.String(), gr.KeyNames, gr.Keys, gr.KeyColumns)
+			// Attach the maintenance record: the key, whose table versions
+			// tell the append path whether the entry is affected, and the
+			// statement it re-plans over the delta batch to delta-fold into
+			// this entry instead of invalidating it. Window entries carry
+			// no statement: an append shifts every emission of the new
+			// version, so invalidation is the correct response.
+			mr := &maintRec{key: *ps.key}
 			if !windowed {
-				gt.Maint = newMaintRec(ps.stmt, ps.dp)
+				mr.stmt = ps.stmt
 			}
+			gt.Maint = mr
 			fresh := make([]*cache.CachedState, 0, len(ps.missing)+len(ps.companions))
 			for _, sl := range ps.slots {
 				if sl.taskIdx >= 0 {

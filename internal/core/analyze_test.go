@@ -55,7 +55,7 @@ func TestResolveRulesBuildDataPlan(t *testing.T) {
 	ps := newPlanState(t, s,
 		"SELECT ss_store_sk, avg(ss_list_price) FROM store_sales GROUP BY ss_store_sk", ModeShare)
 	runRules(t, ps, resolveRules...)
-	if ps.dp == nil || ps.dp.Fingerprint == "" {
+	if ps.dp == nil || ps.dp.Key.String() == "" {
 		t.Fatal("resolve did not seal a fingerprinted data plan")
 	}
 	if ps.dpRun != ps.dp {
@@ -138,12 +138,12 @@ func TestWindowedStatementBindsTheSameStates(t *testing.T) {
 		if len(plain.slots) == 0 || keys(win) != keys(plain) {
 			t.Fatalf("%s: windowed states %q, unwindowed %q", mode, keys(win), keys(plain))
 		}
-		if plain.shareFP != plain.dp.Fingerprint || len(plain.frames) != 0 {
-			t.Fatalf("unwindowed plan must share under its data fingerprint, got %q", plain.shareFP)
+		if plain.key != &plain.dp.Key || len(plain.frames) != 0 {
+			t.Fatalf("unwindowed plan must share under its data fingerprint, got %q", plain.key)
 		}
-		if win.dp.Fingerprint != plain.dp.Fingerprint ||
-			win.shareFP != plain.dp.Fingerprint+"|W[ROWS 4 PRECEDING]" {
-			t.Fatalf("windowed fingerprints: data %q share %q", win.dp.Fingerprint, win.shareFP)
+		if win.dp.Key.String() != plain.dp.Key.String() ||
+			win.key.String() != plain.dp.Key.String()+"|W[ROWS 4 PRECEDING]" {
+			t.Fatalf("windowed fingerprints: data %q share %q", &win.dp.Key, win.key)
 		}
 		if len(win.frames) != win.tbl.NumRows() {
 			t.Fatalf("%d frames for %d rows", len(win.frames), win.tbl.NumRows())

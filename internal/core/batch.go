@@ -64,11 +64,10 @@ type batchCand struct {
 	owner    int // batch index of the member that first planned it
 }
 
-// batchGroup collects the batch members whose data parts share one
-// fingerprint: they are served by a single fused scan running the union
-// of their surviving tasks.
+// batchGroup collects the batch members whose data parts share one key
+// (that of dp, the first member's plan): they are served by a single
+// fused scan running the union of their surviving tasks.
 type batchGroup struct {
-	fp      string
 	dp      *exec.DataPlan
 	reg     *exec.TaskRegistry // fused-scan task union
 	members []int
@@ -89,7 +88,7 @@ func (g *batchGroup) scatterSet(s *Session, mode Mode) *shardSet {
 	if s.shards == nil || mode == ModeBaseline || g.reg.Len() == 0 || len(g.compute) != g.reg.Len() {
 		return nil
 	}
-	return s.shards.pickSet(g.dp)
+	return s.shards.pickSet(&g.dp.Key)
 }
 
 // batchPlan is the analyzed shape of a whole batch.
@@ -133,13 +132,12 @@ func (s *Session) planBatch(ctx context.Context, qc *queryCtx, stmts []*sqlparse
 		if err := ps.planFront(ctx); err != nil {
 			return nil, fmt.Errorf("batch query %d: %w", i, err)
 		}
-		gi, ok := groupIdx[ps.dp.Fingerprint]
+		fp := ps.dp.Key.String()
+		gi, ok := groupIdx[fp]
 		if !ok {
 			gi = len(plan.groups)
-			groupIdx[ps.dp.Fingerprint] = gi
-			plan.groups = append(plan.groups, &batchGroup{
-				fp: ps.dp.Fingerprint, dp: ps.dp, reg: exec.NewTaskRegistry(),
-			})
+			groupIdx[fp] = gi
+			plan.groups = append(plan.groups, &batchGroup{dp: ps.dp, reg: exec.NewTaskRegistry()})
 		}
 		g := plan.groups[gi]
 		m.group = gi
@@ -181,7 +179,7 @@ func (s *Session) planOneState(qc *queryCtx, g *batchGroup, owner int, bs canoni
 	if mode == ModeShare {
 		// Read-only probe against the pre-batch cache: states it already
 		// serves are left to the replay's ordinary cache lookup.
-		if pr := qc.cache.Probe(g.fp, bs, positive); pr.Kind != cache.HitNone {
+		if pr := qc.cache.Probe(g.dp.Key.String(), bs, positive); pr.Kind != cache.HitNone {
 			return batchStateInfo{Key: key, Disposition: dispCache + pr.Kind.String(), Via: pr.Matched, Rewrite: pr.Rewrite}
 		}
 	}
@@ -229,11 +227,11 @@ func (p *batchPlan) provider() scanProvider {
 	byFp := map[string]*batchGroup{}
 	for _, g := range p.groups {
 		if g.gr != nil {
-			byFp[g.fp] = g
+			byFp[g.dp.Key.String()] = g
 		}
 	}
 	return func(dp *exec.DataPlan, reg *exec.TaskRegistry) (*exec.GroupResult, bool) {
-		g, ok := byFp[dp.Fingerprint]
+		g, ok := byFp[dp.Key.String()]
 		if !ok {
 			return nil, false
 		}

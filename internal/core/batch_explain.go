@@ -102,7 +102,7 @@ func (s *Session) BatchExplain(reqs []Request, mode Mode) (*BatchExplain, error)
 	}
 	for _, g := range plan.groups {
 		ge := BatchGroupExplain{
-			Fingerprint: g.fp,
+			Fingerprint: g.dp.Key.String(),
 			Members:     g.members,
 			Tasks:       g.reg.Keys(),
 		}

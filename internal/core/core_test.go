@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sudaf/internal/cache"
+	"sudaf/internal/exec"
 	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
 )
@@ -370,7 +371,7 @@ func TestCrossAggregateIntraQuerySharing(t *testing.T) {
 	}
 	// qm: {Σx², count}; stddev: {Σx², Σx, count}; var same; avg {Σx, count}
 	// → 3 unique states total.
-	entry, ok := cacheEntry(s.Cache(), mustFingerprint(t, s, q))
+	entry, ok := cacheEntry(s.Cache(), mustKey(t, s, q).String())
 	if !ok {
 		t.Fatal("no cache entry")
 	}
@@ -380,6 +381,33 @@ func TestCrossAggregateIntraQuerySharing(t *testing.T) {
 	_ = res
 }
 
+// TestSubqueryTempStatementIsNotCached: a statement over a FROM-subquery
+// reads a temporary materialized at a fresh version on every run, so its
+// key can never be hit again. It must neither look up nor store; the
+// inner statement caches as usual.
+func TestSubqueryTempStatementIsNotCached(t *testing.T) {
+	s := newTestSession(t, 2000, 1)
+	const q = `SELECT avg(a) FROM
+		(SELECT ss_item_sk, sum(ss_list_price) a FROM store_sales GROUP BY ss_item_sk) TEMP`
+	for run := 0; run < 3; run++ {
+		res, err := s.Query(q, ModeShare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		exact, misses := 1, 0
+		if run == 0 {
+			exact, misses = 0, 1
+		}
+		if st.CacheExactHits != exact || st.CacheMisses != misses || st.CacheSharedHits+st.CacheSignHits != 0 {
+			t.Errorf("run %d: stats %+v, want only the inner statement's lookup (exact %d, miss %d)", run, st, exact, misses)
+		}
+		if n := len(s.Cache().Snapshot()); n != 1 {
+			t.Fatalf("run %d: %d cache entries, want 1 (the inner statement's)", run, n)
+		}
+	}
+}
+
 // cacheEntry fetches the group table cached under a fingerprint through
 // LookupAll, the cache's one lookup entry point (no states wanted).
 func cacheEntry(c *cache.Cache, fp string) (*cache.GroupTable, bool) {
@@ -387,7 +415,8 @@ func cacheEntry(c *cache.Cache, fp string) (*cache.GroupTable, bool) {
 	return gt, gt != nil
 }
 
-func mustFingerprint(t *testing.T, s *Session, sql string) string {
+// mustKey resolves a statement's data key against the session catalog.
+func mustKey(t *testing.T, s *Session, sql string) *exec.DataKey {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -397,5 +426,5 @@ func mustFingerprint(t *testing.T, s *Session, sql string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dp.Fingerprint
+	return &dp.Key
 }

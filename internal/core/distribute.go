@@ -112,20 +112,21 @@ func (r *shardRuntime) setFor(name string) (*shardSet, bool) {
 	return set, ok
 }
 
-// pickSet chooses the scatter dimension for a data plan: the largest
-// referenced table whose shard set partitions exactly the version the
-// query pinned. A mismatched epoch (an append or re-registration slipped
-// between the snapshot and here, or a subquery temp shadows the name)
-// disqualifies the table — the torn-snapshot guard; every other table
-// resolves at its pinned version inside each worker's overlay.
-func (r *shardRuntime) pickSet(dp *exec.DataPlan) *shardSet {
+// pickSet chooses the scatter dimension for a data key: the largest
+// table it reads whose shard set partitions exactly the version the
+// query pinned (the first in name order on a tie). A mismatched epoch
+// (an append or re-registration slipped between the snapshot and here,
+// or a subquery temp shadows the name) disqualifies the table — the
+// torn-snapshot guard; every other table resolves at its pinned version
+// inside each worker's overlay.
+func (r *shardRuntime) pickSet(key *exec.DataKey) *shardSet {
 	var best *shardSet
 	bestRows := -1
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for name, ep := range dp.TableEpochs() {
-		set, ok := r.sets[name]
-		if !ok || set.baseEpoch != ep {
+	for _, tv := range key.Tables {
+		set, ok := r.sets[tv.Name]
+		if !ok || set.baseEpoch != tv.Epoch {
 			continue
 		}
 		if rows := set.ranges[len(set.ranges)-1][1]; rows > bestRows {
@@ -151,7 +152,7 @@ func ruleDistribute(ctx context.Context, ps *planState) error {
 		return nil
 	}
 	states, ok := ps.taskStates()
-	set := s.shards.pickSet(ps.dp)
+	set := s.shards.pickSet(&ps.dp.Key)
 	if !ok || set == nil {
 		s.shards.fallbacks.Add(1)
 		return nil
@@ -269,10 +270,10 @@ func (r *shardRuntime) routeAppend(old, newTbl *storage.Table) {
 	r.mu.Unlock()
 }
 
-// explainShards describes the shard set a scatter over dp would use:
+// explainShards describes the shard set a scatter over key would use:
 // each shard's index, table and row-range size (nil when none matches).
-func (r *shardRuntime) explainShards(dp *exec.DataPlan) []ExplainShard {
-	set := r.pickSet(dp)
+func (r *shardRuntime) explainShards(key *exec.DataKey) []ExplainShard {
+	set := r.pickSet(key)
 	if set == nil {
 		return nil
 	}

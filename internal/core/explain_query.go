@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"sudaf/internal/cache"
@@ -59,8 +58,8 @@ type ExplainWindow struct {
 	N       int
 	Sliding bool
 	Size    int
-	// Fingerprint is the window-qualified cache key namespace
-	// (data fingerprint + "|W[frame]") the per-emission state vectors
+	// Fingerprint is the window-qualified cache key namespace (the data
+	// fingerprint with the frame appended) the per-emission state vectors
 	// live under in share mode.
 	Fingerprint string
 }
@@ -160,21 +159,24 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 	if err := ps.planFront(context.Background()); err != nil {
 		return nil, err
 	}
-	dp := ps.dp
-	info := dp.Info()
+	key := &ps.dp.Key
 	ex := &Explain{
 		SQL:         sql,
 		Mode:        mode,
-		Fingerprint: dp.Fingerprint,
-		Joins:       info.Joins,
-		GroupBy:     info.GroupBy,
+		Fingerprint: key.String(),
+		GroupBy:     key.GroupBy,
 	}
-	epochs := dp.TableEpochs()
-	for _, t := range info.Tables {
-		ex.Tables = append(ex.Tables, fmt.Sprintf("%s@%d", t, epochs[t]))
+	for _, t := range key.Tables {
+		ex.Tables = append(ex.Tables, t.String())
+	}
+	for _, j := range key.Joins {
+		ex.Joins = append(ex.Joins, j.String())
+	}
+	for _, f := range key.Filters {
+		ex.Filters = append(ex.Filters, f.Table+": "+f.Text)
 	}
 	// Windowed statements cache per-emission state vectors under the
-	// frame-qualified share fingerprint, which is where probes look.
+	// frame-qualified key, which is where probes look.
 	if spec := stmt.Window; spec != nil {
 		ex.Window = &ExplainWindow{
 			Frame:       spec.String(),
@@ -182,17 +184,7 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 			N:           spec.N,
 			Sliding:     spec.Sliding,
 			Size:        spec.Size(),
-			Fingerprint: ps.shareFP,
-		}
-	}
-	var ftabs []string
-	for t := range info.Filters {
-		ftabs = append(ftabs, t)
-	}
-	sort.Strings(ftabs)
-	for _, t := range ftabs {
-		for _, f := range info.Filters[t] {
-			ex.Filters = append(ex.Filters, t+": "+f)
+			Fingerprint: ps.key.String(),
 		}
 	}
 
@@ -207,7 +199,7 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 	for i, sl := range ps.slots {
 		es := ExplainState{Index: i, Key: sl.st.Key(), Formula: stateSQL(sl.st), Positive: sl.positive}
 		if mode == ModeShare {
-			noteProbe(&es, qc.cache.Probe(ps.shareFP, sl.st, sl.positive))
+			noteProbe(&es, qc.cache.Probe(ps.key.String(), sl.st, sl.positive))
 		}
 		ex.States = append(ex.States, es)
 	}
@@ -220,7 +212,7 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 		for _, ci := range ps.hard {
 			bc := ps.bound.calls[ci]
 			ex.Aggregates[ci].HardT = "solved"
-			if qc.cache.ProbeFinal(ps.shareFP, ps.bound.states, cache.FinalWant{T: bc.form.HardTKey, Src: bc.states}) {
+			if qc.cache.ProbeFinal(ps.key.String(), ps.bound.states, cache.FinalWant{T: bc.form.HardTKey, Src: bc.states}) {
 				ex.Aggregates[ci].HardT = "memoized"
 			}
 		}
@@ -231,7 +223,7 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 		}
 	}
 	if s.shards != nil && len(ps.slots) > 0 {
-		ex.Shards = s.shards.explainShards(dp)
+		ex.Shards = s.shards.explainShards(key)
 	}
 	return ex, nil
 }

@@ -21,7 +21,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"sudaf/internal/cache"
 	"sudaf/internal/canonical"
@@ -32,32 +31,28 @@ import (
 	"sudaf/internal/storage"
 )
 
-// maintRec is the maintenance record attached to a cache entry: the
-// statement whose data part produced the entry, and the table versions
-// it was computed at. An append whose pre-append versions match can
-// re-plan the statement over the delta batch and ⊕-merge; any mismatch
-// means the entry belongs to a superseded version and is skipped.
+// maintRec is the maintenance record attached to every cache entry: the
+// key it was computed under, whose table versions decide whether an
+// append affects it, and the statement whose data part produced it. An
+// append whose pre-append versions match re-plans the statement over the
+// delta batch and ⊕-merges; any mismatch means the entry belongs to a
+// superseded version and is skipped. stmt is nil where the entry is not
+// delta-maintainable (windowed entries; entries restored from a snapshot,
+// whose key carries only its tables): a matching append invalidates it.
 type maintRec struct {
-	stmt   *sqlparse.Stmt
-	epochs map[string]int64
+	stmt *sqlparse.Stmt
+	key  exec.DataKey
 }
 
-// newMaintRec records the maintenance identity of a just-executed plan.
-func newMaintRec(stmt *sqlparse.Stmt, dp *exec.DataPlan) *maintRec {
-	return &maintRec{stmt: stmt, epochs: dp.TableEpochs()}
-}
-
-// viewMaint is the maintenance state of one materialized view: its
-// defining statement, the canonical states behind its value columns, the
-// base-table versions its contents reflect, and an eviction-independent
-// snapshot of its per-group state values (the cache may drop the view's
-// entry at any time; the view table itself must stay maintainable).
+// viewMaint is the maintenance state of one materialized view: the view
+// (whose key holds the base-table versions its contents reflect), its
+// defining statement, and an eviction-independent snapshot of its
+// per-group state values (the cache may drop the view's entry at any
+// time; the view table itself must stay maintainable).
 type viewMaint struct {
-	stmt      *sqlparse.Stmt
-	states    []canonical.State
-	stateCols map[string]string
-	epochs    map[string]int64
-	snap      cache.EntrySnapshot
+	view *rewrite.View
+	stmt *sqlparse.Stmt
+	snap cache.EntrySnapshot
 }
 
 // AppendResult reports what one append batch did: the rows ingested, the
@@ -191,19 +186,26 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 		c.AddEvent(ev)
 		res.EntriesInvalidated++
 	}
+	// Before publish, s.cat still resolves the table at old.Epoch, so a
+	// key that reads it and is current reads exactly the pre-append data.
 	for _, snap := range c.Snapshot() {
-		mr, ok := snap.Maint.(*maintRec)
-		if !ok || mr == nil {
-			if fpReferences(snap.Fingerprint, table, old.Epoch) {
-				invalidate(snap.Fingerprint, "has no maintenance record")
-			}
+		mr, _ := snap.Maint.(*maintRec)
+		switch {
+		case mr == nil:
+			// Restored from a snapshot that did not record its tables:
+			// which versions it read is unknown, so any append drops it.
+			invalidate(snap.Fingerprint, "has no maintenance record")
 			continue
-		}
-		if !s.recCurrent(mr.epochs, table, old.Epoch) {
+		case !mr.key.Reads(table, old.Epoch):
 			// The entry does not touch this table (still valid as-is) or
-			// was computed at superseded versions (already unreachable
-			// garbage for new fingerprints); either way, leave it alone.
+			// was computed at a superseded version (already unreachable
+			// garbage for new keys); either way, leave it alone.
 			continue
+		case mr.stmt == nil:
+			invalidate(snap.Fingerprint, "is not delta-maintainable")
+			continue
+		case !mr.key.Current(s.cat):
+			continue // another table it reads has moved on
 		}
 		n, err := s.migrateEntry(ctx, c, snap, mr, deltaCat, postCat)
 		if err != nil {
@@ -225,12 +227,12 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 	}
 	s.mu.RUnlock()
 	for name, vm := range vms {
-		if !s.recCurrent(vm.epochs, table, old.Epoch) {
+		if key := &vm.view.Key; !key.Reads(table, old.Epoch) || !key.Current(s.cat) {
 			continue
 		}
-		nv, nvm, verr := s.maintainView(ctx, name, vm, deltaCat, postCat)
+		nvm, verr := s.maintainView(ctx, vm, deltaCat, postCat)
 		if verr == nil {
-			verr = s.cat.Register(nv.Table)
+			verr = s.cat.Register(nvm.view.Table)
 		}
 		if verr != nil {
 			s.DropView(name)
@@ -241,7 +243,7 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 			continue
 		}
 		s.mu.Lock()
-		s.views[name] = nv
+		s.views[name] = nvm.view
 		s.viewMaints[name] = nvm
 		s.mu.Unlock()
 		res.ViewsMaintained++
@@ -311,44 +313,6 @@ func (s *Session) AppendCSVWith(ctx context.Context, table, path string, opts st
 	return res, nil
 }
 
-// recCurrent reports whether a maintenance record matches the data this
-// append transitions: the appended table at its pre-append version and
-// every other referenced table at its current session version.
-func (s *Session) recCurrent(epochs map[string]int64, table string, oldEpoch int64) bool {
-	touches := false
-	for name, ep := range epochs {
-		if name == table {
-			if ep != oldEpoch {
-				return false
-			}
-			touches = true
-			continue
-		}
-		t, err := s.cat.Table(name)
-		if err != nil || t.Epoch != ep {
-			return false
-		}
-	}
-	return touches
-}
-
-// fpReferences reports whether a data fingerprint's tables section
-// contains exactly the version name@epoch (used to decide whether an
-// unmaintainable entry is affected by an append at all).
-func fpReferences(fp, name string, epoch int64) bool {
-	end := strings.Index(fp, "]")
-	if !strings.HasPrefix(fp, "T[") || end < 0 {
-		return false
-	}
-	want := fmt.Sprintf("%s@%d", name, epoch)
-	for _, t := range strings.Split(fp[2:end], ",") {
-		if t == want {
-			return true
-		}
-	}
-	return false
-}
-
 // runDeltaStates re-plans a statement's data part over the delta catalog
 // and computes the given canonical states on the delta rows only,
 // returning the group result plus per-state value vectors and delta
@@ -414,8 +378,8 @@ func (s *Session) migrateEntry(ctx context.Context, c *cache.Cache, snap cache.E
 	if err != nil {
 		return 0, err
 	}
-	merged, err := cache.MergeDelta(snap, dpNew.Fingerprint, gr.Keys, gr.KeyColumns, vals, pos,
-		newMaintRec(mr.stmt, dpNew))
+	merged, err := cache.MergeDelta(snap, dpNew.Key.String(), gr.Keys, gr.KeyColumns, vals, pos,
+		&maintRec{stmt: mr.stmt, key: dpNew.Key})
 	if err != nil {
 		return 0, err
 	}
@@ -426,8 +390,8 @@ func (s *Session) migrateEntry(ctx context.Context, c *cache.Cache, snap cache.E
 // maintainView delta-maintains one materialized view: merges the delta
 // states into the view's snapshot and re-materializes the view table
 // (fresh columns; the old version stays readable by pinned queries).
-func (s *Session) maintainView(ctx context.Context, name string, vm *viewMaint,
-	deltaCat, postCat *catalog.Catalog) (*rewrite.View, *viewMaint, error) {
+func (s *Session) maintainView(ctx context.Context, vm *viewMaint,
+	deltaCat, postCat *catalog.Catalog) (*viewMaint, error) {
 
 	states := make([]canonical.State, len(vm.snap.States))
 	for i, cs := range vm.snap.States {
@@ -435,29 +399,23 @@ func (s *Session) maintainView(ctx context.Context, name string, vm *viewMaint,
 	}
 	gr, vals, pos, err := s.runDeltaStates(ctx, deltaCat, vm.stmt, states)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dpNew, err := s.eng.PrepareDataIn(postCat, vm.stmt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	merged, err := cache.MergeDelta(vm.snap, dpNew.Fingerprint, gr.Keys, gr.KeyColumns, vals, pos, nil)
+	merged, err := cache.MergeDelta(vm.snap, dpNew.Key.String(), gr.Keys, gr.KeyColumns, vals, pos, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tbl := merged.ToTable(name, func(_ int, cs *cache.CachedState) string {
-		return vm.stateCols[cs.State.Key()]
+	v := *vm.view
+	v.Key = dpNew.Key
+	v.Table = merged.ToTable(v.Name, func(_ int, cs *cache.CachedState) string {
+		return v.StateCols[cs.State.Key()]
 	})
-	if err := tbl.Validate(); err != nil {
-		return nil, nil, err
+	if err := v.Table.Validate(); err != nil {
+		return nil, err
 	}
-	nv := &rewrite.View{Name: name, Table: tbl, Info: dpNew.Info(), States: vm.states, StateCols: vm.stateCols}
-	nvm := &viewMaint{
-		stmt:      vm.stmt,
-		states:    vm.states,
-		stateCols: vm.stateCols,
-		epochs:    dpNew.TableEpochs(),
-		snap:      merged.SnapshotEntry(),
-	}
-	return nv, nvm, nil
+	return &viewMaint{view: &v, stmt: vm.stmt, snap: merged.SnapshotEntry()}, nil
 }

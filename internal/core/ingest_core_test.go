@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -28,21 +27,19 @@ func salesDelta(rows int) *storage.Table {
 	return d
 }
 
-// TestAppendInvalidatesMaintlessEntry: a cache entry without a
-// maintenance record that fingerprints the pre-append table version must
-// be dropped by Append (targeted invalidation), with the reason recorded
-// both in the AppendResult and in the cache's event stream so the next
-// query surfaces it.
+// TestAppendInvalidatesMaintlessEntry: a cache entry whose maintenance
+// record has a key reading the pre-append table version but no statement
+// to re-plan must be dropped by Append (targeted invalidation), with the
+// reason recorded both in the AppendResult and in the cache's event
+// stream so the next query surfaces it.
 func TestAppendInvalidatesMaintlessEntry(t *testing.T) {
 	s := newTestSession(t, 500, 2)
-	tbl, err := s.cat.Table("store_sales")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := fmt.Sprintf("T[store_sales@%d]J[]F[]G[ss_item_sk]", tbl.Epoch)
+	key := mustKey(t, s, "SELECT ss_item_sk, count(*) FROM store_sales GROUP BY ss_item_sk")
+	fp := key.String()
 	keyCol := storage.NewColumn("ss_item_sk", storage.KindInt)
 	keyCol.AppendInt(0)
 	gt := cache.NewGroupTable(fp, []string{"ss_item_sk"}, []cache.GroupKey{{0, 0}}, []*storage.Column{keyCol})
+	gt.Maint = &maintRec{key: *key}
 	if err := gt.AddState(&cache.CachedState{State: canonical.State{Op: canonical.OpCount}, Vals: []float64{1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +56,7 @@ func TestAppendInvalidatesMaintlessEntry(t *testing.T) {
 	if _, ok := cacheEntry(c, fp); ok {
 		t.Fatal("maint-less entry survived the append")
 	}
-	if len(res.Events) == 0 || !strings.Contains(res.Events[0], "no maintenance record") {
+	if len(res.Events) == 0 || !strings.Contains(res.Events[0], "not delta-maintainable") {
 		t.Fatalf("events = %v, want an invalidation note", res.Events)
 	}
 	// The note is also queued on the cache and drained by the next query.

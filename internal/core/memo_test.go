@@ -290,7 +290,7 @@ func TestMemoConcurrentColdQueries(t *testing.T) {
 		}
 		tablesBitIdentical(t, ref.Table, res.Table, "concurrent cold query")
 	}
-	entry, ok := cacheEntry(s.Cache(), mustFingerprint(t, s, sql))
+	entry, ok := cacheEntry(s.Cache(), mustKey(t, s, sql).String())
 	if !ok {
 		t.Fatal("no entry cached")
 	}

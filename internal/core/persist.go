@@ -12,6 +12,7 @@ import (
 
 	"sudaf/internal/cache"
 	"sudaf/internal/canonical"
+	"sudaf/internal/exec"
 	"sudaf/internal/expr"
 	"sudaf/internal/scalar"
 	"sudaf/internal/storage"
@@ -32,12 +33,14 @@ import (
 // preserved by the segment files, so post-restart fingerprints equal
 // pre-restart fingerprints and cache keys still match.
 //
-// What is NOT persisted: maintenance records (GroupTable.Maint) — they
-// hold live plan structures — so a post-restart append invalidates the
-// affected entries instead of delta-maintaining them; and states whose
-// scalar chains carry symbolic (parameterized) coefficients, which have
-// no faithful numeric serialization and are simply skipped (the next
-// query recomputes and re-caches them).
+// Of an entry's maintenance record (GroupTable.Maint) only the table
+// versions of its key are persisted, as the optional "tables" field: a
+// restored entry is not delta-maintainable, so a post-restart append to
+// a table it reads invalidates it. An entry written without the field
+// (by an older build) is invalidated by any append. States whose scalar
+// chains carry symbolic (parameterized) coefficients have no faithful
+// numeric serialization and are simply skipped (the next query
+// recomputes and re-caches them).
 
 const (
 	// cacheFileName is the state-cache snapshot inside DataDir.
@@ -54,9 +57,11 @@ type persistedCache struct {
 	Entries []persistedEntry `json:"entries"`
 }
 
-// persistedEntry is one cache entry (fingerprint → group table).
+// persistedEntry is one cache entry (fingerprint → group table). Tables
+// holds the version (name → epoch) of every table the entry's key reads.
 type persistedEntry struct {
 	Fingerprint string            `json:"fp"`
+	Tables      map[string]int64  `json:"tables,omitempty"`
 	KeyNames    []string          `json:"key_names,omitempty"`
 	Keys        [][2]int64        `json:"keys,omitempty"`
 	KeyCols     []persistedKeyCol `json:"key_cols,omitempty"`
@@ -164,6 +169,12 @@ func snapshotCacheForPersist(c *cache.Cache) persistedCache {
 			Fingerprint: e.Fingerprint,
 			KeyNames:    e.KeyNames,
 			Keys:        make([][2]int64, len(e.Keys)),
+		}
+		if mr, ok := e.Maint.(*maintRec); ok {
+			pe.Tables = make(map[string]int64, len(mr.key.Tables))
+			for _, t := range mr.key.Tables {
+				pe.Tables[t.Name] = t.Epoch
+			}
 		}
 		for i, k := range e.Keys {
 			pe.Keys[i] = k
@@ -305,9 +316,10 @@ func (s *Session) loadCacheSnapshot() error {
 	return errors.Join(errs...)
 }
 
-// entryFromPersisted rebuilds a GroupTable from its on-disk shape. The
-// returned table's Maint is nil: a restored entry serves lookups but is
-// invalidated (not delta-maintained) by post-restart appends.
+// entryFromPersisted rebuilds a GroupTable from its on-disk shape. A
+// restored entry serves lookups but is invalidated (not delta-maintained)
+// by post-restart appends: its record carries the key's tables and no
+// statement, or is nil when the snapshot did not record the tables.
 func entryFromPersisted(pe persistedEntry) (*cache.GroupTable, error) {
 	keys := make([]cache.GroupKey, len(pe.Keys))
 	for i, k := range pe.Keys {
@@ -322,6 +334,14 @@ func entryFromPersisted(pe persistedEntry) (*cache.GroupTable, error) {
 		keyCols = append(keyCols, kc)
 	}
 	gt := cache.NewGroupTable(pe.Fingerprint, pe.KeyNames, keys, keyCols)
+	if pe.Tables != nil {
+		mr := &maintRec{}
+		for name, epoch := range pe.Tables {
+			mr.key.Tables = append(mr.key.Tables, exec.TableVersion{Name: name, Epoch: epoch})
+		}
+		sort.Slice(mr.key.Tables, func(i, j int) bool { return mr.key.Tables[i].Name < mr.key.Tables[j].Name })
+		gt.Maint = mr
+	}
 	added := 0
 	for _, ps := range pe.States {
 		st, err := stateFromPersisted(ps)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"os"
@@ -205,6 +206,120 @@ func TestPersistAppendAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	tablesEqual(t, base.Table, res.Table, "post-append share vs baseline")
+}
+
+// persistOtherTable registers a table no persistQ entry reads.
+func persistOtherTable(t *testing.T, s *Session) {
+	t.Helper()
+	other := storage.NewTable("pother", storage.NewColumn("o", storage.KindFloat))
+	other.Col("o").AppendFloat(1)
+	if err := s.Register(other); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendOther appends one row to pother and returns the append result.
+func appendOther(t *testing.T, s *Session) *AppendResult {
+	t.Helper()
+	d := storage.NewTable("pother", storage.NewColumn("o", storage.KindFloat))
+	d.Col("o").AppendFloat(2)
+	res, err := s.Append(context.Background(), "pother", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestPersistEntryTables: a saved entry records the tables its key reads,
+// so after a restart an append to a table it does not read leaves it warm.
+func TestPersistEntryTables(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newPersistSession(t, 3000, dir)
+	persistOtherTable(t, s1)
+	if _, err := s1.Query(persistQ, ModeShare); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Save(); err != nil {
+		t.Fatal(err)
+	}
+	pc := readCacheSnapshot(t, dir)
+	if len(pc.Entries) != 1 || len(pc.Entries[0].Tables) != 2 {
+		t.Fatalf("saved entries %+v, want one entry recording psales and pstore", pc.Entries)
+	}
+	s2 := newRestartSession(t, dir)
+	if res := appendOther(t, s2); res.EntriesInvalidated != 0 {
+		t.Fatalf("append to an unread table invalidated %d entries: %v", res.EntriesInvalidated, res.Events)
+	}
+	res, err := s2.Query(persistQ, ModeShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowsScanned != 0 {
+		t.Fatalf("restored entry went cold: scanned %d rows", res.RowsScanned)
+	}
+}
+
+// TestPersistSnapshotWithoutTables: an entry saved without the tables
+// field (the snapshot shape before it existed) still loads warm, and the
+// first append to any table invalidates it — colder, never stale.
+func TestPersistSnapshotWithoutTables(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newPersistSession(t, 3000, dir)
+	persistOtherTable(t, s1)
+	if _, err := s1.Query(persistQ, ModeShare); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Save(); err != nil {
+		t.Fatal(err)
+	}
+	pc := readCacheSnapshot(t, dir)
+	for i := range pc.Entries {
+		pc.Entries[i].Tables = nil
+	}
+	data, err := json.Marshal(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"tables"`) {
+		t.Fatal("stripped snapshot still carries tables")
+	}
+	if err := os.WriteFile(filepath.Join(dir, cacheFileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newRestartSession(t, dir)
+	res, err := s2.Query(persistQ, ModeShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowsScanned != 0 {
+		t.Fatalf("snapshot without tables loaded cold: scanned %d rows", res.RowsScanned)
+	}
+	ares := appendOther(t, s2)
+	if ares.EntriesInvalidated != 1 {
+		t.Fatalf("append invalidated %d entries, want 1: %v", ares.EntriesInvalidated, ares.Events)
+	}
+	res, err = s2.Query(persistQ, ModeShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowsScanned == 0 {
+		t.Fatal("entry without tables survived an append")
+	}
+}
+
+// readCacheSnapshot decodes the saved state-cache snapshot.
+func readCacheSnapshot(t *testing.T, dir string) persistedCache {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, cacheFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pc persistedCache
+	if err := json.Unmarshal(data, &pc); err != nil {
+		t.Fatal(err)
+	}
+	return pc
 }
 
 // TestSaveRequiresDataDir: Save on an in-memory session errors.

@@ -87,30 +87,19 @@ func (s *Session) Materialize(name, sql string) error {
 	// Cache the states under the view query's fingerprint too. The entry
 	// carries a maintenance record like any share-mode insert, so the
 	// append path delta-folds it rather than invalidating.
-	gt := cache.NewGroupTable(dp.Fingerprint, gr.KeyNames, gr.Keys, gr.KeyColumns)
-	gt.Maint = newMaintRec(stmt, dp)
+	gt := cache.NewGroupTable(dp.Key.String(), gr.KeyNames, gr.Keys, gr.KeyColumns)
+	gt.Maint = &maintRec{stmt: stmt, key: dp.Key}
 	for i, st := range states {
 		_ = gt.AddState(&cache.CachedState{State: st, Vals: gr.Values[i], PositiveInput: positives[i]})
 	}
 	snap := gt.SnapshotEntry()
 	s.stateCache().Put(gt)
 
+	v := &rewrite.View{Name: name, Table: tbl, Key: dp.Key, States: states, StateCols: stateCols}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.views[name] = &rewrite.View{
-		Name:      name,
-		Table:     tbl,
-		Info:      dp.Info(),
-		States:    states,
-		StateCols: stateCols,
-	}
-	s.viewMaints[name] = &viewMaint{
-		stmt:      stmt,
-		states:    states,
-		stateCols: stateCols,
-		epochs:    dp.TableEpochs(),
-		snap:      snap,
-	}
+	s.views[name] = v
+	s.viewMaints[name] = &viewMaint{view: v, stmt: stmt, snap: snap}
 	return nil
 }
 
@@ -139,13 +128,12 @@ func (s *Session) Views() []string {
 // The views map is snapshotted under the read lock; column resolution
 // and planning use the query's catalog view.
 func (s *Session) tryViews(qc *queryCtx, dp *exec.DataPlan, missing []*slot) (*exec.DataPlan, *rewrite.Rollup, string) {
-	info := dp.Info()
 	states := make([]canonical.State, len(missing))
 	for i, sl := range missing {
 		states[i] = sl.st
 	}
 	colOwner := func(col string) string {
-		t, err := qc.cat.ResolveColumn(col, info.Tables)
+		t, err := qc.cat.ResolveColumn(col, dp.Tables())
 		if err != nil {
 			return ""
 		}
@@ -153,12 +141,8 @@ func (s *Session) tryViews(qc *queryCtx, dp *exec.DataPlan, missing []*slot) (*e
 	}
 	s.mu.RLock()
 	views := make([]*rewrite.View, 0, len(s.views))
-	maints := make(map[string]*viewMaint, len(s.viewMaints))
 	for _, v := range s.views {
 		views = append(views, v)
-	}
-	for n, vm := range s.viewMaints {
-		maints[n] = vm
 	}
 	s.mu.RUnlock()
 	for _, v := range views {
@@ -167,22 +151,11 @@ func (s *Session) tryViews(qc *queryCtx, dp *exec.DataPlan, missing []*slot) (*e
 		// before (or after) an append must not roll up from a view
 		// maintained on the other side of it — mixed versions would
 		// double- or under-count the delta.
-		if vm := maints[v.Name]; vm != nil {
-			stale := false
-			for tn, ep := range vm.epochs {
-				t, err := qc.cat.Table(tn)
-				if err != nil || t.Epoch != ep {
-					stale = true
-					break
-				}
-			}
-			if stale {
-				continue
-			}
+		if !v.Key.Current(qc.cat) {
+			continue
 		}
-		rollup, reason := rewrite.TryRollup(info, states, v, colOwner)
+		rollup, _ := rewrite.TryRollup(&dp.Key, states, v, colOwner)
 		if rollup == nil {
-			_ = reason
 			continue
 		}
 		// Pin the exact view-table version the version check vouched for:

@@ -21,8 +21,8 @@ import (
 // single chronological pass — the two-stacks ⊕-fold needs rows in order,
 // not morsel-parallel) and what non-aggregate select-list names mean (table
 // columns read at each frame's emit row: exec.BuildWindowOutput). Share-mode caching keys on the
-// frame-qualified fingerprint (shareFingerprint), so only queries with
-// the same frame shape exchange per-emission state vectors — and
+// frame-qualified data key (DataKey.Framed), so only queries with the
+// same frame shape exchange per-emission state vectors — and
 // Theorem 4.1 still applies: two different terminating functions over
 // the same frame share the same cached states.
 //

@@ -370,8 +370,8 @@ func TestFingerprintStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp1.Fingerprint != dp2.Fingerprint {
-		t.Errorf("fingerprints differ:\n%s\n%s", dp1.Fingerprint, dp2.Fingerprint)
+	if dp1.Key.String() != dp2.Key.String() {
+		t.Errorf("fingerprints differ:\n%s\n%s", dp1.Key.String(), dp2.Key.String())
 	}
 	// Different predicate → different fingerprint.
 	q3, _ := sqlparse.Parse("SELECT sum(price) FROM sales, stores WHERE s_store = st_id AND st_state = 'CA' GROUP BY s_item")
@@ -379,7 +379,7 @@ func TestFingerprintStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp3.Fingerprint == dp1.Fingerprint {
+	if dp3.Key.String() == dp1.Key.String() {
 		t.Error("fingerprint should depend on predicates")
 	}
 }

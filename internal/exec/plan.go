@@ -4,8 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
+	"slices"
 	"sync/atomic"
 
 	"sudaf/internal/catalog"
@@ -69,7 +68,6 @@ type joinCond struct {
 
 // DataPlan is the resolved data part of an aggregate query: base tables,
 // pushed-down filters, the equi-join graph, and the grouping columns.
-// It is the unit the cache fingerprints (the paper's data dimension).
 type DataPlan struct {
 	eng     *Engine
 	tables  []*storage.Table
@@ -77,9 +75,9 @@ type DataPlan struct {
 	joins   []joinCond
 	groupBy []planCol
 
-	// Fingerprint is the canonical identity of the data part; equal
-	// fingerprints mean cached aggregation states are directly reusable.
-	Fingerprint string
+	// Key is the data part's identity, set by Seal. Copy it to keep it:
+	// a copy holds no table, a pointer into the plan holds them all.
+	Key DataKey
 }
 
 // planCol is a resolved column.
@@ -102,18 +100,6 @@ func (dp *DataPlan) Tables() []string {
 	out := make([]string, len(dp.tables))
 	for i, t := range dp.tables {
 		out[i] = t.Name
-	}
-	return out
-}
-
-// TableEpochs returns the version epoch of every base table the plan
-// resolved, keyed by table name — the data-version identity that the
-// ingestion path compares against when deciding whether cached states
-// built from this plan can be delta-maintained.
-func (dp *DataPlan) TableEpochs() map[string]int64 {
-	out := make(map[string]int64, len(dp.tables))
-	for _, t := range dp.tables {
-		out[t.Name] = t.Epoch
 	}
 	return out
 }
@@ -144,7 +130,7 @@ func (e *Engine) PrepareDataIn(cat *catalog.Catalog, stmt *sqlparse.Stmt) (*Data
 	if err := dp.ResolveGroupBy(cat, stmt); err != nil {
 		return nil, err
 	}
-	dp.Seal(stmt)
+	dp.Seal()
 	return dp, nil
 }
 
@@ -224,10 +210,26 @@ func (dp *DataPlan) ResolveGroupBy(cat *catalog.Catalog, stmt *sqlparse.Stmt) er
 	return nil
 }
 
-// Seal canonicalizes the resolved plan into its cache fingerprint; the
-// plan is complete after this step.
-func (dp *DataPlan) Seal(stmt *sqlparse.Stmt) {
-	dp.Fingerprint = fingerprint(dp, stmt)
+// Seal canonicalizes the resolved plan into its data key; the plan is
+// complete after this step.
+func (dp *DataPlan) Seal() {
+	tables := make([]TableVersion, len(dp.tables))
+	for i, t := range dp.tables {
+		tables[i] = TableVersion{Name: t.Name, Epoch: t.Epoch}
+	}
+	joins := make([]JoinPair, len(dp.joins))
+	for i, j := range dp.joins {
+		joins[i] = JoinPair{L: ColumnRef{j.lt.Name, j.lc.Name}, R: ColumnRef{j.rt.Name, j.rc.Name}}
+	}
+	var filters []Filter
+	for t, p := range dp.filters {
+		conjs := sqlparse.Conjuncts(p)
+		filters = slices.Grow(filters, len(conjs))
+		for _, c := range conjs {
+			filters = append(filters, Filter{Table: t, Pred: c, Text: sqlparse.PredString(c)})
+		}
+	}
+	dp.Key = newDataKey(tables, joins, filters, dp.GroupByNames())
 }
 
 // predOwner finds the single table all columns of a predicate belong to.
@@ -250,76 +252,6 @@ func predOwner(cat *catalog.Catalog, p sqlparse.Pred, names []string) (*storage.
 		}
 	}
 	return owner, nil
-}
-
-// DataInfo is the normalized description of a data part, used by the
-// aggregate-view rewriter to test subsumption.
-type DataInfo struct {
-	Tables  []string            // sorted base table names
-	Joins   []string            // normalized equi-join strings, sorted
-	Filters map[string][]string // table → normalized conjunct strings
-	Preds   map[string][]sqlparse.Pred
-	GroupBy []string
-}
-
-// Info exports the plan's normalized data part.
-func (dp *DataPlan) Info() *DataInfo {
-	info := &DataInfo{
-		Tables:  dp.Tables(),
-		Filters: map[string][]string{},
-		Preds:   map[string][]sqlparse.Pred{},
-		GroupBy: dp.GroupByNames(),
-	}
-	sort.Strings(info.Tables)
-	for _, j := range dp.joins {
-		a := j.lt.Name + "." + j.lc.Name
-		b := j.rt.Name + "." + j.rc.Name
-		if a > b {
-			a, b = b, a
-		}
-		info.Joins = append(info.Joins, a+"="+b)
-	}
-	sort.Strings(info.Joins)
-	for t, p := range dp.filters {
-		for _, c := range sqlparse.Conjuncts(p) {
-			info.Filters[t] = append(info.Filters[t], sqlparse.PredString(c))
-			info.Preds[t] = append(info.Preds[t], c)
-		}
-		sort.Strings(info.Filters[t])
-	}
-	return info
-}
-
-// fingerprint canonicalizes the data part: sorted table versions
-// (name@epoch — the epoch ties cached states to exactly one version of
-// the data, so an append retires old fingerprints instead of serving
-// stale states), sorted join conditions, sorted per-table filters,
-// group-by columns in order.
-func fingerprint(dp *DataPlan, stmt *sqlparse.Stmt) string {
-	tables := make([]string, len(dp.tables))
-	for i, t := range dp.tables {
-		tables[i] = fmt.Sprintf("%s@%d", t.Name, t.Epoch)
-	}
-	sort.Strings(tables)
-	var joins []string
-	for _, j := range dp.joins {
-		a := j.lt.Name + "." + j.lc.Name
-		b := j.rt.Name + "." + j.rc.Name
-		if a > b {
-			a, b = b, a
-		}
-		joins = append(joins, a+"="+b)
-	}
-	sort.Strings(joins)
-	var filters []string
-	for t, p := range dp.filters {
-		for _, c := range sqlparse.Conjuncts(p) {
-			filters = append(filters, t+":"+sqlparse.PredString(c))
-		}
-	}
-	sort.Strings(filters)
-	return "T[" + strings.Join(tables, ",") + "]J[" + strings.Join(joins, ",") +
-		"]F[" + strings.Join(filters, ";") + "]G[" + strings.Join(dp.GroupByNames(), ",") + "]"
 }
 
 // ---- selection (filter evaluation) ----

@@ -10,7 +10,6 @@ package rewrite
 
 import (
 	"fmt"
-	"strings"
 
 	"sudaf/internal/canonical"
 	"sudaf/internal/exec"
@@ -21,11 +20,11 @@ import (
 )
 
 // View is a materialized state view: the stored group table plus the
-// normalized description of the query that produced it.
+// data key of the query that produced it.
 type View struct {
 	Name  string
 	Table *storage.Table // group-by columns + one float column per state
-	Info  *exec.DataInfo
+	Key   exec.DataKey
 	// States lists the cached states; StateCols maps state key → column.
 	States    []canonical.State
 	StateCols map[string]string
@@ -43,106 +42,100 @@ type Rollup struct {
 	StateCol map[string]string
 }
 
-// TryRollup decides whether the query described by q, needing the given
-// states, can be answered from view v, and constructs the roll-up plan.
-// colOwner resolves a column name to its base table. It returns
-// (nil, reason) when rewriting is not possible.
-func TryRollup(q *exec.DataInfo, states []canonical.State, v *View, colOwner func(string) string) (*Rollup, string) {
+// TryRollup decides whether the query whose data part is q, needing the
+// given states, can be answered from view v, and constructs the roll-up
+// plan. Table versions play no part here: the caller checks that the view
+// is current. colOwner resolves a column name to its base table. It
+// returns (nil, reason) when rewriting is not possible.
+func TryRollup(q *exec.DataKey, states []canonical.State, v *View, colOwner func(string) string) (*Rollup, string) {
+	vk := &v.Key
 	// 1. The view's tables must all appear in the query.
 	qTables := map[string]bool{}
 	for _, t := range q.Tables {
-		qTables[t] = true
-	}
-	for _, t := range v.Info.Tables {
-		if !qTables[t] {
-			return nil, fmt.Sprintf("query lacks view table %s", t)
-		}
+		qTables[t.Name] = true
 	}
 	vTables := map[string]bool{}
-	for _, t := range v.Info.Tables {
-		vTables[t] = true
+	for _, t := range vk.Tables {
+		if !qTables[t.Name] {
+			return nil, fmt.Sprintf("query lacks view table %s", t.Name)
+		}
+		vTables[t.Name] = true
 	}
 	var extraTables []string
 	for _, t := range q.Tables {
-		if !vTables[t] {
-			extraTables = append(extraTables, t)
+		if !vTables[t.Name] {
+			extraTables = append(extraTables, t.Name)
 		}
 	}
 
 	// 2. Every view join and filter must appear in the query (the view's
-	// data is a superset restriction the query also applies).
-	qJoins := map[string]bool{}
+	// data is a superset restriction the query also applies). What stays
+	// true in qJoins is left for the roll-up to apply.
+	qJoins := map[exec.JoinPair]bool{}
 	for _, j := range q.Joins {
 		qJoins[j] = true
 	}
-	for _, j := range v.Info.Joins {
+	for _, j := range vk.Joins {
 		if !qJoins[j] {
 			return nil, fmt.Sprintf("query lacks view join %s", j)
 		}
-		delete(qJoins, j)
+		qJoins[j] = false
 	}
-	for t, fs := range v.Info.Filters {
-		qf := map[string]bool{}
-		for _, f := range q.Filters[t] {
-			qf[f] = true
+	qFilters := map[[2]string]bool{}
+	for _, f := range q.Filters {
+		qFilters[[2]string{f.Table, f.Text}] = true
+	}
+	vFilters := map[[2]string]bool{}
+	for _, f := range vk.Filters {
+		id := [2]string{f.Table, f.Text}
+		if !qFilters[id] {
+			return nil, fmt.Sprintf("query lacks view filter %s", f.Text)
 		}
-		for _, f := range fs {
-			if !qf[f] {
-				return nil, fmt.Sprintf("query lacks view filter %s", f)
-			}
-		}
+		vFilters[id] = true
 	}
 
 	// Columns available after the roll-up scan: the view's group-by
 	// columns plus every column of the extra tables.
 	avail := map[string]bool{}
-	for _, g := range v.Info.GroupBy {
+	for _, g := range vk.GroupBy {
 		avail[g] = true
 	}
 
 	// 3. Remaining query joins must connect through available columns.
 	var extraJoins []sqlparse.Pred
-	for j := range qJoins {
-		l, r, ok := splitJoin(j)
-		if !ok {
-			return nil, fmt.Sprintf("malformed join %s", j)
+	for _, j := range q.Joins {
+		if !qJoins[j] {
+			continue // enforced by the view, or a duplicate already added
 		}
-		lT, lC := splitQualified(l)
-		rT, rC := splitQualified(r)
-		lOK := !vTables[lT] || avail[lC]
-		rOK := !vTables[rT] || avail[rC]
+		qJoins[j] = false
+		lOK := !vTables[j.L.Table] || avail[j.L.Column]
+		rOK := !vTables[j.R.Table] || avail[j.R.Column]
 		if !lOK || !rOK {
 			return nil, fmt.Sprintf("join %s needs a non-grouped view column", j)
 		}
 		extraJoins = append(extraJoins, &sqlparse.Cmp{
 			Op: "=",
-			L:  sqlparse.Operand{Col: lC, IsCol: true},
-			R:  sqlparse.Operand{Col: rC, IsCol: true},
+			L:  sqlparse.Operand{Col: j.L.Column, IsCol: true},
+			R:  sqlparse.Operand{Col: j.R.Column, IsCol: true},
 		})
 	}
 
 	// 4. Extra query filters must touch only available columns.
 	var extraFilters []sqlparse.Pred
-	for t, preds := range q.Preds {
-		vf := map[string]bool{}
-		for _, f := range v.Info.Filters[t] {
-			vf[f] = true
+	for _, f := range q.Filters {
+		if vFilters[[2]string{f.Table, f.Text}] {
+			continue // already enforced by the view
 		}
-		for i, p := range preds {
-			if vf[q.Filters[t][i]] {
-				continue // already enforced by the view
-			}
-			if vTables[t] {
-				cols := map[string]bool{}
-				sqlparse.PredColumns(p, cols)
-				for c := range cols {
-					if !avail[c] {
-						return nil, fmt.Sprintf("filter %s needs non-grouped view column %s", q.Filters[t][i], c)
-					}
+		if vTables[f.Table] {
+			cols := map[string]bool{}
+			sqlparse.PredColumns(f.Pred, cols)
+			for c := range cols {
+				if !avail[c] {
+					return nil, fmt.Sprintf("filter %s needs non-grouped view column %s", f.Text, c)
 				}
 			}
-			extraFilters = append(extraFilters, p)
 		}
+		extraFilters = append(extraFilters, f.Pred)
 	}
 
 	// 5. Query grouping must be at or above the view's granularity:
@@ -202,21 +195,4 @@ func RollupState(st canonical.State, viewCol string) canonical.State {
 		F:    scalar.IdentityChain(),
 		Base: &expr.Var{Name: viewCol},
 	}
-}
-
-// splitJoin parses a normalized join string "t1.c1=t2.c2".
-func splitJoin(j string) (string, string, bool) {
-	i := strings.IndexByte(j, '=')
-	if i < 0 {
-		return "", "", false
-	}
-	return j[:i], j[i+1:], true
-}
-
-// splitQualified splits "table.column".
-func splitQualified(q string) (table, col string) {
-	if i := strings.LastIndexByte(q, '.'); i >= 0 {
-		return q[:i], q[i+1:]
-	}
-	return "", q
 }

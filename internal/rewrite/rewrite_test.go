@@ -11,22 +11,24 @@ import (
 	"sudaf/internal/sqlparse"
 )
 
-// info builds a DataInfo by hand.
-func info(tables []string, joins []string, filters map[string][]string, groupBy []string) *exec.DataInfo {
-	di := &exec.DataInfo{
-		Tables:  tables,
-		Joins:   joins,
-		Filters: filters,
-		Preds:   map[string][]sqlparse.Pred{},
-		GroupBy: groupBy,
+// tables lists table versions at epoch 1 (roll-up matching ignores
+// versions).
+func tables(names ...string) []exec.TableVersion {
+	out := make([]exec.TableVersion, len(names))
+	for i, n := range names {
+		out[i] = exec.TableVersion{Name: n, Epoch: 1}
 	}
-	for t, fs := range filters {
-		for _, f := range fs {
-			// Reconstruct a minimal predicate carrying the string form.
-			di.Preds[t] = append(di.Preds[t], reparse(f))
-		}
-	}
-	return di
+	return out
+}
+
+// join builds the normalized equi-join lt.lc=rt.rc.
+func join(lt, lc, rt, rc string) exec.JoinPair {
+	return exec.JoinPair{L: exec.ColumnRef{Table: lt, Column: lc}, R: exec.ColumnRef{Table: rt, Column: rc}}
+}
+
+// filter builds one pushed-down conjunct from its text.
+func filter(table, text string) exec.Filter {
+	return exec.Filter{Table: table, Pred: reparse(text), Text: text}
 }
 
 // reparse turns a normalized predicate string back into a Pred via a
@@ -59,13 +61,13 @@ func testView() *View {
 	}
 	return &View{
 		Name: "v1",
-		Info: &exec.DataInfo{
-			Tables: []string{"date_dim", "store", "store_sales"},
-			Joins: []string{
-				"date_dim.d_date_sk=store_sales.ss_sold_date_sk",
-				"store.s_store_sk=store_sales.ss_store_sk",
+		Key: exec.DataKey{
+			Tables: tables("date_dim", "store", "store_sales"),
+			Joins: []exec.JoinPair{
+				join("date_dim", "d_date_sk", "store_sales", "ss_sold_date_sk"),
+				join("store", "s_store_sk", "store_sales", "ss_store_sk"),
 			},
-			Filters: map[string][]string{"store": {"s_state='TN'"}},
+			Filters: []exec.Filter{filter("store", "s_state='TN'")},
 			GroupBy: []string{"ss_item_sk", "d_year"},
 		},
 		States:    states,
@@ -88,27 +90,27 @@ func ownerFor(col string) string {
 	return ""
 }
 
-func q3Info() *exec.DataInfo {
-	return info(
-		[]string{"date_dim", "item", "store", "store_sales"},
-		[]string{
-			"date_dim.d_date_sk=store_sales.ss_sold_date_sk",
-			"item.i_item_sk=store_sales.ss_item_sk",
-			"store.s_store_sk=store_sales.ss_store_sk",
+func q3Key() *exec.DataKey {
+	return &exec.DataKey{
+		Tables: tables("date_dim", "item", "store", "store_sales"),
+		Joins: []exec.JoinPair{
+			join("date_dim", "d_date_sk", "store_sales", "ss_sold_date_sk"),
+			join("item", "i_item_sk", "store_sales", "ss_item_sk"),
+			join("store", "s_store_sk", "store_sales", "ss_store_sk"),
 		},
-		map[string][]string{
-			"store":    {"s_state='TN'"},
-			"item":     {"i_category='Sports'"},
-			"date_dim": {"d_year>=2000"},
+		Filters: []exec.Filter{
+			filter("date_dim", "d_year>=2000"),
+			filter("item", "i_category='Sports'"),
+			filter("store", "s_state='TN'"),
 		},
-		[]string{"d_year"},
-	)
+		GroupBy: []string{"d_year"},
+	}
 }
 
 func TestRollupQ3(t *testing.T) {
 	v := testView()
 	states := []canonical.State{st(canonical.OpCount, ""), st(canonical.OpSum, "ss_list_price")}
-	r, reason := TryRollup(q3Info(), states, v, ownerFor)
+	r, reason := TryRollup(q3Key(), states, v, ownerFor)
 	if r == nil {
 		t.Fatalf("rollup rejected: %s", reason)
 	}
@@ -136,37 +138,42 @@ func TestRollupRejections(t *testing.T) {
 	okStates := []canonical.State{st(canonical.OpSum, "ss_list_price")}
 
 	// Missing view table in the query.
-	q := q3Info()
-	q.Tables = []string{"item", "store_sales"}
+	q := q3Key()
+	q.Tables = tables("item", "store_sales")
 	if r, _ := TryRollup(q, okStates, v, ownerFor); r != nil {
 		t.Error("should reject when view tables missing")
 	}
 
+	// Query lacks a view join.
+	q = q3Key()
+	q.Joins = q.Joins[1:]
+	if r, _ := TryRollup(q, okStates, v, ownerFor); r != nil {
+		t.Error("should reject when a view join is absent")
+	}
+
 	// Query lacks the view's filter.
-	q = q3Info()
-	q.Filters["store"] = nil
-	q.Preds["store"] = nil
+	q = q3Key()
+	q.Filters = q.Filters[:2]
 	if r, _ := TryRollup(q, okStates, v, ownerFor); r != nil {
 		t.Error("should reject when view filter absent")
 	}
 
 	// Extra filter on a non-grouped view column.
-	q = q3Info()
-	q.Filters["store_sales"] = []string{"ss_quantity>5"}
-	q.Preds["store_sales"] = []sqlparse.Pred{reparse("ss_quantity>5")}
+	q = q3Key()
+	q.Filters = append(q.Filters, filter("store_sales", "ss_quantity>5"))
 	if r, _ := TryRollup(q, okStates, v, ownerFor); r != nil {
 		t.Error("should reject filter on non-grouped view column")
 	}
 
 	// Group-by below the view's granularity.
-	q = q3Info()
+	q = q3Key()
 	q.GroupBy = []string{"ss_store_sk"}
 	if r, _ := TryRollup(q, okStates, v, ownerFor); r != nil {
 		t.Error("should reject finer grouping")
 	}
 
 	// State not in the view.
-	q = q3Info()
+	q = q3Key()
 	missing := []canonical.State{st(canonical.OpSum, "ss_sales_price")}
 	if r, _ := TryRollup(q, missing, v, ownerFor); r != nil {
 		t.Error("should reject missing state")
@@ -186,23 +193,5 @@ func TestRollupState(t *testing.T) {
 	}
 	if v, ok := rolled.Base.(*expr.Var); !ok || v.Name != "s2" {
 		t.Errorf("base: %v", rolled.Base)
-	}
-}
-
-func TestSplitHelpers(t *testing.T) {
-	l, r, ok := splitJoin("a.x=b.y")
-	if !ok || l != "a.x" || r != "b.y" {
-		t.Errorf("splitJoin: %q %q %v", l, r, ok)
-	}
-	if _, _, ok := splitJoin("nojoin"); ok {
-		t.Error("malformed join should fail")
-	}
-	tb, col := splitQualified("t.c")
-	if tb != "t" || col != "c" {
-		t.Errorf("splitQualified: %q %q", tb, col)
-	}
-	tb, col = splitQualified("bare")
-	if tb != "" || col != "bare" {
-		t.Errorf("splitQualified bare: %q %q", tb, col)
 	}
 }

@@ -24,13 +24,6 @@ type Request struct {
 	States []canonical.State
 }
 
-// ShardInfo is one shard's provenance in a gathered result.
-type ShardInfo struct {
-	Fingerprint string
-	Rows        int
-	Groups      int
-}
-
 // Merged is a gathered result: the ⊕-merge of every worker's partial.
 // Vals[i] holds state States[i] of the request, aligned with Keys.
 type Merged struct {
@@ -40,7 +33,6 @@ type Merged struct {
 	Vals     [][]float64
 	Rows     int
 	Kernels  []string
-	Shards   []ShardInfo
 }
 
 // Gather scatters the request across the workers (one goroutine each),
@@ -144,9 +136,6 @@ func MergePartials(states []canonical.State, parts []*Partial) (*Merged, error) 
 	}
 	note := func(p *Partial) {
 		m.Rows += p.Rows
-		m.Shards = append(m.Shards, ShardInfo{
-			Fingerprint: p.Fingerprint, Rows: p.Rows, Groups: len(p.Keys),
-		})
 		for _, k := range p.Kernels {
 			if !kernels[k] {
 				kernels[k] = true

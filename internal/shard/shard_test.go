@@ -76,12 +76,11 @@ func buildPartial(states []canonical.State, rows []mrow) *Partial {
 		}
 	}
 	return &Partial{
-		Fingerprint: "prop",
-		Keys:        keys,
-		KeyNames:    []string{"g"},
-		KeyCols:     []*storage.Column{kc},
-		Vals:        vals,
-		Rows:        len(rows),
+		Keys:     keys,
+		KeyNames: []string{"g"},
+		KeyCols:  []*storage.Column{kc},
+		Vals:     vals,
+		Rows:     len(rows),
 	}
 }
 
@@ -190,8 +189,8 @@ func diffMaps(t *testing.T, trial int, what string, want, got map[int64][]uint64
 	}
 }
 
-// TestShardMergeRowAccounting checks Rows sums across partials and the
-// shard provenance records every shard in order.
+// TestShardMergeRowAccounting checks Rows sums across partials and
+// kernel names dedup in first-appearance order.
 func TestShardMergeRowAccounting(t *testing.T) {
 	states := mergeStates()
 	p1 := buildPartial(states, []mrow{{1, 2}, {1, 3}, {2, 4}})
@@ -204,9 +203,6 @@ func TestShardMergeRowAccounting(t *testing.T) {
 	}
 	if m.Rows != 4 {
 		t.Errorf("Rows = %d, want 4", m.Rows)
-	}
-	if len(m.Shards) != 2 || m.Shards[0].Rows != 3 || m.Shards[1].Groups != 1 {
-		t.Errorf("shard provenance wrong: %+v", m.Shards)
 	}
 	if fmt.Sprint(m.Kernels) != "[k1 k2 k3]" {
 		t.Errorf("kernels must dedup in first-appearance order, got %v", m.Kernels)

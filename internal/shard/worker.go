@@ -51,13 +51,12 @@ type ScanRequest struct {
 // slice, in the worker's group order. Vals[i] is aligned with Keys and
 // holds state States[i] of the originating request.
 type Partial struct {
-	Fingerprint string
-	Keys        []cache.GroupKey
-	KeyNames    []string
-	KeyCols     []*storage.Column
-	Vals        [][]float64
-	Rows        int // base rows scanned
-	Kernels     []string
+	Keys     []cache.GroupKey
+	KeyNames []string
+	KeyCols  []*storage.Column
+	Vals     [][]float64
+	Rows     int // base rows scanned
+	Kernels  []string
 }
 
 // WorkerStats are one worker's lifetime counters.
@@ -126,12 +125,11 @@ func (w *InProc) Scan(ctx context.Context, req *ScanRequest) (*Partial, error) {
 	}
 	w.rowsScanned.Add(int64(gr.Rows))
 	return &Partial{
-		Fingerprint: dp.Fingerprint,
-		Keys:        gr.Keys,
-		KeyNames:    gr.KeyNames,
-		KeyCols:     gr.KeyColumns,
-		Vals:        gr.Values,
-		Rows:        gr.Rows,
-		Kernels:     gr.Kernels,
+		Keys:     gr.Keys,
+		KeyNames: gr.KeyNames,
+		KeyCols:  gr.KeyColumns,
+		Vals:     gr.Values,
+		Rows:     gr.Rows,
+		Kernels:  gr.Kernels,
 	}, nil
 }
