@@ -211,6 +211,20 @@ if [ -n "$gone" ]; then
   err "the replaced data-part descriptions are still named:" "$gone"
 fi
 
+echo "== one predicate compiler =="
+# DESIGN.md §8 "Filter evaluation": a WHERE clause compiles to block
+# kernels only. (a) The per-row closure compiler it replaced is named
+# nowhere in non-test internal/exec. (b) No per-row matcher, a
+# func(int32) bool, is defined there.
+stray=$(grep -rnwE 'compilePred|cmpConst|cmpFloat' --include='*.go' internal/exec | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+  err "filters compile through compileFilter alone, found the per-row compiler:" "$stray"
+fi
+stray=$(grep -rnE 'func\(int32\) bool' --include='*.go' internal/exec | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+  err "no per-row func(int32) bool matcher in internal/exec, found:" "$stray"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "documentation checks failed" >&2
   exit 1

@@ -62,6 +62,27 @@ func TestResultTraceSampling(t *testing.T) {
 			t.Errorf("scan/agg rows attr = %d, want 64", rows)
 		}
 	}
+	// A WHERE filter adds the base rows it evaluated and its time beside
+	// the rows it kept; the unfiltered scan above carries neither.
+	filtered, err := traced.Query("SELECT region, sum(price) FROM sales WHERE region >= 1 and region < 3 GROUP BY region", ModeRewrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		res              *Result
+		rows, filterRows int64
+		filtered         bool
+	}{{res, 64, 0, false}, {filtered, 32, 64, true}} {
+		attrs := map[string]int64{}
+		if sp := c.res.Trace.Find("scan/agg"); sp != nil {
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Int
+			}
+		}
+		if _, us := attrs["filter_us"]; attrs["rows"] != c.rows || attrs["filter_rows"] != c.filterRows || us != c.filtered {
+			t.Errorf("scan/agg attrs %v, want rows=%d filter_rows=%d, filter_us present %v", attrs, c.rows, c.filterRows, c.filtered)
+		}
+	}
 	if !strings.Contains(res.Trace.Tree(), "└─") {
 		t.Errorf("Tree() should render a span tree:\n%s", res.Trace.Tree())
 	}

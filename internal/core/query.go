@@ -340,10 +340,15 @@ func (qc *queryCtx) noteKernels(gr *exec.GroupResult) {
 }
 
 // noteScanAgg annotates a scan/agg span with the run's cost facts:
-// joined rows read, groups produced, morsel batch count, and the
-// compiled kernels that served it. Nil-safe like every span call.
+// joined rows read, base rows the filters evaluated and their time,
+// groups produced, morsel batch count, and the compiled kernels that
+// served it. Nil-safe like every span call.
 func noteScanAgg(sp *obs.Span, gr *exec.GroupResult) {
 	sp.SetInt("rows", int64(gr.Rows))
+	if gr.FilterRows > 0 {
+		sp.SetInt("filter_rows", int64(gr.FilterRows))
+		sp.SetInt("filter_us", gr.FilterTime.Microseconds())
+	}
 	sp.SetInt("groups", int64(gr.NumGroups))
 	if gr.Rows > 0 {
 		sp.SetInt("batches", int64((gr.Rows+exec.BatchSize-1)/exec.BatchSize))

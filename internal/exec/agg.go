@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sudaf/internal/faultinject"
 	"sudaf/internal/storage"
@@ -90,6 +91,10 @@ type GroupResult struct {
 	Values     [][]float64 // Values[taskIdx][groupID]
 	// Rows is the number of joined base rows aggregated (observability).
 	Rows int
+	// FilterRows is the number of base rows the pushed-down filters
+	// evaluated, and FilterTime the time that took (observability).
+	FilterRows int
+	FilterTime time.Duration
 	// Kernels names the tasks that ran through compiled batch kernels
 	// (per-query observability; empty when everything ran tuple-at-a-time).
 	Kernels []string
@@ -300,7 +305,8 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 	if len(global.keys) == 0 && len(dp.groupBy) == 0 {
 		global.keys = append(global.keys, GroupKey{})
 	}
-	gr := &GroupResult{Rows: rs.n, Kernels: kernels, NumGroups: len(global.keys), Keys: global.keys}
+	gr := &GroupResult{Rows: rs.n, FilterRows: rs.filterRows, FilterTime: rs.filterTime,
+		Kernels: kernels, NumGroups: len(global.keys), Keys: global.keys}
 	gr.Values = make([][]float64, len(tasks))
 	for t, task := range tasks {
 		if global.merged[t] == nil {

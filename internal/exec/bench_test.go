@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"sudaf/internal/canonical"
@@ -95,5 +96,49 @@ func BenchmarkTopK(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = res
+	}
+}
+
+// BenchmarkSelection is the filter layer alone: one selection over a
+// 1M-row table, reported per base row. Shapes: the square_id range a
+// share_thrash miss rescans (0.2 % of rows kept), a string equality, and
+// the TPC-DS promotion disjunction on a promotion-shaped 1M-row table.
+func BenchmarkSelection(b *testing.B) {
+	const rows = 1 << 20
+	promo := storage.NewTable("promotion",
+		storage.NewColumn("p_channel_email", storage.KindString),
+		storage.NewColumn("p_channel_event", storage.KindString))
+	rng := rand.New(rand.NewSource(1))
+	yn := []string{"N", "Y"}
+	for i := 0; i < rows; i++ {
+		promo.Col("p_channel_email").AppendString(yn[rng.Intn(2)])
+		promo.Col("p_channel_event").AppendString(yn[rng.Intn(2)])
+	}
+	milan := data.Milan(rows, 10_000, 1)
+	for _, c := range []struct {
+		name  string
+		t     *storage.Table
+		where string
+	}{
+		{"int_range", milan, "square_id >= 5000 and square_id < 5020"},
+		{"string_eq", promo, "p_channel_email = 'N'"},
+		{"or", promo, "p_channel_email = 'N' or p_channel_event = 'N'"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			stmt, err := sqlparse.Parse("SELECT count(*) FROM " + c.t.Name + " WHERE " + c.where)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sel, err := selection(context.Background(), c.t, stmt.Where)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = sel
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.t.NumRows()), "ns/row")
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"sudaf/internal/faultinject"
 	"sudaf/internal/storage"
@@ -22,6 +23,10 @@ type RowSet struct {
 	n      int
 	tables []*storage.Table
 	vecs   map[string][]int32
+	// filterRows and filterTime are the base rows the filters evaluated
+	// and the time they took.
+	filterRows int
+	filterTime time.Duration
 }
 
 // identity reports a single-table, unfiltered row set: row i of the set
@@ -81,10 +86,18 @@ func (rs *RowSet) bindInt(pc planCol) func(int32) int64 {
 // buildRowSet runs scans, filters and the left-deep hash join.
 func (dp *DataPlan) buildRowSet(ctx context.Context) (*RowSet, error) {
 	sels := map[string]rowSel{}
+	var filterRows int
+	var filterTime time.Duration
 	for _, t := range dp.tables {
-		sel, err := selection(ctx, t, dp.filters[t.Name])
+		pred := dp.filters[t.Name]
+		start := time.Now()
+		sel, err := selection(ctx, t, pred)
 		if err != nil {
 			return nil, err
+		}
+		if pred != nil {
+			filterRows += t.NumRows()
+			filterTime += time.Since(start)
 		}
 		sels[t.Name] = sel
 	}
@@ -92,7 +105,8 @@ func (dp *DataPlan) buildRowSet(ctx context.Context) (*RowSet, error) {
 		t := dp.tables[0]
 		sel := sels[t.Name]
 		return &RowSet{n: sel.n, tables: dp.tables,
-			vecs: map[string][]int32{t.Name: sel.rows}}, nil
+			vecs:       map[string][]int32{t.Name: sel.rows},
+			filterRows: filterRows, filterTime: filterTime}, nil
 	}
 
 	// Start from the largest filtered table (the fact table) and fold the
@@ -104,9 +118,11 @@ func (dp *DataPlan) buildRowSet(ctx context.Context) (*RowSet, error) {
 		}
 	}
 	rs := &RowSet{
-		n:      sels[start.Name].n,
-		tables: []*storage.Table{start},
-		vecs:   map[string][]int32{start.Name: sels[start.Name].rows},
+		n:          sels[start.Name].n,
+		tables:     []*storage.Table{start},
+		vecs:       map[string][]int32{start.Name: sels[start.Name].rows},
+		filterRows: filterRows,
+		filterTime: filterTime,
 	}
 	joined := map[string]bool{start.Name: true}
 	remaining := append([]joinCond{}, dp.joins...)
