@@ -225,6 +225,23 @@ if [ -n "$stray" ]; then
   err "no per-row func(int32) bool matcher in internal/exec, found:" "$stray"
 fi
 
+echo "== a cache lookup never writes =="
+# DESIGN.md §11 "EXPLAIN as a read-only rendering": a shared or sign-split
+# hit computes r(s) when read with the decision's own r. (a) Non-test
+# internal/cache neither imports the symbolic space nor names the removed
+# derived-state store. (b) LookupAll's body adds no state and runs no
+# eviction.
+stray=$(grep -rnE 'internal/symbolic|\b(storeDerived|sameBase|ShareVia)\b' --include='*.go' internal/cache | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+  err "internal/cache applies the direct decision's r alone, found:" "$stray"
+fi
+body=$(awk '/^func \(c \*Cache\) LookupAll\(/ { on = 1 } on { print } on && /^}/ { exit }' internal/cache/cache.go)
+if [ -z "$body" ]; then
+  err "Cache.LookupAll not found in internal/cache/cache.go"
+elif echo "$body" | grep -nE 'AddState\(|\.evict\(' >/dev/null; then
+  err "Cache.LookupAll writes the entry:" "$(echo "$body" | grep -nE 'AddState\(|\.evict\(')"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "documentation checks failed" >&2
   exit 1

@@ -5,12 +5,14 @@
 // fingerprint, a group table: the group keys plus one value vector per
 // cached aggregation state (the computation dimension).
 //
-// Lookups first try exact state-key matches, then the sharing machinery:
-// the precomputed symbolic space answers "does the requested state share
-// a cached one?" in O(1) per candidate, with the direct (verified)
-// decision procedure as the authority. Rewriting functions are applied
-// per group, so a hit costs O(#groups) instead of a base-data scan — the
-// source of the paper's two-orders-of-magnitude speedups.
+// Lookups first try exact state-key matches, then Theorem 4.1 sharing:
+// the direct (verified) decision procedure asks of each cached candidate
+// whether the requested state is r ∘ s for some scalar rewriting r, and
+// the decision's own r is applied per group to the candidate's values
+// (Definition 3.1). A hit costs O(#groups) instead of a base-data scan —
+// the source of the paper's two-orders-of-magnitude speedups — and writes
+// nothing: r(s) is computed each time it is read, never stored, so an
+// entry holds only states that were computed from base data.
 //
 // Section 5.3's sign handling is supported through companion states: a
 // product or log state over data that is not provably positive is cached
@@ -54,7 +56,6 @@ import (
 	"sudaf/internal/scalar"
 	"sudaf/internal/sharing"
 	"sudaf/internal/storage"
-	"sudaf/internal/symbolic"
 )
 
 // GroupKey mirrors exec.GroupKey (composite int64 group key).
@@ -324,7 +325,6 @@ type shard struct {
 // eviction per shard. All methods are safe for concurrent use.
 type Cache struct {
 	shards []*shard
-	space  *symbolic.Space
 
 	lookups     atomic.Int64
 	exactHits   atomic.Int64
@@ -343,16 +343,15 @@ type Cache struct {
 	events []string
 }
 
-// New creates a cache with the given byte budget (≤0 means 256 MiB), the
-// default stripe count, and an optional precomputed symbolic space for
-// fast sharing lookups.
-func New(maxBytes int64, space *symbolic.Space) *Cache {
-	return newSharded(maxBytes, 0, space)
+// New creates a cache with the given byte budget (≤0 means 256 MiB) and
+// the default stripe count.
+func New(maxBytes int64) *Cache {
+	return newSharded(maxBytes, 0)
 }
 
 // newSharded creates a cache with an explicit stripe count (≤0 means
 // DefaultShards). The byte budget is divided evenly across shards.
-func newSharded(maxBytes int64, shards int, space *symbolic.Space) *Cache {
+func newSharded(maxBytes int64, shards int) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
@@ -363,7 +362,7 @@ func newSharded(maxBytes int64, shards int, space *symbolic.Space) *Cache {
 	if per < 4096 {
 		per = 4096
 	}
-	c := &Cache{shards: make([]*shard, shards), space: space}
+	c := &Cache{shards: make([]*shard, shards)}
 	for i := range c.shards {
 		c.shards[i] = &shard{entries: map[string]*GroupTable{}, maxBytes: per}
 	}
@@ -516,9 +515,10 @@ type EntrySnapshot struct {
 }
 
 // SnapshotEntry exports a group table as an EntrySnapshot. Only valid on
-// a table the caller still owns (before Put): afterwards the state list
-// is guarded by the owning shard's mutex. The ingestion path uses it to
-// keep an eviction-independent copy of a materialized view's states.
+// a table the caller still owns (before Put) or under its shard's mutex:
+// after Put the state list is guarded by that mutex. The ingestion path
+// uses it to keep an eviction-independent copy of a materialized view's
+// states.
 func (gt *GroupTable) SnapshotEntry() EntrySnapshot {
 	return EntrySnapshot{
 		Fingerprint: gt.Fingerprint,
@@ -539,15 +539,7 @@ func (c *Cache) Snapshot() []EntrySnapshot {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for _, gt := range sh.entries {
-			out = append(out, EntrySnapshot{
-				Fingerprint: gt.Fingerprint,
-				KeyNames:    gt.KeyNames,
-				Keys:        gt.Keys,
-				KeyCols:     gt.KeyCols,
-				States:      append([]*CachedState(nil), gt.states...),
-				Maint:       gt.Maint,
-				index:       gt.index,
-			})
+			out = append(out, gt.SnapshotEntry())
 		}
 		sh.mu.Unlock()
 	}
@@ -797,15 +789,15 @@ var shareDetail = sharing.ShareDetail
 
 // resolution is the cache's one sharing decision for a wanted state
 // against a group table: how it would be served, from what, and how to
-// materialize the values. It is pure — deciding touches no LRU order,
-// counter or entry — so Probe can render it and LookupAll commit it,
-// and the two cannot disagree.
+// compute the values. It is pure — deciding touches no LRU order,
+// counter or entry — so Probe and ProbeFinal can render it and LookupAll
+// serve it, and they cannot disagree.
 type resolution struct {
 	kind HitKind
 	// src is the cached state serving an exact or shared hit.
 	src *CachedState
 	// share is the Theorem 4.1 decision behind a shared hit and rewrite
-	// its compiled scalar rewriting, applied per group to src.Vals.
+	// its compiled r, applied per group to src.Vals.
 	share   sharing.Decision
 	rewrite func(float64) float64
 	// companions are the §5.3 states a sign-split hit reconstructs from,
@@ -814,8 +806,9 @@ type resolution struct {
 	reconstruct func() []float64
 }
 
-// vals materializes the wanted state's per-group values (nil on a miss).
-// An exact hit returns the cached slice itself.
+// vals computes the wanted state's per-group values (nil on a miss). An
+// exact hit returns the cached slice itself; a shared or sign-split hit
+// returns a fresh slice that nothing in the cache keeps.
 func (r *resolution) vals() []float64 {
 	switch r.kind {
 	case HitExact:
@@ -828,12 +821,22 @@ func (r *resolution) vals() []float64 {
 	return nil
 }
 
+// sum is the checksum of the values vals returned for this resolution:
+// the one a final over the wanted state was keyed on at StoreFinal. An
+// exact hit reuses its source's stamp; a computed state sums its values.
+func (r *resolution) sum(vals []float64) uint64 {
+	if r.kind == HitExact {
+		return r.src.checksum
+	}
+	return ChecksumVals(vals)
+}
+
 // resolve decides how want is served from gt, in the fixed order exact
 // match → Theorem 4.1 sharing (each eligible candidate gets exactly one
 // direct decision; the first that shares wins) → §5.3 sign-split
 // reconstruction. healthy filters the states that may serve (nil = all):
-// Probe skips corrupted states, LookupAll has already swept them.
-func (c *Cache) resolve(gt *GroupTable, want canonical.State, positiveData bool, healthy func(*CachedState) bool) resolution {
+// the probes skip corrupted states, LookupAll has already swept them.
+func resolve(gt *GroupTable, want canonical.State, positiveData bool, healthy func(*CachedState) bool) resolution {
 	if cs, ok := gt.Exact(want.Key()); ok && (healthy == nil || healthy(cs)) {
 		return resolution{kind: HitExact, src: cs}
 	}
@@ -846,17 +849,9 @@ func (c *Cache) resolve(gt *GroupTable, want canonical.State, positiveData bool,
 		if !ok {
 			continue
 		}
-		// Apply the precomputed symbolic digraph's rewriting when it has
-		// one for this pair, the decision's own chain otherwise.
-		var fn func(float64) float64
-		if c.space != nil && pos && sameBase(want, cand.State) {
-			fn, _ = c.space.ShareVia(want.Op, want.F.NormalizeReal(), cand.State.Op, cand.State.F.NormalizeReal())
-		}
-		if fn == nil {
-			var err error
-			if fn, err = d.R.Compile(); err != nil {
-				continue
-			}
+		fn, err := d.R.Compile()
+		if err != nil {
+			continue
 		}
 		return resolution{kind: HitShared, src: cand, share: d, rewrite: fn}
 	}
@@ -875,8 +870,9 @@ type Lookups struct {
 	// the package comment for the full contract.
 	Entry *GroupTable
 	// Vals is index-aligned with the wanted states; nil marks a state the
-	// caller must compute. A non-nil vector was read from Entry, so it is
-	// ordered by Entry's groups; it is shared and must not be written.
+	// caller must compute. A non-nil vector is ordered by Entry's groups:
+	// an exact hit's is the cached column itself, shared and read-only; a
+	// shared or sign-split hit's is r(s), computed for this lookup alone.
 	Vals [][]float64
 	// Exact, Shared, Sign and Misses count the lookups by HitKind.
 	Exact, Shared, Sign, Misses int
@@ -901,12 +897,14 @@ type FinalWant struct {
 // integrity checksum (recorded as degradation events, served as misses —
 // callers recompute rather than fail), and resolves every wanted state
 // against that same entry — exact match, Theorem 4.1 sharing, or §5.3
-// sign-split reconstruction. A rewritten state's freshly materialized
-// values are stored so a repeat is an exact hit. Because entry and states
-// are read together, a concurrent Put or Remove can never leave a caller
-// holding values without the entry that orders them. The wanted finals are
-// read from that same entry in the same hold; one is served only when every
-// state it reads was served here with the checksum recorded at StoreFinal.
+// sign-split reconstruction. A lookup never writes the entry: a shared or
+// sign-split state's r(s) is computed into the result and kept nowhere,
+// so a repeat is served the same way, with the same bits. Because entry
+// and states are read together, a concurrent Put or Remove can never
+// leave a caller holding values without the entry that orders them. The
+// wanted finals are read from that same entry in the same hold; one is
+// served only when every state it reads was served here with the checksum
+// recorded at StoreFinal (ChecksumVals of the values served).
 //
 // positive is index-aligned with want. usable, when non-nil, vets a hit's
 // values — a rejected hit still counts by its kind but is left for the
@@ -921,8 +919,8 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, fi
 		guard = func(_ string, f func()) { f() }
 	}
 	out := Lookups{Vals: make([][]float64, len(want)), Finals: make([][]float64, len(finals))}
-	// sums[i] is the checksum of the cached state that served want[i],
-	// kept only for a lookup that wants finals.
+	// sums[i] is the checksum of the values served for want[i], kept only
+	// for a lookup that wants finals.
 	var sums []uint64
 	if len(finals) > 0 {
 		sums = make([]uint64, len(want))
@@ -946,28 +944,22 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, fi
 			if out.Entry == nil {
 				return
 			}
-			res := c.resolve(out.Entry, want[i], positive[i], nil)
-			vals := res.vals()
-			var sum uint64
+			res := resolve(out.Entry, want[i], positive[i], nil)
 			switch res.kind {
 			case HitNone:
 				return
 			case HitExact:
 				out.Exact++
-				sum = res.src.checksum
 			case HitShared:
-				// A derived state inherits its sharing source's positivity
-				// (a sign-split one has none).
-				sum = c.storeDerived(sh, out.Entry, want[i], vals, res.src.PositiveInput)
 				out.Shared++
 			case HitSign:
-				sum = c.storeDerived(sh, out.Entry, want[i], vals, false)
 				out.Sign++
 			}
+			vals := res.vals()
 			if usable == nil || usable(vals) {
 				out.Vals[i] = vals
 				if sums != nil {
-					sums[i] = sum
+					sums[i] = res.sum(vals)
 				}
 			}
 		})
@@ -1003,9 +995,6 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, fi
 			}
 		})
 	}
-	// Derived states grew the entry; it was just touched to MRU, and evict
-	// keeps at least one entry, so it survives its own eviction pass.
-	c.evict(sh)
 	out.Misses = len(want) - out.Exact - out.Shared - out.Sign
 	c.lookups.Add(int64(len(want)))
 	c.exactHits.Add(int64(out.Exact))
@@ -1093,10 +1082,9 @@ type ProbeResult struct {
 
 // Probe reports how LookupAll would serve a state under a fingerprint,
 // with full provenance and without observable side effects: no LRU
-// touch, no stats counters, no derived-state materialization, and
-// corrupted states are skipped rather than dropped. It renders the same
-// resolve decision LookupAll commits, so EXPLAIN and batch planning
-// predict serving by construction.
+// touch, no stats counters, and corrupted states are skipped rather than
+// dropped. It renders the same resolve decision LookupAll serves, so
+// EXPLAIN and batch planning predict serving by construction.
 func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeResult {
 	sh := c.shardFor(fp)
 	sh.mu.Lock()
@@ -1105,15 +1093,14 @@ func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeR
 	if !ok {
 		return ProbeResult{Kind: HitNone, Reason: "no cached entry under this data fingerprint"}
 	}
-	healthy := make(map[*CachedState]bool, len(gt.states))
+	healthy := healthyStates(gt)
 	var out ProbeResult
 	for _, s := range gt.states {
-		if s.verify() {
-			healthy[s] = true
+		if healthy(s) {
 			out.Candidates = append(out.Candidates, s.State.Key())
 		}
 	}
-	res := c.resolve(gt, want, positiveData, func(cs *CachedState) bool { return healthy[cs] })
+	res := resolve(gt, want, positiveData, healthy)
 	out.Kind = res.kind
 	switch res.kind {
 	case HitExact:
@@ -1139,10 +1126,12 @@ func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeR
 	return out
 }
 
-// ProbeFinal reports whether LookupAll(fp, want, ...) would serve the
-// wanted final, with Probe's guarantee of no observable side effect (so a
-// source state only a rewriting would serve counts as absent).
-func (c *Cache) ProbeFinal(fp string, want []canonical.State, fw FinalWant) bool {
+// ProbeFinal reports whether LookupAll(fp, want, positive, ...) would serve
+// the wanted final, with Probe's guarantee of no observable side effect.
+// Its source states are decided by the same resolve and checksummed the
+// same way as in LookupAll, so a source served exactly, through a sharing
+// rewriting or by sign-split reconstruction counts alike.
+func (c *Cache) ProbeFinal(fp string, want []canonical.State, positive []bool, fw FinalWant) bool {
 	sh := c.shardFor(fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -1150,31 +1139,28 @@ func (c *Cache) ProbeFinal(fp string, want []canonical.State, fw FinalWant) bool
 	if !ok {
 		return false
 	}
+	healthy := healthyStates(gt)
 	sums := make([]uint64, len(fw.Src))
 	for j, i := range fw.Src {
-		cs, ok := gt.Exact(want[i].Key())
-		if !ok || !cs.verify() {
+		res := resolve(gt, want[i], positive[i], healthy)
+		if res.kind == HitNone {
 			return false
 		}
-		sums[j] = cs.checksum
+		sums[j] = res.sum(res.vals())
 	}
 	at := gt.final(fw.T, sums)
 	return at >= 0 && ChecksumVals(gt.finals[at].vals) == gt.finals[at].checksum
 }
 
-// storeDerived caches a rewritten state's materialized values so repeated
-// requests become exact hits, and returns their checksum. Caller holds the
-// owning shard's mutex.
-func (c *Cache) storeDerived(sh *shard, gt *GroupTable, st canonical.State, vals []float64, pos bool) uint64 {
-	cs := &CachedState{State: st, Vals: vals, PositiveInput: pos}
-	sh.curBytes -= gt.bytes()
-	_ = gt.AddState(cs)
-	sh.curBytes += gt.bytes()
-	return cs.checksum
-}
-
-func sameBase(a, b canonical.State) bool {
-	return a.Base != nil && b.Base != nil && a.Base.String() == b.Base.String()
+// healthyStates is the filter the probes resolve with: the states whose
+// values still match their checksum, which are the ones LookupAll's sweep
+// would keep. The caller holds the owning shard's mutex.
+func healthyStates(gt *GroupTable) func(*CachedState) bool {
+	ok := make(map[*CachedState]bool, len(gt.states))
+	for _, s := range gt.states {
+		ok[s] = s.verify()
+	}
+	return func(cs *CachedState) bool { return ok[cs] }
 }
 
 func applyScalar(fn func(float64) float64, in []float64) []float64 {

@@ -9,13 +9,15 @@ package cache
 //     hit — lookups return either the deterministic expected values or
 //     nothing;
 //   - no stats increments are lost: every state lookup lands in
-//     exactly one outcome counter.
+//     exactly one outcome counter;
+//   - a lookup never writes: shared-hit readers racing a writer's Puts
+//     leave the entry they read at the bytes and states it had.
 //
 // Values are made deterministic per (fingerprint, state, group) so that
 // any exact hit can be verified against the closed form, regardless of
 // which goroutine populated the entry. The exact-check fingerprints use
 // states with pairwise-distinct bases so no sharing rewriting can relate
-// them (a derived state would have values the closed form doesn't
+// them (a shared hit would serve values the closed form doesn't
 // predict); sharing is exercised on a disjoint fingerprint pool with
 // mathematically consistent values checked under tolerance.
 
@@ -29,7 +31,6 @@ import (
 
 	"sudaf/internal/canonical"
 	"sudaf/internal/scalar"
-	"sudaf/internal/symbolic"
 )
 
 // exactVal is the closed form for values in the exact-check pool.
@@ -74,10 +75,9 @@ func putShared(c *Cache, fpIdx int) {
 }
 
 func TestConcurrentCacheProperty(t *testing.T) {
-	space := symbolic.NewSpace(2)
 	// Small budget: with ~20 fingerprints of ~1.2 KiB spread over 8
 	// shards, eviction churns constantly.
-	c := newSharded(64*1024, 8, space)
+	c := newSharded(64*1024, 8)
 
 	const goroutines = 8
 	const opsPerG = 400
@@ -168,8 +168,6 @@ func TestConcurrentCacheProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No lost increments: the cache saw exactly the lookups we issued.
-	// (Shared hits materialize derived states internally without touching
-	// the lookup counter, so this is an equality, not a lower bound.)
 	if got := c.Stats().Lookups; got != lookupsIssued.Load() {
 		t.Fatalf("cache counted %d lookups, test issued %d", got, lookupsIssued.Load())
 	}
@@ -179,8 +177,7 @@ func TestConcurrentCacheProperty(t *testing.T) {
 // leaves counters consistent once traffic stops: counters never go
 // negative and the quiescent balance invariant holds.
 func TestConcurrentResetStats(t *testing.T) {
-	space := symbolic.NewSpace(2)
-	c := newSharded(1<<20, 4, space)
+	c := newSharded(1<<20, 4)
 	putExact(c, 0, 2)
 
 	var wg sync.WaitGroup
@@ -215,8 +212,7 @@ func TestConcurrentResetStats(t *testing.T) {
 // goroutines (the merge-into-existing-entry path) and checks the entry
 // ends structurally sound with correct byte accounting.
 func TestConcurrentPutSameFingerprint(t *testing.T) {
-	space := symbolic.NewSpace(2)
-	c := newSharded(1<<20, 4, space)
+	c := newSharded(1<<20, 4)
 	var wg sync.WaitGroup
 	for gi := 0; gi < 8; gi++ {
 		wg.Add(1)
@@ -257,7 +253,7 @@ func TestConcurrentPutSameFingerprint(t *testing.T) {
 // Put used to slip in there, leaving states served with no entry to
 // order them.
 func TestLookupAllIsOneCriticalSection(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	s := st(canonical.OpSum, "x")
 	unlocked := 0
 	guard := func(_ string, f func()) {
@@ -291,5 +287,74 @@ func TestLookupAllIsOneCriticalSection(t *testing.T) {
 	}
 	if steps != 3 || look.Finals[0] == nil || look.Finals[0][1] != 8 {
 		t.Errorf("want entry, state and final steps and the stored column; got %d steps, final %v", steps, look.Finals[0])
+	}
+}
+
+// entryBytes reads a fingerprint's entry size and state count under its
+// shard lock (0, 0 when absent).
+func entryBytes(c *Cache, fp string) (int64, int) {
+	sh := c.shardFor(fp)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if gt, ok := sh.entries[fp]; ok {
+		return gt.bytes(), len(gt.states)
+	}
+	return 0, 0
+}
+
+// TestConcurrentSharedReadsLeaveTheEntry: readers take shared hits (Π x
+// from Σ ln x) on one entry while a writer Puts into it and beside it. A
+// lookup computes r(s) into its own result and writes nothing, so the
+// entry keeps its one state and its bytes however many hits it serves.
+func TestConcurrentSharedReadsLeaveTheEntry(t *testing.T) {
+	c := newSharded(1<<20, 2)
+	putShared(c, 0)
+	bytes, states := entryBytes(c, "sh0")
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			putShared(c, 0) // the same state and values: merged in place
+			putExact(c, i%8, 1+i%4)
+		}
+	}()
+	var readers sync.WaitGroup
+	errCh := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 300; i++ {
+				vals, kind, ok := lookupKind(c, "sh0", st(canonical.OpProd, "x"), true)
+				if !ok || kind != HitShared || math.Abs(vals[7]-8) > 1e-9 {
+					errCh <- fmt.Errorf("lookup %d: %v hit (served %v), want a shared Π x", i, kind, ok)
+					return
+				}
+				if b, n := entryBytes(c, "sh0"); b != bytes || n != states {
+					errCh <- fmt.Errorf("lookup %d: entry grew to %d bytes and %d states, from %d and %d", i, b, n, bytes, states)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.SharedHits != 4*300 || s.ExactHits != 0 {
+		t.Errorf("stats %+v, want every lookup a shared hit", s)
 	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -55,11 +56,15 @@ func lookupFinal(c *Cache, tKey string, src []canonical.State) []float64 {
 }
 
 func probeFinal(c *Cache, fp, tKey string, src []canonical.State) bool {
-	return c.ProbeFinal(fp, src, wantFinal(tKey, src))
+	pos := make([]bool, len(src))
+	for i := range pos {
+		pos[i] = true
+	}
+	return c.ProbeFinal(fp, src, pos, wantFinal(tKey, src))
 }
 
 func TestFinalServedWhileSourcesMatch(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	src, _, col := finalFixture(t, c)
 	got := lookupFinal(c, "t", src)
 	if len(got) != 3 || &got[0] != &col[0] {
@@ -84,7 +89,7 @@ func TestFinalServedWhileSourcesMatch(t *testing.T) {
 }
 
 func TestFinalRetiredWhenSourceReplaced(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	src, _, _ := finalFixture(t, c)
 	// Put the second source again with other values: same key, new checksum.
 	gt := mkGT("fp", 3)
@@ -106,7 +111,7 @@ func TestFinalRetiredWhenSourceReplaced(t *testing.T) {
 }
 
 func TestFinalNeedsEverySourceServed(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	src, _, _ := finalFixture(t, c)
 	pos, idx := []bool{true, true}, []int{0, 1}
 	// A source the caller cannot use (windowed: wrong emission count) is not served, nor is the final.
@@ -126,7 +131,7 @@ func TestFinalNeedsEverySourceServed(t *testing.T) {
 }
 
 func TestFinalDroppedWhenCorrupt(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	src, srcVals, _ := finalFixture(t, c)
 	if n := c.CorruptEntryForTest("fp"); n != 2 {
 		t.Fatalf("CorruptEntryForTest = %d states, want 2", n)
@@ -167,7 +172,7 @@ func TestFinalDroppedWhenCorrupt(t *testing.T) {
 }
 
 func TestStoreFinalNeedsTheLiveEntry(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	_, srcVals, col := finalFixture(t, c)
 	old, _ := entryOf(c, "fp")
 	// Another group set under the fingerprint replaces the entry.
@@ -195,7 +200,7 @@ func TestStoreFinalNeedsTheLiveEntry(t *testing.T) {
 }
 
 func TestMergeDeltaSuccessorHasNoFinals(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	src, _, _ := finalFixture(t, c)
 	var prev EntrySnapshot
 	for _, e := range c.Snapshot() {
@@ -216,7 +221,7 @@ func TestMergeDeltaSuccessorHasNoFinals(t *testing.T) {
 }
 
 func TestFinalsRideTheByteBudget(t *testing.T) {
-	c := newSharded(6000, 1, nil) // one shard; a 64-group, one-state entry is 2560 bytes
+	c := newSharded(6000, 1) // one shard; a 64-group, one-state entry is 2560 bytes
 	col := make([]float64, 64)
 	put := func(fp string) *GroupTable {
 		gt := mkGT(fp, 64)
@@ -248,11 +253,11 @@ func TestFinalsRideTheByteBudget(t *testing.T) {
 	}
 }
 
-// TestSharedHitsRespectTheBudget: a derived state stored by a shared hit
-// grows its entry, and the lookup path has to run eviction itself — a
-// read-only workload never reaches Put's.
-func TestSharedHitsRespectTheBudget(t *testing.T) {
-	c := newSharded(6000, 1, nil) // one shard; a 64-group, one-state entry is 2560 bytes
+// TestLookupAllNeverGrowsAnEntry: a shared hit computes r(s) into the
+// lookup's result and writes nothing, so a read-only workload leaves the
+// byte accounting, the entry's states and the eviction count as they were.
+func TestLookupAllNeverGrowsAnEntry(t *testing.T) {
+	c := newSharded(6000, 1) // one shard; a 64-group, one-state entry is 2560 bytes
 	vals := make([]float64, 64)
 	for i := range vals {
 		vals[i] = float64(i + 1)
@@ -263,23 +268,64 @@ func TestSharedHitsRespectTheBudget(t *testing.T) {
 		_ = gt.AddState(&CachedState{State: base, Vals: vals, PositiveInput: true})
 		c.Put(gt)
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatalf("after the Puts: %v", err)
-	}
-	// Σ k·x = k·Σ x: every k is a shared hit that materializes one more state under "a".
+	sh := c.shards[0]
+	bytes, evictions := sh.curBytes, c.Stats().Evictions
+	// Σ k·x = k·Σ x: every k is a shared hit on "a".
 	for k := 2; k <= 9; k++ {
 		want := st(canonical.OpSum, "x", scalar.Linear(float64(k)))
-		if _, kind, ok := lookupKind(c, "a", want, true); !ok || kind != HitShared {
+		got, kind, ok := lookupKind(c, "a", want, true)
+		if !ok || kind != HitShared {
 			t.Fatalf("k=%d: want a shared hit, got %v (served %v)", k, kind, ok)
 		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("after shared hit %d: %v", k, err)
+		if got[9] != float64(k*10) {
+			t.Errorf("k=%d: group 9 served %v, want %d", k, got[9], k*10)
 		}
 	}
-	if c.Stats().Evictions == 0 {
-		t.Error("derived states never pushed the shard over its budget; the test does not exercise eviction")
+	if sh.curBytes != bytes {
+		t.Errorf("shared hits moved the shard's bytes from %d to %d", bytes, sh.curBytes)
 	}
-	if _, ok := entryOf(c, "a"); !ok {
-		t.Error("the entry being read was evicted by its own lookup")
+	if got := c.Stats().Evictions; got != evictions {
+		t.Errorf("shared hits evicted %d entries", got-evictions)
+	}
+	if a, ok := entryOf(c, "a"); !ok || a.NumStates() != 1 {
+		t.Errorf("entry a: present %v, want 1 state", ok)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFinalOverASharedSource: a final whose source state is served through
+// a rewriting keys on the checksum of the values served. StoreFinal stamps
+// that number, so a repeat lookup — which computes r(s) again, with the
+// same bits — is served the memoized column, and ProbeFinal says so first.
+func TestFinalOverASharedSource(t *testing.T) {
+	c := New(0)
+	gt := mkGT("fp", 4)
+	ln := []float64{0, math.Log(2), math.Log(6), math.Log(24)}
+	_ = gt.AddState(&CachedState{State: st(canonical.OpSum, "x", scalar.LogP(scalar.E)), Vals: ln, PositiveInput: true})
+	entry := c.Put(gt)
+	want := []canonical.State{st(canonical.OpProd, "x")}
+	fw := []FinalWant{{T: "t", Src: []int{0}}}
+	if c.ProbeFinal("fp", want, []bool{true}, fw[0]) {
+		t.Error("ProbeFinal vouches for a final never stored")
+	}
+	first := c.LookupAll("fp", want, []bool{true}, fw, nil, nil)
+	if first.Shared != 1 || first.Finals[0] != nil {
+		t.Fatalf("first lookup: %d shared, final %v", first.Shared, first.Finals[0])
+	}
+	col := []float64{1, 1, 3, 6}
+	if !c.StoreFinal(entry, "t", col, []uint64{ChecksumVals(first.Vals[0])}) {
+		t.Fatal("StoreFinal refused the live entry")
+	}
+	if !c.ProbeFinal("fp", want, []bool{true}, fw[0]) {
+		t.Error("ProbeFinal misses a final LookupAll serves")
+	}
+	again := c.LookupAll("fp", want, []bool{true}, fw, nil, nil)
+	if again.Shared != 1 || again.Finals[0] == nil || &again.Finals[0][0] != &col[0] {
+		t.Fatalf("repeat lookup: %d shared, final %v", again.Shared, again.Finals[0])
+	}
+	if entry.NumStates() != 1 {
+		t.Errorf("entry holds %d states, want 1", entry.NumStates())
 	}
 }

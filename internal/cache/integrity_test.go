@@ -26,7 +26,7 @@ func TestChecksumVals(t *testing.T) {
 }
 
 func TestCorruptionDetectedOnLookup(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	gt := mkGT("fp", 3)
 	s := st(canonical.OpSum, "x", scalar.PowerP(2))
 	if err := gt.AddState(&CachedState{State: s, Vals: []float64{1, 4, 9}, PositiveInput: true}); err != nil {
@@ -66,7 +66,7 @@ func TestCorruptionDetectedOnLookup(t *testing.T) {
 }
 
 func TestCorruptionSparesHealthyStates(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	gt := mkGT("fp", 2)
 	s1 := st(canonical.OpSum, "x")
 	_ = gt.AddState(&CachedState{State: s1, Vals: []float64{1, 2}, PositiveInput: true})
@@ -89,7 +89,7 @@ func TestCorruptionSparesHealthyStates(t *testing.T) {
 
 func TestInjectedCacheFaultIsMiss(t *testing.T) {
 	defer faultinject.Reset()
-	c := New(0, nil)
+	c := New(0)
 	gt := mkGT("fp", 2)
 	s := st(canonical.OpSum, "x")
 	_ = gt.AddState(&CachedState{State: s, Vals: []float64{1, 2}, PositiveInput: true})

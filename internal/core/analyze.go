@@ -430,13 +430,10 @@ func ruleRewriteViews(_ context.Context, ps *planState) error {
 func ruleRegisterTasks(_ context.Context, ps *planState) error {
 	for _, sl := range ps.missing {
 		sl.taskIdx = addStateTask(ps.reg, sl.st, sl.st.Key())
-		if ps.mode == ModeShare && !sl.positive && needsSignSplit(sl.st) {
-			lnAbs, sgnProd := cache.SignSplitStates(sl.st.Base)
-			for _, comp := range []canonical.State{lnAbs, sgnProd} {
-				cs := &slot{st: comp, positive: false}
-				cs.taskIdx = addStateTask(ps.reg, comp, comp.Key())
-				ps.companions = append(ps.companions, cs)
-			}
+		for _, comp := range signCompanions(ps.mode, sl.st, sl.positive) {
+			cs := &slot{st: comp}
+			cs.taskIdx = addStateTask(ps.reg, comp, comp.Key())
+			ps.companions = append(ps.companions, cs)
 		}
 	}
 	return nil

@@ -205,13 +205,10 @@ func (s *Session) planOneState(qc *queryCtx, g *batchGroup, owner int, bs canoni
 	}
 	addStateTask(g.reg, bs, key)
 	g.compute = append(g.compute, batchCand{st: bs, positive: positive, owner: owner})
-	if mode == ModeShare && !positive && needsSignSplit(bs) {
-		lnAbs, sgnProd := cache.SignSplitStates(bs.Base)
-		for _, comp := range []canonical.State{lnAbs, sgnProd} {
-			if !g.reg.Has(comp.Key()) {
-				addStateTask(g.reg, comp, comp.Key())
-				g.compute = append(g.compute, batchCand{st: comp, owner: owner})
-			}
+	for _, comp := range signCompanions(mode, bs, positive) {
+		if !g.reg.Has(comp.Key()) {
+			addStateTask(g.reg, comp, comp.Key())
+			g.compute = append(g.compute, batchCand{st: comp, owner: owner})
 		}
 	}
 	return batchStateInfo{Key: key, Disposition: dispComputed}

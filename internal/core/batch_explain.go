@@ -75,7 +75,7 @@ type BatchSoloExplain struct {
 // sharing plan — which queries fuse into which scan, which states the
 // in-flight batch derives from each other via Theorem 4.1, and which the
 // cache already serves. The probe is read-only: no LRU touches, no
-// stats, no derived-state materialization.
+// stats.
 func (s *Session) BatchExplain(reqs []Request, mode Mode) (*BatchExplain, error) {
 	stmts := make([]*sqlparse.Stmt, len(reqs))
 	for i, req := range reqs {

@@ -1,9 +1,9 @@
 // Package core implements the SUDAF framework itself — the paper's
 // primary contribution. A Session owns the catalog, the execution engine,
 // the UDAF registry (declarative mathematical expressions canonicalized
-// into aggregation states), the precomputed symbolic sharing space, the
-// dynamic state cache, and the materialized state views used for
-// aggregate-view rewriting.
+// into aggregation states), the dynamic state cache, and the materialized
+// state views used for aggregate-view rewriting; the symbolic sharing
+// space is built on demand for inspection.
 //
 // Queries run in one of three modes mirroring the paper's experimental
 // systems:
@@ -196,7 +196,7 @@ type Session struct {
 	mu           sync.RWMutex
 	cat          *catalog.Catalog
 	eng          *exec.Engine
-	space        *symbolic.Space
+	space        func() *symbolic.Space
 	udafs        map[string]*canonical.Form
 	builtinForms map[string]*canonical.Form
 	views        map[string]*rewrite.View
@@ -289,11 +289,10 @@ func NewSession(opts Options) *Session {
 		opts.Workers = runtime.NumCPU()
 	}
 	cat := catalog.New()
-	space := symbolic.NewSpace(2) // saggs_2, the paper's Figures 4/5
 	s := &Session{
 		cat:          cat,
 		eng:          exec.NewEngine(cat, opts.Workers),
-		space:        space,
+		space:        sync.OnceValue(func() *symbolic.Space { return symbolic.NewSpace(2) }),
 		cacheBytes:   opts.CacheBytes,
 		udafs:        map[string]*canonical.Form{},
 		views:        map[string]*rewrite.View{},
@@ -308,7 +307,7 @@ func NewSession(opts Options) *Session {
 	if s.metrics == nil {
 		s.metrics = obs.NewRegistry()
 	}
-	s.cache.Store(cache.New(opts.CacheBytes, space))
+	s.cache.Store(cache.New(opts.CacheBytes))
 	if opts.Shards > 1 {
 		s.shards = newShardRuntime(s.eng, opts.Shards)
 	}
@@ -346,11 +345,13 @@ func (s *Session) ResetCacheStats() { s.stateCache().ResetStats() }
 // pointer at admission — and their late inserts land in the discarded
 // cache, which is then garbage.
 func (s *Session) ClearCache() {
-	s.cache.Store(cache.New(s.cacheBytes, s.space))
+	s.cache.Store(cache.New(s.cacheBytes))
 }
 
-// Space exposes the precomputed symbolic space.
-func (s *Session) Space() *symbolic.Space { return s.space }
+// Space exposes the symbolic space saggs_2 (the paper's Figures 4/5),
+// built on the first call. Query answering never reads it: the cache
+// decides sharing directly (Theorem 4.1).
+func (s *Session) Space() *symbolic.Space { return s.space() }
 
 // Cache exposes the session's state cache (testing and chaos harnesses).
 func (s *Session) Cache() *cache.Cache { return s.stateCache() }

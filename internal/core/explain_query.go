@@ -134,8 +134,8 @@ type ExplainState struct {
 // without executing it: the normalized data part and fingerprint, each
 // aggregate's canonical form (F, ⊕, T), the deduplicated aggregation
 // states, the RQ rewriting, and — in share mode — per-state cache
-// provenance from a read-only probe (no LRU touches, no stats, no
-// derived-state materialization). Subqueries are not supported.
+// provenance from a read-only probe (no LRU touches, no stats).
+// Subqueries are not supported.
 func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -212,7 +212,7 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 		for _, ci := range ps.hard {
 			bc := ps.bound.calls[ci]
 			ex.Aggregates[ci].HardT = "solved"
-			if qc.cache.ProbeFinal(ps.key.String(), ps.bound.states, cache.FinalWant{T: bc.form.HardTKey, Src: bc.states}) {
+			if qc.cache.ProbeFinal(ps.key.String(), ps.bound.states, ps.bound.positive, cache.FinalWant{T: bc.form.HardTKey, Src: bc.states}) {
 				ex.Aggregates[ci].HardT = "memoized"
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -417,18 +418,20 @@ func addStateTask(reg *exec.TaskRegistry, st canonical.State, key string) int {
 	})
 }
 
-// needsSignSplit reports whether a state's future sharing requires the
-// |x|/sign companions: products and logarithmic chains.
-func needsSignSplit(st canonical.State) bool {
-	if st.Op == canonical.OpProd {
-		return true
+// signCompanions returns the §5.3 companion states (Σ ln|b|, Π sgn(b))
+// to compute beside a state so its future sharing stays sound over data
+// not provably positive: none outside share mode, over positive data, or
+// for a state that is neither a product nor a logarithmic chain.
+func signCompanions(mode Mode, st canonical.State, positive bool) []canonical.State {
+	if mode != ModeShare || positive {
+		return nil
 	}
-	for _, p := range st.F.Prims {
-		if p.Kind == scalar.KLog {
-			return true
-		}
+	logChain := slices.ContainsFunc(st.F.Prims, func(p scalar.Prim) bool { return p.Kind == scalar.KLog })
+	if st.Op != canonical.OpProd && !logChain {
+		return nil
 	}
-	return false
+	lnAbs, sgnProd := cache.SignSplitStates(st.Base)
+	return []canonical.State{lnAbs, sgnProd}
 }
 
 // alignEntryToResult reorders entry-ordered values into the result's

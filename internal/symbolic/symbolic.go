@@ -7,10 +7,12 @@
 // states are computed once, when a Space is built: a *strong* edge means
 // every instance of the source shares every instance of the target; a
 // *weak* edge carries parameter conditions (e.g. Σx^p shares Σp₂x^p₁ iff
-// p = p₁). At query time, concrete states are matched to symbolic nodes
-// by shape signature and the precomputed edges answer the sharing problem
+// p = p₁). ShareVia matches concrete states to symbolic nodes by shape
+// signature and lets the precomputed edges answer the sharing problem
 // with two map lookups plus a numeric condition check — no expression
-// transformations, which is the point of Section 5.1.
+// transformations, which is the point of Section 5.1. The engine's cache
+// does not call it (it applies the direct decision's own rewriting); the
+// space serves Figures 4/5 and the lookup ablation.
 package symbolic
 
 import (

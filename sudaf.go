@@ -18,8 +18,8 @@
 //     when the baseline would interpret a hardcoded UDAF per tuple);
 //   - caches aggregation states per data fingerprint and reuses them
 //     across *different* UDAFs whenever a scalar rewriting r with
-//     s' = r∘s exists (Theorem 4.1: decided via precomputed symbolic
-//     sharing spaces, verified numerically);
+//     s' = r∘s exists (Theorem 4.1: decided directly per cached
+//     candidate, verified numerically, and r(s) computed when read);
 //   - rolls up materialized state views to answer coarser-grained
 //     queries (classic aggregate-view rewriting over sum/count states).
 //
@@ -239,8 +239,8 @@ type Engine struct {
 	s *core.Session
 }
 
-// Open creates an engine. The zero Options give full parallelism, a
-// 256 MiB cache and the l=2 symbolic space.
+// Open creates an engine. The zero Options give full parallelism and a
+// 256 MiB cache.
 func Open(opts Options) *Engine {
 	return &Engine{s: core.NewSession(opts)}
 }
@@ -518,8 +518,9 @@ func (e *Engine) ServeMetrics(addr string) (*MetricsServer, error) {
 	return e.s.ServeMetrics(addr)
 }
 
-// SymbolicSpaceDump renders the precomputed symbolic sharing space
-// (states, edges, equivalence classes — Figures 4/5 of the paper).
+// SymbolicSpaceDump renders the symbolic sharing space saggs_2 (states,
+// edges, equivalence classes — Figures 4/5 of the paper), building it on
+// the first call.
 func (e *Engine) SymbolicSpaceDump() string { return e.s.Space().Dump() }
 
 // Internal type re-exports for tooling.
