@@ -242,6 +242,23 @@ elif echo "$body" | grep -nE 'AddState\(|\.evict\(' >/dev/null; then
   err "Cache.LookupAll writes the entry:" "$(echo "$body" | grep -nE 'AddState\(|\.evict\(')"
 fi
 
+echo "== a built-in aggregate is defined once =="
+# DESIGN.md §2: every mode runs a SQL built-in through its canonical form,
+# read from one table. (a) The hand-written baseline kernels, their name
+# table and the second form table are named only in the history files.
+# (b) The alias "stddev_pop" is spelled in exactly one non-test Go file,
+# the table's.
+gone=$(grep -rnE '\b(BuiltinTask|BuiltinKind|LookupBuiltin|builtinFormDef)\b' \
+  --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' . .github |
+  grep -vE '^\./(CHANGES|EXPERIMENTS|ROADMAP|ISSUE|REVIEW)\.md:|^\./ci/check_docs\.sh:' || true)
+if [ -n "$gone" ]; then
+  err "the removed second definition of the built-ins is still named:" "$gone"
+fi
+spelled=$(grep -rlF '"stddev_pop"' --include='*.go' . | grep -v '_test\.go$' || true)
+if [ "$(echo "$spelled" | grep -c .)" -ne 1 ]; then
+  err "built-in names are spelled in one non-test Go file, \"stddev_pop\" is in:" $spelled
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "documentation checks failed" >&2
   exit 1

@@ -49,6 +49,15 @@ func advEngine(t *testing.T) *sudaf.Engine {
 		tbl.Col("g").AppendInt(int64(g))
 		tbl.Col("v").AppendFloat(v)
 	}
+	// Two more constant groups of seven rows: 0.7s (group 8), whose
+	// Σx²/n − (Σx/n)² rounds below zero like group 5's, and 7s (group
+	// 9), whose formula rounds to a tiny positive value.
+	for g, v := range []float64{0.7, 7} {
+		for i := 0; i < 7; i++ {
+			tbl.Col("g").AppendInt(int64(8 + g))
+			tbl.Col("v").AppendFloat(v)
+		}
+	}
 	if err := eng.Register(tbl); err != nil {
 		t.Fatal(err)
 	}
@@ -72,16 +81,35 @@ func sameValue(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*(1+math.Max(math.Abs(a), math.Abs(b)))
 }
 
+// sameBits reports bit-for-bit equality, every NaN equal to every NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// builtinQueries select SQL built-ins only: every built-in and alias,
+// over every adversarial group (the constant groups 5, 8 and 9
+// included) and over an empty selection.
+var builtinQueries = []string{
+	"SELECT g, min(v) FROM adv GROUP BY g ORDER BY g",
+	"SELECT g, max(v) FROM adv GROUP BY g ORDER BY g",
+	"SELECT g, sum(v), avg(v) FROM adv GROUP BY g ORDER BY g",
+	"SELECT g, count(*), mean(v) FROM adv GROUP BY g ORDER BY g",
+	"SELECT g, var(v), variance(v), var_pop(v), std(v), stddev(v), stddev_pop(v) FROM adv GROUP BY g ORDER BY g",
+	"SELECT g, covar(v, v*g), covar_pop(v, g) FROM adv GROUP BY g ORDER BY g",
+	"SELECT var_pop(v), stddev_pop(v), covar(v, v) FROM adv WHERE g = 8",
+	"SELECT count(*), sum(v), avg(v), mean(v), min(v), max(v), var(v), std(v), covar(v, g) FROM adv WHERE g > 100",
+}
+
 // TestModesAgreeOnAdversarialData is the Baseline ≡ Rewrite ≡ Share
 // differential from the issue: on NaN/±Inf/empty-group data the three
 // execution strategies (interpreted UDAFs, compiled batch kernels, and
-// compiled kernels with state sharing) must return the same rows.
+// compiled kernels with state sharing) must return the same rows. Every
+// mode runs a SQL built-in through its one canonical form, so on the
+// built-in queries the modes agree bit for bit; a UDAF's interpreted
+// baseline may round differently and agrees to 1e-9.
 func TestModesAgreeOnAdversarialData(t *testing.T) {
 	queries := []string{
-		"SELECT g, min(v) FROM adv GROUP BY g ORDER BY g",
-		"SELECT g, max(v) FROM adv GROUP BY g ORDER BY g",
 		"SELECT g, pr(v) FROM adv GROUP BY g ORDER BY g",
-		"SELECT g, sum(v), avg(v) FROM adv GROUP BY g ORDER BY g",
 		"SELECT g, qm(v) FROM adv GROUP BY g ORDER BY g",
 		"SELECT min(v), max(v), pr(v) FROM adv",
 		// Empty selection: the grand aggregate over zero rows must yield
@@ -92,7 +120,13 @@ func TestModesAgreeOnAdversarialData(t *testing.T) {
 		"SELECT g, approx_median(v), approx_first_quantile(v), approx_third_quantile(v) FROM adv GROUP BY g ORDER BY g",
 		"SELECT approx_median(v), approx_first_quantile(v), approx_third_quantile(v) FROM adv WHERE g = 3",
 	}
-	for _, sql := range queries {
+	firstBuiltin := len(queries)
+	queries = append(queries, builtinQueries...)
+	for qi, sql := range queries {
+		same := sameValue
+		if qi >= firstBuiltin {
+			same = sameBits
+		}
 		// Fresh engines per query so Share's cache can't leak state
 		// between differential cases.
 		base := advEngine(t)
@@ -122,7 +156,7 @@ func TestModesAgreeOnAdversarialData(t *testing.T) {
 		for c := range rs.Table.Cols {
 			for i := 0; i < rs.Table.NumRows(); i++ {
 				a, b := rs.Table.Cols[c].AsFloat(i), again.Table.Cols[c].AsFloat(i)
-				if math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+				if !sameBits(a, b) {
 					t.Errorf("%q col %d row %d: share %v, repeated %v", sql, c, i, a, b)
 				}
 			}
@@ -139,7 +173,7 @@ func TestModesAgreeOnAdversarialData(t *testing.T) {
 				for i := 0; i < rb.Table.NumRows(); i++ {
 					a := rb.Table.Cols[c].AsFloat(i)
 					b := pair.other.Table.Cols[c].AsFloat(i)
-					if !sameValue(a, b) {
+					if !same(a, b) {
 						t.Errorf("%q col %d row %d: baseline %v, %s %v",
 							sql, c, i, a, pair.label, b)
 					}
@@ -149,24 +183,56 @@ func TestModesAgreeOnAdversarialData(t *testing.T) {
 	}
 }
 
-// TestStrictPolicyAgreesAcrossModes: under NumericStrict a NaN aggregate
-// (an all-NaN group) must fail with ErrNumericFault in every mode — the
-// batch kernels may not change which queries error.
+// TestStrictPolicyAgreesAcrossModes: under NumericStrict a query fails
+// with ErrNumericFault in every mode or in none — the batch kernels may
+// not change which queries error — and when it succeeds the modes agree
+// bit for bit. An all-NaN group fails; the finite selections (group 3,
+// the constant groups) pass.
 func TestStrictPolicyAgreesAcrossModes(t *testing.T) {
-	for _, mode := range []sudaf.Mode{sudaf.Baseline, sudaf.Rewrite, sudaf.Share} {
-		eng := advEngine(t)
-		eng.SetNumericPolicy(sudaf.NumericStrict)
-		_, err := eng.Query("SELECT g, min(v) FROM adv GROUP BY g", mode)
-		if err == nil {
-			t.Fatalf("mode %v: all-NaN group should fail under strict policy", mode)
+	const allNaN = "SELECT g, min(v) FROM adv GROUP BY g"
+	passed := 0
+	for _, sql := range append([]string{allNaN}, append(builtinQueries,
+		"SELECT g, count(*), var(v), std(v) FROM adv WHERE g = 3 OR g = 5 OR g = 8 OR g = 9 GROUP BY g ORDER BY g")...) {
+		var first *sudaf.Result
+		failed := 0
+		for _, mode := range allModes {
+			eng := advEngine(t)
+			eng.SetNumericPolicy(sudaf.NumericStrict)
+			res, err := eng.Query(sql, mode)
+			if err != nil {
+				if !errors.Is(err, sudaf.ErrNumericFault) {
+					t.Fatalf("%v %q: error %v does not wrap ErrNumericFault", mode, sql, err)
+				}
+				failed++
+				continue
+			}
+			if first == nil {
+				first = res
+				continue
+			}
+			for c := range first.Table.Cols {
+				for i := 0; i < first.Table.NumRows(); i++ {
+					if a, b := first.Table.Cols[c].AsFloat(i), res.Table.Cols[c].AsFloat(i); !sameBits(a, b) {
+						t.Errorf("%q col %d row %d: %v %v, %v first", sql, c, i, mode, b, a)
+					}
+				}
+			}
 		}
-		if !errors.Is(err, sudaf.ErrNumericFault) {
-			t.Errorf("mode %v: error %v does not wrap ErrNumericFault", mode, err)
+		switch {
+		case failed != 0 && failed != len(allModes):
+			t.Errorf("%q: %d of %d modes failed under NumericStrict", sql, failed, len(allModes))
+		case sql == allNaN && failed == 0:
+			t.Errorf("%q: an all-NaN group should fail under the strict policy", sql)
+		case failed == 0:
+			passed++
 		}
 	}
-	// Permissive: same query succeeds and reports the faults instead.
+	if passed < 2 {
+		t.Errorf("only %d queries passed under NumericStrict", passed)
+	}
+	// Permissive: the all-NaN query succeeds and reports the faults instead.
 	eng := advEngine(t)
-	res, err := eng.Query("SELECT g, min(v) FROM adv GROUP BY g", sudaf.Rewrite)
+	res, err := eng.Query(allNaN, sudaf.Rewrite)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,8 +154,9 @@ func (s *Session) planBatch(ctx context.Context, qc *queryCtx, stmts []*sqlparse
 // misprediction costs a fallback scan, never a wrong answer.
 func (s *Session) planMemberStates(qc *queryCtx, m *batchMember, g *batchGroup, ps *planState) {
 	if ps.mode == ModeBaseline {
-		// Baseline tasks (builtin/naive/native) are keyed by call text:
-		// merge the member's task set into the union, key-deduplicated.
+		// Baseline tasks are keyed by call text (naive) or state key
+		// (native): merge the member's task set into the union,
+		// key-deduplicated.
 		for i, key := range ps.reg.Keys() {
 			if g.reg.Has(key) {
 				m.states = append(m.states, batchStateInfo{Key: key, Disposition: dispFused})

@@ -190,17 +190,15 @@ type IngestStats struct {
 // Session is a SUDAF instance bound to a catalog of tables. It is safe
 // for concurrent use; see the package comment for the concurrency model.
 type Session struct {
-	// mu guards the registry maps (udafs, builtinForms, views) and the
-	// mutable policies (queryTimeout, numeric). It is never held across
-	// query execution.
-	mu           sync.RWMutex
-	cat          *catalog.Catalog
-	eng          *exec.Engine
-	space        func() *symbolic.Space
-	udafs        map[string]*canonical.Form
-	builtinForms map[string]*canonical.Form
-	views        map[string]*rewrite.View
-	viewMaints   map[string]*viewMaint
+	// mu guards the registry maps (udafs, views) and the mutable policies
+	// (queryTimeout, numeric). It is never held across query execution.
+	mu         sync.RWMutex
+	cat        *catalog.Catalog
+	eng        *exec.Engine
+	space      func() *symbolic.Space
+	udafs      map[string]*canonical.Form
+	views      map[string]*rewrite.View
+	viewMaints map[string]*viewMaint
 
 	// ingestMu serializes appends (and view materialization, which seeds
 	// maintenance state). Queries never take it: they pin a catalog
@@ -432,8 +430,8 @@ func (s *Session) Register(t *storage.Table) error {
 // at query time.
 func (s *Session) DefineUDAF(name string, params []string, body string) error {
 	name = strings.ToLower(name)
-	if _, builtin := exec.LookupBuiltin(name); builtin {
-		return fmt.Errorf("%q is a built-in aggregate", name)
+	if err := notBuiltin(name); err != nil {
+		return err
 	}
 	node, err := expr.Parse(body)
 	if err != nil {
@@ -453,13 +451,26 @@ func (s *Session) DefineUDAF(name string, params []string, body string) error {
 // hardcoded Go over moment-sketch states (§4.1 scenario 2): quantile q
 // approximated from MS(k).
 func (s *Session) DefineSketchUDAF(name string, k int, q float64) error {
+	name = strings.ToLower(name)
+	if err := notBuiltin(name); err != nil {
+		return err
+	}
 	form, err := sketch.QuantileForm(name, k, q)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.udafs[strings.ToLower(name)] = form
+	s.udafs[name] = form
+	return nil
+}
+
+// notBuiltin rejects a lower-cased UDAF name that a SQL built-in
+// aggregate already answers to.
+func notBuiltin(name string) error {
+	if _, builtin := canonical.Builtin(name); builtin {
+		return fmt.Errorf("%q is a built-in aggregate", name)
+	}
 	return nil
 }
 
@@ -484,7 +495,7 @@ func (s *Session) UDAFNames() []string {
 
 // isAgg reports whether a call name denotes an aggregate in this session.
 func (s *Session) isAgg(name string) bool {
-	if _, ok := exec.LookupBuiltin(name); ok {
+	if _, ok := canonical.Builtin(name); ok {
 		return true
 	}
 	s.mu.RLock()

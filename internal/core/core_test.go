@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sudaf/internal/cache"
@@ -302,8 +303,22 @@ func TestSequenceAS1(t *testing.T) {
 // TestUDAFDefinitionErrors exercises the declarative front door.
 func TestUDAFDefinitionErrors(t *testing.T) {
 	s := NewSession(Options{Workers: 1})
-	if err := s.DefineUDAF("sum", []string{"x"}, "sum(x)"); err == nil {
-		t.Error("redefining a built-in must fail")
+	// Neither front door takes a name a SQL built-in answers to, in any
+	// letter case, and a refused definition leaves the registry as it was.
+	names := s.UDAFNames()
+	slices.Sort(names)
+	for _, name := range []string{"sum", "SUM", "Mean", "stddev_pop", "Covar", "COUNT"} {
+		if err := s.DefineUDAF(name, []string{"x"}, "sum(x)"); err == nil {
+			t.Errorf("DefineUDAF(%q): redefining a built-in must fail", name)
+		}
+		if err := s.DefineSketchUDAF(name, 10, 0.5); err == nil {
+			t.Errorf("DefineSketchUDAF(%q): redefining a built-in must fail", name)
+		}
+	}
+	after := s.UDAFNames()
+	slices.Sort(after)
+	if !slices.Equal(names, after) {
+		t.Errorf("UDAFNames changed: %v, was %v", after, names)
 	}
 	if err := s.DefineUDAF("bad", []string{"x"}, "x + 1"); err == nil {
 		t.Error("non-aggregate body must fail")

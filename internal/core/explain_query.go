@@ -8,7 +8,6 @@ import (
 	"sudaf/internal/cache"
 	"sudaf/internal/canonical"
 	"sudaf/internal/errs"
-	"sudaf/internal/exec"
 	"sudaf/internal/sqlparse"
 )
 
@@ -244,7 +243,7 @@ func noteProbe(es *ExplainState, pr cache.ProbeResult) {
 
 // baselineExec describes how the baseline system runs an aggregate.
 func (s *Session) baselineExec(name string) string {
-	if _, ok := exec.LookupBuiltin(name); ok {
+	if _, ok := canonical.Builtin(name); ok {
 		return "native built-in aggregate loop"
 	}
 	if form, ok := s.UDAF(name); ok && form.HardT != nil {

@@ -451,48 +451,16 @@ func alignEntryToResult(entry *cache.GroupTable, gr *exec.GroupResult, vals []fl
 	return out, true
 }
 
-// baselineFinisher compiles one aggregate call for the baseline system:
-// built-ins run native fast paths, UDAFs run hardcoded-interpreted.
+// baselineFinisher compiles one aggregate call for the baseline system.
+// SQL built-ins are native there, and so are the hardcoded-T aggregates
+// (the approx quantile family, Spark's percentile_approx): compiled
+// state loops plus the compiled T. UDAFs run hardcoded-interpreted.
 func (s *Session) baselineFinisher(call *expr.Call, reg *exec.TaskRegistry) (exec.Finisher, error) {
-	if kind, ok := exec.LookupBuiltin(call.Name); ok {
-		wantArgs := 1
-		if kind == exec.BCount {
-			wantArgs = 0
-		}
-		if kind == exec.BCovar {
-			wantArgs = 2
-		}
-		if len(call.Args) != wantArgs {
-			return nil, fmt.Errorf("%s takes %d argument(s), got %d", call.Name, wantArgs, len(call.Args))
-		}
-		idx := reg.Add("builtin:"+call.String(), func(b exec.Binder) (exec.Task, error) {
-			bt := &exec.BuiltinTask{Kind: kind, Lbl: call.Name}
-			if len(call.Args) > 0 {
-				in, err := exec.CompileExpr(call.Args[0], b.Bind)
-				if err != nil {
-					return nil, err
-				}
-				bt.In = in
-			}
-			if len(call.Args) > 1 {
-				in2, err := exec.CompileExpr(call.Args[1], b.Bind)
-				if err != nil {
-					return nil, err
-				}
-				bt.In2 = in2
-			}
-			return bt, nil
-		})
-		return func(vals [][]float64, g int) float64 { return vals[idx][g] }, nil
+	form, err := s.formFor(call.Name)
+	if err != nil {
+		return nil, err
 	}
-	form, ok := s.UDAF(call.Name)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", errs.ErrUnknownUDAF, call.Name)
-	}
-	if form.HardT != nil {
-		// Hardcoded-terminating-function aggregates (the approx quantile
-		// family) are *native* in the baseline systems too (Spark's
-		// percentile_approx): compiled state loops, not interpreted.
+	if _, builtin := canonical.Builtin(call.Name); builtin || form.HardT != nil {
 		return s.nativeFormFinisher(call, reg)
 	}
 	idx := reg.Add("naive:"+call.String(), func(b exec.Binder) (exec.Task, error) {
@@ -521,53 +489,16 @@ func (s *Session) nativeFormFinisher(call *expr.Call, reg *exec.TaskRegistry) (e
 	return termFinisher(tfn, cols), nil
 }
 
-// formFor returns the canonical form for any aggregate name: registered
-// UDAFs directly, SQL built-ins through their declarative definitions.
+// formFor returns the canonical form for any aggregate name: SQL
+// built-ins from their one table, registered UDAFs from the session.
 func (s *Session) formFor(name string) (*canonical.Form, error) {
+	if f, ok := canonical.Builtin(name); ok {
+		return f, nil
+	}
 	if f, ok := s.UDAF(name); ok {
 		return f, nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.builtinForms == nil {
-		s.builtinForms = map[string]*canonical.Form{}
-	}
-	if f, ok := s.builtinForms[name]; ok {
-		return f, nil
-	}
-	body, params := builtinFormDef(name)
-	if body == "" {
-		return nil, fmt.Errorf("%w %q", errs.ErrUnknownUDAF, name)
-	}
-	f, err := canonical.Decompose(name, params, expr.MustParse(body))
-	if err != nil {
-		return nil, err
-	}
-	s.builtinForms[name] = f
-	return f, nil
-}
-
-// builtinFormDef gives the declarative definition of a SQL built-in.
-func builtinFormDef(name string) (body string, params []string) {
-	switch name {
-	case "sum":
-		return "sum(x)", []string{"x"}
-	case "count":
-		return "count()", nil
-	case "avg", "mean":
-		return "avg(x)", []string{"x"}
-	case "min":
-		return "min(x)", []string{"x"}
-	case "max":
-		return "max(x)", []string{"x"}
-	case "std", "stddev", "stddev_pop":
-		return "sqrt(sum(x^2)/n - (sum(x)/n)^2)", []string{"x"}
-	case "var", "variance", "var_pop":
-		return "sum(x^2)/n - (sum(x)/n)^2", []string{"x"}
-	case "covar_pop", "covar":
-		return "sum(x*y)/n - sum(x)*sum(y)/n^2", []string{"x", "y"}
-	}
-	return "", nil
+	return nil, fmt.Errorf("%w %q", errs.ErrUnknownUDAF, name)
 }
 
 // basePositive conservatively decides whether a bound base expression is

@@ -809,202 +809,3 @@ func (fp *floatsPartial) Reset() {
 		fp.arrs[i] = fp.arrs[i][:0]
 	}
 }
-
-// ---- built-in aggregate tasks (fast paths) ----
-
-// BuiltinKind enumerates the engine's native aggregates.
-type BuiltinKind int
-
-const (
-	BSum BuiltinKind = iota
-	BCount
-	BAvg
-	BMin
-	BMax
-	BVar   // population variance
-	BStd   // population standard deviation
-	BCovar // population covariance (two inputs)
-	BProd  // product (for SUDAF Π states)
-)
-
-// BuiltinTask computes one built-in aggregate over a compiled input.
-type BuiltinTask struct {
-	Kind BuiltinKind
-	Lbl  string
-	In   Accessor // nil for count
-	In2  Accessor // second input for covariance
-}
-
-func (b *BuiltinTask) Name() string { return b.Lbl }
-
-func (b *BuiltinTask) fills() []float64 {
-	switch b.Kind {
-	case BMin:
-		return []float64{math.Inf(1)}
-	case BMax:
-		return []float64{math.Inf(-1)}
-	case BProd:
-		return []float64{1}
-	case BAvg, BVar, BStd:
-		return []float64{0, 0, 0} // n, Σx, Σx²
-	case BCovar:
-		return []float64{0, 0, 0, 0} // n, Σx, Σy, Σxy
-	default:
-		return []float64{0}
-	}
-}
-
-func (b *BuiltinTask) NewPartial(n int) Partial {
-	return newFloats(n, b.fills()...)
-}
-
-func (b *BuiltinTask) Grow(p Partial, n int) Partial {
-	p.(*floatsPartial).grow(n, b.fills()...)
-	return p
-}
-
-func (b *BuiltinTask) Accumulate(p Partial, lo, hi int, gids []int32) {
-	fp := p.(*floatsPartial)
-	switch b.Kind {
-	case BCount:
-		a := fp.arrs[0]
-		for i := lo; i < hi; i++ {
-			a[gids[i-lo]]++
-		}
-	case BSum:
-		a := fp.arrs[0]
-		in := b.In
-		for i := lo; i < hi; i++ {
-			a[gids[i-lo]] += in(int32(i))
-		}
-	case BProd:
-		a := fp.arrs[0]
-		in := b.In
-		for i := lo; i < hi; i++ {
-			a[gids[i-lo]] *= in(int32(i))
-		}
-	case BMin:
-		a := fp.arrs[0]
-		in := b.In
-		for i := lo; i < hi; i++ {
-			g := gids[i-lo]
-			// v != v catches NaN: like math.Min, a NaN input poisons the
-			// group, so the result cannot depend on accumulation order.
-			if v := in(int32(i)); v < a[g] || v != v {
-				a[g] = v
-			}
-		}
-	case BMax:
-		a := fp.arrs[0]
-		in := b.In
-		for i := lo; i < hi; i++ {
-			g := gids[i-lo]
-			if v := in(int32(i)); v > a[g] || v != v {
-				a[g] = v
-			}
-		}
-	case BAvg, BVar, BStd:
-		n, sx, sx2 := fp.arrs[0], fp.arrs[1], fp.arrs[2]
-		in := b.In
-		for i := lo; i < hi; i++ {
-			g := gids[i-lo]
-			v := in(int32(i))
-			n[g]++
-			sx[g] += v
-			sx2[g] += v * v
-		}
-	case BCovar:
-		n, sx, sy, sxy := fp.arrs[0], fp.arrs[1], fp.arrs[2], fp.arrs[3]
-		in, in2 := b.In, b.In2
-		for i := lo; i < hi; i++ {
-			g := gids[i-lo]
-			x, y := in(int32(i)), in2(int32(i))
-			n[g]++
-			sx[g] += x
-			sy[g] += y
-			sxy[g] += x * y
-		}
-	}
-}
-
-func (b *BuiltinTask) Merge(dst, src Partial, remap []int32) {
-	d, s := dst.(*floatsPartial), src.(*floatsPartial)
-	switch b.Kind {
-	case BMin:
-		for g, v := range s.arrs[0] {
-			if v < d.arrs[0][remap[g]] || v != v {
-				d.arrs[0][remap[g]] = v
-			}
-		}
-	case BMax:
-		for g, v := range s.arrs[0] {
-			if v > d.arrs[0][remap[g]] || v != v {
-				d.arrs[0][remap[g]] = v
-			}
-		}
-	case BProd:
-		for g, v := range s.arrs[0] {
-			d.arrs[0][remap[g]] *= v
-		}
-	default:
-		for k := range s.arrs {
-			da, sa := d.arrs[k], s.arrs[k]
-			for g, v := range sa {
-				da[remap[g]] += v
-			}
-		}
-	}
-}
-
-func (b *BuiltinTask) Finalize(p Partial, ngroups int) []float64 {
-	fp := p.(*floatsPartial)
-	out := make([]float64, ngroups)
-	switch b.Kind {
-	case BAvg:
-		for g := 0; g < ngroups; g++ {
-			out[g] = fp.arrs[1][g] / fp.arrs[0][g]
-		}
-	case BVar, BStd:
-		for g := 0; g < ngroups; g++ {
-			n, sx, sx2 := fp.arrs[0][g], fp.arrs[1][g], fp.arrs[2][g]
-			v := sx2/n - (sx/n)*(sx/n)
-			if b.Kind == BStd {
-				v = math.Sqrt(math.Max(v, 0))
-			}
-			out[g] = v
-		}
-	case BCovar:
-		for g := 0; g < ngroups; g++ {
-			n, sx, sy, sxy := fp.arrs[0][g], fp.arrs[1][g], fp.arrs[2][g], fp.arrs[3][g]
-			out[g] = sxy/n - (sx/n)*(sy/n)
-		}
-	default:
-		copy(out, fp.arrs[0][:ngroups])
-	}
-	return out
-}
-
-// LookupBuiltin maps SQL aggregate names to built-in kinds. avg/stddev/
-// variance/covar_pop are native in both PostgreSQL and Spark SQL, which
-// is why the baseline system computes them fast.
-func LookupBuiltin(name string) (BuiltinKind, bool) {
-	switch name {
-	case "sum":
-		return BSum, true
-	case "count":
-		return BCount, true
-	case "avg", "mean":
-		return BAvg, true
-	case "min":
-		return BMin, true
-	case "max":
-		return BMax, true
-	case "var", "variance", "var_pop":
-		return BVar, true
-	case "std", "stddev", "stddev_pop":
-		return BStd, true
-	case "covar_pop", "covar":
-		return BCovar, true
-	}
-	return 0, false
-}

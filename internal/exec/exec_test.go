@@ -52,8 +52,10 @@ func testCatalog(t *testing.T, rows int) *catalog.Catalog {
 	return cat
 }
 
-// runBuiltins executes a statement with builtin tasks for every aggregate
-// call found in the select list.
+// runBuiltins executes a statement with every SQL built-in aggregate in
+// its select list run the way each mode runs it: the built-in's
+// canonical states as state tasks, deduplicated by key, and its compiled
+// terminating function as the finisher.
 func runBuiltins(t *testing.T, e *Engine, sql string) *Result {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
@@ -66,7 +68,7 @@ func runBuiltins(t *testing.T, e *Engine, sql string) *Result {
 	}
 	reg := NewTaskRegistry()
 	spec := OutputSpec{}
-	isAgg := func(name string) bool { _, ok := LookupBuiltin(name); return ok }
+	isAgg := func(name string) bool { _, ok := canonical.Builtin(name); return ok }
 	for _, item := range stmt.Select {
 		var calls []*expr.Call
 		rewritten := ExtractAggCalls(item.Expr, isAgg, &calls)
@@ -74,31 +76,30 @@ func runBuiltins(t *testing.T, e *Engine, sql string) *Result {
 		base := len(spec.Finishers)
 		bind := map[string]expr.Node{}
 		for ci, call := range calls {
-			kind, _ := LookupBuiltin(call.Name)
-			call := call
-			idx := reg.Add(call.String(), func(b Binder) (Task, error) {
-				bt := &BuiltinTask{Kind: kind, Lbl: call.Name}
-				if len(call.Args) > 0 {
-					in, err := CompileExpr(call.Args[0], b.Bind)
-					if err != nil {
-						return nil, err
-					}
-					bt.In = in
+			form, _ := canonical.Builtin(call.Name)
+			args := map[string]expr.Node{}
+			for i, p := range form.Params {
+				args[p] = call.Args[i]
+			}
+			cols := make([]int, len(form.States))
+			for j, st := range form.States {
+				if st.Op != canonical.OpCount {
+					st.Base = expr.Simplify(expr.Substitute(st.Base, args))
 				}
-				if len(call.Args) > 1 {
-					in2, err := CompileExpr(call.Args[1], b.Bind)
-					if err != nil {
-						return nil, err
-					}
-					bt.In2 = in2
-				}
-				return bt, nil
-			})
+				cols[j] = reg.Add(st.Key(), func(b Binder) (Task, error) { return NewStateTask(st, b) })
+			}
+			tfn, err := form.CompileT()
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]float64, len(cols))
 			spec.Finishers = append(spec.Finishers, func(vals [][]float64, g int) float64 {
-				return vals[idx][g]
+				for j, c := range cols {
+					buf[j] = vals[c][g]
+				}
+				return tfn(buf)
 			})
 			bind[placeholderName(ci)] = &expr.Var{Name: placeholderName(base + ci)}
-			_ = ci
 		}
 		// ExtractAggCalls numbered placeholders per item from 0; renumber
 		// to the global order.

@@ -8,13 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"sudaf/internal/canonical"
 	"sudaf/internal/expr"
 	"sudaf/internal/faultinject"
 	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
 )
 
-// runAgg prepares a statement and runs one builtin sum(price) task,
+// runAgg prepares a statement and runs one sum(price) state task,
 // returning the RunSpecs error (the path under test).
 func runAgg(t *testing.T, e *Engine, ctx context.Context, sql string) error {
 	t.Helper()
@@ -28,11 +29,7 @@ func runAgg(t *testing.T, e *Engine, ctx context.Context, sql string) error {
 	}
 	reg := NewTaskRegistry()
 	reg.Add("sum", func(b Binder) (Task, error) {
-		in, err := CompileExpr(mustParseExpr(t, "price"), b.Bind)
-		if err != nil {
-			return nil, err
-		}
-		return &BuiltinTask{Kind: BSum, Lbl: "sum", In: in}, nil
+		return NewStateTask(canonical.State{Op: canonical.OpSum, Base: mustParseExpr(t, "price")}, b)
 	})
 	_, err = e.RunSpecs(ctx, dp, reg)
 	return err
@@ -229,7 +226,7 @@ func TestStragglingMorselKeepsMergeOrder(t *testing.T) {
 }
 
 // mergePanicTask panics in Merge, which may run on a helper goroutine.
-type mergePanicTask struct{ BuiltinTask }
+type mergePanicTask struct{ *StateTask }
 
 func (*mergePanicTask) Merge(dst, src Partial, remap []int32) { panic("merge boom") }
 
@@ -246,8 +243,9 @@ func TestMergePanicIsolated(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := NewTaskRegistry()
-		reg.Add("count", func(Binder) (Task, error) {
-			return &mergePanicTask{BuiltinTask{Kind: BCount, Lbl: "count"}}, nil
+		reg.Add("count", func(b Binder) (Task, error) {
+			st, err := countTask(b)
+			return &mergePanicTask{st}, err
 		})
 		if _, err := e.RunSpecs(context.Background(), dp, reg); err == nil || !strings.Contains(err.Error(), "merge boom") {
 			t.Errorf("workers=%d: err = %v, want the recovered merge panic", workers, err)

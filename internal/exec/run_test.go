@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sudaf/internal/canonical"
 	"sudaf/internal/errs"
 	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
@@ -82,6 +83,11 @@ func TestPrepareDataErrors(t *testing.T) {
 	}
 }
 
+// countTask builds a count() state task.
+func countTask(b Binder) (*StateTask, error) {
+	return NewStateTask(canonical.State{Op: canonical.OpCount}, b)
+}
+
 func TestDisconnectedJoinFails(t *testing.T) {
 	cat := testCatalog(t, 10)
 	e := NewEngine(cat, 1)
@@ -91,9 +97,7 @@ func TestDisconnectedJoinFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewTaskRegistry()
-	reg.Add("count", func(b Binder) (Task, error) {
-		return &BuiltinTask{Kind: BCount, Lbl: "count"}, nil
-	})
+	reg.Add("count", func(b Binder) (Task, error) { return countTask(b) })
 	if _, err := e.RunSpecs(context.Background(), dp, reg); err == nil {
 		t.Error("cartesian product (no join condition) should fail")
 	}
@@ -146,9 +150,7 @@ func TestStringGroupKey(t *testing.T) {
 
 func TestTaskRegistryDedup(t *testing.T) {
 	reg := NewTaskRegistry()
-	mk := func(bind Binder) (Task, error) {
-		return &BuiltinTask{Kind: BCount, Lbl: "c"}, nil
-	}
+	mk := func(b Binder) (Task, error) { return countTask(b) }
 	i1 := reg.Add("k1", mk)
 	i2 := reg.Add("k2", mk)
 	i3 := reg.Add("k1", mk)

@@ -4,12 +4,13 @@
 // An expression is built from numbers, variables (column references or
 // formal parameters such as x and y), the binary operators + - * / ^,
 // scalar functions (the Funcs table: sqrt, ln, log, exp, abs, sgn, pow,
-// ...) and aggregate functions (sum, prod, count, avg, min, max). The
-// package provides a lexer, a recursive-descent parser, an algebraic
-// simplifier that brings expressions into a canonical sum-of-products
-// form, and the one definition of the scalar language's semantics: the
-// function table, the constant-exponent reduction, the interpreter Eval
-// and the closure compiler Compile that every executor path instantiates.
+// greatest, ...) and aggregate functions (sum, prod, count, avg, min,
+// max). The package provides a lexer, a recursive-descent parser, an
+// algebraic simplifier that brings expressions into a canonical
+// sum-of-products form, and the one definition of the scalar language's
+// semantics: the function table, the constant-exponent reduction, the
+// interpreter Eval and the closure compiler Compile that every executor
+// path instantiates.
 //
 // The simplifier is what lets the canonicalizer (internal/canonical)
 // recognize that sum(x*x) and sum(x^2) denote the same aggregation state.

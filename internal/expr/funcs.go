@@ -30,6 +30,10 @@ var Funcs = map[string]*Func{
 	"inv":  fnRecip, // inv(x) = 1/x, convenience
 	"log":  {Arity: 2, Binary: logBase},
 	"pow":  {Arity: 2, Binary: math.Pow}, // also the '^' ConstPow does not reduce
+	// greatest(a, b) is the larger argument, NaN if either is NaN
+	// (math.Max, which also orders -0 below +0). Simplify keeps it opaque,
+	// so greatest(v, 0) clamps v without redistributing it.
+	"greatest": {Arity: 2, Binary: math.Max},
 }
 
 // viaCall is the entry of a unary function that costs far more than a

@@ -58,7 +58,9 @@ type Mode = core.Mode
 
 // Execution modes.
 const (
-	// Baseline models PostgreSQL/Spark SQL: built-ins run native, UDAFs
+	// Baseline models PostgreSQL/Spark SQL: built-ins run native, as the
+	// compiled state loops and terminating function of their canonical
+	// forms (so their output is bit-identical to Rewrite's), and UDAFs
 	// run as hardcoded per-tuple interpreted accumulators.
 	Baseline = core.ModeBaseline
 	// Rewrite is SUDAF without sharing: aggregates decompose into
