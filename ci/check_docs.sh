@@ -259,6 +259,25 @@ if [ "$(echo "$spelled" | grep -c .)" -ne 1 ]; then
   err "built-in names are spelled in one non-test Go file, \"stddev_pop\" is in:" $spelled
 fi
 
+echo "== a cache read verifies what it serves =="
+# DESIGN.md §7 "Cache degradation": a state column is checksummed when a
+# read is about to serve it, through resolve's per-call verifier. (a) The
+# whole-entry sweep and the eager health map are named nowhere in non-test
+# internal/cache. (b) LookupAll, Probe and ProbeFinal do not loop over an
+# entry's states verifying them.
+stray=$(grep -rnwE 'sweepCorrupt|healthyStates' --include='*.go' internal/cache | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+  err "cache reads verify only the states they serve, found a whole-entry check:" "$stray"
+fi
+for fn in LookupAll Probe ProbeFinal; do
+  body=$(awk -v fn="$fn" '$0 ~ "^func \\(c \\*Cache\\) " fn "\\(" { on = 1 } on { print } on && /^}/ { exit }' internal/cache/cache.go)
+  if [ -z "$body" ]; then
+    err "Cache.$fn not found in internal/cache/cache.go"
+  elif echo "$body" | grep -qE 'range [A-Za-z.]*\.states\b' && echo "$body" | grep -qiE 'verif|ChecksumVals'; then
+    err "Cache.$fn loops over the entry's states verifying them:" "$(echo "$body" | grep -nE 'range [A-Za-z.]*\.states\b')"
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "documentation checks failed" >&2
   exit 1

@@ -14,6 +14,12 @@
 // nothing: r(s) is computed each time it is read, never stored, so an
 // entry holds only states that were computed from base data.
 //
+// Every state column carries an integrity checksum. A read verifies a
+// column when it is about to serve it — an exact hit's source, a sharing
+// candidate the decision accepted, a sign-split companion — never the
+// whole entry, so a warm hit costs O(wanted states) however many states
+// the entry holds.
+//
 // Section 5.3's sign handling is supported through companion states: a
 // product or log state over data that is not provably positive is cached
 // as the pair (Σ ln|b|, Π sgn(b)), from which Π b and the log family are
@@ -68,9 +74,10 @@ type CachedState struct {
 	// PositiveInput records whether every base value folded into this
 	// state was > 0 (enables the positive-domain sharing cases).
 	PositiveInput bool
-	// checksum is the integrity checksum over Vals, set by AddState. A
-	// mismatch on lookup marks the state corrupted: it is dropped and the
-	// query recomputes from base data instead of failing.
+	// checksum is the integrity checksum over Vals, set by AddState and
+	// verified when a read is about to serve the state. A mismatch marks
+	// the state corrupted: it is dropped and the query recomputes from base
+	// data instead of failing.
 	checksum uint64
 }
 
@@ -760,21 +767,65 @@ func (c *Cache) CheckInvariants() error {
 	return nil
 }
 
-// sweepCorrupt drops every cached state under gt whose values no longer
-// match their integrity checksum, recording a degradation event per
-// state. The caller holds the owning shard's mutex.
-func (c *Cache) sweepCorrupt(sh *shard, gt *GroupTable) {
-	var bad []string
-	for _, s := range gt.states {
-		if !s.verify() {
-			bad = append(bad, s.State.Key())
+// verifyState checksums one cached column. A variable only so the cache
+// tests can count the columns a read verifies: each read must checksum
+// only the states it serves.
+var verifyState = (*CachedState).verify
+
+// verifier is one read's memo of the columns it has checksummed. A state
+// is verified at the moment it would serve — an exact hit's source, a
+// Theorem 4.1 candidate that shareDetail accepted, each of a sign-split
+// hit's companions — and at most once per read; a state that fails is
+// passed over for the rest of the read, as if it were not cached. The
+// memo is two short slices, not a map, and good starts in buf: a read
+// serves a few dozen states at most, and a lookup is too cheap to pay for
+// growing a slice.
+type verifier struct {
+	good, bad []*CachedState
+	buf       [24]*CachedState
+}
+
+// healthy reports whether cs still matches its checksum, verifying it on
+// first use in this read.
+func (v *verifier) healthy(cs *CachedState) bool {
+	if slices.Contains(v.good, cs) {
+		return true
+	}
+	if slices.Contains(v.bad, cs) {
+		return false
+	}
+	if !verifyState(cs) {
+		v.bad = append(v.bad, cs)
+		return false
+	}
+	if v.good == nil {
+		v.good = v.buf[:0]
+	}
+	v.good = append(v.good, cs)
+	return true
+}
+
+// allHealthy reports whether every state in states is healthy, verifying
+// them in order up to the first that fails.
+func (v *verifier) allHealthy(states []*CachedState) bool {
+	for _, cs := range states {
+		if !v.healthy(cs) {
+			return false
 		}
 	}
+	return true
+}
+
+// dropCorrupt drops the states a read found corrupt from gt, recording a
+// degradation event per state: the next lookup that wants one recomputes
+// it from base data. The caller holds the owning shard's mutex.
+func (c *Cache) dropCorrupt(sh *shard, gt *GroupTable, bad []*CachedState) {
 	if len(bad) == 0 {
 		return
 	}
 	sh.curBytes -= gt.bytes()
-	for _, key := range bad {
+	for _, cs := range bad {
+		key := cs.State.Key()
 		gt.dropState(key)
 		c.corruptions.Add(1)
 		c.addEvent(fmt.Sprintf("cache: state %s under %s failed integrity check; dropped, recomputing from base data", key, gt.Fingerprint))
@@ -833,15 +884,17 @@ func (r *resolution) sum(vals []float64) uint64 {
 
 // resolve decides how want is served from gt, in the fixed order exact
 // match → Theorem 4.1 sharing (each eligible candidate gets exactly one
-// direct decision; the first that shares wins) → §5.3 sign-split
-// reconstruction. healthy filters the states that may serve (nil = all):
-// the probes skip corrupted states, LookupAll has already swept them.
-func resolve(gt *GroupTable, want canonical.State, positiveData bool, healthy func(*CachedState) bool) resolution {
-	if cs, ok := gt.Exact(want.Key()); ok && (healthy == nil || healthy(cs)) {
+// direct decision; the first that shares and is healthy wins) → §5.3
+// sign-split reconstruction. v verifies a state only once it would serve:
+// a candidate is checksummed after shareDetail accepts it, so a read pays
+// for the columns it serves, not for the entry. A state that fails is
+// passed over exactly as if it had never been stored.
+func resolve(gt *GroupTable, want canonical.State, positiveData bool, v *verifier) resolution {
+	if cs, ok := gt.Exact(want.Key()); ok && v.healthy(cs) {
 		return resolution{kind: HitExact, src: cs}
 	}
 	for _, cand := range gt.states {
-		if (healthy != nil && !healthy(cand)) || (cand.State.Op == canonical.OpCount && want.Op != canonical.OpCount) {
+		if cand.State.Op == canonical.OpCount && want.Op != canonical.OpCount {
 			continue
 		}
 		pos := positiveData || cand.PositiveInput
@@ -850,12 +903,12 @@ func resolve(gt *GroupTable, want canonical.State, positiveData bool, healthy fu
 			continue
 		}
 		fn, err := d.R.Compile()
-		if err != nil {
+		if err != nil || !v.healthy(cand) {
 			continue
 		}
 		return resolution{kind: HitShared, src: cand, share: d, rewrite: fn}
 	}
-	if rec, companions, ok := signSplit(gt, want, healthy); ok {
+	if rec, companions, ok := signSplit(gt, want); ok && v.allHealthy(companions) {
 		return resolution{kind: HitSign, companions: companions, reconstruct: rec}
 	}
 	return resolution{}
@@ -876,6 +929,9 @@ type Lookups struct {
 	Vals [][]float64
 	// Exact, Shared, Sign and Misses count the lookups by HitKind.
 	Exact, Shared, Sign, Misses int
+	// Verified is the number of state columns the lookup checksummed: only
+	// those it would serve, each at most once.
+	Verified int
 	// Finals is index-aligned with the wanted finals: the memoized column,
 	// ordered by Entry's groups and read-only like Vals, or nil where none
 	// was computed from exactly the state values this lookup served.
@@ -893,11 +949,14 @@ type FinalWant struct {
 // LookupAll is the lookup half of the sharing protocol every consumer
 // runs (session queries, windowed queries, shard workers), and the one
 // lookup critical section: under a single hold of the shard lock it
-// fetches the fingerprint's entry, drops the states that fail their
-// integrity checksum (recorded as degradation events, served as misses —
-// callers recompute rather than fail), and resolves every wanted state
-// against that same entry — exact match, Theorem 4.1 sharing, or §5.3
-// sign-split reconstruction. A lookup never writes the entry: a shared or
+// fetches the fingerprint's entry and resolves every wanted state against
+// that same entry — exact match, Theorem 4.1 sharing, or §5.3 sign-split
+// reconstruction. A state is checksummed only when it is about to serve,
+// at most once per call, so a hit costs O(wanted states), not O(entry);
+// one that fails its checksum is passed over as if it were not cached,
+// then dropped with a degradation event (callers recompute rather than
+// fail). A corrupt column no lookup wants stays until one does. A lookup
+// never writes the entry otherwise: a shared or
 // sign-split state's r(s) is computed into the result and kept nowhere,
 // so a repeat is served the same way, with the same bits. Because entry
 // and states are read together, a concurrent Put or Remove can never
@@ -925,13 +984,13 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, fi
 	if len(finals) > 0 {
 		sums = make([]uint64, len(want))
 	}
+	var v verifier
 	sh := c.shardFor(fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	guard("entry lookup", func() {
 		if gt, ok := sh.entries[fp]; ok {
 			sh.touch(fp)
-			c.sweepCorrupt(sh, gt)
 			out.Entry = gt
 		}
 	})
@@ -944,7 +1003,7 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, fi
 			if out.Entry == nil {
 				return
 			}
-			res := resolve(out.Entry, want[i], positive[i], nil)
+			res := resolve(out.Entry, want[i], positive[i], &v)
 			switch res.kind {
 			case HitNone:
 				return
@@ -964,6 +1023,8 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, fi
 			}
 		})
 	}
+	c.dropCorrupt(sh, out.Entry, v.bad)
+	out.Verified = len(v.good) + len(v.bad)
 	var finalHits int64
 	for fi, fw := range finals {
 		guard("final lookup", func() {
@@ -981,7 +1042,7 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, fi
 			if at < 0 {
 				return
 			}
-			// Verified when about to be served, not in the sweep: a lookup
+			// Verified when about to be served, like a state: a lookup
 			// that wants no final pays nothing for the ones stored.
 			if f := out.Entry.finals[at]; ChecksumVals(f.vals) != f.checksum {
 				sh.curBytes -= out.Entry.bytes()
@@ -1073,35 +1134,25 @@ type ProbeResult struct {
 	// Companions are the §5.3 sign-split companion state keys a HitSign
 	// reconstruction reads.
 	Companions []string
-	// Candidates are the healthy cached state keys under the fingerprint
-	// at probe time — what the sharing pass had to work with.
-	Candidates []string
-	// Reason explains a miss in one sentence; empty on a hit.
-	Reason string
 }
 
 // Probe reports how LookupAll would serve a state under a fingerprint,
 // with full provenance and without observable side effects: no LRU
-// touch, no stats counters, and corrupted states are skipped rather than
-// dropped. It renders the same resolve decision LookupAll serves, so
-// EXPLAIN and batch planning predict serving by construction.
+// touch, no stats counters, and corrupted states are passed over rather
+// than dropped. It renders the same resolve decision LookupAll serves,
+// verifying the same columns, so EXPLAIN and batch planning predict
+// serving by construction and pay only for what would serve.
 func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeResult {
 	sh := c.shardFor(fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	gt, ok := sh.entries[fp]
 	if !ok {
-		return ProbeResult{Kind: HitNone, Reason: "no cached entry under this data fingerprint"}
+		return ProbeResult{}
 	}
-	healthy := healthyStates(gt)
-	var out ProbeResult
-	for _, s := range gt.states {
-		if healthy(s) {
-			out.Candidates = append(out.Candidates, s.State.Key())
-		}
-	}
-	res := resolve(gt, want, positiveData, healthy)
-	out.Kind = res.kind
+	var v verifier
+	res := resolve(gt, want, positiveData, &v)
+	out := ProbeResult{Kind: res.kind}
 	switch res.kind {
 	case HitExact:
 		out.Matched = want.Key()
@@ -1116,20 +1167,36 @@ func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeR
 		for _, cs := range res.companions {
 			out.Companions = append(out.Companions, cs.State.Key())
 		}
-	default:
-		if len(out.Candidates) == 0 {
-			out.Reason = "cache entry holds no healthy states"
-		} else {
-			out.Reason = "no cached state is exact, Theorem 4.1-shareable, or sign-split reconstructible"
-		}
 	}
 	return out
 }
 
+// Candidates lists the healthy state keys cached under a fingerprint, in
+// entry order, and reports whether an entry exists: what a missed lookup
+// had to work with. It verifies every column of the entry, so only
+// EXPLAIN's miss provenance calls it; like Probe it has no observable
+// side effect.
+func (c *Cache) Candidates(fp string) ([]string, bool) {
+	sh := c.shardFor(fp)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	gt, ok := sh.entries[fp]
+	if !ok {
+		return nil, false
+	}
+	var keys []string
+	for _, s := range gt.states {
+		if verifyState(s) {
+			keys = append(keys, s.State.Key())
+		}
+	}
+	return keys, true
+}
+
 // ProbeFinal reports whether LookupAll(fp, want, positive, ...) would serve
 // the wanted final, with Probe's guarantee of no observable side effect.
-// Its source states are decided by the same resolve and checksummed the
-// same way as in LookupAll, so a source served exactly, through a sharing
+// Its source states are decided by the same resolve and verified the same
+// way as in LookupAll, so a source served exactly, through a sharing
 // rewriting or by sign-split reconstruction counts alike.
 func (c *Cache) ProbeFinal(fp string, want []canonical.State, positive []bool, fw FinalWant) bool {
 	sh := c.shardFor(fp)
@@ -1139,10 +1206,10 @@ func (c *Cache) ProbeFinal(fp string, want []canonical.State, positive []bool, f
 	if !ok {
 		return false
 	}
-	healthy := healthyStates(gt)
+	var v verifier
 	sums := make([]uint64, len(fw.Src))
 	for j, i := range fw.Src {
-		res := resolve(gt, want[i], positive[i], healthy)
+		res := resolve(gt, want[i], positive[i], &v)
 		if res.kind == HitNone {
 			return false
 		}
@@ -1150,17 +1217,6 @@ func (c *Cache) ProbeFinal(fp string, want []canonical.State, positive []bool, f
 	}
 	at := gt.final(fw.T, sums)
 	return at >= 0 && ChecksumVals(gt.finals[at].vals) == gt.finals[at].checksum
-}
-
-// healthyStates is the filter the probes resolve with: the states whose
-// values still match their checksum, which are the ones LookupAll's sweep
-// would keep. The caller holds the owning shard's mutex.
-func healthyStates(gt *GroupTable) func(*CachedState) bool {
-	ok := make(map[*CachedState]bool, len(gt.states))
-	for _, s := range gt.states {
-		ok[s] = s.verify()
-	}
-	return func(cs *CachedState) bool { return ok[cs] }
 }
 
 func applyScalar(fn func(float64) float64, in []float64) []float64 {
@@ -1191,16 +1247,16 @@ func SignSplitStates(base expr.Node) (lnAbs, sgnProd canonical.State) {
 }
 
 // signSplit decides whether want is reconstructible from the sign-split
-// companions cached in gt (and accepted by healthy, nil = all),
-// returning the deferred reconstruction and the companions it reads.
-func signSplit(gt *GroupTable, want canonical.State, healthy func(*CachedState) bool) (func() []float64, []*CachedState, bool) {
-	usable := func(cs *CachedState) bool { return healthy == nil || healthy(cs) }
+// companions cached in gt, returning the deferred reconstruction and the
+// companions it reads. It reads no values: the caller verifies the
+// companions before serving.
+func signSplit(gt *GroupTable, want canonical.State) (func() []float64, []*CachedState, bool) {
 	if (want.Op != canonical.OpProd && want.Op != canonical.OpSum) || want.Base == nil {
 		return nil, nil, false
 	}
 	lnAbs, sgnProd := SignSplitStates(want.Base)
 	ln, ok := gt.Exact(lnAbs.Key())
-	if !ok || !usable(ln) {
+	if !ok {
 		return nil, nil, false
 	}
 	f := want.F.NormalizeReal()
@@ -1208,7 +1264,7 @@ func signSplit(gt *GroupTable, want canonical.State, healthy func(*CachedState) 
 	case canonical.OpProd:
 		// Π b = sgn-product · exp(Σ ln|b|).
 		sg, ok := gt.Exact(sgnProd.Key())
-		if ok && usable(sg) && f.IsIdentity() {
+		if ok && f.IsIdentity() {
 			return func() []float64 {
 				out := make([]float64, len(ln.Vals))
 				for i := range out {
@@ -1245,12 +1301,13 @@ func coefOf(p scalar.Prim) (float64, bool) {
 // CorruptEntryForTest flips a bit in every cached state's (and memoized
 // final's) values under a fingerprint without updating checksums — a
 // chaos/testing aid for the integrity path. An empty fingerprint corrupts
-// every entry. It returns the number of states corrupted; 0 means the
-// fingerprint is absent or holds no states (or only empty vectors).
-// Columns are replaced by corrupted copies rather than mutated in place,
-// so value slices handed out by earlier Lookups stay valid under the
-// read-only contract.
-func (c *Cache) CorruptEntryForTest(fp string) int {
+// every entry. Naming state keys corrupts only those states and no final.
+// It returns the number of states corrupted; 0 means the fingerprint is
+// absent or holds no such states (or only empty vectors). Columns are
+// replaced by corrupted copies rather than mutated in place, so value
+// slices handed out by earlier Lookups stay valid under the read-only
+// contract.
+func (c *Cache) CorruptEntryForTest(fp string, keys ...string) int {
 	n := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
@@ -1259,7 +1316,7 @@ func (c *Cache) CorruptEntryForTest(fp string) int {
 				continue
 			}
 			for i, s := range gt.states {
-				if len(s.Vals) == 0 {
+				if len(s.Vals) == 0 || (len(keys) > 0 && !slices.Contains(keys, s.State.Key())) {
 					continue
 				}
 				bad := append([]float64(nil), s.Vals...)
@@ -1269,6 +1326,9 @@ func (c *Cache) CorruptEntryForTest(fp string) int {
 					PositiveInput: s.PositiveInput, checksum: s.checksum,
 				}
 				n++
+			}
+			if len(keys) > 0 {
+				continue
 			}
 			for i, f := range gt.finals {
 				if len(f.vals) == 0 {

@@ -84,13 +84,19 @@ func TestQuickAlignRejectsForeignKeys(t *testing.T) {
 // contents and eviction order untouched. A lookup writes nothing either,
 // so a repeat Probe predicts the same kind again and the repeat lookup
 // serves the same bits. Each candidate gets exactly one direct sharing
-// decision per resolution.
+// decision per resolution. Beside the candidate the entry holds states
+// over another column, some randomly corrupted: no lookup wants them, so
+// they change nothing — no event, no Corruptions count, nothing dropped —
+// until a lookup wants one, which then misses and reports it once.
 func TestQuickLookupNeverLies(t *testing.T) {
 	exps := []float64{1, 2, 3}
 	scales := []float64{1, 2, 4}
 	decisions, kinds := 0, map[HitKind]int{}
+	var cand string // the one candidate that can share with the wanted state
 	shareDetail = func(s1, s2 canonical.State, pos bool) (sharing.Decision, bool) {
-		decisions++
+		if s2.Key() == cand {
+			decisions++
+		}
 		return sharing.ShareDetail(s1, s2, pos)
 	}
 	defer func() { shareDetail = sharing.ShareDetail }()
@@ -127,6 +133,7 @@ func TestQuickLookupNeverLies(t *testing.T) {
 		}
 		st1 := canonical.State{Op: canonical.OpSum, F: scalar.NewChain(scalar.PowerP(e1), scalar.Linear(a1)), Base: &expr.Var{Name: "x"}}
 		st2 := canonical.State{Op: canonical.OpSum, F: scalar.NewChain(scalar.PowerP(e2), scalar.Linear(a2)), Base: &expr.Var{Name: "x"}}
+		cand = st2.Key()
 
 		// One stripe, so "fp" and "other" share an LRU order a touch
 		// would visibly reorder.
@@ -141,8 +148,33 @@ func TestQuickLookupNeverLies(t *testing.T) {
 		if err := gt.AddState(&CachedState{State: st2, Vals: evalState(e2, a2), PositiveInput: true}); err != nil {
 			return false
 		}
+		// Unwanted states over y, before or after the candidate in entry
+		// order; any of them may be corrupt.
+		var unwanted []string
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			sy := canonical.State{Op: canonical.OpSum, F: scalar.NewChain(scalar.PowerP(float64(k + 1))), Base: &expr.Var{Name: "y"}}
+			if err := gt.AddState(&CachedState{State: sy, Vals: evalState(float64(k+1), 1), PositiveInput: true}); err != nil {
+				return false
+			}
+			unwanted = append(unwanted, sy.Key())
+		}
+		if rng.Intn(2) == 0 { // move the candidate behind the unwanted states
+			cs, _ := gt.Exact(cand)
+			gt.dropState(cand)
+			_ = gt.AddState(cs)
+		}
+		states := gt.NumStates()
 		c.Put(gt)
 		c.Put(NewGroupTable("other", []string{"g"}, keys, []*storage.Column{kc}))
+		var corrupt []string
+		for _, k := range unwanted {
+			if rng.Intn(2) == 0 {
+				corrupt = append(corrupt, k)
+			}
+		}
+		if len(corrupt) > 0 && c.CorruptEntryForTest("fp", corrupt...) != len(corrupt) {
+			return false
+		}
 
 		stats, order := c.Stats(), append([]string(nil), c.shards[0].order...)
 		decisions = 0
@@ -150,19 +182,19 @@ func TestQuickLookupNeverLies(t *testing.T) {
 		if decisions > 1 {
 			return false // one cached candidate: at most one direct decision
 		}
-		if c.Stats() != stats || gt.NumStates() != 1 || !reflect.DeepEqual(c.shards[0].order, order) {
+		if c.Stats() != stats || gt.NumStates() != states || !reflect.DeepEqual(c.shards[0].order, order) {
 			return false // Probe must be free of observable side effects
 		}
 		decisions = 0
 		got, kind, ok := lookupKind(c, "fp", st1, true)
-		if decisions > 1 || kind != pr.Kind || gt.NumStates() != 1 {
+		if decisions > 1 || kind != pr.Kind || gt.NumStates() != states {
 			return false
 		}
 		kinds[kind]++
 		want := evalState(e1, a1)
 		if !ok {
 			// A miss is always safe; it only happens when e1 ≠ e2.
-			return e1 != e2
+			return e1 != e2 && unwantedCorruptionIsLazy(c, gt, corrupt)
 		}
 		for g := range want {
 			diff := got[g] - want[g]
@@ -178,7 +210,7 @@ func TestQuickLookupNeverLies(t *testing.T) {
 			return false
 		}
 		again, kind2, _ := lookupKind(c, "fp", st1, true)
-		if kind2 != kind || gt.NumStates() != 1 {
+		if kind2 != kind || gt.NumStates() != states {
 			return false
 		}
 		for g := range got {
@@ -186,7 +218,7 @@ func TestQuickLookupNeverLies(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return unwantedCorruptionIsLazy(c, gt, corrupt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -194,4 +226,27 @@ func TestQuickLookupNeverLies(t *testing.T) {
 	if kinds[HitNone] == 0 || kinds[HitExact] == 0 || kinds[HitShared] == 0 {
 		t.Errorf("generator must cover miss, exact and shared outcomes, got %v", kinds)
 	}
+}
+
+// unwantedCorruptionIsLazy checks that the corrupt states no lookup wanted
+// have cost nothing so far, then that wanting each one misses, drops it
+// and records exactly one event.
+func unwantedCorruptionIsLazy(c *Cache, gt *GroupTable, corrupt []string) bool {
+	if c.Stats().Corruptions != 0 || len(c.DrainEvents()) != 0 {
+		return false
+	}
+	states := gt.NumStates()
+	for i, key := range corrupt {
+		cs, ok := gt.Exact(key)
+		if !ok {
+			return false
+		}
+		if _, hit := lookup(c, "fp", cs.State, true); hit {
+			return false
+		}
+		if c.Stats().Corruptions != int64(i+1) || len(c.DrainEvents()) != 1 || gt.NumStates() != states-i-1 {
+			return false
+		}
+	}
+	return true
 }

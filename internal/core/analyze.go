@@ -382,6 +382,7 @@ func ruleLookupCache(_ context.Context, ps *planState) error {
 	lsp.SetInt("shared", int64(look.Shared))
 	lsp.SetInt("sign", int64(look.Sign))
 	lsp.SetInt("miss", int64(look.Misses))
+	lsp.SetInt("verified", int64(look.Verified))
 	lsp.End()
 	return nil
 }

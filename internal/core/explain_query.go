@@ -198,7 +198,7 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 	for i, sl := range ps.slots {
 		es := ExplainState{Index: i, Key: sl.st.Key(), Formula: stateSQL(sl.st), Positive: sl.positive}
 		if mode == ModeShare {
-			noteProbe(&es, qc.cache.Probe(ps.key.String(), sl.st, sl.positive))
+			noteProbe(&es, qc.cache, ps.key.String(), sl.st, sl.positive)
 		}
 		ex.States = append(ex.States, es)
 	}
@@ -227,17 +227,30 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 	return ex, nil
 }
 
-// noteProbe copies a cache probe's provenance onto an explain state.
-func noteProbe(es *ExplainState, pr cache.ProbeResult) {
+// noteProbe copies a cache probe's provenance onto an explain state. A
+// miss also lists the healthy states cached under the fingerprint, from
+// their own call: the list verifies the whole entry, which a probe that
+// only predicts serving (batch planning) must not pay for.
+func noteProbe(es *ExplainState, c *cache.Cache, fp string, st canonical.State, positive bool) {
+	pr := c.Probe(fp, st, positive)
 	es.Hit = pr.Kind.String()
 	es.Matched = pr.Matched
 	es.Rewrite = pr.Rewrite
 	es.Conditions = pr.Conditions
 	es.PositiveOnly = pr.PositiveOnly
 	es.Companions = pr.Companions
-	if pr.Kind == cache.HitNone {
-		es.MissReason = pr.Reason
-		es.Candidates = pr.Candidates
+	if pr.Kind != cache.HitNone {
+		return
+	}
+	keys, entry := c.Candidates(fp)
+	switch {
+	case !entry:
+		es.MissReason = "no cached entry under this data fingerprint"
+	case len(keys) == 0:
+		es.MissReason = "cache entry holds no healthy states"
+	default:
+		es.MissReason = "no cached state is exact, Theorem 4.1-shareable, or sign-split reconstructible"
+		es.Candidates = keys
 	}
 }
 

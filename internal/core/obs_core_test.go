@@ -92,12 +92,30 @@ func TestResultTraceSampling(t *testing.T) {
 
 	// Second query on the traced session: an exact-hit run still traces,
 	// with the sharing-lookup span but no scan.
+	cold := res
 	res, err = traced.Query(explainQ, ModeShare)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Trace == nil || res.Trace.Find("sharing-lookup") == nil {
 		t.Fatal("cache-hit query should still carry a sharing-lookup span")
+	}
+	// The lookup checksums only the columns it serves: none on the cold
+	// run, each bound state's once on the exact-hit repeat.
+	spanInt := func(tr *obs.Trace, span, key string) int64 {
+		if sp := tr.Find(span); sp != nil {
+			for _, a := range sp.Attrs {
+				if a.Key == key {
+					return a.Int
+				}
+			}
+		}
+		t.Fatalf("no %s attribute %q:\n%s", span, key, tr.Tree())
+		return 0
+	}
+	states := spanInt(res.Trace, "canonicalize", "states")
+	if cold, warm := spanInt(cold.Trace, "sharing-lookup", "verified"), spanInt(res.Trace, "sharing-lookup", "verified"); cold != 0 || warm != states || states == 0 {
+		t.Errorf("sharing-lookup verified=%d cold, %d warm; want 0 and %d", cold, warm, states)
 	}
 }
 

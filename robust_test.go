@@ -140,6 +140,74 @@ func TestCacheCorruptionFallsBackToRecompute(t *testing.T) {
 	}
 }
 
+// TestLookupAllLazyCorruptionRecomputes: a corrupt state column is found
+// when a lookup is about to serve it, not before. Queries that do not want
+// it keep hitting with no event; EXPLAIN leaves it out of a miss's
+// candidate list; the first query that wants it misses, records one event
+// and recomputes — bit-identical to Rewrite.
+func TestLookupAllLazyCorruptionRecomputes(t *testing.T) {
+	eng := demoEngine(t)
+	const (
+		qVar = "SELECT region, variance(price) FROM sales GROUP BY region ORDER BY region"
+		qMax = "SELECT region, max(price) FROM sales GROUP BY region ORDER BY region"
+		qMin = "SELECT region, min(price) FROM sales GROUP BY region ORDER BY region"
+	)
+	for _, q := range []string{qVar, qMax} {
+		if _, err := eng.Query(q, sudaf.Share); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex, err := eng.Explain(qMax, sudaf.Share)
+	if err != nil || len(ex.States) != 1 {
+		t.Fatalf("explain %q: %v", qMax, err)
+	}
+	maxKey := ex.States[0].Key
+	if n := eng.Session().Cache().CorruptEntryForTest("", maxKey); n != 1 {
+		t.Fatalf("CorruptEntryForTest(%s) = %d, want 1", maxKey, n)
+	}
+
+	res, err := eng.Query(qVar, sudaf.Share)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.FullCacheHit || len(res.Events) != 0 || eng.CacheStats().Corruptions != 0 {
+		t.Errorf("a query not wanting the corrupt column: full hit %v, events %v, corruptions %d",
+			res.FullCacheHit, res.Events, eng.CacheStats().Corruptions)
+	}
+	ex, err = eng.Explain(qMin, sudaf.Share)
+	if err != nil || len(ex.States) != 1 || ex.States[0].Hit != "miss" {
+		t.Fatalf("explain %q: %v %+v", qMin, err, ex)
+	}
+	if cands := ex.States[0].Candidates; len(cands) != 3 || strings.Contains(strings.Join(cands, " "), maxKey) {
+		t.Errorf("EXPLAIN candidates %v: want variance's three states, not the corrupt %s", cands, maxKey)
+	}
+
+	got, err := eng.Query(qMax, sudaf.Share)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Query(qMax, sudaf.Rewrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.FullCacheHit || got.RowsScanned == 0 {
+		t.Error("the corrupt column must be recomputed from base data")
+	}
+	if len(got.Events) != 1 || !strings.Contains(got.Events[0], "integrity") {
+		t.Errorf("want one integrity event, got %v", got.Events)
+	}
+	if n := eng.CacheStats().Corruptions; n != 1 {
+		t.Errorf("Corruptions = %d, want 1", n)
+	}
+	for c := range want.Table.Cols {
+		for i := 0; i < want.Table.NumRows(); i++ {
+			if math.Float64bits(got.Table.Cols[c].AsFloat(i)) != math.Float64bits(want.Table.Cols[c].AsFloat(i)) {
+				t.Fatalf("column %d row %d: Share %v, Rewrite %v", c, i, got.Table.Cols[c].AsFloat(i), want.Table.Cols[c].AsFloat(i))
+			}
+		}
+	}
+}
+
 func TestLoadCSVWithSkip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.csv")
