@@ -278,6 +278,40 @@ for fn in LookupAll Probe ProbeFinal; do
   fi
 done
 
+echo "== a frame is encoded once =="
+# DESIGN.md §4 "One frame codec": every result frame is written by
+# appendFrame, byte-identical to encoding/json without calling it. (a) The
+# frame-write path (WriteFrame, writeFrame, appendFrame) makes no
+# encoding/json call. (b) Non-test internal/server defines no second frame
+# encoder: no MarshalJSON, no other function turning a *Frame into bytes,
+# appendFrame called from writeFrame alone, and the one encoding/json
+# encoder left (writeJSON's, for request-level bodies) never handed a frame.
+for fn in WriteFrame writeFrame appendFrame; do
+  body=$(awk -v fn="$fn" '$0 ~ "^func " fn "\\(" { on = 1 } on { print } on && /^}/ { exit }' internal/server/protocol.go)
+  if [ -z "$body" ]; then
+    err "$fn not found in internal/server/protocol.go"
+  elif echo "$body" | grep -qE 'json\.'; then
+    err "$fn calls encoding/json:" "$(echo "$body" | grep -nE 'json\.')"
+  fi
+  if [ "$fn" = writeFrame ] && ! echo "$body" | grep -qE '[^A-Za-z_]appendFrame\('; then
+    err "writeFrame does not encode through appendFrame"
+  fi
+done
+srv_go=$(ls internal/server/*.go | grep -v '_test\.go$')
+stray=$(grep -nE 'MarshalJSON|^func [A-Za-z_]+\([^)]*\*Frame[^)]*\) \(?\[\]byte|json\.(Marshal|MarshalIndent)\(|writeJSON\([^)]*Frame' $srv_go |
+  grep -vE ':func appendFrame\(' || true)
+if [ -n "$stray" ]; then
+  err "appendFrame is the one frame encoder, found another:" "$stray"
+fi
+callers=$(grep -nE '[^A-Za-z_]appendFrame\(' $srv_go | grep -vE ':func appendFrame\(' || true)
+if [ "$(echo "$callers" | grep -c .)" -ne 1 ]; then
+  err "appendFrame is called from writeFrame alone, found:" "$callers"
+fi
+encoders=$(grep -nE 'json\.NewEncoder\(' $srv_go || true)
+if [ "$(echo "$encoders" | grep -c .)" -gt 1 ]; then
+  err "internal/server has one encoding/json encoder (writeJSON's), found:" "$encoders"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "documentation checks failed" >&2
   exit 1

@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -158,5 +160,41 @@ func TestBatchMetrics(t *testing.T) {
 		if !strings.Contains(string(scrape), want) {
 			t.Errorf("metrics scrape missing %s", want)
 		}
+	}
+}
+
+// TestFrameBytesMetric: sudaf_server_frame_bytes_total counts exactly
+// the payload bytes the response's length prefixes declare.
+func TestFrameBytesMetric(t *testing.T) {
+	eng := newEngine(t, 500, core.Options{})
+	srv := startServer(t, server.Config{Session: eng, MetricsLabel: "frame-bytes"})
+	body, _ := json.Marshal(server.BatchRequest{Queries: batchQueries, BatchRows: 2})
+	resp, err := http.Post("http://"+srv.Addr()+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, %v", resp.StatusCode, err)
+	}
+	declared := 0
+	for rest := string(stream); rest != ""; {
+		var n int
+		if _, err := fmt.Sscanf(rest, "%d ", &n); err != nil {
+			t.Fatalf("bad frame at %q: %v", rest, err)
+		}
+		declared += n
+		rest = rest[len(fmt.Sprint(n))+1+n+1:]
+	}
+	scrapeResp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scrapeResp.Body.Close()
+	scrape, _ := io.ReadAll(scrapeResp.Body)
+	want := fmt.Sprintf("sudaf_server_frame_bytes_total{server=%q} %d\n", "frame-bytes", declared)
+	if declared == 0 || !strings.Contains(string(scrape), want) {
+		t.Errorf("scrape lacks %q", want)
 	}
 }

@@ -371,8 +371,10 @@ func (c *Client) results(ctx context.Context, path string, body []byte, n int) (
 }
 
 // resultsOnce performs one attempt, demultiplexing the tagged frame
-// stream into per-query results. The stream must deliver every query's
-// end frame; anything less is a torn stream.
+// stream into per-query results. Each query's frames must come as
+// schema (batch)* end, and the stream must deliver every query's end
+// frame; anything else is a torn stream, never a partial or padded
+// result.
 func (c *Client) resultsOnce(ctx context.Context, path string, body []byte, n int) ([]*Result, error) {
 	st, err := c.open(ctx, path, body)
 	if err != nil {
@@ -390,20 +392,22 @@ func (c *Client) resultsOnce(ctx context.Context, path string, body []byte, n in
 				server.ErrTornStream, f.Query, n)
 		}
 		r := results[f.Query]
+		switch {
+		case f.Type == server.FrameSchema && r != nil,
+			f.Type != server.FrameSchema && (r == nil || r.End != nil):
+			return nil, fmt.Errorf("%w: %s frame out of order for query %d",
+				server.ErrTornStream, f.Type, f.Query)
+		}
 		switch f.Type {
 		case server.FrameSchema:
 			results[f.Query] = &Result{Columns: f.Columns}
 		case server.FrameBatch:
-			if r == nil {
-				return nil, fmt.Errorf("%w: batch before schema for query %d",
-					server.ErrTornStream, f.Query)
+			if r.Rows == nil {
+				r.Rows = f.Rows
+			} else {
+				r.Rows = append(r.Rows, f.Rows...)
 			}
-			r.Rows = append(r.Rows, f.Rows...)
 		case server.FrameEnd:
-			if r == nil || r.End != nil {
-				return nil, fmt.Errorf("%w: stray end frame for query %d",
-					server.ErrTornStream, f.Query)
-			}
 			r.End = f
 			done++
 		}
@@ -499,6 +503,9 @@ func (s *SubStream) Next() (*Emission, error) {
 		}
 		switch f.Type {
 		case server.FrameSchema:
+			if s.columns != nil {
+				return nil, fmt.Errorf("%w: second schema frame", server.ErrTornStream)
+			}
 			s.columns = f.Columns
 		case server.FrameBatch:
 			if s.columns == nil {

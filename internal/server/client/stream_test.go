@@ -47,6 +47,11 @@ func TestTornInputs(t *testing.T) {
 		{name: "length prefix too short", status: 200, body: schema + "5 " + batch[strings.Index(batch, " ")+1:], is: server.ErrTornStream},
 		{name: "length prefix too long", status: 200, body: schema + "9" + batch + batch, is: server.ErrTornStream},
 		{name: "oversized frame", status: 200, body: schema + "99999999 {", is: server.ErrFrameTooLarge},
+		{name: "second schema", status: 200,
+			body: schema + framed(t, &server.Frame{Type: server.FrameBatch, Rows: [][]any{{1}}}) +
+				schema + framed(t, &server.Frame{Type: server.FrameBatch, Rows: [][]any{{2}}},
+				&server.Frame{Type: server.FrameEnd}),
+			is: server.ErrTornStream},
 		{name: "error frame", status: 200,
 			body: schema + framed(t, &server.Frame{Type: server.FrameError, Code: server.CodeOverloaded, Error: "shed"}),
 			is:   errs.ErrOverloaded},
@@ -96,5 +101,28 @@ func TestTornInputs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBatchAfterEnd: a query's frames come as schema (batch)* end, so a
+// batch frame for a query that has already ended tears the stream
+// instead of padding that query's result.
+func TestBatchAfterEnd(t *testing.T) {
+	q := func(i int, f *server.Frame) *server.Frame { f.Query = i; return f }
+	schema := func() *server.Frame {
+		return &server.Frame{Type: server.FrameSchema, Columns: []server.ColumnSpec{{Name: "x", Kind: "float"}}}
+	}
+	body := framed(t,
+		q(0, schema()), q(0, &server.Frame{Type: server.FrameBatch, Rows: [][]any{{1}}}), q(0, &server.Frame{Type: server.FrameEnd}),
+		q(0, &server.Frame{Type: server.FrameBatch, Rows: [][]any{{2}}}),
+		q(1, schema()), q(1, &server.Frame{Type: server.FrameEnd}))
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(body)) //nolint:errcheck // the client's verdict is the assertion
+	}))
+	defer stub.Close()
+	c := New(strings.TrimPrefix(stub.URL, "http://"), Options{Retries: -1})
+	res, err := c.QueryBatch(context.Background(), []string{"q0", "q1"}, "")
+	if !errors.Is(err, server.ErrTornStream) {
+		t.Fatalf("got %v (results %v), want ErrTornStream", err, res)
 	}
 }

@@ -16,6 +16,7 @@ import (
 //	sudaf_server_requests_total{kind=...}
 //	sudaf_server_batch_requests_total, sudaf_server_batch_queries_total
 //	sudaf_server_subscribe_emits_total, sudaf_server_subscriptions_active
+//	sudaf_server_frame_bytes_total
 //	sudaf_server_shed_total{reason=...}
 //	sudaf_server_inflight, sudaf_server_queue_depth
 //	sudaf_server_sessions_open, sudaf_server_sessions_opened_total
@@ -49,6 +50,9 @@ func (s *Server) registerMetrics(r *obs.Registry, label string) {
 		"Requests accepted for execution, by kind.", s.subscribeReqs.Load)
 	r.CounterFunc("sudaf_server_subscribe_emits_total", lbl,
 		"Window emissions streamed to /v1/subscribe clients.", s.subscribeEmits.Load)
+	r.CounterFunc("sudaf_server_frame_bytes_total", lbl,
+		"JSON payload bytes written in result frames (length prefixes and newlines excluded).",
+		s.frameBytes.Load)
 	r.GaugeFunc("sudaf_server_subscriptions_active", lbl,
 		"Subscribe streams currently open.",
 		func() float64 { return float64(s.subscribeActive.Load()) })

@@ -104,6 +104,7 @@ type Server struct {
 	subscribeReqs   atomic.Int64
 	subscribeEmits  atomic.Int64
 	subscribeActive atomic.Int64
+	frameBytes      atomic.Int64
 	shedQueue       atomic.Int64
 	shedSession     atomic.Int64
 	shedDraining    atomic.Int64
@@ -590,8 +591,9 @@ func (s *Server) appendCall(body []byte) (*call, error) {
 // startStream begins an NDJSON response and returns the frame emitter.
 // Every frame passes the net.stall fault point first — an injected
 // error truncates the stream mid-flight (the client detects the tear
-// via length framing), a delay stalls it.
-func startStream(w http.ResponseWriter) func(*Frame) bool {
+// via length framing), a delay stalls it. Written payload bytes count
+// into sudaf_server_frame_bytes_total.
+func (s *Server) startStream(w http.ResponseWriter) func(*Frame) bool {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
@@ -599,9 +601,11 @@ func startStream(w http.ResponseWriter) func(*Frame) bool {
 		if err := hitNet(faultinject.PointNetStall); err != nil {
 			return false // torn stream: stop without the end frame
 		}
-		if err := WriteFrame(w, f); err != nil {
+		n, err := writeFrame(w, f)
+		if err != nil {
 			return false // client went away
 		}
+		s.frameBytes.Add(int64(n))
 		if fl != nil {
 			fl.Flush()
 		}
@@ -618,7 +622,7 @@ func (s *Server) streamResults(w http.ResponseWriter, results []*core.Result, ba
 	if batchRows == 0 {
 		batchRows = s.cfg.BatchRows
 	}
-	emit := startStream(w)
+	emit := s.startStream(w)
 	for qi, res := range results {
 		tagged := func(f *Frame) bool { f.Query = qi; return emit(f) }
 		if !tagged(SchemaFrame(res.Table)) {

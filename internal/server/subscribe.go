@@ -51,7 +51,7 @@ func (s *Server) subscribe(ctx context.Context, w http.ResponseWriter, req *Subs
 	s.subscribeActive.Add(1)
 	defer s.subscribeActive.Add(-1)
 
-	emit := startStream(w)
+	emit := s.startStream(w)
 	sentSchema := false
 	emits := 0
 	for {
