@@ -99,6 +99,10 @@ func TestEnvelope(t *testing.T) {
 		{name: "malformed deadline",
 			hdr:        func(string) map[string]string { return map[string]string{"X-Sudaf-Deadline-Ms": "soon"} },
 			wantStatus: 400, wantCode: server.CodeBadRequest},
+		// 10^13 ms is a positive int64 whose Duration overflows.
+		{name: "overflowing deadline",
+			hdr:        func(string) map[string]string { return map[string]string{"X-Sudaf-Deadline-Ms": "10000000000000"} },
+			wantStatus: 400, wantCode: server.CodeBadRequest},
 		{name: "unknown session", inSession: true,
 			hdr:        func(string) map[string]string { return map[string]string{"X-Sudaf-Session": "s999"} },
 			wantStatus: 404, wantCode: server.CodeUnknownSession},

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -391,7 +392,9 @@ func (s *Server) serve(rt *route, w http.ResponseWriter, r *http.Request) {
 // requestDeadline parses the X-Sudaf-Deadline-Ms header: the bound the
 // client asked for, which propagates through queueing into the engine.
 // A header that is not a positive integer is an error — running the
-// request unbounded would silently drop what the client asked for.
+// request unbounded would silently drop what the client asked for — and
+// so is one too large for a time.Duration, which would wrap negative and
+// run the request already expired.
 func requestDeadline(r *http.Request) (time.Duration, error) {
 	h := r.Header.Get("X-Sudaf-Deadline-Ms")
 	if h == "" {
@@ -400,6 +403,9 @@ func requestDeadline(r *http.Request) (time.Duration, error) {
 	ms, err := strconv.Atoi(h)
 	if err != nil || ms <= 0 {
 		return 0, fmt.Errorf("X-Sudaf-Deadline-Ms %q is not a positive integer", h)
+	}
+	if time.Duration(ms) > math.MaxInt64/time.Millisecond {
+		return 0, fmt.Errorf("X-Sudaf-Deadline-Ms %q overflows a duration", h)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }
