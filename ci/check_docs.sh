@@ -77,13 +77,13 @@ done
 
 # Metric families documented in OBSERVABILITY.md must be registered in
 # the source, and vice versa.
-doc_metrics=$(grep -ohE 'sudaf_[a-z_]+_(total|seconds)' docs/OBSERVABILITY.md docs/WINDOWS.md | sort -u)
+doc_metrics=$(grep -ohE 'sudaf_[a-z_]+_(total|seconds|bytes|entries)' docs/OBSERVABILITY.md docs/WINDOWS.md | sort -u)
 for m in $doc_metrics; do
   if ! grep -qr --include='*.go' "\"$m\"" internal/; then
     err "docs documents metric $m but no source registers it"
   fi
 done
-src_metrics=$(grep -ohE '"sudaf_[a-z_]+_(total|seconds)"' internal/core/metrics.go | tr -d '"' | sort -u)
+src_metrics=$(grep -ohE '"sudaf_[a-z_]+_(total|seconds|bytes|entries)"' internal/core/metrics.go | tr -d '"' | sort -u)
 for m in $src_metrics; do
   if ! grep -q "$m" docs/OBSERVABILITY.md; then
     err "metric $m is registered but undocumented in docs/OBSERVABILITY.md"
@@ -127,7 +127,7 @@ echo "== removed names appear only in history files =="
 gone='SetVectorizedKernels|SetViewRewriting|EnableViews|ClearShardWorker|ClearShardCaches|ShardWorkerCache'
 gone+='|sudaf_shard_(full_hits|state_hits|entries_maintained)_total'
 gone+='|\b(SymbolicL|fpReferences|shareFingerprint|DataInfo|TableEpochs|splitJoin|splitQualified'
-gone+='|BuiltinTask|BuiltinKind|LookupBuiltin|builtinFormDef)\b'
+gone+='|BuiltinTask|BuiltinKind|LookupBuiltin|builtinFormDef|DefaultShards|newSharded|shardFor)\b'
 stray=$(grep -rnE "$gone" --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' . |
   grep -vE '^\./(CHANGES|EXPERIMENTS|ROADMAP|ISSUE|REVIEW)\.md:|^\./ci/check_docs\.sh:' || true)
 if [ -n "$stray" ]; then

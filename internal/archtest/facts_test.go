@@ -172,6 +172,35 @@ var facts = []fact{
 		return vs
 	}},
 
+	// DESIGN.md §9 "One state cache": a cached entry is immutable, so the
+	// cache's mutex is held to fetch, install or unlink an entry and never
+	// while a read resolves, verifies or checksums one.
+	{"cache-reads-outside-lock", func(t *tree) []violation {
+		var vs []violation
+		for _, f := range t.code("internal/cache") {
+			for _, d := range f.ast.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || !slices.ContainsFunc(calls(fd.Body), reads) {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.DeferStmt:
+						if onCacheMu(n.Call, "Unlock") {
+							vs = append(vs, t.violation(f, n.Pos(), "%s defers the cache mutex's unlock past a read", funcName(fd)))
+						}
+					case *ast.CallExpr:
+						if onCacheMu(n, "Lock") {
+							vs = append(vs, t.violation(f, n.Pos(), "%s takes the cache mutex around a read", funcName(fd)))
+						}
+					}
+					return true
+				})
+			}
+		}
+		return vs
+	}},
+
 	// DESIGN.md §2: every mode runs a SQL built-in through its canonical
 	// form, read from one table, so its names are spelled in one file.
 	{"builtins-spelled-once", func(t *tree) []violation {
@@ -368,6 +397,26 @@ func rangesOverStates(x ast.Expr) bool {
 	}
 	sel, ok := ast.Unparen(x).(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == "states"
+}
+
+// reads reports whether c resolves, verifies or checksums cached values.
+func reads(c *ast.CallExpr) bool {
+	switch callee(c) {
+	case "resolve", "verifyState", "ChecksumVals":
+		return true
+	}
+	return false
+}
+
+// onCacheMu reports whether c is x.mu.<method>(): a call on the cache's
+// entry mutex (its events mutex is evMu).
+func onCacheMu(c *ast.CallExpr, method string) bool {
+	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != method {
+		return false
+	}
+	mu, ok := sel.X.(*ast.SelectorExpr)
+	return ok && mu.Sel.Name == "mu"
 }
 
 // isFrame reports whether a type expression is Frame or *Frame.

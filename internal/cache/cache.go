@@ -28,29 +28,23 @@
 // # Concurrency
 //
 // The cache is safe for concurrent use by any number of query goroutines.
-// Entries are striped across shards by fingerprint hash; each shard has
-// its own mutex, LRU order and byte budget, so queries over different
-// data parts never contend on a lock. Counters are atomics, readable
-// without any lock.
-//
-// The locking contract for GroupTable is split by field:
-//
-//   - Fingerprint, KeyNames, Keys, KeyCols and the key index are immutable
-//     after NewGroupTable, so a *GroupTable returned in Lookups.Entry can
-//     be read (IndexOf, NumGroups, Keys, ...) without holding any lock.
-//   - states/byKey are mutated only by cache methods holding the owning
-//     shard's mutex. Callers outside this package must not call AddState
-//     on a table that has been Put (build a fresh table and Put it).
-//   - A CachedState's Vals slice is never written after insertion; value
-//     slices returned by LookupAll are shared and read-only.
-//   - finals (memoized terminating-function columns) follow the states
-//     rule: the list changes only under the shard's mutex, and a stored
-//     final's values are complete and never written again.
+// One mutex guards the fingerprint → entry map, the recency list and the
+// byte count, and nothing else. A GroupTable is immutable once it is
+// cached: Put's merge, StoreFinal and the drop of a corrupt column each
+// build a successor that shares the entry's keys, key columns and index,
+// and swap it in only if the entry it was built from is still cached. A
+// read holds the mutex only to fetch (and touch) an entry, then resolves,
+// verifies and applies r outside it, on a table no writer can change.
+// Value slices handed out are shared and read-only. Counters are atomics,
+// readable without any lock. The byte budget bounds the whole cache: only
+// an entry larger than the budget, alone in the cache, exceeds it.
 package cache
 
 import (
+	"container/list"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -113,7 +107,8 @@ type final struct {
 	checksum uint64    // over vals
 }
 
-// GroupTable is the cached content for one data fingerprint.
+// GroupTable is the cached content for one data fingerprint. Its one
+// owner builds it (NewGroupTable, AddState); once Put it is never written.
 type GroupTable struct {
 	Fingerprint string
 	KeyNames    []string
@@ -124,12 +119,11 @@ type GroupTable struct {
 	// part over an append delta (statement + the table versions the
 	// states were computed at). nil means the entry cannot be delta-
 	// maintained and is invalidated (dropped) when its data changes.
-	// Set before Put and treated as immutable afterwards.
 	Maint  any
 	states []*CachedState
 	byKey  map[string]int
 	index  map[GroupKey]int
-	finals []final
+	finals []*final
 }
 
 // NewGroupTable creates an empty group table.
@@ -188,8 +182,10 @@ func (gt *GroupTable) NumGroups() int { return len(gt.Keys) }
 func (gt *GroupTable) NumStates() int { return len(gt.states) }
 
 // NumFinals returns the number of memoized terminating-function columns.
-// Like NumStates it reads unlocked: call it on a quiescent cache.
 func (gt *GroupTable) NumFinals() int { return len(gt.finals) }
+
+// States lists the cached states in entry order; shared and read-only.
+func (gt *GroupTable) States() []*CachedState { return gt.states }
 
 // StateKeys lists cached state keys.
 func (gt *GroupTable) StateKeys() []string {
@@ -215,6 +211,35 @@ func (gt *GroupTable) AddState(cs *CachedState) error {
 	gt.byKey[k] = len(gt.states)
 	gt.states = append(gt.states, cs)
 	return nil
+}
+
+// successor copies gt for a change that must not write gt: the copy shares
+// everything gt holds but owns the lists of states and finals.
+func (gt *GroupTable) successor() *GroupTable {
+	next := newGroupTable(gt.Fingerprint, gt.KeyNames, gt.Keys, gt.KeyCols, gt.index)
+	next.Maint = gt.Maint
+	next.states = slices.Clone(gt.states)
+	next.byKey = maps.Clone(gt.byKey)
+	next.finals = slices.Clone(gt.finals)
+	return next
+}
+
+// merge returns the successor of gt that also holds in's states, realigned
+// to gt's group order, and in's maintenance record when it has one — or in
+// itself when the group sets differ (the data changed).
+func (gt *GroupTable) merge(in *GroupTable) *GroupTable {
+	next := gt.successor()
+	for _, s := range in.states {
+		aligned, ok := gt.Align(in.Keys, s.Vals)
+		if !ok {
+			return in
+		}
+		_ = next.AddState(&CachedState{State: s.State, Vals: aligned, PositiveInput: s.PositiveInput})
+	}
+	if in.Maint != nil {
+		next.Maint = in.Maint
+	}
+	return next
 }
 
 // dropState removes a state by key, rebuilding the key index.
@@ -243,7 +268,7 @@ func (gt *GroupTable) Exact(key string) (*CachedState, bool) {
 // final returns the position in gt.finals of T's memoized column over
 // source columns with the given checksums, -1 when none is stored.
 func (gt *GroupTable) final(t string, srcSums []uint64) int {
-	return slices.IndexFunc(gt.finals, func(f final) bool { return f.t == t && slices.Equal(f.srcSums, srcSums) })
+	return slices.IndexFunc(gt.finals, func(f *final) bool { return f.t == t && slices.Equal(f.srcSums, srcSums) })
 }
 
 // bytes approximates the memory footprint for eviction accounting.
@@ -284,6 +309,10 @@ type Stats struct {
 	// checksum no longer matched (each is a degradation event: the query
 	// fell back to recomputation instead of failing).
 	Corruptions int64
+	// Bytes and Entries are the cache's size: the accounted bytes of its
+	// entries (within the budget unless one entry alone exceeds it) and
+	// their number.
+	Bytes, Entries int64
 }
 
 // HitKind classifies how a lookup was served.
@@ -312,26 +341,16 @@ func (k HitKind) String() string {
 	return "miss"
 }
 
-// DefaultShards is the stripe count of a cache built with New. 32 shards
-// keep the per-shard mutex essentially uncontended for any realistic
-// client count (lock hold times are O(#groups) at worst) while the
-// per-shard LRU budget (total/32) still holds many group tables.
-const DefaultShards = 32
-
-// shard is one stripe: a fingerprint→GroupTable map with its own lock,
-// LRU order and byte budget.
-type shard struct {
-	mu       sync.Mutex
-	entries  map[string]*GroupTable
-	order    []string // LRU order, most recent last
-	maxBytes int64
-	curBytes int64
-}
-
-// Cache is the session-wide state cache, striped by fingerprint with LRU
-// eviction per shard. All methods are safe for concurrent use.
+// Cache is the session-wide state cache: one fingerprint → entry map under
+// one LRU order and one byte budget, safe for concurrent use.
 type Cache struct {
-	shards []*shard
+	// mu guards entries, lru and bytes, and nothing else: it is held to
+	// fetch, install or unlink an entry, never to read one.
+	mu       sync.Mutex
+	entries  map[string]*list.Element // Value is the *GroupTable
+	lru      list.List                // most recently used at the front
+	bytes    int64
+	maxBytes int64
 
 	lookups     atomic.Int64
 	exactHits   atomic.Int64
@@ -342,51 +361,27 @@ type Cache struct {
 	corruptions atomic.Int64
 	finalHits   atomic.Int64
 
-	// events records degradation events (corruption fallbacks, injected
-	// faults) until drained by the session. Guarded by evMu, which is
-	// only ever taken after (or without) a shard mutex — never the
-	// reverse — so the lock order shard.mu → evMu is acyclic.
+	// events records degradation events until drained by the session.
+	// Guarded by evMu, which is never held together with mu.
 	evMu   sync.Mutex
 	events []string
 }
 
-// New creates a cache with the given byte budget (≤0 means 256 MiB) and
-// the default stripe count.
+// New creates a cache with the given byte budget (≤0 means 256 MiB).
 func New(maxBytes int64) *Cache {
-	return newSharded(maxBytes, 0)
-}
-
-// newSharded creates a cache with an explicit stripe count (≤0 means
-// DefaultShards). The byte budget is divided evenly across shards.
-func newSharded(maxBytes int64, shards int) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 256 << 20
 	}
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	per := maxBytes / int64(shards)
-	if per < 4096 {
-		per = 4096
-	}
-	c := &Cache{shards: make([]*shard, shards)}
-	for i := range c.shards {
-		c.shards[i] = &shard{entries: map[string]*GroupTable{}, maxBytes: per}
-	}
-	return c
+	return &Cache{entries: map[string]*list.Element{}, maxBytes: maxBytes}
 }
 
-// shardFor maps a fingerprint to its stripe.
-func (c *Cache) shardFor(fp string) *shard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(fp))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
-}
-
-// Stats returns a snapshot of the counters. The snapshot is not a
-// consistent cut across counters under concurrent traffic (each counter
-// is read atomically on its own), but quiescent reads are exact.
+// Stats returns a snapshot of the counters and the cache's size: not a
+// consistent cut under concurrent traffic (each counter is read on its
+// own), but exact at quiescence.
 func (c *Cache) Stats() Stats {
+	c.mu.Lock()
+	bytes, entries := c.bytes, int64(len(c.entries))
+	c.mu.Unlock()
 	return Stats{
 		Lookups:     c.lookups.Load(),
 		ExactHits:   c.exactHits.Load(),
@@ -396,6 +391,8 @@ func (c *Cache) Stats() Stats {
 		Evictions:   c.evictions.Load(),
 		FinalHits:   c.finalHits.Load(),
 		Corruptions: c.corruptions.Load(),
+		Bytes:       bytes,
+		Entries:     entries,
 	}
 }
 
@@ -411,154 +408,113 @@ func (c *Cache) ResetStats() {
 	c.finalHits.Store(0)
 }
 
+// entry returns the table cached under fp (nil when none), making it the
+// most recently used when touch is set.
+func (c *Cache) entry(fp string, touch bool) *GroupTable {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[fp]
+	if !ok {
+		return nil
+	}
+	if touch {
+		c.lru.MoveToFront(el)
+	}
+	return el.Value.(*GroupTable)
+}
+
+// install caches next, as the most recently used entry, in place of prev
+// (nil: no entry) provided prev is still what is cached under their
+// fingerprint, then evicts down to the budget. Reports whether it did.
+func (c *Cache) install(prev, next *GroupTable) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[next.Fingerprint]
+	switch {
+	case !ok && prev == nil:
+		c.entries[next.Fingerprint] = c.lru.PushFront(next)
+	case ok && el.Value == prev:
+		c.bytes -= prev.bytes()
+		el.Value = next
+		c.lru.MoveToFront(el)
+	default:
+		return false
+	}
+	c.bytes += next.bytes()
+	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
+		c.unlink(c.lru.Back())
+		c.evictions.Add(1)
+	}
+	return true
+}
+
+// unlink drops one entry. Caller holds mu.
+func (c *Cache) unlink(el *list.Element) {
+	gt := c.lru.Remove(el).(*GroupTable)
+	delete(c.entries, gt.Fingerprint)
+	c.bytes -= gt.bytes()
+}
+
+// update swaps edit(cur) in for cur, the table cached under fp (nil when
+// none). edit builds a successor without writing cur, or returns nil to
+// leave the entry be; it runs again when another writer got there first.
+// It returns the table installed, nil when edit declined.
+func (c *Cache) update(fp string, edit func(cur *GroupTable) *GroupTable) *GroupTable {
+	for {
+		cur := c.entry(fp, false)
+		next := edit(cur)
+		if next == nil || c.install(cur, next) {
+			return next
+		}
+	}
+}
+
 // Put inserts or merges a group table; existing states under the same
 // fingerprint are kept (states accumulate across queries). Incoming
 // state vectors are realigned to the existing entry's group order; if
 // the group sets differ (the underlying data changed), the incoming
 // table replaces the entry. The caller must not modify gt after Put. It
 // returns the table now cached under the fingerprint: gt itself when it
-// was inserted or replaced the entry, the surviving entry when merged.
+// was inserted or replaced the entry, the merged successor otherwise.
 func (c *Cache) Put(gt *GroupTable) *GroupTable {
-	sh := c.shardFor(gt.Fingerprint)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if prev, ok := sh.entries[gt.Fingerprint]; ok {
-		sh.curBytes -= prev.bytes()
-		replaced := false
-		for _, s := range gt.states {
-			aligned, ok := prev.Align(gt.Keys, s.Vals)
-			if !ok {
-				replaced = true
-				break
-			}
-			_ = prev.AddState(&CachedState{State: s.State, Vals: aligned, PositiveInput: s.PositiveInput})
+	return c.update(gt.Fingerprint, func(cur *GroupTable) *GroupTable {
+		if cur == nil {
+			return gt
 		}
-		if replaced {
-			sh.entries[gt.Fingerprint] = gt
-			sh.curBytes += gt.bytes()
-		} else {
-			if gt.Maint != nil {
-				prev.Maint = gt.Maint
-			}
-			sh.curBytes += prev.bytes()
-			gt = prev
-		}
-		sh.touch(gt.Fingerprint)
-		c.evict(sh)
-		return gt
-	}
-	sh.entries[gt.Fingerprint] = gt
-	sh.order = append(sh.order, gt.Fingerprint)
-	sh.curBytes += gt.bytes()
-	c.evict(sh)
-	return gt
-}
-
-// touch moves a fingerprint to the MRU end. Caller holds sh.mu.
-func (sh *shard) touch(fp string) {
-	for i, f := range sh.order {
-		if f == fp {
-			sh.order = append(append(sh.order[:i:i], sh.order[i+1:]...), fp)
-			return
-		}
-	}
-}
-
-// evict drops LRU entries until the shard fits its budget. Caller holds
-// sh.mu.
-func (c *Cache) evict(sh *shard) {
-	for sh.curBytes > sh.maxBytes && len(sh.order) > 1 {
-		victim := sh.order[0]
-		sh.order = sh.order[1:]
-		if gt, ok := sh.entries[victim]; ok {
-			sh.curBytes -= gt.bytes()
-			delete(sh.entries, victim)
-			c.evictions.Add(1)
-		}
-	}
+		return cur.merge(gt)
+	})
 }
 
 // Remove deletes the entry under a fingerprint (targeted invalidation:
-// the ingestion path retires superseded-version entries after migrating
-// them, and drops entries it cannot delta-maintain). Reports whether an
-// entry was removed.
-func (c *Cache) Remove(fp string) bool {
-	sh := c.shardFor(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	gt, ok := sh.entries[fp]
-	if !ok {
-		return false
-	}
-	sh.curBytes -= gt.bytes()
-	delete(sh.entries, fp)
-	for i, f := range sh.order {
-		if f == fp {
-			sh.order = append(sh.order[:i:i], sh.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// EntrySnapshot is a point-in-time copy of one cache entry's contents:
-// the key structure (immutable, shared), the state list as of the
-// snapshot (the slice is copied under the shard lock; the CachedState
-// values and their Vals are shared read-only per the package contract),
-// and the maintenance record. Used by the ingestion path to walk the
-// cache without holding shard locks across re-planning and execution.
-type EntrySnapshot struct {
-	Fingerprint string
-	KeyNames    []string
-	Keys        []GroupKey
-	KeyCols     []*storage.Column
-	States      []*CachedState
-	Maint       any
-	// index is the entry's key → position map (nil when the snapshot
-	// was not taken from a GroupTable). Like Keys and KeyCols it is
-	// immutable once the entry exists, which is what lets MergeDelta
-	// hand all three to a successor with the same group set.
-	index map[GroupKey]int
-}
-
-// SnapshotEntry exports a group table as an EntrySnapshot. Only valid on
-// a table the caller still owns (before Put) or under its shard's mutex:
-// after Put the state list is guarded by that mutex. The ingestion path
-// uses it to keep an eviction-independent copy of a materialized view's
-// states.
-func (gt *GroupTable) SnapshotEntry() EntrySnapshot {
-	return EntrySnapshot{
-		Fingerprint: gt.Fingerprint,
-		KeyNames:    gt.KeyNames,
-		Keys:        gt.Keys,
-		KeyCols:     gt.KeyCols,
-		States:      append([]*CachedState(nil), gt.states...),
-		Maint:       gt.Maint,
-		index:       gt.index,
+// the ingestion path drops entries it cannot delta-maintain and, when no
+// reader has a snapshot pinned, entries of superseded versions).
+func (c *Cache) Remove(fp string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[fp]; ok {
+		c.unlink(el)
 	}
 }
 
-// Snapshot copies every entry's state list out of the cache, one shard
-// lock at a time. Entries added or mutated concurrently may or may not
-// appear; callers (the append path) serialize ingestion themselves.
-func (c *Cache) Snapshot() []EntrySnapshot {
-	var out []EntrySnapshot
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, gt := range sh.entries {
-			out = append(out, gt.SnapshotEntry())
-		}
-		sh.mu.Unlock()
+// Snapshot lists the cached entries, most recently used first. Entries
+// are immutable, so the list stays a consistent picture of what it holds
+// while the cache moves on.
+func (c *Cache) Snapshot() []*GroupTable {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*GroupTable, 0, c.lru.Len())
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*GroupTable))
 	}
 	return out
 }
 
 // MergeDelta is the delta-merge entry point of incremental ingestion: it
-// folds one append batch's per-group state values into a prior entry
-// snapshot, producing the successor entry under the post-append
-// fingerprint. The union group set keeps the prior entry's group order
-// first (so existing consumers see a stable prefix) with groups new in
-// the delta appended in delta order; a prior group absent from the delta
+// folds one append batch's per-group state values into a prior entry,
+// producing the successor entry under the post-append fingerprint. The
+// union group set keeps the prior entry's group order first (so existing
+// consumers see a stable prefix) with groups new in the delta appended in
+// delta order; a prior group absent from the delta
 // merges the state's identity (i.e. stays unchanged), and a brand-new
 // group starts from the identity. Integrity checksums are recomputed by
 // AddState over the merged vectors.
@@ -568,7 +524,7 @@ func (c *Cache) Snapshot() []EntrySnapshot {
 // run did not cover the entry, and the whole entry must be invalidated
 // instead). deltaPositive maps state key → whether every delta base
 // value was provably positive; it is ANDed into PositiveInput.
-func MergeDelta(prev EntrySnapshot, newFP string, deltaKeys []GroupKey, deltaKeyCols []*storage.Column,
+func MergeDelta(prev *GroupTable, newFP string, deltaKeys []GroupKey, deltaKeyCols []*storage.Column,
 	deltaVals map[string][]float64, deltaPositive map[string]bool, maint any) (*GroupTable, error) {
 
 	if len(deltaKeyCols) != len(prev.KeyCols) {
@@ -579,9 +535,6 @@ func MergeDelta(prev EntrySnapshot, newFP string, deltaKeys []GroupKey, deltaKey
 	// entry's keys, key columns and index instead of copying them: all
 	// three are immutable, and together they outweigh the state values.
 	union, keyCols, pos := prev.Keys, prev.KeyCols, prev.index
-	if pos == nil {
-		pos = keyIndex(union)
-	}
 	var newRows []int // delta row index of each brand-new group, in delta order
 	for i, k := range deltaKeys {
 		if _, ok := pos[k]; !ok {
@@ -611,7 +564,7 @@ func MergeDelta(prev EntrySnapshot, newFP string, deltaKeys []GroupKey, deltaKey
 
 	gt := newGroupTable(newFP, prev.KeyNames, union, keyCols, pos)
 	gt.Maint = maint
-	for _, cs := range prev.States {
+	for _, cs := range prev.states {
 		key := cs.State.Key()
 		dv, ok := deltaVals[key]
 		if !ok {
@@ -659,17 +612,14 @@ func appendValue(dst, src *storage.Column, i int) {
 	}
 }
 
-// addEvent appends a degradation event.
-func (c *Cache) addEvent(ev string) {
+// AddEvent records a degradation event (a corruption fallback, an
+// injected fault, an entry or view the ingestion path invalidated),
+// drained into the next query's Result.Events.
+func (c *Cache) AddEvent(ev string) {
 	c.evMu.Lock()
 	c.events = append(c.events, ev)
 	c.evMu.Unlock()
 }
-
-// AddEvent records a degradation event from outside the package (the
-// ingestion path notes entries and views it had to invalidate instead of
-// delta-maintaining); drained into the next query's Result.Events.
-func (c *Cache) AddEvent(ev string) { c.addEvent(ev) }
 
 // DrainEvents returns and clears accumulated degradation events.
 func (c *Cache) DrainEvents() []string {
@@ -682,77 +632,16 @@ func (c *Cache) DrainEvents() []string {
 
 // CheckInvariants verifies the cache's structural invariants — byte
 // accounting matches entry contents, never goes negative and exceeds the
-// shard's budget only while a single entry is too large for it, LRU order
-// mirrors the entry set, every cached state is internally consistent,
-// and counters balance (lookups = hits + misses). The counter-balance
-// check is only meaningful at quiescence — an in-flight lookup has
-// incremented Lookups but not yet its outcome — so call it when no
-// lookups are running (the structural checks are valid at any time).
-// Used by the concurrency property tests; it takes every shard lock,
-// one at a time.
+// budget only while a single entry is cached, the LRU list mirrors the
+// entry map, every cached state is internally consistent, and counters
+// balance (lookups = hits + misses). The counter-balance check is only
+// meaningful at quiescence — an in-flight lookup has incremented Lookups
+// but not yet its outcome — so call it when no lookups are running (the
+// structural checks are valid at any time). Used by the concurrency
+// property tests.
 func (c *Cache) CheckInvariants() error {
-	for si, sh := range c.shards {
-		sh.mu.Lock()
-		var sum int64
-		for fp, gt := range sh.entries {
-			sum += gt.bytes()
-			if len(gt.states) != len(gt.byKey) {
-				sh.mu.Unlock()
-				return fmt.Errorf("shard %d entry %s: %d states but %d keys", si, fp, len(gt.states), len(gt.byKey))
-			}
-			for key, i := range gt.byKey {
-				if i < 0 || i >= len(gt.states) {
-					sh.mu.Unlock()
-					return fmt.Errorf("shard %d entry %s: key %s maps to out-of-range index %d", si, fp, key, i)
-				}
-				if gt.states[i].State.Key() != key {
-					sh.mu.Unlock()
-					return fmt.Errorf("shard %d entry %s: key %s maps to state %s", si, fp, key, gt.states[i].State.Key())
-				}
-			}
-			for _, s := range gt.states {
-				if len(s.Vals) != len(gt.Keys) {
-					sh.mu.Unlock()
-					return fmt.Errorf("shard %d entry %s state %s: %d values for %d groups",
-						si, fp, s.State.Key(), len(s.Vals), len(gt.Keys))
-				}
-			}
-			for _, f := range gt.finals {
-				if len(f.vals) != len(gt.Keys) {
-					sh.mu.Unlock()
-					return fmt.Errorf("shard %d entry %s final %s: %d values for %d groups", si, fp, f.t, len(f.vals), len(gt.Keys))
-				}
-			}
-		}
-		if sh.curBytes < 0 {
-			sh.mu.Unlock()
-			return fmt.Errorf("shard %d: negative byte accounting %d", si, sh.curBytes)
-		}
-		if sh.curBytes != sum {
-			sh.mu.Unlock()
-			return fmt.Errorf("shard %d: accounted %d bytes, entries hold %d", si, sh.curBytes, sum)
-		}
-		if sh.curBytes > sh.maxBytes && len(sh.entries) > 1 {
-			sh.mu.Unlock()
-			return fmt.Errorf("shard %d: %d bytes over a budget of %d with %d entries to evict", si, sh.curBytes, sh.maxBytes, len(sh.entries))
-		}
-		if len(sh.order) != len(sh.entries) {
-			sh.mu.Unlock()
-			return fmt.Errorf("shard %d: %d LRU slots for %d entries", si, len(sh.order), len(sh.entries))
-		}
-		seen := map[string]bool{}
-		for _, fp := range sh.order {
-			if seen[fp] {
-				sh.mu.Unlock()
-				return fmt.Errorf("shard %d: fingerprint %s appears twice in LRU order", si, fp)
-			}
-			seen[fp] = true
-			if _, ok := sh.entries[fp]; !ok {
-				sh.mu.Unlock()
-				return fmt.Errorf("shard %d: LRU order references missing entry %s", si, fp)
-			}
-		}
-		sh.mu.Unlock()
+	if err := c.checkEntries(); err != nil {
+		return err
 	}
 	st := c.Stats()
 	for _, v := range []int64{st.Lookups, st.ExactHits, st.SharedHits, st.SignHits, st.Misses, st.Evictions, st.Corruptions} {
@@ -763,6 +652,56 @@ func (c *Cache) CheckInvariants() error {
 	if st.Lookups != st.ExactHits+st.SharedHits+st.SignHits+st.Misses {
 		return fmt.Errorf("lost stats increments: %d lookups vs %d outcomes (%+v)",
 			st.Lookups, st.ExactHits+st.SharedHits+st.SignHits+st.Misses, st)
+	}
+	return nil
+}
+
+// checkEntries is CheckInvariants' structural half, under mu.
+func (c *Cache) checkEntries() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum int64
+	for fp, el := range c.entries {
+		gt := el.Value.(*GroupTable)
+		sum += gt.bytes()
+		if len(gt.states) != len(gt.byKey) {
+			return fmt.Errorf("entry %s: %d states but %d keys", fp, len(gt.states), len(gt.byKey))
+		}
+		for key, i := range gt.byKey {
+			if i < 0 || i >= len(gt.states) {
+				return fmt.Errorf("entry %s: key %s maps to out-of-range index %d", fp, key, i)
+			}
+			if gt.states[i].State.Key() != key {
+				return fmt.Errorf("entry %s: key %s maps to state %s", fp, key, gt.states[i].State.Key())
+			}
+		}
+		for _, s := range gt.states {
+			if len(s.Vals) != len(gt.Keys) {
+				return fmt.Errorf("entry %s state %s: %d values for %d groups", fp, s.State.Key(), len(s.Vals), len(gt.Keys))
+			}
+		}
+		for _, f := range gt.finals {
+			if len(f.vals) != len(gt.Keys) {
+				return fmt.Errorf("entry %s final %s: %d values for %d groups", fp, f.t, len(f.vals), len(gt.Keys))
+			}
+		}
+	}
+	if c.bytes < 0 {
+		return fmt.Errorf("negative byte accounting %d", c.bytes)
+	}
+	if c.bytes != sum {
+		return fmt.Errorf("accounted %d bytes, entries hold %d", c.bytes, sum)
+	}
+	if c.bytes > c.maxBytes && len(c.entries) > 1 {
+		return fmt.Errorf("%d bytes over a budget of %d with %d entries to evict", c.bytes, c.maxBytes, len(c.entries))
+	}
+	if c.lru.Len() != len(c.entries) {
+		return fmt.Errorf("%d LRU slots for %d entries", c.lru.Len(), len(c.entries))
+	}
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if fp := el.Value.(*GroupTable).Fingerprint; c.entries[fp] != el {
+			return fmt.Errorf("LRU slot for %s is not the entry cached there", fp)
+		}
 	}
 	return nil
 }
@@ -816,21 +755,42 @@ func (v *verifier) allHealthy(states []*CachedState) bool {
 	return true
 }
 
-// dropCorrupt drops the states a read found corrupt from gt, recording a
-// degradation event per state: the next lookup that wants one recomputes
-// it from base data. The caller holds the owning shard's mutex.
-func (c *Cache) dropCorrupt(sh *shard, gt *GroupTable, bad []*CachedState) {
-	if len(bad) == 0 {
+// dropCorrupt swaps in a successor of the entry under fp without the
+// states and finals a read found corrupt (and no writer has replaced since),
+// recording a degradation event for each: the next lookup recomputes it.
+func (c *Cache) dropCorrupt(fp string, bad []*CachedState, badFinals []*final) {
+	if len(bad)+len(badFinals) == 0 {
 		return
 	}
-	sh.curBytes -= gt.bytes()
-	for _, cs := range bad {
-		key := cs.State.Key()
-		gt.dropState(key)
-		c.corruptions.Add(1)
-		c.addEvent(fmt.Sprintf("cache: state %s under %s failed integrity check; dropped, recomputing from base data", key, gt.Fingerprint))
+	var events []string
+	c.update(fp, func(cur *GroupTable) *GroupTable {
+		events = events[:0]
+		if cur == nil {
+			return nil
+		}
+		next := cur.successor()
+		for _, cs := range bad {
+			key := cs.State.Key()
+			if live, ok := next.Exact(key); ok && live == cs {
+				next.dropState(key)
+				events = append(events, fmt.Sprintf("cache: state %s under %s failed integrity check; dropped, recomputing from base data", key, fp))
+			}
+		}
+		for _, f := range badFinals {
+			if at := slices.Index(next.finals, f); at >= 0 {
+				next.finals = slices.Delete(next.finals, at, at+1)
+				events = append(events, fmt.Sprintf("cache: memoized %s under %s failed integrity check; dropped, recomputing from its states", f.t, fp))
+			}
+		}
+		if len(events) == 0 {
+			return nil
+		}
+		return next
+	})
+	c.corruptions.Add(int64(len(events)))
+	for _, ev := range events {
+		c.AddEvent(ev)
 	}
-	sh.curBytes += gt.bytes()
 }
 
 // shareDetail is the direct (verified) Theorem 4.1 decision procedure —
@@ -919,8 +879,7 @@ func resolve(gt *GroupTable, want canonical.State, positiveData bool, v *verifie
 type Lookups struct {
 	// Entry is the group table cached under the fingerprint (nil when
 	// there is none): the group structure cached values are ordered by.
-	// Its key structure is immutable and safe to read without locks; see
-	// the package comment for the full contract.
+	// It is immutable, so it can be read without any lock.
 	Entry *GroupTable
 	// Vals is index-aligned with the wanted states; nil marks a state the
 	// caller must compute. A non-nil vector is ordered by Entry's groups:
@@ -947,30 +906,30 @@ type FinalWant struct {
 }
 
 // LookupAll is the lookup half of the sharing protocol every consumer
-// runs (session queries, windowed queries, shard workers), and the one
-// lookup critical section: under a single hold of the shard lock it
-// fetches the fingerprint's entry and resolves every wanted state against
-// that same entry — exact match, Theorem 4.1 sharing, or §5.3 sign-split
-// reconstruction. A state is checksummed only when it is about to serve,
-// at most once per call, so a hit costs O(wanted states), not O(entry);
-// one that fails its checksum is passed over as if it were not cached,
-// then dropped with a degradation event (callers recompute rather than
-// fail). A corrupt column no lookup wants stays until one does. A lookup
-// never writes the entry otherwise: a shared or
+// runs (session queries, windowed queries, shard workers): it fetches the
+// fingerprint's entry once and resolves every wanted state against that
+// same entry — exact match, Theorem 4.1 sharing, or §5.3 sign-split
+// reconstruction. The cache's lock is held only for the fetch; the entry
+// is immutable, so resolving, verifying and applying r run outside it,
+// and a concurrent Put or Remove can never leave a caller holding values
+// without the entry that orders them. A state is checksummed only when it
+// is about to serve, at most once per call, so a hit costs O(wanted
+// states), not O(entry); one that fails its checksum is passed over as if
+// it were not cached, then dropped with a degradation event (callers
+// recompute rather than fail). A corrupt column no lookup wants stays
+// until one does. A lookup never writes the entry otherwise: a shared or
 // sign-split state's r(s) is computed into the result and kept nowhere,
-// so a repeat is served the same way, with the same bits. Because entry
-// and states are read together, a concurrent Put or Remove can never
-// leave a caller holding values without the entry that orders them. The
-// wanted finals are read from that same entry in the same hold; one is
-// served only when every state it reads was served here with the checksum
-// recorded at StoreFinal (ChecksumVals of the values served).
+// so a repeat is served the same way, with the same bits. The wanted
+// finals are read from that same entry; one is served only when every
+// state it reads was served here with the checksum recorded at StoreFinal
+// (ChecksumVals of the values served).
 //
 // positive is index-aligned with want. usable, when non-nil, vets a hit's
 // values — a rejected hit still counts by its kind but is left for the
 // caller to compute. guard, when non-nil, wraps the entry fetch and each
 // state's resolution so a caller can contain cache faults per lookup (a
 // lookup that panics is then simply not served, and counts as a miss).
-// Both run under the shard lock and must not call back into the cache.
+// Neither runs under the cache's lock.
 func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, finals []FinalWant,
 	usable func([]float64) bool, guard func(stage string, f func())) Lookups {
 
@@ -985,19 +944,11 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, fi
 		sums = make([]uint64, len(want))
 	}
 	var v verifier
-	sh := c.shardFor(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	guard("entry lookup", func() {
-		if gt, ok := sh.entries[fp]; ok {
-			sh.touch(fp)
-			out.Entry = gt
-		}
-	})
+	guard("entry lookup", func() { out.Entry = c.entry(fp, true) })
 	for i := range want {
 		guard("state lookup", func() {
 			if err := faultinject.Hit(faultinject.PointCacheGet); err != nil {
-				c.addEvent("cache: injected fault on get, treated as miss: " + err.Error())
+				c.AddEvent("cache: injected fault on get, treated as miss: " + err.Error())
 				return
 			}
 			if out.Entry == nil {
@@ -1023,9 +974,9 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, fi
 			}
 		})
 	}
-	c.dropCorrupt(sh, out.Entry, v.bad)
 	out.Verified = len(v.good) + len(v.bad)
 	var finalHits int64
+	var badFinals []*final
 	for fi, fw := range finals {
 		guard("final lookup", func() {
 			if out.Entry == nil {
@@ -1045,17 +996,14 @@ func (c *Cache) LookupAll(fp string, want []canonical.State, positive []bool, fi
 			// Verified when about to be served, like a state: a lookup
 			// that wants no final pays nothing for the ones stored.
 			if f := out.Entry.finals[at]; ChecksumVals(f.vals) != f.checksum {
-				sh.curBytes -= out.Entry.bytes()
-				out.Entry.finals = slices.Delete(out.Entry.finals, at, at+1)
-				sh.curBytes += out.Entry.bytes()
-				c.corruptions.Add(1)
-				c.addEvent(fmt.Sprintf("cache: memoized %s under %s failed integrity check; dropped, recomputing from its states", f.t, fp))
+				badFinals = append(badFinals, f)
 			} else if usable == nil || usable(f.vals) {
 				out.Finals[fi] = f.vals
 				finalHits++
 			}
 		})
 	}
+	c.dropCorrupt(fp, v.bad, badFinals)
 	out.Misses = len(want) - out.Exact - out.Shared - out.Sign
 	c.lookups.Add(int64(len(want)))
 	c.exactHits.Add(int64(out.Exact))
@@ -1076,9 +1024,6 @@ func (c *Cache) StoreAll(gt *GroupTable, fresh []*CachedState) (*GroupTable, int
 	for _, cs := range fresh {
 		_ = gt.AddState(cs)
 	}
-	// Count before Put: the cache owns gt afterwards, and a concurrent
-	// query's Put may merge new states into it under the shard lock while
-	// we'd be reading it unlocked.
 	n := gt.NumStates()
 	if n == 0 {
 		return nil, 0
@@ -1089,27 +1034,28 @@ func (c *Cache) StoreAll(gt *GroupTable, fresh []*CachedState) (*GroupTable, int
 // StoreFinal memoizes the output column of the hardcoded terminating
 // function t beside the states it was computed from: vals holds one value
 // per group of entry, in entry order, and srcSums the ChecksumVals of the
-// state columns it read, in call order (a FinalWant's Src order). Nothing
-// is stored unless entry is still the table cached under its fingerprint,
-// so a concurrent replace makes the call a no-op. A final rides the byte
-// budget like a state. Reports whether it was stored.
-func (c *Cache) StoreFinal(entry *GroupTable, t string, vals []float64, srcSums []uint64) bool {
-	f := final{t: t, srcSums: srcSums, vals: vals, checksum: ChecksumVals(vals)}
-	sh := c.shardFor(entry.Fingerprint)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.entries[entry.Fingerprint] != entry || len(vals) != len(entry.Keys) {
-		return false
+// state columns it read, in call order (a FinalWant's Src order). It
+// stores into entry, or the successor a concurrent merge or final swapped
+// in since (it shares entry's keys, so its groups are in vals' order), and
+// returns the table it swaps in, for a caller's next StoreFinal; nil when
+// the entry was evicted or replaced. A final rides the byte budget.
+func (c *Cache) StoreFinal(entry *GroupTable, t string, vals []float64, srcSums []uint64) *GroupTable {
+	if len(vals) != len(entry.Keys) {
+		return nil
 	}
-	sh.curBytes -= entry.bytes()
-	if at := entry.final(t, srcSums); at >= 0 {
-		entry.finals[at] = f
-	} else {
-		entry.finals = append(entry.finals, f)
-	}
-	sh.curBytes += entry.bytes()
-	c.evict(sh)
-	return true
+	f := &final{t: t, srcSums: srcSums, vals: vals, checksum: ChecksumVals(vals)}
+	return c.update(entry.Fingerprint, func(cur *GroupTable) *GroupTable {
+		if cur == nil || len(cur.Keys) != len(vals) || (len(vals) > 0 && &cur.Keys[0] != &entry.Keys[0]) {
+			return nil
+		}
+		next := cur.successor()
+		if at := next.final(t, srcSums); at >= 0 {
+			next.finals[at] = f
+		} else {
+			next.finals = append(next.finals, f)
+		}
+		return next
+	})
 }
 
 // ProbeResult is the read-only provenance record of how a state lookup
@@ -1143,11 +1089,8 @@ type ProbeResult struct {
 // verifying the same columns, so EXPLAIN and batch planning predict
 // serving by construction and pay only for what would serve.
 func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeResult {
-	sh := c.shardFor(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	gt, ok := sh.entries[fp]
-	if !ok {
+	gt := c.entry(fp, false)
+	if gt == nil {
 		return ProbeResult{}
 	}
 	var v verifier
@@ -1177,11 +1120,8 @@ func (c *Cache) Probe(fp string, want canonical.State, positiveData bool) ProbeR
 // EXPLAIN's miss provenance calls it; like Probe it has no observable
 // side effect.
 func (c *Cache) Candidates(fp string) ([]string, bool) {
-	sh := c.shardFor(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	gt, ok := sh.entries[fp]
-	if !ok {
+	gt := c.entry(fp, false)
+	if gt == nil {
 		return nil, false
 	}
 	var keys []string
@@ -1199,11 +1139,8 @@ func (c *Cache) Candidates(fp string) ([]string, bool) {
 // way as in LookupAll, so a source served exactly, through a sharing
 // rewriting or by sign-split reconstruction counts alike.
 func (c *Cache) ProbeFinal(fp string, want []canonical.State, positive []bool, fw FinalWant) bool {
-	sh := c.shardFor(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	gt, ok := sh.entries[fp]
-	if !ok {
+	gt := c.entry(fp, false)
+	if gt == nil {
 		return false
 	}
 	var v verifier
@@ -1303,43 +1240,47 @@ func coefOf(p scalar.Prim) (float64, bool) {
 // chaos/testing aid for the integrity path. An empty fingerprint corrupts
 // every entry. Naming state keys corrupts only those states and no final.
 // It returns the number of states corrupted; 0 means the fingerprint is
-// absent or holds no such states (or only empty vectors). Columns are
-// replaced by corrupted copies rather than mutated in place, so value
-// slices handed out by earlier Lookups stay valid under the read-only
-// contract.
+// absent or holds no such states (or only empty vectors). Like any change
+// to a cached entry it swaps in a successor holding corrupted copies, so
+// tables and value slices handed out earlier stay as they were.
 func (c *Cache) CorruptEntryForTest(fp string, keys ...string) int {
+	flip := func(vals []float64) []float64 {
+		bad := append([]float64(nil), vals...)
+		bad[0] = math.Float64frombits(math.Float64bits(bad[0]) ^ 1)
+		return bad
+	}
 	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for f, gt := range sh.entries {
-			if fp != "" && f != fp {
-				continue
+	for _, gt := range c.Snapshot() {
+		if fp != "" && gt.Fingerprint != fp {
+			continue
+		}
+		hit := 0
+		c.update(gt.Fingerprint, func(cur *GroupTable) *GroupTable {
+			hit = 0
+			if cur == nil {
+				return nil
 			}
-			for i, s := range gt.states {
+			next := cur.successor()
+			for i, s := range next.states {
 				if len(s.Vals) == 0 || (len(keys) > 0 && !slices.Contains(keys, s.State.Key())) {
 					continue
 				}
-				bad := append([]float64(nil), s.Vals...)
-				bad[0] = math.Float64frombits(math.Float64bits(bad[0]) ^ 1)
-				gt.states[i] = &CachedState{
-					State: s.State, Vals: bad,
+				next.states[i] = &CachedState{
+					State: s.State, Vals: flip(s.Vals),
 					PositiveInput: s.PositiveInput, checksum: s.checksum,
 				}
-				n++
+				hit++
 			}
-			if len(keys) > 0 {
-				continue
-			}
-			for i, f := range gt.finals {
-				if len(f.vals) == 0 {
-					continue
+			for i, fin := range next.finals {
+				if len(keys) == 0 && len(fin.vals) > 0 {
+					bad := *fin
+					bad.vals = flip(fin.vals)
+					next.finals[i] = &bad
 				}
-				bad := append([]float64(nil), f.vals...)
-				bad[0] = math.Float64frombits(math.Float64bits(bad[0]) ^ 1)
-				gt.finals[i].vals = bad
 			}
-		}
-		sh.mu.Unlock()
+			return next
+		})
+		n += hit
 	}
 	return n
 }

@@ -192,6 +192,36 @@ func TestEviction(t *testing.T) {
 	}
 }
 
+// TestCacheBytesIsABound: the byte budget bounds the whole cache, not a
+// share of it per stripe. 64 entries of about 121 KB against 1 MiB leave
+// the most recent ones that fit, and the bytes accounted stay within the
+// budget.
+func TestCacheBytesIsABound(t *testing.T) {
+	const budget, groups = 1 << 20, 5000
+	c := New(budget)
+	var size int64
+	for i := 0; i < 64; i++ {
+		gt := mkGT(fmt.Sprintf("fp%d", i), groups)
+		_ = gt.AddState(&CachedState{State: st(canonical.OpSum, "x"), Vals: make([]float64, groups)})
+		size = c.Put(gt).bytes()
+	}
+	s := c.Stats()
+	if s.Bytes > budget {
+		t.Errorf("%d entries account %d bytes against a budget of %d", s.Entries, s.Bytes, budget)
+	}
+	if fit := budget / size; s.Entries != fit || s.Bytes != fit*size {
+		t.Errorf("cache holds %d entries in %d bytes, want the %d of %d bytes that fit", s.Entries, s.Bytes, fit, size)
+	}
+	for i, gt := range c.Snapshot() {
+		if want := fmt.Sprintf("fp%d", 63-i); gt.Fingerprint != want {
+			t.Errorf("entry %d by recency is %s, want %s", i, gt.Fingerprint, want)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestToTable(t *testing.T) {
 	gt := mkGT("fp", 3)
 	_ = gt.AddState(&CachedState{State: st(canonical.OpSum, "x"), Vals: []float64{1, 2, 3}})
@@ -242,7 +272,7 @@ func TestMergeDeltaGroupSets(t *testing.T) {
 	}
 
 	dk, dc := deltaCol(2, 0)
-	same, err := MergeDelta(prev.SnapshotEntry(), "fp@2", dk, dc,
+	same, err := MergeDelta(prev, "fp@2", dk, dc,
 		map[string][]float64{sum.Key(): {10, 20}}, map[string]bool{sum.Key(): true}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +288,7 @@ func TestMergeDeltaGroupSets(t *testing.T) {
 	}
 
 	dk, dc = deltaCol(7, 1)
-	grown, err := MergeDelta(same.SnapshotEntry(), "fp@3", dk, dc,
+	grown, err := MergeDelta(same, "fp@3", dk, dc,
 		map[string][]float64{sum.Key(): {100, 200}}, map[string]bool{sum.Key(): true}, nil)
 	if err != nil {
 		t.Fatal(err)

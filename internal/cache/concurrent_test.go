@@ -1,6 +1,6 @@
 package cache
 
-// Randomized concurrency property tests for the striped cache. The
+// Randomized concurrency property tests for the cache. The
 // properties checked:
 //
 //   - byte accounting never goes negative and matches entry sizes at
@@ -75,9 +75,9 @@ func putShared(c *Cache, fpIdx int) {
 }
 
 func TestConcurrentCacheProperty(t *testing.T) {
-	// Small budget: with ~20 fingerprints of ~1.2 KiB spread over 8
-	// shards, eviction churns constantly.
-	c := newSharded(64*1024, 8)
+	// Small budget: ~20 fingerprints of ~1.2 KiB against 16 KiB, so
+	// eviction churns constantly.
+	c := New(16 * 1024)
 
 	const goroutines = 8
 	const opsPerG = 400
@@ -177,7 +177,7 @@ func TestConcurrentCacheProperty(t *testing.T) {
 // leaves counters consistent once traffic stops: counters never go
 // negative and the quiescent balance invariant holds.
 func TestConcurrentResetStats(t *testing.T) {
-	c := newSharded(1<<20, 4)
+	c := New(1 << 20)
 	putExact(c, 0, 2)
 
 	var wg sync.WaitGroup
@@ -212,7 +212,7 @@ func TestConcurrentResetStats(t *testing.T) {
 // goroutines (the merge-into-existing-entry path) and checks the entry
 // ends structurally sound with correct byte accounting.
 func TestConcurrentPutSameFingerprint(t *testing.T) {
-	c := newSharded(1<<20, 4)
+	c := New(1 << 20)
 	var wg sync.WaitGroup
 	for gi := 0; gi < 8; gi++ {
 		wg.Add(1)
@@ -245,58 +245,51 @@ func TestConcurrentPutSameFingerprint(t *testing.T) {
 	}
 }
 
-// TestLookupAllIsOneCriticalSection pins the atomicity of the lookup
-// half: the entry and every wanted state are read under one hold of the
-// shard lock, so no Put can land between them. The guard callback is the
-// seam — it runs between the entry fetch and each state's resolution, and
-// when it finds the shard lock free it plays the concurrent query whose
-// Put used to slip in there, leaving states served with no entry to
-// order them.
-func TestLookupAllIsOneCriticalSection(t *testing.T) {
+// TestLookupAllReadsOneEntry pins the atomicity of the lookup half: the
+// wanted states and finals are all read from the one entry it fetched, so
+// a Put landing between them can neither leave states served with no
+// entry to order them nor mix two entries' values. The guard callback is
+// the seam: after each step it plays the concurrent query whose Put
+// replaces the entry with another group set. The cache's lock is free at
+// every step, since the lookup holds it only for the fetch.
+func TestLookupAllReadsOneEntry(t *testing.T) {
 	c := New(0)
 	s := st(canonical.OpSum, "x")
-	unlocked := 0
-	guard := func(_ string, f func()) {
-		f()
-		if sh := c.shardFor("fp"); sh.mu.TryLock() {
-			sh.mu.Unlock()
-			unlocked++
-			gt := mkGT("fp", 2)
-			_ = gt.AddState(&CachedState{State: s, Vals: []float64{1, 2}})
-			c.Put(gt)
-		}
-	}
-	look := c.LookupAll("fp", []canonical.State{s}, []bool{true}, nil, nil, guard)
-	if unlocked > 0 {
-		t.Errorf("the shard lock was free at %d of the lookup's steps", unlocked)
-	}
-	if look.Entry == nil && look.Vals[0] != nil {
-		t.Error("a state was served without the entry that orders its values")
-	}
-
-	// A lookup that also wants a memoized column reads it in the same hold:
-	// the guard sees the final's step too, still with the lock taken.
 	gt := mkGT("fp", 2)
 	_ = gt.AddState(&CachedState{State: s, Vals: []float64{1, 2}})
-	c.StoreFinal(c.Put(gt), "t", []float64{7, 8}, []uint64{ChecksumVals([]float64{1, 2})})
-	steps := 0
-	counting := func(stage string, f func()) { steps++; guard(stage, f) }
-	look = c.LookupAll("fp", []canonical.State{s}, []bool{true}, []FinalWant{{T: "t", Src: []int{0}}}, nil, counting)
-	if unlocked > 0 {
-		t.Errorf("the shard lock was free at %d of the steps of a lookup wanting a final", unlocked)
+	entry := c.StoreFinal(c.Put(gt), "t", []float64{7, 8}, []uint64{ChecksumVals([]float64{1, 2})})
+	steps, locked := 0, 0
+	guard := func(_ string, f func()) {
+		f()
+		steps++
+		if c.mu.TryLock() {
+			c.mu.Unlock()
+		} else {
+			locked++
+		}
+		repl := mkGT("fp", 3)
+		_ = repl.AddState(&CachedState{State: s, Vals: []float64{5, 6, 7}})
+		c.Put(repl)
 	}
-	if steps != 3 || look.Finals[0] == nil || look.Finals[0][1] != 8 {
-		t.Errorf("want entry, state and final steps and the stored column; got %d steps, final %v", steps, look.Finals[0])
+	look := c.LookupAll("fp", []canonical.State{s}, []bool{true}, []FinalWant{{T: "t", Src: []int{0}}}, nil, guard)
+	if locked > 0 {
+		t.Errorf("the cache's lock was held at %d of the lookup's steps", locked)
+	}
+	if steps != 3 || look.Entry != entry {
+		t.Fatalf("want entry, state and final steps over the fetched entry; got %d steps, entry %p (fetched %p)", steps, look.Entry, entry)
+	}
+	if look.Vals[0] == nil || look.Vals[0][1] != 2 || look.Finals[0] == nil || look.Finals[0][1] != 8 {
+		t.Errorf("served state %v and final %v, want the fetched entry's [1 2] and [7 8]", look.Vals[0], look.Finals[0])
+	}
+	if now, _ := entryOf(c, "fp"); now == nil || now.NumGroups() != 3 {
+		t.Error("the concurrent Put did not replace the entry")
 	}
 }
 
-// entryBytes reads a fingerprint's entry size and state count under its
-// shard lock (0, 0 when absent).
+// entryBytes reads a fingerprint's entry size and state count (0, 0 when
+// absent).
 func entryBytes(c *Cache, fp string) (int64, int) {
-	sh := c.shardFor(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if gt, ok := sh.entries[fp]; ok {
+	if gt := c.entry(fp, false); gt != nil {
 		return gt.bytes(), len(gt.states)
 	}
 	return 0, 0
@@ -307,7 +300,7 @@ func entryBytes(c *Cache, fp string) (int64, int) {
 // lookup computes r(s) into its own result and writes nothing, so the
 // entry keeps its one state and its bytes however many hits it serves.
 func TestConcurrentSharedReadsLeaveTheEntry(t *testing.T) {
-	c := newSharded(1<<20, 2)
+	c := New(1 << 20)
 	putShared(c, 0)
 	bytes, states := entryBytes(c, "sh0")
 	stop := make(chan struct{})
@@ -321,7 +314,7 @@ func TestConcurrentSharedReadsLeaveTheEntry(t *testing.T) {
 				return
 			default:
 			}
-			putShared(c, 0) // the same state and values: merged in place
+			putShared(c, 0) // the same state and values: merged into a successor
 			putExact(c, i%8, 1+i%4)
 		}
 	}()

@@ -23,7 +23,7 @@ func finalFixture(t *testing.T, c *Cache) (src []canonical.State, srcVals [][]fl
 	}
 	entry := c.Put(gt)
 	col = []float64{10, 20, 30}
-	if !c.StoreFinal(entry, "t", col, sumsOf(srcVals)) {
+	if c.StoreFinal(entry, "t", col, sumsOf(srcVals)) == nil {
 		t.Fatal("StoreFinal refused the live entry")
 	}
 	return src, srcVals, col
@@ -181,17 +181,17 @@ func TestStoreFinalNeedsTheLiveEntry(t *testing.T) {
 	if c.Put(repl) != repl {
 		t.Fatal("a table with another group set must replace the entry")
 	}
-	if c.StoreFinal(old, "t2", col, sumsOf(srcVals)) {
+	if c.StoreFinal(old, "t2", col, sumsOf(srcVals)) != nil {
 		t.Error("StoreFinal stored into a replaced entry")
 	}
 	if len(repl.finals) != 0 {
 		t.Error("the replacement inherited finals")
 	}
-	if c.StoreFinal(repl, "t", col, sumsOf(srcVals)) {
+	if c.StoreFinal(repl, "t", col, sumsOf(srcVals)) != nil {
 		t.Error("StoreFinal accepted a column of the wrong length")
 	}
 	c.Remove("fp")
-	if c.StoreFinal(repl, "t", []float64{1, 2, 3, 4}, nil) {
+	if c.StoreFinal(repl, "t", []float64{1, 2, 3, 4}, nil) != nil {
 		t.Error("StoreFinal stored into a removed entry")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -199,10 +199,34 @@ func TestStoreFinalNeedsTheLiveEntry(t *testing.T) {
 	}
 }
 
+// TestStoreFinalLandsInASuccessor: a merge that lands between a query's
+// lookup and its StoreFinal swaps in a successor sharing the entry's keys,
+// and the column is stored there instead of being lost.
+func TestStoreFinalLandsInASuccessor(t *testing.T) {
+	c := New(0)
+	src, srcVals, _ := finalFixture(t, c)
+	read, _ := entryOf(c, "fp")
+	more := mkGT("fp", 3)
+	_ = more.AddState(&CachedState{State: st(canonical.OpSum, "y"), Vals: []float64{1, 1, 1}})
+	if merged := c.Put(more); merged == read || merged == more {
+		t.Fatal("Put did not merge into a successor")
+	}
+	col := []float64{4, 5, 6}
+	if c.StoreFinal(read, "t2", col, sumsOf(srcVals)) == nil {
+		t.Fatal("StoreFinal lost the column to a concurrent merge")
+	}
+	if got := lookupFinal(c, "t2", src); len(got) != 3 || &got[0] != &col[0] {
+		t.Errorf("final stored beside a merge not served: %v", got)
+	}
+	if lookupFinal(c, "t", src) == nil {
+		t.Error("the successor dropped the earlier final")
+	}
+}
+
 func TestMergeDeltaSuccessorHasNoFinals(t *testing.T) {
 	c := New(0)
 	src, _, _ := finalFixture(t, c)
-	var prev EntrySnapshot
+	var prev *GroupTable
 	for _, e := range c.Snapshot() {
 		prev = e
 	}
@@ -221,7 +245,7 @@ func TestMergeDeltaSuccessorHasNoFinals(t *testing.T) {
 }
 
 func TestFinalsRideTheByteBudget(t *testing.T) {
-	c := newSharded(6000, 1) // one shard; a 64-group, one-state entry is 2560 bytes
+	c := New(6000) // a 64-group, one-state entry is 2560 bytes
 	col := make([]float64, 64)
 	put := func(fp string) *GroupTable {
 		gt := mkGT(fp, 64)
@@ -230,7 +254,7 @@ func TestFinalsRideTheByteBudget(t *testing.T) {
 	}
 	a, b := put("a"), put("b")
 	before := a.bytes()
-	if !c.StoreFinal(a, "t", col, nil) {
+	if a = c.StoreFinal(a, "t", col, nil); a == nil {
 		t.Fatal("StoreFinal refused")
 	}
 	if a.bytes() != before+64*8 {
@@ -238,14 +262,14 @@ func TestFinalsRideTheByteBudget(t *testing.T) {
 	}
 	// Growing "b" past the budget evicts "a", finals and all; "b" itself stays.
 	for i := 0; c.Stats().Evictions == 0; i++ {
-		if i > 8 || !c.StoreFinal(b, strings.Repeat("t", i+1), col, nil) {
+		if b = c.StoreFinal(b, strings.Repeat("t", i+1), col, nil); i > 8 || b == nil {
 			t.Fatal("the budget never evicted the older entry")
 		}
 	}
 	if _, ok := entryOf(c, "a"); ok {
 		t.Error("the entry over budget was not the one evicted")
 	}
-	if c.StoreFinal(a, "t", col, nil) {
+	if c.StoreFinal(a, "t", col, nil) != nil {
 		t.Error("StoreFinal stored into an evicted entry")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -257,7 +281,7 @@ func TestFinalsRideTheByteBudget(t *testing.T) {
 // lookup's result and writes nothing, so a read-only workload leaves the
 // byte accounting, the entry's states and the eviction count as they were.
 func TestLookupAllNeverGrowsAnEntry(t *testing.T) {
-	c := newSharded(6000, 1) // one shard; a 64-group, one-state entry is 2560 bytes
+	c := New(6000) // a 64-group, one-state entry is 2560 bytes
 	vals := make([]float64, 64)
 	for i := range vals {
 		vals[i] = float64(i + 1)
@@ -268,8 +292,7 @@ func TestLookupAllNeverGrowsAnEntry(t *testing.T) {
 		_ = gt.AddState(&CachedState{State: base, Vals: vals, PositiveInput: true})
 		c.Put(gt)
 	}
-	sh := c.shards[0]
-	bytes, evictions := sh.curBytes, c.Stats().Evictions
+	bytes, evictions := c.Stats().Bytes, c.Stats().Evictions
 	// Σ k·x = k·Σ x: every k is a shared hit on "a".
 	for k := 2; k <= 9; k++ {
 		want := st(canonical.OpSum, "x", scalar.Linear(float64(k)))
@@ -281,8 +304,8 @@ func TestLookupAllNeverGrowsAnEntry(t *testing.T) {
 			t.Errorf("k=%d: group 9 served %v, want %d", k, got[9], k*10)
 		}
 	}
-	if sh.curBytes != bytes {
-		t.Errorf("shared hits moved the shard's bytes from %d to %d", bytes, sh.curBytes)
+	if got := c.Stats().Bytes; got != bytes {
+		t.Errorf("shared hits moved the cache's bytes from %d to %d", bytes, got)
 	}
 	if got := c.Stats().Evictions; got != evictions {
 		t.Errorf("shared hits evicted %d entries", got-evictions)
@@ -315,7 +338,7 @@ func TestFinalOverASharedSource(t *testing.T) {
 		t.Fatalf("first lookup: %d shared, final %v", first.Shared, first.Finals[0])
 	}
 	col := []float64{1, 1, 3, 6}
-	if !c.StoreFinal(entry, "t", col, []uint64{ChecksumVals(first.Vals[0])}) {
+	if c.StoreFinal(entry, "t", col, []uint64{ChecksumVals(first.Vals[0])}) == nil {
 		t.Fatal("StoreFinal refused the live entry")
 	}
 	if !c.ProbeFinal("fp", want, []bool{true}, fw[0]) {

@@ -135,9 +135,9 @@ func TestQuickLookupNeverLies(t *testing.T) {
 		st2 := canonical.State{Op: canonical.OpSum, F: scalar.NewChain(scalar.PowerP(e2), scalar.Linear(a2)), Base: &expr.Var{Name: "x"}}
 		cand = st2.Key()
 
-		// One stripe, so "fp" and "other" share an LRU order a touch
-		// would visibly reorder.
-		c := newSharded(0, 1)
+		// "fp" and "other" share the LRU order, which a touch would
+		// visibly reorder.
+		c := New(0)
 		keys := make([]GroupKey, groups)
 		kc := storage.NewColumn("g", storage.KindInt)
 		for g := 0; g < groups; g++ {
@@ -176,25 +176,25 @@ func TestQuickLookupNeverLies(t *testing.T) {
 			return false
 		}
 
-		stats, order := c.Stats(), append([]string(nil), c.shards[0].order...)
+		stats, order := c.Stats(), recency(c)
 		decisions = 0
 		pr := c.Probe("fp", st1, true)
 		if decisions > 1 {
 			return false // one cached candidate: at most one direct decision
 		}
-		if c.Stats() != stats || gt.NumStates() != states || !reflect.DeepEqual(c.shards[0].order, order) {
+		if c.Stats() != stats || c.entry("fp", false).NumStates() != states || !reflect.DeepEqual(recency(c), order) {
 			return false // Probe must be free of observable side effects
 		}
 		decisions = 0
 		got, kind, ok := lookupKind(c, "fp", st1, true)
-		if decisions > 1 || kind != pr.Kind || gt.NumStates() != states {
+		if decisions > 1 || kind != pr.Kind || c.entry("fp", false).NumStates() != states {
 			return false
 		}
 		kinds[kind]++
 		want := evalState(e1, a1)
 		if !ok {
 			// A miss is always safe; it only happens when e1 ≠ e2.
-			return e1 != e2 && unwantedCorruptionIsLazy(c, gt, corrupt)
+			return e1 != e2 && unwantedCorruptionIsLazy(c, corrupt)
 		}
 		for g := range want {
 			diff := got[g] - want[g]
@@ -210,7 +210,7 @@ func TestQuickLookupNeverLies(t *testing.T) {
 			return false
 		}
 		again, kind2, _ := lookupKind(c, "fp", st1, true)
-		if kind2 != kind || gt.NumStates() != states {
+		if kind2 != kind || c.entry("fp", false).NumStates() != states {
 			return false
 		}
 		for g := range got {
@@ -218,7 +218,7 @@ func TestQuickLookupNeverLies(t *testing.T) {
 				return false
 			}
 		}
-		return unwantedCorruptionIsLazy(c, gt, corrupt)
+		return unwantedCorruptionIsLazy(c, corrupt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -229,24 +229,33 @@ func TestQuickLookupNeverLies(t *testing.T) {
 }
 
 // unwantedCorruptionIsLazy checks that the corrupt states no lookup wanted
-// have cost nothing so far, then that wanting each one misses, drops it
-// and records exactly one event.
-func unwantedCorruptionIsLazy(c *Cache, gt *GroupTable, corrupt []string) bool {
+// under "fp" have cost nothing so far, then that wanting each one misses,
+// drops it and records exactly one event.
+func unwantedCorruptionIsLazy(c *Cache, corrupt []string) bool {
 	if c.Stats().Corruptions != 0 || len(c.DrainEvents()) != 0 {
 		return false
 	}
-	states := gt.NumStates()
+	states := c.entry("fp", false).NumStates()
 	for i, key := range corrupt {
-		cs, ok := gt.Exact(key)
+		cs, ok := c.entry("fp", false).Exact(key)
 		if !ok {
 			return false
 		}
 		if _, hit := lookup(c, "fp", cs.State, true); hit {
 			return false
 		}
-		if c.Stats().Corruptions != int64(i+1) || len(c.DrainEvents()) != 1 || gt.NumStates() != states-i-1 {
+		if c.Stats().Corruptions != int64(i+1) || len(c.DrainEvents()) != 1 || c.entry("fp", false).NumStates() != states-i-1 {
 			return false
 		}
 	}
 	return true
+}
+
+// recency lists the cached fingerprints, most recently used first.
+func recency(c *Cache) []string {
+	var fps []string
+	for _, gt := range c.Snapshot() {
+		fps = append(fps, gt.Fingerprint)
+	}
+	return fps
 }

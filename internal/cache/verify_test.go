@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sudaf/internal/canonical"
@@ -13,10 +15,13 @@ import (
 // wideEntry caches a 35-state, 200-group entry under "fp": Σx^k for
 // k = 1..23 (a moment sketch's power sums) then Σy^k for k = 1..12. It
 // returns the states in entry order.
-func wideEntry(t testing.TB, c *Cache) []canonical.State {
+func wideEntry(t testing.TB, c *Cache) []canonical.State { return wideEntryAt(t, c, "fp") }
+
+// wideEntryAt is wideEntry under the fingerprint fp.
+func wideEntryAt(t testing.TB, c *Cache, fp string) []canonical.State {
 	t.Helper()
 	const groups = 200
-	gt := mkGT("fp", groups)
+	gt := mkGT(fp, groups)
 	var states []canonical.State
 	for _, b := range []struct {
 		base string
@@ -301,4 +306,40 @@ func BenchmarkLookupAll(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLookupAllParallel times the 23-state moment-sketch read from
+// every CPU at once, each goroutine on its own fingerprint ("distinct")
+// and all of them on one ("hot"): what the cache's lock costs readers.
+func BenchmarkLookupAllParallel(b *testing.B) {
+	const entries = 64
+	c := New(0)
+	var states []canonical.State
+	for i := 0; i < entries; i++ {
+		states = wideEntryAt(b, c, fmt.Sprintf("fp%d", i))[:23]
+	}
+	pos := make([]bool, len(states))
+	for i := range pos {
+		pos[i] = true
+	}
+	for _, bc := range []struct {
+		name     string
+		distinct bool
+	}{{"distinct", true}, {"hot", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var next atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				fp := "fp0"
+				if bc.distinct {
+					fp = fmt.Sprintf("fp%d", next.Add(1)%entries)
+				}
+				for pb.Next() {
+					if c.LookupAll(fp, states, pos, nil, nil, nil).Misses != 0 {
+						b.Error("miss")
+						return
+					}
+				}
+			})
+		})
+	}
 }

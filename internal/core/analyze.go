@@ -666,7 +666,8 @@ func (ps *planState) memoizeFinishers(ctx context.Context, gr *exec.GroupResult,
 			for j, si := range bc.states {
 				sums[j] = cache.ChecksumVals(gr.Values[ps.slots[si].finalIdx])
 			}
-			ps.guard("final insert", func() { ps.qc.cache.StoreFinal(into, bc.form.HardTKey, col, sums) })
+			// Each store swaps in a successor entry; the next stores into it.
+			ps.guard("final insert", func() { into = ps.qc.cache.StoreFinal(into, bc.form.HardTKey, col, sums) })
 		}
 		idx := len(gr.Values)
 		gr.Values = append(gr.Values, col)

@@ -310,7 +310,8 @@ func (s *Session) QueryBatch(ctx context.Context, reqs []Request, mode Mode) (_ 
 	// One snapshot pair for planning, fused scans and every replay: the
 	// whole batch sees one version of every table and one cache, so
 	// concurrent appends never split a batch across data versions.
-	qc := &queryCtx{cat: s.cat.Snapshot(), cache: s.stateCache()}
+	qc := &queryCtx{cat: s.pin(), cache: s.stateCache()}
+	defer s.unpin()
 	plan, err := s.planBatch(ctx, qc, stmts, mode)
 	if err != nil {
 		return nil, err

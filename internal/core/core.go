@@ -27,12 +27,12 @@
 // (parse tree, canonicalization, rewrite plan, result assembly, and a
 // catalog overlay for materialized subquery temporaries); the shared
 // structures are an RWMutex-guarded registry (UDAFs, views, policies), a
-// striped state cache swapped atomically by ClearCache, and atomic
-// engine counters. The lock hierarchy is flat: Session.mu is never held
-// across engine execution or cache shard locks, and cache shard locks
-// never nest. Options.MaxConcurrentQueries adds admission control so a
-// burst of clients queues (context-aware) instead of oversubscribing the
-// morsel scheduler.
+// state cache swapped atomically by ClearCache, and atomic engine
+// counters. The lock hierarchy is flat: Session.mu is never held across
+// engine execution or the cache's lock, which nests nothing.
+// Options.MaxConcurrentQueries adds admission control so a burst of
+// clients queues (context-aware) instead of oversubscribing the morsel
+// scheduler.
 package core
 
 import (
@@ -205,6 +205,12 @@ type Session struct {
 	// snapshot instead, so ingestion and querying overlap freely.
 	ingestMu sync.Mutex
 
+	// pinned counts the catalog snapshots queries and batches hold. Append
+	// publishes under pinMu: zero there means no reader can reach a
+	// superseded version.
+	pinMu  sync.Mutex
+	pinned int
+
 	// cache is swapped atomically by ClearCache; each query snapshots it
 	// once, so an in-flight query keeps one coherent cache for its whole
 	// lifetime even across a concurrent clear.
@@ -323,6 +329,22 @@ func NewSession(opts Options) *Session {
 		}
 	}
 	return s
+}
+
+// pin takes the catalog snapshot a query or batch runs against, held
+// until the matching unpin.
+func (s *Session) pin() *catalog.Catalog {
+	s.pinMu.Lock()
+	defer s.pinMu.Unlock()
+	s.pinned++
+	return s.cat.Snapshot()
+}
+
+// unpin releases a snapshot taken by pin.
+func (s *Session) unpin() {
+	s.pinMu.Lock()
+	s.pinned--
+	s.pinMu.Unlock()
 }
 
 // Catalog exposes the session's catalog.

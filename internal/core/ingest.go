@@ -46,13 +46,12 @@ type maintRec struct {
 
 // viewMaint is the maintenance state of one materialized view: the view
 // (whose key holds the base-table versions its contents reflect), its
-// defining statement, and an eviction-independent snapshot of its
-// per-group state values (the cache may drop the view's entry at any
-// time; the view table itself must stay maintainable).
+// defining statement, and its per-group state values, held here because
+// the cache may drop the view's entry at any time.
 type viewMaint struct {
 	view *rewrite.View
 	stmt *sqlparse.Stmt
-	snap cache.EntrySnapshot
+	snap *cache.GroupTable
 }
 
 // AppendResult reports what one append batch did: the rows ingested, the
@@ -94,23 +93,20 @@ type AppendResult struct {
 // the delta's per-group states ⊕-merged in and moves to the post-append
 // fingerprint, and every materialized view over the table is rebuilt the
 // same way — no base-data rescan in either case. Unmaintainable entries
-// and views are invalidated, each with an AppendResult.Events note.
+// and views are invalidated, each with an AppendResult.Events note. An
+// append whose ctx is done before publish returns an ErrCanceled error
+// and publishes, invalidates and counts nothing.
 //
 // Appends are serialized per session; Append is safe to call
 // concurrently with queries and other appends.
-func (s *Session) Append(ctx context.Context, table string, delta *storage.Table) (res *AppendResult, err error) {
+func (s *Session) Append(ctx context.Context, table string, delta *storage.Table) (_ *AppendResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if delta == nil {
 		return nil, fmt.Errorf("append to %s: nil delta", table)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = fmt.Errorf("append to %s panicked (recovered): %v", table, r)
-		}
-	}()
+	defer sealOutcome("append to "+table, &err)
 	// Lifecycle gate: a closed (draining) session rejects new appends;
 	// admitted ones are tracked so Close waits for the maintenance pass
 	// and the version publish to finish.
@@ -120,6 +116,9 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 	defer s.endOp()
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("append to %s: %w", table, err)
+	}
 
 	s.mu.RLock()
 	_, isView := s.views[table]
@@ -131,7 +130,7 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 	if err != nil {
 		return nil, err
 	}
-	res = &AppendResult{Table: table, OldEpoch: old.Epoch, NewEpoch: old.Epoch}
+	res := &AppendResult{Table: table, OldEpoch: old.Epoch, NewEpoch: old.Epoch}
 	if err := delta.Validate(); err != nil {
 		return nil, fmt.Errorf("append to %s: %w", table, err)
 	}
@@ -209,6 +208,9 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 		}
 		n, err := s.migrateEntry(ctx, c, snap, mr, deltaCat, postCat)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, err
+			}
 			invalidate(snap.Fingerprint, fmt.Sprintf("not delta-maintainable (%v)", err))
 			continue
 		}
@@ -218,33 +220,45 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 
 	// Materialized views over the table: same monoid fold, applied to the
 	// view's own state snapshot, then re-materialized as a fresh table
-	// version. Failures drop the view (a stale view must never answer a
-	// roll-up or a direct query).
+	// version, published with the table below. Failures drop the view (a
+	// stale view must never answer a roll-up or a direct query).
 	s.mu.RLock()
 	vms := make(map[string]*viewMaint, len(s.viewMaints))
 	for n, vm := range s.viewMaints {
 		vms[n] = vm
 	}
 	s.mu.RUnlock()
+	type viewOutcome struct {
+		name string
+		nvm  *viewMaint
+		err  error
+	}
+	var views []viewOutcome
 	for name, vm := range vms {
 		if key := &vm.view.Key; !key.Reads(table, old.Epoch) || !key.Current(s.cat) {
 			continue
 		}
 		nvm, verr := s.maintainView(ctx, vm, deltaCat, postCat)
-		if verr == nil {
-			verr = s.cat.Register(nvm.view.Table)
+		views = append(views, viewOutcome{name, nvm, verr})
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("append to %s: %w", table, err)
+	}
+	for _, v := range views {
+		if v.err == nil {
+			v.err = s.cat.Register(v.nvm.view.Table)
 		}
-		if verr != nil {
-			s.DropView(name)
-			ev := fmt.Sprintf("ingest: %s@%d→%d: view %s not delta-maintainable (%v); dropped", table, res.OldEpoch, res.NewEpoch, name, verr)
+		if v.err != nil {
+			s.DropView(v.name)
+			ev := fmt.Sprintf("ingest: %s@%d→%d: view %s not delta-maintainable (%v); dropped", table, res.OldEpoch, res.NewEpoch, v.name, v.err)
 			res.Events = append(res.Events, ev)
 			c.AddEvent(ev)
 			res.ViewsInvalidated++
 			continue
 		}
 		s.mu.Lock()
-		s.views[name] = nvm.view
-		s.viewMaints[name] = nvm
+		s.views[v.name] = v.nvm.view
+		s.viewMaints[v.name] = v.nvm
 		s.mu.Unlock()
 		res.ViewsMaintained++
 	}
@@ -258,9 +272,23 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 	// Publish: from here on, new snapshots pin the new version. In-flight
 	// queries keep the old one, and keep hitting its epoch-qualified
 	// cache entries (migration copies, never mutates or removes them);
-	// entries invalidated above recompute — never read stale state.
-	if err := s.cat.Register(newTbl); err != nil {
+	// entries invalidated above recompute — never read stale state. With
+	// no snapshot pinned before the publish, no query can reach an entry
+	// of a superseded version, so those go now instead of waiting for
+	// the LRU.
+	s.pinMu.Lock()
+	err = s.cat.Register(newTbl)
+	unpinned := s.pinned == 0
+	s.pinMu.Unlock()
+	if err != nil {
 		return nil, fmt.Errorf("append to %s: publish: %w", table, err)
+	}
+	if unpinned {
+		for _, gt := range c.Snapshot() {
+			if mr, ok := gt.Maint.(*maintRec); ok && !mr.key.Current(s.cat) {
+				c.Remove(gt.Fingerprint)
+			}
+		}
 	}
 	// Notify continuous subscriptions after publish, still under
 	// ingestMu: one note per append, in append order (the FIFO /
@@ -351,23 +379,18 @@ func (s *Session) runDeltaStates(ctx context.Context, dc *catalog.Catalog, stmt 
 }
 
 // migrateEntry delta-maintains one cache entry: computes its states on
-// the delta rows, ⊕-merges them into the snapshot, and installs the
-// result under the post-append fingerprint. It returns the number of
-// states maintained.
-//
-// The superseded entry is deliberately left in place. Fingerprints are
-// epoch-qualified, so it can never serve a query over newer data — but a
-// batch (or any in-flight query) pinned to the pre-append snapshot may
-// still hit it, and must: a maintained entry's ⊕-merged values differ in
-// the last ulp from a cold rescan's fold, so evicting it mid-batch would
-// let two identical queries in one batch disagree bit-for-bit. Later
-// appends skip it (its maintenance record no longer matches) and the LRU
-// reclaims it under budget pressure.
-func (s *Session) migrateEntry(ctx context.Context, c *cache.Cache, snap cache.EntrySnapshot,
+// the delta rows, ⊕-merges them into the entry, and installs the result
+// under the post-append fingerprint. It returns the number of states
+// maintained. The superseded entry stays for any query pinned to the
+// pre-append snapshot: a maintained entry's ⊕-merged values differ in the
+// last ulp from a cold rescan's fold, so dropping it mid-batch would let
+// two identical queries in one batch disagree bit-for-bit. Append drops
+// it at publish when no such query exists, the LRU otherwise.
+func (s *Session) migrateEntry(ctx context.Context, c *cache.Cache, snap *cache.GroupTable,
 	mr *maintRec, deltaCat, postCat *catalog.Catalog) (int, error) {
 
-	states := make([]canonical.State, len(snap.States))
-	for i, cs := range snap.States {
+	states := make([]canonical.State, len(snap.States()))
+	for i, cs := range snap.States() {
 		states[i] = cs.State
 	}
 	gr, vals, pos, err := s.runDeltaStates(ctx, deltaCat, mr.stmt, states)
@@ -393,8 +416,8 @@ func (s *Session) migrateEntry(ctx context.Context, c *cache.Cache, snap cache.E
 func (s *Session) maintainView(ctx context.Context, vm *viewMaint,
 	deltaCat, postCat *catalog.Catalog) (*viewMaint, error) {
 
-	states := make([]canonical.State, len(vm.snap.States))
-	for i, cs := range vm.snap.States {
+	states := make([]canonical.State, len(vm.snap.States()))
+	for i, cs := range vm.snap.States() {
 		states[i] = cs.State
 	}
 	gr, vals, pos, err := s.runDeltaStates(ctx, deltaCat, vm.stmt, states)
@@ -417,5 +440,5 @@ func (s *Session) maintainView(ctx context.Context, vm *viewMaint,
 	if err := v.Table.Validate(); err != nil {
 		return nil, err
 	}
-	return &viewMaint{view: &v, stmt: vm.stmt, snap: merged.SnapshotEntry()}, nil
+	return &viewMaint{view: &v, stmt: vm.stmt, snap: merged}, nil
 }

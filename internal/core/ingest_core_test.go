@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"sudaf/internal/cache"
 	"sudaf/internal/canonical"
+	"sudaf/internal/errs"
+	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
 )
 
@@ -132,4 +136,140 @@ func TestAppendToDimension(t *testing.T) {
 		t.Fatal(err)
 	}
 	tablesEqual(t, qres.Table, base.Table, "post-dimension-append share vs baseline")
+}
+
+// superseded lists the cached entries whose maintenance record names a
+// table version the catalog no longer serves.
+func superseded(s *Session) []string {
+	var fps []string
+	for _, gt := range s.stateCache().Snapshot() {
+		if mr, ok := gt.Maint.(*maintRec); ok && !mr.key.Current(s.cat) {
+			fps = append(fps, gt.Fingerprint)
+		}
+	}
+	return fps
+}
+
+// TestAppendCanceledPublishesNothing: an append whose context is already
+// canceled or past its deadline fails with ErrCanceled before touching
+// anything — no new version, no invalidated or migrated entry, no dropped
+// or maintained view, no IngestStats count.
+func TestAppendCanceledPublishesNothing(t *testing.T) {
+	s := newTestSession(t, 500, 2)
+	const qv = "SELECT ss_store_sk, sum(ss_sales_price) FROM store_sales GROUP BY ss_store_sk"
+	if err := s.Materialize("by_store", qv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query(q1, ModeShare); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := s.cat.Table("store_sales")
+	entries, stats := len(s.stateCache().Snapshot()), s.IngestStats()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"canceled": canceled, "expired": expired} {
+		res, err := s.Append(ctx, "store_sales", salesDelta(10))
+		if !errors.Is(err, errs.ErrCanceled) || res != nil {
+			t.Fatalf("%s: Append = %v, %v; want an ErrCanceled error", name, res, err)
+		}
+		if now, _ := s.cat.Table("store_sales"); now != before {
+			t.Errorf("%s: published store_sales@%d over @%d", name, now.Epoch, before.Epoch)
+		}
+		if n := len(s.stateCache().Snapshot()); n != entries {
+			t.Errorf("%s: %d cache entries, want the %d there before", name, n, entries)
+		}
+		if got := s.Views(); len(got) != 1 {
+			t.Errorf("%s: views %v, want by_store kept", name, got)
+		}
+		if got := s.IngestStats(); got != stats {
+			t.Errorf("%s: IngestStats moved from %+v to %+v", name, stats, got)
+		}
+		if evs := s.stateCache().DrainEvents(); len(evs) != 0 {
+			t.Errorf("%s: events %v", name, evs)
+		}
+	}
+	res, err := s.Query(q1, ModeShare)
+	if err != nil || !res.FullCacheHit {
+		t.Fatalf("after the canceled appends q1 = %v (full hit %v), want the warm entry", err, res != nil && res.FullCacheHit)
+	}
+}
+
+// TestAppendDropsSupersededEntriesUnpinned: with no query holding a
+// snapshot, an append leaves no entry of the superseded version behind —
+// the migrated successor serves the next query.
+func TestAppendDropsSupersededEntriesUnpinned(t *testing.T) {
+	s := newTestSession(t, 500, 2)
+	for _, q := range []string{q1, q2} {
+		if _, err := s.Query(q, ModeShare); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := s.Append(context.Background(), "store_sales", salesDelta(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EntriesMigrated == 0 {
+		t.Fatalf("nothing migrated: %+v", res)
+	}
+	if stale := superseded(s); len(stale) != 0 {
+		t.Errorf("superseded entries outlived an unpinned append: %v", stale)
+	}
+	if n := len(s.stateCache().Snapshot()); n != res.EntriesMigrated {
+		t.Errorf("%d cache entries, want the %d migrated", n, res.EntriesMigrated)
+	}
+	if qres, err := s.Query(q1, ModeShare); err != nil || !qres.FullCacheHit {
+		t.Fatalf("post-append q1 = %v, want a full hit on the migrated entry", err)
+	}
+}
+
+// TestAppendKeepsSupersededEntryPinned holds a batch between two members
+// across an append, the way QueryBatch runs them: both members run
+// against one pinned snapshot. The second must still be served the entry
+// the first used, so the superseded version stays while the pin does, and
+// goes with the first append after it is released.
+func TestAppendKeepsSupersededEntryPinned(t *testing.T) {
+	s := newTestSession(t, 500, 2)
+	ctx := context.Background()
+	if _, err := s.Query(q1, ModeShare); err != nil {
+		t.Fatal(err)
+	}
+	// One append first, so the entry the batch reads is a maintained one,
+	// whose ⊕-merged values a cold rescan need not match bit for bit.
+	if _, err := s.Append(ctx, "store_sales", salesDelta(10)); err != nil {
+		t.Fatal(err)
+	}
+	member := func(qc *queryCtx) *Result {
+		t.Helper()
+		stmt, err := sqlparse.Parse(q1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.runStmt(ctx, &queryCtx{cat: qc.cat, cache: qc.cache}, stmt, ModeShare, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	qc := &queryCtx{cat: s.pin(), cache: s.stateCache()}
+	first := member(qc)
+	if _, err := s.Append(ctx, "store_sales", salesDelta(10)); err != nil {
+		t.Fatal(err)
+	}
+	if len(superseded(s)) == 0 {
+		t.Fatal("the append dropped the superseded entry while a batch held it")
+	}
+	second := member(qc)
+	s.unpin()
+	if !first.FullCacheHit || !second.FullCacheHit {
+		t.Errorf("members full hits %v, %v; want both served the pinned entry", first.FullCacheHit, second.FullCacheHit)
+	}
+	tablesEqual(t, second.Table, first.Table, "batch members across an append")
+	if _, err := s.Append(ctx, "store_sales", salesDelta(10)); err != nil {
+		t.Fatal(err)
+	}
+	if stale := superseded(s); len(stale) != 0 {
+		t.Errorf("superseded entries outlived the pin's release: %v", stale)
+	}
 }

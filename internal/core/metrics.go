@@ -20,7 +20,7 @@ import (
 //	sudaf_engine_drain_seconds
 //	sudaf_cache_lookups_total, sudaf_cache_hits_total{kind=...},
 //	sudaf_cache_misses_total, sudaf_cache_evictions_total,
-//	sudaf_cache_corruptions_total
+//	sudaf_cache_corruptions_total, sudaf_cache_bytes, sudaf_cache_entries
 //	sudaf_ingest_appends_total, sudaf_ingest_rows_total,
 //	sudaf_ingest_entries_migrated_total / _invalidated_total,
 //	sudaf_ingest_states_maintained_total,
@@ -97,6 +97,12 @@ func (s *Session) registerMetrics(label string) {
 	r.CounterFunc("sudaf_cache_corruptions_total", lbl,
 		"Cached states dropped after failing their integrity checksum.",
 		func() int64 { return s.CacheStats().Corruptions })
+	r.GaugeFunc("sudaf_cache_bytes", lbl,
+		"Bytes accounted to the cache's entries: within the CacheBytes budget unless one entry alone exceeds it.",
+		func() float64 { return float64(s.CacheStats().Bytes) })
+	r.GaugeFunc("sudaf_cache_entries", lbl,
+		"Entries (data fingerprints) in the state cache.",
+		func() float64 { return float64(s.CacheStats().Entries) })
 
 	// Ingestion.
 	r.CounterFunc("sudaf_ingest_appends_total", lbl,

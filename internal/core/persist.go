@@ -182,7 +182,7 @@ func snapshotCacheForPersist(c *cache.Cache) persistedCache {
 		for _, kc := range e.KeyCols {
 			pe.KeyCols = append(pe.KeyCols, persistKeyCol(kc))
 		}
-		for _, cs := range e.States {
+		for _, cs := range e.States() {
 			ps, ok := persistState(cs)
 			if !ok {
 				continue

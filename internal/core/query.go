@@ -246,7 +246,8 @@ func (s *Session) submit(ctx context.Context, req Request) (res *Result, err err
 	// so concurrent appends (which publish new versions, never mutate
 	// old ones) stay invisible to in-flight scans, batch cursors and
 	// row iterators.
-	qc := &queryCtx{cat: s.cat.Snapshot(), cache: s.stateCache(), sp: tr.Root()}
+	qc := &queryCtx{cat: s.pin(), cache: s.stateCache(), sp: tr.Root()}
+	defer s.unpin()
 	return s.runStmt(ctx, qc, stmt, req.Mode, 0)
 }
 

@@ -92,14 +92,13 @@ func (s *Session) Materialize(name, sql string) error {
 	for i, st := range states {
 		_ = gt.AddState(&cache.CachedState{State: st, Vals: gr.Values[i], PositiveInput: positives[i]})
 	}
-	snap := gt.SnapshotEntry()
 	s.stateCache().Put(gt)
 
 	v := &rewrite.View{Name: name, Table: tbl, Key: dp.Key, States: states, StateCols: stateCols}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.views[name] = v
-	s.viewMaints[name] = &viewMaint{view: v, stmt: stmt, snap: snap}
+	s.viewMaints[name] = &viewMaint{view: v, stmt: stmt, snap: gt}
 	return nil
 }
 

@@ -1,10 +1,11 @@
 // Package exec implements the physical execution engine of the SUDAF
 // reproduction: columnar scans with predicate selection, left-deep hash
-// joins, and hash group-by aggregation with three aggregate execution
-// paths — built-in fast loops (sum/count/avg/min/max/stddev/variance/
-// covariance), compiled SUDAF aggregation-state loops, and deliberately
-// interpreted "hardcoded UDAF" accumulators that model the per-tuple
-// boxing overhead of PL/pgSQL and Spark's UserDefinedAggregateFunction.
+// joins, and hash group-by aggregation with two task families —
+// StateTask, the compiled loop (or batch kernel) of one canonical
+// aggregation state, which every built-in aggregate and every rewritten
+// UDAF runs through, and NaiveUDAFTask, the deliberately interpreted
+// "hardcoded UDAF" accumulator that models the per-tuple boxing overhead
+// of PL/pgSQL and Spark's UserDefinedAggregateFunction.
 //
 // The engine runs serial ("PostgreSQL mode") or with partitioned parallel
 // partial aggregation and merge ("Spark mode"), exercising exactly the

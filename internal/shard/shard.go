@@ -153,7 +153,7 @@ func MergePartials(states []canonical.State, parts []*Partial) (*Merged, error) 
 		for i, st := range states {
 			deltaVals[st.Key()] = p.Vals[i]
 		}
-		next, err := cache.MergeDelta(gt.SnapshotEntry(), "shard-merge", p.Keys, p.KeyCols, deltaVals, nil, nil)
+		next, err := cache.MergeDelta(gt, "shard-merge", p.Keys, p.KeyCols, deltaVals, nil, nil)
 		if err != nil {
 			return nil, err
 		}
