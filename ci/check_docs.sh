@@ -121,13 +121,15 @@ done
 echo "== removed names appear only in history files =="
 # Names that refactors deleted, in code, docs, scripts and CI alike: the
 # retired ablation switches, the per-shard cache API and its metric
-# families, the data-part descriptions exec.DataKey replaced, and the
-# second definition of the built-in aggregates. The short names match
+# families, the data-part descriptions exec.DataKey replaced, the
+# second definition of the built-in aggregates, and the per-morsel dense
+# group numbering the first-appearance pass replaced. The short names match
 # as whole words only, so live identifiers that contain them pass.
 gone='SetVectorizedKernels|SetViewRewriting|EnableViews|ClearShardWorker|ClearShardCaches|ShardWorkerCache'
 gone+='|sudaf_shard_(full_hits|state_hits|entries_maintained)_total'
 gone+='|\b(SymbolicL|fpReferences|shareFingerprint|DataInfo|TableEpochs|splitJoin|splitQualified'
-gone+='|BuiltinTask|BuiltinKind|LookupBuiltin|builtinFormDef|DefaultShards|newSharded|shardFor)\b'
+gone+='|BuiltinTask|BuiltinKind|LookupBuiltin|builtinFormDef|DefaultShards|newSharded|shardFor'
+gone+='|newDenseGroup|denseAssign)\b'
 stray=$(grep -rnE "$gone" --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' . |
   grep -vE '^\./(CHANGES|EXPERIMENTS|ROADMAP|ISSUE|REVIEW)\.md:|^\./ci/check_docs\.sh:' || true)
 if [ -n "$stray" ]; then

@@ -127,6 +127,21 @@ var facts = []fact{
 		return append(spelledOnlyIn(t, `"T[`, home.path), spelledOnlyIn(t, `"|W[`, home.path)...)
 	}},
 
+	// DESIGN.md §8 "Group ids": a dense key's slot table is filled once per
+	// scan, by the first-appearance pass; no morsel or merge empties one of
+	// its own (the join build keeps its own direct-address table).
+	{"dense-ids-numbered-once", func(t *tree) []violation {
+		var vs []violation
+		for _, f := range t.pkg("internal/exec") {
+			for _, u := range uses(f, "emptyLookup") {
+				if u.in != "(*keyAssign).firstAppearance" && u.in != "buildJoinTable" {
+					vs = append(vs, t.violation(f, u.pos, "a slot table emptied in %s; dense group ids are numbered once per scan, by firstAppearance", u.in))
+				}
+			}
+		}
+		return vs
+	}},
+
 	// DESIGN.md §8 "Filter evaluation": a WHERE clause compiles to block
 	// kernels only. No per-row matcher is defined in internal/exec …
 	{"no-row-matcher-in-exec", func(t *tree) []violation {

@@ -63,24 +63,27 @@ func TestResultTraceSampling(t *testing.T) {
 		}
 	}
 	// A WHERE filter adds the base rows it evaluated and its time beside
-	// the rows it kept; the unfiltered scan above carries neither.
+	// the rows it kept; the unfiltered scan above carries neither. Both
+	// group by a dense key, so order_rows says how far the
+	// first-appearance pass read: to the fourth row when all four regions
+	// have appeared, through every row when the filter keeps two of them.
 	filtered, err := traced.Query("SELECT region, sum(price) FROM sales WHERE region >= 1 and region < 3 GROUP BY region", ModeRewrite)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		res              *Result
-		rows, filterRows int64
-		filtered         bool
-	}{{res, 64, 0, false}, {filtered, 32, 64, true}} {
+		res                         *Result
+		rows, filterRows, orderRows int64
+		filtered                    bool
+	}{{res, 64, 0, 4, false}, {filtered, 32, 64, 32, true}} {
 		attrs := map[string]int64{}
 		if sp := c.res.Trace.Find("scan/agg"); sp != nil {
 			for _, a := range sp.Attrs {
 				attrs[a.Key] = a.Int
 			}
 		}
-		if _, us := attrs["filter_us"]; attrs["rows"] != c.rows || attrs["filter_rows"] != c.filterRows || us != c.filtered {
-			t.Errorf("scan/agg attrs %v, want rows=%d filter_rows=%d, filter_us present %v", attrs, c.rows, c.filterRows, c.filtered)
+		if _, us := attrs["filter_us"]; attrs["rows"] != c.rows || attrs["filter_rows"] != c.filterRows || us != c.filtered || attrs["order_rows"] != c.orderRows {
+			t.Errorf("scan/agg attrs %v, want rows=%d filter_rows=%d order_rows=%d, filter_us present %v", attrs, c.rows, c.filterRows, c.orderRows, c.filtered)
 		}
 	}
 	if !strings.Contains(res.Trace.Tree(), "└─") {

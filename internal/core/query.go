@@ -342,14 +342,18 @@ func (qc *queryCtx) noteKernels(gr *exec.GroupResult) {
 }
 
 // noteScanAgg annotates a scan/agg span with the run's cost facts:
-// joined rows read, base rows the filters evaluated and their time,
-// groups produced, morsel batch count, and the compiled kernels that
-// served it. Nil-safe like every span call.
+// joined rows read, base rows the filters evaluated and their time, rows
+// the dense key path's first-appearance pass read, groups produced,
+// morsel batch count, and the compiled kernels that served it. Nil-safe
+// like every span call.
 func noteScanAgg(sp *obs.Span, gr *exec.GroupResult) {
 	sp.SetInt("rows", int64(gr.Rows))
 	if gr.FilterRows > 0 {
 		sp.SetInt("filter_rows", int64(gr.FilterRows))
 		sp.SetInt("filter_us", gr.FilterTime.Microseconds())
+	}
+	if gr.OrderRows > 0 {
+		sp.SetInt("order_rows", int64(gr.OrderRows))
 	}
 	sp.SetInt("groups", int64(gr.NumGroups))
 	if gr.Rows > 0 {

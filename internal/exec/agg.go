@@ -95,6 +95,11 @@ type GroupResult struct {
 	// evaluated, and FilterTime the time that took (observability).
 	FilterRows int
 	FilterTime time.Duration
+	// OrderRows is the number of rows the dense key path's first-appearance
+	// pass read (observability): fewer than Rows when every key of the
+	// domain had appeared before the last row; 0 on the hash paths and for
+	// keyless aggregates, which need no pass.
+	OrderRows int
 	// Kernels names the tasks that ran through compiled batch kernels
 	// (per-query observability; empty when everything ran tuple-at-a-time).
 	Kernels []string
@@ -131,6 +136,13 @@ func (gr *GroupResult) materializeKeys(groupBy []planCol) {
 // floating-point rounding, is identical for any worker count and any
 // scheduling interleaving.
 //
+// A dense key (keyDomainOf) gets its group ids once per scan, before any
+// morsel runs: the first-appearance pass numbers the domain's slots in
+// row order, so every morsel accumulates straight into partials that
+// hold all of the scan's groups, and the merge is an aligned ⊕: no morsel
+// discovers a group, and the merge looks none up. Hashed keys number
+// their groups per morsel and remap them in the merge.
+//
 // The merge streams: a morsel is merged as soon as every lower-indexed
 // morsel has been, by whichever worker completes the sequence. Morsel
 // state lives in a fixed set of 2×workers localAggs circulating through
@@ -142,11 +154,11 @@ func (gr *GroupResult) materializeKeys(groupBy []planCol) {
 // deadlock: claims are sequential, so the lowest unmerged morsel is always
 // held by a worker that is running, never by one waiting for a buffer.)
 //
-// Cancellation is polled once per batch, injected faults fire once per
-// morsel (the batch-granularity analogue of PR 1's per-worker fault
-// point), and a panicking task poisons only its morsel or merge: the
-// recover turns it into an error, and the shared abort flag stops the
-// other workers from claiming further morsels.
+// Cancellation is polled once per batch (once per cancelCheckRows rows
+// in the first-appearance pass), injected faults fire once per morsel,
+// and a panicking task poisons only its morsel or merge: the recover
+// turns it into an error, and the shared abort flag stops the other
+// workers from claiming further morsels.
 func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks []Task) (*GroupResult, error) {
 	nMorsels := (rs.n + MorselRows - 1) / MorselRows
 	workers := e.Workers
@@ -166,6 +178,13 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 	useVec := !e.disableVec.Load()
 	q := &aggScan{ctx: ctx, rs: rs, tasks: tasks, ka: newKeyAssign(dp, rs, useVec),
 		vecTasks: make([]VectorTask, len(tasks))}
+	orderRows := 0
+	if q.ka.lookupLen > 0 {
+		var err error
+		if q.order, q.groups, orderRows, err = q.ka.firstAppearance(ctx, rs.n); err != nil {
+			return nil, err
+		}
+	}
 	var kernels []string
 	if useVec {
 		for t, task := range tasks {
@@ -300,13 +319,8 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 		return nil, errors.Join(werrs...)
 	}
 
-	// A grand aggregate over zero rows still yields one group (SQL
-	// semantics for aggregates without GROUP BY).
-	if len(global.keys) == 0 && len(dp.groupBy) == 0 {
-		global.keys = append(global.keys, GroupKey{})
-	}
 	gr := &GroupResult{Rows: rs.n, FilterRows: rs.filterRows, FilterTime: rs.filterTime,
-		Kernels: kernels, NumGroups: len(global.keys), Keys: global.keys}
+		OrderRows: orderRows, Kernels: kernels, NumGroups: len(global.keys), Keys: global.keys}
 	gr.Values = make([][]float64, len(tasks))
 	for t, task := range tasks {
 		if global.merged[t] == nil {
@@ -318,10 +332,10 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 	return gr, nil
 }
 
-// maxDenseKeyWidth bounds the dense group-lookup tables (one int32 per
-// possible key, one table per worker plus one for the merge): 64K entries
-// = 256 KiB, comfortably cache- and allocation-cheap next to a 64K-row
-// morsel.
+// maxDenseKeyWidth bounds a dense key's slot table (one int32 per
+// possible key, one table per scan, filled by the first-appearance pass
+// and read by every morsel): 64K entries = 256 KiB, comfortably cache-
+// and allocation-cheap next to a 64K-row morsel.
 const maxDenseKeyWidth = 1 << 16
 
 // keyDomain describes a key column whose values provably fall in a small
@@ -343,16 +357,16 @@ func (d keyDomain) nonNegative32() bool {
 // at most maxWidth consecutive integers. Int columns use their cached
 // min/max stats, dictionary-coded string columns their code range. Float
 // keys (truncated to int64 by bindInt) are never dense. This is the one
-// place the engine decides between direct addressing and hashing — group
-// ids, the merge remap and the join build all ask it, each with the table
-// width it is willing to allocate.
+// place the engine decides between direct addressing and hashing — the
+// scan's one slot table of group ids and the join build both ask it,
+// each with the table width it is willing to allocate.
 //
 // Column.Stats is append-aware (recomputed when the column length
 // changes), so the domain always covers every value a scan of this
 // column version can produce — a stale, narrower domain would make the
-// dense lookup table index out of range. The non-finite guard is
-// defense in depth for the empty-column (+Inf, -Inf) sentinel: int64
-// conversion of a non-finite float is undefined behavior in Go.
+// slot table index out of range. The non-finite guard is defense in
+// depth for the empty-column (+Inf, -Inf) sentinel: int64 conversion of
+// a non-finite float is undefined behavior in Go.
 func keyDomainOf(col *storage.Column, maxWidth int64) keyDomain {
 	switch col.Kind {
 	case storage.KindInt:
@@ -366,7 +380,7 @@ func keyDomainOf(col *storage.Column, maxWidth int64) keyDomain {
 		// From 2^53 on the float stats are rounded (2^53+1 reports as
 		// 2^53), so int64(min) could disagree with the true minimum and
 		// the width arithmetic below could wrap — either would send
-		// lookup[k-base] out of range. Bound the span in float space
+		// order[k-base] out of range. Bound the span in float space
 		// first (exact strictly inside ±2^53).
 		if min <= -float64(1<<53) || max >= float64(1<<53) ||
 			max-min+1 > float64(maxWidth) {
@@ -388,17 +402,17 @@ func keyDomainOf(col *storage.Column, maxWidth int64) keyDomain {
 // key columns' domains and shared by the morsel workers and the merge.
 type keyAssign struct {
 	fns []func(int32) int64 // one accessor per group-by column
-	// lookupLen > 0 selects direct addressing: group ids live in a
-	// lookupLen-entry table at slot(key). A keyless aggregate is the
-	// one-slot case. Zero means hashing, and packable then says a 2-key
-	// composite fits one int64 (both columns within [0, 2^31)), which
-	// keeps the map on the runtime's fast64 path.
+	// lookupLen > 0 selects direct addressing: a key's group id lives in
+	// a lookupLen-entry slot table at slot(key). A keyless aggregate is
+	// the one-slot case. Zero means hashing, and packable then says a
+	// 2-key composite fits one int64 (both columns within [0, 2^31)),
+	// which keeps the map on the runtime's fast64 path.
 	lookupLen    int
 	base0, base1 int64
 	width1       int64
 	packable     bool
 	// Single dense key: the column's backing storage (ints or codes) and
-	// row indirection (nil = identity), so the assign loop reads it
+	// row indirection (nil = identity), so the group-id loop reads it
 	// directly instead of calling an accessor closure per row.
 	ints  []int64
 	codes []int32
@@ -434,15 +448,101 @@ func newKeyAssign(dp *DataPlan, rs *RowSet, useVec bool) *keyAssign {
 	return ka
 }
 
-// slot is a key's position in a dense lookup table (lookupLen > 0). With
+// slot is a key's position in a dense slot table (lookupLen > 0). With
 // one key, key[1], base1 and width1 are 0, 0 and 1.
 func (ka *keyAssign) slot(key GroupKey) int64 {
 	return (key[0]-ka.base0)*ka.width1 + (key[1] - ka.base1)
 }
 
-// localAgg is one morsel's aggregation state: its groups in first-
-// appearance order and one partial per task. The maps exist only on the
-// hash paths. Reused across morsels (see aggregate), buffers and all.
+// keyOf is row i's group key.
+func (ka *keyAssign) keyOf(i int) GroupKey {
+	var key GroupKey
+	for c, fn := range ka.fns {
+		key[c] = fn(int32(i))
+	}
+	return key
+}
+
+// groupIDs writes order[slot] for rows [lo, hi) of a dense key
+// (lookupLen > 0) into dst and returns dst[:hi-lo]: the rows' group ids
+// once order is the first-appearance pass's table.
+func (ka *keyAssign) groupIDs(order []int32, lo, hi int, dst []int32) []int32 {
+	dst = dst[:hi-lo]
+	switch {
+	case len(ka.fns) == 0: // one slot, numbered 0
+		clear(dst)
+	case len(ka.fns) == 2:
+		f0, f1 := ka.fns[0], ka.fns[1]
+		for j := range dst {
+			dst[j] = order[ka.slot(GroupKey{f0(int32(lo + j)), f1(int32(lo + j))})]
+		}
+	case ka.ints != nil:
+		denseIDs(ka.ints, ka.rows, ka.base0, order, lo, dst)
+	default:
+		denseIDs(ka.codes, ka.rows, ka.base0, order, lo, dst)
+	}
+	return dst
+}
+
+// denseIDs is groupIDs for a single dense key column (int values or
+// dictionary codes), read in place or through the row vector.
+func denseIDs[K int32 | int64](vals []K, rows []int32, base int64, order []int32, lo int, dst []int32) {
+	if rows == nil {
+		for j, v := range vals[lo : lo+len(dst)] {
+			dst[j] = order[int64(v)-base]
+		}
+		return
+	}
+	for j, r := range rows[lo : lo+len(dst)] {
+		dst[j] = order[int64(vals[r])-base]
+	}
+}
+
+// firstAppearance is a dense key's one group discovery per scan: it walks
+// rows [0, n) in row order and numbers each slot at its first row, so
+// group ids are first appearance in global row order, as the hash paths'
+// merge numbers them. It stops as soon as every slot of the domain has
+// appeared. order maps a slot to its group id (-1 for a key no row
+// holds), keys lists the groups by id, and read is the number of rows
+// walked. A keyless aggregate has its one group whatever the rows, and
+// reads none.
+func (ka *keyAssign) firstAppearance(ctx context.Context, n int) (order []int32, keys []GroupKey, read int, err error) {
+	order = emptyLookup(make([]int32, ka.lookupLen))
+	if len(ka.fns) == 0 {
+		order[0] = 0
+		return order, []GroupKey{{}}, 0, nil
+	}
+	buf := make([]int32, BatchSize)
+	for lo := 0; lo < n; lo += BatchSize {
+		if lo%cancelCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, lo, err
+			}
+		}
+		for j, gid := range ka.groupIDs(order, lo, min(lo+BatchSize, n), buf) {
+			if gid >= 0 {
+				continue
+			}
+			key := ka.keyOf(lo + j)
+			s := ka.slot(key)
+			if order[s] >= 0 { // numbered earlier in this batch
+				continue
+			}
+			order[s] = int32(len(keys))
+			keys = append(keys, key)
+			if len(keys) == len(order) {
+				return order, keys, lo + j + 1, nil
+			}
+		}
+	}
+	return order, keys, n, nil
+}
+
+// localAgg is one morsel's aggregation state: one partial per task and,
+// on the hash paths, the morsel's groups in first-appearance order with
+// the map that numbers them (a dense scan's partials hold every group of
+// the scan instead). Reused across morsels (see aggregate), buffers and
+// all.
 type localAgg struct {
 	keys     []GroupKey
 	partials []Partial
@@ -462,22 +562,29 @@ func (la *localAgg) reset() {
 }
 
 // globalAgg is the query-wide partial the morsels merge into. Group ids
-// are assigned in merge order, i.e. first appearance in global row order.
+// are first appearance in global row order: numbered up front by the
+// first-appearance pass on the dense paths, in merge order on the hash
+// paths.
 type globalAgg struct {
 	q      *aggScan
 	keys   []GroupKey
 	merged []Partial
-	lookup []int32            // dense: slot → group id, -1 if unseen
-	index  map[GroupKey]int32 // hashing
-	remap  []int32            // merge scratch: morsel-local id → group id
+	index  map[GroupKey]int32 // hash paths: key → group id
+	// remap maps a morsel's group ids to global ones: the identity on the
+	// dense paths, fixed for the scan; on the hash paths, scratch rebuilt
+	// per merge.
+	remap []int32
 }
 
 func newGlobalAgg(q *aggScan) *globalAgg {
-	g := &globalAgg{q: q, merged: make([]Partial, len(q.tasks))}
-	if n := q.ka.lookupLen; n > 0 {
-		g.lookup = emptyLookup(make([]int32, n))
-	} else {
+	g := &globalAgg{q: q, keys: q.groups, merged: make([]Partial, len(q.tasks))}
+	if q.order == nil {
 		g.index = map[GroupKey]int32{}
+		return g
+	}
+	g.remap = make([]int32, len(q.groups))
+	for i := range g.remap {
+		g.remap[i] = int32(i)
 	}
 	return g
 }
@@ -490,35 +597,35 @@ func emptyLookup(l []int32) []int32 {
 	return l
 }
 
-// merge ⊕-folds one morsel's partials into the global partial. Panics
-// from task code are recovered into the returned error.
+// merge ⊕-folds one morsel's partials into the global partial. A dense
+// scan's morsel partials already index the global groups, so their ⊕ is
+// aligned: group g into group g, with nothing to look up. It still runs
+// through Task.Merge's one loop (under the identity remap), so both paths
+// merge with the same instructions. A group the morsel never saw merges
+// its ⊕ identity, which leaves every global partial bit for bit as it was
+// (DESIGN.md §8). Panics from task code are recovered into the returned
+// error.
 func (g *globalAgg) merge(la *localAgg) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("aggregation merge panic (recovered): %v", r)
 		}
 	}()
-	if cap(g.remap) < len(la.keys) {
-		g.remap = make([]int32, len(la.keys))
-	}
-	remap := g.remap[:len(la.keys)]
-	for lg, key := range la.keys {
-		if g.lookup != nil {
-			s := g.q.ka.slot(key)
-			if g.lookup[s] < 0 {
-				g.lookup[s] = int32(len(g.keys))
+	remap := g.remap
+	if g.index != nil {
+		if cap(g.remap) < len(la.keys) {
+			g.remap = make([]int32, len(la.keys))
+		}
+		remap = g.remap[:len(la.keys)]
+		for lg, key := range la.keys {
+			gid, ok := g.index[key]
+			if !ok {
+				gid = int32(len(g.keys))
+				g.index[key] = gid
 				g.keys = append(g.keys, key)
 			}
-			remap[lg] = g.lookup[s]
-			continue
+			remap[lg] = gid
 		}
-		gid, ok := g.index[key]
-		if !ok {
-			gid = int32(len(g.keys))
-			g.index[key] = gid
-			g.keys = append(g.keys, key)
-		}
-		remap[lg] = gid
 	}
 	for t, task := range g.q.tasks {
 		g.merged[t] = growPartial(task, g.merged[t], len(g.keys))
@@ -543,17 +650,19 @@ type aggScan struct {
 	vecTasks  []VectorTask  // nil entries run the scalar Accumulate
 	foldTasks []RunFoldTask // nil unless run-folds are eligible
 	ka        *keyAssign
+	// Dense paths: the first-appearance pass's slot → group id table and
+	// the scan's groups by id (both nil on the hash paths).
+	order  []int32
+	groups []GroupKey
 }
 
-// aggWorker is one worker's private scratch: group ids for one batch,
-// each vectorized task's kernel buffers, and the dense lookup table of
-// morsel-local group ids (reset per morsel).
+// aggWorker is one worker's private scratch: group ids for one batch and
+// each vectorized task's kernel buffers.
 type aggWorker struct {
 	*aggScan
 	gids      []int32
 	vecStates []VecState
 	foldMask  []bool
-	lookup    []int32
 }
 
 func (q *aggScan) newWorker() *aggWorker {
@@ -566,46 +675,7 @@ func (q *aggScan) newWorker() *aggWorker {
 	if q.foldTasks != nil {
 		w.foldMask = make([]bool, len(q.tasks))
 	}
-	if n := q.ka.lookupLen; n > 0 {
-		w.lookup = make([]int32, n)
-	}
 	return w
-}
-
-// newDenseGroup is the cold path of dense assignment: one call per
-// distinct group per morsel.
-func newDenseGroup(lookup []int32, slot int64, keys *[]GroupKey, key GroupKey) int32 {
-	gid := int32(len(*keys))
-	lookup[slot] = gid
-	*keys = append(*keys, key)
-	return gid
-}
-
-// denseAssign maps rows [blo, bhi) of a single dense key column (int
-// values or dictionary codes) to morsel-local group ids.
-func denseAssign[K int32 | int64](vals []K, rows []int32, base int64, lookup []int32,
-	keys *[]GroupKey, blo, bhi int, gids []int32) {
-
-	gids = gids[:bhi-blo]
-	if rows == nil {
-		for j, v := range vals[blo:bhi] {
-			k := int64(v)
-			gid := lookup[k-base]
-			if gid < 0 {
-				gid = newDenseGroup(lookup, k-base, keys, GroupKey{k, 0})
-			}
-			gids[j] = gid
-		}
-		return
-	}
-	for j, r := range rows[blo:bhi] {
-		k := int64(vals[r])
-		gid := lookup[k-base]
-		if gid < 0 {
-			gid = newDenseGroup(lookup, k-base, keys, GroupKey{k, 0})
-		}
-		gids[j] = gid
-	}
 }
 
 // runMorsel aggregates rows [m*MorselRows, min((m+1)*MorselRows, n)) into
@@ -625,46 +695,26 @@ func (w *aggWorker) runMorsel(m int, la *localAgg) (err error) {
 		return err
 	}
 	la.reset()
-	// Group ids are morsel-local: empty the lookup for this morsel.
-	ka, lookup, keys := w.ka, emptyLookup(w.lookup), &la.keys
-	// assign maps rows [blo, bhi) to morsel-local group ids; the lookup
-	// or hash index persists across the morsel's batches.
-	var assign func(blo, bhi int, gids []int32)
+	ka, keys := w.ka, &la.keys
+	// assign maps rows [blo, bhi) to group ids and returns the number of
+	// groups the partials must hold: all of the scan's on the dense paths
+	// (global ids, fixed by the first-appearance pass), the morsel's so
+	// far on the hash paths (local ids; the index persists across the
+	// morsel's batches).
+	var assign func(blo, bhi int, gids []int32) int
 	switch {
-	case len(ka.fns) == 0:
-		*keys = append(*keys, GroupKey{})
-		assign = func(blo, bhi int, gids []int32) {
-			for i := range gids {
-				gids[i] = 0
-			}
-		}
-	case lookup != nil && ka.ints != nil:
-		assign = func(blo, bhi int, gids []int32) {
-			denseAssign(ka.ints, ka.rows, ka.base0, lookup, keys, blo, bhi, gids)
-		}
-	case lookup != nil && ka.codes != nil:
-		assign = func(blo, bhi int, gids []int32) {
-			denseAssign(ka.codes, ka.rows, ka.base0, lookup, keys, blo, bhi, gids)
-		}
-	case lookup != nil && len(ka.fns) == 2:
-		f0, f1 := ka.fns[0], ka.fns[1]
-		assign = func(blo, bhi int, gids []int32) {
-			for i := blo; i < bhi; i++ {
-				key := GroupKey{f0(int32(i)), f1(int32(i))}
-				s := ka.slot(key)
-				gid := lookup[s]
-				if gid < 0 {
-					gid = newDenseGroup(lookup, s, keys, key)
-				}
-				gids[i-blo] = gid
-			}
+	case w.order != nil:
+		order, ng := w.order, len(w.groups)
+		assign = func(blo, bhi int, gids []int32) int {
+			ka.groupIDs(order, blo, bhi, gids)
+			return ng
 		}
 	case len(ka.fns) == 1:
 		if la.idx64 == nil {
 			la.idx64 = make(map[int64]int32, 256)
 		}
 		idx, fn := la.idx64, ka.fns[0]
-		assign = func(blo, bhi int, gids []int32) {
+		assign = func(blo, bhi int, gids []int32) int {
 			for i := blo; i < bhi; i++ {
 				k := fn(int32(i))
 				gid, ok := idx[k]
@@ -675,13 +725,14 @@ func (w *aggWorker) runMorsel(m int, la *localAgg) (err error) {
 				}
 				gids[i-blo] = gid
 			}
+			return len(*keys)
 		}
 	case ka.packable:
 		if la.idx64 == nil {
 			la.idx64 = make(map[int64]int32, 256)
 		}
 		idx, f0, f1 := la.idx64, ka.fns[0], ka.fns[1]
-		assign = func(blo, bhi int, gids []int32) {
+		assign = func(blo, bhi int, gids []int32) int {
 			for i := blo; i < bhi; i++ {
 				a, b := f0(int32(i)), f1(int32(i))
 				gid, ok := idx[a<<32|b]
@@ -692,13 +743,14 @@ func (w *aggWorker) runMorsel(m int, la *localAgg) (err error) {
 				}
 				gids[i-blo] = gid
 			}
+			return len(*keys)
 		}
 	default:
 		if la.index == nil {
 			la.index = map[GroupKey]int32{}
 		}
 		index, f0, f1 := la.index, ka.fns[0], ka.fns[1]
-		assign = func(blo, bhi int, gids []int32) {
+		assign = func(blo, bhi int, gids []int32) int {
 			for i := blo; i < bhi; i++ {
 				key := GroupKey{f0(int32(i)), f1(int32(i))}
 				gid, ok := index[key]
@@ -709,21 +761,23 @@ func (w *aggWorker) runMorsel(m int, la *localAgg) (err error) {
 				}
 				gids[i-blo] = gid
 			}
+			return len(*keys)
 		}
 	}
 	// Run-fold fast path: each fold-capable task gets one shot at the
 	// whole morsel. A task that folds (exactly, into group 0 — the
-	// caller only enables folds for keyless identity scans) skips the
-	// batch loop below; a declined fold costs nothing and falls through
-	// to the dense path. When every task folds, the batch loop vanishes
-	// and the morsel is aggregated in O(runs).
+	// caller only enables folds for keyless identity scans, whose one
+	// group the first-appearance pass numbered) skips the batch loop
+	// below; a declined fold costs nothing and falls through to the dense
+	// path. When every task folds, the batch loop vanishes and the morsel
+	// is aggregated in O(runs).
 	remaining := len(w.tasks)
 	for t, ft := range w.foldTasks {
 		w.foldMask[t] = false
 		if ft == nil {
 			continue
 		}
-		la.partials[t] = growPartial(w.tasks[t], la.partials[t], len(*keys))
+		la.partials[t] = growPartial(w.tasks[t], la.partials[t], len(w.groups))
 		if ft.FoldRuns(la.partials[t], lo, hi) {
 			w.foldMask[t] = true
 			remaining--
@@ -742,8 +796,7 @@ func (w *aggWorker) runMorsel(m int, la *localAgg) (err error) {
 			bhi = hi
 		}
 		bg := w.gids[:bhi-blo]
-		assign(blo, bhi, bg)
-		ng := len(*keys)
+		ng := assign(blo, bhi, bg)
 		for t, task := range w.tasks {
 			if w.foldTasks != nil && w.foldMask[t] {
 				continue

@@ -53,6 +53,39 @@ func BenchmarkGroupBy10k(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupBySparseDense is the first-appearance pass's worst case:
+// 16 morsels over a 64K-wide dense domain whose odd keys never occur, so
+// the pass reads every row before the morsels start.
+func BenchmarkGroupBySparseDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	t := storage.NewTable("sparse", storage.NewColumn("k", storage.KindInt), storage.NewColumn("x", storage.KindFloat))
+	for i := 0; i < 16*MorselRows; i++ {
+		t.Col("k").AppendInt(2 * rng.Int63n(maxDenseKeyWidth/2))
+		t.Col("x").AppendFloat(rng.Float64())
+	}
+	e := NewEngine(benchCatalog(b, t), 2)
+	states := momentStates(b, "x")
+	sql := "SELECT k, sum(x) FROM sparse GROUP BY k"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = runStates(b, e, sql, states)
+	}
+}
+
+// BenchmarkGroupByDelta is the delta-maintenance scan of an append: 2,000
+// rows over the 10k-square domain, one morsel that sees a fifth of it.
+func BenchmarkGroupByDelta(b *testing.B) {
+	e := NewEngine(benchCatalog(b, data.Milan(2000, 10_000, 1)), 2)
+	states := momentStates(b, "internet_traffic")
+	sql := "SELECT square_id, sum(internet_traffic) FROM milan_data GROUP BY square_id"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = runStates(b, e, sql, states)
+	}
+}
+
 // BenchmarkJoinStar is the five-way star join of the join workload: four
 // dimension builds, four probes of a shrinking fact row set.
 func BenchmarkJoinStar(b *testing.B) {

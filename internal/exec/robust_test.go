@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sudaf/internal/canonical"
+	"sudaf/internal/catalog"
 	"sudaf/internal/expr"
 	"sudaf/internal/faultinject"
 	"sudaf/internal/sqlparse"
@@ -249,6 +252,104 @@ func TestMergePanicIsolated(t *testing.T) {
 		})
 		if _, err := e.RunSpecs(context.Background(), dp, reg); err == nil || !strings.Contains(err.Error(), "merge boom") {
 			t.Errorf("workers=%d: err = %v, want the recovered merge panic", workers, err)
+		}
+	}
+}
+
+// The first-appearance pass runs on the calling goroutine before any
+// morsel. sparseDenseCatalog is its worst case: 16 morsels over a dense
+// key whose odd values never occur, so the pass reads every row.
+func sparseDenseCatalog(t *testing.T) *catalog.Catalog {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	tbl := storage.NewTable("sparse", storage.NewColumn("k", storage.KindInt), storage.NewColumn("x", storage.KindFloat))
+	for i := 0; i < 16*MorselRows; i++ {
+		tbl.Col("k").AppendInt(2 * rng.Int63n(maxDenseKeyWidth/2))
+		tbl.Col("x").AppendFloat(rng.Float64())
+	}
+	cat := catalog.New()
+	if err := cat.Register(tbl); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// pollCtx is a context whose Err reports cancellation from its (after+1)th
+// call on, counting every call: the scan's polls are its clock.
+type pollCtx struct {
+	context.Context
+	after int
+	polls atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls.Add(1) > int64(c.after) {
+		return context.Canceled
+	}
+	return nil
+}
+
+const sparseDenseSQL = "SELECT k, count(x) FROM sparse GROUP BY k"
+
+func runCount(t *testing.T, e *Engine, ctx context.Context, sql string) (*GroupResult, error) {
+	t.Helper()
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := e.PrepareData(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewTaskRegistry()
+	reg.Add("count", func(b Binder) (Task, error) { return countTask(b) })
+	return e.RunSpecs(ctx, dp, reg)
+}
+
+// countMorsels arms PointExecWorker to count its hits without firing.
+func countMorsels() {
+	faultinject.Arm(faultinject.PointExecWorker, faultinject.Spec{After: math.MaxInt})
+}
+
+func TestCancelFirstAppearancePassMidScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 16-morsel table")
+	}
+	defer faultinject.Reset()
+	cat := sparseDenseCatalog(t)
+	// A full run: the pass reads all rows, polling once per
+	// cancelCheckRows, and every morsel passes the fault point once.
+	countMorsels()
+	full := &pollCtx{Context: context.Background(), after: math.MaxInt}
+	gr, err := runCount(t, NewEngine(cat, 4), full, sparseDenseSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.OrderRows != gr.Rows || gr.NumGroups != maxDenseKeyWidth/2 {
+		t.Fatalf("pass read %d of %d rows into %d groups, want every row and %d groups", gr.OrderRows, gr.Rows, gr.NumGroups, maxDenseKeyWidth/2)
+	}
+	if hits := faultinject.HitCount(faultinject.PointExecWorker); hits != 16 {
+		t.Fatalf("PointExecWorker reached %d times, want once per morsel (16)", hits)
+	}
+	passPolls := gr.Rows / cancelCheckRows
+	if full.polls.Load() < int64(passPolls) {
+		t.Fatalf("%d polls in a full run, want at least the pass's %d", full.polls.Load(), passPolls)
+	}
+	// Canceled before the pass starts, and halfway through it: the scan
+	// returns the context's error at the poll that sees it, with no
+	// further poll and no morsel started.
+	for _, after := range []int{0, passPolls / 2} {
+		countMorsels()
+		ctx := &pollCtx{Context: context.Background(), after: after}
+		_, err := runCount(t, NewEngine(cat, 4), ctx, sparseDenseSQL)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled after %d polls: err = %v, want context.Canceled", after, err)
+		}
+		if polls := ctx.polls.Load(); polls != int64(after)+1 {
+			t.Errorf("canceled after %d polls: %d polls in all, want the scan to stop at the first that saw it", after, polls)
+		}
+		if hits := faultinject.HitCount(faultinject.PointExecWorker); hits != 0 {
+			t.Errorf("canceled after %d polls: %d morsels started", after, hits)
 		}
 	}
 }

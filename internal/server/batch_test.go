@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -196,5 +197,47 @@ func TestFrameBytesMetric(t *testing.T) {
 	want := fmt.Sprintf("sudaf_server_frame_bytes_total{server=%q} %d\n", "frame-bytes", declared)
 	if declared == 0 || !strings.Contains(string(scrape), want) {
 		t.Errorf("scrape lacks %q", want)
+	}
+}
+
+// flushCounter counts the flushes a handler asks of its ResponseWriter.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestResultResponsesFlushOnce: a query or batch response is complete
+// before its first frame, so it is flushed once, at the end, not once per
+// frame (an 8-query batch writes 24 frames).
+func TestResultResponsesFlushOnce(t *testing.T) {
+	eng := newEngine(t, 500, core.Options{})
+	srv, err := server.New(server.Config{Session: eng, MetricsLabel: t.Name()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]string, 8)
+	for i := range queries {
+		queries[i] = batchQueries[i%len(batchQueries)]
+	}
+	batch, _ := json.Marshal(server.BatchRequest{Queries: queries})
+	query, _ := json.Marshal(server.QueryRequest{SQL: batchQueries[0]})
+	for _, c := range []struct {
+		path   string
+		body   []byte
+		frames int
+	}{{"/v1/batch", batch, 3 * len(queries)}, {"/v1/query", query, 3}} {
+		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		srv.Handler().ServeHTTP(w, httptest.NewRequest("POST", c.path, bytes.NewReader(c.body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, w.Code, w.Body)
+		}
+		if frames := strings.Count(w.Body.String(), "\n"); frames != c.frames || w.flushes != 1 {
+			t.Errorf("%s: %d frames in %d flushes, want %d frames in one", c.path, frames, w.flushes, c.frames)
+		}
 	}
 }

@@ -594,28 +594,43 @@ func (s *Server) appendCall(body []byte) (*call, error) {
 	}, nil
 }
 
-// startStream begins an NDJSON response and returns the frame emitter.
-// Every frame passes the net.stall fault point first — an injected
-// error truncates the stream mid-flight (the client detects the tear
-// via length framing), a delay stalls it. Written payload bytes count
-// into sudaf_server_frame_bytes_total.
-func (s *Server) startStream(w http.ResponseWriter) func(*Frame) bool {
+// stream is one NDJSON response in flight.
+type stream struct {
+	s  *Server
+	w  http.ResponseWriter
+	fl http.Flusher // nil when the writer cannot flush
+}
+
+// startStream begins an NDJSON response. Frames go to the response's
+// buffer, which net/http writes out whenever it fills; flush pushes what
+// is buffered to the client now.
+func (s *Server) startStream(w http.ResponseWriter) *stream {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	return func(f *Frame) bool {
-		if err := hitNet(faultinject.PointNetStall); err != nil {
-			return false // torn stream: stop without the end frame
-		}
-		n, err := writeFrame(w, f)
-		if err != nil {
-			return false // client went away
-		}
-		s.frameBytes.Add(int64(n))
-		if fl != nil {
-			fl.Flush()
-		}
-		return true
+	return &stream{s: s, w: w, fl: fl}
+}
+
+// emit writes one frame. Every frame passes the net.stall fault point
+// first — an injected error truncates the stream mid-flight (the client
+// detects the tear via length framing), a delay stalls it. Written
+// payload bytes count into sudaf_server_frame_bytes_total. False means
+// the stream is over: torn, or the client went away.
+func (st *stream) emit(f *Frame) bool {
+	if err := hitNet(faultinject.PointNetStall); err != nil {
+		return false // torn stream: stop without the end frame
+	}
+	n, err := writeFrame(st.w, f)
+	if err != nil {
+		return false // client went away
+	}
+	st.s.frameBytes.Add(int64(n))
+	return true
+}
+
+func (st *stream) flush() {
+	if st.fl != nil {
+		st.fl.Flush()
 	}
 }
 
@@ -624,13 +639,16 @@ func (s *Server) startStream(w http.ResponseWriter) func(*Frame) bool {
 // its result's index. A single query is the one-result case, whose tag
 // (zero) does not appear on the wire. batchRows bounds the rows per
 // batch frame (0 = the server default, then the engine's batch size).
+// The results are complete before the first frame, so the response is
+// flushed once, at its end, however it ends.
 func (s *Server) streamResults(w http.ResponseWriter, results []*core.Result, batchRows int) {
 	if batchRows == 0 {
 		batchRows = s.cfg.BatchRows
 	}
-	emit := s.startStream(w)
+	st := s.startStream(w)
+	defer st.flush()
 	for qi, res := range results {
-		tagged := func(f *Frame) bool { f.Query = qi; return emit(f) }
+		tagged := func(f *Frame) bool { f.Query = qi; return st.emit(f) }
 		if !tagged(SchemaFrame(res.Table)) {
 			return
 		}

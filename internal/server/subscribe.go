@@ -51,7 +51,16 @@ func (s *Server) subscribe(ctx context.Context, w http.ResponseWriter, req *Subs
 	s.subscribeActive.Add(1)
 	defer s.subscribeActive.Add(-1)
 
-	emit := s.startStream(w)
+	st := s.startStream(w)
+	// send writes an emission's last frame and flushes: a subscriber sees
+	// each emission as it happens.
+	send := func(f *Frame) bool {
+		if !st.emit(f) {
+			return false
+		}
+		st.flush()
+		return true
+	}
 	sentSchema := false
 	emits := 0
 	for {
@@ -61,32 +70,32 @@ func (s *Server) subscribe(ctx context.Context, w http.ResponseWriter, req *Subs
 				// The engine closed the stream: surface its terminal error,
 				// or end cleanly (engine Close during drain).
 				if err := sub.Err(); err != nil {
-					emit(ErrorFrame(err))
+					send(ErrorFrame(err))
 				} else {
-					emit(&Frame{Type: FrameEnd, Groups: emits})
+					send(&Frame{Type: FrameEnd, Groups: emits})
 				}
 				return
 			}
 			if !sentSchema {
-				if !emit(SchemaFrame(wr.Table)) {
+				if !st.emit(SchemaFrame(wr.Table)) {
 					return
 				}
 				sentSchema = true
 			}
-			if !emit(subscribeFrame(wr)) {
+			if !send(subscribeFrame(wr)) {
 				return // client went away; the deferred Close detaches us
 			}
 			s.subscribeEmits.Add(1)
 			emits++
 			if req.MaxEmits > 0 && emits >= req.MaxEmits {
-				emit(&Frame{Type: FrameEnd, Groups: emits})
+				send(&Frame{Type: FrameEnd, Groups: emits})
 				return
 			}
 		case <-ctx.Done():
-			emit(ErrorFrame(fmt.Errorf("%w: %v", errs.ErrCanceled, ctx.Err())))
+			send(ErrorFrame(fmt.Errorf("%w: %v", errs.ErrCanceled, ctx.Err())))
 			return
 		case <-s.gate.Done():
-			emit(&Frame{Type: FrameEnd, Groups: emits, Events: []string{"server draining"}})
+			send(&Frame{Type: FrameEnd, Groups: emits, Events: []string{"server draining"}})
 			return
 		}
 	}
