@@ -120,16 +120,18 @@ done
 
 echo "== removed names appear only in history files =="
 # Names that refactors deleted, in code, docs, scripts and CI alike: the
-# retired ablation switches, the per-shard cache API and its metric
-# families, the data-part descriptions exec.DataKey replaced, the
+# retired ablation switches, the in-process scatter-gather (its cache
+# API, runtime, stats, EXPLAIN section, error, fault points and metric
+# families), the data-part descriptions exec.DataKey replaced, the
 # second definition of the built-in aggregates, and the per-morsel dense
 # group numbering the first-appearance pass replaced. The short names match
 # as whole words only, so live identifiers that contain them pass.
 gone='SetVectorizedKernels|SetViewRewriting|EnableViews|ClearShardWorker|ClearShardCaches|ShardWorkerCache'
-gone+='|sudaf_shard_(full_hits|state_hits|entries_maintained)_total'
+gone+='|sudaf_shard_[a-z_]+_total|PointShard[A-Za-z]*'
 gone+='|\b(SymbolicL|fpReferences|shareFingerprint|DataInfo|TableEpochs|splitJoin|splitQualified'
 gone+='|BuiltinTask|BuiltinKind|LookupBuiltin|builtinFormDef|DefaultShards|newSharded|shardFor'
-gone+='|newDenseGroup|denseAssign)\b'
+gone+='|newDenseGroup|denseAssign|ShardStats|ShardCount|ExplainShard|ErrShard|shardRuntime'
+gone+='|ruleDistribute|scatterSet|routeAppend)\b'
 stray=$(grep -rnE "$gone" --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' . |
   grep -vE '^\./(CHANGES|EXPERIMENTS|ROADMAP|ISSUE|REVIEW)\.md:|^\./ci/check_docs\.sh:' || true)
 if [ -n "$stray" ]; then

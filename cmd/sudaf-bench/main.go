@@ -3,7 +3,7 @@
 // the three systems (baseline with hardcoded UDAFs, SUDAF without
 // sharing, SUDAF with sharing). See EXPERIMENTS.md for recorded runs.
 // Engine-feature performance (kernels, encodings, ingest, windows,
-// shards, serving) is measured by benchmark/ — see BENCHMARK.json.
+// serving) is measured by benchmark/ — see BENCHMARK.json.
 //
 // Usage:
 //

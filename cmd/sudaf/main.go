@@ -16,7 +16,6 @@
 //	\views                               list materialized views
 //	\materialize <name> <sql>            create a state view
 //	\cache                               show cache statistics
-//	\shards                              show scatter-gather shard statistics
 //	\save                                persist tables + state cache to -data-dir
 //	\space                               dump the symbolic sharing space
 //	\tables                              list tables
@@ -59,7 +58,6 @@ func (l *loadFlags) Set(v string) error {
 func main() {
 	var loads loadFlags
 	workers := flag.Int("workers", 0, "engine parallelism (0 = NumCPU)")
-	shards := flag.Int("shards", 0, "scatter-gather shard count (0/1 = unsharded)")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (0 = none), e.g. 30s")
 	numeric := flag.String("numeric", "permissive", "numeric fault policy: strict|permissive")
 	skipBad := flag.Bool("skip-bad-rows", false, "skip and count malformed CSV rows instead of failing the load")
@@ -77,7 +75,7 @@ func main() {
 		fatal("bad -numeric %q, want strict or permissive", *numeric)
 	}
 
-	eng := sudaf.Open(sudaf.Options{Workers: *workers, Shards: *shards,
+	eng := sudaf.Open(sudaf.Options{Workers: *workers,
 		QueryTimeout: *timeout, Numeric: pol, DataDir: *dataDir})
 	if *dataDir != "" {
 		if err := eng.LoadError(); err != nil {
@@ -237,14 +235,6 @@ func runCommand(eng *sudaf.Engine, line string, mode *sudaf.Mode) (quit bool) {
 		st := eng.CacheStats()
 		fmt.Printf("lookups=%d exact=%d shared=%d sign=%d misses=%d evictions=%d\n",
 			st.Lookups, st.ExactHits, st.SharedHits, st.SignHits, st.Misses, st.Evictions)
-	case "\\shards":
-		st := eng.ShardStats()
-		if st.Shards == 0 {
-			fmt.Println("sharding off (run with -shards N)")
-			return
-		}
-		fmt.Printf("shards=%d tables=%d queries=%d fallbacks=%d scans=%d rows_scanned=%d appends_routed=%d\n",
-			st.Shards, st.Tables, st.Queries, st.Fallbacks, st.Scans, st.RowsScanned, st.AppendsRouted)
 	case "\\rewrite":
 		if len(fields) < 2 {
 			fmt.Println("usage: \\rewrite <sql>")

@@ -38,10 +38,4 @@ var (
 	// before any execution, so overloaded requests are always safe to
 	// retry after backoff.
 	ErrOverloaded = errs.ErrOverloaded
-	// ErrShard reports a scatter-gather failure on a sharded engine
-	// (Options.Shards > 1): a shard worker's partial scan failed or
-	// panicked, or the coordinator's ⊕-merge did. The query surfaces
-	// exactly one such error and no partial results; the underlying
-	// cause stays wrapped (a cancelled shard also matches ErrCanceled).
-	ErrShard = errs.ErrShard
 )

@@ -7,7 +7,7 @@
 //
 // The SUDAF query planner (internal/core) is its one instantiation:
 // queryPipeline, with phases resolve → canonicalize → share → fuse →
-// parallelize → distribute. Every aggregate statement — windowed ones
+// parallelize. Every aggregate statement — windowed ones
 // included — runs the whole pipeline; the batch planner and EXPLAIN run
 // its resolve/canonicalize front (RunThrough) on the same plan type, so
 // they see exactly the data plan and bound states execution will.

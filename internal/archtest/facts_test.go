@@ -100,23 +100,6 @@ var facts = []fact{
 		return mentionedIn(t, outside, words("finals"), "memoized finals are internal/cache's private state")
 	}},
 
-	// DESIGN.md §13: shard workers are stateless scanners; the session
-	// cache is the only place a state is kept.
-	{"shard-keeps-no-cache", func(t *tree) []violation {
-		var vs []violation
-		for _, f := range t.code("internal/shard") {
-			for _, sel := range pkgRefs(f, f.ast, "sudaf/internal/cache") {
-				if sel.Sel.Name == "New" {
-					vs = append(vs, t.violation(f, sel.Pos(), "internal/shard creates no state cache"))
-				}
-			}
-			for _, c := range methodCalls(f.ast, "LookupAll", "StoreAll", "Probe") {
-				vs = append(vs, t.violation(f, c.Pos(), "internal/shard reads no state cache, found .%s", callee(c)))
-			}
-		}
-		return vs
-	}},
-
 	// DESIGN.md §4: exec.DataKey is the one description of a data part, and
 	// its String() the only producer of key text.
 	{"data-key-text-in-one-file", func(t *tree) []violation {

@@ -906,7 +906,7 @@ type FinalWant struct {
 }
 
 // LookupAll is the lookup half of the sharing protocol every consumer
-// runs (session queries, windowed queries, shard workers): it fetches the
+// runs (session queries, batches, windowed queries): it fetches the
 // fingerprint's entry once and resolves every wanted state against that
 // same entry — exact match, Theorem 4.1 sharing, or §5.3 sign-split
 // reconstruction. The cache's lock is held only for the fetch; the entry

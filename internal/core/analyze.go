@@ -25,7 +25,7 @@ type scanProvider func(dp *exec.DataPlan, reg *exec.TaskRegistry) (*exec.GroupRe
 
 // planState is the unit the analyzer pipeline operates on: one aggregate
 // statement's plan — windowed or not — built up phase by phase (resolve →
-// canonicalize → share → fuse → parallelize → distribute) and then
+// canonicalize → share → fuse → parallelize) and then
 // executed by executePlan, or driven incrementally by a Subscription.
 // Each field records which phase owns it; rules only touch their own
 // phase's outputs plus earlier ones.
@@ -114,9 +114,6 @@ func (ps *planState) guard(stage string, f func()) {
 //	parallelize  — decide scan elision (full cache hit) or adopt a
 //	               batch-provided fused scan; the morsel scheduler
 //	               parallelizes whatever scan remains
-//	distribute   — on a sharded session (Options.Shards > 1), execute
-//	               the remaining scan scatter-gather over the shard
-//	               workers and ⊕-merge the partials (SUDAF modes only)
 //
 // Rules are mode-gated internally: baseline queries no-op through the
 // share and fuse phases, rewrite queries through the cache lookups.
@@ -146,9 +143,6 @@ var queryPipeline = analyzer.Pipeline[*planState]{
 		{Name: "parallelize", Rules: []analyzer.Rule[*planState]{
 			{Name: "elide-scan", Apply: ruleElideScan},
 			{Name: "fused-scan", Apply: ruleFusedScan},
-		}},
-		{Name: "distribute", Rules: []analyzer.Rule[*planState]{
-			{Name: "scatter-gather", Apply: ruleDistribute},
 		}},
 	},
 }

@@ -78,19 +78,6 @@ type batchGroup struct {
 	rowsGiven bool
 }
 
-// scatterSet returns the shard set the group's fused scan scatter-gathers
-// over, or nil when it runs as one local scan: an unsharded session,
-// baseline mode, an empty task union, a union with a task no canonical
-// state backs (g.compute is index-aligned with the registry only when it
-// covers every task), or no table whose shard set matches the pinned
-// version. QueryBatch and BatchExplain both decide through it.
-func (g *batchGroup) scatterSet(s *Session, mode Mode) *shardSet {
-	if s.shards == nil || mode == ModeBaseline || g.reg.Len() == 0 || len(g.compute) != g.reg.Len() {
-		return nil
-	}
-	return s.shards.pickSet(&g.dp.Key)
-}
-
 // batchPlan is the analyzed shape of a whole batch.
 type batchPlan struct {
 	members []*batchMember
@@ -318,23 +305,9 @@ func (s *Session) QueryBatch(ctx context.Context, reqs []Request, mode Mode) (_ 
 	}
 
 	// Run the fused scans: one pass per fingerprint group computes the
-	// group's entire task union. On a sharded session, SUDAF-mode groups
-	// scatter-gather instead — g.compute is index-aligned with the task
-	// registry, so the merged partials slot straight into g.gr.
+	// group's entire task union.
 	for _, g := range plan.groups {
 		if g.reg.Len() == 0 {
-			continue
-		}
-		if set := g.scatterSet(s, mode); set != nil {
-			states := make([]canonical.State, len(g.compute))
-			for i, cand := range g.compute {
-				states[i] = cand.st
-			}
-			gr, serr := s.scatter(ctx, qc, stmts[g.members[0]], set, states)
-			if serr != nil {
-				return nil, serr
-			}
-			g.gr = gr
 			continue
 		}
 		gr, rerr := s.eng.RunSpecs(ctx, g.dp, g.reg)

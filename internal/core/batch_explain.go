@@ -37,10 +37,6 @@ type BatchGroupExplain struct {
 	Members []int
 	// Tasks is the fused scan's task union, in registration order.
 	Tasks []string
-	// Shards is the number of shard workers this group's fused scan
-	// would scatter-gather across (0 when it runs as one local scan:
-	// unsharded engine, baseline mode, or no distributable table).
-	Shards int
 	// States is every member state's disposition, in planning order.
 	States []BatchStateExplain
 }
@@ -106,9 +102,6 @@ func (s *Session) BatchExplain(reqs []Request, mode Mode) (*BatchExplain, error)
 			Members:     g.members,
 			Tasks:       g.reg.Keys(),
 		}
-		if g.scatterSet(s, mode) != nil {
-			ge.Shards = s.shards.n
-		}
 		for _, mi := range g.members {
 			for _, st := range plan.members[mi].states {
 				ge.States = append(ge.States, BatchStateExplain{
@@ -138,9 +131,6 @@ func (be *BatchExplain) String() string {
 		fmt.Fprintf(&b, "\ngroup %d: fingerprint %s\n", gi, g.Fingerprint)
 		fmt.Fprintf(&b, "  queries: %s\n", joinInts(g.Members))
 		fmt.Fprintf(&b, "  fused tasks (%d): %s\n", len(g.Tasks), strings.Join(g.Tasks, ", "))
-		if g.Shards > 0 {
-			fmt.Fprintf(&b, "  scatter: %d shards\n", g.Shards)
-		}
 		for _, st := range g.States {
 			line := fmt.Sprintf("  q%d %s — %s", st.Query, st.State, st.Disposition)
 			if st.Via != "" {

@@ -125,14 +125,10 @@ type Options struct {
 	// MetricsLabel distinguishes this session's series when Metrics is
 	// shared, rendered as an engine="..." label. Empty means no label.
 	MetricsLabel string
-	// Shards > 1 partitions every registered table into that many
-	// contiguous row-range shards and executes SUDAF-mode aggregations
-	// scatter-gather: the session's one state cache serves what it can,
-	// each shard scans its slice for the missed states only, the
-	// coordinator ⊕-merges the partials and stores them back, and the
-	// terminating functions run once over the merged groups. Shard
-	// workers keep no state. Results are bit-identical to an unsharded
-	// session. 0 or 1 disables sharding.
+	// Deprecated: ignored; every query runs one scan whose morsels the
+	// Workers pool merges. The field stays only because the benchmark's
+	// probeShards still sets it; it goes once ROADMAP item 1's
+	// [benchmark] PR has deleted probeShards.
 	Shards int
 	// DataDir, when non-empty, is the persistence directory: NewSession
 	// restores every table segment file and the state-cache snapshot
@@ -216,12 +212,6 @@ type Session struct {
 	// lifetime even across a concurrent clear.
 	cache      atomic.Pointer[cache.Cache]
 	cacheBytes int64
-
-	// shards is the scatter-gather runtime (nil when Options.Shards ≤ 1):
-	// per-table shard sets plus the stateless in-process workers. Shard
-	// sets are rebuilt under ingestMu (Register, Append) and read via an
-	// immutable-snapshot pointer by queries.
-	shards *shardRuntime
 
 	// admit is the admission-control slot pool (nil = unlimited); any
 	// number of callers may wait in admitQueue.
@@ -312,9 +302,6 @@ func NewSession(opts Options) *Session {
 		s.metrics = obs.NewRegistry()
 	}
 	s.cache.Store(cache.New(opts.CacheBytes))
-	if opts.Shards > 1 {
-		s.shards = newShardRuntime(s.eng, opts.Shards)
-	}
 	if opts.MaxConcurrentQueries > 0 {
 		s.admit = make(gate.Slots, opts.MaxConcurrentQueries)
 	}
@@ -428,20 +415,9 @@ func (s *Session) SetQueryTimeout(d time.Duration) {
 	s.queryTimeout = d
 }
 
-// Register adds a table to the catalog. On a sharded session it also
-// (re)builds the table's shard set: contiguous row-range slice versions,
-// one per shard, each sealed and epoch-stamped once per table version.
+// Register adds a table to the catalog.
 func (s *Session) Register(t *storage.Table) error {
-	if s.shards == nil {
-		return s.cat.Register(t)
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if err := s.cat.Register(t); err != nil {
-		return err
-	}
-	s.shards.rebuild(t)
-	return nil
+	return s.cat.Register(t)
 }
 
 // DefineUDAF registers a UDAF from its mathematical expression, e.g.

@@ -131,31 +131,6 @@ func TestEncodedFoldsProdEngages(t *testing.T) {
 	}
 }
 
-// TestEncodedFoldsShardedDifferential: sharded sessions slice tables
-// into per-shard views; the views carry the encodings and the fold path
-// must stay bit-identical to the dense path.
-func TestEncodedFoldsShardedDifferential(t *testing.T) {
-	tbl := foldTable(16000)
-	for _, q := range foldQueries {
-		s := NewSession(Options{Workers: 2, Shards: 3})
-		if err := s.Register(tbl); err != nil {
-			t.Fatal(err)
-		}
-		s.eng.SetEncodedFolds(true)
-		on, err := s.Query(q, ModeShare)
-		if err != nil {
-			t.Fatalf("sharded folds-on: %v", err)
-		}
-		s.ClearCache()
-		s.eng.SetEncodedFolds(false)
-		off, err := s.Query(q, ModeShare)
-		if err != nil {
-			t.Fatalf("sharded folds-off: %v", err)
-		}
-		tablesBitIdentical(t, on.Table, off.Table, "sharded "+q)
-	}
-}
-
 // TestEncodedFoldsAfterAppend: appends create a new table version with
 // an extra encoded tail segment; folds over the successor must agree
 // with dense.

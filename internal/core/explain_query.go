@@ -39,11 +39,6 @@ type Explain struct {
 	// frame shape and the window-qualified fingerprint its per-emission
 	// partials are cached under. Nil for non-windowed queries.
 	Window *ExplainWindow
-	// Shards is the scatter provenance on a sharded engine
-	// (Options.Shards > 1): one entry per shard worker, with the row range
-	// it would scan. Empty on unsharded engines and in baseline mode
-	// (which never distributes).
-	Shards []ExplainShard
 }
 
 // ExplainWindow is a windowed statement's frame provenance.
@@ -61,15 +56,6 @@ type ExplainWindow struct {
 	// fingerprint with the frame appended) the per-emission state vectors
 	// live under in share mode.
 	Fingerprint string
-}
-
-// ExplainShard is one shard worker's scatter provenance.
-type ExplainShard struct {
-	// Index is the shard number; Table the sharded (scatter) table; Rows
-	// the shard's row-range size.
-	Index int
-	Table string
-	Rows  int
 }
 
 // ExplainAggregate is one aggregate call's decomposition.
@@ -221,9 +207,6 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 			ex.Rewritten = rw
 		}
 	}
-	if s.shards != nil && len(ps.slots) > 0 {
-		ex.Shards = s.shards.explainShards(key)
-	}
 	return ex, nil
 }
 
@@ -328,12 +311,6 @@ func (ex *Explain) String() string {
 		b.WriteString("\nrewritten SQL (RQ):\n")
 		for _, line := range strings.Split(ex.Rewritten, "\n") {
 			b.WriteString("  " + line + "\n")
-		}
-	}
-	if len(ex.Shards) > 0 {
-		b.WriteString("\nshards:\n")
-		for _, sh := range ex.Shards {
-			fmt.Fprintf(&b, "  shard %d: %s rows=%d\n", sh.Index, sh.Table, sh.Rows)
 		}
 	}
 	return b.String()

@@ -263,12 +263,6 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 		res.ViewsMaintained++
 	}
 
-	// Route the delta to its owning shard before publishing, so no query
-	// pins the new version while its shard set still partitions the old.
-	if s.shards != nil {
-		s.shards.routeAppend(old, newTbl)
-	}
-
 	// Publish: from here on, new snapshots pin the new version. In-flight
 	// queries keep the old one, and keep hitting its epoch-qualified
 	// cache entries (migration copies, never mutates or removes them);

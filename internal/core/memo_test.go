@@ -14,8 +14,8 @@ import (
 
 // memoTable holds small integer-valued floats: power sums to x^10 stay
 // exact in float64, so the sketch states — and with them the solver's
-// output bits — do not depend on how a scan, a shard merge or an append
-// delta associated them, and Rewrite is a bit-exact reference for Share.
+// output bits — do not depend on how a scan or an append delta associated
+// them, and Rewrite is a bit-exact reference for Share.
 func memoTable(rows int, seed int64) *storage.Table {
 	rng := rand.New(rand.NewSource(seed))
 	t := storage.NewTable("m",
@@ -108,9 +108,6 @@ func TestMemoizedFinisherMatchesSolver(t *testing.T) {
 			checkMemoized(t, memoSession(t, Options{}), tc.sql, tc.calls)
 		})
 	}
-	t.Run("sharded", func(t *testing.T) {
-		checkMemoized(t, memoSession(t, Options{Shards: 3}), "SELECT g, approx_median(x) FROM m GROUP BY g ORDER BY g", 1)
-	})
 }
 
 // TestMemoNotStoredByLimitedQuery: ORDER BY key LIMIT n finishes n groups,

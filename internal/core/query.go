@@ -315,7 +315,7 @@ func (s *Session) runStmt(ctx context.Context, qc *queryCtx, stmt *sqlparse.Stmt
 	}
 
 	// Everything aggregate flows through the fixed analyzer pipeline
-	// (resolve → canonicalize → share → fuse → parallelize → distribute),
+	// (resolve → canonicalize → share → fuse → parallelize),
 	// then the common execution tail.
 	ps := &planState{s: s, qc: qc, stmt: stmt, mode: mode, temps: len(temps) > 0}
 	if err := queryPipeline.Run(ctx, ps); err != nil {

@@ -187,6 +187,41 @@ func (s *Session) windowScan(ctx context.Context, ps *planState) (*exec.GroupRes
 	return gr, nil
 }
 
+// taskStates reconstructs the task registry's state list in task order
+// from the plan's missing slots and sign-split companions: the states a
+// windowed scan folds. ok is false when any registry index is not
+// covered by a canonical state (never the case for plans built by the
+// standard pipeline — this is a bail-out, not an error path).
+func (ps *planState) taskStates() ([]canonical.State, bool) {
+	n := ps.reg.Len()
+	states := make([]canonical.State, n)
+	have := make([]bool, n)
+	fill := func(sl *slot) bool {
+		if sl.taskIdx < 0 || sl.taskIdx >= n {
+			return false
+		}
+		states[sl.taskIdx] = sl.st
+		have[sl.taskIdx] = true
+		return true
+	}
+	for _, sl := range ps.missing {
+		if !fill(sl) {
+			return nil, false
+		}
+	}
+	for _, sl := range ps.companions {
+		if !fill(sl) {
+			return nil, false
+		}
+	}
+	for _, h := range have {
+		if !h {
+			return nil, false
+		}
+	}
+	return states, true
+}
+
 // foldDriver is the chronological two-stacks executor: one persistent
 // ⊕-fold per canonical state, fed rows in order. A one-shot windowed
 // query drives it once over the whole table; a subscription keeps it

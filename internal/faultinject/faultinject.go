@@ -73,16 +73,6 @@ const (
 	// an error truncates the stream (a torn response the client must
 	// detect via length framing), a delay stalls it mid-stream.
 	PointNetStall = "net.stall"
-	// PointShardScan fires at the start of every per-shard worker scan:
-	// an error or panic models a failed shard, a delay a straggler.
-	PointShardScan = "shard.scan"
-	// PointShardMerge fires before each partial-state ⊕-merge step at
-	// the scatter-gather coordinator.
-	PointShardMerge = "shard.merge"
-	// PointShardStall fires after the coordinator has gathered and
-	// merged all partials, before the result is returned: a delay models
-	// a stalled coordinator (drain testing), an error a failed gather.
-	PointShardStall = "shard.stall"
 	// PointWindowEvict fires each time a sliding window evicts expired
 	// rows (once per eviction step, not per state): an error aborts the
 	// windowed query or fails the subscription cleanly.
@@ -98,7 +88,6 @@ func Points() []string {
 	return []string{
 		PointStorageScan, PointCacheGet, PointExecWorker, PointExecJoin,
 		PointNetAccept, PointNetRead, PointNetWrite, PointNetStall,
-		PointShardScan, PointShardMerge, PointShardStall,
 		PointWindowEvict, PointWindowEmit,
 	}
 }

@@ -126,12 +126,6 @@ type EngineStats = core.EngineStats
 // materialized views delta-folded vs dropped.
 type IngestStats = core.IngestStats
 
-// ShardStats are engine-lifetime scatter-gather counters on a sharded
-// engine (Options.Shards > 1): distributed queries vs single-engine
-// fallbacks, per-shard worker scans and the rows they read, and appends
-// routed to their owning shard. All zero on an unsharded engine.
-type ShardStats = core.ShardStats
-
 // Explain is the structured result of Engine.Explain: the canonical
 // decomposition of a query's aggregates and, in Share mode, the sharing
 // provenance of every aggregation state.
@@ -146,11 +140,6 @@ type ExplainAggregate = core.ExplainAggregate
 // its cache provenance in Share mode (hit kind, matched state, scalar
 // rewriting, conditions, or miss reason).
 type ExplainState = core.ExplainState
-
-// ExplainShard is one shard worker's scatter provenance in an Explain on
-// a sharded engine: the shard's index, the sharded table and the size of
-// the row range the worker would scan.
-type ExplainShard = core.ExplainShard
 
 // BatchExplain is the structured result of Engine.BatchExplain: the
 // batch sharing plan — fingerprint groups, fused-scan task unions, and
@@ -498,14 +487,6 @@ func (e *Engine) Stats() EngineStats { return e.s.Stats() }
 
 // IngestStats returns engine-lifetime ingestion counters.
 func (e *Engine) IngestStats() IngestStats { return e.s.IngestStats() }
-
-// ShardStats returns engine-lifetime scatter-gather counters (all zero
-// on an unsharded engine).
-func (e *Engine) ShardStats() ShardStats { return e.s.ShardStats() }
-
-// ShardCount returns the configured shard count (0 when sharding is
-// off).
-func (e *Engine) ShardCount() int { return e.s.ShardCount() }
 
 // Metrics returns the engine's metrics registry: the one passed in
 // Options.Metrics, or the private registry created when none was.
