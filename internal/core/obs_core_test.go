@@ -67,7 +67,14 @@ func TestResultTraceSampling(t *testing.T) {
 	// group by a dense key, so order_rows says how far the
 	// first-appearance pass read: to the fourth row when all four regions
 	// have appeared, through every row when the filter keeps two of them.
+	// fold says how rows reached their states: by the key itself where
+	// the unfiltered pass found the domain full, by group ids behind the
+	// filter's row vector, and in registers for a grand aggregate.
 	filtered, err := traced.Query("SELECT region, sum(price) FROM sales WHERE region >= 1 and region < 3 GROUP BY region", ModeRewrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grand, err := traced.Query("SELECT sum(price) FROM sales", ModeRewrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +82,19 @@ func TestResultTraceSampling(t *testing.T) {
 		res                         *Result
 		rows, filterRows, orderRows int64
 		filtered                    bool
-	}{{res, 64, 0, 4, false}, {filtered, 32, 64, 32, true}} {
-		attrs := map[string]int64{}
+		fold                        string
+	}{{res, 64, 0, 4, false, "key"}, {filtered, 32, 64, 32, true, "ids"}, {grand, 64, 0, 0, false, "keyless"}} {
+		attrs, fold := map[string]int64{}, ""
 		if sp := c.res.Trace.Find("scan/agg"); sp != nil {
 			for _, a := range sp.Attrs {
 				attrs[a.Key] = a.Int
+				if a.Key == "fold" {
+					fold = a.Str
+				}
 			}
 		}
-		if _, us := attrs["filter_us"]; attrs["rows"] != c.rows || attrs["filter_rows"] != c.filterRows || us != c.filtered || attrs["order_rows"] != c.orderRows {
-			t.Errorf("scan/agg attrs %v, want rows=%d filter_rows=%d order_rows=%d, filter_us present %v", attrs, c.rows, c.filterRows, c.orderRows, c.filtered)
+		if _, us := attrs["filter_us"]; attrs["rows"] != c.rows || attrs["filter_rows"] != c.filterRows || us != c.filtered || attrs["order_rows"] != c.orderRows || fold != c.fold {
+			t.Errorf("scan/agg attrs %v fold %q, want rows=%d filter_rows=%d order_rows=%d fold %q, filter_us present %v", attrs, fold, c.rows, c.filterRows, c.orderRows, c.fold, c.filtered)
 		}
 	}
 	if !strings.Contains(res.Trace.Tree(), "└─") {

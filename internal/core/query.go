@@ -344,8 +344,8 @@ func (qc *queryCtx) noteKernels(gr *exec.GroupResult) {
 // noteScanAgg annotates a scan/agg span with the run's cost facts:
 // joined rows read, base rows the filters evaluated and their time, rows
 // the dense key path's first-appearance pass read, groups produced,
-// morsel batch count, and the compiled kernels that served it. Nil-safe
-// like every span call.
+// morsel batch count, the compiled kernels that served it, and how rows
+// reached their states (fold). Nil-safe like every span call.
 func noteScanAgg(sp *obs.Span, gr *exec.GroupResult) {
 	sp.SetInt("rows", int64(gr.Rows))
 	if gr.FilterRows > 0 {
@@ -360,6 +360,7 @@ func noteScanAgg(sp *obs.Span, gr *exec.GroupResult) {
 		sp.SetInt("batches", int64((gr.Rows+exec.BatchSize-1)/exec.BatchSize))
 	}
 	sp.SetStr("kernels", strings.Join(gr.Kernels, ","))
+	sp.SetStr("fold", gr.Fold)
 }
 
 // noteNumericFaults records a degradation event for tolerated numeric

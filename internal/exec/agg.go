@@ -54,15 +54,71 @@ type VecState interface{}
 // shape or bindings didn't admit a kernel) fall back to the scalar
 // Accumulate. AccumulateVec must compute exactly what Accumulate computes,
 // in the same row order per group, so the two paths agree bit for bit.
+// Its rows arrive indexed by what the scan has, not by a group-id vector
+// built for them (GroupIndex): a keyless batch names no group at all, so
+// the kernel folds it into a register and stores group 0 once; a fully
+// covered dense key hands over the key column itself.
 type VectorTask interface {
 	Task
 	// NewVecState allocates one worker's scratch, or nil to decline
 	// vectorized execution for this query.
 	NewVecState() VecState
-	// AccumulateVec folds rows [lo, hi) (hi-lo ≤ BatchSize) with group
-	// assignments gids, using vs as scratch.
-	AccumulateVec(vs VecState, p Partial, lo, hi int, gids []int32)
+	// AccumulateVec folds rows [lo, hi) (hi-lo ≤ BatchSize) into the
+	// partial slots ix names, using vs as scratch.
+	AccumulateVec(vs VecState, p Partial, lo, hi int, ix GroupIndex)
 }
+
+// GroupIndex says which partial slot each row of a batch folds into. It
+// has three forms:
+//
+//   - keyless (the zero value): every row folds into slot 0;
+//   - IDs: slot IDs[j] − Base for row lo+j: group ids (Base 0), or the
+//     dictionary codes of a key column read in place;
+//   - Keys: slot Keys[j] − Base, an int key column read in place.
+type GroupIndex struct {
+	IDs  []int32
+	Keys []int64
+	Base int64
+}
+
+// keylessIDs is a keyless batch's id vector wherever one is needed (the
+// scalar Accumulate, a kernel batch that falls back to the keyed loops):
+// group 0 for every row. It is only ever read.
+var keylessIDs [BatchSize]int32
+
+// slots writes each row's slot into dst for the scalar Accumulate, which
+// takes a group-id vector, and returns dst[:rows]. ix is not keyless.
+func (ix GroupIndex) slots(dst []int32) []int32 {
+	if ix.Keys != nil {
+		return keySlots(ix.Keys, ix.Base, dst)
+	}
+	return keySlots(ix.IDs, ix.Base, dst)
+}
+
+func keySlots[K int32 | int64](keys []K, base int64, dst []int32) []int32 {
+	dst = dst[:len(keys)]
+	for j, k := range keys {
+		dst[j] = int32(int64(k) - base)
+	}
+	return dst
+}
+
+// Fold names how a scan's rows reach their states (GroupResult.Fold).
+const (
+	// FoldKeyless: no GROUP BY. Kernels fold each batch in a register.
+	FoldKeyless = "keyless"
+	// FoldKey: one dense key over an identity row set whose every slot
+	// appeared. Partials are indexed by key − base and the kernels read
+	// the key column; the slot → group-id permutation is applied once,
+	// to the finalized values.
+	FoldKey = "key"
+	// FoldIDs: any other dense key. Each batch's group ids come from the
+	// first-appearance pass's slot table.
+	FoldIDs = "ids"
+	// FoldHash: keys that are not dense. Each morsel numbers its groups
+	// through a map, and the merge remaps them.
+	FoldHash = "hash"
+)
 
 // RunFoldTask is the optional direct-over-encoding extension of
 // VectorTask: a task that can fold the RLE runs of its input column as
@@ -103,6 +159,9 @@ type GroupResult struct {
 	// Kernels names the tasks that ran through compiled batch kernels
 	// (per-query observability; empty when everything ran tuple-at-a-time).
 	Kernels []string
+	// Fold is how rows reached their states: FoldKeyless, FoldKey,
+	// FoldIDs or FoldHash (observability).
+	Fold string
 }
 
 // materializeKeys decodes the composite keys into storage columns.
@@ -142,6 +201,15 @@ func (gr *GroupResult) materializeKeys(groupBy []planCol) {
 // hold all of the scan's groups, and the merge is an aligned ⊕: no morsel
 // discovers a group, and the merge looks none up. Hashed keys number
 // their groups per morsel and remap them in the merge.
+//
+// Vectorized tasks fold where their state lives (GroupResult.Fold). A
+// keyless scan builds no group-id vector: each kernel folds a batch in a
+// register. One dense key over an identity row set whose pass found every
+// slot of the domain folds by the key column itself: partials are
+// indexed by key − base, the merge stays aligned, and the slot → group-id
+// permutation is applied once, to the finalized values. Any other dense
+// scan writes each batch's group ids from the slot table, so its partials
+// never grow past the groups that occur.
 //
 // The merge streams: a morsel is merged as soon as every lower-indexed
 // morsel has been, by whichever worker completes the sequence. Morsel
@@ -184,6 +252,16 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 		if q.order, q.groups, orderRows, err = q.ka.firstAppearance(ctx, rs.n); err != nil {
 			return nil, err
 		}
+	}
+	switch {
+	case len(dp.groupBy) == 0:
+		q.fold = FoldKeyless
+	case q.order == nil:
+		q.fold = FoldHash
+	case len(q.groups) == len(q.order) && len(dp.groupBy) == 1 && rs.identity():
+		q.fold = FoldKey
+	default:
+		q.fold = FoldIDs
 	}
 	var kernels []string
 	if useVec {
@@ -320,13 +398,27 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 	}
 
 	gr := &GroupResult{Rows: rs.n, FilterRows: rs.filterRows, FilterTime: rs.filterTime,
-		OrderRows: orderRows, Kernels: kernels, NumGroups: len(global.keys), Keys: global.keys}
+		OrderRows: orderRows, Kernels: kernels, Fold: q.fold, NumGroups: len(global.keys), Keys: global.keys}
 	gr.Values = make([][]float64, len(tasks))
+	var spare []float64 // FoldKey: the permutation's target, then the last source
 	for t, task := range tasks {
 		if global.merged[t] == nil {
 			global.merged[t] = task.NewPartial(gr.NumGroups)
 		}
-		gr.Values[t] = task.Finalize(global.merged[t], gr.NumGroups)
+		vals := task.Finalize(global.merged[t], gr.NumGroups)
+		if q.fold == FoldKey {
+			// Finalize computes each group from its own states alone, so
+			// permuting its output is permuting the partial: slot s's value
+			// moves to group order[s], with no arithmetic.
+			if spare == nil {
+				spare = make([]float64, len(vals))
+			}
+			for s, g := range q.order {
+				spare[g] = vals[s]
+			}
+			vals, spare = spare, vals
+		}
+		gr.Values[t] = vals
 	}
 	gr.materializeKeys(dp.groupBy)
 	return gr, nil
@@ -399,7 +491,10 @@ func keyDomainOf(col *storage.Column, maxWidth int64) keyDomain {
 }
 
 // keyAssign is a query's group-id assignment decision, made once from the
-// key columns' domains and shared by the morsel workers and the merge.
+// key columns' domains and shared by the morsel workers and the merge. On
+// the dense paths it also hands the kernels their index: the slot table's
+// group ids (groupIDs), or, once the first-appearance pass has found the
+// domain full, the single key column itself (keyIndex).
 type keyAssign struct {
 	fns []func(int32) int64 // one accessor per group-by column
 	// lookupLen > 0 selects direct addressing: a key's group id lives in
@@ -463,14 +558,21 @@ func (ka *keyAssign) keyOf(i int) GroupKey {
 	return key
 }
 
-// groupIDs writes order[slot] for rows [lo, hi) of a dense key
+// keyIndex is rows [lo, hi) of a single dense key read in place, as the
+// GroupIndex of the key-indexed fold (FoldKey).
+func (ka *keyAssign) keyIndex(lo, hi int) GroupIndex {
+	if ka.ints != nil {
+		return GroupIndex{Keys: ka.ints[lo:hi], Base: ka.base0}
+	}
+	return GroupIndex{IDs: ka.codes[lo:hi], Base: ka.base0}
+}
+
+// groupIDs writes order[slot] for rows [lo, hi) of a keyed dense domain
 // (lookupLen > 0) into dst and returns dst[:hi-lo]: the rows' group ids
 // once order is the first-appearance pass's table.
 func (ka *keyAssign) groupIDs(order []int32, lo, hi int, dst []int32) []int32 {
 	dst = dst[:hi-lo]
 	switch {
-	case len(ka.fns) == 0: // one slot, numbered 0
-		clear(dst)
 	case len(ka.fns) == 2:
 		f0, f1 := ka.fns[0], ka.fns[1]
 		for j := range dst {
@@ -654,6 +756,7 @@ type aggScan struct {
 	// the scan's groups by id (both nil on the hash paths).
 	order  []int32
 	groups []GroupKey
+	fold   string // FoldKeyless, FoldKey, FoldIDs or FoldHash
 }
 
 // aggWorker is one worker's private scratch: group ids for one batch and
@@ -697,13 +800,15 @@ func (w *aggWorker) runMorsel(m int, la *localAgg) (err error) {
 	la.reset()
 	ka, keys := w.ka, &la.keys
 	// assign maps rows [blo, bhi) to group ids and returns the number of
-	// groups the partials must hold: all of the scan's on the dense paths
+	// groups the partials must hold: all of the scan's on the ids path
 	// (global ids, fixed by the first-appearance pass), the morsel's so
 	// far on the hash paths (local ids; the index persists across the
-	// morsel's batches).
+	// morsel's batches). The keyless and key-indexed folds assign none.
 	var assign func(blo, bhi int, gids []int32) int
 	switch {
-	case w.order != nil:
+	case w.fold == FoldKeyless || w.fold == FoldKey:
+		// No ids: the kernels read the batch as it is.
+	case w.fold == FoldIDs:
 		order, ng := w.order, len(w.groups)
 		assign = func(blo, bhi int, gids []int32) int {
 			ka.groupIDs(order, blo, bhi, gids)
@@ -795,18 +900,36 @@ func (w *aggWorker) runMorsel(m int, la *localAgg) (err error) {
 		if bhi > hi {
 			bhi = hi
 		}
-		bg := w.gids[:bhi-blo]
-		ng := assign(blo, bhi, bg)
+		// ix is what the kernels fold by, gids what the scalar Accumulate
+		// does: built on first use when key-indexed.
+		var (
+			ix   GroupIndex
+			gids []int32
+			ng   = len(w.groups)
+		)
+		switch w.fold {
+		case FoldKeyless:
+			gids = keylessIDs[:bhi-blo]
+		case FoldKey:
+			ix = ka.keyIndex(blo, bhi)
+		default:
+			gids = w.gids[:bhi-blo]
+			ng = assign(blo, bhi, gids)
+			ix.IDs = gids
+		}
 		for t, task := range w.tasks {
 			if w.foldTasks != nil && w.foldMask[t] {
 				continue
 			}
 			la.partials[t] = growPartial(task, la.partials[t], ng)
 			if vt := w.vecTasks[t]; vt != nil && w.vecStates[t] != nil {
-				vt.AccumulateVec(w.vecStates[t], la.partials[t], blo, bhi, bg)
-			} else {
-				task.Accumulate(la.partials[t], blo, bhi, bg)
+				vt.AccumulateVec(w.vecStates[t], la.partials[t], blo, bhi, ix)
+				continue
 			}
+			if gids == nil {
+				gids = ix.slots(w.gids)
+			}
+			task.Accumulate(la.partials[t], blo, bhi, gids)
 		}
 	}
 	return nil

@@ -53,6 +53,19 @@ func BenchmarkGroupBy10k(b *testing.B) {
 	}
 }
 
+// BenchmarkGrand1M is query model 1's scan: the same states with no
+// GROUP BY over 16 morsels, every row folding into one group.
+func BenchmarkGrand1M(b *testing.B) {
+	e := NewEngine(benchCatalog(b, data.Milan(16*MorselRows, 10_000, 1)), 2)
+	states := momentStates(b, "internet_traffic")
+	sql := "SELECT sum(internet_traffic) FROM milan_data"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = runStates(b, e, sql, states)
+	}
+}
+
 // BenchmarkGroupBySparseDense is the first-appearance pass's worst case:
 // 16 morsels over a 64K-wide dense domain whose odd keys never occur, so
 // the pass reads every row before the morsels start.

@@ -54,6 +54,9 @@ var denseSpecials = []float64{
 //
 //	k_cov    int in [-40, 40)         every key appears within the first
 //	                                  morsel: the pass exits early
+//	k_last   k_cov, but the last row  the domain [-40, 40] becomes full
+//	         holds 40                 on the last row
+//	k_hole   k_cov, with 40 for 0     [-40, 40] full but for one slot
 //	k_sparse int 3·[0, 300)           an 898-slot domain two thirds empty:
 //	                                  the pass reads every row
 //	k_str    string, 30 values        dictionary codes
@@ -72,6 +75,10 @@ func denseShapesTable(rng *rand.Rand) *storage.Table {
 	t := storage.NewTable("fact",
 		storage.NewColumn("k_cov", storage.KindInt),
 		storage.NewColumn("h_cov", storage.KindInt),
+		storage.NewColumn("k_last", storage.KindInt),
+		storage.NewColumn("h_last", storage.KindInt),
+		storage.NewColumn("k_hole", storage.KindInt),
+		storage.NewColumn("h_hole", storage.KindInt),
 		storage.NewColumn("k_sparse", storage.KindInt),
 		storage.NewColumn("h_sparse", storage.KindInt),
 		storage.NewColumn("k_str", storage.KindString),
@@ -100,6 +107,17 @@ func denseShapesTable(rng *rand.Rand) *storage.Table {
 		cov, sparse, str, a := pick(80)-40, 3*pick(300), pick(30), pick(5)-2
 		t.Col("k_cov").AppendInt(cov)
 		t.Col("h_cov").AppendInt(cov * hashSpread)
+		last, hole := cov, cov
+		if i == denseRows-1 {
+			last = 40
+		}
+		if hole == 0 {
+			hole = 40
+		}
+		t.Col("k_last").AppendInt(last)
+		t.Col("h_last").AppendInt(last * hashSpread)
+		t.Col("k_hole").AppendInt(hole)
+		t.Col("h_hole").AppendInt(hole * hashSpread)
 		t.Col("k_sparse").AppendInt(sparse)
 		t.Col("h_sparse").AppendInt(sparse * hashSpread)
 		t.Col("k_str").AppendString(fmt.Sprintf("s%02d", str))
@@ -218,19 +236,26 @@ func TestDenseAssignmentPathsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	states := denseStates(t)
+	// A single key over the unfiltered table folds by the key itself
+	// once the pass has seen every slot of its domain (FoldKey), and by
+	// group ids otherwise: k_last and k_hole sit on either side of that
+	// line.
 	queries := []struct {
 		path, keys, twin, from string
 		early                  bool // the pass stops before the last row
+		fold                   string
 	}{
-		{"dense-int", "k_cov", "h_cov", "fact", true},
-		{"dense-int", "k_sparse", "h_sparse", "fact", false},
-		{"dense-dict", "k_str", "h_str", "fact", true},
-		{"dense-2key", "k_a, k_b", "h_a, k_b", "fact", true},
-		{"dense-int", "k_cov", "h_cov", "fact WHERE iv < 4", true},
-		{"dense-int", "k_sparse", "h_sparse", "fact WHERE iv < 4", false},
-		{"dense-int", "k_cov", "h_cov", "fact, dim WHERE fk = d_id", true},
-		{"dense-int", "d_grp", "h_grp", "fact, dim WHERE fk = d_id", true},
-		{"dense-dict", "k_str", "h_str", "fact, dim WHERE fk = d_id", true},
+		{"dense-int", "k_cov", "h_cov", "fact", true, FoldKey},
+		{"dense-int", "k_last", "h_last", "fact", false, FoldKey},
+		{"dense-int", "k_hole", "h_hole", "fact", false, FoldIDs},
+		{"dense-int", "k_sparse", "h_sparse", "fact", false, FoldIDs},
+		{"dense-dict", "k_str", "h_str", "fact", true, FoldKey},
+		{"dense-2key", "k_a, k_b", "h_a, k_b", "fact", true, FoldIDs},
+		{"dense-int", "k_cov", "h_cov", "fact WHERE iv < 4", true, FoldIDs},
+		{"dense-int", "k_sparse", "h_sparse", "fact WHERE iv < 4", false, FoldIDs},
+		{"dense-int", "k_cov", "h_cov", "fact, dim WHERE fk = d_id", true, FoldIDs},
+		{"dense-int", "d_grp", "h_grp", "fact, dim WHERE fk = d_id", true, FoldIDs},
+		{"dense-dict", "k_str", "h_str", "fact, dim WHERE fk = d_id", true, FoldIDs},
 	}
 	sql := func(keys, from string) string {
 		return fmt.Sprintf("SELECT %s, sum(x) FROM %s GROUP BY %s", keys, from, keys)
@@ -266,8 +291,14 @@ func TestDenseAssignmentPathsBitIdentical(t *testing.T) {
 			}
 		}
 		assertSameValues(t, dense+" against the tuple reference", want, got, true)
+		if got.Fold != q.fold {
+			t.Fatalf("%s: fold %q, want %q", dense, got.Fold, q.fold)
+		}
 		for _, workers := range []int{1, 8} {
 			other := runDenseTasks(t, NewEngine(cat, workers), dense, states, nil)
+			if other.Fold != q.fold {
+				t.Fatalf("%s workers=%d: fold %q, want %q", dense, workers, other.Fold, q.fold)
+			}
 			assertSameValues(t, fmt.Sprintf("%s workers=%d", dense, workers), got, other, false)
 			if other.Keys[len(other.Keys)-1] != got.Keys[len(got.Keys)-1] {
 				t.Fatalf("%s workers=%d: last group %v, want %v", dense, workers, other.Keys[len(other.Keys)-1], got.Keys[len(got.Keys)-1])

@@ -166,170 +166,280 @@ func colBatch(col *storage.Column, rows []int32, buf []float64, lo, hi int) []fl
 	return buf
 }
 
-// AccumulateVec implements VectorTask: one loop per kernel class. Float
-// columns behind a row vector are indexed through it inside the loop
-// (fused); identity float columns are read in place; other kinds gather
-// into the worker's batch buffer first. Every loop folds rows in
-// ascending order, so per-group accumulation order — and therefore
+// AccumulateVec implements VectorTask: one loop per kernel class, in two
+// shapes. A keyless batch (foldKeyless) runs each loop into a local
+// accumulator and stores group 0 once; a keyed one (foldKeyed) indexes
+// the partial by slot, whether the index is group ids or the key column.
+// Float columns behind a row vector are indexed through it inside the
+// loop (fused); identity float columns are read in place; other kinds
+// gather into the worker's batch buffer first. A state with one value per
+// row (a column, or a generic base evaluated a batch at a time) is folded
+// by its ⊕ alone. Every loop folds rows in ascending order with the same
+// operations, so per-group accumulation order — and therefore
 // floating-point rounding — matches the scalar path exactly.
-func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, gids []int32) {
+func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, ix GroupIndex) {
 	a := p.(*floatsPartial).arrs[0]
 	vs := vsi.(*stateVecState)
-	n := hi - lo
-	switch t.plan.Class {
-	case canonical.KernelCount:
-		for _, g := range gids[:n] {
-			a[g]++
-		}
-	case canonical.KernelSumCol:
-		if t.fused {
-			f, rows := t.col.F, t.rows
-			for i := lo; i < hi; i++ {
-				a[gids[i-lo]] += f[rows[i]]
+	switch {
+	case ix.Keys != nil:
+		foldKeyed(t, vs, a, lo, hi, ix.Keys, ix.Base)
+	case ix.IDs != nil:
+		foldKeyed(t, vs, a, lo, hi, ix.IDs, ix.Base)
+	default:
+		// A batch whose register fold meets a NaN runs the keyed loop
+		// instead. Where two NaNs meet, an add or multiply keeps the
+		// payload of whichever operand the compiler made first, and that
+		// choice differs between a register accumulator and a partial
+		// loaded from memory (and between builds); every other result is
+		// commutative to the bit.
+		if acc := a[0]; acc == acc {
+			if acc = t.foldKeyless(vs, acc, lo, hi); acc == acc {
+				a[0] = acc
+				return
 			}
-		} else {
-			buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
-			for j, g := range gids[:n] {
-				a[g] += buf[j]
+		}
+		foldKeyed(t, vs, a, lo, hi, keylessIDs[:hi-lo], 0)
+	}
+}
+
+// values is rows [lo, hi) of a state with one value per row: its
+// column's, or its generic base evaluated and chained into the worker's
+// buffer.
+func (t *StateTask) values(vs *stateVecState, lo, hi int) []float64 {
+	if t.plan.Class != canonical.KernelGeneric {
+		return colBatch(t.col, t.rows, vs.buf, lo, hi)
+	}
+	buf := vs.buf[:hi-lo]
+	vs.fill(lo, hi, buf)
+	if fn := t.fn; fn != nil {
+		for j := range buf {
+			buf[j] = fn(buf[j])
+		}
+	}
+	return buf
+}
+
+// foldKeyed folds rows [lo, hi) into a, row lo+j into slot keys[j] − base.
+// It is written once for both kinds of index: group ids (K = int32, base
+// 0), dictionary codes (int32) and int keys (int64) read in place.
+func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo, hi int, keys []K, base int64) {
+	switch {
+	case t.plan.Class == canonical.KernelCount:
+		for _, k := range keys {
+			a[int64(k)-base]++
+		}
+	case t.fused:
+		f, rows := t.col.F, t.rows[lo:hi]
+		switch t.plan.Class {
+		case canonical.KernelSumCol:
+			for j, k := range keys {
+				a[int64(k)-base] += f[rows[j]]
+			}
+		case canonical.KernelSumPow:
+			switch t.plan.Pow {
+			case 2:
+				for j, k := range keys {
+					v := f[rows[j]]
+					a[int64(k)-base] += v * v
+				}
+			case 3:
+				for j, k := range keys {
+					v := f[rows[j]]
+					a[int64(k)-base] += v * v * v
+				}
+			default:
+				// k = 4 has no expr.ConstPow reduction, so the scalar path
+				// computes Pow(v, 4); x*x*x*x rounds differently.
+				pk := float64(t.plan.Pow)
+				for j, k := range keys {
+					a[int64(k)-base] += math.Pow(f[rows[j]], pk)
+				}
+			}
+		case canonical.KernelSumMul:
+			f2, rows2 := t.col2.F, t.rows2[lo:hi]
+			for j, k := range keys {
+				a[int64(k)-base] += f[rows[j]] * f2[rows2[j]]
+			}
+		case canonical.KernelProdCol:
+			for j, k := range keys {
+				a[int64(k)-base] *= f[rows[j]]
+			}
+		case canonical.KernelMinCol:
+			for j, k := range keys {
+				g := int64(k) - base
+				if v := f[rows[j]]; v < a[g] || v != v {
+					a[g] = v
+				}
+			}
+		case canonical.KernelMaxCol:
+			for j, k := range keys {
+				g := int64(k) - base
+				if v := f[rows[j]]; v > a[g] || v != v {
+					a[g] = v
+				}
 			}
 		}
-	case canonical.KernelSumPow:
+	case t.plan.Class == canonical.KernelSumPow:
+		buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
 		switch t.plan.Pow {
 		case 2:
-			if t.fused {
-				f, rows := t.col.F, t.rows
-				for i := lo; i < hi; i++ {
-					v := f[rows[i]]
-					a[gids[i-lo]] += v * v
-				}
-			} else {
-				buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
-				for j, g := range gids[:n] {
-					v := buf[j]
-					a[g] += v * v
-				}
+			for j, k := range keys {
+				v := buf[j]
+				a[int64(k)-base] += v * v
 			}
 		case 3:
-			if t.fused {
-				f, rows := t.col.F, t.rows
-				for i := lo; i < hi; i++ {
-					v := f[rows[i]]
-					a[gids[i-lo]] += v * v * v
-				}
-			} else {
-				buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
-				for j, g := range gids[:n] {
-					v := buf[j]
-					a[g] += v * v * v
-				}
+			for j, k := range keys {
+				v := buf[j]
+				a[int64(k)-base] += v * v * v
 			}
 		default:
-			// k = 4 has no expr.ConstPow reduction, so the scalar path
-			// computes Pow(v, 4); x*x*x*x rounds differently.
-			k := float64(t.plan.Pow)
-			if t.fused {
-				f, rows := t.col.F, t.rows
-				for i := lo; i < hi; i++ {
-					a[gids[i-lo]] += math.Pow(f[rows[i]], k)
-				}
-			} else {
-				buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
-				for j, g := range gids[:n] {
-					a[g] += math.Pow(buf[j], k)
-				}
+			pk := float64(t.plan.Pow)
+			for j, k := range keys {
+				a[int64(k)-base] += math.Pow(buf[j], pk)
 			}
 		}
-	case canonical.KernelSumMul:
-		if t.fused {
-			f1, r1 := t.col.F, t.rows
-			f2, r2 := t.col2.F, t.rows2
-			for i := lo; i < hi; i++ {
-				a[gids[i-lo]] += f1[r1[i]] * f2[r2[i]]
-			}
-		} else {
-			buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
-			buf2 := colBatch(t.col2, t.rows2, vs.buf2, lo, hi)
-			for j, g := range gids[:n] {
-				a[g] += buf[j] * buf2[j]
-			}
+	case t.plan.Class == canonical.KernelSumMul:
+		buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
+		buf2 := colBatch(t.col2, t.rows2, vs.buf2, lo, hi)
+		for j, k := range keys {
+			a[int64(k)-base] += buf[j] * buf2[j]
 		}
-	case canonical.KernelProdCol:
-		if t.fused {
-			f, rows := t.col.F, t.rows
-			for i := lo; i < hi; i++ {
-				a[gids[i-lo]] *= f[rows[i]]
-			}
-		} else {
-			buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
-			for j, g := range gids[:n] {
-				a[g] *= buf[j]
-			}
-		}
-	case canonical.KernelMinCol:
-		if t.fused {
-			f, rows := t.col.F, t.rows
-			for i := lo; i < hi; i++ {
-				g := gids[i-lo]
-				if v := f[rows[i]]; v < a[g] || v != v {
-					a[g] = v
-				}
-			}
-		} else {
-			buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
-			for j, g := range gids[:n] {
-				if v := buf[j]; v < a[g] || v != v {
-					a[g] = v
-				}
-			}
-		}
-	case canonical.KernelMaxCol:
-		if t.fused {
-			f, rows := t.col.F, t.rows
-			for i := lo; i < hi; i++ {
-				g := gids[i-lo]
-				if v := f[rows[i]]; v > a[g] || v != v {
-					a[g] = v
-				}
-			}
-		} else {
-			buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
-			for j, g := range gids[:n] {
-				if v := buf[j]; v > a[g] || v != v {
-					a[g] = v
-				}
-			}
-		}
-	default: // KernelGeneric: batch-eval the base, chain, then fold.
-		buf := vs.buf[:n]
-		vs.fill(lo, hi, buf)
-		if fn := t.fn; fn != nil {
-			for j := range buf {
-				buf[j] = fn(buf[j])
-			}
-		}
+	default:
+		buf := t.values(vs, lo, hi)
 		switch t.State.Op {
 		case canonical.OpSum:
-			for j, g := range gids[:n] {
-				a[g] += buf[j]
+			for j, k := range keys {
+				a[int64(k)-base] += buf[j]
 			}
 		case canonical.OpProd:
-			for j, g := range gids[:n] {
-				a[g] *= buf[j]
+			for j, k := range keys {
+				a[int64(k)-base] *= buf[j]
 			}
 		case canonical.OpMin:
-			for j, g := range gids[:n] {
+			for j, k := range keys {
+				g := int64(k) - base
 				if v := buf[j]; v < a[g] || v != v {
 					a[g] = v
 				}
 			}
 		case canonical.OpMax:
-			for j, g := range gids[:n] {
+			for j, k := range keys {
+				g := int64(k) - base
 				if v := buf[j]; v > a[g] || v != v {
 					a[g] = v
 				}
 			}
 		}
 	}
+}
+
+// foldKeyless folds rows [lo, hi) into acc, the one group's state, and
+// returns it: each loop's running state stays in a register instead of
+// making every row a store and reload of group 0. The loops are
+// foldKeyed's, the same operations in the same order, so a result that
+// is not NaN is theirs to the bit. A count adds the batch length at
+// once, which equals adding 1 that many times while the count stays
+// below 2^53.
+func (t *StateTask) foldKeyless(vs *stateVecState, acc float64, lo, hi int) float64 {
+	switch {
+	case t.plan.Class == canonical.KernelCount:
+		acc += float64(hi - lo)
+	case t.fused:
+		f, rows := t.col.F, t.rows[lo:hi]
+		switch t.plan.Class {
+		case canonical.KernelSumCol:
+			for _, r := range rows {
+				acc += f[r]
+			}
+		case canonical.KernelSumPow:
+			switch t.plan.Pow {
+			case 2:
+				for _, r := range rows {
+					v := f[r]
+					acc += v * v
+				}
+			case 3:
+				for _, r := range rows {
+					v := f[r]
+					acc += v * v * v
+				}
+			default:
+				pk := float64(t.plan.Pow)
+				for _, r := range rows {
+					acc += math.Pow(f[r], pk)
+				}
+			}
+		case canonical.KernelSumMul:
+			f2, rows2 := t.col2.F, t.rows2[lo:hi]
+			for j, r := range rows {
+				acc += f[r] * f2[rows2[j]]
+			}
+		case canonical.KernelProdCol:
+			for _, r := range rows {
+				acc *= f[r]
+			}
+		case canonical.KernelMinCol:
+			for _, r := range rows {
+				if v := f[r]; v < acc || v != v {
+					acc = v
+				}
+			}
+		case canonical.KernelMaxCol:
+			for _, r := range rows {
+				if v := f[r]; v > acc || v != v {
+					acc = v
+				}
+			}
+		}
+	case t.plan.Class == canonical.KernelSumPow:
+		buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
+		switch t.plan.Pow {
+		case 2:
+			for _, v := range buf {
+				acc += v * v
+			}
+		case 3:
+			for _, v := range buf {
+				acc += v * v * v
+			}
+		default:
+			pk := float64(t.plan.Pow)
+			for _, v := range buf {
+				acc += math.Pow(v, pk)
+			}
+		}
+	case t.plan.Class == canonical.KernelSumMul:
+		buf := colBatch(t.col, t.rows, vs.buf, lo, hi)
+		buf2 := colBatch(t.col2, t.rows2, vs.buf2, lo, hi)[:len(buf)]
+		for j, v := range buf {
+			acc += v * buf2[j]
+		}
+	default:
+		buf := t.values(vs, lo, hi)
+		switch t.State.Op {
+		case canonical.OpSum:
+			for _, v := range buf {
+				acc += v
+			}
+		case canonical.OpProd:
+			for _, v := range buf {
+				acc *= v
+			}
+		case canonical.OpMin:
+			for _, v := range buf {
+				if v < acc || v != v {
+					acc = v
+				}
+			}
+		case canonical.OpMax:
+			for _, v := range buf {
+				if v > acc || v != v {
+					acc = v
+				}
+			}
+		}
+	}
+	return acc
 }
 
 // maxExactFold bounds the magnitude budget of a run-fold: every partial
