@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sudaf/internal/data"
 	"sudaf/internal/obs"
 	"sudaf/internal/storage"
 )
@@ -130,6 +131,73 @@ func TestResultTraceSampling(t *testing.T) {
 	states := spanInt(res.Trace, "canonicalize", "states")
 	if cold, warm := spanInt(cold.Trace, "sharing-lookup", "verified"), spanInt(res.Trace, "sharing-lookup", "verified"); cold != 0 || warm != states || states == 0 {
 		t.Errorf("sharing-lookup verified=%d cold, %d warm; want 0 and %d", cold, warm, states)
+	}
+}
+
+// TestScanAggSpanReportsJoinOrder: a traced star join's scan/agg span
+// names its build tables in the order they were probed, most selective
+// first, and the rows those probes read. The expected counts come from
+// the tables: every dimension key is its row number, so the rows left
+// after each probe are the fact rows whose key passes each filter so far.
+func TestScanAggSpanReportsJoinOrder(t *testing.T) {
+	s := NewSession(Options{Workers: 2, TraceRate: 1})
+	tables := map[string]*storage.Table{}
+	for _, tbl := range data.TPCDS(1, 3) {
+		if err := s.Register(tbl); err != nil {
+			t.Fatal(err)
+		}
+		tables[tbl.Name] = tbl
+	}
+	res, err := s.Query(`SELECT i_item_id, sum(ss_sales_price) s
+FROM store_sales, customer_demographics, date_dim, item, promotion
+WHERE ss_sold_date_sk = d_date_sk and ss_item_sk = i_item_sk and
+	ss_cdemo_sk = cd_demo_sk and ss_promo_sk = p_promo_sk and
+	cd_gender = 'M' and cd_marital_status = 'S' and cd_education_status = 'College' and
+	(p_channel_email = 'N' or p_channel_event = 'N') and d_year = 2000
+GROUP BY i_item_id`, ModeRewrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := func(tbl, col string, r int64) string { return tables[tbl].Col(col).StringAt(int(r)) }
+	passes := []func(r int) bool{
+		func(r int) bool {
+			k := tables["store_sales"].Col("ss_cdemo_sk").I[r]
+			return str("customer_demographics", "cd_gender", k) == "M" && str("customer_demographics", "cd_marital_status", k) == "S" &&
+				str("customer_demographics", "cd_education_status", k) == "College"
+		},
+		func(r int) bool {
+			return tables["date_dim"].Col("d_year").I[tables["store_sales"].Col("ss_sold_date_sk").I[r]] == 2000
+		},
+		func(r int) bool {
+			k := tables["store_sales"].Col("ss_promo_sk").I[r]
+			return str("promotion", "p_channel_email", k) == "N" || str("promotion", "p_channel_event", k) == "N"
+		},
+	}
+	fact := tables["store_sales"].NumRows()
+	want := int64(fact)
+	for r := 0; r < fact; r++ {
+		for _, pass := range passes {
+			if !pass(r) {
+				break
+			}
+			want++
+		}
+	}
+	var joins string
+	var probeRows int64
+	if sp := res.Trace.Find("scan/agg"); sp != nil {
+		for _, a := range sp.Attrs {
+			switch a.Key {
+			case "joins":
+				joins = a.Str
+			case "probe_rows":
+				probeRows = a.Int
+			}
+		}
+	}
+	if joins != "customer_demographics,date_dim,promotion,item" || probeRows != want {
+		t.Errorf("scan/agg joins=%q probe_rows=%d, want customer_demographics,date_dim,promotion,item and %d:\n%s",
+			joins, probeRows, want, res.Trace.Tree())
 	}
 }
 

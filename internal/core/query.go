@@ -343,7 +343,8 @@ func (qc *queryCtx) noteKernels(gr *exec.GroupResult) {
 
 // noteScanAgg annotates a scan/agg span with the run's cost facts:
 // joined rows read, base rows the filters evaluated and their time, rows
-// the dense key path's first-appearance pass read, groups produced,
+// the dense key path's first-appearance pass read, the join's build
+// tables in probe order and the rows it probed, groups produced,
 // morsel batch count, the compiled kernels that served it, and how rows
 // reached their states (fold). Nil-safe like every span call.
 func noteScanAgg(sp *obs.Span, gr *exec.GroupResult) {
@@ -354,6 +355,10 @@ func noteScanAgg(sp *obs.Span, gr *exec.GroupResult) {
 	}
 	if gr.OrderRows > 0 {
 		sp.SetInt("order_rows", int64(gr.OrderRows))
+	}
+	if len(gr.Joins) > 0 {
+		sp.SetStr("joins", strings.Join(gr.Joins, ","))
+		sp.SetInt("probe_rows", int64(gr.ProbeRows))
 	}
 	sp.SetInt("groups", int64(gr.NumGroups))
 	if gr.Rows > 0 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,6 +157,11 @@ type GroupResult struct {
 	// domain had appeared before the last row; 0 on the hash paths and for
 	// keyless aggregates, which need no pass.
 	OrderRows int
+	// Joins are the join's build tables in the order they were probed,
+	// and ProbeRows the rows those probes read, summed (observability;
+	// both empty for one table).
+	Joins     []string
+	ProbeRows int
 	// Kernels names the tasks that ran through compiled batch kernels
 	// (per-query observability; empty when everything ran tuple-at-a-time).
 	Kernels []string
@@ -398,6 +404,7 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 	}
 
 	gr := &GroupResult{Rows: rs.n, FilterRows: rs.filterRows, FilterTime: rs.filterTime,
+		Joins: rs.joins, ProbeRows: rs.probeRows,
 		OrderRows: orderRows, Kernels: kernels, Fold: q.fold, NumGroups: len(global.keys), Keys: global.keys}
 	gr.Values = make([][]float64, len(tasks))
 	var spare []float64 // FoldKey: the permutation's target, then the last source
@@ -615,6 +622,7 @@ func (ka *keyAssign) firstAppearance(ctx context.Context, n int) (order []int32,
 		return order, []GroupKey{{}}, 0, nil
 	}
 	buf := make([]int32, BatchSize)
+	keys = make([]GroupKey, 0, min(ka.lookupLen, n)) // no more groups than slots or rows
 	for lo := 0; lo < n; lo += BatchSize {
 		if lo%cancelCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
@@ -636,6 +644,12 @@ func (ka *keyAssign) firstAppearance(ctx context.Context, n int) (order []int32,
 				return order, keys, lo + j + 1, nil
 			}
 		}
+	}
+	// The keys outlive the scan (a cached group table holds them), so a
+	// pass that found far fewer groups than it reserved for keeps a copy
+	// of its own length.
+	if len(keys) < cap(keys)/2 {
+		keys = slices.Clone(keys)
 	}
 	return order, keys, n, nil
 }

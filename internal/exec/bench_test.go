@@ -53,6 +53,24 @@ func BenchmarkGroupBy10k(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupBy10kMinMax is query model 2's scan with one min or one
+// max state: the keyed compare-and-keep loops, which every morsel
+// restarts from ±Inf with a few rows per group.
+func BenchmarkGroupBy10kMinMax(b *testing.B) {
+	e := NewEngine(benchCatalog(b, data.Milan(16*MorselRows, 10_000, 1)), 2)
+	for _, op := range []canonical.AggOp{canonical.OpMin, canonical.OpMax} {
+		states := []canonical.State{{Op: op, Base: expr.MustParse("internet_traffic")}}
+		b.Run(op.String(), func(b *testing.B) {
+			sql := "SELECT square_id, " + op.String() + "(internet_traffic) FROM milan_data GROUP BY square_id"
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = runStates(b, e, sql, states)
+			}
+		})
+	}
+}
+
 // BenchmarkGrand1M is query model 1's scan: the same states with no
 // GROUP BY over 16 morsels, every row folding into one group.
 func BenchmarkGrand1M(b *testing.B) {
@@ -99,16 +117,33 @@ func BenchmarkGroupByDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinStar is the five-way star join of the join workload: four
-// dimension builds, four probes of a shrinking fact row set.
+// BenchmarkJoinStar is a five-way star join: four dimension builds, four
+// probes of a shrinking fact row set. Its filters are the join
+// workload's without cd_marital_status and cd_education_status, so the
+// customer_demographics build keeps half its rows.
 func BenchmarkJoinStar(b *testing.B) {
+	benchJoin(b, `cd_gender = 'M' and (p_channel_email = 'N' or p_channel_event = 'N') and d_year = 2000`)
+}
+
+// BenchmarkJoinStarSelective is the join workload's star join, filters
+// and all: the customer_demographics build keeps 28 of 1,920 rows, so
+// probing it first shrinks the fact rows before the other builds see
+// them.
+func BenchmarkJoinStarSelective(b *testing.B) {
+	benchJoin(b, `cd_gender = 'M' and cd_marital_status = 'S' and cd_education_status = 'College' and
+	(p_channel_email = 'N' or p_channel_event = 'N') and d_year = 2000`)
+}
+
+// benchJoin times the five-way star join under the given dimension
+// filters, at scale 2 (240,000 fact rows).
+func benchJoin(b *testing.B, filters string) {
 	e := NewEngine(benchCatalog(b, data.TPCDS(2, 1)...), 2)
 	states := momentStates(b, "ss_sales_price")
 	sql := `SELECT i_item_id, sum(ss_sales_price)
 FROM store_sales, customer_demographics, date_dim, item, promotion
 WHERE ss_sold_date_sk = d_date_sk and ss_item_sk = i_item_sk and
 	ss_cdemo_sk = cd_demo_sk and ss_promo_sk = p_promo_sk and
-	cd_gender = 'M' and (p_channel_email = 'N' or p_channel_event = 'N') and d_year = 2000
+	` + filters + `
 GROUP BY i_item_id`
 	b.ReportAllocs()
 	b.ResetTimer()

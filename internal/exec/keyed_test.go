@@ -195,7 +195,11 @@ func joinPairs(t *testing.T, probe, build []int64, sel rowSel) [][2]int32 {
 	pt, pc := intTable("p", "pk", probe...)
 	bt, bc := intTable("b", "bk", build...)
 	rs := &RowSet{n: len(probe), tables: []*storage.Table{pt}}
-	if err := rs.hashJoin(context.Background(), 3, pt, pc, bt, bc, sel); err != nil {
+	step := &joinStep{probeT: pt, probeC: pc, buildT: bt, jt: buildJoinTable(bc, sel)}
+	if len(build) > 0 {
+		step.kept = float64(sel.n) / float64(len(build))
+	}
+	if err := rs.hashJoin(context.Background(), 3, step); err != nil {
 		t.Fatal(err)
 	}
 	if rs.identity() || len(rs.vecs["p"]) != rs.n || len(rs.vecs["b"]) != rs.n {

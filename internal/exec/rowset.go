@@ -27,6 +27,10 @@ type RowSet struct {
 	// and the time they took.
 	filterRows int
 	filterTime time.Duration
+	// joins are the build tables in the order they were probed, and
+	// probeRows the rows those probes read, summed.
+	joins     []string
+	probeRows int
 }
 
 // identity reports a single-table, unfiltered row set: row i of the set
@@ -83,7 +87,21 @@ func (rs *RowSet) bindInt(pc planCol) func(int32) int64 {
 	return intAccessor(pc.col, rs.vecs[pc.table.Name])
 }
 
-// buildRowSet runs scans, filters and the left-deep hash join.
+// buildRowSet runs scans and filters, then hash-joins the filtered tables
+// left-deep, starting from the largest one (the fact table).
+//
+// The join order starts from the WHERE-order plan (joinSteps): each table
+// joins through the first condition, in WHERE order, that connects it to
+// the tables already joined. The joins then run most selective build
+// first: of the steps whose probe table has joined, the one whose build
+// keeps the smallest fraction of its table's rows, ties in plan order, so
+// the rows probed shrink before the wide builds see them. Only builds
+// with unique keys move. Such a join drops rows and attaches at most one
+// build row to the rest, keeping their order, so it commutes with every
+// other join. A build with duplicate keys expands rows in build-row order,
+// so those builds keep their plan order among themselves. The joined rows
+// are therefore the tuples of the plan order, in its order, whatever the
+// selectivities.
 func (dp *DataPlan) buildRowSet(ctx context.Context) (*RowSet, error) {
 	sels := map[string]rowSel{}
 	var filterRows int
@@ -109,13 +127,25 @@ func (dp *DataPlan) buildRowSet(ctx context.Context) (*RowSet, error) {
 			filterRows: filterRows, filterTime: filterTime}, nil
 	}
 
-	// Start from the largest filtered table (the fact table) and fold the
-	// remaining tables in via hash joins along the equi-join graph.
 	start := dp.tables[0]
 	for _, t := range dp.tables[1:] {
 		if sels[t.Name].n > sels[start.Name].n {
 			start = t
 		}
+	}
+	steps, err := dp.joinSteps(start)
+	if err != nil {
+		return nil, err
+	}
+	planOrder := []*storage.Table{start}
+	for i := range steps {
+		s := &steps[i]
+		sel := sels[s.buildT.Name]
+		s.jt = buildJoinTable(s.buildC, sel)
+		if rows := s.buildT.NumRows(); rows > 0 {
+			s.kept = float64(sel.n) / float64(rows)
+		}
+		planOrder = append(planOrder, s.buildT)
 	}
 	rs := &RowSet{
 		n:          sels[start.Name].n,
@@ -125,43 +155,87 @@ func (dp *DataPlan) buildRowSet(ctx context.Context) (*RowSet, error) {
 		filterTime: filterTime,
 	}
 	joined := map[string]bool{start.Name: true}
-	remaining := append([]joinCond{}, dp.joins...)
-	for len(joined) < len(dp.tables) {
-		idx := -1
-		var jc joinCond
-		for i, c := range remaining {
-			l, r := joined[c.lt.Name], joined[c.rt.Name]
-			if l != r { // connects the joined set to a new table
-				idx, jc = i, c
-				break
-			}
+	applied := make([]bool, len(dp.joins)) // joined by a step, or filtered by
+	for _, s := range steps {
+		applied[s.cond] = true
+	}
+	// nextDup is the first step not yet run whose build has duplicate
+	// keys: the only one of them that may run next.
+	nextDup := 0
+	for len(rs.tables) < len(planOrder) {
+		for nextDup < len(steps) && (steps[nextDup].jt.multi == nil || joined[steps[nextDup].buildT.Name]) {
+			nextDup++
 		}
-		if idx < 0 {
-			return nil, fmt.Errorf("join graph disconnected: joined %v of %v", keys(joined), dp.Tables())
-		}
-		remaining = append(remaining[:idx], remaining[idx+1:]...)
-		// Orient: probe side already joined, build side new.
-		probeT, probeC, buildT, buildC := jc.lt, jc.lc, jc.rt, jc.rc
-		if !joined[probeT.Name] {
-			probeT, probeC, buildT, buildC = jc.rt, jc.rc, jc.lt, jc.lc
-		}
-		if err := rs.hashJoin(ctx, dp.eng.Workers, probeT, probeC, buildT, buildC, sels[buildT.Name]); err != nil {
-			return nil, err
-		}
-		joined[buildT.Name] = true
-		// Apply any remaining conditions between already-joined tables as
-		// post-join filters.
-		for i := 0; i < len(remaining); {
-			c := remaining[i]
-			if joined[c.lt.Name] && joined[c.rt.Name] {
-				rs.filterEqual(c)
-				remaining = append(remaining[:i], remaining[i+1:]...)
+		var next *joinStep
+		for i := range steps {
+			s := &steps[i]
+			if joined[s.buildT.Name] || !joined[s.probeT.Name] || (s.jt.multi != nil && i != nextDup) {
 				continue
 			}
-			i++
+			if next == nil || s.kept < next.kept {
+				next = s
+			}
+		}
+		// The first step not yet run always qualifies: its probe table
+		// joined before it in plan order, and if its build has duplicate
+		// keys it is nextDup.
+		if err := rs.hashJoin(ctx, dp.eng.Workers, next); err != nil {
+			return nil, err
+		}
+		joined[next.buildT.Name] = true
+		// Conditions between tables already joined filter the rows.
+		for i, c := range dp.joins {
+			if !applied[i] && joined[c.lt.Name] && joined[c.rt.Name] {
+				rs.filterEqual(c)
+				applied[i] = true
+			}
 		}
 	}
+	// Column lookups (Bind) search the tables in plan order, whatever
+	// order they joined in.
+	rs.tables = planOrder
 	return rs, nil
+}
+
+// joinStep is one hash join: condition dp.joins[cond], oriented so the
+// probe table joins first and the build table is new. buildRowSet fills
+// in the build's join table and kept, the fraction of the build table's
+// rows its filter keeps.
+type joinStep struct {
+	cond           int
+	probeT, buildT *storage.Table
+	probeC, buildC *storage.Column
+	jt             *joinTable
+	kept           float64
+}
+
+// joinSteps is the WHERE-order join plan from start: until every table has
+// joined, the first condition in WHERE order that connects a joined table
+// to a new one joins the new one. Conditions it leaves out are between
+// tables that have both joined by then.
+func (dp *DataPlan) joinSteps(start *storage.Table) ([]joinStep, error) {
+	joined := map[string]bool{start.Name: true}
+	var steps []joinStep
+	for len(joined) < len(dp.tables) {
+		found := false
+		for i, c := range dp.joins {
+			if joined[c.lt.Name] == joined[c.rt.Name] {
+				continue
+			}
+			s := joinStep{cond: i, probeT: c.lt, probeC: c.lc, buildT: c.rt, buildC: c.rc}
+			if !joined[c.lt.Name] {
+				s.probeT, s.probeC, s.buildT, s.buildC = c.rt, c.rc, c.lt, c.lc
+			}
+			steps = append(steps, s)
+			joined[s.buildT.Name] = true
+			found = true
+			break
+		}
+		if !found {
+			return nil, fmt.Errorf("join graph disconnected: joined %v of %v", keys(joined), dp.Tables())
+		}
+	}
+	return steps, nil
 }
 
 func keys(m map[string]bool) []string {
@@ -250,19 +324,19 @@ func (jt *joinTable) set(k int64, slot int32) {
 	}
 }
 
-// hashJoin builds a join table over the build side's selected rows and
-// probes with the current row set, expanding it in place. Probing is
-// chunked across workers; chunk outputs are concatenated in order so the
-// result is deterministic. Worker panics are recovered and surfaced as
-// errors, and probing polls ctx so long joins can be cancelled.
-func (rs *RowSet) hashJoin(ctx context.Context, workers int, probeT *storage.Table, probeC *storage.Column,
-	buildT *storage.Table, buildC *storage.Column, buildSel rowSel) error {
-
+// hashJoin probes step's join table with the current row set, expanding
+// it in place. Probing is chunked across workers; chunk outputs are
+// concatenated in order so the result is deterministic. Worker panics are
+// recovered and surfaced as errors, and probing polls ctx so long joins
+// can be cancelled.
+func (rs *RowSet) hashJoin(ctx context.Context, workers int, step *joinStep) error {
+	probeT, buildT, jt := step.probeT, step.buildT, step.jt
 	if err := faultinject.Hit(faultinject.PointExecJoin); err != nil {
 		return fmt.Errorf("join %s⋈%s: %w", probeT.Name, buildT.Name, err)
 	}
-	jt := buildJoinTable(buildC, buildSel)
-	probeKey := intAccessor(probeC, rs.vecs[probeT.Name])
+	probeKey := intAccessor(step.probeC, rs.vecs[probeT.Name])
+	rs.joins = append(rs.joins, buildT.Name)
+	rs.probeRows += rs.n
 
 	type chunkOut struct {
 		keep  []int32 // indexes into the current rowset
@@ -291,8 +365,11 @@ func (rs *RowSet) hashJoin(ctx context.Context, workers int, probeT *storage.Tab
 					errs[c] = fmt.Errorf("join worker panic (recovered): %v", r)
 				}
 			}()
-			keep := make([]int32, 0, hi-lo)
-			build := make([]int32, 0, hi-lo)
+			// Size the outputs for the rows the build keeps, with an
+			// eighth to spare; a skewed probe or duplicate keys grow them.
+			hint := min(hi-lo, int(float64(hi-lo)*step.kept*9/8)+16)
+			keep := make([]int32, 0, hint)
+			build := make([]int32, 0, hint)
 			for i := lo; i < hi; i++ {
 				if (i-lo)%cancelCheckRows == 0 {
 					if err := ctx.Err(); err != nil {

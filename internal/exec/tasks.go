@@ -221,7 +221,11 @@ func (t *StateTask) values(vs *stateVecState, lo, hi int) []float64 {
 
 // foldKeyed folds rows [lo, hi) into a, row lo+j into slot keys[j] − base.
 // It is written once for both kinds of index: group ids (K = int32, base
-// 0), dictionary codes (int32) and int keys (int64) read in place.
+// 0), dictionary codes (int32) and int keys (int64) read in place. Its
+// min/max loops store a select (selMin, selMax) on every row instead of
+// branching on the compare: each morsel restarts every group from ±Inf
+// and sees only a few of its rows, so whether a row improves its group's
+// extreme is close to a coin flip.
 func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo, hi int, keys []K, base int64) {
 	switch {
 	case t.plan.Class == canonical.KernelCount:
@@ -267,16 +271,12 @@ func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo
 		case canonical.KernelMinCol:
 			for j, k := range keys {
 				g := int64(k) - base
-				if v := f[rows[j]]; v < a[g] || v != v {
-					a[g] = v
-				}
+				a[g] = selMin(f[rows[j]], a[g])
 			}
 		case canonical.KernelMaxCol:
 			for j, k := range keys {
 				g := int64(k) - base
-				if v := f[rows[j]]; v > a[g] || v != v {
-					a[g] = v
-				}
+				a[g] = selMax(f[rows[j]], a[g])
 			}
 		}
 	case t.plan.Class == canonical.KernelSumPow:
@@ -318,19 +318,31 @@ func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo
 		case canonical.OpMin:
 			for j, k := range keys {
 				g := int64(k) - base
-				if v := buf[j]; v < a[g] || v != v {
-					a[g] = v
-				}
+				a[g] = selMin(buf[j], a[g])
 			}
 		case canonical.OpMax:
 			for j, k := range keys {
 				g := int64(k) - base
-				if v := buf[j]; v > a[g] || v != v {
-					a[g] = v
-				}
+				a[g] = selMax(buf[j], a[g])
 			}
 		}
 	}
+}
+
+// selMin is the min update v < acc || v != v as a select: it returns v
+// or acc through a bit mask, with no branch on the data. It picks what
+// the branch keeps, bit for bit: of two equal zeros the accumulator (the
+// first seen), a NaN v over anything, and a NaN acc over any other v.
+// It does no arithmetic, so NaN payloads pass through unchanged.
+func selMin(v, acc float64) float64 {
+	m := -uint64(b2u(v < acc) | b2u(v != v))
+	return math.Float64frombits(math.Float64bits(v)&m | math.Float64bits(acc)&^m)
+}
+
+// selMax is selMin's mirror, the max update v > acc || v != v.
+func selMax(v, acc float64) float64 {
+	m := -uint64(b2u(v > acc) | b2u(v != v))
+	return math.Float64frombits(math.Float64bits(v)&m | math.Float64bits(acc)&^m)
 }
 
 // foldKeyless folds rows [lo, hi) into acc, the one group's state, and
@@ -339,7 +351,10 @@ func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo
 // foldKeyed's, the same operations in the same order, so a result that
 // is not NaN is theirs to the bit. A count adds the batch length at
 // once, which equals adding 1 that many times while the count stays
-// below 2^53.
+// below 2^53. Min and max keep the branch that foldKeyed's selects
+// replace: one running extreme over a whole batch improves rarely, so
+// the branch predicts well, and a select would put the compare on the
+// register's loop-carried chain.
 func (t *StateTask) foldKeyless(vs *stateVecState, acc float64, lo, hi int) float64 {
 	switch {
 	case t.plan.Class == canonical.KernelCount:
