@@ -39,6 +39,25 @@ var facts = []fact{
 		return vs
 	}},
 
+	// DESIGN.md §8 "Association contract": the min/max ⊕ is
+	// canonical.Min/Max, the row-order select. math.Min/math.Max order
+	// −0 below +0 and drop NaN payloads and the order of NaN against ±Inf,
+	// so a second spelling on any path that folds or merges states would
+	// make answers depend on where rows were split.
+	{"min-max-oplus-in-canonical", func(t *tree) []violation {
+		var vs []violation
+		for _, dir := range []string{"internal/canonical", "internal/exec", "internal/window", "internal/cache", "internal/core", "internal/sharing"} {
+			for _, f := range t.code(dir) {
+				for _, sel := range pkgRefs(f, f.ast, "math") {
+					if sel.Sel.Name == "Min" || sel.Sel.Name == "Max" {
+						vs = append(vs, t.violation(f, sel.Pos(), "math.%s: the min/max ⊕ is canonical.Min/Max", sel.Sel.Name))
+					}
+				}
+			}
+		}
+		return vs
+	}},
+
 	// One measurement contract: the reference switches left on exec.Engine
 	// are for tests, never the product.
 	{"reference-switches-test-only", func(t *tree) []violation {

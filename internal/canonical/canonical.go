@@ -94,22 +94,49 @@ func (s State) MergeIdentity() float64 {
 }
 
 // Merge combines two partial values of the state (the ⊕ of the canonical
-// form); it is commutative and associative by construction.
+// form): a folds the earlier rows, b the later ones. It is associative
+// by construction, and for min and max exactly so, bits included (see
+// Min), which is what lets partials meet across morsels, deltas and
+// window frames in any grouping that keeps row order.
 func (s State) Merge(a, b float64) float64 {
 	switch s.Op {
 	case OpProd:
 		return a * b
 	case OpMin:
-		return math.Min(a, b)
+		return Min(a, b)
 	case OpMax:
-		return math.Max(a, b)
+		return Max(a, b)
 	default:
 		return a + b
 	}
 }
 
-// Update folds one translated tuple value into a partial state value.
-func (s State) Update(acc, fx float64) float64 { return s.Merge(acc, fx) }
+// MergeInto ⊕-merges morsel partial src into dst, the partial of the
+// earlier rows: dst[remap[g]] = dst[remap[g]] ⊕ src[g]. It is the merge
+// loop of every task, so the kernels' states and the hardcoded UDAFs'
+// merge with the same instructions.
+func (s State) MergeInto(dst, src []float64, remap []int32) {
+	switch s.Op {
+	case OpProd:
+		for g, v := range src {
+			dst[remap[g]] *= v
+		}
+	case OpMin:
+		for g, v := range src {
+			d := &dst[remap[g]]
+			*d = Min(*d, v)
+		}
+	case OpMax:
+		for g, v := range src {
+			d := &dst[remap[g]]
+			*d = Max(*d, v)
+		}
+	default:
+		for g, v := range src {
+			dst[remap[g]] += v
+		}
+	}
+}
 
 // MergeVals ⊕-merges two aligned per-group value vectors into a fresh
 // vector: out[i] = acc[i] ⊕ delta[i]. This is the delta-fold primitive
@@ -124,6 +151,35 @@ func (s State) MergeVals(acc, delta []float64) []float64 {
 		out[i] = s.Merge(acc[i], delta[i])
 	}
 	return out
+}
+
+// Min is the ⊕ of a min state, a folding the earlier rows: it returns b
+// where b < a or b is NaN, and a otherwise. So a fold keeps the last NaN
+// of its rows, payload and all, and otherwise the first of its smallest
+// values (of +0 and −0, whichever came first). +Inf is an exact
+// identity: Min(+Inf, b) = b and Min(a, +Inf) = a, bit for bit. Both
+// rules depend only on row order, so Min is exactly associative: any
+// split of the rows into morsels, deltas or window stacks yields the
+// same bits. It is a select on Float64bits with no branch and no
+// arithmetic, so a NaN passes through unchanged and a keyed loop pays
+// no mispredicted branch.
+func Min(a, b float64) float64 {
+	m := -uint64(b2u(b < a) | b2u(b != b))
+	return math.Float64frombits(math.Float64bits(b)&m | math.Float64bits(a)&^m)
+}
+
+// Max is Min's mirror: b where b > a or b is NaN, a otherwise.
+func Max(a, b float64) float64 {
+	m := -uint64(b2u(b > a) | b2u(b != b))
+	return math.Float64frombits(math.Float64bits(b)&m | math.Float64bits(a)&^m)
+}
+
+// b2u is 1 for true, 0 for false, compiled to a SETcc.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Form is the canonical form (F, ⊕, T) of a UDAF.

@@ -200,7 +200,7 @@ func evalUDAF(t *testing.T, f *Form, xs, ys []float64) float64 {
 				}
 				fx = s.F.Eval(base)
 			}
-			acc = s.Update(acc, fx)
+			acc = s.Merge(acc, fx)
 		}
 		states[i] = acc
 	}

@@ -120,7 +120,14 @@ func TestCloseDeadline(t *testing.T) {
 		_, err := s.Query(closeTestQuery, ModeRewrite)
 		errCh <- err
 	}()
-	time.Sleep(5 * time.Millisecond) // let the query start
+	// The query is in flight once its worker has reached the delay.
+	for faultinject.HitCount(faultinject.PointExecWorker) < 1 {
+		select {
+		case err := <-errCh:
+			t.Fatalf("query finished before its worker started: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()

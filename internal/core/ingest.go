@@ -206,7 +206,13 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 		case !mr.key.Current(s.cat):
 			continue // another table it reads has moved on
 		}
-		n, err := s.migrateEntry(ctx, c, snap, mr, deltaCat, postCat)
+		// The superseded entry stays for any query pinned to the
+		// pre-append snapshot: a maintained entry's ⊕-merged sums differ
+		// in the last ulp from a cold rescan's fold, so dropping it
+		// mid-batch would let two identical queries in one batch disagree
+		// bit-for-bit. The publish below drops it when no such query
+		// exists, the LRU otherwise.
+		merged, err := s.mergeDelta(ctx, snap, mr.stmt, deltaCat, postCat)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err
@@ -214,8 +220,9 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 			invalidate(snap.Fingerprint, fmt.Sprintf("not delta-maintainable (%v)", err))
 			continue
 		}
+		c.Put(merged)
 		res.EntriesMigrated++
-		res.StatesMaintained += n
+		res.StatesMaintained += len(snap.States())
 	}
 
 	// Materialized views over the table: same monoid fold, applied to the
@@ -372,36 +379,27 @@ func (s *Session) runDeltaStates(ctx context.Context, dc *catalog.Catalog, stmt 
 	return gr, vals, pos, nil
 }
 
-// migrateEntry delta-maintains one cache entry: computes its states on
-// the delta rows, ⊕-merges them into the entry, and installs the result
-// under the post-append fingerprint. It returns the number of states
-// maintained. The superseded entry stays for any query pinned to the
-// pre-append snapshot: a maintained entry's ⊕-merged values differ in the
-// last ulp from a cold rescan's fold, so dropping it mid-batch would let
-// two identical queries in one batch disagree bit-for-bit. Append drops
-// it at publish when no such query exists, the LRU otherwise.
-func (s *Session) migrateEntry(ctx context.Context, c *cache.Cache, snap *cache.GroupTable,
-	mr *maintRec, deltaCat, postCat *catalog.Catalog) (int, error) {
+// mergeDelta delta-maintains snap, the states of stmt at the pre-append
+// version: it computes them on the delta rows and ⊕-merges them into a
+// successor of snap under the post-append fingerprint, whose maintenance
+// record holds the post-append key. snap is left as it was.
+func (s *Session) mergeDelta(ctx context.Context, snap *cache.GroupTable, stmt *sqlparse.Stmt,
+	deltaCat, postCat *catalog.Catalog) (*cache.GroupTable, error) {
 
 	states := make([]canonical.State, len(snap.States()))
 	for i, cs := range snap.States() {
 		states[i] = cs.State
 	}
-	gr, vals, pos, err := s.runDeltaStates(ctx, deltaCat, mr.stmt, states)
+	gr, vals, pos, err := s.runDeltaStates(ctx, deltaCat, stmt, states)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	dpNew, err := s.eng.PrepareDataIn(postCat, mr.stmt)
+	dpNew, err := s.eng.PrepareDataIn(postCat, stmt)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	merged, err := cache.MergeDelta(snap, dpNew.Key.String(), gr.Keys, gr.KeyColumns, vals, pos,
-		&maintRec{stmt: mr.stmt, key: dpNew.Key})
-	if err != nil {
-		return 0, err
-	}
-	c.Put(merged)
-	return len(states), nil
+	return cache.MergeDelta(snap, dpNew.Key.String(), gr.Keys, gr.KeyColumns, vals, pos,
+		&maintRec{stmt: stmt, key: dpNew.Key})
 }
 
 // maintainView delta-maintains one materialized view: merges the delta
@@ -410,24 +408,12 @@ func (s *Session) migrateEntry(ctx context.Context, c *cache.Cache, snap *cache.
 func (s *Session) maintainView(ctx context.Context, vm *viewMaint,
 	deltaCat, postCat *catalog.Catalog) (*viewMaint, error) {
 
-	states := make([]canonical.State, len(vm.snap.States()))
-	for i, cs := range vm.snap.States() {
-		states[i] = cs.State
-	}
-	gr, vals, pos, err := s.runDeltaStates(ctx, deltaCat, vm.stmt, states)
-	if err != nil {
-		return nil, err
-	}
-	dpNew, err := s.eng.PrepareDataIn(postCat, vm.stmt)
-	if err != nil {
-		return nil, err
-	}
-	merged, err := cache.MergeDelta(vm.snap, dpNew.Key.String(), gr.Keys, gr.KeyColumns, vals, pos, nil)
+	merged, err := s.mergeDelta(ctx, vm.snap, vm.stmt, deltaCat, postCat)
 	if err != nil {
 		return nil, err
 	}
 	v := *vm.view
-	v.Key = dpNew.Key
+	v.Key = merged.Maint.(*maintRec).key
 	v.Table = merged.ToTable(v.Name, func(_ int, cs *cache.CachedState) string {
 		return v.StateCols[cs.State.Key()]
 	})

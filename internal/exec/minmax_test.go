@@ -10,11 +10,12 @@ import (
 	"sudaf/internal/storage"
 )
 
-// Strict test of the keyed min/max selects (DESIGN.md §8): foldKeyed
-// stores selMin/selMax on every row instead of branching, and must keep
-// exactly what the scalar Accumulate's compare-and-branch keeps. A select
-// does no arithmetic, so the comparison is on the partials' bits with no
-// allowance for NaNs: the payload a group ends with says which NaN won.
+// Strict tests of the min/max folds (DESIGN.md §8): every loop must keep
+// exactly what canonical.Min/Max keep, foldKeyed's selects and the
+// scalar Accumulate by calling them, foldKeyless by its compare-and-
+// branch. No loop does arithmetic, so the comparison is on the partials'
+// bits with no allowance for NaNs: the payload a group ends with says
+// which NaN won.
 
 // minMaxValues are the inputs whose bits tell the rules apart: quiet and
 // signaling NaNs of both signs with distinct payloads, both zeros, both
@@ -120,6 +121,44 @@ func TestKeyedMinMaxSelectsMatchScalarBits(t *testing.T) {
 			for s := 0; s < groups; s++ {
 				if math.Float64bits(w[s]) != math.Float64bits(g[s]) {
 					t.Errorf("%s %s: group %d: %#x, scalar path %#x", op, c.path, s, math.Float64bits(g[s]), math.Float64bits(w[s]))
+				}
+			}
+		}
+	}
+}
+
+// TestKeylessMinMaxBranchIsCanonical holds foldKeyless's compare-and-
+// branch to canonical.Min/Max, batch by batch from a carried register,
+// read in place and fused. AccumulateVec never keeps a keyless fold that
+// ends in NaN, so foldKeyless is called directly.
+func TestKeylessMinMaxBranchIsCanonical(t *testing.T) {
+	tbl := minMaxTable(3*BatchSize+17, 37)
+	x := tbl.Col("x").F
+	var subset []int32 // every third row
+	for r := 0; r < tbl.NumRows(); r += 3 {
+		subset = append(subset, int32(r))
+	}
+	for _, op := range []canonical.AggOp{canonical.OpMin, canonical.OpMax} {
+		st := canonical.State{Op: op, Base: expr.MustParse("x")}
+		for _, rows := range [][]int32{nil, subset} {
+			rs := &RowSet{n: tbl.NumRows(), tables: []*storage.Table{tbl}, vecs: map[string][]int32{"mm": rows}}
+			if rows != nil {
+				rs.n = len(rows)
+			}
+			task, err := NewStateTask(st, rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs := task.NewVecState().(*stateVecState)
+			got, want := st.MergeIdentity(), st.MergeIdentity()
+			for lo := 0; lo < rs.n; lo += BatchSize {
+				hi := min(lo+BatchSize, rs.n)
+				got = task.foldKeyless(vs, got, lo, hi)
+				for i := lo; i < hi; i++ {
+					want = st.Merge(want, x[physRow(rows, i)])
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s fused=%v rows [0,%d): %#x, canonical %#x", op, task.fused, hi, math.Float64bits(got), math.Float64bits(want))
 				}
 			}
 		}

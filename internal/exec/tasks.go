@@ -222,10 +222,10 @@ func (t *StateTask) values(vs *stateVecState, lo, hi int) []float64 {
 // foldKeyed folds rows [lo, hi) into a, row lo+j into slot keys[j] − base.
 // It is written once for both kinds of index: group ids (K = int32, base
 // 0), dictionary codes (int32) and int keys (int64) read in place. Its
-// min/max loops store a select (selMin, selMax) on every row instead of
-// branching on the compare: each morsel restarts every group from ±Inf
-// and sees only a few of its rows, so whether a row improves its group's
-// extreme is close to a coin flip.
+// min/max loops store canonical.Min/Max, a select, on every row instead
+// of branching on the compare: each morsel restarts every group from
+// ±Inf and sees only a few of its rows, so whether a row improves its
+// group's extreme is close to a coin flip.
 func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo, hi int, keys []K, base int64) {
 	switch {
 	case t.plan.Class == canonical.KernelCount:
@@ -271,12 +271,12 @@ func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo
 		case canonical.KernelMinCol:
 			for j, k := range keys {
 				g := int64(k) - base
-				a[g] = selMin(f[rows[j]], a[g])
+				a[g] = canonical.Min(a[g], f[rows[j]])
 			}
 		case canonical.KernelMaxCol:
 			for j, k := range keys {
 				g := int64(k) - base
-				a[g] = selMax(f[rows[j]], a[g])
+				a[g] = canonical.Max(a[g], f[rows[j]])
 			}
 		}
 	case t.plan.Class == canonical.KernelSumPow:
@@ -318,31 +318,15 @@ func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo
 		case canonical.OpMin:
 			for j, k := range keys {
 				g := int64(k) - base
-				a[g] = selMin(buf[j], a[g])
+				a[g] = canonical.Min(a[g], buf[j])
 			}
 		case canonical.OpMax:
 			for j, k := range keys {
 				g := int64(k) - base
-				a[g] = selMax(buf[j], a[g])
+				a[g] = canonical.Max(a[g], buf[j])
 			}
 		}
 	}
-}
-
-// selMin is the min update v < acc || v != v as a select: it returns v
-// or acc through a bit mask, with no branch on the data. It picks what
-// the branch keeps, bit for bit: of two equal zeros the accumulator (the
-// first seen), a NaN v over anything, and a NaN acc over any other v.
-// It does no arithmetic, so NaN payloads pass through unchanged.
-func selMin(v, acc float64) float64 {
-	m := -uint64(b2u(v < acc) | b2u(v != v))
-	return math.Float64frombits(math.Float64bits(v)&m | math.Float64bits(acc)&^m)
-}
-
-// selMax is selMin's mirror, the max update v > acc || v != v.
-func selMax(v, acc float64) float64 {
-	m := -uint64(b2u(v > acc) | b2u(v != v))
-	return math.Float64frombits(math.Float64bits(v)&m | math.Float64bits(acc)&^m)
 }
 
 // foldKeyless folds rows [lo, hi) into acc, the one group's state, and
@@ -351,10 +335,11 @@ func selMax(v, acc float64) float64 {
 // foldKeyed's, the same operations in the same order, so a result that
 // is not NaN is theirs to the bit. A count adds the batch length at
 // once, which equals adding 1 that many times while the count stays
-// below 2^53. Min and max keep the branch that foldKeyed's selects
-// replace: one running extreme over a whole batch improves rarely, so
-// the branch predicts well, and a select would put the compare on the
-// register's loop-carried chain.
+// below 2^53. Min and max run canonical.Min/Max in branch form,
+// `if v < acc || v != v { acc = v }` (`>` for max), which keeps the same
+// bits (TestKeylessMinMaxBranchIsCanonical): one running extreme over a
+// whole batch improves rarely, so the branch predicts well, and a select
+// would put the compare on the register's loop-carried chain.
 func (t *StateTask) foldKeyless(vs *stateVecState, acc float64, lo, hi int) float64 {
 	switch {
 	case t.plan.Class == canonical.KernelCount:
@@ -487,9 +472,9 @@ func ipow(v float64, n int) float64 {
 // result is provably bit-identical to the dense scan —
 //
 //   - count: always (integer increments below 2^53);
-//   - min/max: always (runs are bitwise-constant, so applying each run
-//     value once visits the same distinct values in the same order,
-//     including NaN poisoning);
+//   - min/max: always (runs are bitwise-constant, and canonical.Min/Max
+//     keep a's bits when b equals a, so applying each run value once
+//     gives the dense fold's bits);
 //   - sum/sum-pow: only when every covered value is an exact integer
 //     and maxAbs^pow × rows stays under 2^52, making every partial sum
 //     on both paths an exact — and therefore association-independent —
@@ -580,16 +565,12 @@ func (t *StateTask) FoldRuns(p Partial, lo, hi int) bool {
 		a[0] *= prod
 	case canonical.KernelMinCol:
 		t.col.ForEachRun(lo, hi, func(v float64, c int) {
-			if v < a[0] || v != v {
-				a[0] = v
-			}
+			a[0] = canonical.Min(a[0], v)
 			folds++
 		})
 	case canonical.KernelMaxCol:
 		t.col.ForEachRun(lo, hi, func(v float64, c int) {
-			if v > a[0] || v != v {
-				a[0] = v
-			}
+			a[0] = canonical.Max(a[0], v)
 			folds++
 		})
 	}
@@ -642,11 +623,8 @@ func (t *StateTask) Accumulate(p Partial, lo, hi int, gids []int32) {
 			if fn != nil {
 				v = fn(v)
 			}
-			// v != v catches NaN: poison the group like math.Min (and like
-			// State.Merge), so results don't depend on partitioning.
-			if g := gids[i-lo]; v < a[g] || v != v {
-				a[g] = v
-			}
+			g := gids[i-lo]
+			a[g] = canonical.Min(a[g], v)
 		}
 	case canonical.OpMax:
 		in, fn := t.in, t.fn
@@ -655,25 +633,14 @@ func (t *StateTask) Accumulate(p Partial, lo, hi int, gids []int32) {
 			if fn != nil {
 				v = fn(v)
 			}
-			if g := gids[i-lo]; v > a[g] || v != v {
-				a[g] = v
-			}
+			g := gids[i-lo]
+			a[g] = canonical.Max(a[g], v)
 		}
 	}
 }
 
 func (t *StateTask) Merge(dst, src Partial, remap []int32) {
-	d, s := dst.(*floatsPartial).arrs[0], src.(*floatsPartial).arrs[0]
-	switch st := t.State; st.Op {
-	case canonical.OpProd, canonical.OpMin, canonical.OpMax:
-		for g, v := range s {
-			d[remap[g]] = st.Merge(d[remap[g]], v)
-		}
-	default: // Σ and count: State.Merge is a + b, spelled out so the loop inlines
-		for g, v := range s {
-			d[remap[g]] += v
-		}
-	}
+	t.State.MergeInto(dst.(*floatsPartial).arrs[0], src.(*floatsPartial).arrs[0], remap)
 }
 
 func (t *StateTask) Finalize(p Partial, ngroups int) []float64 {
@@ -761,7 +728,7 @@ func (t *NaiveUDAFTask) Accumulate(p Partial, lo, hi int, gids []int32) {
 				if err != nil {
 					base = math.NaN()
 				}
-				fp.arrs[si][g] = s.Update(fp.arrs[si][g], base)
+				fp.arrs[si][g] = s.Merge(fp.arrs[si][g], base)
 				continue
 			}
 			v, err := expr.Eval(t.updates[si], env)
@@ -776,10 +743,7 @@ func (t *NaiveUDAFTask) Accumulate(p Partial, lo, hi int, gids []int32) {
 func (t *NaiveUDAFTask) Merge(dst, src Partial, remap []int32) {
 	d, s := dst.(*floatsPartial), src.(*floatsPartial)
 	for si, st := range t.Form.States {
-		da, sa := d.arrs[si], s.arrs[si]
-		for g, v := range sa {
-			da[remap[g]] = st.Merge(da[remap[g]], v)
-		}
+		st.MergeInto(d.arrs[si], s.arrs[si], remap)
 	}
 }
 

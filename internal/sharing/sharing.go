@@ -338,7 +338,7 @@ func evalState(s canonical.State, xs []float64) (float64, bool) {
 		if math.IsNaN(fx) || math.IsInf(fx, 0) {
 			return 0, false
 		}
-		acc = s.Update(acc, fx)
+		acc = s.Merge(acc, fx)
 	}
 	if math.IsNaN(acc) || math.IsInf(acc, 0) {
 		return 0, false

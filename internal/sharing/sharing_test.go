@@ -20,9 +20,9 @@ func apply(s canonical.State, xs []float64) float64 {
 	acc := s.MergeIdentity()
 	for _, x := range xs {
 		if s.Op == canonical.OpCount {
-			acc = s.Update(acc, 1)
+			acc = s.Merge(acc, 1)
 		} else {
-			acc = s.Update(acc, s.F.Eval(x))
+			acc = s.Merge(acc, s.F.Eval(x))
 		}
 	}
 	return acc

@@ -49,7 +49,7 @@ func instances(sp *Space) []canonical.State {
 func evalOver(s canonical.State, xs []float64) (float64, bool) {
 	acc := s.MergeIdentity()
 	for _, x := range xs {
-		acc = s.Update(acc, s.F.Eval(x))
+		acc = s.Merge(acc, s.F.Eval(x))
 	}
 	return acc, !math.IsNaN(acc) && !math.IsInf(acc, 0)
 }

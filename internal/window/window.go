@@ -11,7 +11,9 @@
 // two-stacks value is only used when it is provably bit-equal to the
 // engine's chunked fold for the values seen so far — i.e. when every
 // value in the window is association-free under ⊕ (see exact below).
-// Otherwise Value falls back to a chunked in-order refold that
+// Count, min and max always are: their ⊕ is exactly associative, so
+// their windows never refold. A sum or product window holding a value
+// outside its exact class falls back to a chunked in-order refold that
 // replicates the executor's morsel merge structure exactly. The fold
 // tracks how often each path ran (FastValues / Refolds) so callers can
 // export the split as metrics.
@@ -70,12 +72,8 @@ func New(st canonical.State, chunk int) *Fold {
 // fold.
 //
 //   - count: every value is the constant 1 — always exact.
-//   - min/max: comparisons are order-insensitive except that the
-//     executor's in-morsel kernels use first-wins compare-update while
-//     cross-morsel merges use math.Min/math.Max, which disagree on the
-//     sign of a ±0 tie and on NaN payload bits (compare-update keeps
-//     the operand's bits, math.Min returns the canonical NaN). Exact
-//     iff v is neither -0.0 nor NaN.
+//   - min/max: canonical.Min/Max is exactly associative, bits and NaN
+//     payloads included — always exact.
 //   - sum: float addition associates exactly while every partial sum is
 //     an exactly-representable integer. Exact iff v is an integer with
 //     |v| < 2^20 (any window below ~2^32 rows then keeps all partials
@@ -84,36 +82,12 @@ func New(st canonical.State, chunk int) *Fold {
 //     association-free. Exact iff v ∈ {0, 1, -1}.
 func (f *Fold) exact(v float64) bool {
 	switch f.st.Op {
-	case canonical.OpCount:
+	case canonical.OpCount, canonical.OpMin, canonical.OpMax:
 		return true
-	case canonical.OpMin, canonical.OpMax:
-		return v == v && !(v == 0 && math.Signbit(v))
 	case canonical.OpProd:
 		return v == 0 || v == 1 || v == -1
 	default: // OpSum
 		return v == math.Trunc(v) && math.Abs(v) < float64(1<<20)
-	}
-}
-
-// update replicates the executor's in-morsel kernel accumulate step:
-// += for Σ/count, *= for Π, first-wins compare-update (NaN-sticky) for
-// min/max.
-func (f *Fold) update(acc, v float64) float64 {
-	switch f.st.Op {
-	case canonical.OpProd:
-		return acc * v
-	case canonical.OpMin:
-		if v < acc || v != v {
-			return v
-		}
-		return acc
-	case canonical.OpMax:
-		if v > acc || v != v {
-			return v
-		}
-		return acc
-	default:
-		return acc + v
 	}
 }
 
@@ -182,7 +156,7 @@ func (f *Fold) Value() float64 {
 
 // refold recomputes the window fold in chronological order with the
 // executor's exact morsel structure: chunk-sized partials accumulated
-// with kernel update semantics, merged left-to-right via the state's ⊕
+// row by row with the state's ⊕, merged left-to-right with it
 // starting from the merge identity — the same shape exec.aggregate
 // produces for a cold scan whose row 0 is the window start.
 func (f *Fold) refold() float64 {
@@ -190,7 +164,7 @@ func (f *Fold) refold() float64 {
 	cacc := f.st.MergeIdentity()
 	n := 0
 	emit := func(v float64) {
-		cacc = f.update(cacc, v)
+		cacc = f.st.Merge(cacc, v)
 		n++
 		if f.chunk > 0 && n == f.chunk {
 			acc = f.st.Merge(acc, cacc)

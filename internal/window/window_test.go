@@ -67,7 +67,7 @@ func exactVal(st canonical.State, rng *rand.Rand) float64 {
 	case canonical.OpProd:
 		return [3]float64{0, 1, -1}[rng.Intn(3)]
 	case canonical.OpMin, canonical.OpMax:
-		return float64(rng.Intn(2001) - 1000) // anything but -0.0
+		return float64(rng.Intn(2001) - 1000)
 	default:
 		return float64(rng.Intn(1<<20)) - float64(1<<19)
 	}
@@ -178,12 +178,60 @@ func TestFastPathEligibility(t *testing.T) {
 		t.Fatalf("after evicting violation: fast=%d refolds=%d, want 1/2", fast, refolds)
 	}
 
-	// -0.0 poisons a min window (compare-update vs math.Min ±0 ties).
-	fm := New(canonical.State{Op: canonical.OpMin}, 64)
-	fm.Push(math.Copysign(0, -1))
-	fm.Value()
-	if _, _, refolds := fm.Stats(); refolds != 1 {
-		t.Fatalf("-0.0 min value should force a refold, got %d", refolds)
+	// -0.0 and NaN keep a min or max window on the O(1) path: their ⊕
+	// (canonical.Min/Max) is exactly associative.
+	for _, op := range []canonical.AggOp{canonical.OpMin, canonical.OpMax} {
+		fm := New(canonical.State{Op: op}, 64)
+		fm.Push(math.Copysign(0, -1))
+		fm.Push(math.NaN())
+		fm.Value()
+		if _, fast, refolds := fm.Stats(); fast != 1 || refolds != 0 {
+			t.Fatalf("%s with -0.0 and NaN: fast=%d refolds=%d, want 1/0", op, fast, refolds)
+		}
+	}
+}
+
+// minMaxStream are the values whose bits tell min/max rules apart: quiet
+// and signaling NaNs with distinct payloads, both zeros, both
+// infinities, a subnormal and ordinary values.
+var minMaxStream = []float64{
+	math.Float64frombits(0x7ff8_0000_0000_0bad), math.Float64frombits(0xfff8_0000_0000_0001),
+	math.Float64frombits(0x7ff0_0000_0000_0001), math.Float64frombits(0xfff4_0000_0000_0c0d),
+	math.Copysign(0, -1), 0, math.Copysign(0, -1), 0,
+	math.Inf(1), math.Inf(-1), 5e-324, 1, -1, 2.5, -2.5, 7,
+}
+
+// TestMinMaxWindowsNeverRefold runs min and max windows over streams
+// rich in NaN payloads and signed zeros: every Value must take the O(1)
+// path, and its bits, NaN payloads included, must equal both a refold of
+// the window and the reference chunked fold. No arithmetic meets a NaN
+// on either side, so the comparison is strict.
+func TestMinMaxWindowsNeverRefold(t *testing.T) {
+	for _, op := range []canonical.AggOp{canonical.OpMin, canonical.OpMax} {
+		st := canonical.State{Op: op}
+		for _, chunk := range []int{0, 1, 3, 7, 64} {
+			rng := rand.New(rand.NewSource(int64(chunk)*10 + int64(op)))
+			f := New(st, chunk)
+			var mirror []float64
+			for step := 0; step < 3000; step++ {
+				if len(mirror) > 0 && rng.Intn(3) == 0 {
+					f.Evict()
+					mirror = mirror[1:]
+				} else {
+					v := minMaxStream[rng.Intn(len(minMaxStream))]
+					f.Push(v)
+					mirror = append(mirror, v)
+				}
+				got, refold, want := f.Value(), f.refold(), refFold(st, chunk, mirror)
+				if math.Float64bits(got) != math.Float64bits(refold) || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s chunk=%d step=%d: Value=%#x refold=%#x reference=%#x",
+						op, chunk, step, math.Float64bits(got), math.Float64bits(refold), math.Float64bits(want))
+				}
+			}
+			if _, fast, refolds := f.Stats(); fast != 3000 || refolds != 0 {
+				t.Fatalf("%s chunk=%d: fast=%d refolds=%d, want 3000/0", op, chunk, fast, refolds)
+			}
+		}
 	}
 }
 
