@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"regexp"
 	"slices"
+	"strings"
 )
 
 // A fact is one "written once" property of the code, checked on a tree:
@@ -58,13 +59,40 @@ var facts = []fact{
 		return vs
 	}},
 
-	// One measurement contract: the reference switches left on exec.Engine
-	// are for tests, never the product.
-	{"reference-switches-test-only", func(t *tree) []violation {
+	// DESIGN.md §8 "Batch kernels": exec.Task is the one task interface,
+	// and its Accumulate the one way rows reach a state. An interface that
+	// extends Task, or declares a second Accumulate, is a second execution
+	// path to keep bit-identical with the first; a Set* switch on the
+	// engine is how such a path gets chosen.
+	{"one-task-interface", func(t *tree) []violation {
 		var vs []violation
-		for _, f := range t.code("") {
-			for _, c := range methodCalls(f.ast, "SetVectorKernels", "SetEncodedFolds") {
-				vs = append(vs, t.violation(f, c.Pos(), "%s is a test-only reference switch", callee(c)))
+		for _, f := range t.code("internal/exec") {
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				it, ok := ts.Type.(*ast.InterfaceType)
+				if !ok {
+					return true
+				}
+				for _, m := range it.Methods.List {
+					if id, ok := m.Type.(*ast.Ident); ok && len(m.Names) == 0 && id.Name == "Task" {
+						vs = append(vs, t.violation(f, m.Pos(), "%s extends exec.Task: one task interface", ts.Name.Name))
+					}
+					for _, name := range m.Names {
+						if strings.HasPrefix(name.Name, "Accumulate") && ts.Name.Name != "Task" {
+							vs = append(vs, t.violation(f, name.Pos(), "%s.%s: rows reach a state through Task.Accumulate alone", ts.Name.Name, name.Name))
+						}
+					}
+				}
+				return true
+			})
+			for _, d := range f.ast.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Set") &&
+					slices.Contains([]string{"(Engine)", "(*Engine)"}, strings.TrimSuffix(funcName(fd), "."+fd.Name.Name)) {
+					vs = append(vs, t.violation(f, fd.Pos(), "%s: exec.Engine has no execution-path switch", funcName(fd)))
+				}
 			}
 		}
 		return vs

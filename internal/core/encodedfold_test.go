@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sudaf/internal/storage"
@@ -63,9 +64,35 @@ var foldQueries = []string{
 	`SELECT sum(int_runs) FROM ft WHERE grp >= 1;`,
 }
 
+// unfolded is q with a filter every row of ft passes. A filter puts a row
+// vector under the scan, and run-folds need an identity row set, so the
+// unfolded query reads the same rows in the same order through the dense
+// kernels alone: the reference of the run-fold differentials.
+func unfolded(q string) string {
+	if strings.Contains(q, " WHERE ") {
+		return strings.Replace(q, " WHERE ", " WHERE grp >= 0 AND ", 1)
+	}
+	return strings.Replace(q, " FROM ft", " FROM ft WHERE grp >= 0", 1)
+}
+
+// queryUnfolded runs unfolded(q) and fails if a run-fold ran.
+func queryUnfolded(t *testing.T, s *Session, q string, mode Mode) *Result {
+	t.Helper()
+	before := storage.RunFoldsExecuted()
+	res, err := s.Query(unfolded(q), mode)
+	if err != nil {
+		t.Fatalf("%s: %v", unfolded(q), err)
+	}
+	if got := storage.RunFoldsExecuted(); got != before {
+		t.Fatalf("%s: the reference ran %d run-folds", unfolded(q), got-before)
+	}
+	return res
+}
+
 // TestEncodedFoldsBitIdentical is the tentpole differential: every
-// query must produce bit-for-bit identical results with encoded-segment
-// folds on and off, across all three execution modes and worker counts.
+// query must produce bit-for-bit identical results with and without
+// encoded-segment folds (its unfolded twin), across all three execution
+// modes and worker counts.
 func TestEncodedFoldsBitIdentical(t *testing.T) {
 	tbl := foldTable(20000)
 	for _, workers := range []int{1, 4} {
@@ -76,17 +103,12 @@ func TestEncodedFoldsBitIdentical(t *testing.T) {
 			}
 			for qi, q := range foldQueries {
 				label := fmt.Sprintf("w=%d mode=%v q%d", workers, mode, qi)
-				s.eng.SetEncodedFolds(true)
 				on, err := s.Query(q, mode)
 				if err != nil {
 					t.Fatalf("%s folds-on: %v", label, err)
 				}
 				s.ClearCache()
-				s.eng.SetEncodedFolds(false)
-				off, err := s.Query(q, mode)
-				if err != nil {
-					t.Fatalf("%s folds-off: %v", label, err)
-				}
+				off := queryUnfolded(t, s, q, mode)
 				s.ClearCache()
 				tablesBitIdentical(t, on.Table, off.Table, label)
 			}
@@ -148,16 +170,10 @@ func TestEncodedFoldsAfterAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := `SELECT count(), sum(int_runs), min(nan_runs), max(inf_runs) FROM ft;`
-	s.eng.SetEncodedFolds(true)
 	on, err := s.Query(q, ModeShare)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.ClearCache()
-	s.eng.SetEncodedFolds(false)
-	off, err := s.Query(q, ModeShare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesBitIdentical(t, on.Table, off.Table, "post-append")
+	tablesBitIdentical(t, on.Table, queryUnfolded(t, s, q, ModeShare).Table, "post-append")
 }

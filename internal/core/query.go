@@ -37,7 +37,8 @@ type QueryStats struct {
 	CacheSignHits   int
 	CacheMisses     int
 	// Kernels names the aggregation tasks that ran through compiled batch
-	// kernels (empty when nothing executed or kernels were off).
+	// kernels: the state tasks, not interpreted UDAFs (empty when nothing
+	// executed).
 	Kernels []string
 }
 

@@ -340,20 +340,22 @@ func (fd *foldDriver) flushStats(s *Session) {
 
 // windowTaskValues is the baseline window executor (shared with
 // baseline subscriptions): every frame recomputed from scratch by the
-// calls' native tasks, chunked exactly like a cold morselized scan
-// whose row 0 is the frame start — which is what pins windowed baseline
+// calls' native tasks, through the Accumulate a scan runs, chunked
+// exactly like a cold morselized keyless scan whose row 0 is the frame
+// start — MorselRows-row partials ⊕-merged in order, each folded a
+// BatchSize batch at a time — which is what pins windowed baseline
 // output bit-identical to a cold query over the same row range.
 func windowTaskValues(ctx context.Context, reg *exec.TaskRegistry, tbl *storage.Table, frames []frame) ([][]float64, error) {
 	b := exec.NewTableBinder(tbl)
 	tasks := make([]exec.Task, reg.Len())
+	scratch := make([]exec.Scratch, reg.Len())
 	for i := 0; i < reg.Len(); i++ {
 		t, err := reg.Spec(i)(b)
 		if err != nil {
 			return nil, err
 		}
-		tasks[i] = t
+		tasks[i], scratch[i] = t, t.NewScratch()
 	}
-	zeros := make([]int32, exec.MorselRows)
 	remap := []int32{0}
 	vals := make([][]float64, len(tasks))
 	for i := range vals {
@@ -369,12 +371,11 @@ func windowTaskValues(ctx context.Context, reg *exec.TaskRegistry, tbl *storage.
 		for ti, task := range tasks {
 			mp := task.NewPartial(1)
 			for clo := fr.lo; clo < fr.hi; clo += exec.MorselRows {
-				chi := clo + exec.MorselRows
-				if chi > fr.hi {
-					chi = fr.hi
-				}
+				chi := min(clo+exec.MorselRows, fr.hi)
 				pc := task.NewPartial(1)
-				task.Accumulate(pc, clo, chi, zeros[:chi-clo])
+				for blo := clo; blo < chi; blo += exec.BatchSize {
+					task.Accumulate(scratch[ti], pc, blo, min(blo+exec.BatchSize, chi), exec.GroupIndex{})
+				}
 				task.Merge(mp, pc, remap)
 			}
 			vals[ti][e] = task.Finalize(mp, 1)[0]

@@ -24,49 +24,35 @@ type GroupKey = [2]int64
 // Grow then re-extends it from its identity.
 type Partial interface{ Reset() }
 
+// Scratch is one worker's private scratch for a task: batch buffers and
+// compiled fillers that must not be shared between goroutines. It carries
+// no accumulation state — all per-group state stays in the Partial, so
+// results are independent of which worker ran which morsel.
+type Scratch interface{}
+
 // Task is an aggregate computation folded over the joined rows. The
 // engine drives it through the IUME contract: NewPartial/Accumulate per
-// partition, Merge across partitions, Finalize per group.
+// partition, Merge across partitions, Finalize per group. Tasks are shared
+// by the workers, each of which folds with a Scratch of its own.
 type Task interface {
 	// Name identifies the task in results.
 	Name() string
+	// NewScratch allocates one worker's scratch.
+	NewScratch() Scratch
 	// NewPartial allocates accumulation state for ngroups groups.
 	NewPartial(ngroups int) Partial
 	// Grow extends a partial to ngroups groups.
 	Grow(p Partial, ngroups int) Partial
-	// Accumulate folds rows [lo, hi) with group assignments gids
-	// (gids[i-lo] is the group of row i).
-	Accumulate(p Partial, lo, hi int, gids []int32)
+	// Accumulate folds rows [lo, hi) (hi-lo ≤ BatchSize) into the partial
+	// slots ix names, in row order within each slot, using s as scratch.
+	// Its rows arrive indexed by what the scan has, not by a group-id
+	// vector built for them: a keyless batch names no group at all, and a
+	// fully covered dense key hands over the key column itself.
+	Accumulate(s Scratch, p Partial, lo, hi int, ix GroupIndex)
 	// Merge folds src group g_src into dst group remap[g_src].
 	Merge(dst, src Partial, remap []int32)
 	// Finalize extracts the per-group result values.
 	Finalize(p Partial, ngroups int) []float64
-}
-
-// VecState is a worker-private scratch area for a vectorized task: batch
-// buffers and compiled fillers that must not be shared between goroutines.
-// It carries no accumulation state — all per-group state stays in the
-// Partial, so results are independent of which worker ran which morsel.
-type VecState interface{}
-
-// VectorTask is the optional batch-kernel extension of Task. A task that
-// implements it is driven one BatchSize chunk at a time through
-// AccumulateVec; tasks that don't (or whose NewVecState returns nil — the
-// shape or bindings didn't admit a kernel) fall back to the scalar
-// Accumulate. AccumulateVec must compute exactly what Accumulate computes,
-// in the same row order per group, so the two paths agree bit for bit.
-// Its rows arrive indexed by what the scan has, not by a group-id vector
-// built for them (GroupIndex): a keyless batch names no group at all, so
-// the kernel folds it into a register and stores group 0 once; a fully
-// covered dense key hands over the key column itself.
-type VectorTask interface {
-	Task
-	// NewVecState allocates one worker's scratch, or nil to decline
-	// vectorized execution for this query.
-	NewVecState() VecState
-	// AccumulateVec folds rows [lo, hi) (hi-lo ≤ BatchSize) into the
-	// partial slots ix names, using vs as scratch.
-	AccumulateVec(vs VecState, p Partial, lo, hi int, ix GroupIndex)
 }
 
 // GroupIndex says which partial slot each row of a batch folds into. It
@@ -83,17 +69,21 @@ type GroupIndex struct {
 }
 
 // keylessIDs is a keyless batch's id vector wherever one is needed (the
-// scalar Accumulate, a kernel batch that falls back to the keyed loops):
+// interpreted UDAF, a kernel batch that falls back to the keyed loops):
 // group 0 for every row. It is only ever read.
 var keylessIDs [BatchSize]int32
 
-// slots writes each row's slot into dst for the scalar Accumulate, which
-// takes a group-id vector, and returns dst[:rows]. ix is not keyless.
-func (ix GroupIndex) slots(dst []int32) []int32 {
-	if ix.Keys != nil {
+// slots is the slot of each of a batch's n rows as a group-id vector, for
+// a task that folds by one (NaiveUDAFTask): keylessIDs[:n] for a keyless
+// batch, otherwise written into dst.
+func (ix GroupIndex) slots(dst []int32, n int) []int32 {
+	switch {
+	case ix.Keys != nil:
 		return keySlots(ix.Keys, ix.Base, dst)
+	case ix.IDs != nil:
+		return keySlots(ix.IDs, ix.Base, dst)
 	}
-	return keySlots(ix.IDs, ix.Base, dst)
+	return keylessIDs[:n]
 }
 
 func keySlots[K int32 | int64](keys []K, base int64, dst []int32) []int32 {
@@ -121,21 +111,6 @@ const (
 	FoldHash = "hash"
 )
 
-// RunFoldTask is the optional direct-over-encoding extension of
-// VectorTask: a task that can fold the RLE runs of its input column as
-// (value, count) pairs in O(runs) instead of O(rows). FoldRuns is
-// all-or-nothing per morsel and must be *exact*: it either folds rows
-// [lo, hi) into group 0 of p with a result bit-identical to what
-// Accumulate would produce (returning true), or leaves p completely
-// untouched and returns false so the caller runs the dense path. It is
-// only invoked on identity row sets (row i of the morsel IS row i of
-// the column) for keyless aggregates, where every row belongs to the
-// single group 0.
-type RunFoldTask interface {
-	VectorTask
-	FoldRuns(p Partial, lo, hi int) bool
-}
-
 // GroupResult is the output of aggregation: group keys plus one value
 // column per task. KeyColumns are materialized storage columns aligned
 // with Keys, so results can round-trip through the cache without
@@ -162,8 +137,9 @@ type GroupResult struct {
 	// both empty for one table).
 	Joins     []string
 	ProbeRows int
-	// Kernels names the tasks that ran through compiled batch kernels
-	// (per-query observability; empty when everything ran tuple-at-a-time).
+	// Kernels names the tasks that ran through compiled batch kernels:
+	// the state tasks, as opposed to interpreted UDAFs (per-query
+	// observability).
 	Kernels []string
 	// Fold is how rows reached their states: FoldKeyless, FoldKey,
 	// FoldIDs or FoldHash (observability).
@@ -195,11 +171,10 @@ func (gr *GroupResult) materializeKeys(groupBy []planCol) {
 // aggregate folds all tasks over the joined rows with morsel-driven
 // parallelism: workers claim MorselRows-row morsels from a shared atomic
 // cursor, aggregate each morsel into morsel-local partials one BatchSize
-// batch at a time (vectorized kernels when the task provides them), and
-// every morsel's partials are ⊕-merged into the global partial in
-// morsel-index order — so the result, including group order and
-// floating-point rounding, is identical for any worker count and any
-// scheduling interleaving.
+// batch at a time (Task.Accumulate), and every morsel's partials are
+// ⊕-merged into the global partial in morsel-index order — so the result,
+// including group order and floating-point rounding, is identical for any
+// worker count and any scheduling interleaving.
 //
 // A dense key (keyDomainOf) gets its group ids once per scan, before any
 // morsel runs: the first-appearance pass numbers the domain's slots in
@@ -208,9 +183,9 @@ func (gr *GroupResult) materializeKeys(groupBy []planCol) {
 // discovers a group, and the merge looks none up. Hashed keys number
 // their groups per morsel and remap them in the merge.
 //
-// Vectorized tasks fold where their state lives (GroupResult.Fold). A
-// keyless scan builds no group-id vector: each kernel folds a batch in a
-// register. One dense key over an identity row set whose pass found every
+// Tasks fold where their state lives (GroupResult.Fold). A keyless scan
+// builds no group-id vector: each kernel folds a batch in a register.
+// One dense key over an identity row set whose pass found every
 // slot of the domain folds by the key column itself: partials are
 // indexed by key − base, the merge stays aligned, and the slot → group-id
 // permutation is applied once, to the finalized values. Any other dense
@@ -243,15 +218,7 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 		workers = 1
 	}
 
-	// Which tasks run vectorized: resolved once (the knob is snapshotted
-	// here, so a concurrent toggle never splits one query across paths),
-	// with vec scratch allocated per worker (tasks are shared across
-	// workers; VecStates must not be). A task whose NewVecState declines
-	// is demoted to the scalar path up front, and accepted kernels are
-	// recorded for per-query observability.
-	useVec := !e.disableVec.Load()
-	q := &aggScan{ctx: ctx, rs: rs, tasks: tasks, ka: newKeyAssign(dp, rs, useVec),
-		vecTasks: make([]VectorTask, len(tasks))}
+	q := &aggScan{ctx: ctx, rs: rs, tasks: tasks, ka: newKeyAssign(dp, rs)}
 	orderRows := 0
 	if q.ka.lookupLen > 0 {
 		var err error
@@ -269,31 +236,25 @@ func (e *Engine) aggregate(ctx context.Context, dp *DataPlan, rs *RowSet, tasks 
 	default:
 		q.fold = FoldIDs
 	}
-	var kernels []string
-	if useVec {
-		for t, task := range tasks {
-			if vt, ok := task.(VectorTask); ok {
-				if probe := vt.NewVecState(); probe != nil {
-					q.vecTasks[t] = vt
-					kernels = append(kernels, task.Name())
-				}
-			}
-		}
-	}
 
 	// Direct-over-encoding run folds (storage engine v2): eligible only
-	// for keyless aggregates over an identity row set, where morsel
-	// windows are column row ranges and every row folds into group 0.
-	// The knob snapshot mirrors useVec; per-morsel exactness checks
-	// (RLE coverage, the 2^53 integral guards) live in FoldRuns itself.
-	if useVec && !e.disableFold.Load() && rs.identity() && len(dp.groupBy) == 0 {
-		for t, task := range tasks {
-			if ft, ok := task.(RunFoldTask); ok && q.vecTasks[t] != nil {
-				if q.foldTasks == nil {
-					q.foldTasks = make([]RunFoldTask, len(tasks))
-				}
-				q.foldTasks[t] = ft
+	// for the state tasks of keyless aggregates over an identity row set,
+	// where morsel windows are column row ranges and every row folds into
+	// group 0. Per-morsel exactness checks (RLE coverage, the 2^53
+	// integral guards) live in FoldRuns itself.
+	var kernels []string
+	foldable := rs.identity() && len(dp.groupBy) == 0
+	for t, task := range tasks {
+		st, ok := task.(*StateTask)
+		if !ok {
+			continue
+		}
+		kernels = append(kernels, task.Name())
+		if foldable {
+			if q.foldTasks == nil {
+				q.foldTasks = make([]*StateTask, len(tasks))
 			}
+			q.foldTasks[t] = st
 		}
 	}
 
@@ -521,10 +482,9 @@ type keyAssign struct {
 	rows  []int32
 }
 
-// newKeyAssign picks the assignment path. Dense addressing is part of the
-// batch machinery, so the vector-kernels knob turns it off with the
-// kernels and leaves tuple-at-a-time hashing as the reference.
-func newKeyAssign(dp *DataPlan, rs *RowSet, useVec bool) *keyAssign {
+// newKeyAssign picks the assignment path: direct addressing for keys
+// whose domains are dense and narrow enough, hashing for the rest.
+func newKeyAssign(dp *DataPlan, rs *RowSet) *keyAssign {
 	ka := &keyAssign{fns: make([]func(int32) int64, len(dp.groupBy)), width1: 1}
 	for i, g := range dp.groupBy {
 		ka.fns[i] = rs.bindInt(g)
@@ -534,7 +494,7 @@ func newKeyAssign(dp *DataPlan, rs *RowSet, useVec bool) *keyAssign {
 		ka.lookupLen = 1
 	case 1:
 		g := dp.groupBy[0]
-		if d := keyDomainOf(g.col, maxDenseKeyWidth); useVec && d.dense {
+		if d := keyDomainOf(g.col, maxDenseKeyWidth); d.dense {
 			ka.lookupLen, ka.base0 = int(d.width), d.base
 			ka.ints, ka.codes, ka.rows = g.col.I, g.col.Codes, rs.vecs[g.table.Name]
 		}
@@ -542,7 +502,7 @@ func newKeyAssign(dp *DataPlan, rs *RowSet, useVec bool) *keyAssign {
 		d0 := keyDomainOf(dp.groupBy[0].col, 1<<31)
 		d1 := keyDomainOf(dp.groupBy[1].col, 1<<31)
 		ka.packable = d0.nonNegative32() && d1.nonNegative32()
-		if useVec && d0.dense && d1.dense && d0.width*d1.width <= maxDenseKeyWidth {
+		if d0.dense && d1.dense && d0.width*d1.width <= maxDenseKeyWidth {
 			ka.lookupLen = int(d0.width * d1.width)
 			ka.base0, ka.base1, ka.width1 = d0.base, d1.base, d1.width
 		}
@@ -763,8 +723,7 @@ type aggScan struct {
 	ctx       context.Context
 	rs        *RowSet
 	tasks     []Task
-	vecTasks  []VectorTask  // nil entries run the scalar Accumulate
-	foldTasks []RunFoldTask // nil unless run-folds are eligible
+	foldTasks []*StateTask // nil unless run-folds are eligible
 	ka        *keyAssign
 	// Dense paths: the first-appearance pass's slot → group id table and
 	// the scan's groups by id (both nil on the hash paths).
@@ -774,20 +733,18 @@ type aggScan struct {
 }
 
 // aggWorker is one worker's private scratch: group ids for one batch and
-// each vectorized task's kernel buffers.
+// each task's Scratch.
 type aggWorker struct {
 	*aggScan
-	gids      []int32
-	vecStates []VecState
-	foldMask  []bool
+	gids     []int32
+	scratch  []Scratch
+	foldMask []bool
 }
 
 func (q *aggScan) newWorker() *aggWorker {
-	w := &aggWorker{aggScan: q, gids: make([]int32, BatchSize), vecStates: make([]VecState, len(q.tasks))}
-	for t, vt := range q.vecTasks {
-		if vt != nil {
-			w.vecStates[t] = vt.NewVecState()
-		}
+	w := &aggWorker{aggScan: q, gids: make([]int32, BatchSize), scratch: make([]Scratch, len(q.tasks))}
+	for t, task := range q.tasks {
+		w.scratch[t] = task.NewScratch()
 	}
 	if q.foldTasks != nil {
 		w.foldMask = make([]bool, len(q.tasks))
@@ -914,36 +871,25 @@ func (w *aggWorker) runMorsel(m int, la *localAgg) (err error) {
 		if bhi > hi {
 			bhi = hi
 		}
-		// ix is what the kernels fold by, gids what the scalar Accumulate
-		// does: built on first use when key-indexed.
 		var (
-			ix   GroupIndex
-			gids []int32
-			ng   = len(w.groups)
+			ix GroupIndex
+			ng = len(w.groups)
 		)
 		switch w.fold {
 		case FoldKeyless:
-			gids = keylessIDs[:bhi-blo]
+			// The zero GroupIndex: every row folds into slot 0.
 		case FoldKey:
 			ix = ka.keyIndex(blo, bhi)
 		default:
-			gids = w.gids[:bhi-blo]
-			ng = assign(blo, bhi, gids)
-			ix.IDs = gids
+			ix.IDs = w.gids[:bhi-blo]
+			ng = assign(blo, bhi, ix.IDs)
 		}
 		for t, task := range w.tasks {
 			if w.foldTasks != nil && w.foldMask[t] {
 				continue
 			}
 			la.partials[t] = growPartial(task, la.partials[t], ng)
-			if vt := w.vecTasks[t]; vt != nil && w.vecStates[t] != nil {
-				vt.AccumulateVec(w.vecStates[t], la.partials[t], blo, bhi, ix)
-				continue
-			}
-			if gids == nil {
-				gids = ix.slots(w.gids)
-			}
-			task.Accumulate(la.partials[t], blo, bhi, gids)
+			task.Accumulate(w.scratch[t], la.partials[t], blo, bhi, ix)
 		}
 	}
 	return nil

@@ -20,30 +20,14 @@ const (
 )
 
 // Binder resolves column names for task construction. Bind returns a
-// scalar accessor (the tuple-at-a-time contract); BindColumn exposes the
-// underlying physical column and row-indirection vector (nil when row i
-// of the set is row i of the column) so vectorized kernels can gather
-// whole batches without per-row interface dispatch.
-// BindColumn may fail where Bind succeeds (e.g. synthetic bindings in
-// tests); kernels must fall back to the scalar path in that case.
+// per-row accessor (what the interpreted UDAF and window valuers read);
+// BindColumn exposes the underlying physical column and row-indirection
+// vector (nil when row i of the set is row i of the column) so the batch
+// kernels can gather whole batches without per-row interface dispatch.
 type Binder interface {
 	Bind(name string) (Accessor, error)
 	BindColumn(name string) (*storage.Column, []int32, error)
 }
-
-// funcBinder adapts a plain bind function to the Binder interface for
-// callers (tests, simple harnesses) that have no physical columns.
-type funcBinder func(name string) (Accessor, error)
-
-func (f funcBinder) Bind(name string) (Accessor, error) { return f(name) }
-
-func (f funcBinder) BindColumn(string) (*storage.Column, []int32, error) {
-	return nil, nil, fmt.Errorf("no physical column binding")
-}
-
-// BindFunc wraps a name→Accessor function as a Binder with no physical
-// column access (BindColumn always fails, forcing scalar execution).
-func BindFunc(fn func(name string) (Accessor, error)) Binder { return funcBinder(fn) }
 
 // VecFiller fills out[0:hi-lo] with the value of a compiled expression
 // for output rows lo..hi of the row set. hi-lo must not exceed BatchSize.
@@ -58,9 +42,8 @@ type VecFillerFactory func() VecFiller
 // vectorized filler factory. It computes exactly the same values as
 // CompileExpr, restructured as batch loops over gathered column chunks:
 // the four arithmetic operators are spelled as loops, every function and
-// every '^' applies the kernel expr.Compile would. Returns an error for
-// expressions or bindings the vector path cannot serve (the caller then
-// stays on the scalar path).
+// every '^' applies the kernel expr.Compile would. Over a RowSet it binds
+// the columns CompileExpr binds, so it fails only where CompileExpr does.
 func CompileVecFiller(n expr.Node, b Binder) (VecFillerFactory, error) {
 	// Trial-compile once so binding and shape errors surface now rather
 	// than per worker.

@@ -90,22 +90,22 @@ func kernelStates(t *testing.T) []canonical.State {
 	}
 }
 
-// TestVectorizedMatchesTuple is the batch ≡ tuple differential: the same
-// aggregation run with kernels on and off must agree bit for bit, for
-// grand aggregates, int keys, packed two-column keys and string keys.
+// TestVectorizedMatchesTuple is the batch ≡ tuple differential: every
+// kernel class must agree with the tuple-at-a-time reference (refStates)
+// bit for bit, for grand aggregates (read in place, where count folds the
+// morsel at once, and behind a row vector), int keys, packed two-column
+// keys and string keys.
 func TestVectorizedMatchesTuple(t *testing.T) {
 	cat := testCatalog(t, 20_000)
 	states := kernelStates(t)
 	for _, sql := range []string{
 		"SELECT sum(price) FROM sales",
+		"SELECT sum(price) FROM sales WHERE qty > 1",
 		"SELECT s_item, sum(price) FROM sales GROUP BY s_item",
 		"SELECT s_store, s_item, sum(price) FROM sales GROUP BY s_store, s_item",
 		"SELECT st_state, sum(price) FROM sales, stores WHERE s_store = st_id GROUP BY st_state",
 	} {
-		vec := NewEngine(cat, 4)
-		tup := NewEngine(cat, 4)
-		tup.SetVectorKernels(false)
-		assertIdentical(t, sql, runStates(t, vec, sql, states), runStates(t, tup, sql, states))
+		assertMatchesRef(t, sql, refStates(t, cat, sql, states), runStates(t, NewEngine(cat, 4), sql, states), states)
 	}
 }
 
@@ -127,10 +127,8 @@ func TestMorselDeterminism(t *testing.T) {
 		e := NewEngine(cat, workers)
 		assertIdentical(t, fmt.Sprintf("workers=%d", workers), want, runStates(t, e, sql, states))
 	}
-	// And the tuple path agrees with all of them.
-	tup := NewEngine(cat, 8)
-	tup.SetVectorKernels(false)
-	assertIdentical(t, "tuple-path", want, runStates(t, tup, sql, states))
+	// And the tuple-at-a-time reference agrees with all of them.
+	assertMatchesRef(t, "reference", refStates(t, cat, sql, states), want, states)
 }
 
 // advCatalog builds a table whose value column is adversarial for
@@ -180,8 +178,8 @@ func advCatalog(t *testing.T, rows int) *catalog.Catalog {
 }
 
 // TestVectorizedMatchesTupleAdversarial runs the min/max/prod/sum kernels
-// over NaN/±Inf/signed-zero/subnormal data: batch and tuple paths must
-// agree bit for bit, under any worker count.
+// over NaN/±Inf/signed-zero/subnormal data: they must agree with the
+// tuple-at-a-time reference bit for bit, under any worker count.
 func TestVectorizedMatchesTupleAdversarial(t *testing.T) {
 	cat := advCatalog(t, 9_973)
 	states := []canonical.State{
@@ -197,12 +195,10 @@ func TestVectorizedMatchesTupleAdversarial(t *testing.T) {
 		"SELECT min(v) FROM adv",
 		"SELECT min(v) FROM adv WHERE g > 100", // empty selection → merge identities
 	} {
+		ref := refStates(t, cat, sql, states)
 		for _, workers := range []int{1, 4} {
-			vec := NewEngine(cat, workers)
-			tup := NewEngine(cat, workers)
-			tup.SetVectorKernels(false)
 			label := fmt.Sprintf("%s workers=%d", sql, workers)
-			assertIdentical(t, label, runStates(t, vec, sql, states), runStates(t, tup, sql, states))
+			assertMatchesRef(t, label, ref, runStates(t, NewEngine(cat, workers), sql, states), states)
 		}
 	}
 }
@@ -210,7 +206,7 @@ func TestVectorizedMatchesTupleAdversarial(t *testing.T) {
 // TestEmptySelectionIdentities pins the empty-group contract for the
 // grand aggregate: zero input rows still yield one group holding each
 // op's merge identity (+Inf for min, -Inf for max, 1 for prod, 0 for
-// sum/count), on both execution paths.
+// sum/count).
 func TestEmptySelectionIdentities(t *testing.T) {
 	cat := advCatalog(t, 64)
 	states := []canonical.State{
@@ -221,17 +217,13 @@ func TestEmptySelectionIdentities(t *testing.T) {
 		{Op: canonical.OpCount, Base: &expr.Num{Val: 1}},
 	}
 	want := []float64{math.Inf(1), math.Inf(-1), 1, 0, 0}
-	for _, disable := range []bool{false, true} {
-		e := NewEngine(cat, 2)
-		e.SetVectorKernels(!disable)
-		gr := runStates(t, e, "SELECT min(v) FROM adv WHERE g > 100", states)
-		if gr.NumGroups != 1 {
-			t.Fatalf("disable=%v: %d groups, want 1", disable, gr.NumGroups)
-		}
-		for i, w := range want {
-			if !bitsEq(gr.Values[i][0], w) {
-				t.Errorf("disable=%v state %d: %v, want identity %v", disable, i, gr.Values[i][0], w)
-			}
+	gr := runStates(t, NewEngine(cat, 2), "SELECT min(v) FROM adv WHERE g > 100", states)
+	if gr.NumGroups != 1 {
+		t.Fatalf("%d groups, want 1", gr.NumGroups)
+	}
+	for i, w := range want {
+		if !bitsEq(gr.Values[i][0], w) {
+			t.Errorf("state %d: %v, want identity %v", i, gr.Values[i][0], w)
 		}
 	}
 }
@@ -264,29 +256,4 @@ func TestKernelSelection(t *testing.T) {
 		}
 	}
 	_ = scalar.Chain{} // keep the import meaningful if cases change
-}
-
-// TestScalarFallbackWithoutColumns: a Binder with no physical columns
-// (BindFunc) must route every kernel except count() back to the scalar
-// path via a nil VecState — never fail task construction.
-func TestScalarFallbackWithoutColumns(t *testing.T) {
-	bind := BindFunc(func(name string) (Accessor, error) {
-		return func(i int32) float64 { return float64(i) }, nil
-	})
-	sum := canonical.State{Op: canonical.OpSum, Base: expr.MustParse("x")}
-	st, err := NewStateTask(sum, bind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs := st.NewVecState(); vs != nil {
-		t.Error("sum over synthetic binding should decline vectorization")
-	}
-	cnt := canonical.State{Op: canonical.OpCount, Base: &expr.Num{Val: 1}}
-	ct, err := NewStateTask(cnt, bind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs := ct.NewVecState(); vs == nil {
-		t.Error("count() needs no columns and should stay vectorized")
-	}
 }

@@ -1,11 +1,11 @@
 // Package exec implements the physical execution engine of the SUDAF
 // reproduction: columnar scans with predicate selection, left-deep hash
 // joins, and hash group-by aggregation with two task families —
-// StateTask, the compiled loop (or batch kernel) of one canonical
-// aggregation state, which every built-in aggregate and every rewritten
-// UDAF runs through, and NaiveUDAFTask, the deliberately interpreted
-// "hardcoded UDAF" accumulator that models the per-tuple boxing overhead
-// of PL/pgSQL and Spark's UserDefinedAggregateFunction.
+// StateTask, the batch kernel of one canonical aggregation state, which
+// every built-in aggregate and every rewritten UDAF runs through, and
+// NaiveUDAFTask, the deliberately interpreted "hardcoded UDAF"
+// accumulator that models the per-tuple boxing overhead of PL/pgSQL and
+// Spark's UserDefinedAggregateFunction.
 //
 // The engine runs serial ("PostgreSQL mode") or with partitioned parallel
 // partial aggregation and merge ("Spark mode"), exercising exactly the

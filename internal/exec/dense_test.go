@@ -25,11 +25,12 @@ import (
 //     to be dense, run by the same kernels: the hash merge skips absent
 //     groups, so any bit an identity merge changed would show, NaN
 //     payloads included;
-//   - with the tuple/hash reference, NaN payloads aside: where two NaNs
-//     meet, the result's payload is the first operand's, and the compiler
-//     orders the operands of a commutative float op as it likes, so the
-//     batch and tuple kernels may disagree there. The other
-//     differentials in this package tolerate the same;
+//   - with the tuple-at-a-time reference (refStates), the NaN payloads of
+//     sums and products aside: where two NaNs meet, the result's payload
+//     is the first operand's, and the compiler orders the operands of a
+//     commutative float op as it likes, so a kernel and State.Merge may
+//     disagree there. The interpreted UDAF is held to its hash twin
+//     alone;
 //   - with itself under one, two and eight workers.
 
 // denseRows spans four morsels; the middle two are the gap (see
@@ -206,10 +207,9 @@ func runDenseTasks(t *testing.T, e *Engine, sql string, states []canonical.State
 	return gr
 }
 
-// assertSameValues demands the same groups in order and, for every task
-// of got (a prefix of want's), the same values: the same Float64bits, or
-// with nanLoose any NaN for a NaN.
-func assertSameValues(t *testing.T, label string, want, got *GroupResult, nanLoose bool) {
+// assertSameValues demands the same number of groups and, for every task
+// of got (a prefix of want's), the same values: the same Float64bits.
+func assertSameValues(t *testing.T, label string, want, got *GroupResult) {
 	t.Helper()
 	if want.NumGroups != got.NumGroups || len(want.Values) < len(got.Values) {
 		t.Fatalf("%s: %d groups × %d tasks, want %d × %d", label, got.NumGroups, len(got.Values), want.NumGroups, len(want.Values))
@@ -217,7 +217,7 @@ func assertSameValues(t *testing.T, label string, want, got *GroupResult, nanLoo
 	for v := range got.Values {
 		for g := 0; g < want.NumGroups; g++ {
 			w, h := want.Values[v][g], got.Values[v][g]
-			if math.Float64bits(w) != math.Float64bits(h) && !(nanLoose && math.IsNaN(w) && math.IsNaN(h)) {
+			if math.Float64bits(w) != math.Float64bits(h) {
 				t.Fatalf("%s: task %d group %d: %#x, want %#x", label, v, g, math.Float64bits(h), math.Float64bits(w))
 			}
 		}
@@ -266,14 +266,12 @@ func TestDenseAssignmentPathsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ref := NewEngine(cat, 1)
-	ref.SetVectorKernels(false)
 	for _, q := range queries {
 		dense, twin := sql(q.keys, q.from), sql(q.twin, q.from)
-		if got := assignPath(t, ref, dense); got != q.path {
+		if got := assignPath(t, NewEngine(cat, 1), dense); got != q.path {
 			t.Fatalf("%s takes path %s, want %s", dense, got, q.path)
 		}
-		if got := assignPath(t, ref, twin); !strings.HasPrefix(got, "hash") {
+		if got := assignPath(t, NewEngine(cat, 1), twin); !strings.HasPrefix(got, "hash") {
 			t.Fatalf("%s takes path %s, want a hash path", twin, got)
 		}
 		var naive *canonical.Form
@@ -282,15 +280,9 @@ func TestDenseAssignmentPathsBitIdentical(t *testing.T) {
 		}
 		// Two workers run the dense query beside its twin and the
 		// reference; one and eight must then agree with two.
-		want := runDenseTasks(t, ref, dense, states, naive)
 		got := runDenseTasks(t, NewEngine(cat, 2), dense, states, naive)
-		assertSameValues(t, dense+" against its hash twin", runDenseTasks(t, NewEngine(cat, 2), twin, states, naive), got, false)
-		for g := range want.Keys {
-			if want.Keys[g] != got.Keys[g] {
-				t.Fatalf("%s: group %d key %v, want %v", dense, g, got.Keys[g], want.Keys[g])
-			}
-		}
-		assertSameValues(t, dense+" against the tuple reference", want, got, true)
+		assertSameValues(t, dense+" against its hash twin", runDenseTasks(t, NewEngine(cat, 2), twin, states, naive), got)
+		assertMatchesRef(t, dense+" against the tuple reference", refStates(t, cat, dense, states), got, states)
 		if got.Fold != q.fold {
 			t.Fatalf("%s: fold %q, want %q", dense, got.Fold, q.fold)
 		}
@@ -299,7 +291,7 @@ func TestDenseAssignmentPathsBitIdentical(t *testing.T) {
 			if other.Fold != q.fold {
 				t.Fatalf("%s workers=%d: fold %q, want %q", dense, workers, other.Fold, q.fold)
 			}
-			assertSameValues(t, fmt.Sprintf("%s workers=%d", dense, workers), got, other, false)
+			assertSameValues(t, fmt.Sprintf("%s workers=%d", dense, workers), got, other)
 			if other.Keys[len(other.Keys)-1] != got.Keys[len(got.Keys)-1] {
 				t.Fatalf("%s workers=%d: last group %v, want %v", dense, workers, other.Keys[len(other.Keys)-1], got.Keys[len(got.Keys)-1])
 			}

@@ -16,9 +16,9 @@ import (
 )
 
 // Differential tests of the direct-addressed keyed steps (DESIGN.md §8):
-// every group-id assignment path against the tuple/hash reference, the
-// direct-address join table against a nested-loop oracle, and top-K
-// selection against the stable full sort.
+// every group-id assignment path against the tuple-at-a-time reference
+// (refStates), the direct-address join table against a nested-loop
+// oracle, and top-K selection against the stable full sort.
 
 // keyedTable has one key column (or pair) per assignment path over the
 // same adversarial value column:
@@ -100,7 +100,7 @@ func assignPath(t *testing.T, e *Engine, sql string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ka := newKeyAssign(dp, rs, true)
+	ka := newKeyAssign(dp, rs)
 	switch {
 	case ka.lookupLen > 0 && ka.ints != nil:
 		return "dense-int"
@@ -138,21 +138,19 @@ func TestGroupByAssignmentPathsMatchTupleReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		states := keyedStates(t)
-		ref := NewEngine(cat, 1)
-		ref.SetVectorKernels(false)
 		for _, q := range queries {
 			if rows > BatchSize { // fewer rows may not span the wide domains
-				if got := assignPath(t, ref, q.sql); got != q.path {
+				if got := assignPath(t, NewEngine(cat, 1), q.sql); got != q.path {
 					t.Fatalf("rows=%d %q takes path %s, want %s", rows, q.sql, got, q.path)
 				}
 			}
-			want := runStates(t, ref, q.sql, states)
-			if rows > 1 && want.NumGroups < 2 {
+			ref := refStates(t, cat, q.sql, states)
+			if rows > 1 && ref.NumGroups < 2 {
 				t.Fatalf("rows=%d %q: degenerate reference", rows, q.sql)
 			}
 			for _, workers := range []int{1, 2, 8} {
 				got := runStates(t, NewEngine(cat, workers), q.sql, states)
-				assertIdentical(t, fmt.Sprintf("rows=%d workers=%d %s", rows, workers, q.sql), want, got)
+				assertMatchesRef(t, fmt.Sprintf("rows=%d workers=%d %s", rows, workers, q.sql), ref, got, states)
 			}
 		}
 	}

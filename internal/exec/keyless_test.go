@@ -149,7 +149,7 @@ func TestKeylessFoldsBitIdentical(t *testing.T) {
 			if ran := storage.RunFoldsExecuted() > folds; ran != (from == "kl") {
 				t.Fatalf("%s workers=%d: run-folds ran %v, want %v", keyless, workers, ran, from == "kl")
 			}
-			assertSameValues(t, fmt.Sprintf("%s workers=%d against %s", keyless, workers, keyed), want, got, false)
+			assertSameValues(t, fmt.Sprintf("%s workers=%d against %s", keyless, workers, keyed), want, got)
 		}
 	}
 }

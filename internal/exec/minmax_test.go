@@ -11,11 +11,10 @@ import (
 )
 
 // Strict tests of the min/max folds (DESIGN.md §8): every loop must keep
-// exactly what canonical.Min/Max keep, foldKeyed's selects and the
-// scalar Accumulate by calling them, foldKeyless by its compare-and-
-// branch. No loop does arithmetic, so the comparison is on the partials'
-// bits with no allowance for NaNs: the payload a group ends with says
-// which NaN won.
+// exactly what canonical.Min/Max keep, foldKeyed's selects by calling
+// them, foldKeyless by its compare-and-branch. No loop does arithmetic,
+// so the comparison is on the partials' bits with no allowance for NaNs:
+// the payload a group ends with says which NaN won.
 
 // minMaxValues are the inputs whose bits tell the rules apart: quiet and
 // signaling NaNs of both signs with distinct payloads, both zeros, both
@@ -99,28 +98,35 @@ func TestKeyedMinMaxSelectsMatchScalarBits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !task.vecOK || task.fused != c.fused {
-				t.Fatalf("%s %s: vectorized %v fused %v, want fused %v", op, c.path, task.vecOK, task.fused, c.fused)
+			if task.fused != c.fused {
+				t.Fatalf("%s %s: fused %v, want %v", op, c.path, task.fused, c.fused)
 			}
-			vs := task.NewVecState()
-			want, got := task.NewPartial(groups), task.NewPartial(groups)
+			// The reference is the State.Merge fold of each group's values
+			// in row order.
+			want := make([]float64, groups)
+			for s := range want {
+				want[s] = st.MergeIdentity()
+			}
+			got := task.NewPartial(groups)
+			vs := task.NewScratch()
 			gids := make([]int32, BatchSize)
 			for lo := 0; lo < rs.n; lo += BatchSize {
 				hi := min(lo+BatchSize, rs.n)
 				for j := range gids[:hi-lo] {
-					gids[j] = int32(keys[physRow(c.rows, lo+j)] - 100)
+					r := physRow(c.rows, lo+j)
+					gids[j] = int32(keys[r] - 100)
+					want[gids[j]] = st.Merge(want[gids[j]], tbl.Col("x").F[r])
 				}
-				task.Accumulate(want, lo, hi, gids[:hi-lo])
 				ix := GroupIndex{IDs: gids[:hi-lo]}
 				if c.path == "key" {
 					ix = GroupIndex{Keys: keys[lo:hi], Base: 100}
 				}
-				task.AccumulateVec(vs, got, lo, hi, ix)
+				task.Accumulate(vs, got, lo, hi, ix)
 			}
-			w, g := want.(*floatsPartial).arrs[0], got.(*floatsPartial).arrs[0]
+			g := got.(*floatsPartial).arrs[0]
 			for s := 0; s < groups; s++ {
-				if math.Float64bits(w[s]) != math.Float64bits(g[s]) {
-					t.Errorf("%s %s: group %d: %#x, scalar path %#x", op, c.path, s, math.Float64bits(g[s]), math.Float64bits(w[s]))
+				if math.Float64bits(want[s]) != math.Float64bits(g[s]) {
+					t.Errorf("%s %s: group %d: %#x, State.Merge fold %#x", op, c.path, s, math.Float64bits(g[s]), math.Float64bits(want[s]))
 				}
 			}
 		}
@@ -129,7 +135,7 @@ func TestKeyedMinMaxSelectsMatchScalarBits(t *testing.T) {
 
 // TestKeylessMinMaxBranchIsCanonical holds foldKeyless's compare-and-
 // branch to canonical.Min/Max, batch by batch from a carried register,
-// read in place and fused. AccumulateVec never keeps a keyless fold that
+// read in place and fused. Accumulate never keeps a keyless fold that
 // ends in NaN, so foldKeyless is called directly.
 func TestKeylessMinMaxBranchIsCanonical(t *testing.T) {
 	tbl := minMaxTable(3*BatchSize+17, 37)
@@ -149,7 +155,7 @@ func TestKeylessMinMaxBranchIsCanonical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vs := task.NewVecState().(*stateVecState)
+			vs := task.NewScratch().(*stateScratch)
 			got, want := st.MergeIdentity(), st.MergeIdentity()
 			for lo := 0; lo < rs.n; lo += BatchSize {
 				hi := min(lo+BatchSize, rs.n)

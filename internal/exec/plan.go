@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync/atomic"
 
 	"sudaf/internal/catalog"
 	"sudaf/internal/faultinject"
@@ -25,17 +24,6 @@ type Engine struct {
 	// Under concurrent queries it is the *total* helper budget shared by
 	// all of them, not a per-query figure.
 	Workers int
-	// disableVec forces every task onto the tuple-at-a-time Accumulate
-	// path even when it implements VectorTask: the reference the
-	// batch≡tuple differential tests compare against. Results are
-	// identical either way, only throughput differs.
-	disableVec atomic.Bool
-	// disableFold turns off the direct-over-encoding run-folds (storage
-	// engine v2): aggregation then always decodes through the dense
-	// path. Results are bit-identical either way — the fold guards
-	// guarantee exactness — only throughput differs. The reference of the
-	// encoded≡dense differential tests.
-	disableFold atomic.Bool
 	// sem holds Workers-1 helper tokens shared across all concurrent
 	// aggregations: each query's calling goroutine always participates
 	// as a worker (guaranteeing progress without a token), and extra
@@ -50,16 +38,6 @@ func NewEngine(cat *catalog.Catalog, workers int) *Engine {
 	}
 	return &Engine{Cat: cat, Workers: workers, sem: make(chan struct{}, workers-1)}
 }
-
-// SetVectorKernels toggles the batch aggregation kernels (on by default).
-// A reference switch for tests: nothing outside _test.go files calls it
-// (ci/check_docs.sh enforces that), and no exported path reaches it from
-// core.Session or the sudaf package.
-func (e *Engine) SetVectorKernels(on bool) { e.disableVec.Store(!on) }
-
-// SetEncodedFolds toggles aggregation directly over encoded segments
-// (on by default). Test-only, like SetVectorKernels.
-func (e *Engine) SetEncodedFolds(on bool) { e.disableFold.Store(!on) }
 
 // joinCond is an equi-join between two table columns.
 type joinCond struct {

@@ -16,8 +16,8 @@ import (
 )
 
 // TaskSpec builds a Task once the joined row set's column binder exists.
-// The Binder gives both scalar accessors and physical column access, so
-// specs can compile vectorized kernels where the shape allows.
+// The Binder gives both per-row accessors and physical column access, so
+// state specs compile batch kernels over the columns themselves.
 type TaskSpec func(b Binder) (Task, error)
 
 // TaskRegistry deduplicates tasks by key: two aggregate calls needing the

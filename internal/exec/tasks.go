@@ -10,22 +10,17 @@ import (
 )
 
 // StateTask computes one SUDAF aggregation state with compiled loops:
-// base expression and scalar chain are closures, the merge operation is
-// monomorphic per AggOp. This is the "rewritten using built-in functions"
-// execution path of the paper (queries RQ1/RQ2).
-//
-// It is also a VectorTask: NewStateTask classifies the state into a batch
-// kernel (canonical.SelectKernel) and AccumulateVec runs the matching
-// fused loop — direct column indexing for float columns, gather-then-loop
-// otherwise, and a compiled batch filler for generic bases. Both paths
-// visit rows in the same order per group, so they agree bit for bit.
+// the merge operation is monomorphic per AggOp. This is the "rewritten
+// using built-in functions" execution path of the paper (queries
+// RQ1/RQ2). NewStateTask classifies the state into a batch kernel
+// (canonical.SelectKernel) and Accumulate runs the matching fused loop —
+// direct column indexing for float columns, gather-then-loop otherwise,
+// and a compiled batch filler for generic bases.
 type StateTask struct {
 	State canonical.State // bound state (base over real columns)
 	Lbl   string
-	in    Accessor              // compiled base expression (nil for count)
 	fn    func(float64) float64 // compiled chain (nil for identity)
 
-	// Vectorized execution plan (vecOK false means scalar-only).
 	plan        canonical.KernelPlan
 	col, col2   *storage.Column // fused-kernel inputs
 	rows, rows2 []int32         // per-column row indirection vectors (nil = identity)
@@ -33,7 +28,6 @@ type StateTask struct {
 	// the fold loop indexes f[rows[i]] itself instead of gathering first.
 	fused     bool
 	fillerFac VecFillerFactory
-	vecOK     bool
 }
 
 // NewStateTask compiles a bound state against a row binder.
@@ -41,19 +35,21 @@ func NewStateTask(st canonical.State, b Binder) (*StateTask, error) {
 	t := &StateTask{State: st, Lbl: st.Key()}
 	if st.Op != canonical.OpCount {
 		var err error
-		if t.in, t.fn, err = compileStateInput(st, b); err != nil {
+		if _, t.fn, err = compileStateInput(st, b); err != nil {
 			return nil, err
 		}
 	}
-	t.compileKernel(b)
+	if err := t.compileKernel(b); err != nil {
+		return nil, fmt.Errorf("state %s: %w", st.Key(), err)
+	}
 	return t, nil
 }
 
-// compileStateInput compiles the per-tuple input of a non-count state:
-// the base expression as a row accessor and the real-normalized scalar
-// chain as a closure (nil for the identity). State tasks and window
-// valuers both take their input from here, so a window fold sees the
-// values the scan kernels accumulate.
+// compileStateInput compiles the per-row input of a non-count state: the
+// base expression as a row accessor and the real-normalized scalar chain
+// as a closure (nil for the identity). The chain is the one the kernels
+// apply to a generic base, and window valuers take both from here, so a
+// per-row window fold sees the values the scan kernels accumulate.
 func compileStateInput(st canonical.State, b Binder) (in Accessor, fn func(float64) float64, err error) {
 	if in, err = CompileExpr(st.Base, b.Bind); err != nil {
 		return nil, nil, fmt.Errorf("state %s: %w", st.Key(), err)
@@ -66,60 +62,45 @@ func compileStateInput(st canonical.State, b Binder) (in Accessor, fn func(float
 	return in, fn, nil
 }
 
-// compileKernel resolves the vectorized plan. Failures here are never
-// errors: the scalar path always works, so an unbindable column or an
-// uncompilable base just leaves vecOK false.
-func (t *StateTask) compileKernel(b Binder) {
+// compileKernel binds the state's kernel to its input columns, or, for a
+// generic base, compiles its batch filler.
+func (t *StateTask) compileKernel(b Binder) (err error) {
 	t.plan = t.State.SelectKernel()
 	switch t.plan.Class {
 	case canonical.KernelCount:
-		t.vecOK = true
 	case canonical.KernelSumCol, canonical.KernelSumPow, canonical.KernelProdCol,
 		canonical.KernelMinCol, canonical.KernelMaxCol:
-		col, rows, err := b.BindColumn(t.plan.Col)
-		if err != nil {
-			return
+		if t.col, t.rows, err = b.BindColumn(t.plan.Col); err != nil {
+			return err
 		}
-		t.col, t.rows, t.vecOK = col, rows, true
-		t.fused = col.Kind == storage.KindFloat && rows != nil
+		t.fused = t.col.Kind == storage.KindFloat && t.rows != nil
 	case canonical.KernelSumMul:
-		col, rows, err := b.BindColumn(t.plan.Col)
-		if err != nil {
-			return
+		if t.col, t.rows, err = b.BindColumn(t.plan.Col); err != nil {
+			return err
 		}
-		col2, rows2, err := b.BindColumn(t.plan.Col2)
-		if err != nil {
-			return
+		if t.col2, t.rows2, err = b.BindColumn(t.plan.Col2); err != nil {
+			return err
 		}
-		t.col, t.col2, t.rows, t.rows2, t.vecOK = col, col2, rows, rows2, true
-		t.fused = col.Kind == storage.KindFloat && col2.Kind == storage.KindFloat && rows != nil && rows2 != nil
+		t.fused = t.col.Kind == storage.KindFloat && t.col2.Kind == storage.KindFloat && t.rows != nil && t.rows2 != nil
 	default: // KernelGeneric
-		fac, err := CompileVecFiller(t.State.Base, b)
-		if err != nil {
-			return
-		}
-		t.fillerFac = fac
-		t.vecOK = true
+		t.fillerFac, err = CompileVecFiller(t.State.Base, b)
 	}
+	return err
 }
 
 func (t *StateTask) Name() string { return t.Lbl }
 
-// stateVecState is one worker's kernel scratch: gather buffers for
+// stateScratch is one worker's kernel scratch: gather buffers for
 // non-float columns and the compiled batch filler for generic bases.
-type stateVecState struct {
+type stateScratch struct {
 	buf  []float64
 	buf2 []float64
 	fill VecFiller
 }
 
-// NewVecState implements VectorTask. Returns nil when no kernel was
-// compiled, which routes this task to the scalar Accumulate.
-func (t *StateTask) NewVecState() VecState {
-	if !t.vecOK {
-		return nil
-	}
-	vs := &stateVecState{}
+// NewScratch implements Task.
+func (t *StateTask) NewScratch() Scratch {
+	vs := &stateScratch{}
 	switch t.plan.Class {
 	case canonical.KernelCount:
 		// No input, no scratch.
@@ -166,20 +147,20 @@ func colBatch(col *storage.Column, rows []int32, buf []float64, lo, hi int) []fl
 	return buf
 }
 
-// AccumulateVec implements VectorTask: one loop per kernel class, in two
-// shapes. A keyless batch (foldKeyless) runs each loop into a local
-// accumulator and stores group 0 once; a keyed one (foldKeyed) indexes
+// Accumulate implements Task: one loop per kernel class, in two shapes.
+// A keyless batch (foldKeyless) runs each loop into a local accumulator
+// and stores group 0 once; a keyed one (foldKeyed) indexes
 // the partial by slot, whether the index is group ids or the key column.
 // Float columns behind a row vector are indexed through it inside the
 // loop (fused); identity float columns are read in place; other kinds
 // gather into the worker's batch buffer first. A state with one value per
 // row (a column, or a generic base evaluated a batch at a time) is folded
-// by its ⊕ alone. Every loop folds rows in ascending order with the same
-// operations, so per-group accumulation order — and therefore
-// floating-point rounding — matches the scalar path exactly.
-func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, ix GroupIndex) {
+// by its ⊕ alone. Every loop folds each group's rows in ascending order,
+// so a group's result is its rows' ⊕-fold in row order whichever shape
+// and kernel ran it, up to the NaN payload of a sum or product (below).
+func (t *StateTask) Accumulate(s Scratch, p Partial, lo, hi int, ix GroupIndex) {
 	a := p.(*floatsPartial).arrs[0]
-	vs := vsi.(*stateVecState)
+	vs := s.(*stateScratch)
 	switch {
 	case ix.Keys != nil:
 		foldKeyed(t, vs, a, lo, hi, ix.Keys, ix.Base)
@@ -205,7 +186,7 @@ func (t *StateTask) AccumulateVec(vsi VecState, p Partial, lo, hi int, ix GroupI
 // values is rows [lo, hi) of a state with one value per row: its
 // column's, or its generic base evaluated and chained into the worker's
 // buffer.
-func (t *StateTask) values(vs *stateVecState, lo, hi int) []float64 {
+func (t *StateTask) values(vs *stateScratch, lo, hi int) []float64 {
 	if t.plan.Class != canonical.KernelGeneric {
 		return colBatch(t.col, t.rows, vs.buf, lo, hi)
 	}
@@ -226,7 +207,7 @@ func (t *StateTask) values(vs *stateVecState, lo, hi int) []float64 {
 // of branching on the compare: each morsel restarts every group from
 // ±Inf and sees only a few of its rows, so whether a row improves its
 // group's extreme is close to a coin flip.
-func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo, hi int, keys []K, base int64) {
+func foldKeyed[K int32 | int64](t *StateTask, vs *stateScratch, a []float64, lo, hi int, keys []K, base int64) {
 	switch {
 	case t.plan.Class == canonical.KernelCount:
 		for _, k := range keys {
@@ -252,8 +233,8 @@ func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo
 					a[int64(k)-base] += v * v * v
 				}
 			default:
-				// k = 4 has no expr.ConstPow reduction, so the scalar path
-				// computes Pow(v, 4); x*x*x*x rounds differently.
+				// k = 4 has no expr.ConstPow reduction, so the compiled
+				// chain computes Pow(v, 4); x*x*x*x rounds differently.
 				pk := float64(t.plan.Pow)
 				for j, k := range keys {
 					a[int64(k)-base] += math.Pow(f[rows[j]], pk)
@@ -340,7 +321,7 @@ func foldKeyed[K int32 | int64](t *StateTask, vs *stateVecState, a []float64, lo
 // bits (TestKeylessMinMaxBranchIsCanonical): one running extreme over a
 // whole batch improves rarely, so the branch predicts well, and a select
 // would put the compare on the register's loop-carried chain.
-func (t *StateTask) foldKeyless(vs *stateVecState, acc float64, lo, hi int) float64 {
+func (t *StateTask) foldKeyless(vs *stateScratch, acc float64, lo, hi int) float64 {
 	switch {
 	case t.plan.Class == canonical.KernelCount:
 		acc += float64(hi - lo)
@@ -465,11 +446,14 @@ func ipow(v float64, n int) float64 {
 	return r
 }
 
-// FoldRuns implements RunFoldTask: it folds the RLE runs of the state's
-// input column directly into group 0 of p, in O(runs). The caller
-// guarantees an identity row set (column row i IS morsel row i) and a
-// single group. Exactness contract: the fold only proceeds when its
-// result is provably bit-identical to the dense scan —
+// FoldRuns folds the RLE runs of the state's input column as (value,
+// count) pairs directly into group 0 of p, in O(runs) instead of O(rows).
+// The caller guarantees an identity row set (column row i IS morsel row
+// i) and a single group. It is all-or-nothing per morsel: it either folds
+// rows [lo, hi) with a result bit-identical to what Accumulate would
+// produce and returns true, or leaves p untouched and returns false so
+// the caller runs the dense path. The fold only proceeds when that
+// identity is provable —
 //
 //   - count: always (integer increments below 2^53);
 //   - min/max: always (runs are bitwise-constant, and canonical.Min/Max
@@ -483,7 +467,7 @@ func ipow(v float64, n int) float64 {
 //     integer (constant/0/±1-heavy segments in practice);
 //   - everything else (SumMul, Generic): never, dense path.
 func (t *StateTask) FoldRuns(p Partial, lo, hi int) bool {
-	if !t.vecOK || hi <= lo {
+	if hi <= lo {
 		return false
 	}
 	a := p.(*floatsPartial).arrs[0]
@@ -587,58 +571,6 @@ func (t *StateTask) Grow(p Partial, n int) Partial {
 	return p
 }
 
-func (t *StateTask) Accumulate(p Partial, lo, hi int, gids []int32) {
-	a := p.(*floatsPartial).arrs[0]
-	switch t.State.Op {
-	case canonical.OpCount:
-		for i := lo; i < hi; i++ {
-			a[gids[i-lo]]++
-		}
-	case canonical.OpSum:
-		in, fn := t.in, t.fn
-		if fn == nil {
-			for i := lo; i < hi; i++ {
-				a[gids[i-lo]] += in(int32(i))
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				a[gids[i-lo]] += fn(in(int32(i)))
-			}
-		}
-	case canonical.OpProd:
-		in, fn := t.in, t.fn
-		if fn == nil {
-			for i := lo; i < hi; i++ {
-				a[gids[i-lo]] *= in(int32(i))
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				a[gids[i-lo]] *= fn(in(int32(i)))
-			}
-		}
-	case canonical.OpMin:
-		in, fn := t.in, t.fn
-		for i := lo; i < hi; i++ {
-			v := in(int32(i))
-			if fn != nil {
-				v = fn(v)
-			}
-			g := gids[i-lo]
-			a[g] = canonical.Min(a[g], v)
-		}
-	case canonical.OpMax:
-		in, fn := t.in, t.fn
-		for i := lo; i < hi; i++ {
-			v := in(int32(i))
-			if fn != nil {
-				v = fn(v)
-			}
-			g := gids[i-lo]
-			a[g] = canonical.Max(a[g], v)
-		}
-	}
-}
-
 func (t *StateTask) Merge(dst, src Partial, remap []int32) {
 	t.State.MergeInto(dst.(*floatsPartial).arrs[0], src.(*floatsPartial).arrs[0], remap)
 }
@@ -688,6 +620,9 @@ func NewNaiveUDAFTask(form *canonical.Form, call *expr.Call, bind func(string) (
 
 func (t *NaiveUDAFTask) Name() string { return t.Lbl }
 
+// NewScratch implements Task: the batch's group-id vector.
+func (t *NaiveUDAFTask) NewScratch() Scratch { return make([]int32, BatchSize) }
+
 func (t *NaiveUDAFTask) fills() []float64 {
 	out := make([]float64, len(t.Form.States))
 	for i, s := range t.Form.States {
@@ -703,7 +638,8 @@ func (t *NaiveUDAFTask) Grow(p Partial, n int) Partial {
 	return p
 }
 
-func (t *NaiveUDAFTask) Accumulate(p Partial, lo, hi int, gids []int32) {
+func (t *NaiveUDAFTask) Accumulate(s Scratch, p Partial, lo, hi int, ix GroupIndex) {
+	gids := ix.slots(s.([]int32), hi-lo)
 	fp := p.(*floatsPartial)
 	states := t.Form.States
 	params := t.Form.Params

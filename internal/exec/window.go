@@ -16,10 +16,10 @@ func NewTableBinder(t *storage.Table) Binder {
 	return &RowSet{n: t.NumRows(), tables: []*storage.Table{t}}
 }
 
-// StateValuer compiles a bound state's per-tuple translated value
+// StateValuer compiles a bound state's per-row translated value
 // F(base(row)) from the same compileStateInput as NewStateTask, so a
-// window fold over these values is bit-compatible with the state task's
-// scalar and vectorized kernels. count() states yield the constant 1.
+// window fold over these values ⊕-folds what the state task's batch
+// kernels accumulate. count() states yield the constant 1.
 func StateValuer(st canonical.State, b Binder) (Accessor, error) {
 	if st.Op == canonical.OpCount {
 		return func(int32) float64 { return 1 }, nil
