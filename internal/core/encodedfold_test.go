@@ -11,13 +11,16 @@ import (
 
 // foldTable builds a sealed single table with every adversarial shape
 // the run-fold path can meet: integral runs (folds engage), fractional
-// runs (fold declines: non-integral), NaN and ±Inf runs (min/max still
-// fold; sums decline), huge-magnitude runs (2^52 guard declines),
-// alternating values and a constant column.
+// runs (fold declines: non-integral), runs in 0.1 steps (non-integral,
+// and Σ v·count rounds differently from the row-by-row sum, so only the
+// integral guard keeps the fold bit-identical), NaN and ±Inf runs
+// (min/max still fold; sums decline), huge-magnitude runs (2^52 guard
+// declines), alternating values and a constant column.
 func foldTable(rows int) *storage.Table {
 	tbl := storage.NewTable("ft",
 		storage.NewColumn("int_runs", storage.KindFloat),
 		storage.NewColumn("frac_runs", storage.KindFloat),
+		storage.NewColumn("tenth_runs", storage.KindFloat),
 		storage.NewColumn("nan_runs", storage.KindFloat),
 		storage.NewColumn("inf_runs", storage.KindFloat),
 		storage.NewColumn("huge_runs", storage.KindFloat),
@@ -30,6 +33,7 @@ func foldTable(rows int) *storage.Table {
 	for i := 0; i < rows; i++ {
 		tbl.Col("int_runs").AppendFloat(float64(1 + (i/257)%5))
 		tbl.Col("frac_runs").AppendFloat(0.5 + float64((i/301)%4))
+		tbl.Col("tenth_runs").AppendFloat(0.1 * float64(1+(i/233)%7))
 		tbl.Col("nan_runs").AppendFloat(nanv[(i/199)%3])
 		tbl.Col("inf_runs").AppendFloat(infv[(i/173)%3])
 		tbl.Col("huge_runs").AppendFloat(float64(int64(1)<<50) * float64(1+(i/211)%3))
@@ -51,6 +55,7 @@ func foldTable(rows int) *storage.Table {
 var foldQueries = []string{
 	`SELECT count(), sum(int_runs), min(int_runs), max(int_runs), avg(int_runs) FROM ft;`,
 	`SELECT sum(frac_runs), stddev(frac_runs), min(frac_runs) FROM ft;`,
+	`SELECT sum(tenth_runs), sum(tenth_runs^2) FROM ft;`,
 	`SELECT min(nan_runs), max(nan_runs), sum(nan_runs), count() FROM ft;`,
 	`SELECT min(inf_runs), max(inf_runs), sum(inf_runs) FROM ft;`,
 	`SELECT sum(huge_runs), min(huge_runs), max(huge_runs) FROM ft;`,

@@ -30,36 +30,50 @@ type StateTask struct {
 	fillerFac VecFillerFactory
 }
 
-// NewStateTask compiles a bound state against a row binder.
+// NewStateTask compiles a bound state against a row binder. The kernel
+// binds the base first, so a base that does not bind is reported before
+// a chain that does not compile, in compileStateInput's order.
 func NewStateTask(st canonical.State, b Binder) (*StateTask, error) {
 	t := &StateTask{State: st, Lbl: st.Key()}
-	if st.Op != canonical.OpCount {
-		var err error
-		if _, t.fn, err = compileStateInput(st, b); err != nil {
-			return nil, err
-		}
-	}
 	if err := t.compileKernel(b); err != nil {
 		return nil, fmt.Errorf("state %s: %w", st.Key(), err)
+	}
+	if st.Op != canonical.OpCount {
+		var err error
+		if t.fn, err = compileChain(st); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
 
 // compileStateInput compiles the per-row input of a non-count state: the
-// base expression as a row accessor and the real-normalized scalar chain
-// as a closure (nil for the identity). The chain is the one the kernels
-// apply to a generic base, and window valuers take both from here, so a
-// per-row window fold sees the values the scan kernels accumulate.
+// base expression as a row accessor and compileChain's closure. Window
+// valuers take both from here, so a per-row window fold sees the values
+// the scan kernels accumulate.
 func compileStateInput(st canonical.State, b Binder) (in Accessor, fn func(float64) float64, err error) {
 	if in, err = CompileExpr(st.Base, b.Bind); err != nil {
 		return nil, nil, fmt.Errorf("state %s: %w", st.Key(), err)
 	}
-	if chain := st.F.NormalizeReal(); !chain.IsIdentity() {
-		if fn, err = chain.Compile(); err != nil {
-			return nil, nil, fmt.Errorf("state %s: %w", st.Key(), err)
-		}
+	if fn, err = compileChain(st); err != nil {
+		return nil, nil, err
 	}
 	return in, fn, nil
+}
+
+// compileChain compiles a state's real-normalized scalar chain as a
+// closure, nil for the identity: the chain the kernels apply to a
+// generic base.
+func compileChain(st canonical.State) (func(float64) float64, error) {
+	chain := st.F.NormalizeReal()
+	if chain.IsIdentity() {
+		return nil, nil
+	}
+	fn, err := chain.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("state %s: %w", st.Key(), err)
+	}
+	return fn, nil
 }
 
 // compileKernel binds the state's kernel to its input columns, or, for a

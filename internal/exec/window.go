@@ -17,7 +17,7 @@ func NewTableBinder(t *storage.Table) Binder {
 }
 
 // StateValuer compiles a bound state's per-row translated value
-// F(base(row)) from the same compileStateInput as NewStateTask, so a
+// F(base(row)) from compileStateInput, whose chain is NewStateTask's, so a
 // window fold over these values ⊕-folds what the state task's batch
 // kernels accumulate. count() states yield the constant 1.
 func StateValuer(st canonical.State, b Binder) (Accessor, error) {

@@ -210,6 +210,15 @@ func quadWeights() (ts, ws []float64) {
 
 // maxEntropySolve finds λ with E_f[T_n] = cheb[n] for the density
 // f(t) = exp(Σ λ_n T_n(t)) by damped Newton on the dual potential.
+//
+// Every sum it forms adds its terms in ascending order, starting from 0:
+// each node's exponent over n, and the potential and every gradient and
+// Hessian entry over the nodes, each Hessian term being
+// (f_i·T_n(t_i))·T_m(t_i). The loops may be regrouped for speed, but
+// those sums may not be reordered: the cache promises that a memoized
+// quantile equals a fresh solve bit for bit (DESIGN.md §8).
+// TestNewtonMatchesReference holds λ to the plain loops, and
+// TestQuantileGolden holds the quantiles.
 func maxEntropySolve(cheb []float64) ([]float64, bool) {
 	k := len(cheb) - 1
 	ts, ws := quadWeights()
@@ -230,14 +239,26 @@ func maxEntropySolve(cheb []float64) ([]float64, bool) {
 	lambda := make([]float64, k+1)
 	lambda[0] = -math.Ln2 // uniform density 1/2 on [-1,1]
 
-	potential := func(l []float64) float64 {
-		var z float64
-		for i := range ts {
-			e := 0.0
-			for n := 0; n <= k; n++ {
-				e += l[n] * tn[n][i]
+	// potential returns the dual potential at l and leaves the weighted
+	// density at the nodes, ws[i]·exp(Σ l_n T_n(t_i)), in dens.
+	potential := func(l, dens []float64) float64 {
+		// Each node's exponent adds its terms in order of n, but the
+		// nodes' sums advance together.
+		e := dens[:len(ts)]
+		for i := range e {
+			e[i] = 0
+		}
+		for n := 0; n <= k; n++ {
+			ln, tr := l[n], tn[n][:len(e)]
+			for i, v := range tr {
+				e[i] += ln * v
 			}
-			z += ws[i] * math.Exp(e)
+		}
+		var z float64
+		for i, w := range ws[:len(e)] {
+			d := w * math.Exp(e[i])
+			e[i] = d
+			z += d
 		}
 		dot := 0.0
 		for n := 0; n <= k; n++ {
@@ -246,44 +267,34 @@ func maxEntropySolve(cheb []float64) ([]float64, bool) {
 		return z - dot
 	}
 
+	// f is the density at λ; next receives each damped trial's density,
+	// and the two swap when a trial is accepted.
 	f := make([]float64, len(ts))
+	next := make([]float64, len(ts))
+	g := make([]float64, len(ts))
 	grad := make([]float64, k+1)
 	hess := make([][]float64, k+1)
 	for n := range hess {
 		hess[n] = make([]float64, k+1)
 	}
-	phi := potential(lambda)
+	phi := potential(lambda, f)
 	for iter := 0; iter < 80; iter++ {
-		// Density at nodes.
-		for i := range ts {
-			e := 0.0
-			for n := 0; n <= k; n++ {
-				e += lambda[n] * tn[n][i]
-			}
-			f[i] = ws[i] * math.Exp(e)
-		}
-		// Gradient and Hessian.
+		// T_0 ≡ 1 and f_i·1 = f_i exactly, so Hessian row 0 holds the
+		// gradient's sums Σ_i f_i·T_m(t_i) bit for bit. Fill it first,
+		// and stop if they are small.
+		hessRow(hess, tn, f, g, 0)
 		gmax := 0.0
 		for n := 0; n <= k; n++ {
-			var acc float64
-			for i := range ts {
-				acc += f[i] * tn[n][i]
-			}
-			grad[n] = acc - cheb[n]
+			grad[n] = hess[0][n] - cheb[n]
 			if math.Abs(grad[n]) > gmax {
 				gmax = math.Abs(grad[n])
-			}
-			for mIdx := n; mIdx <= k; mIdx++ {
-				var h float64
-				for i := range ts {
-					h += f[i] * tn[n][i] * tn[mIdx][i]
-				}
-				hess[n][mIdx] = h
-				hess[mIdx][n] = h
 			}
 		}
 		if gmax < 1e-10 {
 			return lambda, true
+		}
+		for n := 1; n <= k; n++ {
+			hessRow(hess, tn, f, g, n)
 		}
 		step, ok := solveLinear(hess, grad)
 		if !ok {
@@ -296,9 +307,10 @@ func maxEntropySolve(cheb []float64) ([]float64, bool) {
 			for n := range trial {
 				trial[n] = lambda[n] - damp*step[n]
 			}
-			p := potential(trial)
+			p := potential(trial, next)
 			if !math.IsNaN(p) && !math.IsInf(p, 0) && p < phi {
 				lambda, phi = trial, p
+				f, next = next, f
 				improved = true
 				break
 			}
@@ -309,6 +321,38 @@ func maxEntropySolve(cheb []float64) ([]float64, bool) {
 		}
 	}
 	return lambda, true
+}
+
+// hessRow fills row n of the Hessian and its mirror column:
+// hess[n][m] = Σ_i (f_i·T_n(t_i))·T_m(t_i) for m ≥ n, each sum in node
+// order. g is scratch for the left factors f_i·T_n(t_i), formed once per
+// row. The columns are summed four at a time in one pass over the nodes,
+// each into its own accumulator, so their adds overlap instead of
+// waiting on one another; a last block of fewer than four repeats column
+// k and discards the extra sums.
+func hessRow(hess, tn [][]float64, f, g []float64, n int) {
+	k := len(tn) - 1
+	tr, g := tn[n][:len(f)], g[:len(f)]
+	for i, fi := range f {
+		g[i] = fi * tr[i]
+	}
+	col := func(m int) []float64 { return tn[min(m, k)][:len(g)] }
+	for m := n; m <= k; m += 4 {
+		t0, t1, t2, t3 := col(m), col(m+1), col(m+2), col(m+3)
+		var h0, h1, h2, h3 float64
+		for i, gi := range g {
+			h0 += gi * t0[i]
+			h1 += gi * t1[i]
+			h2 += gi * t2[i]
+			h3 += gi * t3[i]
+		}
+		for j, h := range [...]float64{h0, h1, h2, h3} {
+			if m+j <= k {
+				hess[n][m+j] = h
+				hess[m+j][n] = h
+			}
+		}
+	}
 }
 
 // solveLinear solves H·x = b by Gaussian elimination with partial

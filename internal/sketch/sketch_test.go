@@ -197,6 +197,7 @@ func TestSolveLinear(t *testing.T) {
 }
 
 func BenchmarkQuantileSolve(b *testing.B) {
+	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 10000)
 	for i := range xs {
@@ -206,5 +207,19 @@ func BenchmarkQuantileSolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Quantile(min, max, m, 0.5)
+	}
+}
+
+// BenchmarkQuantileSolveCorpus times Quantile over the golden corpus,
+// one input per op in corpus order: mostly small log-normal groups, the
+// shape a grouped query feeds the solver, plus the inputs that leave the
+// Newton path early.
+func BenchmarkQuantileSolveCorpus(b *testing.B) {
+	cases := goldenCases()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := cases[i%len(cases)]
+		Quantile(c.min, c.max, c.m, 0.5)
 	}
 }

@@ -17,9 +17,10 @@ import (
 //     (exec.StateTask.FoldRuns), and the persistent format stores runs
 //     instead of rows.
 //   - FOR (frame-of-reference) bit-packs an int segment as
-//     base + width-bit deltas. In heap it is an I/O format: the
-//     persistent layer writes packed blocks and DecodeInto rebuilds the
-//     dense array on load, batch-at-a-time.
+//     base + width-bit deltas. It is an I/O format: the heap keeps only
+//     the base and width, the persistent layer packs the dense rows
+//     when it writes a block (packFOR) and unpacks them into the dense
+//     array on load (unpackFOR).
 //
 // Runs use Float64bits equality, not ==: NaNs with equal payloads merge
 // into one run (adversarial NaN runs stay compact) and +0/-0 stay
@@ -64,10 +65,10 @@ type Encoding struct {
 	RunValsI []int64   // KindInt
 	RunValsC []int32   // KindString codes
 
-	// FOR: value[i] = ForBase + bits(Packed, i*ForWidth, ForWidth).
+	// FOR: every value is ForBase plus a ForWidth-bit delta. The packed
+	// deltas exist only in a saved block.
 	ForBase  int64
 	ForWidth uint8
-	Packed   []uint64
 
 	// Integral reports every value in the segment is an exact integer
 	// (trivially true for int and code segments; false if the segment
@@ -280,19 +281,38 @@ func encodeIntSeg(vals []int64) *Encoding {
 	if width == 0 {
 		width = 1 // constant segment that somehow missed RLE (n small)
 	}
-	e := &Encoding{Kind: EncFOR, NumRows: n, Integral: true, MaxAbs: maxAbs,
+	return &Encoding{Kind: EncFOR, NumRows: n, Integral: true, MaxAbs: maxAbs,
 		ForBase: minV, ForWidth: uint8(width)}
-	e.Packed = make([]uint64, (n*width+63)/64)
+}
+
+// packFOR packs vals as width-bit deltas from base, value i at bit
+// i·width: the words of a saved FOR block.
+func packFOR(vals []int64, base int64, width int) []uint64 {
+	packed := make([]uint64, (len(vals)*width+63)/64)
 	for i, v := range vals {
-		delta := uint64(v) - uint64(minV)
+		delta := uint64(v) - uint64(base)
 		bitPos := i * width
 		word, off := bitPos/64, uint(bitPos%64)
-		e.Packed[word] |= delta << off
+		packed[word] |= delta << off
 		if off+uint(width) > 64 {
-			e.Packed[word+1] |= delta >> (64 - off)
+			packed[word+1] |= delta >> (64 - off)
 		}
 	}
-	return e
+	return packed
+}
+
+// unpackFOR is packFOR's inverse: it writes len(dst) values into dst.
+func unpackFOR(packed []uint64, base int64, width int, dst []int64) {
+	for i := range dst {
+		bitPos := i * width
+		word, off := bitPos/64, uint(bitPos%64)
+		delta := packed[word] >> off
+		if off+uint(width) > 64 {
+			delta |= packed[word+1] << (64 - off)
+		}
+		delta &= (1 << uint(width)) - 1
+		dst[i] = base + int64(delta)
+	}
 }
 
 func encodeCodeSeg(vals []int32) *Encoding {
@@ -325,56 +345,6 @@ func encodeCodeSeg(vals []int32) *Encoding {
 		}
 	}
 	return e
-}
-
-// DecodeInto writes the segment's rows [from, to) (segment-local
-// coordinates) into the kind-matching destination slice, which must
-// have length to-from. This is the FOR/RLE → morsel-batch decode
-// primitive; dstF receives floats (and int/code values coerced), dstI
-// int64s, dstC codes — exactly one destination is used per call site.
-func (e *Encoding) DecodeInto(from, to int, dstF []float64, dstI []int64, dstC []int32) {
-	switch e.Kind {
-	case EncRLE:
-		ri := e.runIndexOf(from)
-		pos := from
-		for pos < to {
-			end := int(e.RunEnds[ri])
-			if end > to {
-				end = to
-			}
-			switch {
-			case e.RunVals != nil:
-				v := e.RunVals[ri]
-				for i := pos; i < end; i++ {
-					dstF[i-from] = v
-				}
-			case e.RunValsI != nil:
-				v := e.RunValsI[ri]
-				for i := pos; i < end; i++ {
-					dstI[i-from] = v
-				}
-			default:
-				v := e.RunValsC[ri]
-				for i := pos; i < end; i++ {
-					dstC[i-from] = v
-				}
-			}
-			pos = end
-			ri++
-		}
-	case EncFOR:
-		w := int(e.ForWidth)
-		for i := from; i < to; i++ {
-			bitPos := i * w
-			word, off := bitPos/64, uint(bitPos%64)
-			delta := e.Packed[word] >> off
-			if off+uint(w) > 64 {
-				delta |= e.Packed[word+1] << (64 - off)
-			}
-			delta &= (1 << uint(w)) - 1
-			dstI[i-from] = e.ForBase + int64(delta)
-		}
-	}
 }
 
 // runIndexOf returns the index of the run containing segment-local row

@@ -19,37 +19,36 @@ func buildSealed(t *testing.T, col *Column, segs []int) *Table {
 }
 
 // decodeAll re-materializes a column's rows through its encodings and
-// compares them bit-for-bit with the dense arrays.
+// compares them bit-for-bit with the dense arrays: an RLE segment from
+// its runs, a FOR segment through the packing a saved block holds.
 func decodeAll(t *testing.T, c *Column) {
 	t.Helper()
 	for _, es := range c.EncodedSegments() {
-		if es.Enc.Kind == EncNone {
-			continue
-		}
+		e := es.Enc
 		n := es.Hi - es.Lo
-		switch c.Kind {
-		case KindFloat:
-			dst := make([]float64, n)
-			es.Enc.DecodeInto(0, n, dst, nil, nil)
-			for i, v := range dst {
-				if math.Float64bits(v) != math.Float64bits(c.F[es.Lo+i]) {
-					t.Fatalf("float seg [%d,%d) row %d: decoded %v, dense %v", es.Lo, es.Hi, i, v, c.F[es.Lo+i])
-				}
-			}
-		case KindInt:
+		switch {
+		case e.Kind == EncFOR:
 			dst := make([]int64, n)
-			es.Enc.DecodeInto(0, n, nil, dst, nil)
+			unpackFOR(packFOR(c.I[es.Lo:es.Hi], e.ForBase, int(e.ForWidth)), e.ForBase, int(e.ForWidth), dst)
 			for i, v := range dst {
 				if v != c.I[es.Lo+i] {
-					t.Fatalf("int seg [%d,%d) row %d: decoded %d, dense %d", es.Lo, es.Hi, i, v, c.I[es.Lo+i])
+					t.Fatalf("FOR seg [%d,%d) row %d: decoded %d, dense %d", es.Lo, es.Hi, i, v, c.I[es.Lo+i])
 				}
 			}
-		default:
-			dst := make([]int32, n)
-			es.Enc.DecodeInto(0, n, nil, nil, dst)
-			for i, v := range dst {
-				if v != c.Codes[es.Lo+i] {
-					t.Fatalf("code seg [%d,%d) row %d: decoded %d, dense %d", es.Lo, es.Hi, i, v, c.Codes[es.Lo+i])
+		case e.Kind == EncRLE:
+			for i := 0; i < n; i++ {
+				r := e.runIndexOf(i)
+				var same bool
+				switch c.Kind {
+				case KindFloat:
+					same = math.Float64bits(e.RunVals[r]) == math.Float64bits(c.F[es.Lo+i])
+				case KindInt:
+					same = e.RunValsI[r] == c.I[es.Lo+i]
+				default:
+					same = e.RunValsC[r] == c.Codes[es.Lo+i]
+				}
+				if !same {
+					t.Fatalf("%s RLE seg [%d,%d) row %d (run %d) differs from the dense row", c.Kind, es.Lo, es.Hi, i, r)
 				}
 			}
 		}

@@ -11,12 +11,13 @@ import (
 
 // Persistent segment format ("SDF2"): a versioned header followed by
 // per-column blocks, one block per sealed segment, each stored in its
-// in-heap encoding (RLE runs, FOR-packed deltas, or raw values). Load
-// rebuilds the dense arrays block by block and re-attaches the stored
-// encodings directly, so a reloaded table behaves exactly like the one
-// that was saved — same epoch, same segments, same encoded fast paths —
-// which is what lets cache fingerprints (and therefore warm Theorem 4.1
-// sharing) survive a restart.
+// segment's encoding (RLE runs, FOR deltas packed as the block is
+// written, or raw values). Load rebuilds the dense arrays block by block
+// and re-attaches the stored encodings directly, so a reloaded table
+// behaves exactly like the one that was saved — same epoch, same
+// segments, same encoded fast paths — which is what lets cache
+// fingerprints (and therefore warm Theorem 4.1 sharing) survive a
+// restart.
 //
 // The decoder trusts nothing: every count is bounds-checked against the
 // remaining input before allocation, and corrupt or truncated input
@@ -149,10 +150,11 @@ func encodeBlock(w *segWriter, c *Column, lo, hi int) {
 			}
 		}
 	case EncFOR:
+		packed := packFOR(c.I[lo:hi], enc.ForBase, int(enc.ForWidth))
 		w.u64(uint64(enc.ForBase))
 		w.u8(enc.ForWidth)
-		w.u32(uint32(len(enc.Packed)))
-		for _, v := range enc.Packed {
+		w.u32(uint32(len(packed)))
+		for _, v := range packed {
 			w.u64(v)
 		}
 	default: // raw values
@@ -509,18 +511,19 @@ func decodeBlock(r *segReader, c *Column, lo, hi int) error {
 			return r.fail("FOR words %d, want %d", nWords, need)
 		}
 		e := &Encoding{Kind: EncFOR, NumRows: n, Integral: integral, MaxAbs: maxAbs,
-			ForBase: int64(baseU), ForWidth: width, Packed: make([]uint64, nWords)}
-		for i := range e.Packed {
+			ForBase: int64(baseU), ForWidth: width}
+		packed := make([]uint64, nWords)
+		for i := range packed {
 			v, err := r.u64()
 			if err != nil {
 				return err
 			}
-			e.Packed[i] = v
+			packed[i] = v
 		}
-		// Decode into the dense array batch-at-a-time.
+		// Unpack into the dense array; the packed words are dropped.
 		start := len(c.I)
 		c.I = append(c.I, make([]int64, n)...)
-		e.DecodeInto(0, n, nil, c.I[start:start+n], nil)
+		unpackFOR(packed, e.ForBase, int(width), c.I[start:start+n])
 		c.encs = append(c.encs, EncSeg{Lo: lo, Hi: hi, Enc: e})
 	case EncNone:
 		switch c.Kind {
