@@ -125,8 +125,9 @@ echo "== removed names appear only in history files =="
 # families), the data-part descriptions exec.DataKey replaced, the
 # second definition of the built-in aggregates, the per-morsel dense
 # group numbering the first-appearance pass replaced, the second task
-# interface with its tuple-at-a-time path and reference switches, and the
-# decoder of the FOR words the heap no longer keeps. The
+# interface with its tuple-at-a-time path and reference switches, the
+# decoder of the FOR words the heap no longer keeps, and the per-unit
+# subscription drivers and frame helper the one window driver replaced. The
 # short names match as whole words only, so live identifiers that contain
 # them pass. The archtest seeds under testdata/ plant removed names on
 # purpose, so they do not count.
@@ -136,7 +137,8 @@ gone+='|\b(SymbolicL|fpReferences|shareFingerprint|DataInfo|TableEpochs|splitJoi
 gone+='|BuiltinTask|BuiltinKind|LookupBuiltin|builtinFormDef|DefaultShards|newSharded|shardFor'
 gone+='|newDenseGroup|denseAssign|ShardStats|ShardCount|ExplainShard|ErrShard|shardRuntime'
 gone+='|ruleDistribute|scatterSet|routeAppend|SetVectorKernels|SetEncodedFolds|VectorTask|AccumulateVec'
-gone+='|BindFunc|funcBinder|disableVec|disableFold|RunFoldTask|VecState|NewVecState|stateVecState|DecodeInto)\b'
+gone+='|BindFunc|funcBinder|disableVec|disableFold|RunFoldTask|VecState|NewVecState|stateVecState|DecodeInto'
+gone+='|processRows|processEpochs|frameEndingAt|trailingFrame)\b'
 stray=$(grep -rnE "$gone" --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' --exclude-dir=testdata . |
   grep -vE '^\./(CHANGES|EXPERIMENTS|ROADMAP|ISSUE|REVIEW)\.md:|^\./ci/check_docs\.sh:' || true)
 if [ -n "$stray" ]; then

@@ -97,6 +97,42 @@ var facts = []fact{
 		}
 		return vs
 	}},
+	// DESIGN.md §14 "Pipeline": a windowed statement is a list of frames
+	// that one fold loop values. Only (*foldDriver).frames drives a
+	// window.Fold, and only windowValues calls Baseline's recompute — once.
+	{"one-window-driver", func(t *tree) []violation {
+		var vs []violation
+		fromValues := false
+		for _, f := range t.pkg("internal/core") {
+			for _, d := range f.ast.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				in := funcName(fd)
+				for _, c := range methodCalls(fd.Body, "Push", "Evict", "Value", "Reset") {
+					if in != "(*foldDriver).frames" && foldValued(ast.Unparen(c.Fun).(*ast.SelectorExpr).X, 0) {
+						vs = append(vs, t.violation(f, c.Pos(), "%s drives a window.Fold: folds are driven by (*foldDriver).frames alone", in))
+					}
+				}
+				for _, c := range calls(fd.Body) {
+					if id, ok := ast.Unparen(c.Fun).(*ast.Ident); !ok || id.Name != "windowTaskValues" {
+						continue
+					}
+					if in == "(*Session).windowValues" && !fromValues {
+						fromValues = true
+						continue
+					}
+					vs = append(vs, t.violation(f, c.Pos(), "%s calls windowTaskValues: frames are valued through windowValues, once", in))
+				}
+			}
+		}
+		if !fromValues {
+			vs = append(vs, violation{"internal/core", "(*Session).windowValues does not call windowTaskValues"})
+		}
+		return vs
+	}},
+
 	// cache.LookupAll is the one lookup critical section: the per-state and
 	// per-entry accessors it replaced have no caller outside the package.
 	{"lookups-through-lookup-all", func(t *tree) []violation {
@@ -432,6 +468,60 @@ func mentionedIn(t *tree, files []*file, re *regexp.Regexp, msg string) []violat
 		}
 	}
 	return vs
+}
+
+// foldValued reports whether x holds a window.Fold: it reads a folds
+// field or variable, calls window.New, is typed *window.Fold, or is a
+// variable bound to one of these (a range over folds included), followed
+// through the parser's scopes.
+func foldValued(x ast.Expr, depth int) bool {
+	if depth > 8 {
+		return false
+	}
+	found := false
+	ast.Inspect(x, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			pkg, _ := n.X.(*ast.Ident)
+			found = found || n.Sel.Name == "folds" || pkg != nil && pkg.Name == "window" && (n.Sel.Name == "New" || n.Sel.Name == "Fold")
+		case *ast.Ident:
+			found = found || n.Name == "folds" || boundToFold(n, depth)
+		}
+		return !found
+	})
+	return found
+}
+
+func boundToFold(id *ast.Ident, depth int) bool {
+	if id.Obj == nil || id.Obj.Kind != ast.Var {
+		return false
+	}
+	switch d := id.Obj.Decl.(type) {
+	case *ast.Field:
+		return foldValued(d.Type, depth+1)
+	case *ast.ValueSpec:
+		if d.Type != nil && foldValued(d.Type, depth+1) {
+			return true
+		}
+		for i, name := range d.Names {
+			if name.Name == id.Name && i < len(d.Values) {
+				return foldValued(d.Values[i], depth+1)
+			}
+		}
+	case *ast.AssignStmt:
+		for i, lhs := range d.Lhs {
+			if l, ok := lhs.(*ast.Ident); !ok || l.Name != id.Name {
+				continue
+			}
+			if len(d.Rhs) == len(d.Lhs) {
+				return foldValued(d.Rhs[i], depth+1)
+			}
+			// x, y := f() or a range clause: the value comes from the one
+			// right-hand side.
+			return foldValued(d.Rhs[0], depth+1)
+		}
+	}
+	return false
 }
 
 // rangesOverStates reports whether a range clause reads x.states, a field

@@ -109,8 +109,8 @@ func (ps *planState) guard(stage string, f func()) {
 //	               sign-split), collect what is still missing, try
 //	               aggregate-view roll-up rewriting
 //	fuse         — register one deduplicated task per missing state
-//	               (plus §5.3 sign-split companions) in the scan's
-//	               task registry
+//	               (plus §5.3 sign-split companions for a plan that
+//	               stores) in the scan's task registry
 //	parallelize  — decide scan elision (full cache hit) or adopt a
 //	               batch-provided fused scan; the morsel scheduler
 //	               parallelizes whatever scan remains
@@ -338,14 +338,20 @@ func ruleBindStates(_ context.Context, ps *planState) error {
 
 // ---- share phase ----
 
-// ruleLookupCache (share mode only) consults the query's cache snapshot
-// for every slot under the plan's key: exact hit, Theorem 4.1 sharing,
-// or §5.3 sign-split reconstruction. Guarded: a cache that panics
-// behaves like a cache that misses. A subscription skips it — its frames
-// are always one append ahead of anything cached — and so does a
-// statement over subquery temporaries.
+// usesCache reports whether the plan reads and feeds the state cache:
+// share mode, except for a subscription — its frames are always one
+// append ahead of anything cached — and a statement over subquery
+// temporaries, whose key no later query can match.
+func (ps *planState) usesCache() bool {
+	return ps.mode == ModeShare && !ps.continuous && !ps.temps
+}
+
+// ruleLookupCache (a plan that uses the cache) consults the query's cache
+// snapshot for every slot under the plan's key: exact hit, Theorem 4.1
+// sharing, or §5.3 sign-split reconstruction. Guarded: a cache that
+// panics behaves like a cache that misses.
 func ruleLookupCache(_ context.Context, ps *planState) error {
-	if ps.mode != ModeShare || ps.continuous || ps.temps {
+	if !ps.usesCache() {
 		return nil
 	}
 	qc := ps.qc
@@ -420,11 +426,15 @@ func ruleRewriteViews(_ context.Context, ps *planState) error {
 
 // ruleRegisterTasks registers one deduplicated scan task per missing
 // state — the fusion step: every remaining consumer shares the single
-// scan these tasks ride on — plus the §5.3 sign-split companion states
-// needed to keep future sharing sound over signed data.
+// scan these tasks ride on — plus, for a plan that stores its states,
+// the §5.3 sign-split companion states needed to keep their future
+// sharing sound over signed data.
 func ruleRegisterTasks(_ context.Context, ps *planState) error {
 	for _, sl := range ps.missing {
 		sl.taskIdx = addStateTask(ps.reg, sl.st, sl.st.Key())
+		if !ps.usesCache() {
+			continue
+		}
 		for _, comp := range signCompanions(ps.mode, sl.st, sl.positive) {
 			cs := &slot{st: comp}
 			cs.taskIdx = addStateTask(ps.reg, comp, comp.Key())
@@ -534,7 +544,7 @@ func (s *Session) executePlan(ctx context.Context, ps *planState) (*Result, erro
 
 	// Cache the freshly computed states (and companions). Guarded: a
 	// failed insert costs future sharing, not this query.
-	if ps.mode == ModeShare && !ps.fullHit && !ps.temps {
+	if ps.usesCache() && !ps.fullHit {
 		stsp := qc.sp.Child("cache-store")
 		stored := 0
 		ps.guard("state insert", func() {

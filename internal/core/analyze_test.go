@@ -215,6 +215,30 @@ func TestRegisterTasksAddsCompanions(t *testing.T) {
 	}
 }
 
+// TestCompanionsOnlyWhereStored: the §5.3 companions exist for a stored
+// entry's later sharing, so a plan that never stores computes none — a
+// statement over a FROM subquery, and a subscription — while the same
+// state over a base table still gets both (TestRegisterTasksAddsCompanions).
+func TestCompanionsOnlyWhereStored(t *testing.T) {
+	s := newTestSession(t, 100, 1)
+	res, err := s.Query("SELECT gm(x) FROM (SELECT ss_sales_price - 60 x FROM store_sales) q", ModeShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(res.Stats.Kernels, " "); got != "prod[x](x) count()" {
+		t.Fatalf("subquery statement ran kernels [%s], want [prod[x](x) count()]", got)
+	}
+	sub, err := s.Subscribe(context.Background(),
+		"SELECT gm(ss_sales_price - 60) OVER (ROWS 3 PRECEDING) FROM store_sales", ModeShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if keys := sub.ps.reg.Keys(); len(keys) != 2 || len(sub.ps.companions) != 0 {
+		t.Fatalf("subscription registered tasks %v, want the product and the count alone", keys)
+	}
+}
+
 func TestElideScanRequiresFullHit(t *testing.T) {
 	s := newTestSession(t, 100, 1)
 	if _, err := s.Query(

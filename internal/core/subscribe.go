@@ -19,6 +19,11 @@
 // versions and never mutate old ones), so a racing append can never
 // tear a window mid-computation; absolute row indexes stay valid across
 // versions because every new version extends the old rows in place.
+//
+// A subscription runs the one-shot window driver (window.go) note by
+// note: Subscription.frames turns each note into the frames it completes,
+// and process values them through windowValues over folds that persist
+// across notes.
 package core
 
 import (
@@ -26,13 +31,10 @@ import (
 	"fmt"
 	"sync"
 
-	"sudaf/internal/canonical"
 	"sudaf/internal/errs"
 	"sudaf/internal/exec"
-	"sudaf/internal/faultinject"
 	"sudaf/internal/sqlparse"
 	"sudaf/internal/storage"
-	"sudaf/internal/window"
 )
 
 // WindowResult is one emission batch of a continuous windowed query.
@@ -44,8 +46,9 @@ type WindowResult struct {
 	Seq int64
 	// Epoch is the table version the batch was computed against.
 	Epoch int64
-	// FirstRow/LastRow bound the absolute base-table rows this batch's
-	// frames end at (sliding: the new rows; tumbling: the bucket).
+	// FirstRow/LastRow bound absolute base-table rows: for a ROWS n
+	// PRECEDING batch the new rows its frames end at, for every other
+	// batch (one frame) the frame's rows.
 	FirstRow, LastRow int
 	// NumericFaults counts NaN/±Inf outputs tolerated under the
 	// permissive numeric policy while building this batch.
@@ -66,7 +69,6 @@ type subNote struct {
 type Subscription struct {
 	s    *Session
 	id   int64
-	mode Mode
 	spec *sqlparse.WindowSpec
 	ps   *planState
 
@@ -83,9 +85,9 @@ type Subscription struct {
 	seq int64
 	// Incremental frame state. The driver's folds persist across
 	// notifications (nil in baseline mode, which recomputes each frame);
-	// ticks are the live EPOCHS batches, oldest first.
+	// ticks holds the first row of each live EPOCHS batch, oldest first.
 	fold  *foldDriver
-	ticks []frame
+	ticks []int
 }
 
 // Subscribe parses a windowed statement and opens a continuous query
@@ -127,7 +129,6 @@ func (s *Session) Subscribe(ctx context.Context, sql string, mode Mode) (*Subscr
 	}
 	sub := &Subscription{
 		s:    s,
-		mode: mode,
 		spec: stmt.Window,
 		ps:   ps,
 		ch:   make(chan *WindowResult),
@@ -137,11 +138,14 @@ func (s *Session) Subscribe(ctx context.Context, sql string, mode Mode) (*Subscr
 	sub.cond = sync.NewCond(&sub.mu)
 	if mode != ModeBaseline {
 		// Every slot is folded live (the plan bypassed the cache), so the
-		// value matrix is simply the slots in order.
-		states := make([]canonical.State, len(ps.slots))
-		for i, sl := range ps.slots {
-			sl.finalIdx = i
-			states[i] = sl.st
+		// value matrix is the task registry's, as executePlan reads it.
+		states, ok := ps.taskStates()
+		if !ok {
+			s.ingestMu.Unlock()
+			return nil, fmt.Errorf("window plan: task registry not covered by canonical states")
+		}
+		for _, sl := range ps.slots {
+			sl.finalIdx = sl.taskIdx
 		}
 		sub.fold = newFoldDriver(stmt.Window, states)
 	}
@@ -292,16 +296,65 @@ func (sub *Subscription) run() {
 	}
 }
 
-// process computes the emission batches one note produces.
-func (sub *Subscription) process(note subNote) ([]*WindowResult, error) {
-	if sub.spec.Unit == sqlparse.WindowEpochs {
-		return sub.processEpochs(note)
+// frames lists the frames a note completes, in emission order. A ROWS
+// note completes those whose emit row it appended. An EPOCHS note is one
+// tick: a sliding frame covers the last n+1 ticks and emits on every one;
+// a tumbling frame emits once per n accumulated ticks.
+func (sub *Subscription) frames(note subNote) []frame {
+	if sub.spec.Unit != sqlparse.WindowEpochs {
+		return rowsFrames(sub.spec, note.lo, note.hi)
 	}
-	return sub.processRows(note)
+	sub.ticks = append(sub.ticks, note.lo)
+	if sub.spec.Sliding && len(sub.ticks) > sub.spec.N+1 {
+		sub.ticks = sub.ticks[1:]
+	} else if !sub.spec.Sliding && len(sub.ticks) < sub.spec.N {
+		return nil
+	}
+	fr := frame{sub.ticks[0], note.hi}
+	if !sub.spec.Sliding {
+		sub.ticks = sub.ticks[:0]
+	}
+	return []frame{fr}
 }
 
-// emit builds one WindowResult from a batch of frames and its value
-// matrix.
+// process values the frames one note completes and builds their
+// emission batches: a sliding ROWS note is one WindowResult, a frame
+// ending at each new row; every other frame is its own WindowResult.
+// Frames completed before a failure are still delivered.
+func (sub *Subscription) process(note subNote) ([]*WindowResult, error) {
+	frames := sub.frames(note)
+	if len(frames) == 0 {
+		return nil, nil
+	}
+	vals, err := sub.s.windowValues(context.Background(), sub.ps.reg, sub.fold, note.tbl, frames)
+	if err != nil {
+		done := 0
+		if len(vals) > 0 {
+			done = len(vals[0])
+		}
+		frames = frames[:done]
+	}
+	var out []*WindowResult
+	for len(frames) > 0 {
+		n, first := 1, frames[0].lo
+		if sub.spec.Unit == sqlparse.WindowRows && sub.spec.Sliding {
+			n, first = len(frames), frames[0].hi-1
+		}
+		res, eerr := sub.emit(note, frames[:n], vals, first, frames[n-1].hi-1)
+		if eerr != nil {
+			return out, eerr
+		}
+		out = append(out, res)
+		frames = frames[n:]
+		for i := range vals {
+			vals[i] = vals[i][n:]
+		}
+	}
+	return out, err
+}
+
+// emit builds one WindowResult from a batch of frames and the value
+// matrix whose columns start at the batch's first frame.
 func (sub *Subscription) emit(note subNote, frames []frame, vals [][]float64, firstRow, lastRow int) (*WindowResult, error) {
 	out, err := exec.BuildWindowOutput(context.Background(), sub.ps.spec, note.tbl, emitRows(frames), vals)
 	if err != nil {
@@ -317,116 +370,4 @@ func (sub *Subscription) emit(note subNote, frames []frame, vals [][]float64, fi
 		LastRow:       lastRow,
 		NumericFaults: out.NumericFaults,
 	}, nil
-}
-
-// processRows handles a ROWS-unit note: the frames ending in its rows,
-// valued by the persistent fold driver (recomputed from scratch in
-// baseline mode). A sliding frame emits one output row per new row, all
-// in a single WindowResult; a tumbling frame emits one WindowResult per
-// bucket the note completes, while a partially filled bucket keeps
-// growing.
-func (sub *Subscription) processRows(note subNote) ([]*WindowResult, error) {
-	frames := rowsFrames(sub.spec, note.lo, note.hi)
-	var vals [][]float64
-	var err error
-	if sub.mode == ModeBaseline {
-		vals, err = windowTaskValues(context.Background(), sub.ps.reg, note.tbl, frames)
-	} else {
-		vals, err = sub.fold.rows(context.Background(), note.tbl, note.lo, note.hi)
-		sub.fold.flushStats(sub.s)
-	}
-	if sub.spec.Sliding {
-		if err != nil {
-			return nil, err
-		}
-		res, err := sub.emit(note, frames, vals, note.lo, note.hi-1)
-		if err != nil {
-			return nil, err
-		}
-		return []*WindowResult{res}, nil
-	}
-	// Buckets completed before a mid-note failure are still delivered.
-	var out []*WindowResult
-	for e, fr := range frames {
-		if len(vals) == 0 || e >= len(vals[0]) {
-			break
-		}
-		one := make([][]float64, len(vals))
-		for i := range vals {
-			one[i] = vals[i][e : e+1]
-		}
-		res, eerr := sub.emit(note, frames[e:e+1], one, fr.lo, fr.hi-1)
-		if eerr != nil {
-			return out, eerr
-		}
-		out = append(out, res)
-	}
-	return out, err
-}
-
-// processEpochs treats the note as one tick (each Append batch is one
-// epoch). Sliding frames cover the last n+1 ticks' rows and emit every
-// tick; tumbling frames emit once per n accumulated ticks.
-func (sub *Subscription) processEpochs(note subNote) ([]*WindowResult, error) {
-	var folds []*window.Fold
-	if sub.mode != ModeBaseline {
-		folds = sub.fold.folds
-		valuers, err := sub.fold.valuers(note.tbl)
-		if err != nil {
-			return nil, err
-		}
-		for r := note.lo; r < note.hi; r++ {
-			for i, f := range folds {
-				f.Push(valuers[i](int32(r)))
-			}
-		}
-	}
-	sub.ticks = append(sub.ticks, frame{note.lo, note.hi})
-
-	if sub.spec.Sliding {
-		for len(sub.ticks) > sub.spec.N+1 {
-			expired := sub.ticks[0]
-			sub.ticks = sub.ticks[1:]
-			if err := faultinject.Hit(faultinject.PointWindowEvict); err != nil {
-				return nil, fmt.Errorf("window evict epoch rows [%d,%d): %w", expired.lo, expired.hi, err)
-			}
-			for _, f := range folds {
-				for r := expired.lo; r < expired.hi; r++ {
-					f.Evict()
-				}
-			}
-		}
-	} else if len(sub.ticks) < sub.spec.N {
-		return nil, nil
-	}
-
-	fr := frame{sub.ticks[0].lo, note.hi}
-	if err := faultinject.Hit(faultinject.PointWindowEmit); err != nil {
-		return nil, fmt.Errorf("window emit: %w", err)
-	}
-	var vals [][]float64
-	if sub.mode == ModeBaseline {
-		v, err := windowTaskValues(context.Background(), sub.ps.reg, note.tbl, []frame{fr})
-		if err != nil {
-			return nil, err
-		}
-		vals = v
-	} else {
-		vals = make([][]float64, len(folds))
-		for i, f := range folds {
-			vals[i] = []float64{f.Value()}
-			if !sub.spec.Sliding {
-				f.Reset()
-			}
-		}
-		sub.fold.flushStats(sub.s)
-	}
-	if !sub.spec.Sliding {
-		sub.ticks = sub.ticks[:0]
-	}
-	res, err := sub.emit(note, []frame{fr}, vals, fr.lo, fr.hi-1)
-	if err != nil {
-		return nil, err
-	}
-	return []*WindowResult{res}, nil
 }

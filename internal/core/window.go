@@ -26,52 +26,31 @@ import (
 // Theorem 4.1 still applies: two different terminating functions over
 // the same frame share the same cached states.
 //
-// The continuous Subscribe path (subscribe.go) drives the same plan
-// state, frames and fold driver incrementally.
+// A frame list is the one description of what a windowed statement
+// emits: a one-shot query's is ps.frames, a subscription's is what each
+// note completes (Subscription.frames). windowValues values any list,
+// by recomputing each frame (Baseline) or through the one fold loop,
+// foldDriver.frames, whose folds a subscription keeps across notes.
 
 // frame is one emission's row range [lo, hi); hi-1 is the emit row,
 // where non-aggregate projection columns are read.
 type frame struct{ lo, hi int }
 
-// frameEndingAt returns the ROWS-unit frame whose emit row is r, if one
-// ends there. Sliding frames end at every row — standard SQL "ROWS k
-// PRECEDING" semantics, partial while the window fills. Tumbling
-// buckets are aligned to row 0 and end at every Size-th row.
-func frameEndingAt(spec *sqlparse.WindowSpec, r int) (frame, bool) {
-	if spec.Sliding {
-		lo := r - spec.N
-		if lo < 0 {
-			lo = 0
-		}
-		return frame{lo, r + 1}, true
-	}
-	if b := spec.Size(); (r+1)%b == 0 {
-		return frame{r + 1 - b, r + 1}, true
-	}
-	return frame{}, false
-}
-
 // rowsFrames lists the ROWS-unit frames whose emit row lies in [lo, hi),
 // in emission order: what a subscription emits for an append of those
-// rows.
+// rows. Sliding frames end at every row — standard SQL "ROWS k
+// PRECEDING" semantics, partial while the window fills. Tumbling
+// buckets are aligned to row 0 and end at every Size-th row.
 func rowsFrames(spec *sqlparse.WindowSpec, lo, hi int) []frame {
 	var out []frame
 	for r := lo; r < hi; r++ {
-		if fr, ok := frameEndingAt(spec, r); ok {
-			out = append(out, fr)
+		if spec.Sliding {
+			out = append(out, frame{max(0, r-spec.N), r + 1})
+		} else if b := spec.Size(); (r+1)%b == 0 {
+			out = append(out, frame{r + 1 - b, r + 1})
 		}
 	}
 	return out
-}
-
-// trailingFrame is the still-open tumbling bucket of an n-row table. A
-// one-shot query emits it (the table ends there); a subscription does
-// not (it is still growing).
-func trailingFrame(spec *sqlparse.WindowSpec, n int) (frame, bool) {
-	if spec.Sliding || n%spec.Size() == 0 {
-		return frame{}, false
-	}
-	return frame{n - n%spec.Size(), n}, true
 }
 
 // ---- resolve-phase rules (no-ops for unwindowed statements) ----
@@ -120,8 +99,9 @@ func ruleWindowFrames(_ context.Context, ps *planState) error {
 	if !ps.continuous {
 		n := tbl.NumRows()
 		ps.frames = rowsFrames(spec, 0, n)
-		if fr, ok := trailingFrame(spec, n); ok {
-			ps.frames = append(ps.frames, fr)
+		// The table ends here, so its still-open tumbling bucket emits too.
+		if b := spec.Size(); !spec.Sliding && n%b != 0 {
+			ps.frames = append(ps.frames, frame{n - n%b, n})
 		}
 	}
 	return nil
@@ -129,51 +109,35 @@ func ruleWindowFrames(_ context.Context, ps *planState) error {
 
 // ---- execution ----
 
-// windowScan is a windowed statement's scan. Baseline mode recomputes
-// every frame from scratch with the calls' native tasks; the SUDAF modes
-// make one chronological pass pushing translated values through a
-// two-stacks ⊕-fold per registered state task (missing states and their
-// sign-split companions). The result is shaped like any other scan —
-// one "group" per emission, values indexed by task — so executePlan's
-// common tail assembles, caches and finishes it; in share mode the
-// emissions are keyed by emit row, which is what the cached entry's
-// group structure is.
+// windowScan is a windowed statement's scan: windowValues over the
+// plan's frames, with Baseline's native tasks or a fold per registered
+// state task (missing states and their sign-split companions). The result
+// is shaped like any other scan — one "group" per emission, values
+// indexed by task — so executePlan's common tail assembles, caches and
+// finishes it; in share mode the emissions are keyed by emit row, which
+// is what the cached entry's group structure is.
 func (s *Session) windowScan(ctx context.Context, ps *planState) (*exec.GroupResult, error) {
-	n := ps.tbl.NumRows()
-	gr := &exec.GroupResult{NumGroups: len(ps.frames), Rows: n}
-	if ps.mode == ModeBaseline {
-		ssp := ps.qc.sp.Child("window-recompute")
-		vals, err := windowTaskValues(ctx, ps.reg, ps.tbl, ps.frames)
-		if err != nil {
-			return nil, err
+	var fd *foldDriver
+	span := "window-recompute"
+	if ps.mode != ModeBaseline {
+		states, ok := ps.taskStates()
+		if !ok {
+			return nil, fmt.Errorf("window plan: task registry not covered by canonical states")
 		}
-		ssp.SetInt("frames", int64(len(ps.frames)))
-		ssp.End()
-		gr.Values = vals // finishers index by task position
-		return gr, nil
+		fd = newFoldDriver(ps.stmt.Window, states)
+		span = "window-fold"
 	}
-	ssp := ps.qc.sp.Child("window-fold")
-	states, ok := ps.taskStates()
-	if !ok {
-		return nil, fmt.Errorf("window plan: task registry not covered by canonical states")
-	}
-	// One-shot execution is the subscription driver fed the single note
-	// [0, n), plus the trailing partial bucket a finished table emits.
-	fd := newFoldDriver(ps.stmt.Window, states)
-	vals, err := fd.rows(ctx, ps.tbl, 0, n)
+	ssp := ps.qc.sp.Child(span)
+	vals, err := s.windowValues(ctx, ps.reg, fd, ps.tbl, ps.frames)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := trailingFrame(ps.stmt.Window, n); ok {
-		if err := fd.emit(vals, len(ps.frames)-1); err != nil {
-			return nil, err
-		}
-	}
-	fd.flushStats(s)
 	ssp.SetInt("frames", int64(len(ps.frames)))
-	ssp.SetInt("states", int64(len(ps.missing)))
+	if fd != nil {
+		ssp.SetInt("states", int64(len(ps.missing)))
+	}
 	ssp.End()
-	gr.Values = vals
+	gr := &exec.GroupResult{NumGroups: len(ps.frames), Rows: ps.tbl.NumRows(), Values: vals}
 	if ps.mode == ModeShare {
 		gr.KeyNames = []string{"__row"}
 		gr.Keys = make([]cache.GroupKey, len(ps.frames))
@@ -187,9 +151,23 @@ func (s *Session) windowScan(ctx context.Context, ps *planState) (*exec.GroupRes
 	return gr, nil
 }
 
+// windowValues values a list of frames: one vector per registered task,
+// one entry per frame in order. Baseline (fd nil) recomputes every frame
+// from scratch with the calls' native tasks; the SUDAF modes run fd's
+// fold loop and add its counters to the session metrics. On failure the
+// vectors hold the frames completed before it.
+func (s *Session) windowValues(ctx context.Context, reg *exec.TaskRegistry, fd *foldDriver, tbl *storage.Table, frames []frame) ([][]float64, error) {
+	if fd == nil {
+		return windowTaskValues(ctx, reg, tbl, frames)
+	}
+	vals, err := fd.frames(ctx, tbl, frames)
+	fd.flushStats(s)
+	return vals, err
+}
+
 // taskStates reconstructs the task registry's state list in task order
 // from the plan's missing slots and sign-split companions: the states a
-// windowed scan folds. ok is false when any registry index is not
+// windowed scan or subscription folds. ok is false when any registry index is not
 // covered by a canonical state (never the case for plans built by the
 // standard pipeline — this is a bail-out, not an error path).
 func (ps *planState) taskStates() ([]canonical.State, bool) {
@@ -224,13 +202,15 @@ func (ps *planState) taskStates() ([]canonical.State, bool) {
 
 // foldDriver is the chronological two-stacks executor: one persistent
 // ⊕-fold per canonical state, fed rows in order. A one-shot windowed
-// query drives it once over the whole table; a subscription keeps it
-// across appends (the whole point of the two-stacks structure — sliding
-// frames evict incrementally, nothing is refolded).
+// query drives it once over its frames; a subscription keeps it across
+// notes (the whole point of the two-stacks structure — sliding frames
+// evict incrementally, nothing is refolded).
 type foldDriver struct {
 	spec   *sqlparse.WindowSpec
 	states []canonical.State
 	folds  []*window.Fold
+	// lo, hi bound the rows [lo, hi) the folds hold.
+	lo, hi int
 	// prev* remember the folds' lifetime counters so each flushStats adds
 	// only its delta to the session metrics.
 	prevEvicts, prevFast, prevRefolds int64
@@ -260,66 +240,56 @@ func (fd *foldDriver) valuers(tbl *storage.Table) ([]exec.Accessor, error) {
 	return out, nil
 }
 
-// rows is the ROWS-unit fold loop: push rows [lo, hi) of tbl in order,
-// evict the row a sliding frame just outgrew, and snapshot every state's
-// value at each row a frame ends on (rowsFrames(spec, lo, hi) names
-// those frames). It returns one per-emission vector per state. On
-// failure the vectors hold the emissions completed before it.
-func (fd *foldDriver) rows(ctx context.Context, tbl *storage.Table, lo, hi int) ([][]float64, error) {
+// frames is the one fold loop. For each frame in order: a tumbling frame
+// empties the folds and starts at its first row; rows of tbl are pushed
+// up to the frame's end; a sliding frame evicts the rows below its start;
+// then every state's value is snapshot as the frame's emission. It
+// returns one per-emission vector per state; on failure they hold the
+// emissions completed before it.
+func (fd *foldDriver) frames(ctx context.Context, tbl *storage.Table, frames []frame) ([][]float64, error) {
 	vals := make([][]float64, len(fd.folds))
-	emits := hi - lo
-	if !fd.spec.Sliding {
-		emits = emits/fd.spec.Size() + 1
-	}
 	for i := range vals {
-		vals[i] = make([]float64, 0, emits)
+		vals[i] = make([]float64, 0, len(frames))
 	}
 	valuers, err := fd.valuers(tbl)
 	if err != nil {
 		return vals, err
 	}
-	e := 0
-	for r := lo; r < hi; r++ {
-		if (r-lo)%4096 == 0 {
-			if err := ctx.Err(); err != nil {
-				return vals, err
+	for e, fr := range frames {
+		if !fd.spec.Sliding {
+			for _, f := range fd.folds {
+				f.Reset()
 			}
+			fd.lo, fd.hi = fr.lo, fr.lo
+		}
+		for ; fd.hi < fr.hi; fd.hi++ {
+			if fd.hi%4096 == 0 {
+				if err := ctx.Err(); err != nil {
+					return vals, err
+				}
+			}
+			for i, f := range fd.folds {
+				f.Push(valuers[i](int32(fd.hi)))
+			}
+		}
+		if fd.lo < fr.lo {
+			if err := faultinject.Hit(faultinject.PointWindowEvict); err != nil {
+				return vals, fmt.Errorf("window evict rows [%d,%d): %w", fd.lo, fr.lo, err)
+			}
+			for ; fd.lo < fr.lo; fd.lo++ {
+				for _, f := range fd.folds {
+					f.Evict()
+				}
+			}
+		}
+		if err := faultinject.Hit(faultinject.PointWindowEmit); err != nil {
+			return vals, fmt.Errorf("window emit %d: %w", e, err)
 		}
 		for i, f := range fd.folds {
-			f.Push(valuers[i](int32(r)))
+			vals[i] = append(vals[i], f.Value())
 		}
-		if fd.spec.Sliding && r > fd.spec.N {
-			if err := faultinject.Hit(faultinject.PointWindowEvict); err != nil {
-				return vals, fmt.Errorf("window evict at row %d: %w", r, err)
-			}
-			for _, f := range fd.folds {
-				f.Evict()
-			}
-		}
-		if _, ok := frameEndingAt(fd.spec, r); !ok {
-			continue
-		}
-		if err := fd.emit(vals, e); err != nil {
-			return vals, err
-		}
-		e++
 	}
 	return vals, nil
-}
-
-// emit appends every fold's current value to its vector in vals as
-// emission e; a tumbling frame then starts its next bucket empty.
-func (fd *foldDriver) emit(vals [][]float64, e int) error {
-	if err := faultinject.Hit(faultinject.PointWindowEmit); err != nil {
-		return fmt.Errorf("window emit %d: %w", e, err)
-	}
-	for i, f := range fd.folds {
-		vals[i] = append(vals[i], f.Value())
-		if !fd.spec.Sliding {
-			f.Reset()
-		}
-	}
-	return nil
 }
 
 // flushStats adds the fold counters accrued since the last flush to the
@@ -338,13 +308,13 @@ func (fd *foldDriver) flushStats(s *Session) {
 	fd.prevEvicts, fd.prevFast, fd.prevRefolds = ev, fa, re
 }
 
-// windowTaskValues is the baseline window executor (shared with
-// baseline subscriptions): every frame recomputed from scratch by the
-// calls' native tasks, through the Accumulate a scan runs, chunked
-// exactly like a cold morselized keyless scan whose row 0 is the frame
-// start — MorselRows-row partials ⊕-merged in order, each folded a
-// BatchSize batch at a time — which is what pins windowed baseline
-// output bit-identical to a cold query over the same row range.
+// windowTaskValues is the baseline window executor: every frame
+// recomputed from scratch by the calls' native tasks, through the
+// Accumulate a scan runs, chunked exactly like a cold morselized keyless
+// scan whose row 0 is the frame start — MorselRows-row partials ⊕-merged
+// in order, each folded a BatchSize batch at a time — which is what pins
+// windowed baseline output bit-identical to a cold query over the same
+// row range. On failure the vectors hold the frames completed before it.
 func windowTaskValues(ctx context.Context, reg *exec.TaskRegistry, tbl *storage.Table, frames []frame) ([][]float64, error) {
 	b := exec.NewTableBinder(tbl)
 	tasks := make([]exec.Task, reg.Len())
@@ -359,14 +329,14 @@ func windowTaskValues(ctx context.Context, reg *exec.TaskRegistry, tbl *storage.
 	remap := []int32{0}
 	vals := make([][]float64, len(tasks))
 	for i := range vals {
-		vals[i] = make([]float64, len(frames))
+		vals[i] = make([]float64, 0, len(frames))
 	}
 	for e, fr := range frames {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return vals, err
 		}
 		if err := faultinject.Hit(faultinject.PointWindowEmit); err != nil {
-			return nil, fmt.Errorf("window emit %d: %w", e, err)
+			return vals, fmt.Errorf("window emit %d: %w", e, err)
 		}
 		for ti, task := range tasks {
 			mp := task.NewPartial(1)
@@ -378,7 +348,7 @@ func windowTaskValues(ctx context.Context, reg *exec.TaskRegistry, tbl *storage.
 				}
 				task.Merge(mp, pc, remap)
 			}
-			vals[ti][e] = task.Finalize(mp, 1)[0]
+			vals[ti] = append(vals[ti], task.Finalize(mp, 1)[0])
 		}
 	}
 	return vals, nil

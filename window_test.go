@@ -646,8 +646,9 @@ func TestSubscribeLifecycle(t *testing.T) {
 }
 
 // TestWindowChaos arms the window fault points: a one-shot windowed
-// query fails cleanly, a subscription surfaces the fault via Err after
-// closing its stream, and the engine stays healthy afterwards.
+// query fails cleanly, a subscription in every driver surfaces the fault
+// via Err after closing its stream, and the engine stays healthy
+// afterwards.
 func TestWindowChaos(t *testing.T) {
 	defer faultinject.Reset()
 	eng := windowEngine(t, 30)
@@ -663,28 +664,306 @@ func TestWindowChaos(t *testing.T) {
 	if _, err := eng.Query(sql, sudaf.Baseline); err == nil || !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("armed window.emit (baseline): err=%v", err)
 	}
-	sub, err := eng.Subscribe(context.Background(), sql, sudaf.Rewrite)
+	faulted(t, eng, sql, sudaf.Rewrite, 0)
+	faultinject.Reset()
+
+	// Every driver: EPOCHS sliding and tumbling folds with each point
+	// armed (an EPOCHS 1 PRECEDING frame first evicts on the third tick),
+	// Baseline recomputes with the emit point armed.
+	inputs := []struct {
+		point, over string
+		mode        sudaf.Mode
+	}{
+		{faultinject.PointWindowEvict, "EPOCHS 1 PRECEDING", sudaf.Rewrite},
+		{faultinject.PointWindowEvict, "EPOCHS 1 PRECEDING", sudaf.Share},
+		{faultinject.PointWindowEmit, "EPOCHS 1 PRECEDING", sudaf.Rewrite},
+		{faultinject.PointWindowEmit, "EPOCHS 1 PRECEDING", sudaf.Share},
+		{faultinject.PointWindowEmit, "EPOCHS 2 TUMBLING", sudaf.Rewrite},
+		{faultinject.PointWindowEmit, "EPOCHS 2 TUMBLING", sudaf.Share},
+		{faultinject.PointWindowEmit, "ROWS 3 PRECEDING", sudaf.Baseline},
+		{faultinject.PointWindowEmit, "ROWS 3 TUMBLING", sudaf.Baseline},
+		{faultinject.PointWindowEmit, "EPOCHS 1 PRECEDING", sudaf.Baseline},
+		{faultinject.PointWindowEmit, "EPOCHS 2 TUMBLING", sudaf.Baseline},
+	}
+	for _, in := range inputs {
+		faultinject.Arm(in.point, faultinject.Spec{Kind: faultinject.KindError})
+		faulted(t, eng, "SELECT sum(v) OVER ("+in.over+"), qm(v) FROM ticks", in.mode, 2)
+		faultinject.Reset()
+	}
+
+	// A tumbling frame never evicts: with window.evict armed, an EPOCHS
+	// tumbling fold keeps emitting and the point never fires.
+	faultinject.Arm(faultinject.PointWindowEvict, faultinject.Spec{Kind: faultinject.KindError})
+	sub, err := eng.Subscribe(context.Background(), "SELECT sum(v) OVER (EPOCHS 1 TUMBLING) FROM ticks", sudaf.Share)
 	if err != nil {
 		t.Fatal(err)
 	}
+	appendTicks(t, eng, 2)
+	collectEmissions(t, sub, 3)
+	sub.Close()
+	if n := faultinject.Fired(faultinject.PointWindowEvict); n != 0 {
+		t.Fatalf("a tumbling fold evicted: window.evict fired %d times", n)
+	}
+	faultinject.Reset()
+
+	if _, err := eng.Query(sql, sudaf.Rewrite); err != nil {
+		t.Fatalf("engine unhealthy after window chaos: %v", err)
+	}
+}
+
+// appendTicks appends n two-row batches to windowEngine's table, each one
+// EPOCHS tick, continuing its stream.
+func appendTicks(t *testing.T, eng *sudaf.Engine, n int) {
+	t.Helper()
+	for range n {
+		tbl, err := eng.Session().Catalog().Table("ticks")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := tbl.NumRows()
+		if _, err := eng.Append(context.Background(), "ticks", windowTable("ticks", lo, lo+2, 7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// faulted subscribes with a fault point armed, appends ticks ticks, and
+// requires the stream to close with the injected fault in Err.
+func faulted(t *testing.T, eng *sudaf.Engine, sql string, mode sudaf.Mode, ticks int) {
+	t.Helper()
+	sub, err := eng.Subscribe(context.Background(), sql, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	appendTicks(t, eng, ticks)
 	deadline := time.After(10 * time.Second)
 	for {
 		select {
 		case _, ok := <-sub.Results():
 			if !ok {
 				if sub.Err() == nil || !errors.Is(sub.Err(), faultinject.ErrInjected) {
-					t.Fatalf("subscription Err=%v, want injected fault", sub.Err())
+					t.Fatalf("%s (%v): subscription Err=%v, want injected fault", sql, mode, sub.Err())
 				}
-				goto healthy
+				return
 			}
 		case <-deadline:
-			t.Fatal("faulted subscription never closed its stream")
+			t.Fatalf("%s (%v): faulted subscription never closed its stream", sql, mode)
 		}
 	}
-healthy:
-	sub.Close()
-	faultinject.Reset()
-	if _, err := eng.Query(sql, sudaf.Rewrite); err != nil {
-		t.Fatalf("engine unhealthy after window chaos: %v", err)
+}
+
+// windowMatrixAggs are the differential matrix's aggregates over v: sum
+// (the refold path on non-integral values), max (the O(1) path),
+// count(*), qm, and gm (a product state: §5.3's sign-split case over
+// signed data).
+const windowMatrixAggs = "max(v), count(*), qm(v), gm(v)"
+
+// windowMatrixAppends continue a 3-row seed with appends of one row, of
+// bucket-exact sizes and of sizes that straddle a 3-row bucket. The last
+// one completes a bucket and an even tick, so every configuration emits
+// on it and its last result means every note was processed.
+var windowMatrixAppends = []int{1, 2, 3, 4, 1, 6, 1}
+
+// matrixBatch is one WindowResult a configuration must produce: the rows
+// its FirstRow/LastRow bound and the frames its table rows value.
+type matrixBatch struct {
+	first, last int
+	frames      [][2]int
+}
+
+// matrixBatches models what a subscription emits for the given notes
+// (the snapshot, then one per append), independently of the engine: a
+// sliding ROWS note is one batch of one frame per new row bounded by the
+// new rows; every other frame is its own batch bounded by its rows.
+func matrixBatches(epochs, sliding bool, n int, notes [][2]int) []matrixBatch {
+	var out []matrixBatch
+	one := func(lo, hi int) { out = append(out, matrixBatch{lo, hi - 1, [][2]int{{lo, hi}}}) }
+	for i, nt := range notes {
+		switch {
+		case !epochs && sliding:
+			b := matrixBatch{first: nt[0], last: nt[1] - 1}
+			for r := nt[0]; r < nt[1]; r++ {
+				b.frames = append(b.frames, [2]int{max(0, r-n), r + 1})
+			}
+			out = append(out, b)
+		case !epochs:
+			for end := nt[0] + 1; end <= nt[1]; end++ {
+				if end%n == 0 {
+					one(end-n, end)
+				}
+			}
+		case sliding:
+			one(notes[max(0, i-n)][0], nt[1])
+		case (i+1)%n == 0:
+			one(notes[i+1-n][0], nt[1])
+		}
+	}
+	return out
+}
+
+// windowMatrixCounters pins the engine's fold counters per configuration:
+// sudaf_window_rows_evicted_total, _fast_folds_total, _refolds_total.
+var windowMatrixCounters = map[string][3]int64{
+	"subscribe/ROWS 3 PRECEDING/baseline":   {0, 0, 0},
+	"subscribe/ROWS 3 PRECEDING/rewrite":    {85, 42, 63},
+	"subscribe/ROWS 3 PRECEDING/share":      {85, 42, 63},
+	"subscribe/ROWS 0 PRECEDING/baseline":   {0, 0, 0},
+	"subscribe/ROWS 0 PRECEDING/rewrite":    {100, 45, 60},
+	"subscribe/ROWS 0 PRECEDING/share":      {100, 45, 60},
+	"subscribe/ROWS 3 TUMBLING/baseline":    {0, 0, 0},
+	"subscribe/ROWS 3 TUMBLING/rewrite":     {0, 14, 21},
+	"subscribe/ROWS 3 TUMBLING/share":       {0, 14, 21},
+	"subscribe/EPOCHS 1 PRECEDING/baseline": {0, 0, 0},
+	"subscribe/EPOCHS 1 PRECEDING/rewrite":  {70, 16, 24},
+	"subscribe/EPOCHS 1 PRECEDING/share":    {70, 16, 24},
+	"subscribe/EPOCHS 2 PRECEDING/baseline": {0, 0, 0},
+	"subscribe/EPOCHS 2 PRECEDING/rewrite":  {65, 16, 24},
+	"subscribe/EPOCHS 2 PRECEDING/share":    {65, 16, 24},
+	"subscribe/EPOCHS 1 TUMBLING/baseline":  {0, 0, 0},
+	"subscribe/EPOCHS 1 TUMBLING/rewrite":   {0, 16, 24},
+	"subscribe/EPOCHS 1 TUMBLING/share":     {0, 16, 24},
+	"subscribe/EPOCHS 2 TUMBLING/baseline":  {0, 0, 0},
+	"subscribe/EPOCHS 2 TUMBLING/rewrite":   {0, 8, 12},
+	"subscribe/EPOCHS 2 TUMBLING/share":     {0, 8, 12},
+	"query/ROWS 3 PRECEDING/baseline":       {0, 0, 0},
+	"query/ROWS 3 PRECEDING/rewrite":        {85, 42, 63},
+	"query/ROWS 3 PRECEDING/share":          {119, 63, 84},
+	"query/ROWS 0 PRECEDING/baseline":       {0, 0, 0},
+	"query/ROWS 0 PRECEDING/rewrite":        {100, 45, 60},
+	"query/ROWS 0 PRECEDING/share":          {140, 66, 81},
+	"query/ROWS 3 TUMBLING/baseline":        {0, 0, 0},
+	"query/ROWS 3 TUMBLING/rewrite":         {0, 14, 21},
+	"query/ROWS 3 TUMBLING/share":           {0, 21, 28},
+}
+
+// TestWindowDifferentialMatrix is the window driver's differential
+// matrix: subscriptions over {ROWS 3, ROWS 0, EPOCHS 1, EPOCHS 2} ×
+// {PRECEDING, TUMBLING} × every mode, fed appends that land on, inside
+// and across bucket boundaries, plus the one-shot ROWS queries over the
+// final table. Every emission must be bit-identical to a cold query in
+// the same mode over exactly its frame's rows; Seq must be contiguous,
+// FirstRow/LastRow must follow the WindowResult contract, and the fold
+// counters must read their pinned values.
+func TestWindowDifferentialMatrix(t *testing.T) {
+	notes := [][2]int{{0, 3}}
+	for _, k := range windowMatrixAppends {
+		lo := notes[len(notes)-1][1]
+		notes = append(notes, [2]int{lo, lo + k})
+	}
+	total := notes[len(notes)-1][1]
+	specs := []struct {
+		over            string
+		epochs, sliding bool
+		n               int
+	}{
+		{"ROWS 3 PRECEDING", false, true, 3},
+		{"ROWS 0 PRECEDING", false, true, 0},
+		{"ROWS 3 TUMBLING", false, false, 3},
+		{"EPOCHS 1 PRECEDING", true, true, 1},
+		{"EPOCHS 2 PRECEDING", true, true, 2},
+		{"EPOCHS 1 TUMBLING", true, false, 1},
+		{"EPOCHS 2 TUMBLING", true, false, 2},
+	}
+	// check compares an emitted row with a cold query over its frame's
+	// rows, registered once per engine as their own table.
+	check := func(t *testing.T, eng *sudaf.Engine, mode sudaf.Mode, tbl *sudaf.Table, row int, fr [2]int) {
+		t.Helper()
+		name := fmt.Sprintf("cold_%d_%d", fr[0], fr[1])
+		if _, err := eng.Session().Catalog().Table(name); err != nil {
+			if err := eng.Register(windowTable(name, fr[0], fr[1], 7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cold, err := eng.Query("SELECT sum(v), "+windowMatrixAggs+" FROM "+name, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range tbl.Cols {
+			got, want := tbl.Cols[c].F[row], cold.Table.Cols[c].F[0]
+			if !bitsEqual(got, want) {
+				t.Fatalf("frame [%d,%d) col %d: %#x (%v) != cold %#x (%v)",
+					fr[0], fr[1], c, math.Float64bits(got), got, math.Float64bits(want), want)
+			}
+		}
+	}
+	counters := func(t *testing.T, eng *sudaf.Engine, key string, emits int) {
+		t.Helper()
+		m := eng.Metrics().ExpvarFunc()().(map[string]any)
+		if got := counter(m, "sudaf_window_emits_total"); got != int64(emits) {
+			t.Errorf("sudaf_window_emits_total = %d, want %d", got, emits)
+		}
+		got := [3]int64{
+			counter(m, "sudaf_window_rows_evicted_total"),
+			counter(m, "sudaf_window_fast_folds_total"),
+			counter(m, "sudaf_window_refolds_total"),
+		}
+		if want, ok := windowMatrixCounters[key]; !ok || got != want {
+			t.Errorf("{evicted, fast, refolds} = %v, want %v", got, want)
+		}
+	}
+	for _, sp := range specs {
+		for _, m := range windowModes {
+			key := "subscribe/" + sp.over + "/" + m.name
+			t.Run(key, func(t *testing.T) {
+				eng := sudaf.Open(sudaf.Options{Workers: 2})
+				if err := eng.Register(windowTable("s", 0, notes[0][1], 7)); err != nil {
+					t.Fatal(err)
+				}
+				sql := fmt.Sprintf("SELECT sum(v) OVER (%s), %s FROM s", sp.over, windowMatrixAggs)
+				sub, err := eng.Subscribe(context.Background(), sql, m.mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sub.Close()
+				for _, nt := range notes[1:] {
+					if _, err := eng.Append(context.Background(), "s", windowTable("s", nt[0], nt[1], 7)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := matrixBatches(sp.epochs, sp.sliding, sp.n, notes)
+				emits := 0
+				for i, wr := range collectEmissions(t, sub, len(want)) {
+					w := want[i]
+					if wr.Seq != int64(i+1) || wr.FirstRow != w.first || wr.LastRow != w.last ||
+						wr.Table.NumRows() != len(w.frames) {
+						t.Fatalf("result %d: Seq=%d rows [%d,%d] with %d frames, want Seq=%d [%d,%d] with %d",
+							i, wr.Seq, wr.FirstRow, wr.LastRow, wr.Table.NumRows(), i+1, w.first, w.last, len(w.frames))
+					}
+					for r, fr := range w.frames {
+						check(t, eng, m.mode, wr.Table, r, fr)
+					}
+					emits += len(w.frames)
+				}
+				sub.Close()
+				counters(t, eng, key, emits)
+			})
+		}
+	}
+	for _, sp := range specs[:3] {
+		for _, m := range windowModes {
+			key := "query/" + sp.over + "/" + m.name
+			t.Run(key, func(t *testing.T) {
+				eng := sudaf.Open(sudaf.Options{Workers: 2})
+				if err := eng.Register(windowTable("s", 0, total, 7)); err != nil {
+					t.Fatal(err)
+				}
+				res, err := eng.Query(fmt.Sprintf("SELECT sum(v) OVER (%s), %s FROM s", sp.over, windowMatrixAggs), m.mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames := slidingFrames(total, sp.n)
+				if !sp.sliding {
+					frames = tumblingFrames(total, sp.n)
+				}
+				if res.Table.NumRows() != len(frames) {
+					t.Fatalf("emitted %d windows, want %d", res.Table.NumRows(), len(frames))
+				}
+				for e, fr := range frames {
+					check(t, eng, m.mode, res.Table, e, fr)
+				}
+				counters(t, eng, key, len(frames))
+			})
+		}
 	}
 }
