@@ -126,10 +126,11 @@ echo "== removed names appear only in history files =="
 # second definition of the built-in aggregates, the per-morsel dense
 # group numbering the first-appearance pass replaced, the second task
 # interface with its tuple-at-a-time path and reference switches, the
-# decoder of the FOR words the heap no longer keeps, and the per-unit
-# subscription drivers and frame helper the one window driver replaced. The
-# short names match as whole words only, so live identifiers that contain
-# them pass. The archtest seeds under testdata/ plant removed names on
+# decoder of the FOR words the heap no longer keeps, the per-unit
+# subscription drivers and frame helper the one window driver replaced,
+# and the byte-mask filter kernels and their combiner that row-id
+# selection replaced. The short names match as whole words only, so live
+# identifiers that contain them pass. The archtest seeds under testdata/ plant removed names on
 # purpose, so they do not count.
 gone='SetVectorizedKernels|SetViewRewriting|EnableViews|ClearShardWorker|ClearShardCaches|ShardWorkerCache'
 gone+='|sudaf_shard_[a-z_]+_total|PointShard[A-Za-z]*'
@@ -138,7 +139,7 @@ gone+='|BuiltinTask|BuiltinKind|LookupBuiltin|builtinFormDef|DefaultShards|newSh
 gone+='|newDenseGroup|denseAssign|ShardStats|ShardCount|ExplainShard|ErrShard|shardRuntime'
 gone+='|ruleDistribute|scatterSet|routeAppend|SetVectorKernels|SetEncodedFolds|VectorTask|AccumulateVec'
 gone+='|BindFunc|funcBinder|disableVec|disableFold|RunFoldTask|VecState|NewVecState|stateVecState|DecodeInto'
-gone+='|processRows|processEpochs|frameEndingAt|trailingFrame)\b'
+gone+='|processRows|processEpochs|frameEndingAt|trailingFrame|blockFn|combine|fillRange|fillCmp)\b'
 stray=$(grep -rnE "$gone" --include='*.go' --include='*.md' --include='*.sh' --include='*.yml' --exclude-dir=testdata . |
   grep -vE '^\./(CHANGES|EXPERIMENTS|ROADMAP|ISSUE|REVIEW)\.md:|^\./ci/check_docs\.sh:' || true)
 if [ -n "$stray" ]; then

@@ -226,6 +226,26 @@ var facts = []fact{
 		return mentionedIn(t, t.code("internal/exec"), words("compilePred", "compileCmp", "cmpConst", "cmpFloat"),
 			"filters compile through compileFilter alone, found the per-row compiler")
 	}},
+	// … and selection writes row ids: no filter kernel takes or returns a
+	// per-row byte mask, which every row pays for twice (written, then
+	// read back into ids). Only the Or node keeps a block-local byte map.
+	{"selection-writes-row-ids", func(t *tree) []violation {
+		var vs []violation
+		for _, f := range t.code("internal/exec") {
+			fts := funcTypes(f)
+			for _, d := range f.ast.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && !strings.HasPrefix(funcName(fd), "(*orFilter).") {
+					fts = append(fts, fd.Type)
+				}
+			}
+			for _, ft := range fts {
+				if sig := signature(ft); strings.Contains(sig, "[]uint8") || strings.Contains(sig, "[]byte") {
+					vs = append(vs, t.violation(f, ft.Pos(), "a filter kernel over a per-row byte mask, %s: filters write row ids", sig))
+				}
+			}
+		}
+		return vs
+	}},
 
 	// DESIGN.md §11 "EXPLAIN as a read-only rendering": a shared or
 	// sign-split hit computes r(s) when read, with the decision's own r.

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"sudaf/internal/canonical"
@@ -182,8 +184,12 @@ func BenchmarkTopK(b *testing.B) {
 
 // BenchmarkSelection is the filter layer alone: one selection over a
 // 1M-row table, reported per base row. Shapes: the square_id range a
-// share_thrash miss rescans (0.2 % of rows kept), a string equality, and
-// the TPC-DS promotion disjunction on a promotion-shaped 1M-row table.
+// share_thrash miss rescans (0.2 % of rows kept), a string equality, the
+// TPC-DS promotion disjunction on a promotion-shaped 1M-row table, and
+// the three-equality customer_demographics conjunction on a 1M-row table
+// of its columns. The sweep cases span an int column, a string column's
+// codes and a float column at 0.2, 6, 50 and 99 % of rows kept, in random
+// row order, on both sides of the sparse/dense kernel switch.
 func BenchmarkSelection(b *testing.B) {
 	const rows = 1 << 20
 	promo := storage.NewTable("promotion",
@@ -196,15 +202,27 @@ func BenchmarkSelection(b *testing.B) {
 		promo.Col("p_channel_event").AppendString(yn[rng.Intn(2)])
 	}
 	milan := data.Milan(rows, 10_000, 1)
-	for _, c := range []struct {
+	type selCase struct {
 		name  string
 		t     *storage.Table
 		where string
-	}{
+	}
+	cases := []selCase{
 		{"int_range", milan, "square_id >= 5000 and square_id < 5020"},
 		{"string_eq", promo, "p_channel_email = 'N'"},
 		{"or", promo, "p_channel_email = 'N' or p_channel_event = 'N'"},
-	} {
+		{"demographics", demographicsTable(rows, rng),
+			"cd_gender = 'M' and cd_marital_status = 'S' and cd_education_status = 'College'"},
+	}
+	sweep := sweepTable(rows, rng)
+	for _, k := range sweepPerTenThousand {
+		pct := strconv.FormatFloat(float64(k)/100, 'f', -1, 64) + "%"
+		cases = append(cases,
+			selCase{"int_" + pct, sweep, fmt.Sprintf("i >= 0 and i < %d", k)},
+			selCase{"code_" + pct, sweep, fmt.Sprintf("s%d = 'y'", k)},
+			selCase{"float_" + pct, sweep, fmt.Sprintf("f >= 0 and f < %d", k)})
+	}
+	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			stmt, err := sqlparse.Parse("SELECT count(*) FROM " + c.t.Name + " WHERE " + c.where)
 			if err != nil {
@@ -222,4 +240,57 @@ func BenchmarkSelection(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.t.NumRows()), "ns/row")
 		})
 	}
+}
+
+// demographicsTable is customer_demographics' three filtered columns at
+// n rows, drawn uniformly from TPC-DS's 2 × 5 × 7 values.
+func demographicsTable(n int, rng *rand.Rand) *storage.Table {
+	cols := []struct {
+		name string
+		vals []string
+	}{
+		{"cd_gender", []string{"M", "F"}},
+		{"cd_marital_status", []string{"S", "M", "D", "W", "U"}},
+		{"cd_education_status", []string{"College", "2 yr Degree", "4 yr Degree", "Advanced Degree", "Primary", "Secondary", "Unknown"}},
+	}
+	var out []*storage.Column
+	for _, c := range cols {
+		col := storage.NewColumn(c.name, storage.KindString)
+		for i := 0; i < n; i++ {
+			col.AppendString(c.vals[rng.Intn(len(c.vals))])
+		}
+		out = append(out, col)
+	}
+	return storage.NewTable("customer_demographics", out...)
+}
+
+// sweepPerTenThousand are the sweep's selectivities, in rows kept per
+// 10,000: 0.2, 6, 50 and 99 %.
+var sweepPerTenThousand = []int{20, 600, 5000, 9900}
+
+// sweepTable has n rows of i, an int uniform on [0, 10000), f = i + 0.5,
+// and for each selectivity k of the sweep a string column sk holding "y"
+// on k of 10,000 rows, in expectation, and one of eight other words
+// elsewhere.
+func sweepTable(n int, rng *rand.Rand) *storage.Table {
+	i := storage.NewColumn("i", storage.KindInt)
+	f := storage.NewColumn("f", storage.KindFloat)
+	for r := 0; r < n; r++ {
+		v := rng.Intn(10_000)
+		i.AppendInt(int64(v))
+		f.AppendFloat(float64(v) + 0.5)
+	}
+	cols := []*storage.Column{i, f}
+	for _, k := range sweepPerTenThousand {
+		s := storage.NewColumn(fmt.Sprintf("s%d", k), storage.KindString)
+		for r := 0; r < n; r++ {
+			if rng.Intn(10_000) < k {
+				s.AppendString("y")
+			} else {
+				s.AppendString(fmt.Sprintf("n%d", rng.Intn(8)))
+			}
+		}
+		cols = append(cols, s)
+	}
+	return storage.NewTable("sweep", cols...)
 }

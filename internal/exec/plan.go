@@ -241,9 +241,8 @@ const cancelCheckRows = 8192
 
 // selection evaluates a table's pushed-down filter to its selected rows,
 // polling ctx between blocks so runaway scans can be cancelled. No filter
-// selects every row without materializing a vector. Each block is one
-// pass of the compiled predicate into a 0/1 byte per row, compacted into
-// row indices without branches.
+// selects every row without materializing a vector. Each block's selected
+// row ids are appended to the output by the compiled filter itself.
 func selection(ctx context.Context, t *storage.Table, pred sqlparse.Pred) (rowSel, error) {
 	if err := faultinject.Hit(faultinject.PointStorageScan); err != nil {
 		return rowSel{}, fmt.Errorf("scan %s: %w", t.Name, err)
@@ -252,41 +251,37 @@ func selection(ctx context.Context, t *storage.Table, pred sqlparse.Pred) (rowSe
 	if pred == nil {
 		return rowSel{n: n}, nil
 	}
-	block := min(n, cancelCheckRows)
-	fill, err := compileFilter(t, pred, block)
+	f, err := compileFilter(t, pred, min(n, cancelCheckRows))
 	if err != nil {
 		return rowSel{}, err
 	}
 	out := make([]int32, 0, n/4+16)
-	mask := make([]uint8, block)
 	for lo := 0; lo < n; lo += cancelCheckRows {
 		if err := ctx.Err(); err != nil {
 			return rowSel{}, err
 		}
-		m := mask[:min(n-lo, cancelCheckRows)]
-		fill(m, lo)
-		out = slices.Grow(out, len(m))
-		idx := out[len(out) : len(out)+len(m)]
-		c := 0
-		for i, b := range m {
-			idx[c] = int32(lo + i)
-			c += int(b)
-		}
-		out = out[:len(out)+c]
+		hi := min(n, lo+cancelCheckRows)
+		out = f.gen(slices.Grow(out, hi-lo), lo, hi)
 	}
 	return rowSel{rows: out, n: len(out)}, nil
 }
 
-// blockFn is a compiled predicate over one table: it sets m[i] to 1 when
-// row lo+i is selected and to 0 otherwise, for a block of at most the
-// size it was compiled for.
-type blockFn func(m []uint8, lo int)
+// filter is a compiled predicate over one table, evaluated as ascending
+// row ids one block at a time.
+type filter interface {
+	// gen appends the ids of the selected rows of [lo, hi), a range of at
+	// most one block, to dst in order; dst has room for hi−lo more.
+	gen(dst []int32, lo, hi int) []int32
+	// refine keeps the selected ids of ids, at most one block's, in order
+	// and in place.
+	refine(ids []int32) []int32
+}
 
-// compileFilter compiles a predicate into a block evaluator. A
-// conjunction's comparisons of one column with literals are intersected
-// here into a single span, so `x >= a and x < b` is one pass over x.
-// Scratch masks are sized to block and allocated once, at compile time.
-func compileFilter(t *storage.Table, pred sqlparse.Pred, block int) (blockFn, error) {
+// compileFilter compiles a predicate into a filter. A conjunction
+// generates ids from its first span (see conjunctSpans) and refines them
+// with the other conjuncts; a disjunction merges its sides' ids. Scratch
+// is sized to block and allocated once, at compile time.
+func compileFilter(t *storage.Table, pred sqlparse.Pred, block int) (filter, error) {
 	switch p := pred.(type) {
 	case *sqlparse.Or:
 		l, err := compileFilter(t, p.L, block)
@@ -297,66 +292,98 @@ func compileFilter(t *storage.Table, pred sqlparse.Pred, block int) (blockFn, er
 		if err != nil {
 			return nil, err
 		}
-		return combine([]blockFn{l, r}, block, true), nil
+		return &orFilter{l: l, r: r, ids: make([]int32, 0, block), m: make([]uint8, block)}, nil
 	case *sqlparse.And, *sqlparse.Cmp:
-		var fns []blockFn
-		var spans []colSpan
-		for _, c := range sqlparse.Conjuncts(p) {
-			cmp, ok := c.(*sqlparse.Cmp)
-			if !ok {
-				f, err := compileFilter(t, c, block)
-				if err != nil {
-					return nil, err
-				}
-				fns = append(fns, f)
-				continue
+		spans, rest, err := conjunctSpans(t, sqlparse.Conjuncts(p))
+		if err != nil {
+			return nil, err
+		}
+		var fs andFilter
+		for _, s := range spans {
+			fs = append(fs, s.filter())
+		}
+		for _, c := range rest {
+			var f filter
+			if cmp, ok := c.(*sqlparse.Cmp); ok {
+				f, err = columnsFilter(t, cmp)
+			} else {
+				f, err = compileFilter(t, c, block)
 			}
-			cs, f, err := compileComparison(t, cmp)
 			if err != nil {
 				return nil, err
 			}
-			if f != nil {
-				fns = append(fns, f)
-				continue
-			}
-			i := slices.IndexFunc(spans, func(s colSpan) bool { return s.col == cs.col && !s.not && !cs.not })
-			if i < 0 {
-				spans = append(spans, cs)
-				continue
-			}
-			spans[i].lo = max(spans[i].lo, cs.lo)
-			spans[i].hi = min(spans[i].hi, cs.hi)
+			fs = append(fs, f)
 		}
-		for _, s := range spans {
-			fns = append(fns, s.kernel())
+		if len(fs) == 1 {
+			return fs[0], nil
 		}
-		return combine(fns, block, false), nil
+		return fs, nil
 	}
 	return nil, fmt.Errorf("unsupported predicate %T", pred)
 }
 
-// combine ANDs (or ORs) the masks of fns, evaluating each into one
-// scratch mask owned by this node.
-func combine(fns []blockFn, block int, or bool) blockFn {
-	if len(fns) == 1 {
-		return fns[0]
+// andFilter generates ids from its first conjunct and refines them in
+// place with the rest.
+type andFilter []filter
+
+func (fs andFilter) gen(dst []int32, lo, hi int) []int32 {
+	n := len(dst)
+	dst = fs[0].gen(dst, lo, hi)
+	return dst[:n+len(fs[1:].refine(dst[n:]))]
+}
+
+func (fs andFilter) refine(ids []int32) []int32 {
+	for _, f := range fs {
+		ids = f.refine(ids)
 	}
-	scratch := make([]uint8, block)
-	return func(m []uint8, lo int) {
-		fns[0](m, lo)
-		s := scratch[:len(m)]
-		for _, f := range fns[1:] {
-			f(s, lo)
-			if or {
-				for i := range m {
-					m[i] |= s[i]
-				}
-			} else {
-				for i := range m {
-					m[i] &= s[i]
-				}
-			}
-		}
+	return ids
+}
+
+// orFilter merges the ids its two sides select. Each side writes into a
+// block-sized scratch of the node's own, and the node marks the ids in a
+// block-local byte map, which it reads back in row order: a merge of two
+// id lists would carry a load-to-load dependency from one id to the next.
+type orFilter struct {
+	l, r filter
+	ids  []int32
+	m    []uint8
+}
+
+func (o *orFilter) gen(dst []int32, lo, hi int) []int32 {
+	m := o.m[:hi-lo]
+	clear(m)
+	o.mark(m, o.l.gen(o.ids[:0], lo, hi), lo)
+	o.mark(m, o.r.gen(o.ids[:0], lo, hi), lo)
+	idx := dst[len(dst) : len(dst)+len(m)]
+	c := 0
+	for i, b := range m {
+		idx[c] = int32(lo + i)
+		c += int(b)
+	}
+	return dst[:len(dst)+c]
+}
+
+func (o *orFilter) refine(ids []int32) []int32 {
+	if len(ids) == 0 {
+		return ids
+	}
+	lo := int(ids[0])
+	m := o.m[:int(ids[len(ids)-1])+1-lo]
+	clear(m)
+	o.mark(m, o.l.refine(append(o.ids[:0], ids...)), lo)
+	o.mark(m, o.r.refine(append(o.ids[:0], ids...)), lo)
+	c := 0
+	for _, id := range ids {
+		ids[c] = id
+		c += int(m[int(id)-lo])
+	}
+	return ids[:c]
+}
+
+// mark sets m[id−lo] for each id.
+func (o *orFilter) mark(m []uint8, ids []int32, lo int) {
+	for _, id := range ids {
+		m[int(id)-lo] = 1
 	}
 }
 
@@ -375,18 +402,36 @@ type colSpan struct {
 	span
 }
 
-// compileComparison compiles one comparison: a column against a literal
-// to a colSpan, which a conjunction may intersect with others on the same
-// column, and a column against a column straight to a kernel.
-func compileComparison(t *storage.Table, p *sqlparse.Cmp) (colSpan, blockFn, error) {
-	if p.L.IsCol && p.R.IsCol {
-		lc, rc := t.Col(p.L.Col), t.Col(p.R.Col)
-		if lc == nil || rc == nil {
-			return colSpan{}, nil, fmt.Errorf("unknown column in %q", sqlparse.PredString(p))
+// conjunctSpans maps a conjunction's comparisons of a column with a
+// literal to spans, intersecting those on one column, so `x >= a and
+// x < b` is one pass over x and contradictory bounds are one empty span.
+// A `!=` span is a complement, so it is kept apart. The other conjuncts
+// (column against column, disjunctions) are returned in rest, in order.
+func conjunctSpans(t *storage.Table, conjs []sqlparse.Pred) (spans []colSpan, rest []sqlparse.Pred, err error) {
+	for _, c := range conjs {
+		cmp, ok := c.(*sqlparse.Cmp)
+		if !ok || cmp.L.IsCol && cmp.R.IsCol {
+			rest = append(rest, c)
+			continue
 		}
-		f, err := columnsKernel(p, lc, rc)
-		return colSpan{}, f, err
+		cs, err := literalSpan(t, cmp)
+		if err != nil {
+			return nil, nil, err
+		}
+		i := slices.IndexFunc(spans, func(s colSpan) bool { return s.col == cs.col && !s.not && !cs.not })
+		if i < 0 {
+			spans = append(spans, cs)
+			continue
+		}
+		spans[i].lo = max(spans[i].lo, cs.lo)
+		spans[i].hi = min(spans[i].hi, cs.hi)
 	}
+	return spans, rest, nil
+}
+
+// literalSpan compiles a comparison of a column with a literal to a
+// colSpan.
+func literalSpan(t *storage.Table, p *sqlparse.Cmp) (colSpan, error) {
 	// Normalize to column OP literal.
 	cmp := *p
 	if !cmp.L.IsCol {
@@ -394,29 +439,29 @@ func compileComparison(t *storage.Table, p *sqlparse.Cmp) (colSpan, blockFn, err
 		cmp.Op = flipOp(cmp.Op)
 	}
 	if !cmp.L.IsCol {
-		return colSpan{}, nil, fmt.Errorf("predicate %q has no column", sqlparse.PredString(p))
+		return colSpan{}, fmt.Errorf("predicate %q has no column", sqlparse.PredString(p))
 	}
 	col := t.Col(cmp.L.Col)
 	if col == nil {
-		return colSpan{}, nil, fmt.Errorf("unknown column %q in table %s", cmp.L.Col, t.Name)
+		return colSpan{}, fmt.Errorf("unknown column %q in table %s", cmp.L.Col, t.Name)
 	}
 	if cmp.R.IsNum {
 		if col.Kind == storage.KindString {
-			return colSpan{}, nil, fmt.Errorf("numeric comparison on string column %q", col.Name)
+			return colSpan{}, fmt.Errorf("numeric comparison on string column %q", col.Name)
 		}
 		sp, err := opSpan(cmp.Op, cmp.R.Num)
-		return colSpan{col, sp}, nil, err
+		return colSpan{col, sp}, err
 	}
 	// String literal: compare by dictionary code (equality only). A
 	// string that never appears has code -1, which no row holds.
 	if col.Kind != storage.KindString {
-		return colSpan{}, nil, fmt.Errorf("string comparison on non-string column %q", col.Name)
+		return colSpan{}, fmt.Errorf("string comparison on non-string column %q", col.Name)
 	}
 	if cmp.Op != "=" && cmp.Op != "!=" {
-		return colSpan{}, nil, fmt.Errorf("string comparison %q only supports = and !=", cmp.Op)
+		return colSpan{}, fmt.Errorf("string comparison %q only supports = and !=", cmp.Op)
 	}
 	code := float64(col.Code(cmp.R.Str))
-	return colSpan{col, span{code, code, cmp.Op == "!="}}, nil, nil
+	return colSpan{col, span{code, code, cmp.Op == "!="}}, nil
 }
 
 func flipOp(op string) string {
@@ -497,55 +542,230 @@ func firstInt(p func(int64) bool) (int64, bool) {
 	return lo, true
 }
 
-// kernel compiles the span test over the column's values: float columns
+// filter compiles the span test over the column's values: float columns
 // compare as floats (NaN and -0 behave as under `x op v`); int columns and
-// string codes test their exact interval with one unsigned compare.
-func (cs colSpan) kernel() blockFn {
-	flip := b2u(cs.not)
+// string codes test their exact interval with one unsigned compare. The
+// complement of an interval of int64 is, modulo 2^64, the interval that
+// starts past its end and wraps round to its start, so `!=` is an
+// interval too.
+func (cs colSpan) filter() filter {
 	if cs.col.Kind == storage.KindFloat {
-		f, sp := cs.col.F, cs.span
-		return func(m []uint8, lo int) {
-			x := f[lo : lo+len(m)]
-			for i, v := range x {
-				m[i] = b2u(sp.lo <= v)&b2u(v <= sp.hi) ^ flip
-			}
-		}
+		return &floatSpan{x: cs.col.F, span: cs.span}
 	}
-	ilo, w, ok := intSpan(cs.span)
+	base, w, ok := intSpan(cs.span)
 	switch {
 	case !ok:
-		return func(m []uint8, _ int) {
-			for i := range m {
-				m[i] = flip
-			}
-		}
-	case cs.col.Kind == storage.KindInt:
-		return rangeKernel(cs.col.I, ilo, w, flip)
+		return allRows(cs.not)
+	case cs.not && w == math.MaxUint64:
+		return allRows(false)
+	case cs.not:
+		base, w = base+int64(w)+1, ^w-1
 	}
-	return rangeKernel(cs.col.Codes, ilo, w, flip)
+	if cs.col.Kind == storage.KindInt {
+		return &intRange[int64]{x: cs.col.I, base: base, w: w}
+	}
+	return &intRange[int32]{x: cs.col.Codes, base: base, w: w}
 }
 
-// rangeKernel tests lo <= x <= lo+w as uint64(x-lo) <= w. Its loop, like
-// cmpKernel's, is a function of its own rather than the closure's body:
-// the compiler does not inline b2u into a closure of a generic function
-// that is itself inlined, which would cost a call per row.
-func rangeKernel[T int32 | int64](vals []T, lo int64, w uint64, flip uint8) blockFn {
-	return func(m []uint8, at int) { fillRange(m, vals[at:at+len(m)], lo, w, flip) }
+// A span leaf picks its block kernel from the share of rows its previous
+// block kept; the first block counts as dense. Below 1/sparseBelow the
+// skip kernel tests four rows at once and stores only around a hit. At or
+// above it the branch-free kernel stores every row's id and advances the
+// cursor by the test, which costs the same at any selectivity; the skip
+// kernel's mispredicted hits cost more than that from between 2 and 3 %
+// of rows kept on, so 1/64 (1.6 %) stays below the crossing. DESIGN.md §8
+// has the sweep.
+const sparseBelow = 64
+
+func sparse(kept, rows int) bool { return kept*sparseBelow < rows }
+
+// allRows selects every row (true) or none.
+type allRows bool
+
+func (a allRows) gen(dst []int32, lo, hi int) []int32 {
+	if !a {
+		return dst
+	}
+	for i := lo; i < hi; i++ {
+		dst = append(dst, int32(i))
+	}
+	return dst
 }
 
-func fillRange[T int32 | int64](m []uint8, x []T, lo int64, w uint64, flip uint8) {
-	m = m[:len(x)]
+func (a allRows) refine(ids []int32) []int32 {
+	if a {
+		return ids
+	}
+	return ids[:0]
+}
+
+// intRange selects the rows whose value x has uint64(x − base) <= w.
+type intRange[T int32 | int64] struct {
+	x      []T
+	base   int64
+	w      uint64
+	sparse bool
+}
+
+func (r *intRange[T]) gen(dst []int32, lo, hi int) []int32 {
+	n := len(dst)
+	if r.sparse {
+		dst = skipRange(dst, r.x[lo:hi], lo, r.base, r.w)
+	} else {
+		dst = storeRange(dst, r.x[lo:hi], lo, r.base, r.w)
+	}
+	r.sparse = sparse(len(dst)-n, hi-lo)
+	return dst
+}
+
+func (r *intRange[T]) refine(ids []int32) []int32 {
+	c := 0
+	for _, id := range ids {
+		ids[c] = id
+		c += int(b2u(uint64(int64(r.x[id])-r.base) <= r.w))
+	}
+	return ids[:c]
+}
+
+// The kernels below are kept out of line (go:noinline) where their loop
+// would otherwise be inlined into a caller whose other live values push
+// the loop's own out of registers.
+
+// storeRange appends at+i for each x[i] in the range, without a branch:
+// every row stores its id, and only a selected one advances the cursor.
+//
+//go:noinline
+func storeRange[T int32 | int64](dst []int32, x []T, at int, base int64, w uint64) []int32 {
+	idx := dst[len(dst) : len(dst)+len(x)]
+	c := 0
 	for i, v := range x {
-		m[i] = b2u(uint64(int64(v)-lo) <= w) ^ flip
+		idx[c] = int32(at + i)
+		c += int(b2u(uint64(int64(v)-base) <= w))
 	}
+	return dst[:len(dst)+c]
 }
 
-// columnsKernel compiles a comparison of two columns of one table.
+// skipRange appends what storeRange does, storing only in the groups of
+// four rows that nextHit finds to hold a row in the range. It writes a
+// hit group's four stores itself: a call per hit costs up to a quarter
+// more at 0.2 % of rows kept.
+func skipRange[T int32 | int64](dst []int32, x []T, at int, base int64, w uint64) []int32 {
+	n := len(x) &^ 3
+	for i := nextHit(x[:n], 0, base, w); i < n; i = nextHit(x[:n], i+4, base, w) {
+		g, c := (*[4]T)(x[i:]), len(dst)
+		dst = dst[:c+4]
+		id := int32(at + i)
+		dst[c] = id
+		c += int(b2u(uint64(int64(g[0])-base) <= w))
+		dst[c] = id + 1
+		c += int(b2u(uint64(int64(g[1])-base) <= w))
+		dst[c] = id + 2
+		c += int(b2u(uint64(int64(g[2])-base) <= w))
+		dst[c] = id + 3
+		c += int(b2u(uint64(int64(g[3])-base) <= w))
+		dst = dst[:c]
+	}
+	return storeRange(dst, x[n:], at+n, base, w)
+}
+
+// nextHit returns the first i from from on, in steps of four, whose
+// group x[i:i+4] has a row in the range, or len(x). One unsigned min
+// tests the group.
+//
+//go:noinline
+func nextHit[T int32 | int64](x []T, from int, base int64, w uint64) int {
+	for g := x[from:]; len(g) >= 4; g = g[4:] {
+		if min(uint64(int64(g[0])-base), uint64(int64(g[1])-base), uint64(int64(g[2])-base), uint64(int64(g[3])-base)) <= w {
+			return len(x) - len(g)
+		}
+	}
+	return len(x)
+}
+
+// floatSpan selects the rows whose value lies in the span, under float64
+// comparison.
+type floatSpan struct {
+	x []float64
+	span
+	sparse bool
+}
+
+func (f *floatSpan) gen(dst []int32, lo, hi int) []int32 {
+	n := len(dst)
+	if f.sparse {
+		dst = skipSpan(dst, f.x[lo:hi], lo, f.span)
+	} else {
+		dst = storeSpan(dst, f.x[lo:hi], lo, f.span)
+	}
+	f.sparse = sparse(len(dst)-n, hi-lo)
+	return dst
+}
+
+func (f *floatSpan) refine(ids []int32) []int32 {
+	c := 0
+	for _, id := range ids {
+		ids[c] = id
+		c += int(f.in(f.x[id]))
+	}
+	return ids[:c]
+}
+
+// in is 1 when v lies in the span and 0 otherwise.
+func (sp *span) in(v float64) uint8 { return b2u(sp.lo <= v)&b2u(v <= sp.hi) ^ b2u(sp.not) }
+
+// storeSpan is storeRange over floats.
+//
+//go:noinline
+func storeSpan(dst []int32, x []float64, at int, sp span) []int32 {
+	idx := dst[len(dst) : len(dst)+len(x)]
+	c := 0
+	for i, v := range x {
+		idx[c] = int32(at + i)
+		c += int(sp.in(v))
+	}
+	return dst[:len(dst)+c]
+}
+
+// skipSpan is skipRange over floats.
+func skipSpan(dst []int32, x []float64, at int, sp span) []int32 {
+	n := len(x) &^ 3
+	for i := nextSpanHit(x[:n], 0, sp); i < n; i = nextSpanHit(x[:n], i+4, sp) {
+		dst = storeSpan(dst, x[i:i+4], at+i, sp)
+	}
+	return storeSpan(dst, x[n:], at+n, sp)
+}
+
+// nextSpanHit is nextHit over floats: a group is tested by the OR of its
+// four rows' span tests.
+//
+//go:noinline
+func nextSpanHit(x []float64, from int, sp span) int {
+	for g := x[from:]; len(g) >= 4; g = g[4:] {
+		if sp.in(g[0])|sp.in(g[1])|sp.in(g[2])|sp.in(g[3]) != 0 {
+			return len(x) - len(g)
+		}
+	}
+	return len(x)
+}
+
+// refineByAll generates a block's ids as all of them, refined by f: the
+// generator of a filter with no cheaper way to list its rows.
+func refineByAll(f filter, dst []int32, lo, hi int) []int32 {
+	n := len(dst)
+	dst = allRows(true).gen(dst, lo, hi)
+	return dst[:n+len(f.refine(dst[n:]))]
+}
+
+// columnsFilter compiles a comparison of two columns of one table.
 // Numeric columns compare as float64, like a literal; string columns
 // compare by value, through the right column's codes translated into the
 // left column's dictionary once (-1 where the left never holds the
 // string), and only for = and !=.
-func columnsKernel(p *sqlparse.Cmp, lc, rc *storage.Column) (blockFn, error) {
+func columnsFilter(t *storage.Table, p *sqlparse.Cmp) (filter, error) {
+	lc, rc := t.Col(p.L.Col), t.Col(p.R.Col)
+	if lc == nil || rc == nil {
+		return nil, fmt.Errorf("unknown column in %q", sqlparse.PredString(p))
+	}
 	op := p.Op
 	if ls, rs := lc.Kind == storage.KindString, rc.Kind == storage.KindString; ls || rs {
 		switch {
@@ -558,59 +778,72 @@ func columnsKernel(p *sqlparse.Cmp, lc, rc *storage.Column) (blockFn, error) {
 		for c := range trans {
 			trans[c] = lc.Code(rc.DictString(int32(c)))
 		}
-		flip := b2u(op == "!=")
-		l, r := lc.Codes, rc.Codes
-		return func(m []uint8, lo int) {
-			l, r := l[lo:lo+len(m)], r[lo:lo+len(m)]
-			for i := range m {
-				m[i] = b2u(l[i] == trans[r[i]]) ^ flip
-			}
-		}, nil
+		return &codesCmp{l: lc.Codes, r: rc.Codes, trans: trans, flip: b2u(op == "!=")}, nil
 	}
+	var test numTest
 	switch op {
-	case ">", ">=":
-		op, lc, rc = flipOp(op), rc, lc
-	case "=", "!=", "<", "<=":
+	case "=", "!=":
+		test = numTest{eq: 1, flip: b2u(op == "!=")}
+	case "<", ">":
+		test = numTest{lt: 1}
+	case "<=", ">=":
+		test = numTest{lt: 1, eq: 1}
 	default:
 		return nil, fmt.Errorf("unknown comparison %q", op)
 	}
+	if op == ">" || op == ">=" {
+		lc, rc = rc, lc
+	}
 	switch {
 	case lc.Kind == storage.KindInt && rc.Kind == storage.KindInt:
-		return cmpKernel(op, lc.I, rc.I), nil
+		return &numCmp[int64, int64]{test, lc.I, rc.I}, nil
 	case lc.Kind == storage.KindInt:
-		return cmpKernel(op, lc.I, rc.F), nil
+		return &numCmp[int64, float64]{test, lc.I, rc.F}, nil
 	case rc.Kind == storage.KindInt:
-		return cmpKernel(op, lc.F, rc.I), nil
+		return &numCmp[float64, int64]{test, lc.F, rc.I}, nil
 	}
-	return cmpKernel(op, lc.F, rc.F), nil
+	return &numCmp[float64, float64]{test, lc.F, rc.F}, nil
 }
 
-// cmpKernel compares two numeric columns row by row as float64; op is
-// one of =, !=, <, <=.
-func cmpKernel[A, B int64 | float64](op string, as []A, bs []B) blockFn {
-	return func(m []uint8, lo int) { fillCmp(m, as[lo:lo+len(m)], bs[lo:lo+len(m)], op) }
+// codesCmp compares two string columns' values through their codes.
+type codesCmp struct {
+	l, r, trans []int32
+	flip        uint8
 }
 
-func fillCmp[A, B int64 | float64](m []uint8, a []A, b []B, op string) {
-	m, b = m[:len(a)], b[:len(a)]
-	switch op {
-	case "=":
-		for i := range a {
-			m[i] = b2u(float64(a[i]) == float64(b[i]))
-		}
-	case "!=":
-		for i := range a {
-			m[i] = b2u(float64(a[i]) != float64(b[i]))
-		}
-	case "<":
-		for i := range a {
-			m[i] = b2u(float64(a[i]) < float64(b[i]))
-		}
-	case "<=":
-		for i := range a {
-			m[i] = b2u(float64(a[i]) <= float64(b[i]))
-		}
+func (s *codesCmp) gen(dst []int32, lo, hi int) []int32 { return refineByAll(s, dst, lo, hi) }
+
+func (s *codesCmp) refine(ids []int32) []int32 {
+	c := 0
+	for _, id := range ids {
+		ids[c] = id
+		c += int(b2u(s.l[id] == s.trans[s.r[id]]) ^ s.flip)
 	}
+	return ids[:c]
+}
+
+// numTest is a comparison of two float64s as flags: x op y is
+// (x < y)&lt | (x == y)&eq, flipped for !=. NaN makes both compares
+// false, so it fails =, < and <= and passes !=, as in Go.
+type numTest struct{ lt, eq, flip uint8 }
+
+// numCmp compares two numeric columns row by row as float64.
+type numCmp[A, B int64 | float64] struct {
+	numTest
+	a []A
+	b []B
+}
+
+func (m *numCmp[A, B]) gen(dst []int32, lo, hi int) []int32 { return refineByAll(m, dst, lo, hi) }
+
+func (m *numCmp[A, B]) refine(ids []int32) []int32 {
+	c := 0
+	for _, id := range ids {
+		x, y := float64(m.a[id]), float64(m.b[id])
+		ids[c] = id
+		c += int(b2u(x < y)&m.lt | b2u(x == y)&m.eq ^ m.flip)
+	}
+	return ids[:c]
 }
 
 // b2u is 1 for true and 0 for false; the compiler lowers it to a flag

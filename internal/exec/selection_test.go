@@ -2,8 +2,10 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sudaf/internal/sqlparse"
@@ -144,29 +146,90 @@ func selectionTable(n int, rng *rand.Rand) (*storage.Table, *oracleRows) {
 		o.f[r], o.g[r] = pickFloat(0), pickFloat(7)
 		o.s[r], o.u[r] = sWords[rng.Intn(len(sWords))], uWords[rng.Intn(len(uWords))]
 	}
+	return o.table(0, n), o
+}
+
+// table builds the table t holding rows [lo, hi) of o.
+func (o *oracleRows) table(lo, hi int) *storage.Table {
 	var cols []*storage.Column
 	for name, vals := range map[string][]int64{"i": o.i, "j": o.j} {
 		c := storage.NewColumn(name, storage.KindInt)
-		for _, v := range vals {
+		for _, v := range vals[lo:hi] {
 			c.AppendInt(v)
 		}
 		cols = append(cols, c)
 	}
 	for name, vals := range map[string][]float64{"f": o.f, "g": o.g} {
 		c := storage.NewColumn(name, storage.KindFloat)
-		for _, v := range vals {
+		for _, v := range vals[lo:hi] {
 			c.AppendFloat(v)
 		}
 		cols = append(cols, c)
 	}
 	for name, vals := range map[string][]string{"s": o.s, "u": o.u} {
 		c := storage.NewColumn(name, storage.KindString)
-		for _, v := range vals {
+		for _, v := range vals[lo:hi] {
 			c.AppendString(v)
 		}
 		cols = append(cols, c)
 	}
-	return storage.NewTable("t", cols...), o
+	return storage.NewTable("t", cols...)
+}
+
+// grownTable builds o's table as its rows up to cuts[0], sealed, grown
+// by AppendRows with the rows between consecutive cuts and then the rest:
+// one segment per part, and string codes interned across appends.
+func (o *oracleRows) grownTable(t testing.TB, cuts ...int) *storage.Table {
+	t.Helper()
+	tbl := o.table(0, cuts[0])
+	tbl.Seal()
+	for k, lo := range cuts {
+		hi := len(o.i)
+		if k+1 < len(cuts) {
+			hi = cuts[k+1]
+		}
+		next, err := tbl.AppendRows(o.table(lo, hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl = next
+	}
+	return tbl
+}
+
+// phasedTable builds a table of the oracle's schema whose rows come in
+// cancelCheckRows-sized phases of different hit rates, so a span leaf's
+// kernel switches from sparse to dense and back. A hit row has i in
+// [0, 10), f = i + 0.25, s = "h" and u = "h"; the other rows have i in
+// [100, 150), f = i + 0.25 or NaN, and s, u among "m0".."m3". Hits are
+// also planted on the last row of every group of four in the sparse
+// phases, and on the table's last three rows.
+func phasedTable(rng *rand.Rand) (*storage.Table, *oracleRows) {
+	phases := []float64{0.002, 0.5, 0.002, 1, 0, 0.002, 0.99, 0.02, 0.002}
+	n := len(phases)*cancelCheckRows + 77
+	o := &oracleRows{
+		i: make([]int64, n), j: make([]int64, n),
+		f: make([]float64, n), g: make([]float64, n),
+		s: make([]string, n), u: make([]string, n),
+	}
+	for r := 0; r < n; r++ {
+		rate := phases[min(r/cancelCheckRows, len(phases)-1)]
+		hit := rng.Float64() < rate || rate < 0.01 && r%4 == 3 && rng.Intn(256) == 0 || r >= n-3
+		if hit {
+			o.i[r] = int64(rng.Intn(10))
+			o.s[r], o.u[r] = "h", "h"
+		} else {
+			o.i[r] = int64(100 + rng.Intn(50))
+			o.s[r], o.u[r] = fmt.Sprintf("m%d", rng.Intn(4)), fmt.Sprintf("m%d", rng.Intn(4))
+		}
+		o.f[r] = float64(o.i[r]) + 0.25
+		if !hit && rng.Intn(64) == 0 {
+			o.f[r] = math.NaN()
+		}
+		o.j[r] = int64(rng.Intn(160))
+		o.g[r] = float64(rng.Intn(40)) - 20
+	}
+	return o.table(0, n), o
 }
 
 // checkSelection runs selection on p and compares it with the oracle:
@@ -290,11 +353,82 @@ func and(ps ...sqlparse.Pred) sqlparse.Pred {
 	return p
 }
 
+// selectionCase is one table the oracle test runs, with the values it was
+// built from.
+type selectionCase struct {
+	name string
+	tbl  *storage.Table
+	o    *oracleRows
+}
+
+// selectionCases are the oracle test's tables: the boundary-value table at
+// sizes around the four-row group and the cancelCheckRows block, the
+// largest of them grown by AppendRows into three segments, and the phased
+// table whose blocks switch the span kernels.
+func selectionCases(t testing.TB) []selectionCase {
+	var cs []selectionCase
+	for _, n := range []int{0, 1, 3, 4, 5, 117, cancelCheckRows - 1, cancelCheckRows, cancelCheckRows + 1,
+		cancelCheckRows + 3, 2*cancelCheckRows + 1001} {
+		tbl, o := selectionTable(n, rand.New(rand.NewSource(int64(n))))
+		cs = append(cs, selectionCase{fmt.Sprintf("n=%d", n), tbl, o})
+	}
+	last := cs[len(cs)-1]
+	grown := last.o.grownTable(t, 5000, cancelCheckRows+17)
+	if len(grown.Segments) != 3 {
+		t.Fatalf("grown table has segments %v, want 3", grown.Segments)
+	}
+	cs = append(cs, selectionCase{"grown", grown, last.o})
+	tbl, o := phasedTable(rand.New(rand.NewSource(7)))
+	return append(cs, selectionCase{"phased", tbl, o})
+}
+
+// shapePreds are the node shapes over the phased table's hit values: each
+// span leaf and its complement, a conjunction generated from one span and
+// refined by others, Or of Ands, And of Ors, an And refined through an Or,
+// and column-against-column conjuncts after a span.
+func shapePreds() []sqlparse.Pred {
+	return []sqlparse.Pred{
+		and(cmpLit("i", ">=", 0, false), cmpLit("i", "<", 10, false)),
+		cmpLit("i", ">=", 10, false),
+		cmpLit("i", "!=", 3, true),
+		and(cmpLit("f", ">=", 0, false), cmpLit("f", "<", 10, false)),
+		cmpLit("f", "!=", 3.25, false),
+		cmpLit("f", ">", 10, false),
+		cmpStr("s", "=", "h", false),
+		cmpStr("s", "!=", "h", true),
+		and(cmpLit("i", "<", 10, false), cmpStr("s", "=", "h", false), cmpLit("f", ">", 1, false)),
+		and(cmpStr("u", "=", "h", false), cmpLit("i", "<", 10, false), cmpLit("i", "!=", 4, false)),
+		&sqlparse.Or{L: and(cmpLit("i", "<", 10, false), cmpStr("u", "=", "h", false)),
+			R: and(cmpLit("f", "<", 5, false), cmpLit("j", ">", 80, false))},
+		&sqlparse.Or{L: cmpLit("i", "<", 3, false), R: &sqlparse.Or{L: cmpStr("s", "=", "m1", false), R: cmpLit("f", ">=", 148, false)}},
+		and(&sqlparse.Or{L: cmpLit("i", "<", 5, false), R: cmpStr("s", "=", "m2", false)},
+			&sqlparse.Or{L: cmpLit("f", ">=", 2, false), R: cmpLit("g", "<", 0, false)}),
+		and(cmpLit("i", "<", 10, false), &sqlparse.Or{L: cmpLit("f", "<", 4, false), R: cmpCols("j", "<", "i")}),
+		and(&sqlparse.Or{L: cmpLit("i", "<", 10, false), R: cmpLit("j", "<", 2, false)}, cmpStr("s", "!=", "m0", false),
+			cmpCols("f", ">", "g")),
+		and(cmpLit("i", "<", 10, false), cmpCols("i", "<", "j")),
+		and(cmpLit("i", ">=", 100, false), cmpCols("s", "=", "u"), cmpCols("f", "<=", "g")),
+		&sqlparse.Or{L: and(cmpLit("i", "<", 10, false), &sqlparse.Or{L: cmpCols("s", "=", "u"), R: cmpLit("g", ">", 0, false)}),
+			R: and(cmpLit("j", "<", 8, false), cmpLit("j", ">", 8, false))},
+	}
+}
+
 func TestSelectionMatchesRowOracle(t *testing.T) {
 	lits := selectionLiterals()
-	for _, n := range []int{0, 1, 117, cancelCheckRows - 1, cancelCheckRows + 3, 2*cancelCheckRows + 1001} {
+	for _, sc := range selectionCases(t) {
+		tbl, o, n := sc.tbl, sc.o, sc.tbl.NumRows()
 		rng := rand.New(rand.NewSource(int64(n)))
-		tbl, o := selectionTable(n, rng)
+		for _, p := range shapePreds() {
+			checkSelection(t, tbl, o, p)
+		}
+		// The phased table holds no boundary values: it runs the shapes
+		// and the random nesting alone.
+		if sc.name == "phased" {
+			for k := 0; k < 100; k++ {
+				checkSelection(t, tbl, o, randomPred(rng, lits, 3))
+			}
+			continue
+		}
 
 		// Every op against every boundary literal, the literal on either
 		// side, on the int and the float column. The boundary values sit
@@ -359,18 +493,147 @@ func TestSelectionMatchesRowOracle(t *testing.T) {
 	}
 }
 
-// FuzzSelection fuzzes a comparison's literal, op and side (and a second
-// conjunct on the same column), against the row oracle.
+// FuzzSelection fuzzes a comparison's literal, op and side, a second
+// conjunct on the same column, and a node shape around the two, against
+// the row oracle on the boundary-value table, the same table grown by
+// AppendRows, and the phased table.
 func FuzzSelection(f *testing.F) {
-	f.Add(uint8(0), 3.0, false, uint8(0), -1.5, uint8(2))
-	f.Add(uint8(2), math.Inf(1), true, uint8(1), math.NaN(), uint8(5))
-	f.Add(uint8(5), 9007199254740993.0, false, uint8(0), -9.223372036854776e18, uint8(3))
-	f.Add(uint8(3), math.Copysign(0, -1), true, uint8(1), 0.5, uint8(1))
+	f.Add(uint8(0), 3.0, false, uint8(0), -1.5, uint8(2), uint8(0))
+	f.Add(uint8(2), math.Inf(1), true, uint8(1), math.NaN(), uint8(5), uint8(1))
+	f.Add(uint8(5), 9007199254740993.0, false, uint8(0), -9.223372036854776e18, uint8(3), uint8(2))
+	f.Add(uint8(3), math.Copysign(0, -1), true, uint8(1), 0.5, uint8(1), uint8(3))
+	f.Add(uint8(2), 10.0, false, uint8(0), 0.0, uint8(5), uint8(1))
+	f.Add(uint8(4), 149.25, true, uint8(1), 3.25, uint8(1), uint8(2))
 	tbl, o := selectionTable(cancelCheckRows+77, rand.New(rand.NewSource(1)))
-	f.Fuzz(func(t *testing.T, op uint8, v float64, litLeft bool, col uint8, w float64, op2 uint8) {
+	grown := o.grownTable(f, 4099, cancelCheckRows+2)
+	phased, po := phasedTable(rand.New(rand.NewSource(2)))
+	f.Fuzz(func(t *testing.T, op uint8, v float64, litLeft bool, col uint8, w float64, op2 uint8, shape uint8) {
 		c := []string{"i", "f"}[col%2]
 		p := cmpLit(c, selectionOps[int(op)%len(selectionOps)], v, litLeft)
-		checkSelection(t, tbl, o, p)
-		checkSelection(t, tbl, o, and(p, cmpLit(c, selectionOps[int(op2)%len(selectionOps)], w, !litLeft)))
+		q := cmpLit(c, selectionOps[int(op2)%len(selectionOps)], w, !litLeft)
+		preds := []sqlparse.Pred{p, and(p, q)}
+		switch shape % 4 {
+		case 0:
+			preds = append(preds, &sqlparse.Or{L: p, R: q})
+		case 1:
+			preds = append(preds, and(&sqlparse.Or{L: p, R: cmpStr("s", "=", "h", false)}, q))
+		case 2:
+			preds = append(preds, &sqlparse.Or{L: and(p, cmpCols("i", "<", "j")), R: and(q, cmpStr("u", "!=", "h", false))})
+		case 3:
+			preds = append(preds, and(p, cmpCols("f", "<=", "g"), q))
+		}
+		for _, pred := range preds {
+			checkSelection(t, tbl, o, pred)
+			checkSelection(t, grown, o, pred)
+			checkSelection(t, phased, po, pred)
+		}
 	})
+}
+
+// TestSpanKernelSwitch pins the choice of kernel: after each block of the
+// phased table, a span leaf runs the skip kernel next exactly when the
+// block kept less than 1/sparseBelow of its rows, and its ids match the
+// oracle's block by block.
+func TestSpanKernelSwitch(t *testing.T) {
+	tbl, o := phasedTable(rand.New(rand.NewSource(3)))
+	n := tbl.NumRows()
+	for _, p := range []sqlparse.Pred{
+		and(cmpLit("i", ">=", 0, false), cmpLit("i", "<", 10, false)),
+		and(cmpLit("f", ">=", 0, false), cmpLit("f", "<", 10, false)),
+		cmpStr("s", "=", "h", false),
+		cmpLit("i", ">=", 10, false),
+	} {
+		f, err := compileFilter(tbl, p, cancelCheckRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparseNext := func() bool {
+			switch k := f.(type) {
+			case *intRange[int64]:
+				return k.sparse
+			case *intRange[int32]:
+				return k.sparse
+			case *floatSpan:
+				return k.sparse
+			}
+			t.Fatalf("%s compiled to %T, not a span leaf", sqlparse.PredString(p), f)
+			return false
+		}
+		switches := 0
+		for lo := 0; lo < n; lo += cancelCheckRows {
+			hi := min(n, lo+cancelCheckRows)
+			before := sparseNext()
+			got := f.gen(make([]int32, 0, hi-lo), lo, hi)
+			var want []int32
+			for r := lo; r < hi; r++ {
+				if sel, _ := o.eval(p, r); sel {
+					want = append(want, int32(r))
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, block at %d (sparse kernel %v): %d ids, oracle %d", sqlparse.PredString(p), lo, before, len(got), len(want))
+			}
+			if sparseNext() != (len(want)*sparseBelow < hi-lo) {
+				t.Fatalf("%s, block at %d kept %d of %d rows: next kernel sparse=%v", sqlparse.PredString(p), lo, len(want), hi-lo, sparseNext())
+			}
+			if sparseNext() != before {
+				switches++
+			}
+		}
+		if switches < 4 {
+			t.Fatalf("%s: the kernel switched %d times over the phases, want at least 4", sqlparse.PredString(p), switches)
+		}
+	}
+}
+
+// TestConjunctSpans pins the span algebra a conjunction compiles to:
+// same-column bounds intersect (to an empty span when they contradict), a
+// NaN literal and a bound beyond ±Inf select nothing (a NaN under != all),
+// a != is kept apart as a complement, a string literal the column never
+// holds is code −1, and the other conjuncts are left in order.
+func TestConjunctSpans(t *testing.T) {
+	tbl, _ := selectionTable(8, rand.New(rand.NewSource(1)))
+	inf, nan := math.Inf(1), math.NaN()
+	i, f, s := tbl.Col("i"), tbl.Col("f"), tbl.Col("s")
+	orPred := &sqlparse.Or{L: cmpLit("i", "<", 0, false), R: cmpLit("i", ">", 9, false)}
+	colsPred := cmpCols("i", "<", "j")
+	for _, c := range []struct {
+		name  string
+		conjs []sqlparse.Pred
+		spans []colSpan
+		rest  []sqlparse.Pred
+	}{
+		{"range", []sqlparse.Pred{cmpLit("i", ">=", 2, false), cmpLit("i", "<", 10, false)},
+			[]colSpan{{i, span{2, math.Nextafter(10, -inf), false}}}, nil},
+		{"literal on the left", []sqlparse.Pred{cmpLit("f", "<", 2, true), cmpLit("f", ">=", 10, true)},
+			[]colSpan{{f, span{math.Nextafter(2, inf), 10, false}}}, nil},
+		{"contradictory", []sqlparse.Pred{cmpLit("i", ">=", 10, false), cmpLit("i", "<", 5, false)},
+			[]colSpan{{i, span{10, math.Nextafter(5, -inf), false}}}, nil},
+		{"NaN", []sqlparse.Pred{cmpLit("f", "<=", nan, false)}, []colSpan{{f, span{inf, -inf, false}}}, nil},
+		{"NaN under !=", []sqlparse.Pred{cmpLit("f", "!=", nan, false)}, []colSpan{{f, span{inf, -inf, true}}}, nil},
+		{"below -Inf", []sqlparse.Pred{cmpLit("i", "<", -inf, false)}, []colSpan{{i, span{inf, -inf, false}}}, nil},
+		{"above +Inf", []sqlparse.Pred{cmpLit("f", ">", inf, false)}, []colSpan{{f, span{inf, -inf, false}}}, nil},
+		{"!= kept apart", []sqlparse.Pred{cmpLit("i", ">=", 0, false), cmpLit("i", "!=", 3, false), cmpLit("i", "<=", 9, false)},
+			[]colSpan{{i, span{0, 9, false}}, {i, span{3, 3, true}}}, nil},
+		{"absent string", []sqlparse.Pred{cmpStr("s", "=", "absent", false)}, []colSpan{{s, span{-1, -1, false}}}, nil},
+		{"rest in order", []sqlparse.Pred{colsPred, cmpLit("f", ">", 0, false), orPred},
+			[]colSpan{{f, span{math.Nextafter(0, inf), inf, false}}}, []sqlparse.Pred{colsPred, orPred}},
+	} {
+		spans, rest, err := conjunctSpans(tbl, c.conjs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !slices.Equal(spans, c.spans) {
+			t.Errorf("%s: spans %v, want %v", c.name, spans, c.spans)
+		}
+		if !slices.Equal(rest, c.rest) {
+			t.Errorf("%s: other conjuncts %v, want %v", c.name, rest, c.rest)
+		}
+	}
+	// Empty spans stay empty on an int column: no int lies in them.
+	for _, sp := range []span{{10, math.Nextafter(5, -inf), false}, {inf, -inf, false}} {
+		if _, _, ok := intSpan(sp); ok {
+			t.Errorf("intSpan(%v) is not empty", sp)
+		}
+	}
 }
